@@ -4,11 +4,13 @@ The package has six building blocks: ``theta`` (the series and the order-n
 section basis), ``poisson`` (quadratic brackets, Jacobi certification,
 Heisenberg canonical form, projective descent), ``fo`` (elliptic quadratic
 relations, the F table, the semiclassical bracket and its finite-parameter
-oracle), ``cech`` (residue quadrature, dual bases, the principal-part
-projection and the extension-moduli bracket), ``homology`` (exact chain
-algebra for the endomorphism complex, the bivector and the cone
-identification) and ``leaves`` (torsion-type combinatorics and the
-divisor-class constraint).  ``cli`` drives batch verification runs.
+oracle), ``cech`` (one table of samples on the contours around the divisor,
+from which the dual pairing, the principal-part projection checks, the
+trace tables and both routes to the extension-moduli bracket are read),
+``homology`` (exact chain algebra for the endomorphism complex, the
+bivector and the cone identification) and ``leaves`` (torsion-type
+combinatorics and the divisor-class constraint).  ``cli`` drives batch
+verification runs.
 """
 
 from .theta import (
@@ -41,20 +43,11 @@ from .fo import (
     sklyanin_bracket,
 )
 from .cech import (
-    CechCocycle,
-    DiscLocalFunction,
     GlobalSection,
     QuadratureConfig,
     ResidueSystem,
-    duality_pairing_matrix,
     laurent_coeffs,
-    moduli_bracket,
     p_plus,
-    pi_t_class,
-    psi_basis,
-    trace,
-    verify_p_plus,
-    verify_trace_identity,
 )
 from .homology import (
     VSComplex,

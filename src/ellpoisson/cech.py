@@ -12,13 +12,18 @@ The principal-part projection P_+ has closed theta-quotient forms on the
 products psi_alpha phi_beta, which is all the moduli bracket needs: both
 the trace-pairing route and the fully expanded coefficient route to
 {t_i, t_j} are implemented and cross-checked against each other.
+
+Every residue is a trace over the same n circles around the points of D,
+so :class:`ResidueSystem` samples phi_alpha, phi_alpha' and psi_alpha once
+on those circles and reads every quantity off the sample tables: by the
+trapezoidal rule, the Laurent coefficient c_m of f around k/n is the node
+mean of f * (z - k/n)^(-m).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,79 +34,73 @@ from .theta import ThetaBasis, theta_alpha_deriv, theta_alpha_eval
 TWO_PI_I = 2j * math.pi
 
 
+def shortest_period(n: int, tau: complex) -> float:
+    """Length of the shortest nonzero vector of the lattice (1/n)Z + Z*tau.
+
+    The zeros of theta_0 form this lattice, so it is the distance from a
+    point of D to the nearest other zero.  Lagrange-Gauss reduction.
+    """
+    u, v = complex(1.0 / n), complex(tau)
+    if abs(u) > abs(v):
+        u, v = v, u
+    while True:
+        v -= round((v / u).real) * u
+        if abs(v) >= abs(u):
+            return abs(u)
+        u, v = v, u
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Trapezoid-on-circle contour settings.
 
-    ``radius`` of None resolves to 1/(4n), which keeps a factor-3 separation
-    from the neighbouring poles spaced 1/n apart.
+    ``radius`` of None resolves to a quarter of the distance d between
+    neighbouring zeros of theta_0, d = the shortest period of
+    (1/n)Z + Z*tau (at most 1/n, and exactly 1/n unless Im(tau) is small);
+    an explicit radius must stay below d/2.  Without tau, d is taken as 1/n.
     """
 
     circle_points: int = 128
     radius: float | None = None
 
-    def resolve(self, n: int) -> tuple[int, float]:
+    def resolve(self, n: int, tau: complex | None = None) -> tuple[int, float]:
         if self.circle_points < 32:
             raise ValueError("need at least 32 contour points")
-        rho = self.radius if self.radius is not None else 1.0 / (4 * n)
-        if not 0 < rho < 1.0 / (2 * n):
-            raise ValueError("radius must lie strictly inside 1/(2n)")
+        d = 1.0 / n if tau is None else shortest_period(n, tau)
+        rho = self.radius if self.radius is not None else d / 4
+        if not 0 < rho < d / 2:
+            raise ValueError(f"radius must lie strictly between 0 and "
+                             f"{d / 2:.6g}, half the distance between "
+                             "neighbouring poles")
         return self.circle_points, rho
 
 
-@dataclass(frozen=True)
-class DiscLocalFunction:
-    """Evaluator on a punctured disc around the point center_index / n."""
+def _node_coeffs(samples, offsets, window: tuple[int, int]) -> np.ndarray:
+    """Laurent coefficients c_m, m_min <= m <= m_max, from circle samples.
 
-    center_index: int
-    evaluator: Callable
-    pole_order_bound: int = 1
+    ``samples`` holds f at center + offsets along its last axis; c_m is the
+    node mean of f * offsets^(-m), spectrally accurate while the circle
+    stays inside the annulus of analyticity.
+    """
+    ms = np.arange(window[0], window[1] + 1)
+    return samples @ offsets[:, None] ** -ms / len(offsets)
 
 
-@dataclass(frozen=True)
-class CechCocycle:
-    """One local function per point of D."""
-
-    locals: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "locals", tuple(self.locals))
+def _circle(q: QuadratureConfig, n: int, tau: complex | None = None):
+    points, rho = q.resolve(n, tau)
+    return rho * np.exp(TWO_PI_I * np.arange(points) / points)
 
 
 def laurent_coeffs(f, center: complex, window: tuple[int, int],
                    q: QuadratureConfig, n: int = 1) -> np.ndarray:
-    """Laurent coefficients c_m of f around center for m in [m_min, m_max].
-
-    Discrete Fourier transform of circle samples; spectrally accurate while
-    the circle stays inside the annulus of analyticity.
-    """
-    m_min, m_max = window
-    points, rho = q.resolve(n)
-    nodes = center + rho * np.exp(TWO_PI_I * np.arange(points) / points)
+    """Laurent coefficients c_m of the callable f around center for m in
+    [m_min, m_max]."""
+    offsets = _circle(q, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        samples = np.asarray(f(nodes), dtype=complex)
-    if samples.shape != nodes.shape or not np.all(np.isfinite(samples)):
+        samples = np.asarray(f(center + offsets), dtype=complex)
+    if samples.shape != offsets.shape or not np.all(np.isfinite(samples)):
         raise ContourError(f"contour around {center} hit a singularity")
-    hat = np.fft.fft(samples) / points
-    ms = np.arange(m_min, m_max + 1)
-    return hat[ms % points] * rho ** (-ms.astype(float))
-
-
-def residue(f, center: complex, q: QuadratureConfig, n: int = 1) -> complex:
-    return complex(laurent_coeffs(f, center, (-1, -1), q, n)[0])
-
-
-def trace(cocycle: CechCocycle, q: QuadratureConfig) -> complex:
-    """(1/n) * sum of residues over the points of D."""
-    n = len(cocycle.locals)
-    total = 0j
-    for local in cocycle.locals:
-        total += residue(local.evaluator, local.center_index / n, q, n)
-    return total / n
-
-
-def total_residue(cocycle: CechCocycle, q: QuadratureConfig) -> complex:
-    return len(cocycle.locals) * trace(cocycle, q)
+    return _node_coeffs(samples, offsets, window)
 
 
 def phi(basis: ThetaBasis, alpha: int):
@@ -133,34 +132,6 @@ class GlobalSection:
                 out = out + c * phi(self.basis, a)(z)
         return out
 
-    def deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for a, c in enumerate(self.coeffs):
-            if c != 0 and a % self.basis.n != 0:
-                out = out + c * phi_deriv(self.basis, a)(z)
-        return out
-
-
-def phi_section(basis: ThetaBasis, alpha: int) -> GlobalSection:
-    coeffs = np.zeros(basis.n, dtype=complex)
-    coeffs[alpha % basis.n] = 1.0
-    return GlobalSection(basis, coeffs)
-
-
-def phi_deriv(basis: ThetaBasis, alpha: int):
-    """Evaluator of phi_alpha' away from the divisor."""
-    alpha %= basis.n
-
-    def ev(z):
-        th0 = theta_alpha_eval(basis, 0, z)
-        dth0 = theta_alpha_deriv(basis, 0, z, 1)
-        tha = theta_alpha_eval(basis, alpha, z)
-        dtha = theta_alpha_deriv(basis, alpha, z, 1)
-        return (dtha * th0 - tha * dth0) / th0 ** 2
-
-    return ev
-
 
 def psi_local_constant(basis: ThetaBasis, alpha: int, k: int) -> complex:
     """Disc-k value of psi_alpha for alpha != 0.
@@ -178,25 +149,6 @@ def psi_local_constant(basis: ThetaBasis, alpha: int, k: int) -> complex:
             / basis.theta_at_zero[alpha])
 
 
-def psi_basis(basis: ThetaBasis) -> list[CechCocycle]:
-    """The cocycles psi_0, ..., psi_{n-1} dual to (phi_alpha)."""
-    n = basis.n
-    out = []
-    for alpha in range(n):
-        locals_ = []
-        for k in range(n):
-            if alpha == 0:
-                center = k / n
-                ev = (lambda c: lambda z: 1.0 / (np.asarray(z, dtype=complex) - c))(center)
-            else:
-                const = psi_local_constant(basis, alpha, k)
-                ev = (lambda v: lambda z: np.full_like(
-                    np.asarray(z, dtype=complex), v))(const)
-            locals_.append(DiscLocalFunction(k, ev, 1 if alpha == 0 else 0))
-        out.append(CechCocycle(tuple(locals_)))
-    return out
-
-
 @dataclass(frozen=True)
 class PPlusForm:
     """Closed form of P_+(psi_alpha phi_beta): a phi-combination plus an
@@ -206,16 +158,6 @@ class PPlusForm:
     phi_coeffs: dict
     dphi_index: int | None = None
     dphi_coeff: complex = 0j
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for gamma, coeff in self.phi_coeffs.items():
-            if coeff != 0:
-                out = out + coeff * phi(self.basis, gamma)(z)
-        if self.dphi_index is not None and self.dphi_coeff != 0:
-            out = out + self.dphi_coeff * phi_deriv(self.basis, self.dphi_index)(z)
-        return out
 
     def scaled(self, factor: complex) -> "PPlusForm":
         return PPlusForm(self.basis,
@@ -253,101 +195,13 @@ def p_plus(alpha: int, beta: int, basis: ThetaBasis,
     return PPlusForm(basis, {(beta - alpha) % n: f.c(alpha, beta - alpha)})
 
 
-def _psi_alpha_on_disc(basis: ThetaBasis, alpha: int, k: int):
-    n = basis.n
-    if alpha % n == 0:
-        c = k / n
-        return lambda z: 1.0 / (np.asarray(z, dtype=complex) - c)
-    const = psi_local_constant(basis, alpha, k)
-    return lambda z: np.full_like(np.asarray(z, dtype=complex), const)
-
-
-def verify_p_plus(alpha: int, beta: int, basis: ThetaBasis,
-                  q: QuadratureConfig, coeff_scale: float = 1.0) -> float:
-    """Largest principal-part coefficient of psi_a phi_b - P_+(psi_a phi_b).
-
-    A small value certifies the closed form; ``coeff_scale`` != 1 rescales
-    the closed form to demonstrate the check has power.
-    """
-    n = basis.n
-    form = p_plus(alpha, beta, basis)
-    if coeff_scale != 1.0:
-        form = form.scaled(coeff_scale)
-    phi_b = phi(basis, beta)
-    worst = 0.0
-    for k in range(n):
-        psi_a = _psi_alpha_on_disc(basis, alpha, k)
-
-        def diff(z):
-            return psi_a(z) * phi_b(z) - form(z)
-
-        coeffs = laurent_coeffs(diff, k / n, (-2, -1), q, n)
-        worst = max(worst, float(np.max(np.abs(coeffs))))
-    return worst
-
-
-def verify_p_plus_zero_sum(coeffs, basis: ThetaBasis,
-                           q: QuadratureConfig) -> float:
-    """Principal-part residual of sum_a c_a psi_a phi_a when sum c_a = 0.
-
-    The projection of such a combination vanishes, so the combination itself
-    must be regular near every point of D.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    n = basis.n
-    if len(coeffs) != n:
-        raise ValueError("need one coefficient per index")
-    if abs(np.sum(coeffs)) > 1e-12 * max(1.0, float(np.max(np.abs(coeffs)))):
-        raise ValueError("coefficients must sum to zero")
-    worst = 0.0
-    for k in range(n):
-        locs = [(_psi_alpha_on_disc(basis, a, k), phi(basis, a))
-                for a in range(n)]
-
-        def comb(z):
-            return sum(c * pa(z) * pb(z)
-                       for c, (pa, pb) in zip(coeffs, locs))
-
-        vals = laurent_coeffs(comb, k / n, (-2, -1), q, n)
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
-
-
-def _trace_with_psi(basis: ThetaBasis, q: QuadratureConfig, factors,
-                    psi_index: int) -> complex:
-    """tr(prod(factors) * psi_{psi_index}) by residue quadrature."""
-    n = basis.n
-    total = 0j
-    for k in range(n):
-        psi_k = _psi_alpha_on_disc(basis, psi_index, k)
-
-        def integrand(z):
-            out = psi_k(z)
-            for f in factors:
-                out = out * f(z)
-            return out
-
-        total += residue(integrand, k / n, q, n)
-    return total / n
-
-
-def duality_pairing_matrix(basis: ThetaBasis,
-                           q: QuadratureConfig | None = None) -> np.ndarray:
-    """<phi_a, psi_b> by residue quadrature; the identity up to error."""
-    q = q if q is not None else QuadratureConfig()
-    n = basis.n
-    out = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        phi_a = phi(basis, a)
-        for b in range(n):
-            out[a, b] = _trace_with_psi(basis, q, (phi_a,), b)
-    return out
-
-
 class ResidueSystem:
-    """Shared tables for the moduli bracket at a fixed basis and quadrature.
+    """Node tables for the residue calculus at a fixed basis and quadrature.
 
-    Immutable after construction; the trace tables
+    Immutable after construction.  ``nodes[k, p]`` = k/n + offsets[p] are
+    the quadrature nodes on the circle around k/n; ``phi``, ``dphi`` and
+    ``psi`` hold phi_alpha, phi_alpha' and psi_alpha there, as arrays
+    indexed [alpha, k, p].  The trace tables
 
         T3[a, b] = tr(phi_a phi_b psi_{a+b}),
         TD[a, b] = tr(phi_a' phi_b psi_{a+b})
@@ -360,20 +214,95 @@ class ResidueSystem:
         self.quad = quad if quad is not None else QuadratureConfig()
         self.f = f_constants(basis)
         n = basis.n
-        self._phi = [phi(basis, a) for a in range(n)]
-        self._dphi = [phi_deriv(basis, a) for a in range(n)]
-        self.t3 = np.zeros((n, n), dtype=complex)
-        self.td = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                self.t3[a, b] = _trace_with_psi(
-                    basis, self.quad, (self._phi[a], self._phi[b]), (a + b) % n)
-                self.td[a, b] = _trace_with_psi(
-                    basis, self.quad, (self._dphi[a], self._phi[b]), (a + b) % n)
+        self.offsets = _circle(self.quad, n, basis.params.tau)
+        self.nodes = np.arange(n)[:, None] / n + self.offsets
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            th = np.array([theta_alpha_eval(basis, a, self.nodes)
+                           for a in range(n)])
+            dth = np.array([theta_alpha_deriv(basis, a, self.nodes, 1)
+                            for a in range(n)])
+            self.phi = th / th[0]
+            self.dphi = (dth * th[0] - th * dth[0]) / th[0] ** 2
+        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.dphi))):
+            raise ContourError("a contour around a point of D hit a singularity")
+        self.phi[0] = 1.0
+        self.dphi[0] = 0.0
+        self.psi = np.empty_like(self.phi)
+        self.psi[0] = 1.0 / self.offsets
+        for a in range(1, n):
+            for k in range(n):
+                self.psi[a, k] = psi_local_constant(basis, a, k)
+        psi_sum = self.psi[(np.arange(n)[:, None] + np.arange(n)) % n]
+        self.t3 = self.tr(self.phi[:, None] * self.phi * psi_sum)
+        self.td = self.tr(self.dphi[:, None] * self.phi * psi_sum)
+
+    def tr(self, samples) -> np.ndarray:
+        """The trace pairing over the last two axes (disc k, node p) of a
+        sample table: (1/n) sum_k Res_{k/n}."""
+        # Res_{k/n} f is the node mean of f * offsets on disc k
+        return (samples.sum(axis=-2) @ self.offsets
+                / (self.basis.n * len(self.offsets)))
+
+    def _combine(self, phi_coeffs, dphi_coeffs=None) -> np.ndarray:
+        """Samples of sum_g c_g phi_g + sum_g d_g phi_g'."""
+        out = np.tensordot(phi_coeffs, self.phi, 1)
+        if dphi_coeffs is not None:
+            out = out + np.tensordot(dphi_coeffs, self.dphi, 1)
+        return out
+
+    def _principal_part(self, samples) -> float:
+        """Largest |c_-2|, |c_-1| over the discs of an (n, P) sample table."""
+        return float(np.max(np.abs(_node_coeffs(samples, self.offsets,
+                                                (-2, -1)))))
 
     def pairing_matrix(self) -> np.ndarray:
         """<phi_a, psi_b>; equals the identity within quadrature error."""
-        return duality_pairing_matrix(self.basis, self.quad)
+        return self.tr(self.phi[:, None] * self.psi)
+
+    # -- checks of the closed forms ----------------------------------------
+
+    def verify_p_plus(self, alpha: int, beta: int,
+                      coeff_scale: float = 1.0) -> float:
+        """Largest principal-part coefficient of psi_a phi_b - P_+(psi_a phi_b).
+
+        A small value certifies the closed form; ``coeff_scale`` != 1
+        rescales the closed form to demonstrate the check has power.
+        """
+        n = self.basis.n
+        form = p_plus(alpha, beta, self.basis, self.f)
+        if coeff_scale != 1.0:
+            form = form.scaled(coeff_scale)
+        dphi_coeffs = np.zeros(n, dtype=complex)
+        if form.dphi_index is not None:
+            dphi_coeffs[form.dphi_index] = form.dphi_coeff
+        projected = self._combine(form.phi_part().coeffs, dphi_coeffs)
+        return self._principal_part(self.psi[alpha % n] * self.phi[beta % n]
+                                    - projected)
+
+    def verify_p_plus_zero_sum(self, coeffs) -> float:
+        """Principal-part residual of sum_a c_a psi_a phi_a when sum c_a = 0.
+
+        The projection of such a combination vanishes, so the combination
+        itself must be regular near every point of D.
+        """
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if len(coeffs) != self.basis.n:
+            raise ValueError("need one coefficient per index")
+        if abs(np.sum(coeffs)) > 1e-12 * max(1.0, float(np.max(np.abs(coeffs)))):
+            raise ValueError("coefficients must sum to zero")
+        return self._principal_part(np.tensordot(coeffs, self.psi * self.phi, 1))
+
+    def verify_trace_identity(self, i: int, j: int) -> float:
+        """|F(i,j-i) tr(phi_{j-i} phi_i psi_j) - (th'_i/th_i + th'_{j-i}/th_{j-i}
+        - 2 pi i n)| for i, j, i-j nonzero mod n."""
+        basis = self.basis
+        n = basis.n
+        if i % n == 0 or j % n == 0 or (i - j) % n == 0:
+            raise ValueError("need i, j and i - j nonzero mod n")
+        lhs = self.f.c(i, j - i) * self.t3[(j - i) % n, i % n]
+        rhs = (basis.ratio_dtheta(i) + basis.ratio_dtheta(j - i)
+               - 2j * math.pi * n)
+        return float(abs(lhs - rhs))
 
     # -- the two routes to {t_i, t_j} -------------------------------------
 
@@ -395,50 +324,42 @@ class ResidueSystem:
         term5 = t[(i + j) % n] * (-self.td[j % n, i % n] + self.td[i % n, j % n])
         return term1 - term2 - t[i % n] * term3 + t[j % n] * term4 + term5
 
-    def _p_plus_of_covector(self, t, i: int):
-        """P_+[psi_t (phi_i - t_i)] expanded through the closed forms."""
+    def _psi_t(self, t) -> np.ndarray:
+        """Samples of psi_t = sum_a t_a psi_a."""
+        return np.tensordot(t, self.psi, 1)
+
+    def _p_plus_psi_t(self, t, a) -> np.ndarray:
+        """Samples of P_+(psi_t phi) for phi = sum_c a_c phi_c with
+        sum_c t_c a_c = 0, through the closed forms.
+
+        The diagonal products psi_c phi_c drop out by the kernel condition,
+        and phi_0' vanishes.
+        """
         n = self.basis.n
-        t = np.asarray(t, dtype=complex)
-        coeffs = {}
-        for a in range(n):
-            if a == i % n:
-                continue
-            gamma = (i - a) % n
-            coeffs[gamma] = coeffs.get(gamma, 0j) + t[a] * self.f.c(a, i - a)
-        return PPlusForm(self.basis, coeffs, dphi_index=i % n, dphi_coeff=-1.0)
-
-    def _psi_t_on_disc(self, t, k: int):
-        n = self.basis.n
-        t = np.asarray(t, dtype=complex)
-        const = sum(t[a] * psi_local_constant(self.basis, a, k)
-                    for a in range(1, n))
-        center = k / n
-
-        def ev(z):
-            return t[0] / (np.asarray(z, dtype=complex) - center) + const
-
-        return ev
+        phi_coeffs = np.zeros(n, dtype=complex)
+        for c in range(1, n):
+            for al in range(n):
+                if al != c:
+                    phi_coeffs[(c - al) % n] += a[c] * t[al] * self.f.c(al, c - al)
+        return self._combine(phi_coeffs, -a)
 
     def trace_form_entry(self, t, i: int, j: int) -> complex:
         """Direct quadrature of the projected-cocycle pairing."""
-        n = self.basis.n
         t = np.asarray(t, dtype=complex)
-        g_i = self._p_plus_of_covector(t, i)
-        g_j = self._p_plus_of_covector(t, j)
-        phi_i = self._phi[i % n]
-        phi_j = self._phi[j % n]
-        total = 0j
-        for k in range(n):
-            psi_t = self._psi_t_on_disc(t, k)
+        psi_t = self._psi_t(t)
+        dt_i = self._dt(t, i)
+        dt_j = self._dt(t, j)
+        return complex(self.tr(
+            self._p_plus_psi_t(t, dt_j) * psi_t * self._combine(dt_i)
+            - self._p_plus_psi_t(t, dt_i) * psi_t * self._combine(dt_j)))
 
-            def integrand(z):
-                pt = psi_t(z)
-                cov_i = pt * (phi_i(z) - t[i % n])
-                cov_j = pt * (phi_j(z) - t[j % n])
-                return g_j(z) * cov_i - g_i(z) * cov_j
-
-            total += residue(integrand, k / n, self.quad, n)
-        return total / n
+    def _dt(self, t, i: int) -> np.ndarray:
+        """Coordinates of the cotangent vector phi_i - t_i phi_0."""
+        i %= self.basis.n
+        a = np.zeros(self.basis.n, dtype=complex)
+        a[0] = -t[i]
+        a[i] += 1.0
+        return a
 
     def bracket_matrix(self, t, method: str = "closed_form") -> np.ndarray:
         """Antisymmetric matrix of {t_i, t_j}, chart indices 1..n-1."""
@@ -468,7 +389,6 @@ class ResidueSystem:
         kernel condition); the result is well defined up to adding a
         multiple of t.
         """
-        n = self.basis.n
         t = np.asarray(t, dtype=complex)
         if isinstance(phi_coeffs, GlobalSection):
             phi_coeffs = phi_coeffs.coeffs
@@ -476,75 +396,6 @@ class ResidueSystem:
         scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(t))))
         if abs(np.dot(t, a)) > tol * scale:
             raise ValueError("phi is not in the kernel of the pairing with t")
-        # P_+(psi_t phi) through the closed forms; the diagonal products
-        # drop out because sum_a t_a a_a = 0
-        pp_coeffs = {}
-        for c in range(1, n):
-            if a[c] == 0:
-                continue
-            for al in range(n):
-                if al == c:
-                    continue
-                gamma = (c - al) % n
-                pp_coeffs[gamma] = (pp_coeffs.get(gamma, 0j)
-                                    + a[c] * t[al] * self.f.c(al, c - al))
-        dphi_terms = [(c, -a[c]) for c in range(1, n) if a[c] != 0]
-
-        def p_plus_eval(z):
-            z = np.asarray(z, dtype=complex)
-            out = np.zeros_like(z)
-            for gamma, coeff in pp_coeffs.items():
-                out = out + coeff * self._phi[gamma](z)
-            for c, coeff in dphi_terms:
-                out = out + coeff * self._dphi[c](z)
-            return out
-
-        def phi_eval(z):
-            z = np.asarray(z, dtype=complex)
-            out = np.zeros_like(z)
-            for c in range(n):
-                if a[c] != 0:
-                    out = out + a[c] * self._phi[c](z)
-            return out
-
-        coords = np.zeros(n, dtype=complex)
-        for beta in range(n):
-            total = 0j
-            for k in range(n):
-                psi_t = self._psi_t_on_disc(t, k)
-                phi_b = self._phi[beta]
-
-                def integrand(z):
-                    w = psi_t(z) * (psi_t(z) * phi_eval(z) - 2.0 * p_plus_eval(z))
-                    return phi_b(z) * w
-
-                total += residue(integrand, k / n, self.quad, n)
-            coords[beta] = total / n
-        return coords
-
-
-def moduli_bracket(t, basis: ThetaBasis, q: QuadratureConfig | None = None,
-                   method: str = "closed_form") -> np.ndarray:
-    """Antisymmetric matrix {t_i, t_j} of the extension-moduli bracket."""
-    return ResidueSystem(basis, q).bracket_matrix(t, method)
-
-
-def verify_trace_identity(i: int, j: int, basis: ThetaBasis,
-                          q: QuadratureConfig | None = None) -> float:
-    """|F(i,j-i) tr(phi_{j-i} phi_i psi_j) - (th'_i/th_i + th'_{j-i}/th_{j-i}
-    - 2 pi i n)| for i, j, i-j nonzero mod n."""
-    n = basis.n
-    if i % n == 0 or j % n == 0 or (i - j) % n == 0:
-        raise ValueError("need i, j and i - j nonzero mod n")
-    q = q if q is not None else QuadratureConfig()
-    tr_val = _trace_with_psi(basis, q, (phi(basis, j - i), phi(basis, i)),
-                             j % n)
-    lhs = f_constants(basis).c(i, j - i) * tr_val
-    rhs = (basis.ratio_dtheta(i) + basis.ratio_dtheta(j - i)
-           - 2j * math.pi * n)
-    return abs(lhs - rhs)
-
-
-def pi_t_class(t, phi_coeffs, basis: ThetaBasis,
-               q: QuadratureConfig | None = None) -> np.ndarray:
-    return ResidueSystem(basis, q).pi_t_class(t, phi_coeffs)
+        psi_t = self._psi_t(t)
+        w = psi_t * (psi_t * self._combine(a) - 2.0 * self._p_plus_psi_t(t, a))
+        return self.tr(self.phi * w)

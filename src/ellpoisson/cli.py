@@ -37,6 +37,7 @@ from .theta import (
 
 DEFAULT_TOL = 1e-8
 DEFAULT_TRUNCATION_EPS = 1e-12
+THETA_COMMANDS = ("theta", "sklyanin", "moduli-compare")
 
 
 @dataclass
@@ -45,14 +46,13 @@ class RunConfig:
     k: int = 1
     tau_re: float = 0.0
     tau_im: float = 1.0
-    eta_re: float = 0.0
-    eta_im: float = 0.0
     truncation_eps: float = DEFAULT_TRUNCATION_EPS
     tol: float = DEFAULT_TOL
     quad_points: int = 128
     radius: float | None = None
     seed: int = 0
     samples: int = 20
+    r: int = 1
     format: str = "json"
     output_path: str | None = None
 
@@ -60,19 +60,38 @@ class RunConfig:
     def tau(self) -> complex:
         return complex(self.tau_re, self.tau_im)
 
-    @property
-    def eta(self) -> complex:
-        return complex(self.eta_re, self.eta_im)
-
-    def validate(self):
-        if self.tau_im <= 0:
-            raise UsageError("Im(tau) must be positive")
-        if self.quad_points < 32:
-            raise UsageError("quad-points must be at least 32")
-        if self.radius is not None and not 0 < self.radius < 1 / (2 * self.n):
-            raise UsageError("radius must lie strictly inside 1/(2n)")
+    def validate(self, command: str):
+        """Raise UsageError unless the configuration is in the domain of
+        ``command``; the domain checks of the library are reused."""
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
+        if command in ("moduli-compare", "homology") and self.samples < 1:
+            raise UsageError("samples must be at least 1")
+        if command == "leaves" and self.n < 1:
+            raise UsageError("n must be positive")
+        if command == "homology" and (self.r < 1 or self.n < 1):
+            raise UsageError("need r >= 1 and n >= 1")
+        if command not in THETA_COMMANDS:
+            return
+        if not (math.isfinite(self.tau_re) and math.isfinite(self.tau_im)):
+            raise UsageError("tau must be finite")
+        if not (math.isfinite(self.truncation_eps) and self.truncation_eps > 0):
+            raise UsageError("truncation-eps must be positive and finite")
+        try:
+            CurveParams(self.tau, self.n)
+            if command == "moduli-compare":
+                QuadratureConfig(self.quad_points, self.radius).resolve(
+                    self.n, self.tau)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        if command == "sklyanin" and not 0 < self.k < self.n:
+            raise UsageError("k must satisfy 0 < k < n")
+        if command == "sklyanin" and math.gcd(self.n, self.k) != 1:
+            raise UsageError("gcd(n,k) must be 1")
+        if command == "moduli-compare" and self.k != 1:
+            raise UsageError("k != 1 rejected: the identification with the "
+                             "extension-moduli bracket is only established "
+                             "for k = 1")
 
 
 class UsageError(Exception):
@@ -158,8 +177,6 @@ def cmd_theta(cfg: RunConfig):
 
 
 def cmd_sklyanin(cfg: RunConfig):
-    if math.gcd(cfg.n, cfg.k) != 1:
-        raise UsageError("gcd(n,k) must be 1")
     basis = ThetaBasis(CurveParams(cfg.tau, cfg.n), cfg.truncation_eps)
     bracket = sklyanin_bracket(basis, cfg.k)
     from .poisson import jacobi_defect
@@ -188,9 +205,6 @@ def cmd_sklyanin(cfg: RunConfig):
 
 
 def cmd_moduli_compare(cfg: RunConfig):
-    if cfg.k != 1:
-        raise UsageError("k != 1 rejected: the identification with the "
-                         "extension-moduli bracket is only established for k = 1")
     basis = ThetaBasis(CurveParams(cfg.tau, cfg.n), cfg.truncation_eps)
     quad = QuadratureConfig(cfg.quad_points, cfg.radius)
     system = ResidueSystem(basis, quad)
@@ -209,8 +223,6 @@ def cmd_moduli_compare(cfg: RunConfig):
 
 
 def cmd_leaves(cfg: RunConfig):
-    if cfg.n < 1:
-        raise UsageError("n must be positive")
     records = enumerate_strata(cfg.n)
     tagged = ({rec.torsion for rec in classical_cubic_rows(records)}
               if cfg.n == 3 else set())
@@ -230,13 +242,11 @@ def cmd_leaves(cfg: RunConfig):
     return checks, {"strata": rows}
 
 
-def cmd_homology(cfg: RunConfig, inject_sign_flip=False, rank: int = 1):
+def cmd_homology(cfg: RunConfig, inject_sign_flip=False):
     checks = []
     tables = {}
-    if cfg.samples == 0:
-        tables["warning"] = "no instances sampled; vacuous pass"
     for idx in range(cfg.samples):
-        E = random_kronecker_complex(rank, cfg.n, seed=cfg.seed + idx)
+        E = random_kronecker_complex(cfg.r, cfg.n, seed=cfg.seed + idx)
         H = hom_complex(E)
         ok, failures = cone_iso_check(H, sign_flip=inject_sign_flip)
         pi = pi_bivector(H)
@@ -274,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, default=1)
         p.add_argument("--tau", type=float, nargs=2, default=[0.0, 1.0],
                        metavar=("RE", "IM"))
-        p.add_argument("--eta", type=float, nargs=2, default=[0.0, 0.0],
-                       metavar=("RE", "IM"))
         p.add_argument("--truncation-eps", type=float, default=None)
         p.add_argument("--tol", type=float, default=None)
         if with_quad:
@@ -308,7 +316,6 @@ def _config_from(args) -> RunConfig:
         n=args.n,
         k=getattr(args, "k", 1),
         tau_re=args.tau[0], tau_im=args.tau[1],
-        eta_re=args.eta[0], eta_im=args.eta[1],
         truncation_eps=(args.truncation_eps if args.truncation_eps is not None
                         else _env_float("ELLPOISSON_TRUNCATION_EPS",
                                         DEFAULT_TRUNCATION_EPS)),
@@ -318,10 +325,11 @@ def _config_from(args) -> RunConfig:
         radius=getattr(args, "radius", None),
         seed=args.seed,
         samples=getattr(args, "samples", 20),
+        r=getattr(args, "r", 1),
         format=args.format,
         output_path=args.output,
     )
-    cfg.validate()
+    cfg.validate(args.command)
     return cfg
 
 
@@ -340,7 +348,7 @@ def main(argv=None) -> int:
         elif args.command == "leaves":
             checks, tables = cmd_leaves(cfg)
         elif args.command == "homology":
-            checks, tables = cmd_homology(cfg, args.inject_sign_flip, args.r)
+            checks, tables = cmd_homology(cfg, args.inject_sign_flip)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown command {args.command}")
     except UsageError as exc:

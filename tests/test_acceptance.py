@@ -10,9 +10,7 @@ import time
 
 import numpy as np
 
-from ellpoisson.cech import QuadratureConfig, ResidueSystem, \
-    duality_pairing_matrix, verify_p_plus, verify_p_plus_zero_sum, \
-    verify_trace_identity
+from ellpoisson.cech import QuadratureConfig, ResidueSystem
 from ellpoisson.cli import main as cli_main
 from ellpoisson.fo import single_eta_bracket, \
     semiclassical_from_relations, sklyanin_bracket
@@ -103,7 +101,7 @@ def test_criterion_2_duality():
     worst = 0.0
     for n in (3, 5, 7):
         for tau in TAUS:
-            pairing = duality_pairing_matrix(get_basis(n, tau), Q)
+            pairing = ResidueSystem(get_basis(n, tau), Q).pairing_matrix()
             worst = max(worst, float(np.max(np.abs(pairing - np.eye(n)))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 10.0
@@ -114,16 +112,17 @@ def test_criterion_2_duality():
 def test_criterion_3_principal_part_projection():
     worst = 0.0
     for n in (3, 5):
-        b = get_basis(n, 1j)
+        b = ResidueSystem(get_basis(n, 1j), Q)
         for alpha in range(n):
             for beta in range(n):
                 if alpha == beta:
                     continue
-                worst = max(worst, verify_p_plus(alpha, beta, b, Q))
+                worst = max(worst, b.verify_p_plus(alpha, beta))
         coeffs = np.full(n, -1.0)
         coeffs[0] = n - 1.0
-        worst = max(worst, verify_p_plus_zero_sum(coeffs, b, Q))
-    power = verify_p_plus(1, 2, get_basis(3, 1j), Q, coeff_scale=1.01)
+        worst = max(worst, b.verify_p_plus_zero_sum(coeffs))
+    power = ResidueSystem(get_basis(3, 1j), Q).verify_p_plus(
+        1, 2, coeff_scale=1.01)
     ok = worst < 1e-8 and power > 1e-4
     assert report(3, "closed forms of the principal-part projection",
                   ok, f"residual {worst:.2e} tol 1e-8, perturbed {power:.2e} > 1e-4")
@@ -132,12 +131,12 @@ def test_criterion_3_principal_part_projection():
 def test_criterion_4_trace_identity():
     worst = 0.0
     for n in (3, 5):
-        b = get_basis(n, 1j)
+        b = ResidueSystem(get_basis(n, 1j), Q)
         for i in range(1, n):
             for j in range(1, n):
                 if i == j:
                     continue
-                worst = max(worst, verify_trace_identity(i, j, b, Q))
+                worst = max(worst, b.verify_trace_identity(i, j))
     ok = worst < 1e-8
     assert report(4, "trace identity for the diagonal coefficients",
                   ok, f"residual {worst:.2e} tol 1e-8")

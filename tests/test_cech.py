@@ -6,31 +6,29 @@ import numpy as np
 import pytest
 
 from ellpoisson.cech import (
-    CechCocycle,
-    DiscLocalFunction,
+    GlobalSection,
     QuadratureConfig,
     ResidueSystem,
     laurent_coeffs,
-    moduli_bracket,
     p_plus,
     phi,
-    pi_t_class,
-    psi_basis,
-    trace,
-    verify_p_plus,
-    verify_p_plus_zero_sum,
-    verify_trace_identity,
+    psi_local_constant,
+    shortest_period,
 )
-from ellpoisson.errors import ContourError
+from ellpoisson.errors import ContourError, DegenerateTauError
 from ellpoisson.fo import sklyanin_bracket
 from ellpoisson.poisson import hn_canonical_extract, projective_matrix
-from ellpoisson.theta import CurveParams, ThetaBasis
+from ellpoisson.theta import CurveParams, ThetaBasis, theta_alpha_eval
 
 Q = QuadratureConfig()
 
 
 def basis(n, tau=1j):
     return ThetaBasis(CurveParams(tau, n))
+
+
+def system(n, tau=1j, quad=Q):
+    return ResidueSystem(basis(n, tau), quad)
 
 
 def random_chart_point(n, rng):
@@ -76,22 +74,98 @@ class TestLaurent:
                            (-1, -1), QuadratureConfig(radius=0.25), n=1)
 
 
+class TestContour:
+    def test_shortest_period(self):
+        assert shortest_period(3, 1j) == pytest.approx(1 / 3)
+        assert shortest_period(3, 0.1j) == pytest.approx(0.1)
+        # 1/3 - (0.3 + 0.05i) is shorter than both generators
+        assert shortest_period(3, 0.3 + 0.05j) == pytest.approx(
+            abs(1 / 3 - 0.3 - 0.05j))
+
+    def test_default_radius_excludes_tau_direction_poles(self):
+        assert Q.resolve(3, 1j) == (128, 1 / 12)
+        assert Q.resolve(3, 0.1j)[1] == pytest.approx(0.025)
+        assert Q.resolve(3) == (128, 1 / 12)
+
+    def test_radius_beyond_half_the_pole_distance_rejected(self):
+        with pytest.raises(ValueError, match="0.05"):
+            QuadratureConfig(radius=0.15).resolve(3, 0.1j)
+        with pytest.raises(ValueError):
+            QuadratureConfig(radius=1 / 6).resolve(3, 1j)
+        assert QuadratureConfig(radius=0.049).resolve(3, 0.1j)[1] == 0.049
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(ValueError):
+            QuadratureConfig(16).resolve(3)
+
+
+class TestTables:
+    def test_shapes(self):
+        s = system(3)
+        assert s.nodes.shape == (3, 128)
+        for table in (s.phi, s.dphi, s.psi):
+            assert table.shape == (3, 3, 128)
+
+    def test_tables_match_callable_residues(self):
+        # T3 entries by laurent_coeffs on closures, a route sharing no
+        # samples with the tables
+        b = basis(3, 0.3 + 0.8j)
+        s = ResidueSystem(b, Q)
+        for a in range(3):
+            for c in range(3):
+                g = (a + c) % 3
+                total = 0j
+                for k in range(3):
+                    psi = ((lambda z, k=k: 1.0 / (z - k / 3)) if g == 0 else
+                           (lambda z, v=psi_local_constant(b, g, k): v))
+                    total += laurent_coeffs(
+                        lambda z: phi(b, a)(z) * phi(b, c)(z) * psi(z),
+                        k / 3, (-1, -1), Q, 3)[0]
+                assert abs(total / 3 - s.t3[a, c]) < 1e-10
+
+    def test_dphi_matches_finite_difference(self):
+        s = system(3)
+        h = 1e-6
+        z = s.nodes[1, :4]
+        for a in (1, 2):
+            fd = (phi(s.basis, a)(z + h) - phi(s.basis, a)(z - h)) / (2 * h)
+            assert np.max(np.abs(fd - s.dphi[a, 1, :4])) < 1e-6 * np.max(
+                np.abs(fd))
+
+    def test_non_finite_sample_raises_contour_error(self, monkeypatch):
+        import ellpoisson.cech as cech
+
+        def poisoned(b, alpha, z):
+            out = theta_alpha_eval(b, alpha, z)
+            out[0, 0] = np.nan
+            return out
+
+        b = basis(3)
+        monkeypatch.setattr(cech, "theta_alpha_eval", poisoned)
+        with pytest.raises(ContourError):
+            ResidueSystem(b, Q)
+
+    def test_vanishing_theta_value_is_degenerate(self):
+        b = basis(3)
+        vals = b.theta_at_zero.copy()
+        vals[1] = 0.0
+        object.__setattr__(b, "theta_at_zero", vals)
+        with pytest.raises(DegenerateTauError):
+            psi_local_constant(b, 1, 0)
+
+
 class TestTrace:
     def test_psi0_has_unit_trace(self):
-        b = basis(3)
-        psi0 = psi_basis(b)[0]
-        assert abs(trace(psi0, Q) - 1.0) < 1e-10
+        s = system(3)
+        assert abs(s.tr(s.psi[0]) - 1.0) < 1e-10
 
     def test_pole_free_cocycle(self):
-        locals_ = tuple(DiscLocalFunction(k, lambda z: np.cos(np.asarray(z)), 0)
-                        for k in range(3))
-        assert abs(trace(CechCocycle(locals_), Q)) < 1e-12
+        s = system(3)
+        assert abs(s.tr(np.cos(s.nodes))) < 1e-12
 
     def test_psi_constants_match_direct_values(self):
         # the per-disc constants agree with theta'_0(0)/theta_alpha(k/n)
         b = basis(5)
-        from ellpoisson.cech import psi_local_constant
-        from ellpoisson.theta import theta_alpha_eval
         for alpha in range(1, 5):
             for k in range(5):
                 direct = b.dtheta_at_zero[0] / theta_alpha_eval(b, alpha, k / 5)
@@ -107,7 +181,6 @@ class TestTrace:
 
 class TestGlobalSection:
     def test_evaluator_matches_basis_combination(self):
-        from ellpoisson.cech import GlobalSection
         b = basis(3)
         sec = GlobalSection(b, np.array([0.5, -1.0j, 2.0]))
         z = np.array([0.31 + 0.21j, 0.12 + 0.55j])
@@ -115,53 +188,40 @@ class TestGlobalSection:
         assert np.max(np.abs(sec(z) - direct)) < 1e-13
 
     def test_coordinates_recovered_by_pairing(self):
-        # tr(sec * psi_beta) reads off the coefficients
-        from ellpoisson.cech import GlobalSection, _psi_alpha_on_disc, residue
-        b = basis(3)
+        # tr(sec * psi_beta) reads off the coefficients; the section is
+        # evaluated by its own closures at the table's nodes
+        s = system(3)
         coeffs = np.array([0.3, 1.2 - 0.4j, -0.7j])
-        sec = GlobalSection(b, coeffs)
+        values = GlobalSection(s.basis, coeffs)(s.nodes)
         for beta in range(3):
-            total = 0j
-            for k in range(3):
-                psi_k = _psi_alpha_on_disc(b, beta, k)
-                total += residue(lambda z: sec(z) * psi_k(z), k / 3, Q, 3)
-            assert abs(total / 3 - coeffs[beta]) < 1e-9
+            assert abs(s.tr(values * s.psi[beta]) - coeffs[beta]) < 1e-9
 
     def test_wrong_length_rejected(self):
-        from ellpoisson.cech import GlobalSection
         with pytest.raises(ValueError):
             GlobalSection(basis(3), np.ones(4))
 
     def test_covector_cocycle_has_zero_total_residue(self):
         # psi_t (phi_i - t_i) lies in the zero-residue subspace
-        from ellpoisson.cech import CechCocycle, DiscLocalFunction, \
-            ResidueSystem, total_residue
-        b = basis(3)
-        system = ResidueSystem(b, Q)
+        s = system(3)
         t = np.array([1.0, 0.4 + 0.2j, -0.3j])
+        psi_t = np.tensordot(t, s.psi, 1)
         for i in (1, 2):
-            locals_ = []
-            for k in range(3):
-                psi_t = system._psi_t_on_disc(t, k)
-                phi_i = phi(b, i)
-                ev = (lambda p, f, ti: lambda z: p(z) * (f(z) - ti))(
-                    psi_t, phi_i, t[i])
-                locals_.append(DiscLocalFunction(k, ev, 2))
-            assert abs(total_residue(CechCocycle(tuple(locals_)), Q)) < 1e-9
+            assert abs(3 * s.tr(psi_t * (s.phi[i] - t[i]))) < 1e-9
 
 
 class TestPPlus:
     def test_psi_j_phi_0_projects_to_zero(self):
-        b = basis(3)
+        s = system(3)
         for j in (1, 2):
-            assert verify_p_plus(j, 0, b, Q) < 1e-8
+            assert s.verify_p_plus(j, 0) < 1e-8
 
     def test_phi_part_is_a_global_section(self):
         b = basis(3)
         form = p_plus(1, 2, b)
         sec = form.phi_part()
+        assert isinstance(sec, GlobalSection)
         z = np.array([0.4 + 0.3j])
-        assert abs(sec(z)[0] - form(z)[0]) < 1e-12
+        assert abs(sec(z)[0] - form.phi_coeffs[1] * phi(b, 1)(z)[0]) < 1e-12
 
     def test_coefficient_for_psi1_phi2(self):
         b = basis(3)
@@ -173,17 +233,19 @@ class TestPPlus:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_all_pairs_certified(self, n):
-        b = basis(n)
+        s = system(n)
         for alpha in range(n):
             for beta in range(n):
                 if alpha == beta:
                     continue
-                assert verify_p_plus(alpha, beta, b, Q) < 1e-8
+                assert s.verify_p_plus(alpha, beta) < 1e-8
 
     def test_zero_sum_combination(self):
-        b = basis(3)
-        assert verify_p_plus_zero_sum([1.0, 1.0, -2.0], b, Q) < 1e-8
-        assert verify_p_plus_zero_sum([0.0, 1.0, -1.0], b, Q) < 1e-8
+        s = system(3)
+        assert s.verify_p_plus_zero_sum([1.0, 1.0, -2.0]) < 1e-8
+        assert s.verify_p_plus_zero_sum([0.0, 1.0, -1.0]) < 1e-8
+        with pytest.raises(ValueError):
+            s.verify_p_plus_zero_sum([1.0, 1.0, 1.0])
 
     def test_diagonal_rejected_outside_combinations(self):
         b = basis(3)
@@ -191,32 +253,35 @@ class TestPPlus:
             p_plus(1, 1, b)
 
     def test_perturbed_constant_detected(self):
-        b = basis(3)
-        assert verify_p_plus(1, 2, b, Q, coeff_scale=1.01) > 1e-4
+        s = system(3)
+        assert s.verify_p_plus(1, 2, coeff_scale=1.01) > 1e-4
+        assert s.verify_p_plus(0, 2, coeff_scale=1.01) > 1e-4
 
 
 class TestTraceIdentity:
     @pytest.mark.parametrize("n", [3, 5])
     def test_all_valid_pairs(self, n):
-        b = basis(n)
+        s = system(n)
         for i in range(1, n):
             for j in range(1, n):
                 if i == j:
                     continue
-                assert verify_trace_identity(i, j, b, Q) < 1e-8
+                assert s.verify_trace_identity(i, j) < 1e-8
 
     def test_generic_tau(self):
-        b = basis(3, 0.3 + 0.8j)
+        s = system(3, 0.3 + 0.8j)
         for (i, j) in [(1, 2), (2, 1)]:
-            assert verify_trace_identity(i, j, b, Q) < 1e-7
+            assert s.verify_trace_identity(i, j) < 1e-7
+        with pytest.raises(ValueError):
+            s.verify_trace_identity(1, 1)
 
 
 class TestModuliBracket:
     def test_origin_chart_point_finite_and_antisymmetric(self):
-        b = basis(3)
+        s = system(3)
         t = np.array([1.0, 0.0, 0.0], dtype=complex)
         for method in ("closed_form", "trace_form"):
-            mat = moduli_bracket(t, b, Q, method)
+            mat = s.bracket_matrix(t, method)
             assert np.all(np.isfinite(mat))
             assert np.max(np.abs(mat + mat.T)) == 0.0
 
@@ -254,24 +319,23 @@ class TestModuliBracket:
 
 class TestPiT:
     def test_zero_input(self):
-        b = basis(3)
+        s = system(3)
         t = np.array([1.0, 0.2, -0.4], dtype=complex)
-        coords = pi_t_class(t, np.zeros(3), b, Q)
+        coords = s.pi_t_class(t, np.zeros(3))
         assert np.max(np.abs(coords)) < 1e-12
 
     def test_kernel_condition_enforced(self):
-        b = basis(3)
+        s = system(3)
         t = np.array([1.0, 0.2, -0.4], dtype=complex)
         with pytest.raises(ValueError):
-            pi_t_class(t, np.array([1.0, 0.0, 0.0]), b, Q)
+            s.pi_t_class(t, np.array([1.0, 0.0, 0.0]))
 
     def test_accepts_global_section(self):
-        from ellpoisson.cech import GlobalSection
-        b = basis(3)
+        s = system(3)
         t = np.array([1.0, 0.2, -0.4], dtype=complex)
         coeffs = np.array([-t[1], 1.0, 0.0], dtype=complex)
-        by_array = pi_t_class(t, coeffs, b, Q)
-        by_section = pi_t_class(t, GlobalSection(b, coeffs), b, Q)
+        by_array = s.pi_t_class(t, coeffs)
+        by_section = s.pi_t_class(t, GlobalSection(s.basis, coeffs))
         assert np.array_equal(by_array, by_section)
 
     def test_linearity(self):

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from ellpoisson.cli import main
 
@@ -31,6 +32,52 @@ class TestExitCodes:
         code = main(["moduli-compare", "--k", "2"])
         assert code == 2
         assert "only established for k = 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["theta", "--n", "1"], "order n must be at least 2"),
+        (["theta", "--truncation-eps", "0"],
+         "truncation-eps must be positive and finite"),
+        (["homology", "--n", "0"], "need r >= 1 and n >= 1"),
+        (["homology", "--r", "0"], "need r >= 1 and n >= 1"),
+        (["theta", "--tau", "nan", "1"], "tau must be finite"),
+        (["sklyanin", "--n", "5", "--k", "7"], "k must satisfy 0 < k < n"),
+        (["moduli-compare", "--samples", "0"], "samples must be at least 1"),
+        (["homology", "--samples", "-1"], "samples must be at least 1"),
+        (["moduli-compare", "--quad-points", "16"],
+         "need at least 32 contour points"),
+    ])
+    def test_out_of_domain_input_is_usage_error(self, args, message, capsys):
+        code = main(args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_eta_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["theta", "--eta", "0", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eta" in capsys.readouterr().err
+
+    def test_radius_must_exclude_tau_direction_poles(self, capsys):
+        # at tau = 0.1i the nearest other pole of phi is 0.1 away from 0
+        code = main(["moduli-compare", "--n", "3", "--tau", "0", "0.1",
+                     "--radius", "0.15", "--samples", "1"])
+        assert code == 2
+        assert "radius must lie strictly between 0 and 0.05" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--tau", "0", "0.05"],
+        ["--tau", "0", "0.1", "--radius", "0.025"],
+    ])
+    def test_small_im_tau_contours_pass(self, args, tmp_path):
+        code, text = run(["moduli-compare", "--n", "3", "--samples", "1"]
+                         + args, tmp_path)
+        assert code == 0
+        checks = json.loads(text)["checks"]
+        assert [c["name"] for c in checks] == ["method_agreement",
+                                               "matches_projective_bracket"]
 
     def test_sign_flip_fails_with_named_identity(self, tmp_path):
         code, text = run(["homology", "--n", "3", "--samples", "1",
@@ -73,12 +120,12 @@ class TestReports:
         rows = json.loads(text)["tables"]["strata"]
         assert [(r[0], r[3]) for r in rows] == [(0, 2), (1, 0)]
 
-    def test_homology_vacuous_pass_warns(self, tmp_path):
-        code, text = run(["homology", "--samples", "0"], tmp_path)
-        assert code == 0
-        report = json.loads(text)
-        assert "warning" in report["tables"]
-        assert report["checks"] == []
+    def test_homology_zero_samples_refused(self, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        code = main(["homology", "--samples", "0", "--output", str(path)])
+        assert code == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_sklyanin_k2_has_no_f_row(self, tmp_path):
         code, text = run(["sklyanin", "--n", "5", "--k", "2"], tmp_path)
