@@ -1,10 +1,12 @@
 """Theta bases, elliptic quadratic Poisson brackets and residue calculus.
 
 The package has six building blocks: ``theta`` (the series and the order-n
-section basis), ``poisson`` (quadratic brackets, Jacobi certification,
-Heisenberg canonical form, projective descent), ``fo`` (elliptic quadratic
+section basis), ``poisson`` (a quadratic bracket as one coefficient tensor,
+Jacobi certification as a contraction of that tensor with itself,
+Heisenberg canonical form, projective descent; sparse polynomials and
+Leibniz brackets serve only as test oracles), ``fo`` (elliptic quadratic
 relations, the F table, the semiclassical bracket and its finite-parameter
-oracle), ``cech`` (one table of samples on the contours around the divisor,
+oracle, all as tensors), ``cech`` (one table of samples on the contours around the divisor,
 from which the dual pairing, the principal-part projection checks, the
 trace tables and both routes to the extension-moduli bracket are read),
 ``homology`` (exact chain algebra for the endomorphism complex, the
@@ -25,10 +27,7 @@ from .theta import (
 )
 from .poisson import (
     HnBracket,
-    Polynomial,
     QuadraticBracket,
-    bracket_generators,
-    bracket_poly,
     hn_canonical_extract,
     jacobi_defect,
     projective_bracket,

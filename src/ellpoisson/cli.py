@@ -191,11 +191,12 @@ def cmd_sklyanin(cfg: RunConfig):
                               float(f.table[a, b].imag)]
                              for a in range(cfg.n) for b in range(cfg.n)]
     etas = [1e-2, 1e-3, 1e-4]
-    est = semiclassical_from_relations(basis, cfg.k, etas)
+    tensors = [single_eta_bracket(basis, cfg.k, e) for e in etas]
+    est = semiclassical_from_relations(etas, tensors)
     deviation = est.max_difference(bracket)
     checks.append(_check("semiclassical_deviation", deviation, 1e-4))
-    singles = [QuadraticBracket(cfg.n, single_eta_bracket(basis, cfg.k, e))
-               .max_difference(bracket) for e in etas]
+    singles = [QuadraticBracket(cfg.n, t).max_difference(bracket)
+               for t in tensors]
     slope = float(np.polyfit(np.log(etas), np.log(singles), 1)[0])
     checks.append(_check("semiclassical_slope_shortfall",
                          max(0.0, 1.0 - slope), 1e-2))

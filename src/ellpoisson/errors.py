@@ -13,6 +13,10 @@ class DegenerateEtaError(EllPoissonError):
     """A relation denominator vanished at the given translation parameter."""
 
 
+class ThetaRangeError(EllPoissonError):
+    """A theta value at the requested point lies beyond double-precision range."""
+
+
 class ContourError(EllPoissonError):
     """A quadrature contour produced a non-finite sample (it hit a singularity)."""
 

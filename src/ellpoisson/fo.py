@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEtaError, DegenerateTauError, ExtrapolationError
-from .poisson import QuadraticBracket
+from .poisson import QuadraticBracket, pair_tensor
 from .theta import ThetaBasis, theta_alpha_eval
 
 
@@ -93,24 +93,20 @@ def fo_relations(basis: ThetaBasis, k: int, eta: complex) -> FORelationTensor:
     _check_coprime(n, k)
     eta = complex(eta)
     floor = 1e-10 * abs(basis.dtheta_at_zero[0] * eta)
-    th_pos = np.array([theta_alpha_eval(basis, a, eta) for a in range(n)])
-    th_neg = np.array([theta_alpha_eval(basis, a, -eta) for a in range(n)])
+    # th[:, 0] = theta_a(eta), th[:, 1] = theta_a(-eta)
+    th = np.array([theta_alpha_eval(basis, a, np.array([eta, -eta]))
+                   for a in range(n)])
     for a in range(n):
-        if abs(th_pos[a]) < floor:
-            raise DegenerateEtaError(
-                f"theta_{a}(eta) ~ 0 at eta={eta}: torsion-degenerate")
-        if abs(th_neg[a]) < floor:
-            raise DegenerateEtaError(
-                f"theta_{a}(-eta) ~ 0 at eta={eta}: torsion-degenerate")
+        for col, sign in ((0, ""), (1, "-")):
+            if abs(th[a, col]) < floor:
+                raise DegenerateEtaError(
+                    f"theta_{a}({sign}eta) ~ 0 at eta={eta}: "
+                    "torsion-degenerate")
     th0 = basis.theta_at_zero
-    coeffs = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for r in range(n):
-                num = th0[(j - i + r * (k - 1)) % n]
-                coeffs[i, j, r] = num / (th_pos[(k * r) % n] * th_neg[(j - i - r) % n])
+    i, j, r = np.indices((n, n, n))
+    coeffs = th0[(j - i + r * (k - 1)) % n] / (th[(k * r) % n, 0]
+                                               * th[(j - i - r) % n, 1])
+    coeffs[i == j] = 0.0
     return FORelationTensor(n, k, eta, coeffs)
 
 
@@ -120,62 +116,40 @@ def sklyanin_bracket(basis: ThetaBasis, k: int) -> QuadraticBracket:
     _check_coprime(n, k)
     th = basis.theta_at_zero
     dth = basis.dtheta_at_zero
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = (j - i) % n
-            entry = {}
-
-            def add(kk, ll, coeff):
-                key = tuple(sorted((kk % n, ll % n)))
-                entry[key] = entry.get(key, 0j) + coeff
-
-            diag = (dth[d] / th[d] + dth[(k * d) % n] / th[(k * d) % n]
-                    - 2j * math.pi * n)
-            add(i, j, diag)
-            for r in range(n):
-                if r == 0 or r == d:
-                    continue
-                num = th[(d + r * (k - 1)) % n]
-                if num == 0:
-                    continue
-                coeff = num * dth[0] / (th[(k * r) % n] * th[(d - r) % n])
-                add(j - r, i + r, coeff)
-            table[(i, j)] = entry
-    return QuadraticBracket(n, table)
+    # g[d, r]: coefficient of the word x_{j-r} x_{i+r} in {x_i, x_j}, d = j-i
+    d, r = np.indices((n, n))
+    words = (r != 0) & (r != d)
+    den = np.where(words, th[(k * r) % n] * th[(d - r) % n], 1.0)
+    g = np.where(words, th[(d + r * (k - 1)) % n] * dth[0] / den, 0.0)
+    # r = 0 and r = d are both x_i x_j; they share the diagonal term
+    dd = np.arange(1, n)
+    diag = (dth[dd] / th[dd] + dth[(k * dd) % n] / th[(k * dd) % n]
+            - 2j * math.pi * n)
+    g[dd, 0] = g[dd, dd] = diag / 2.0
+    return QuadraticBracket(n, pair_tensor(g))
 
 
-def single_eta_bracket(basis: ThetaBasis, k: int, eta: complex) -> dict:
+def single_eta_bracket(basis: ThetaBasis, k: int, eta: complex) -> np.ndarray:
     """First-order bracket estimate from the relations at one eta.
 
-    Returns {(i,j) i<j: {normalized monomial: coefficient}}, treating the
-    generators as commuting when collecting the commutator at leading order
-    (reordering corrections are higher order in eta and are removed by the
-    extrapolation in :func:`semiclassical_from_relations`).
+    Returns the coefficient tensor (the layout of
+    :class:`QuadraticBracket`), treating the generators as commuting when
+    collecting the commutator at leading order (reordering corrections are
+    higher order in eta and are removed by the extrapolation in
+    :func:`semiclassical_from_relations`).
     """
     n = basis.n
-    rel = fo_relations(basis, k, eta)
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = rel.relation(i, j)
-            d = (j - i) % n
-            # words x_{j-r} x_{i+r}: r = d carries x_i x_j, r = 0 carries
-            # x_j x_i; solving for [x_i, x_j]/eta at commutative leading order
-            c_d = c[d]
-            entry = {}
-
-            def add(kk, ll, coeff):
-                key = tuple(sorted((kk % n, ll % n)))
-                entry[key] = entry.get(key, 0j) + coeff
-
-            add(i, j, (-c[0] / c_d - 1.0) / eta)
-            for r in range(n):
-                if r == 0 or r == d:
-                    continue
-                add(j - r, i + r, (-c[r] / c_d) / eta)
-            out[(i, j)] = entry
-    return out
+    eta = complex(eta)
+    # relation (i, j) depends on j - i only; rel[d] is the one of (0, d)
+    rel = fo_relations(basis, k, eta).coeffs[0]
+    # words x_{j-r} x_{i+r}: r = d carries x_i x_j, r = 0 carries x_j x_i;
+    # solving for [x_i, x_j]/eta at commutative leading order
+    dd = np.arange(1, n)
+    c_d = rel[dd, dd][:, None]
+    g = np.zeros((n, n), dtype=complex)
+    g[1:] = (-rel[1:] / c_d) / eta
+    g[dd, 0] = g[dd, dd] = ((-rel[dd, 0] / c_d[:, 0] - 1.0) / eta) / 2.0
+    return pair_tensor(g)
 
 
 def _neville_at_zero(etas, values):
@@ -188,42 +162,39 @@ def _neville_at_zero(etas, values):
         for s in range(m - level):
             num = etas[s] * t[s + 1] - etas[s + level] * t[s]
             new.append(num / (etas[s] - etas[s + level]))
-        last_correction = abs(new[-1] - t[-1])
+        last_correction = np.abs(new[-1] - t[-1])
         t = new
     return t[0], last_correction
 
 
-def semiclassical_from_relations(basis: ThetaBasis, k: int,
-                                 eta_sequence) -> QuadraticBracket:
-    """Bracket tensor extrapolated to eta = 0 from finite-eta relations.
+def semiclassical_from_relations(etas, tensors) -> QuadraticBracket:
+    """Bracket extrapolated to eta = 0 from the single-eta tensors.
 
-    This path shares no formulas with :func:`sklyanin_bracket` beyond the
-    relation tensor itself and is the numerical oracle for the closed form.
-    Raises :class:`ExtrapolationError` when the correction terms fail to
-    shrink, which signals an unusable eta sequence.
+    ``tensors[s]`` is :func:`single_eta_bracket` at ``etas[s]``.  This path
+    shares no formulas with :func:`sklyanin_bracket` beyond the relation
+    tensor itself and is the numerical oracle for the closed form.  Raises
+    :class:`ExtrapolationError` when the largest last correction exceeds
+    the largest change between the first and the last eta, which signals an
+    unusable eta sequence.
     """
-    etas = [complex(e) for e in eta_sequence]
+    etas = [complex(e) for e in etas]
     if len(etas) < 2:
         raise ValueError("need at least two eta values to extrapolate")
-    singles = [single_eta_bracket(basis, k, e) for e in etas]
-    n = basis.n
-    table = {}
-    worst_first = 0.0
-    worst_last = 0.0
-    for pair in singles[0]:
-        monos = set()
-        for s in singles:
-            monos |= set(s[pair])
-        entry = {}
-        for m in monos:
-            vals = [s[pair].get(m, 0j) for s in singles]
-            extrap, corr = _neville_at_zero(etas, vals)
-            entry[m] = extrap
-            worst_first = max(worst_first, abs(vals[-1] - vals[0]))
-            worst_last = max(worst_last, corr)
-        table[pair] = entry
+    if len(tensors) != len(etas):
+        raise ValueError("need one tensor per eta value")
+    n = tensors[0].shape[0]
+    monomial = 2.0 - np.eye(n)
+    extrap = np.empty_like(tensors[0])
+    worst_first = worst_last = 0.0
+    # one generator row {x_i, .} at a time keeps the temporaries at n^3
+    for i in range(n):
+        rows = [t[i] for t in tensors]
+        extrap[i], last = _neville_at_zero(etas, rows)
+        worst_first = max(worst_first, float(np.max(
+            np.abs(rows[-1] - rows[0]) * monomial)))
+        worst_last = max(worst_last, float(np.max(last * monomial)))
     if len(etas) > 2 and worst_last > max(worst_first, 1e-12):
         raise ExtrapolationError(
             f"extrapolation corrections grew: first {worst_first:.3e}, "
             f"last {worst_last:.3e}")
-    return QuadraticBracket(n, table)
+    return QuadraticBracket(n, extrap)

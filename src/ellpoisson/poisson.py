@@ -1,9 +1,10 @@
 """Quadratic Poisson brackets on n variables and their canonical form.
 
-A bracket is stored through the degree-2 polynomials {x_i, x_j} for i < j
-(the other entries follow by skew-symmetry).  For brackets invariant under
-the order-n Heisenberg group the whole tensor collapses to a single
-symmetric table C(alpha, beta) with
+A bracket is one complex tensor Q[i, j, k, l] with
+{x_i, x_j} = sum_{k,l} Q[i, j, k, l] x_k x_l, antisymmetric in (i, j) and
+symmetric in (k, l); Jacobi certification contracts Q with itself.  For
+brackets invariant under the order-n Heisenberg group the whole tensor
+collapses to a single symmetric table C(alpha, beta) with
 
     {x_i, x_j} = sum_r C(r, j-i-r) x_{i+r} x_{j-r},
     C(beta, alpha) = C(alpha, beta) = -C(-alpha, -beta),
@@ -20,14 +21,14 @@ import numpy as np
 
 from .errors import InvarianceError
 
-COEFF_CUTOFF = 1e-14
-
 
 class Polynomial:
     """Sparse polynomial in n commuting variables with complex coefficients.
 
     Terms map exponent tuples to coefficients; zero coefficients are never
-    stored.  Instances are treated as immutable.
+    stored.  Instances are treated as immutable.  Polynomials and the
+    Leibniz brackets built on them are the tests' independent oracle for
+    the tensor code.
     """
 
     __slots__ = ("n", "terms")
@@ -151,68 +152,59 @@ class Polynomial:
 
 
 class QuadraticBracket:
-    """Skew tensor of a quadratic bracket, stored as {x_i, x_j} for i < j.
+    """A quadratic bracket held as one coefficient tensor.
 
-    Monomial keys are normalized to k <= l; coefficients below 1e-14 are
-    dropped on write.
+    ``coeffs[i, j, k, l]`` is the coefficient of x_k x_l in
+    {x_i, x_j} = sum_{k,l} coeffs[i, j, k, l] x_k x_l, antisymmetric in
+    (i, j) and symmetric in (k, l); the coefficient of the monomial x_k x_l
+    is therefore 2 coeffs[i, j, k, l] for k != l and coeffs[i, j, k, k] on
+    the squares.  Omitting ``coeffs`` gives the zero bracket.  Only exact
+    zeros are absent terms.
     """
 
-    def __init__(self, n, table=None):
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n, coeffs=None):
+        shape = (n,) * 4
+        q = (np.zeros(shape, dtype=complex) if coeffs is None
+             else np.asarray(coeffs, dtype=complex))
+        if q.shape != shape:
+            raise ValueError(f"coefficient tensor must have shape {shape}")
+        if not (np.array_equal(q, -q.transpose(1, 0, 2, 3))
+                and np.array_equal(q, q.transpose(0, 1, 3, 2))):
+            raise ValueError("coefficient tensor must be antisymmetric in "
+                             "(i, j) and symmetric in (k, l)")
         self.n = n
-        self._table = {}
-        for (i, j), monos in (table or {}).items():
-            if not (0 <= i < j < n):
-                raise ValueError("table keys must satisfy 0 <= i < j < n")
-            entry = {}
-            for (k, l), coeff in monos.items():
-                k, l = sorted((k % n, l % n))
-                if abs(coeff) >= COEFF_CUTOFF:
-                    entry[(k, l)] = entry.get((k, l), 0j) + complex(coeff)
-            entry = {m: c for m, c in entry.items() if abs(c) >= COEFF_CUTOFF}
-            if entry:
-                self._table[(i, j)] = entry
+        self.coeffs = q
+
+    def monomials(self) -> np.ndarray:
+        """Coefficient of the monomial x_k x_l in {x_i, x_j} at [i, j, k, l]."""
+        return self.coeffs * (2.0 - np.eye(self.n))
 
     def pair_coeffs(self, i, j):
-        """Monomial table of {x_i, x_j} (sign-resolved, normalized keys)."""
-        i %= self.n
-        j %= self.n
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self._table.get((i, j), {}))
-        return {m: -c for m, c in self._table.get((j, i), {}).items()}
+        """Monomial table {(k, l): c, k <= l} of {x_i, x_j}."""
+        mono = np.triu(self.monomials()[i % self.n, j % self.n])
+        return {(int(k), int(l)): complex(mono[k, l])
+                for k, l in zip(*np.nonzero(mono))}
 
     def pair_poly(self, i, j) -> Polynomial:
-        return Polynomial(self.n, {
-            self._expo(k, l): c for (k, l), c in self.pair_coeffs(i, j).items()})
-
-    def _expo(self, k, l):
-        expo = [0] * self.n
-        expo[k] += 1
-        expo[l] += 1
-        return tuple(expo)
+        return sum((Polynomial.monomial(self.n, kl, c)
+                    for kl, c in self.pair_coeffs(i, j).items()),
+                   Polynomial.zero(self.n))
 
     def max_abs(self):
-        return max((abs(c) for e in self._table.values() for c in e.values()),
-                   default=0.0)
+        return float(np.max(np.abs(self.monomials()), initial=0.0))
 
     def pairs(self):
-        return sorted(self._table)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadraticBracket):
-            return NotImplemented
-        return self.n == other.n and self._table == other._table
+        """The pairs i < j with {x_i, x_j} != 0, in order."""
+        nonzero = np.triu(np.any(self.coeffs != 0, axis=(2, 3)), 1)
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(nonzero))]
 
     def max_difference(self, other):
-        keys = set(self._table) | set(other._table)
-        worst = 0.0
-        for key in keys:
-            a = self._table.get(key, {})
-            b = other._table.get(key, {})
-            for mono in set(a) | set(b):
-                worst = max(worst, abs(a.get(mono, 0j) - b.get(mono, 0j)))
-        return worst
+        """Largest monomial-coefficient difference to ``other``."""
+        diff = self.coeffs - other.coeffs
+        diff *= 2.0 - np.eye(self.n)
+        return float(np.max(np.abs(diff), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -241,27 +233,30 @@ class HnBracket:
         return self.table[alpha % self.n, beta % self.n]
 
     def to_quadratic(self) -> QuadraticBracket:
+        """{x_i, x_j} = sum_r C(r, j-i-r) x_{i+r} x_{j-r}, built for i < j.
+
+        The monomial x_{i+a} x_{i+b} gets C(a, b) + C(b, a).
+        """
         n = self.n
-        table = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                entry = {}
-                for r in range(n):
-                    coeff = self.c(r, j - i - r)
-                    if coeff == 0:
-                        continue
-                    k, l = sorted(((i + r) % n, (j - r) % n))
-                    entry[(k, l)] = entry.get((k, l), 0j) + coeff
-                if entry:
-                    table[(i, j)] = entry
-        return QuadraticBracket(n, table)
+        d, r = np.indices((n, n))
+        return QuadraticBracket(n, pair_tensor(self.table[(d - r) % n, r]))
 
 
-def bracket_generators(b: QuadraticBracket, i: int, j: int) -> Polynomial:
-    """The degree-2 polynomial {x_i, x_j}; antisymmetric under i <-> j."""
-    if not (0 <= i < b.n and 0 <= j < b.n):
-        raise IndexError("generator index out of range")
-    return b.pair_poly(i, j)
+def pair_tensor(g) -> np.ndarray:
+    """Coefficient tensor of the bracket whose {x_i, x_j}, i < j, is
+    sum_r g[j-i, r] x_{j-r} x_{i+r}.
+
+    The words r and j-i-r name the same monomial, so each tensor entry is
+    the mean of the two; the entries for i > j are their exact negatives,
+    and row g[0] (i = j) is multiplied by zero.
+    """
+    n = len(g)
+    i, j, k = np.indices((n, n, n))
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    q = np.zeros((n,) * 4, dtype=complex)
+    q[i, j, k, (i + j - k) % n] = np.sign(j - i) * (
+        g[hi - lo, (hi - k) % n] + g[hi - lo, (k - lo) % n]) / 2.0
+    return q
 
 
 def _bracket_mono(b: QuadraticBracket, e1, e2):
@@ -294,7 +289,10 @@ def _bracket_mono(b: QuadraticBracket, e1, e2):
 
 
 def bracket_poly(b: QuadraticBracket, f: Polynomial, g: Polynomial) -> Polynomial:
-    """Leibniz extension of the generator brackets to polynomials."""
+    """Leibniz extension of the generator brackets to polynomials.
+
+    A test oracle for the tensor code; nothing else in the package calls it.
+    """
     if f.n != b.n or g.n != b.n:
         raise ValueError("variable counts differ")
     out = Polynomial.zero(b.n)
@@ -325,27 +323,39 @@ def bracket_contraction_oracle(b: QuadraticBracket, f: Polynomial,
 def jacobi_defect(b: QuadraticBracket) -> float:
     """Largest coefficient of the cyclic Jacobi sum over generator triples.
 
-    Normalized by the largest coefficient magnitude of the tensor so the
-    tolerance is insensitive to an overall rescaling of the bracket.
+    The Jacobi sum is quadratic in the bracket, so it is divided by the
+    square of the largest coefficient magnitude of the tensor: the result
+    does not change when the bracket is rescaled.
+
+    With Q = ``b.coeffs``, {x_i, {x_j, x_k}} = 2 sum Q[j,k,a,l] Q[i,a,p,s]
+    x_p x_s x_l; for each pair i < j the three cyclic terms are contracted
+    over a for all k > j at once, and the coefficient of the monomial
+    x_p x_s x_l is read off as the sum over the orderings of (p, s, l)
+    divided by the order of the stabilizer of the index triple.
     """
     scale = b.max_abs()
     if scale == 0.0:
         return 0.0
-    worst = 0.0
     n = b.n
-    xs = [Polynomial.variable(n, i) for i in range(n)]
-    inner = {}
-    for j in range(n):
-        for k in range(j + 1, n):
-            inner[(j, k)] = b.pair_poly(j, k)
+    q = b.coeffs
+    idx = np.arange(n)
+    p, s, l = np.ix_(idx, idx, idx)
+    equal = (p == s).astype(int) + (s == l) + (p == l)  # 0, 1 or 3
+    inv_stab = np.where(equal == 3, 1.0 / 6.0, np.where(equal == 1, 0.5, 1.0))
+    worst = 0.0
     for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = (bracket_poly(b, xs[i], inner[(j, k)])
-                         + bracket_poly(b, xs[j], -inner[(i, k)])
-                         + bracket_poly(b, xs[k], inner[(i, j)]))
-                worst = max(worst, total.max_abs())
-    return worst / scale
+        for j in range(i + 1, n - 1):
+            ks = slice(j + 1, n)
+            # t[k, l, p, s]: the Jacobi sum is 2 sum_{l,p,s} t x_p x_s x_l
+            t = np.tensordot(q[j, ks], q[i], axes=(1, 0))
+            t -= np.tensordot(q[i, ks], q[j], axes=(1, 0))
+            t += np.tensordot(q[ks], q[i, j], axes=(1, 0)).transpose(0, 3, 1, 2)
+            # t is symmetric in (p, s): the six orderings of (l, p, s)
+            # give t twice at each of three placements of l
+            total = t + t.transpose(0, 2, 1, 3)
+            total += t.transpose(0, 2, 3, 1)
+            worst = max(worst, 4.0 * float(np.max(np.abs(total) * inv_stab)))
+    return worst / scale ** 2
 
 
 def hn_canonical_extract(b: QuadraticBracket, tol: float = 1e-8) -> HnBracket:
@@ -359,36 +369,24 @@ def hn_canonical_extract(b: QuadraticBracket, tol: float = 1e-8) -> HnBracket:
     relative to the largest coefficient.
     """
     n = b.n
+    q = b.coeffs
     scale = max(b.max_abs(), 1e-30)
-    violation = 0.0
-    table = np.zeros((n, n), dtype=complex)
-    # weight support check: {x_i, x_j} may only involve x_k x_l, k+l = i+j
-    for (i, j) in b.pairs():
-        for (k, l), coeff in b.pair_coeffs(i, j).items():
-            if (k + l - i - j) % n != 0:
-                violation = max(violation, abs(coeff))
-    for alpha in range(n):
-        for beta in range(n):
-            if (alpha + beta) % n == 0:
-                # forced to zero by the symmetries; such monomials could
-                # only appear in {x_i, x_i} = 0, so nothing to read off
-                continue
-            candidates = []
-            for i in range(n):
-                j = (i + alpha + beta) % n
-                coeffs = b.pair_coeffs(i, j)
-                k, l = sorted(((i + alpha) % n, (i + beta) % n))
-                val = coeffs.get((k, l), 0j)
-                if alpha % n == beta % n:
-                    candidates.append(val)
-                else:
-                    candidates.append(val / 2.0)
-            first = candidates[0]
-            spread = max(abs(c - first) for c in candidates)
-            violation = max(violation, spread)
-            table[alpha, beta] = first
-    sym = np.max(np.abs(table - table.T))
     idx = np.arange(n)
+    # weight support check: {x_i, x_j} may only involve x_k x_l, k+l = i+j
+    weight = (idx[None, None, :, None] + idx[None, None, None, :]
+              - idx[:, None, None, None] - idx[None, :, None, None]) % n
+    violation = float(np.max(np.abs(b.monomials()[weight != 0]), initial=0.0))
+    # candidates[i, alpha, beta]: the tensor entry of x_{i+alpha} x_{i+beta}
+    # in {x_i, x_{i+alpha+beta}}, which is C(alpha, beta) in either case
+    i, alpha, beta = np.indices((n, n, n))
+    candidates = q[i, (i + alpha + beta) % n, (i + alpha) % n, (i + beta) % n]
+    # alpha + beta = 0 is forced to zero by the symmetries; such monomials
+    # could only appear in {x_i, x_i} = 0, so nothing is read off
+    free = (idx[:, None] + idx[None, :]) % n != 0
+    spread = np.abs(candidates - candidates[0])[:, free]
+    violation = max(violation, float(np.max(spread, initial=0.0)))
+    table = np.where(free, candidates[0], 0.0)
+    sym = np.max(np.abs(table - table.T))
     skew = np.max(np.abs(table + table[np.ix_((-idx) % n, (-idx) % n)]))
     violation = max(violation, float(sym), float(skew))
     if violation > tol * scale:

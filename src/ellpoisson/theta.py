@@ -13,7 +13,9 @@ degree-n basis indexed by ``alpha`` in Z/n is the product
 which diagonalises the shift-by-1/n operator and is exactly n-periodic in
 the index.  Evaluators accept scalars or
 numpy arrays of points and are pure functions of their arguments; a
-constructed :class:`ThetaBasis` is immutable.
+constructed :class:`ThetaBasis` is immutable.  A point where the value may
+leave double-precision range (large |Im z| / Im tau) raises
+:class:`ThetaRangeError` before anything is evaluated.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTauError
+from .errors import DegenerateTauError, ThetaRangeError
 
 TWO_PI_I = 2j * math.pi
+# exp() overflows above exp(709.78); the rest is headroom for the series sums
+# and the derivative factors.
+LOG_LIMIT = 650.0
 
 T_ONE_OVER_N = "T_one_over_n"
 T_TAU_OVER_N = "T_tau_over_n"
@@ -75,6 +80,39 @@ def _reduce_to_cell(z, tau):
     return z1 - a, b
 
 
+def _check_range(what, z, height, factors=1, alpha=0):
+    """Raise ThetaRangeError unless every partial product of theta_alpha(z)
+    (``factors`` theta factors; theta itself for factors=1, alpha=0) stays
+    in double range; ``height`` is Im(tau) and z an array.
+
+    The factors sit at z + m/n + alpha*tau/n and share one reduced lattice
+    index b = floor(Im z / Im tau + alpha/n) per point, so their product is
+    at most exp(n pi Im(tau) |b|(|b|+1)) times the size of the exponential
+    factor of theta_alpha.  b is monotone in Im z, so the two extreme points
+    bound it; non-finite points fail.
+    """
+    if not z.size:
+        return
+    low, high = float(z.imag.min()), float(z.imag.max())
+    log_size = math.inf
+    if math.isfinite(low) and math.isfinite(high):
+        offset = (alpha * height) / factors
+        top = max(abs(math.floor((low + offset) / height)),
+                  abs(math.floor((high + offset) / height)))
+        log_size = (factors * math.pi * height * top * (top + 1.0)
+                    + max(0.0, -2.0 * math.pi * alpha * low,
+                          -2.0 * math.pi * alpha * high)
+                    + math.pi * alpha * (factors - alpha) * height / factors)
+    if not log_size <= LOG_LIMIT:
+        size = np.abs(np.ravel(z).imag)
+        worst = complex(np.ravel(z)[np.argmax(np.where(np.isnan(size),
+                                                       np.inf, size))])
+        raise ThetaRangeError(
+            f"{what} at z = {worst} is out of double range: the value may "
+            f"reach exp({log_size:.0f}), beyond the limit exp({LOG_LIMIT:.0f})"
+            " (|Im z| / Im tau too large, or z not finite)")
+
+
 def _series(z0, tau, bound, order):
     """order-th term-wise derivative of the basic series at reduced points."""
     z0 = np.asarray(z0, dtype=complex)
@@ -102,8 +140,13 @@ def theta_eval(params: CurveParams | complex, z, *, eps: float = 1e-12,
         raise ValueError("Im(tau) must be positive")
     bound = series_bound if series_bound is not None else series_bound_for(tau, eps)
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z0, b = _reduce_to_cell(z, tau)
+    _check_range("theta", z, tau.imag)
+    out = _theta_reduced(*_reduce_to_cell(z, tau), tau, bound, order)
+    return complex(out) if z.ndim == 0 else out
+
+
+def _theta_reduced(z0, b, tau, bound, order):
+    """theta or its order-th derivative at z0 + b*tau, z0 in the cell."""
     # theta(z0 + b*tau) = (-1)^b exp(-2 pi i (b z0 + tau b(b-1)/2)) theta(z0)
     g = np.where(b % 2 == 0, 1.0, -1.0) * np.exp(
         -TWO_PI_I * (b * z0 + tau * b * (b - 1) / 2.0))
@@ -121,7 +164,7 @@ def theta_eval(params: CurveParams | complex, z, *, eps: float = 1e-12,
         out = g * (s2 + 2.0 * c * s1 + c * c * s0)
     else:
         raise ValueError("derivative order must be 0, 1 or 2")
-    return complex(out) if scalar else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,6 +229,13 @@ class ThetaBasis:
     def theta(self, z, order: int = 0):
         return theta_eval(self.params, z, series_bound=self.series_bound, order=order)
 
+    def _factor(self, z, order: int = 0):
+        """``theta`` without its range check, for the theta_alpha
+        evaluators, which check all their factors at once."""
+        tau = self.params.tau
+        return _theta_reduced(*_reduce_to_cell(z, tau), tau,
+                              self.series_bound, order)
+
     def ratio_dtheta(self, alpha: int) -> complex:
         """theta_alpha'(0) / theta_alpha(0) for alpha != 0 mod n."""
         alpha %= self.n
@@ -215,9 +265,10 @@ def theta_alpha_raw(basis: ThetaBasis, alpha: int, z):
     stored representative in [0, n).
     """
     z = np.asarray(z, dtype=complex)
+    _check_range(f"theta_{alpha}", z, basis.params.tau.imag, basis.n, alpha)
     prod = np.ones_like(z)
     for s in _alpha_offsets(basis, alpha):
-        prod = prod * basis.theta(z + s)
+        prod = prod * basis._factor(z + s)
     return _alpha_exponent(basis, alpha, z) * prod
 
 
@@ -242,10 +293,11 @@ def theta_alpha_deriv(basis: ThetaBasis, alpha: int, z, order: int = 1):
     alpha %= basis.n
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
+    _check_range(f"theta_{alpha}", z, basis.params.tau.imag, basis.n, alpha)
     offsets = _alpha_offsets(basis, alpha)
     n = len(offsets)
-    f = [basis.theta(z + s) for s in offsets]
-    f1 = [basis.theta(z + s, order=1) for s in offsets]
+    f = [basis._factor(z + s) for s in offsets]
+    f1 = [basis._factor(z + s, order=1) for s in offsets]
     shape = np.broadcast(z, f[0]).shape
     pre = [np.ones(shape, dtype=complex)]
     for k in range(n):
@@ -261,7 +313,7 @@ def theta_alpha_deriv(basis: ThetaBasis, alpha: int, z, order: int = 1):
     if order == 1:
         out = ex * (a * p0 + p1)
     else:
-        f2 = [basis.theta(z + s, order=2) for s in offsets]
+        f2 = [basis._factor(z + s, order=2) for s in offsets]
         p2 = sum(pre[k] * f2[k] * suf[k + 1] for k in range(n))
         # pair terms f'_k f'_l * (product of the other factors)
         pair = np.zeros(shape, dtype=complex)

@@ -161,7 +161,8 @@ def test_criterion_6_semiclassical_limit():
     singles = [QuadraticBracket(3, single_eta_bracket(b, 1, e))
                .max_difference(ref) for e in etas]
     slope = float(np.polyfit(np.log(etas), np.log(singles), 1)[0])
-    final = semiclassical_from_relations(b, 1, etas).max_difference(ref)
+    tensors = [single_eta_bracket(b, 1, e) for e in etas]
+    final = semiclassical_from_relations(etas, tensors).max_difference(ref)
     # slope of a first-order error measures 1.0 up to fit noise; a 1%
     # margin keeps the check meaningful without rejecting exact order 1
     ok = slope >= 0.99 and final < 1e-4

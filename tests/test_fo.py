@@ -10,13 +10,20 @@ from ellpoisson.fo import (
     f_constants,
     fo_relations,
     semiclassical_from_relations,
+    single_eta_bracket,
     sklyanin_bracket,
 )
+from ellpoisson.poisson import QuadraticBracket
 from ellpoisson.theta import CurveParams, ThetaBasis, theta_alpha_eval
 
 
 def basis(n, tau=1j):
     return ThetaBasis(CurveParams(tau, n))
+
+
+def extrapolated(b, k, etas):
+    return semiclassical_from_relations(
+        etas, [single_eta_bracket(b, k, eta) for eta in etas])
 
 
 class TestFConstants:
@@ -113,19 +120,17 @@ class TestSemiclassical:
         # two-point extrapolation leaves the quadratic term: measured
         # deviation 2.35e-5 for this sequence, frozen with headroom
         b = basis(3)
-        est = semiclassical_from_relations(b, 1, [1e-3, 5e-4])
+        est = extrapolated(b, 1, [1e-3, 5e-4])
         ref = sklyanin_bracket(b, 1)
         assert est.max_difference(ref) < 5e-5
 
     def test_matches_closed_form_three_points(self):
         b = basis(3)
-        est = semiclassical_from_relations(b, 1, [1e-2, 1e-3, 1e-4])
+        est = extrapolated(b, 1, [1e-2, 1e-3, 1e-4])
         ref = sklyanin_bracket(b, 1)
         assert est.max_difference(ref) < 1e-4
 
     def test_convergence_order_at_least_one(self):
-        from ellpoisson.fo import single_eta_bracket
-        from ellpoisson.poisson import QuadraticBracket
         b = basis(3)
         ref = sklyanin_bracket(b, 1)
         etas = [1e-2, 1e-3, 1e-4]
@@ -137,11 +142,30 @@ class TestSemiclassical:
 
     def test_torsion_point_in_sequence_rejected(self):
         with pytest.raises(DegenerateEtaError):
-            semiclassical_from_relations(basis(3), 1, [1e-3, 1.0 / 3.0])
+            extrapolated(basis(3), 1, [1e-3, 1.0 / 3.0])
 
     def test_needs_two_values(self):
         with pytest.raises(ValueError):
-            semiclassical_from_relations(basis(3), 1, [1e-3])
+            extrapolated(basis(3), 1, [1e-3])
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 3)])
+    def test_single_eta_entries_match_relations(self, n, k):
+        # the first-order commutator solved from each relation (i, j)
+        b = basis(n, 0.3 + 0.8j)
+        eta = 1e-3
+        rel = fo_relations(b, k, eta)
+        got = QuadraticBracket(n, single_eta_bracket(b, k, eta))
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = rel.relation(i, j)
+                d = j - i
+                expect = {tuple(sorted((i, j))): (-c[0] / c[d] - 1.0) / eta}
+                for r in range(n):
+                    if r not in (0, d):
+                        mono = tuple(sorted(((j - r) % n, (i + r) % n)))
+                        expect[mono] = (expect.get(mono, 0j)
+                                        + (-c[r] / c[d]) / eta)
+                assert got.pair_coeffs(i, j) == expect
 
     def test_k_dependence(self):
         # k enters through theta_{kr}; k = 1 and k = n-1 differ at n = 5

@@ -1,4 +1,4 @@
-"""Tests for sparse polynomials and quadratic bracket machinery."""
+"""Tests for the quadratic bracket tensor and its polynomial oracles."""
 
 import math
 
@@ -12,7 +12,6 @@ from ellpoisson.poisson import (
     Polynomial,
     QuadraticBracket,
     bracket_contraction_oracle,
-    bracket_generators,
     bracket_poly,
     hn_canonical_extract,
     jacobi_defect,
@@ -23,6 +22,37 @@ from ellpoisson.theta import CurveParams, ThetaBasis
 
 def sklyanin(n, k=1, tau=1j):
     return sklyanin_bracket(ThetaBasis(CurveParams(tau, n)), k)
+
+
+def table_bracket(n, table):
+    """The bracket with {x_i, x_j} = sum c x_k x_l over table[(i, j)], i < j."""
+    q = np.zeros((n,) * 4, dtype=complex)
+    for (i, j), monos in table.items():
+        for (k, l), c in monos.items():
+            q[i, j, k, l] += c / 2
+            q[i, j, l, k] += c / 2
+    return QuadraticBracket(n, q - q.transpose(1, 0, 2, 3))
+
+
+def random_bracket(n, rng):
+    """A seeded bracket with every tensor entry nonzero (not invariant)."""
+    q = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+    q = q + q.transpose(0, 1, 3, 2)
+    return QuadraticBracket(n, q - q.transpose(1, 0, 2, 3))
+
+
+def leibniz_jacobi(b):
+    """Largest coefficient of the cyclic Jacobi sum, from bracket_poly."""
+    xs = [Polynomial.variable(b.n, i) for i in range(b.n)]
+    worst = 0.0
+    for i in range(b.n):
+        for j in range(i + 1, b.n):
+            for k in range(j + 1, b.n):
+                total = (bracket_poly(b, xs[i], b.pair_poly(j, k))
+                         + bracket_poly(b, xs[j], b.pair_poly(k, i))
+                         + bracket_poly(b, xs[k], b.pair_poly(i, j)))
+                worst = max(worst, total.max_abs())
+    return worst
 
 
 def delta_hn(n=3, c=1.0):
@@ -60,20 +90,20 @@ class TestPolynomial:
 class TestBracketPoly:
     def test_generator_bracket_antisymmetric(self):
         b = delta_hn().to_quadratic()
-        p01 = bracket_generators(b, 0, 1)
-        p10 = bracket_generators(b, 1, 0)
+        p01 = b.pair_poly(0, 1)
+        p10 = b.pair_poly(1, 0)
         assert p01 == -p10
 
     def test_diagonal_is_zero(self):
         b = delta_hn().to_quadratic()
-        assert bracket_generators(b, 1, 1).is_zero()
+        assert b.pair_poly(1, 1).is_zero()
 
     def test_delta_table_expansion(self):
         # hand expansion of the canonical sum for n = 3, C(1,0)=C(0,1)=c
         c = 0.75
         b = delta_hn(3, c).to_quadratic()
         for i in range(3):
-            p = bracket_generators(b, i, (i + 1) % 3)
+            p = b.pair_poly(i, (i + 1) % 3)
             assert abs(p.coefficient([i, i + 1]) - 2 * c) < 1e-15
             assert len(p.terms) == 1
 
@@ -124,7 +154,29 @@ class TestJacobi:
         pair = (0, 1)
         mono = next(iter(table[pair]))
         table[pair][mono] += 0.1
-        assert jacobi_defect(QuadraticBracket(3, table)) > 1e-3
+        assert jacobi_defect(table_bracket(3, table)) > 1e-3
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_leibniz_oracle(self, n):
+        b = random_bracket(n, np.random.default_rng(40 + n))
+        expected = leibniz_jacobi(b) / b.max_abs() ** 2
+        assert abs(jacobi_defect(b) - expected) <= 1e-12 * expected
+
+    def test_scale_free(self):
+        # one coefficient of a Poisson bracket off by 1%: the defect must
+        # not depend on the overall scale of the bracket
+        b = sklyanin(7)
+        q = b.coeffs.copy()
+        q[0, 1, 0, 1] *= 1.01
+        q[1, 0, 0, 1] *= 1.01
+        q[0, 1, 1, 0] *= 1.01
+        q[1, 0, 1, 0] *= 1.01
+        ref = jacobi_defect(QuadraticBracket(7, q))
+        assert ref > 1e-8
+        for s in (1e-10, 1.0, 1e6):
+            got = jacobi_defect(QuadraticBracket(7, s * q))
+            assert abs(got - ref) <= 1e-9 * ref
+            assert got > 1e-8
 
 
 class TestCanonicalForm:
@@ -144,6 +196,10 @@ class TestCanonicalForm:
         h = HnBracket(n, table)
         recovered = hn_canonical_extract(h.to_quadratic())
         assert np.array_equal(recovered.table, h.table)
+        for n in range(3, 14):
+            f = f_constants(ThetaBasis(CurveParams(0.3 + 0.8j, n)))
+            recovered = hn_canonical_extract(HnBracket(n, f.table).to_quadratic())
+            assert np.array_equal(recovered.table, f.table)
 
     def test_sklyanin_k1_matches_f_table(self):
         basis = ThetaBasis(CurveParams(1j, 3))
@@ -153,7 +209,7 @@ class TestCanonicalForm:
 
     def test_non_invariant_rejected(self):
         # {x_0, x_1} = x_0 x_2 alone breaks the weight pattern
-        b = QuadraticBracket(3, {(0, 1): {(0, 2): 1.0}})
+        b = table_bracket(3, {(0, 1): {(0, 2): 1.0}})
         with pytest.raises(InvarianceError):
             hn_canonical_extract(b)
 
@@ -177,8 +233,22 @@ class TestCanonicalForm:
             key = tuple(sorted(((i + 1) % n, (j + 1) % n)))
             sign = 1.0 if (i + 1) % n < (j + 1) % n else -1.0
             shifted[key] = {m: sign * c for m, c in shifted_entry.items()}
-        assert QuadraticBracket(n, scaled).max_difference(b) < 1e-12
-        assert QuadraticBracket(n, shifted).max_difference(b) < 1e-12
+        assert table_bracket(n, scaled).max_difference(b) < 1e-12
+        assert table_bracket(n, shifted).max_difference(b) < 1e-12
+
+    def test_max_difference_against_monomial_loop(self):
+        rng = np.random.default_rng(8)
+        a, b = random_bracket(4, rng), random_bracket(4, rng)
+        worst = 0.0
+        for i in range(4):
+            for j in range(4):
+                pa, pb = a.pair_coeffs(i, j), b.pair_coeffs(i, j)
+                for mono in set(pa) | set(pb):
+                    worst = max(worst, abs(pa.get(mono, 0j) - pb.get(mono, 0j)))
+        assert a.max_difference(b) == worst
+        assert a.max_difference(a) == 0.0
+        assert a.max_abs() == max(abs(c) for i in range(4) for j in range(4)
+                                  for c in a.pair_coeffs(i, j).values())
 
     def test_small_n_degenerate_cases(self):
         # n = 2 admits only the zero invariant table; n = 1 has no pairs

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ellpoisson.errors import ThetaRangeError
 from ellpoisson.theta import (
     T_ONE_OVER_N,
     T_TAU_OVER_N,
@@ -175,6 +176,38 @@ class TestThetaAlphaDeriv:
             for k in range(5):
                 val = theta_alpha_deriv(b, 0, k / 5, 1)
                 assert abs(val - ref) < 1e-8 * abs(ref)
+
+
+class TestDoubleRange:
+    def test_large_im_z_is_typed_error(self):
+        b = basis(3, TAU_SQUARE)
+        with pytest.raises(ThetaRangeError, match=r"0\.1\+20j"):
+            theta_alpha_eval(b, 0, 0.1 + 20j)
+        with pytest.raises(ThetaRangeError):
+            theta_alpha_deriv(b, 1, np.array([0.2, 0.1 - 20j]), 2)
+        with pytest.raises(ThetaRangeError):
+            theta_eval(TAU_SQUARE, 0.3 + 30j)
+        with pytest.raises(ThetaRangeError):
+            theta_eval(TAU_SQUARE, complex(0.3, math.nan))
+
+    @pytest.mark.parametrize("n,tau", [(3, TAU_SQUARE), (13, TAU_GENERIC),
+                                       (5, 0.5j)])
+    def test_value_is_finite_or_refused(self, n, tau):
+        # RuntimeWarnings are errors in this suite: an overflow fails here
+        b = basis(n, tau)
+        refused = 0
+        for y in np.linspace(-30.0, 30.0, 121):
+            z = 0.37 + 1j * y
+            for alpha in (0, 1, n - 1):
+                try:
+                    vals = (theta_alpha_eval(b, alpha, z),
+                            theta_alpha_deriv(b, alpha, z, 2),
+                            b.theta(z, order=2))
+                except ThetaRangeError:
+                    refused += 1
+                    continue
+                assert all(np.isfinite(v) for v in vals)
+        assert 0 < refused < 121 * 3
 
 
 class TestHeisenberg:
