@@ -1,6 +1,6 @@
 """Theta bases, elliptic quadratic Poisson brackets and residue calculus.
 
-The package has six building blocks: ``theta`` (the series and the order-n
+The package has seven building blocks: ``theta`` (the series and the order-n
 section basis), ``poisson`` (a quadratic bracket as one coefficient tensor,
 Jacobi certification as a contraction of that tensor with itself,
 Heisenberg canonical form, projective descent; sparse polynomials and
@@ -9,10 +9,11 @@ relations, the F table, the semiclassical bracket and its finite-parameter
 oracle, all as tensors), ``cech`` (one table of samples on the contours around the divisor,
 from which the dual pairing, the principal-part projection checks, the
 trace tables and both routes to the extension-moduli bracket are read),
-``homology`` (exact chain algebra for the endomorphism complex, the
-bivector and the cone identification) and ``leaves`` (torsion-type
-combinatorics and the divisor-class constraint).  ``cli`` drives batch
-verification runs.
+``exact`` (exact rational matrices: guarded int64 products and one
+fraction-free elimination for rank and nullspace), ``homology`` (exact
+chain algebra for the endomorphism complex, the bivector and the cone
+identification) and ``leaves`` (torsion-type combinatorics and the
+divisor-class constraint).  ``cli`` drives batch verification runs.
 """
 
 from .theta import (

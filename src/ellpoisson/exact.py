@@ -1,9 +1,11 @@
 """Exact rational matrices sized for chain-complex checks.
 
 A matrix is stored as an integer numpy object array plus a single positive
-denominator.  Products route through int64 BLAS when a proven bound rules
-out overflow and fall back to arbitrary-precision objects otherwise, so
-every identity checked against these matrices is exact.
+denominator.  Products route through numpy's int64 matmul (its own integer
+loops: BLAS serves floating point only) when a proven bound rules out
+overflow and fall back to arbitrary-precision objects otherwise, so every
+identity checked against these matrices is exact.  Rank and nullspace read
+one fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
@@ -45,47 +47,31 @@ class Mat:
 
     @classmethod
     def from_rows(cls, rows, shape=None):
+        """Matrix from nested rows of int or Fraction entries."""
         rows = [list(r) for r in rows]
         if shape is None:
             shape = (len(rows), len(rows[0]) if rows else 0)
-        r, c = shape
-        den = 1
-        for row in rows:
-            for v in row:
-                if isinstance(v, Fraction):
-                    den = den * v.denominator // math.gcd(den, v.denominator)
-                elif not isinstance(v, int):
-                    raise TypeError("entries must be int or Fraction")
-        num = np.empty((r, c), dtype=object)
-        for i in range(r):
-            for j in range(c):
-                v = rows[i][j] if rows else 0
-                if isinstance(v, Fraction):
-                    num[i, j] = int(v * den)
-                else:
-                    num[i, j] = v * den
-        return cls(num, den)
+        if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
+            raise TypeError("entries must be int or Fraction")
+        den = math.lcm(*(Fraction(v).denominator for row in rows for v in row))
+        num = np.array([[int(v * den) for v in row] for row in rows],
+                       dtype=object)
+        return cls(num.reshape(shape), den)
 
     @classmethod
     def zeros(cls, r, c):
-        num = np.empty((r, c), dtype=object)
-        num.fill(0)
-        return cls(num, 1)
+        return cls(np.zeros((r, c), dtype=object))
 
     @classmethod
     def identity(cls, n):
-        num = np.empty((n, n), dtype=object)
-        num.fill(0)
-        for i in range(n):
-            num[i, i] = 1
-        return cls(num, 1)
+        return cls(np.eye(n, dtype=object))
 
     # -- helpers -----------------------------------------------------------
 
     def _max_abs(self):
         if self.num.size == 0:
             return 0
-        return max(abs(int(v)) for v in self.num.flat)
+        return max(self.num.max(), -self.num.min())
 
     def _reduced(self):
         if self.den == 1:
@@ -99,10 +85,6 @@ class Mat:
 
     def entry(self, i, j) -> Fraction:
         return Fraction(int(self.num[i, j]), self.den)
-
-    def fractions(self):
-        return [[self.entry(i, j) for j in range(self.shape[1])]
-                for i in range(self.shape[0])]
 
     # -- algebra -----------------------------------------------------------
 
@@ -152,66 +134,80 @@ class Mat:
         return Mat(self.num.T.copy(), self.den)
 
     def kron(self, other: "Mat") -> "Mat":
-        ra, ca = self.shape
-        rb, cb = other.shape
-        num = np.empty((ra * rb, ca * cb), dtype=object)
-        for i in range(ra):
-            for j in range(ca):
-                num[i * rb:(i + 1) * rb, j * cb:(j + 1) * cb] = \
-                    self.num[i, j] * other.num
-        return Mat(num, self.den * other.den)._reduced()
+        return Mat(np.kron(self.num, other.num), self.den * other.den)._reduced()
+
+    def _echelon(self):
+        """Fraction-free Gauss-Jordan elimination of the numerators.
+
+        Returns (a, pivots, d): ``a`` is row-equivalent to ``num``, its first
+        len(pivots) rows are in reduced echelon form with pivot columns
+        ``pivots`` and every pivot entry equal to d, and its other rows are
+        zero.  Each step divides exactly by the previous pivot (Bareiss), so
+        every entry stays a minor of ``num``.
+        """
+        a = self.num.copy()
+        rows = a.shape[0]
+        pivots = []
+        d = 1
+        for col in range(a.shape[1]):
+            r = len(pivots)
+            if r == rows:
+                break
+            below = np.flatnonzero(a[r:, col] != 0)
+            if not below.size:
+                continue
+            p = r + int(below[0])
+            a[[r, p]] = a[[p, r]]
+            piv = a[r, col]
+            # rows below are zero left of col; rows above change everywhere
+            for span, left in ((slice(r + 1, None), col), (slice(0, r), 0)):
+                sub = a[span, left:]
+                step = np.outer(a[span, col], a[r, left:])
+                sub *= piv
+                sub -= step
+                sub //= d
+            d = piv
+            pivots.append(col)
+        return a, pivots, d
 
     def rank(self) -> int:
-        """Fraction-free Bareiss elimination; denominators are irrelevant."""
-        a = [[int(v) for v in row] for row in self.num]
-        rows, cols = self.shape
-        rank = 0
-        prev = 1
-        row = 0
-        for col in range(cols):
-            pivot = next((i for i in range(row, rows) if a[i][col] != 0), None)
-            if pivot is None:
-                continue
-            a[row], a[pivot] = a[pivot], a[row]
-            for i in range(row + 1, rows):
-                for j in range(col + 1, cols):
-                    a[i][j] = (a[row][col] * a[i][j]
-                               - a[i][col] * a[row][j]) // prev
-                a[i][col] = 0
-            prev = a[row][col]
-            rank += 1
-            row += 1
-            if row == rows:
-                break
-        return rank
+        """Rank over the rationals; the denominator plays no part."""
+        return len(self._echelon()[1])
+
+    def nullspace(self) -> "Mat":
+        """Integer basis of the right nullspace, one row per free column.
+
+        The row of free column f is the primitive integer vector with a
+        positive entry at f and zeros at the other free columns.
+        """
+        a, pivots, d = self._echelon()
+        free = [c for c in range(self.shape[1]) if c not in pivots]
+        basis = np.zeros((len(free), self.shape[1]), dtype=object)
+        basis[:, pivots] = -a[:len(pivots), free].T
+        basis[range(len(free)), free] = d
+        if d < 0:
+            basis = -basis
+        basis //= np.gcd.reduce(basis, axis=1)[:, None]
+        return Mat(basis)
 
     def __repr__(self):
         return f"Mat({self.shape[0]}x{self.shape[1]}, den={self.den})"
 
 
-def hstack(mats) -> Mat:
+def _stack(mats, axis) -> Mat:
     mats = list(mats)
-    rows = mats[0].shape[0]
-    if any(m.shape[0] != rows for m in mats):
-        raise ValueError("row counts differ")
-    den = 1
-    for m in mats:
-        den = den * m.den // math.gcd(den, m.den)
-    nums = [m.num * (den // m.den) for m in mats]
-    return Mat(np.concatenate(nums, axis=1) if nums else np.empty((rows, 0), dtype=object), den)._reduced()
+    size = mats[0].shape[1 - axis]
+    if any(m.shape[1 - axis] != size for m in mats):
+        raise ValueError("column counts differ" if axis == 0
+                         else "row counts differ")
+    den = math.lcm(*(m.den for m in mats))
+    num = np.concatenate([m.num * (den // m.den) for m in mats], axis=axis)
+    return Mat(num, den)._reduced()
+
+
+def hstack(mats) -> Mat:
+    return _stack(mats, axis=1)
 
 
 def vstack(mats) -> Mat:
-    mats = list(mats)
-    cols = mats[0].shape[1]
-    if any(m.shape[1] != cols for m in mats):
-        raise ValueError("column counts differ")
-    den = 1
-    for m in mats:
-        den = den * m.den // math.gcd(den, m.den)
-    nums = [m.num * (den // m.den) for m in mats]
-    return Mat(np.concatenate(nums, axis=0) if nums else np.empty((0, cols), dtype=object), den)._reduced()
-
-
-def block(grid) -> Mat:
-    return vstack([hstack(row) for row in grid])
+    return _stack(mats, axis=0)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -123,50 +122,29 @@ class HomComplex:
         return [d for d in range(self.deg_min, self.deg_max + 1) if self.dim(d)]
 
     def _assemble_diff(self, d: int) -> Mat:
-        """Matrix of C^d -> C^{d+1} in column-major flattened coordinates."""
-        src_blocks = self.blocks(d)
-        tgt_blocks = self.blocks(d + 1)
+        """Matrix of C^d -> C^{d+1} in column-major flattened coordinates,
+        over the lcm of the blocks' denominators."""
         E = self.source
-        rows = self.dim(d + 1)
-        cols = self.dim(d)
-        num = np.empty((rows, cols), dtype=object)
-        num.fill(0)
-        sign = -1 if d % 2 == 0 else 1  # -(-1)^d
-        for (ti, trows, tcols, toff) in tgt_blocks:
-            for (si, srows, scols, soff) in src_blocks:
+        pieces = []
+        for (ti, trows, tcols, toff) in self.blocks(d + 1):
+            for (si, srows, scols, soff) in self.blocks(d):
                 if si == ti:
                     # f_i -> phi_{i+d} f_i : (I_{dims[i]} (x) phi_{i+d})
                     piece = Mat.identity(scols).kron(E.diff(ti + d))
                 elif si == ti + 1:
                     # f_{i+1} -> -(-1)^d f_{i+1} phi_i : (phi_i^T (x) I)
-                    piece = E.diff(ti).T.kron(Mat.identity(trows)).scale(sign)
+                    piece = E.diff(ti).T.kron(Mat.identity(trows))
+                    if d % 2 == 0:
+                        piece = -piece
                 else:
                     continue
-                if piece.den != 1:
-                    return self._assemble_diff_fractional(d)
-                num[toff:toff + trows * tcols, soff:soff + srows * scols] = piece.num
-        return Mat(num, 1)
-
-    def _assemble_diff_fractional(self, d: int) -> Mat:
-        """Fallback assembly through explicit Fractions (rational inputs)."""
-        src_blocks = self.blocks(d)
-        tgt_blocks = self.blocks(d + 1)
-        E = self.source
-        rows = [[Fraction(0)] * self.dim(d) for _ in range(self.dim(d + 1))]
-        sign = -1 if d % 2 == 0 else 1
-        for (ti, trows, tcols, toff) in tgt_blocks:
-            for (si, srows, scols, soff) in src_blocks:
-                if si == ti:
-                    piece = Mat.identity(scols).kron(E.diff(ti + d))
-                elif si == ti + 1:
-                    piece = E.diff(ti).T.kron(Mat.identity(trows)).scale(sign)
-                else:
-                    continue
-                pf = piece.fractions()
-                for a in range(piece.shape[0]):
-                    for b in range(piece.shape[1]):
-                        rows[toff + a][soff + b] = pf[a][b]
-        return Mat.from_rows(rows, (self.dim(d + 1), self.dim(d)))
+                pieces.append((toff, soff, piece))
+        den = math.lcm(*(piece.den for _, _, piece in pieces))
+        num = np.zeros((self.dim(d + 1), self.dim(d)), dtype=object)
+        for toff, soff, piece in pieces:
+            rows, cols = piece.shape
+            num[toff:toff + rows, soff:soff + cols] = piece.num * (den // piece.den)
+        return Mat(num, den)._reduced()
 
 
 def hom_complex(E: VSComplex) -> HomComplex:
@@ -176,34 +154,25 @@ def hom_complex(E: VSComplex) -> HomComplex:
 def ad_map(H: HomComplex) -> dict:
     """Components of the chain map from C^{<=0} into the shifted C^{>=0}.
 
-    Only the degree -1 component, the differential C^{-1} -> C^0, is
-    nonzero; the component C^0 -> C^1 is zero, matching the cone
-    identification checked in :func:`cone_iso_check`.
+    The only component is in degree -1, the differential C^{-1} -> C^0;
+    the one from C^0 is zero, matching the cone identification checked in
+    :func:`cone_iso_check`.
     """
-    comps = {}
-    if H.dim(-1) and H.dim(0):
-        comps[-1] = H.diff(-1)
-    comps[0] = Mat.zeros(H.dim(1), H.dim(0))
-    return comps
+    return {-1: H.diff(-1)}
 
 
 def ad_chain_defect(H: HomComplex) -> bool:
-    """True when ad commutes with the differentials exactly."""
-    comps = ad_map(H)
-    admin1 = comps.get(-1, Mat.zeros(H.dim(0), H.dim(-1)))
-    # square at degrees (-2, -1): ad^{-1} d = 0 (target of ad^{-2} is zero)
-    if H.dim(-2) and not (admin1 @ H.diff(-2)).is_zero():
-        return False
-    # square at degrees (-1, 0): ad^0 d = d_shift ad^{-1}; both sides kill
-    # the image of d by d^2 = 0
-    lhs = comps[0] @ H.diff(-1) if H.dim(-1) else Mat.zeros(H.dim(1), 0)
-    rhs = H.diff(0) @ admin1 if H.dim(-1) else lhs
-    return (lhs - rhs).is_zero() if H.dim(-1) else True
+    """True when ad commutes with the differentials exactly.
+
+    With ad^{-2} and ad^0 zero, the two squares are ad^{-1} d^{-2} = 0 and
+    d^0 ad^{-1} = 0.
+    """
+    ad = ad_map(H)[-1]
+    return (ad @ H.diff(-2)).is_zero() and (H.diff(0) @ ad).is_zero()
 
 
 def _transpose_perm(m: int) -> Mat:
-    out = np.empty((m * m, m * m), dtype=object)
-    out.fill(0)
+    out = np.zeros((m * m, m * m), dtype=object)
     for a in range(m):
         for b in range(m):
             # column-major: entry (row, col) of a matrix sits at col*m + row
@@ -214,8 +183,7 @@ def _transpose_perm(m: int) -> Mat:
 def duality_t(H: HomComplex) -> Mat:
     """(C^0)^dual -> C^0: blockwise (-1)^i times the trace-pairing duality."""
     dim0 = H.dim(0)
-    out = np.empty((dim0, dim0), dtype=object)
-    out.fill(0)
+    out = np.zeros((dim0, dim0), dtype=object)
     for (i, rows, cols, off) in H.blocks(0):
         perm = _transpose_perm(rows)
         piece = perm.num if i % 2 == 0 else -perm.num
@@ -223,17 +191,11 @@ def duality_t(H: HomComplex) -> Mat:
     return Mat(out, 1)
 
 
-def kappa_degree0(H: HomComplex) -> Mat:
-    """Matrix of the pairing C^0 -> (C^0)^dual; inverse of duality_t."""
-    return duality_t(H)  # the signed transpose-permutation is an involution
-
-
 def kappa_inverse_deg_minus1(H: HomComplex) -> Mat:
     """(C^1)^dual -> C^{-1} inverting the trace pairing between C^{+-1}."""
     rows = H.dim(-1)
     cols = H.dim(1)
-    out = np.empty((rows, cols), dtype=object)
-    out.fill(0)
+    out = np.zeros((rows, cols), dtype=object)
     plus_off = {i: (r, c, off) for (i, r, c, off) in H.blocks(1)}
     for (i, r_m, c_m, off_m) in H.blocks(-1):
         # block i of C^{-1}: E^i -> E^{i-1}; pairs with block i-1 of C^1
@@ -304,14 +266,9 @@ def _shifted_cone(H: HomComplex, sign_flip: bool):
 
 
 def homology_dims(dims: dict, diffs: dict) -> dict:
-    out = {}
-    degs = sorted(dims)
-    for d in degs:
-        dim_d = dims.get(d, 0)
-        rank_out = diffs[d].rank() if d in diffs else 0
-        rank_in = diffs[d - 1].rank() if (d - 1) in diffs else 0
-        out[d] = dim_d - rank_out - rank_in
-    return out
+    ranks = {d: m.rank() for d, m in diffs.items()}
+    return {d: dims[d] - ranks.get(d, 0) - ranks.get(d - 1, 0)
+            for d in sorted(dims)}
 
 
 def cone_iso_check(H: HomComplex, sign_flip: bool = False,
@@ -368,42 +325,6 @@ def euler_pairing_check(H: HomComplex) -> bool:
 # -- seeded generators for shaped test instances ---------------------------
 
 
-def _nullspace_int(mat: Mat):
-    """Integer basis of the right nullspace of an exact matrix."""
-    rows, cols = mat.shape
-    a = [[Fraction(int(mat.num[i, j]), mat.den) for j in range(cols)]
-         for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -a[ri][fc]
-        lcm = 1
-        for v in vec:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        basis.append([int(v * lcm) for v in vec])
-    return basis
-
-
 def random_kronecker_complex(r: int, n: int, seed: int) -> VSComplex:
     """Seeded three-term complex with dimension vector (n, 2n+r, n).
 
@@ -415,13 +336,10 @@ def random_kronecker_complex(r: int, n: int, seed: int) -> VSComplex:
     rng = np.random.default_rng(seed)
     mid = 2 * n + r
     while True:
-        phi0 = Mat.from_rows(rng.integers(-3, 4, size=(mid, n)).tolist())
+        phi0 = Mat(rng.integers(-3, 4, size=(mid, n)))
         if phi0.rank() < n:
             continue
-        null_rows = _nullspace_int(phi0.T)  # vectors v with v . phi0 = 0
-        coeffs = rng.integers(-2, 3, size=(n, len(null_rows)))
-        rows = [[sum(int(c) * bv[j] for c, bv in zip(crow, null_rows))
-                 for j in range(mid)] for crow in coeffs]
-        phi1 = Mat.from_rows(rows, (n, mid))
+        null_rows = phi0.T.nullspace()  # rows v with v . phi0 = 0
+        phi1 = Mat(rng.integers(-2, 3, size=(n, null_rows.shape[0]))) @ null_rows
         if phi1.rank() == n:
             return VSComplex({-1: n, 0: mid, 1: n}, {-1: phi0, 0: phi1})

@@ -208,15 +208,34 @@ class ThetaBasis:
         self._check_tables()
 
     def _check_tables(self):
+        """Refuse a basis whose values at 0 are lost in rounding.
+
+        theta_0'(0) and theta_alpha(0), alpha != 0, are nonzero for every
+        tau; only a small Im(tau) makes them numerically zero.  Each value
+        at 0 is compared without its exponential factor E_alpha,
+        |E_alpha(0)| = exp(pi alpha (n - alpha) Im(tau) / n), which at large
+        n spreads the raw values over many orders of magnitude.
+        """
         n = self.params.n
-        scale = float(np.max(np.abs(self.dtheta_at_zero)))
-        if abs(self.dtheta_at_zero[0]) < 1e-10 * max(scale, 1.0):
-            raise DegenerateTauError("theta_0'(0) vanished")
-        if float(np.min(np.abs(self.theta_at_zero[1:]))) < 1e-10 * scale:
-            raise DegenerateTauError("theta_alpha(0) vanished for some alpha != 0")
+        alpha = np.arange(n)
+        size = np.exp(np.pi * alpha * (n - alpha) * self.params.tau.imag / n)
+        vals = np.abs(self.theta_at_zero) / size
+        ders = np.abs(self.dtheta_at_zero) / size
+        scale = float(np.max(ders))
         d0 = np.array([theta_alpha_deriv(self, 0, k / n, 1) for k in range(n)])
-        if np.max(np.abs(d0 - self.dtheta_at_zero[0])) > 1e-8 * scale:
-            raise DegenerateTauError("theta_0'(k/n) differs from theta_0'(0)")
+        for lost, what in (
+                (ders[0] < 1e-10 * max(scale, 1.0),
+                 "theta_0'(0) is below 1e-10 of the largest theta_alpha'(0)"),
+                (np.min(vals[1:]) < 1e-10 * scale,
+                 "theta_alpha(0) is below 1e-10 of the largest "
+                 "theta_alpha'(0) for some alpha != 0"),
+                (np.max(np.abs(d0 - self.dtheta_at_zero[0])) > 1e-8 * scale,
+                 "theta_0'(k/n) differs from theta_0'(0)")):
+            if lost:
+                raise DegenerateTauError(
+                    f"Im tau = {self.params.tau.imag:g} is out of numerical "
+                    f"range at n = {n}: {what}, each taken without its "
+                    "exponential factor")
 
     @property
     def n(self) -> int:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ellpoisson.errors import ThetaRangeError
+from ellpoisson.errors import DegenerateTauError, ThetaRangeError
 from ellpoisson.theta import (
     T_ONE_OVER_N,
     T_TAU_OVER_N,
@@ -208,6 +208,28 @@ class TestDoubleRange:
                     continue
                 assert all(np.isfinite(v) for v in vals)
         assert 0 < refused < 121 * 3
+
+
+class TestBasisTables:
+    @pytest.mark.parametrize("tau", [TAU_SQUARE, 2j])
+    def test_large_order_builds(self, tau):
+        # at n = 31 the exponential factor E_alpha alone spreads
+        # |theta_alpha'(0)| over more than nine orders of magnitude
+        b = basis(31, tau)
+        ref = b.dtheta_at_zero[0]
+        assert np.max(np.abs(b.dtheta_at_zero)) > 1e9 * abs(ref)
+        d0 = [theta_alpha_deriv(b, 0, k / 31, 1) for k in range(31)]
+        assert max(abs(v - ref) for v in d0) < 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC, 0.5j])
+    def test_moderate_orders_build(self, tau):
+        for n in range(2, 14):
+            assert basis(n, tau).n == n
+
+    def test_small_im_tau_refused_by_range(self):
+        with pytest.raises(DegenerateTauError,
+                           match=r"Im tau = 1e-06 is out of numerical range"):
+            basis(3, 1e-6j)
 
 
 class TestHeisenberg:
