@@ -11,9 +11,13 @@ degree-n basis indexed by ``alpha`` in Z/n is the product
           * exp(2*pi*i*(alpha*z + alpha*(alpha-n)*tau/(2n) + alpha/(2n)))
 
 which diagonalises the shift-by-1/n operator and is exactly n-periodic in
-the index.  Evaluators accept scalars or
-numpy arrays of points and are pure functions of their arguments; a
-constructed :class:`ThetaBasis` is immutable.  A point where the value may
+the index.  Values and derivatives are read off one private object, the
+truncated Taylor jet (f, f', f''/2, ...) on a leading array axis: the
+series yields it from one matmul, and the quasi-periodicity multiplier, the
+n shifted factors and the exponential factor are combined by one truncated
+Taylor product, ``_jet_mul``.  Evaluators accept scalars or numpy arrays of
+points and are pure functions of their arguments; a constructed
+:class:`ThetaBasis` is immutable.  A point where the value may
 leave double-precision range (large |Im z| / Im tau) raises
 :class:`ThetaRangeError` before anything is evaluated.
 """
@@ -73,7 +77,6 @@ def _reduce_to_cell(z, tau):
 
     Returns (z0, b); the period-1 part needs no multiplier.
     """
-    z = np.asarray(z, dtype=complex)
     b = np.floor(z.imag / tau.imag)
     z1 = z - b * tau
     a = np.floor(z1.real)
@@ -114,16 +117,43 @@ def _check_range(what, z, height, factors=1, alpha=0):
 
 
 def _series(z0, tau, bound, order):
-    """order-th term-wise derivative of the basic series at reduced points."""
-    z0 = np.asarray(z0, dtype=complex)
+    """Jet of the basic series at reduced points, from one matmul.
+
+    The term-wise derivatives j = 0..order, each divided by j!, are the
+    columns of a (terms x order+1) weight matrix.
+    """
     m = np.arange(-bound, bound + 2)
     # exponent m(m-1)/2 is an exact integer; identical for the pair (m, 1-m)
     quad = (m * (m - 1)) // 2
     terms = np.exp(TWO_PI_I * (np.multiply.outer(z0, m) + tau * quad))
     signs = np.where(m % 2 == 0, 1.0, -1.0)
-    if order:
-        signs = signs * (TWO_PI_I * m) ** order
-    return terms @ signs
+    weights = np.stack([signs * (TWO_PI_I * m) ** j / math.factorial(j)
+                        for j in range(order + 1)], axis=-1)
+    return np.moveaxis(terms @ weights, -1, 0)
+
+
+def _exp_jet(value, rate, order):
+    """Jet of value * exp(rate * h) in h at h = 0."""
+    jet = [value]
+    for j in range(1, order + 1):
+        jet.append(jet[-1] * rate / j)
+    return np.stack(jet)
+
+
+def _jet_mul(a, b):
+    """Truncated Taylor product: the jet of f*g from the jets of f and g."""
+    return np.stack([sum(a[i] * b[k - i] for i in range(k + 1))
+                     for k in range(len(a))])
+
+
+def _theta_jet(z, tau, bound, order):
+    """Jet of theta at z: the reduced series times the multiplier's jet."""
+    z0, b = _reduce_to_cell(z, tau)
+    # theta(z0 + b*tau) = (-1)^b exp(-2 pi i (b z0 + tau b(b-1)/2)) theta(z0)
+    g = np.where(b % 2 == 0, 1.0, -1.0) * np.exp(
+        -TWO_PI_I * (b * z0 + tau * b * (b - 1) / 2.0))
+    return _jet_mul(_exp_jet(g, -TWO_PI_I * b, order),
+                    _series(z0, tau, bound, order))
 
 
 def theta_eval(params: CurveParams | complex, z, *, eps: float = 1e-12,
@@ -132,8 +162,8 @@ def theta_eval(params: CurveParams | complex, z, *, eps: float = 1e-12,
 
     ``params`` may be a :class:`CurveParams` or a bare lattice parameter tau.
     z is reduced into the fundamental cell first, so the truncation bound is
-    sound for arbitrary arguments; values are restored through the exact
-    quasi-periodicity multiplier.
+    sound for arbitrary arguments; values and derivatives are restored
+    through the jet of the exact quasi-periodicity multiplier.
     """
     tau = params.tau if isinstance(params, CurveParams) else complex(params)
     if tau.imag <= 0:
@@ -141,30 +171,10 @@ def theta_eval(params: CurveParams | complex, z, *, eps: float = 1e-12,
     bound = series_bound if series_bound is not None else series_bound_for(tau, eps)
     z = np.asarray(z, dtype=complex)
     _check_range("theta", z, tau.imag)
-    out = _theta_reduced(*_reduce_to_cell(z, tau), tau, bound, order)
-    return complex(out) if z.ndim == 0 else out
-
-
-def _theta_reduced(z0, b, tau, bound, order):
-    """theta or its order-th derivative at z0 + b*tau, z0 in the cell."""
-    # theta(z0 + b*tau) = (-1)^b exp(-2 pi i (b z0 + tau b(b-1)/2)) theta(z0)
-    g = np.where(b % 2 == 0, 1.0, -1.0) * np.exp(
-        -TWO_PI_I * (b * z0 + tau * b * (b - 1) / 2.0))
-    if order == 0:
-        out = g * _series(z0, tau, bound, 0)
-    elif order == 1:
-        s0 = _series(z0, tau, bound, 0)
-        s1 = _series(z0, tau, bound, 1)
-        out = g * (s1 - TWO_PI_I * b * s0)
-    elif order == 2:
-        s0 = _series(z0, tau, bound, 0)
-        s1 = _series(z0, tau, bound, 1)
-        s2 = _series(z0, tau, bound, 2)
-        c = -TWO_PI_I * b
-        out = g * (s2 + 2.0 * c * s1 + c * c * s0)
-    else:
+    if order not in (0, 1, 2):
         raise ValueError("derivative order must be 0, 1 or 2")
-    return out
+    out = math.factorial(order) * _theta_jet(z, tau, bound, order)[order]
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -199,10 +209,10 @@ class ThetaBasis:
             raise ValueError("truncation_eps must be positive")
         bound = series_bound_for(self.params.tau, self.truncation_eps)
         object.__setattr__(self, "series_bound", bound)
-        n = self.params.n
-        vals = np.array([theta_alpha_eval(self, a, 0.0) for a in range(n)])
+        jets = np.array([_theta_alpha_jet(self, a, 0.0, 1)
+                         for a in range(self.n)])
+        vals, ders = jets[:, 0], jets[:, 1]
         vals[0] = 0.0
-        ders = np.array([theta_alpha_deriv(self, a, 0.0, 1) for a in range(n)])
         object.__setattr__(self, "theta_at_zero", vals)
         object.__setattr__(self, "dtheta_at_zero", ders)
         self._check_tables()
@@ -222,7 +232,7 @@ class ThetaBasis:
         vals = np.abs(self.theta_at_zero) / size
         ders = np.abs(self.dtheta_at_zero) / size
         scale = float(np.max(ders))
-        d0 = np.array([theta_alpha_deriv(self, 0, k / n, 1) for k in range(n)])
+        d0 = theta_alpha_deriv(self, 0, np.arange(n) / n, 1)
         for lost, what in (
                 (ders[0] < 1e-10 * max(scale, 1.0),
                  "theta_0'(0) is below 1e-10 of the largest theta_alpha'(0)"),
@@ -248,13 +258,6 @@ class ThetaBasis:
     def theta(self, z, order: int = 0):
         return theta_eval(self.params, z, series_bound=self.series_bound, order=order)
 
-    def _factor(self, z, order: int = 0):
-        """``theta`` without its range check, for the theta_alpha
-        evaluators, which check all their factors at once."""
-        tau = self.params.tau
-        return _theta_reduced(*_reduce_to_cell(z, tau), tau,
-                              self.series_bound, order)
-
     def ratio_dtheta(self, alpha: int) -> complex:
         """theta_alpha'(0) / theta_alpha(0) for alpha != 0 mod n."""
         alpha %= self.n
@@ -263,18 +266,27 @@ class ThetaBasis:
         return self.dtheta_at_zero[alpha] / self.theta_at_zero[alpha]
 
 
-def _alpha_offsets(basis: ThetaBasis, alpha: int):
+def _theta_alpha_jet(basis: ThetaBasis, alpha: int, z, order: int):
+    """Jet of the defining product of theta_alpha at the integer index alpha.
+
+    The n shifted factors theta(z + m/n + alpha*tau/n) are evaluated in one
+    call on a trailing axis and multiplied, with the jet of the exponential
+    factor, by the truncated Taylor product, which needs no division and so
+    stays exact at the zeros of single factors.
+    """
     n = basis.n
     tau = basis.params.tau
-    return [m / n + alpha * tau / n for m in range(n)]
-
-
-def _alpha_exponent(basis: ThetaBasis, alpha: int, z):
-    n = basis.n
-    tau = basis.params.tau
-    return np.exp(TWO_PI_I * (alpha * np.asarray(z, dtype=complex)
-                              + alpha * (alpha - n) * tau / (2.0 * n)
-                              + alpha / (2.0 * n)))
+    z = np.asarray(z, dtype=complex)
+    _check_range(f"theta_{alpha}", z, tau.imag, n, alpha)
+    offsets = np.arange(n) / n + alpha * tau / n
+    factors = _theta_jet(z[..., None] + offsets, tau, basis.series_bound,
+                         order)
+    jet = factors[..., 0]
+    for m in range(1, n):
+        jet = _jet_mul(jet, factors[..., m])
+    ex = np.exp(TWO_PI_I * (alpha * z + alpha * (alpha - n) * tau / (2.0 * n)
+                            + alpha / (2.0 * n)))
+    return _jet_mul(_exp_jet(ex, TWO_PI_I * alpha, order), jet)
 
 
 def theta_alpha_raw(basis: ThetaBasis, alpha: int, z):
@@ -283,68 +295,26 @@ def theta_alpha_raw(basis: ThetaBasis, alpha: int, z):
     Exactly n-periodic in alpha; ``theta_alpha_eval`` evaluates it on the
     stored representative in [0, n).
     """
-    z = np.asarray(z, dtype=complex)
-    _check_range(f"theta_{alpha}", z, basis.params.tau.imag, basis.n, alpha)
-    prod = np.ones_like(z)
-    for s in _alpha_offsets(basis, alpha):
-        prod = prod * basis._factor(z + s)
-    return _alpha_exponent(basis, alpha, z) * prod
+    return _theta_alpha_jet(basis, alpha, z, 0)[0]
 
 
 def theta_alpha_eval(basis: ThetaBasis, alpha: int, z):
     """theta_alpha(z) for the representative of alpha in [0, n)."""
-    alpha %= basis.n
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    out = theta_alpha_raw(basis, alpha, z)
-    return complex(out) if scalar else out
+    out = theta_alpha_raw(basis, alpha % basis.n, z)
+    return complex(out) if out.ndim == 0 else out
 
 
 def theta_alpha_deriv(basis: ThetaBasis, alpha: int, z, order: int = 1):
-    """Derivative of theta_alpha by term-wise differentiation of the product.
+    """order-th derivative of theta_alpha, read off the product's jet.
 
-    Uses the explicit product rule (prefix/suffix partial products), which
-    stays valid at the zeros of individual factors; finite differences are
+    The jet is exact term-wise differentiation; finite differences are
     never used here.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    alpha %= basis.n
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    _check_range(f"theta_{alpha}", z, basis.params.tau.imag, basis.n, alpha)
-    offsets = _alpha_offsets(basis, alpha)
-    n = len(offsets)
-    f = [basis._factor(z + s) for s in offsets]
-    f1 = [basis._factor(z + s, order=1) for s in offsets]
-    shape = np.broadcast(z, f[0]).shape
-    pre = [np.ones(shape, dtype=complex)]
-    for k in range(n):
-        pre.append(pre[-1] * f[k])
-    suf = [np.ones(shape, dtype=complex)]
-    for k in range(n - 1, -1, -1):
-        suf.append(suf[-1] * f[k])
-    suf = suf[::-1]  # suf[k] = product of f[k:]
-    p0 = pre[n]
-    p1 = sum(pre[k] * f1[k] * suf[k + 1] for k in range(n))
-    a = TWO_PI_I * alpha
-    ex = _alpha_exponent(basis, alpha, z)
-    if order == 1:
-        out = ex * (a * p0 + p1)
-    else:
-        f2 = [basis._factor(z + s, order=2) for s in offsets]
-        p2 = sum(pre[k] * f2[k] * suf[k + 1] for k in range(n))
-        # pair terms f'_k f'_l * (product of the other factors)
-        pair = np.zeros(shape, dtype=complex)
-        for k in range(n):
-            for l in range(k + 1, n):
-                rest = pre[k] * suf[l + 1]
-                for m in range(k + 1, l):
-                    rest = rest * f[m]
-                pair = pair + f1[k] * f1[l] * rest
-        p2 = p2 + 2.0 * pair
-        out = ex * (a * a * p0 + 2.0 * a * p1 + p2)
-    return complex(out) if scalar else out
+    jet = _theta_alpha_jet(basis, alpha % basis.n, z, order)
+    out = math.factorial(order) * jet[order]
+    return complex(out) if out.ndim == 0 else out
 
 
 def zeta_multiplier(basis: ThetaBasis, z):

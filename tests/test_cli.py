@@ -45,13 +45,18 @@ class TestExitCodes:
         (["homology", "--samples", "-1"], "samples must be at least 1"),
         (["moduli-compare", "--quad-points", "16"],
          "need at least 32 contour points"),
+        (["sklyanin", "--n", "2", "--k", "1"],
+         "at n = 2 the Sklyanin bracket vanishes identically"),
+        (["moduli-compare", "--n", "2", "--samples", "1"],
+         "at n = 2 the Sklyanin bracket vanishes identically"),
     ])
     def test_out_of_domain_input_is_usage_error(self, args, message, capsys):
         code = main(args)
         assert code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert message in err
         assert "Traceback" not in err
+        assert out == ""  # no report
 
     def test_eta_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -156,21 +161,13 @@ class TestDeterminism:
         _, text2 = run(base + ["--seed", "2"], tmp_path, "b.json")
         assert self.strip_elapsed(text1) != self.strip_elapsed(text2)
 
-    def test_env_tolerance_override(self, tmp_path, monkeypatch):
+    def test_environment_does_not_set_tolerances(self, tmp_path,
+                                                 monkeypatch):
+        # --tol and --truncation-eps are the only way to set these values
         monkeypatch.setenv("ELLPOISSON_TOL", "1e-30")
-        code, text = run(["theta", "--n", "3"], tmp_path)
-        assert code == 1  # nothing passes a 1e-30 tolerance
-        report = json.loads(text)
-        assert report["params"]["tol"] == 1e-30
-
-    def test_env_truncation_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ELLPOISSON_TRUNCATION_EPS", "1e-9")
         code, text = run(["theta", "--n", "3"], tmp_path)
         assert code == 0
-        assert json.loads(text)["params"]["truncation_eps"] == 1e-9
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ELLPOISSON_TOL", "1e-30")
-        code, text = run(["theta", "--n", "3", "--tol", "1e-8"], tmp_path)
-        assert code == 0
-        assert json.loads(text)["params"]["tol"] == 1e-8
+        params = json.loads(text)["params"]
+        assert params["tol"] == 1e-8
+        assert params["truncation_eps"] == 1e-12

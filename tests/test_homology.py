@@ -294,6 +294,23 @@ class TestConeIso:
         ok, failures = cone_iso_check(H, with_homology=True)
         assert ok, failures
 
+    def test_homology_ranks_each_distinct_differential_once(self,
+                                                            monkeypatch):
+        # the cone and the direct sum differ only in degree -1, so the
+        # homology comparison needs one more rank than H has differentials
+        H = hom_complex(kronecker(seed=2, n=5))
+        calls = []
+        echelon = Mat._echelon
+
+        def counted(self):
+            calls.append(self.shape)
+            return echelon(self)
+
+        monkeypatch.setattr(Mat, "_echelon", counted)
+        ok, failures = cone_iso_check(H, with_homology=True)
+        assert ok, failures
+        assert len(calls) == (H.deg_max - H.deg_min) + 1
+
     def test_rational_entries_supported(self):
         E = VSComplex({-1: 1, 0: 2, 1: 1},
                       {-1: [[Fraction(1, 2)], [Fraction(1, 3)]],

@@ -26,13 +26,28 @@ TAU_SQUARE = 1j
 TAU_GENERIC = 0.3 + 0.8j
 
 
-def theta_brute(z, tau, terms=50):
-    """Direct high-truncation summation oracle, no reduction tricks."""
+def theta_brute(z, tau, terms=50, order=0):
+    """Direct high-truncation summation oracle, no reduction tricks; the
+    order-th derivative is summed term by term."""
     total = 0j
     for m in range(-terms, terms + 1):
-        total += (-1) ** m * cmath.exp(
+        total += (-1) ** m * (2j * math.pi * m) ** order * cmath.exp(
             2j * math.pi * (m * z + m * (m - 1) * tau / 2.0))
     return total
+
+
+def cauchy_derivative(f, z, order, radius, nodes=64):
+    """order-th derivative of an entire f at the points z by the trapezoid
+    rule for Cauchy's integral on the circle |w - z| = radius.
+
+    Returns the estimate and max |f| on each circle times order!/radius^order,
+    the scale of the quadrature's rounding error.
+    """
+    w = np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    vals = f(np.asarray(z)[:, None] + radius * w)
+    weight = math.factorial(order) / radius ** order
+    return (weight * np.mean(vals * w ** -order, axis=1),
+            weight * np.max(np.abs(vals), axis=1))
 
 
 def basis(n, tau):
@@ -81,6 +96,18 @@ class TestThetaEval:
         tau = TAU_GENERIC
         direct = theta_brute(z + 3 * tau - 2, tau, terms=80)
         assert abs(theta_eval(tau, z + 3 * tau - 2) - direct) < 1e-9 * abs(direct)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC])
+    def test_derivatives_match_termwise_oracle(self, order, tau):
+        for z in sample_points(tau, 12, seed=3):
+            direct = theta_brute(z, tau, order=order)
+            assert (abs(theta_eval(tau, z, order=order) - direct)
+                    < 1e-12 * max(1.0, abs(direct)))
+        # far outside the cell the multiplier's jet carries the derivative
+        z = 0.2 + 0.1j + 3 * tau - 2
+        direct = theta_brute(z, tau, terms=80, order=order)
+        assert abs(theta_eval(tau, z, order=order) - direct) < 1e-12 * abs(direct)
 
 
 class TestThetaAlpha:
@@ -168,6 +195,23 @@ class TestThetaAlphaDeriv:
                        + theta_alpha_eval(b, alpha, z - h)) / h ** 2
                 an2 = theta_alpha_deriv(b, alpha, z, 2)
                 assert abs(an2 - fd2) < 1e-5 * max(1.0, abs(an2))
+
+    @pytest.mark.parametrize("n", [3, 7, 13])
+    @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC])
+    def test_against_cauchy_integral(self, n, tau):
+        # the oracle reads only values of theta_alpha; on the divisor
+        # z = k/n one factor of theta_0 vanishes
+        b = basis(n, tau)
+        for alpha in range(n):
+            z = sample_points(tau, 3, seed=12)
+            if alpha == 0:
+                z = np.concatenate([z, np.arange(n) / n])
+            for order in (1, 2):
+                oracle, scale = cauchy_derivative(
+                    lambda w: theta_alpha_eval(b, alpha, w), z, order,
+                    1.0 / (4 * n))
+                value = theta_alpha_deriv(b, alpha, z, order)
+                assert np.all(np.abs(value - oracle) < 1e-12 * scale)
 
     def test_dtheta0_constant_on_divisor(self):
         for tau in (TAU_SQUARE, TAU_GENERIC):
