@@ -9,8 +9,9 @@ relations, the F table, the semiclassical bracket and its finite-parameter
 oracle, all as tensors), ``cech`` (one table of samples on the contours around the divisor,
 from which the dual pairing, the principal-part projection checks, the
 trace tables and both routes to the extension-moduli bracket are read),
-``exact`` (exact rational matrices: guarded int64 products and one
-fraction-free elimination for rank and nullspace), ``homology`` (exact
+``exact`` (exact rational matrices on int64 numerators, promoted to Python
+ints only where a proven bound fails, products on float64 BLAS below 2^53,
+and one fraction-free elimination for rank and nullspace), ``homology`` (exact
 chain algebra for the endomorphism complex, the bivector and the cone
 identification) and ``leaves`` (torsion-type combinatorics and the
 divisor-class constraint).  ``cli`` drives batch verification runs.

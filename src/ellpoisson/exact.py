@@ -1,11 +1,18 @@
 """Exact rational matrices sized for chain-complex checks.
 
-A matrix is stored as an integer numpy object array plus a single positive
-denominator.  Products route through numpy's int64 matmul (its own integer
-loops: BLAS serves floating point only) when a proven bound rules out
-overflow and fall back to arbitrary-precision objects otherwise, so every
+A matrix is stored as integer numerators over one positive denominator,
+with the numerators' largest absolute value cached.  The numerators are an
+int64 array whenever every entry fits, and Python-int objects only when one
+does not.  Each operation proves a bound on the entries it produces from
+the cached values of its operands before it runs: sums, Kronecker
+products, scalings, comparisons and stacks stay on int64 while that bound
+is below 2^63, and a product of inner dimension k runs as float64 BLAS
+while k * max|A| * max|B| < 2^53, where every partial sum is an integer
+that float64 holds exactly (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008).
+Where a bound fails the operands are promoted to objects, so every
 identity checked against these matrices is exact.  Rank and nullspace read
-one fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+one fraction-free Gauss-Jordan elimination on objects (Bareiss, Math.
+Comp. 22, 1968).
 """
 
 from __future__ import annotations
@@ -15,10 +22,14 @@ from fractions import Fraction
 
 import numpy as np
 
-_INT64_SAFE = 2 ** 62
+_INT64_BOUND = 2 ** 63
+_FLOAT64_EXACT = 2 ** 53
+# float64 entries of one row block of a product's left factor and result
+_BLOCK = 2 ** 16
 
 
 def _to_object_int(arr):
+    """Promote numerators to a new array of Python-int objects."""
     # tolist() yields native Python ints, keeping later arithmetic unbounded
     out = np.empty(arr.shape, dtype=object)
     if arr.size:
@@ -26,22 +37,64 @@ def _to_object_int(arr):
     return out
 
 
-class Mat:
-    """Immutable exact rational matrix: object-int numerators / denominator."""
+def _scaled(pairs, bound):
+    """Numerators of (Mat, factor) pairs times their factors.
 
-    __slots__ = ("num", "den", "shape")
+    ``bound`` must bound every entry the caller computes from the results;
+    below 2^63 they stay int64, otherwise all are promoted.  A factor of 1
+    copies nothing.
+    """
+    wide = bound >= _INT64_BOUND or any(abs(f) >= _INT64_BOUND
+                                        for _, f in pairs)
+    out = []
+    for m, f in pairs:
+        num = _to_object_int(m.num) if wide else m.num
+        out.append(num if f == 1 else num * f)
+    return out
+
+
+def _float64_product(a, b):
+    """a @ b for int64 arrays with k * max|a| * max|b| < 2^53.
+
+    ``b`` is converted once and ``a`` in row blocks, so the float64 working
+    set stays near the size of the int64 result.
+    """
+    fb = b.astype(np.float64)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    step = max(1, _BLOCK // (a.shape[1] + b.shape[1]))
+    for i in range(0, a.shape[0], step):
+        out[i:i + step] = a[i:i + step].astype(np.float64) @ fb
+    return out
+
+
+class Mat:
+    """Immutable exact rational matrix: integer numerators / denominator.
+
+    ``bound`` is the largest absolute numerator; ``num`` is int64 exactly
+    when ``bound`` is below 2^63.
+    """
+
+    __slots__ = ("num", "den", "shape", "bound")
 
     def __init__(self, num, den=1, shape=None):
-        num = np.asarray(num, dtype=object)
+        num = np.asarray(num)
         if shape is not None:
             num = num.reshape(shape)
         if num.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
+        if num.dtype.kind not in "iubO":
+            raise TypeError("numerators must be integers")
         if den <= 0:
             raise ValueError("denominator must be positive")
+        bound = max(int(num.max()), -int(num.min())) if num.size else 0
+        if bound >= _INT64_BOUND:
+            num = num if num.dtype == object else _to_object_int(num)
+        elif num.dtype != np.int64:
+            num = num.astype(np.int64)
         self.num = num
         self.den = int(den)
         self.shape = num.shape
+        self.bound = bound
 
     # -- constructors ------------------------------------------------------
 
@@ -60,27 +113,20 @@ class Mat:
 
     @classmethod
     def zeros(cls, r, c):
-        return cls(np.zeros((r, c), dtype=object))
+        return cls(np.zeros((r, c), dtype=np.int64))
 
     @classmethod
     def identity(cls, n):
-        return cls(np.eye(n, dtype=object))
+        return cls(np.eye(n, dtype=np.int64))
 
     # -- helpers -----------------------------------------------------------
-
-    def _max_abs(self):
-        if self.num.size == 0:
-            return 0
-        return max(self.num.max(), -self.num.min())
 
     def _reduced(self):
         if self.den == 1:
             return self
-        g = self.den
-        for v in self.num.flat:
-            g = math.gcd(g, abs(int(v)))
-            if g == 1:
-                return self
+        g = math.gcd(int(np.gcd.reduce(self.num, axis=None)), self.den)
+        if g == 1:
+            return self
         return Mat(self.num // g, self.den // g)
 
     def entry(self, i, j) -> Fraction:
@@ -91,50 +137,52 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        r, k = self.shape
-        c = other.shape[1]
-        if r == 0 or c == 0 or k == 0:
-            return Mat.zeros(r, c)
-        bound = k * self._max_abs() * other._max_abs()
-        if bound < _INT64_SAFE:
-            prod = (self.num.astype(np.int64) @ other.num.astype(np.int64))
-            num = _to_object_int(prod)
+        bound = self.shape[1] * self.bound * other.bound
+        if bound == 0:
+            # an empty or zero factor: the other may hold entries that
+            # float64 cannot
+            return Mat.zeros(self.shape[0], other.shape[1])
+        if bound < _FLOAT64_EXACT:
+            num = _float64_product(self.num, other.num)
         else:
-            num = self.num @ other.num
+            num = _to_object_int(self.num) @ _to_object_int(other.num)
         return Mat(num, self.den * other.den)._reduced()
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in addition")
-        num = self.num * other.den + other.num * self.den
-        return Mat(num, self.den * other.den)._reduced()
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
+        a, b = _scaled(((self, other.den), (other, self.den)),
+                       self.bound * other.den + other.bound * self.den)
+        return Mat(a + b, self.den * other.den)._reduced()
 
     def __neg__(self) -> "Mat":
         return Mat(-self.num, self.den)
 
     def scale(self, v) -> "Mat":
         v = Fraction(v)
-        return Mat(self.num * v.numerator, self.den * v.denominator)._reduced()
+        (num,) = _scaled(((self, v.numerator),),
+                         self.bound * abs(v.numerator))
+        return Mat(num, self.den * v.denominator)._reduced()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
         if self.shape != other.shape:
             return False
-        return bool(np.all(self.num * other.den == other.num * self.den))
+        a, b = _scaled(((self, other.den), (other, self.den)),
+                       max(self.bound * other.den, other.bound * self.den))
+        return bool(np.array_equal(a, b))
 
     def is_zero(self) -> bool:
-        return bool(np.all(self.num == 0))
+        return self.bound == 0
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.num.T.copy(), self.den)
+        return Mat(self.num.T, self.den)
 
     def kron(self, other: "Mat") -> "Mat":
-        return Mat(np.kron(self.num, other.num), self.den * other.den)._reduced()
+        a, b = _scaled(((self, 1), (other, 1)), self.bound * other.bound)
+        return Mat(np.kron(a, b), self.den * other.den)._reduced()
 
     def _echelon(self):
         """Fraction-free Gauss-Jordan elimination of the numerators.
@@ -143,9 +191,10 @@ class Mat:
         len(pivots) rows are in reduced echelon form with pivot columns
         ``pivots`` and every pivot entry equal to d, and its other rows are
         zero.  Each step divides exactly by the previous pivot (Bareiss), so
-        every entry stays a minor of ``num``.
+        every entry stays a minor of ``num``; the minors may exceed int64,
+        so the elimination runs on objects.
         """
-        a = self.num.copy()
+        a = _to_object_int(self.num)
         rows = a.shape[0]
         pivots = []
         d = 1
@@ -194,15 +243,30 @@ class Mat:
         return f"Mat({self.shape[0]}x{self.shape[1]}, den={self.den})"
 
 
+def assemble(shape, pieces) -> Mat:
+    """Matrix of ``shape`` holding each (row, col, Mat) piece of ``pieces``
+    at that offset and zeros elsewhere, over the lcm of their denominators."""
+    den = math.lcm(*(m.den for _, _, m in pieces))
+    pairs = [(m, den // m.den) for _, _, m in pieces]
+    nums = _scaled(pairs, max((m.bound * f for m, f in pairs), default=0))
+    num = np.zeros(shape, dtype=nums[0].dtype if nums else np.int64)
+    for (row, col, m), piece in zip(pieces, nums):
+        num[row:row + m.shape[0], col:col + m.shape[1]] = piece
+    return Mat(num, den)._reduced()
+
+
 def _stack(mats, axis) -> Mat:
     mats = list(mats)
     size = mats[0].shape[1 - axis]
     if any(m.shape[1 - axis] != size for m in mats):
         raise ValueError("column counts differ" if axis == 0
                          else "row counts differ")
-    den = math.lcm(*(m.den for m in mats))
-    num = np.concatenate([m.num * (den // m.den) for m in mats], axis=axis)
-    return Mat(num, den)._reduced()
+    pieces = []
+    offset = 0
+    for m in mats:
+        pieces.append((offset, 0, m) if axis == 0 else (0, offset, m))
+        offset += m.shape[axis]
+    return assemble((offset, size) if axis == 0 else (size, offset), pieces)
 
 
 def hstack(mats) -> Mat:

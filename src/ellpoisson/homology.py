@@ -17,12 +17,11 @@ Cone(ad)[-1] = C . C^0, with the degree-0 change of basis
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import Mat, hstack, vstack
+from .exact import Mat, assemble, hstack, vstack
 
 DEG0_CHANGE_OF_BASIS = ((1, 0), (1, -1))
 
@@ -122,8 +121,7 @@ class HomComplex:
         return [d for d in range(self.deg_min, self.deg_max + 1) if self.dim(d)]
 
     def _assemble_diff(self, d: int) -> Mat:
-        """Matrix of C^d -> C^{d+1} in column-major flattened coordinates,
-        over the lcm of the blocks' denominators."""
+        """Matrix of C^d -> C^{d+1} in column-major flattened coordinates."""
         E = self.source
         pieces = []
         for (ti, trows, tcols, toff) in self.blocks(d + 1):
@@ -139,12 +137,7 @@ class HomComplex:
                 else:
                     continue
                 pieces.append((toff, soff, piece))
-        den = math.lcm(*(piece.den for _, _, piece in pieces))
-        num = np.zeros((self.dim(d + 1), self.dim(d)), dtype=object)
-        for toff, soff, piece in pieces:
-            rows, cols = piece.shape
-            num[toff:toff + rows, soff:soff + cols] = piece.num * (den // piece.den)
-        return Mat(num, den)._reduced()
+        return assemble((self.dim(d + 1), self.dim(d)), pieces)
 
 
 def hom_complex(E: VSComplex) -> HomComplex:
@@ -172,7 +165,7 @@ def ad_chain_defect(H: HomComplex) -> bool:
 
 
 def _transpose_perm(m: int) -> Mat:
-    out = np.zeros((m * m, m * m), dtype=object)
+    out = np.zeros((m * m, m * m), dtype=np.int64)
     for a in range(m):
         for b in range(m):
             # column-major: entry (row, col) of a matrix sits at col*m + row
@@ -183,7 +176,7 @@ def _transpose_perm(m: int) -> Mat:
 def duality_t(H: HomComplex) -> Mat:
     """(C^0)^dual -> C^0: blockwise (-1)^i times the trace-pairing duality."""
     dim0 = H.dim(0)
-    out = np.zeros((dim0, dim0), dtype=object)
+    out = np.zeros((dim0, dim0), dtype=np.int64)
     for (i, rows, cols, off) in H.blocks(0):
         perm = _transpose_perm(rows)
         piece = perm.num if i % 2 == 0 else -perm.num
@@ -195,7 +188,7 @@ def kappa_inverse_deg_minus1(H: HomComplex) -> Mat:
     """(C^1)^dual -> C^{-1} inverting the trace pairing between C^{+-1}."""
     rows = H.dim(-1)
     cols = H.dim(1)
-    out = np.zeros((rows, cols), dtype=object)
+    out = np.zeros((rows, cols), dtype=np.int64)
     plus_off = {i: (r, c, off) for (i, r, c, off) in H.blocks(1)}
     for (i, r_m, c_m, off_m) in H.blocks(-1):
         # block i of C^{-1}: E^i -> E^{i-1}; pairs with block i-1 of C^1
@@ -300,7 +293,7 @@ def cone_iso_check(H: HomComplex, sign_flip: bool = False,
     for d in sorted(d_cone):
         lhs = change @ d_cone[d] if d + 1 == 0 else d_cone[d]
         rhs = d_sum[d] @ change if d == 0 else d_sum[d]
-        if not (lhs - rhs).is_zero():
+        if not lhs == rhs:
             failures.append(f"chain-map square at degrees ({d}, {d + 1})")
     if not (change @ change == Mat.identity(change.shape[0])):
         failures.append("degree-0 comparison block is not an involution")

@@ -36,6 +36,11 @@ TWO_PI_I = 2j * math.pi
 # and the derivative factors.
 LOG_LIMIT = 650.0
 
+# largest a priori relative rounding error of a basis value at 0; from about
+# here on the basis checks at their default tolerance 1e-8 fail from
+# rounding in the series alone
+ROUNDING_LIMIT = 1e-8
+
 T_ONE_OVER_N = "T_one_over_n"
 T_TAU_OVER_N = "T_tau_over_n"
 
@@ -116,8 +121,8 @@ def _check_range(what, z, height, factors=1, alpha=0):
             " (|Im z| / Im tau too large, or z not finite)")
 
 
-def _series(z0, tau, bound, order):
-    """Jet of the basic series at reduced points, from one matmul.
+def _series_terms(z0, tau, bound, order):
+    """Terms of the basic series at reduced points and their weights.
 
     The term-wise derivatives j = 0..order, each divided by j!, are the
     columns of a (terms x order+1) weight matrix.
@@ -129,6 +134,12 @@ def _series(z0, tau, bound, order):
     signs = np.where(m % 2 == 0, 1.0, -1.0)
     weights = np.stack([signs * (TWO_PI_I * m) ** j / math.factorial(j)
                         for j in range(order + 1)], axis=-1)
+    return terms, weights
+
+
+def _series(z0, tau, bound, order):
+    """Jet of the basic series at reduced points, from one matmul."""
+    terms, weights = _series_terms(z0, tau, bound, order)
     return np.moveaxis(terms @ weights, -1, 0)
 
 
@@ -221,12 +232,21 @@ class ThetaBasis:
         """Refuse a basis whose values at 0 are lost in rounding.
 
         theta_0'(0) and theta_alpha(0), alpha != 0, are nonzero for every
-        tau; only a small Im(tau) makes them numerically zero.  Each value
-        at 0 is compared without its exponential factor E_alpha,
+        tau; only a small Im(tau) makes them numerically zero.  The a priori
+        bound of ``_rounding_bound`` is tested first, because the relative
+        tests below can pass on noise (n = 2, tau = 1e-6 i).  Each value
+        at 0 is then compared without its exponential factor E_alpha,
         |E_alpha(0)| = exp(pi alpha (n - alpha) Im(tau) / n), which at large
         n spreads the raw values over many orders of magnitude.
         """
         n = self.params.n
+        rounding = self._rounding_bound()
+        if not rounding <= ROUNDING_LIMIT:
+            raise DegenerateTauError(
+                f"Im tau = {self.params.tau.imag:g} is out of numerical range "
+                f"at n = {n}: rounding in the theta series may reach "
+                f"{rounding:.1e} of a basis value at 0, beyond "
+                f"{ROUNDING_LIMIT:g}")
         alpha = np.arange(n)
         size = np.exp(np.pi * alpha * (n - alpha) * self.params.tau.imag / n)
         vals = np.abs(self.theta_at_zero) / size
@@ -246,6 +266,31 @@ class ThetaBasis:
                     f"Im tau = {self.params.tau.imag:g} is out of numerical "
                     f"range at n = {n}: {what}, each taken without its "
                     "exponential factor")
+
+    def _rounding_bound(self) -> float:
+        """A priori relative rounding error of the values at 0.
+
+        A series sum carries a rounding error of about 2^-53 sum|terms|,
+        so each factor theta(m/n + alpha*tau/n) of theta_alpha(0) has
+        relative error 2^-53 sum|terms| / |value|, and the product the sum
+        of its factors' errors.  The zero factor of theta_0 enters through
+        its derivative, as in theta_0'(0).  Returns the largest over alpha;
+        the factors are summed in chunks of at most 2^16 terms.
+        """
+        n, tau, bound = self.n, self.params.tau, self.series_bound
+        # row alpha holds the n factors of theta_alpha
+        points = np.arange(n) / n + np.arange(n)[:, None] * tau / n
+        z0, _ = _reduce_to_cell(points.ravel(), tau)
+        order = (np.arange(n * n) == 0).astype(int)
+        ratio = np.empty(n * n)
+        step = max(1, 2 ** 16 // (2 * bound + 2))
+        for i in range(0, n * n, step):
+            terms, weights = _series_terms(z0[i:i + step], tau, bound, 1)
+            pick = (np.arange(len(terms)), order[i:i + step])
+            size = (np.abs(terms) @ np.abs(weights))[pick]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio[i:i + step] = size / np.abs((terms @ weights)[pick])
+        return 2.0 ** -53 * float(np.max(ratio.reshape(n, n).sum(axis=1)))
 
     @property
     def n(self) -> int:

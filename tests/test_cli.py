@@ -1,5 +1,6 @@
 """End-to-end tests of the batch front-end."""
 
+import hashlib
 import json
 
 import pytest
@@ -57,6 +58,16 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
         assert out == ""  # no report
+
+    def test_theta_lost_in_rounding_refused(self, capsys):
+        # at n = 2 the relative checks of the values at 0 pass on noise;
+        # the series' cancellation bound refuses the lattice instead
+        code = main(["theta", "--n", "2", "--tau", "0", "1e-6"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "Im tau = 1e-06 is out of numerical range at n = 2" in err
+        assert "rounding in the theta series" in err
+        assert "Traceback" not in err and out == ""
 
     def test_eta_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -171,3 +182,42 @@ class TestDeterminism:
         params = json.loads(text)["params"]
         assert params["tol"] == 1e-8
         assert params["truncation_eps"] == 1e-12
+
+    # sha256 of the exit code and the homology payload without timings,
+    # computed with int64-loop products on object storage: no arithmetic
+    # path may change a payload
+    @pytest.mark.parametrize("n, r, seed, flip, digest", [
+        (3, 1, 0, False, "bc8859ac03df43b3"),
+        (3, 2, 0, False, "5039d148a4e60744"),
+        (4, 1, 0, False, "597726b464568222"),
+        (4, 2, 0, False, "c55d00547642a23b"),
+        (5, 1, 0, False, "195bf4cabe043f53"),
+        (5, 2, 0, False, "f00d8ee65197e148"),
+        (6, 1, 0, False, "0816f0bb656ed04f"),
+        (6, 2, 0, False, "85760c696920c502"),
+        (7, 1, 0, False, "fc6617f7d0c96e93"),
+        (7, 2, 0, False, "0aa30fc33f17b6db"),
+        (3, 1, 17, False, "e772ed63bc8a325f"),
+        (3, 2, 17, False, "121bde16cd7b5452"),
+        (4, 1, 17, False, "1dbf5492c9d9f239"),
+        (4, 2, 17, False, "193789a11c114b50"),
+        (5, 1, 17, False, "44b6eda297911354"),
+        (5, 2, 17, False, "b4c396a0e979cc53"),
+        (6, 1, 17, False, "cf237d8f6e1190a1"),
+        (6, 2, 17, False, "39a32cf07143bf0b"),
+        (7, 1, 17, False, "0ba15e0fd9fc05a8"),
+        (7, 2, 17, False, "809446d20e5e55ff"),
+        (4, 1, 0, True, "7efd631c43a6ab6d"),
+    ])
+    def test_homology_payload_pinned(self, n, r, seed, flip, digest,
+                                     capsys):
+        args = ["homology", "--n", str(n), "--r", str(r), "--seed", str(seed)]
+        # the sign-flip run takes two samples, the others one
+        args += ["--samples", "2", "--inject-sign-flip"] if flip else \
+            ["--samples", "1"]
+        code = main(args)
+        report = json.loads(capsys.readouterr().out)
+        report.pop("elapsed_ms")
+        report.pop("timings", None)
+        text = f"{code}\n" + json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellpoisson.exact import Mat
+from ellpoisson.exact import Mat, hstack, vstack
 from ellpoisson.homology import (
     VSComplex,
     ad_chain_defect,
@@ -121,15 +121,20 @@ class TestElimination:
 
         @hyp.settings(max_examples=300, deadline=None)
         @hyp.given(k=st.integers(1, 4), rows=st.integers(1, 3),
-                   cols=st.integers(1, 3), bits=st.sampled_from((62, 64, 66)),
+                   cols=st.integers(1, 3),
+                   bits=st.sampled_from((53, 62, 64, 66)),
                    above=st.booleans(),
                    dens=st.tuples(st.integers(1, 6), st.integers(1, 6)),
                    data=st.data())
         def check(k, rows, cols, bits, above, dens, data):
             # entries at most `top` in size, with one entry of A and of B at
-            # +-top, so k * top^2 sits just below or just above 2^bits; at
-            # 64 and 66 bits sums with aligned signs overflow int64
+            # +-top, so k * top^2 sits just below or just above 2^bits: 2^53
+            # bounds the float64 product, and at 64 and 66 bits sums with
+            # aligned signs overflow int64; above 2^53 an odd top^2 is not
+            # a float64 value
             top = math.isqrt((2 ** bits - 1) // k) + above
+            if above and top % 2 == 0:
+                top += 1
             entry = st.one_of(st.sampled_from((top, -top)),
                               st.integers(-top, top))
             a = np.array(data.draw(st.lists(entry, min_size=rows * k,
@@ -141,8 +146,7 @@ class TestElimination:
             a[0, 0] = top * data.draw(st.sampled_from((1, -1)))
             b[-1, -1] = top * data.draw(st.sampled_from((1, -1)))
             A, B = Mat(a, dens[0]), Mat(b, dens[1])
-            if bits == 62:
-                assert (k * A._max_abs() * B._max_abs() < 2 ** 62) != above
+            assert (k * A.bound * B.bound < 2 ** bits) != above
             prod = A @ B
             for i in range(rows):
                 for j in range(cols):
@@ -150,6 +154,69 @@ class TestElimination:
                         A.entry(i, t) * B.entry(t, j) for t in range(k))
 
         check()
+
+    def test_storage_bound_operations_agree_with_fractions(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        # largest entries at which sums, scalings by 2 and 3, Kronecker
+        # products and denominators up to 4 cross 2^63, and their neighbours
+        tops = [v + e for v in (2 ** 62, 2 ** 63 // 3, math.isqrt(2 ** 63))
+                for e in (-1, 0, 1)] + [2 ** 63 - 1, 2 ** 61]
+
+        def fractions(m):
+            return [[m.entry(i, j) for j in range(m.shape[1])]
+                    for i in range(m.shape[0])]
+
+        def stored(m):
+            # int64 exactly while every numerator fits
+            return m.num.dtype == (object if m.bound >= 2 ** 63 else np.int64)
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(rows=st.integers(1, 3), cols=st.integers(1, 3),
+                   tops=st.tuples(st.sampled_from(tops),
+                                  st.sampled_from(tops)),
+                   dens=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                   factor=st.sampled_from((Fraction(2), Fraction(-3),
+                                           Fraction(3, 2), Fraction(1, 4))),
+                   data=st.data())
+        def check(rows, cols, tops, dens, factor, data):
+            nums = []
+            for top in tops:
+                entry = st.one_of(st.sampled_from((top, -top)),
+                                  st.integers(-top, top))
+                num = np.array(data.draw(st.lists(
+                    entry, min_size=rows * cols, max_size=rows * cols)),
+                    dtype=object).reshape(rows, cols)
+                num[0, 0] = top * data.draw(st.sampled_from((1, -1)))
+                nums.append(num)
+            A, B = Mat(nums[0], dens[0]), Mat(nums[1], dens[1])
+            fa, fb = fractions(A), fractions(B)
+            results = [A + B, A.kron(B), A.scale(factor), -A,
+                       hstack([A, B]), vstack([A, B])]
+            assert all(stored(m) for m in [A, B] + results)
+            assert fractions(results[0]) == [
+                [x + y for x, y in zip(ra, rb)] for ra, rb in zip(fa, fb)]
+            assert fractions(results[1]) == [
+                [x * y for x in ra for y in rb] for ra in fa for rb in fb]
+            assert fractions(results[2]) == [[x * factor for x in r]
+                                             for r in fa]
+            assert fractions(results[3]) == [[-x for x in r] for r in fa]
+            assert fractions(results[4]) == [ra + rb for ra, rb in zip(fa, fb)]
+            assert fractions(results[5]) == fa + fb
+            # the same values over a larger denominator may need objects
+            s = dens[1] + 1
+            assert A == Mat(nums[0] * s, dens[0] * s)
+            assert (A == B) == (fa == fb)
+            assert A + -A == Mat.zeros(rows, cols)
+
+        check()
+
+    def test_small_instances_are_int64(self):
+        for r, n, seed in ((1, 3, 0), (2, 5, 1), (1, 7, 3)):
+            E = random_kronecker_complex(r, n, seed)
+            H = hom_complex(E)
+            mats = [E.diff(-1), E.diff(0)] + [H.diff(d) for d in H.degrees()]
+            assert all(m.num.dtype == np.int64 for m in mats)
 
 
 class TestHomComplex:

@@ -268,12 +268,24 @@ class TestBasisTables:
     @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC, 0.5j])
     def test_moderate_orders_build(self, tau):
         for n in range(2, 14):
-            assert basis(n, tau).n == n
+            b = basis(n, tau)
+            assert b.n == n
+            # far below the refusal limit of 1e-8
+            assert b._rounding_bound() < 1e-13
 
     def test_small_im_tau_refused_by_range(self):
         with pytest.raises(DegenerateTauError,
                            match=r"Im tau = 1e-06 is out of numerical range"):
             basis(3, 1e-6j)
+
+    @pytest.mark.parametrize("n, im", [(2, 1e-6), (2, 0.03), (5, 0.04)])
+    def test_series_cancellation_refused(self, n, im):
+        # each of these built before; from rounding alone its theta checks
+        # failed, or at n = 5, Im tau = 0.04 came within 10% of the default
+        # tolerance
+        with pytest.raises(DegenerateTauError,
+                           match="rounding in the theta series"):
+            basis(n, 1j * im)
 
 
 class TestHeisenberg:
