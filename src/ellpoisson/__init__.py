@@ -6,9 +6,10 @@ Jacobi certification as a contraction of that tensor with itself,
 Heisenberg canonical form, projective descent; sparse polynomials and
 Leibniz brackets serve only as test oracles), ``fo`` (elliptic quadratic
 relations, the F table, the semiclassical bracket and its finite-parameter
-oracle, all as tensors), ``cech`` (one table of samples on the contours around the divisor,
-from which the dual pairing, the principal-part projection checks, the
-trace tables and both routes to the extension-moduli bracket are read),
+oracle, all as tensors), ``cech`` (one table of samples on the contours
+around the divisor, filled from one circle by the exact 1/n shift, from
+which the dual pairing, the principal-part projection checks, the trace
+tables and both routes to the extension-moduli bracket are read),
 ``exact`` (exact rational matrices on int64 numerators, promoted to Python
 ints only where a proven bound fails, products on float64 BLAS below 2^53,
 and one fraction-free elimination for rank and nullspace), ``homology`` (exact
@@ -24,6 +25,7 @@ from .theta import (
     heisenberg_act,
     theta_alpha_deriv,
     theta_alpha_eval,
+    theta_alpha_jet,
     theta_eval,
     verify_automorphy,
 )

@@ -14,10 +14,13 @@ the trace-pairing route and the fully expanded coefficient route to
 {t_i, t_j} are implemented and cross-checked against each other.
 
 Every residue is a trace over the same n circles around the points of D,
-so :class:`ResidueSystem` samples phi_alpha, phi_alpha' and psi_alpha once
-on those circles and reads every quantity off the sample tables: by the
+so :class:`ResidueSystem` holds phi_alpha, phi_alpha' and psi_alpha on
+those circles as sample tables and reads every quantity off them: by the
 trapezoidal rule, the Laurent coefficient c_m of f around k/n is the node
-mean of f * (z - k/n)^(-m).
+mean of f * (z - k/n)^(-m).  The theta series is evaluated on the circle
+around 0 only: the exact 1/n-shift property
+theta_alpha(k/n + z) = omega^(alpha k) theta_alpha(z) fills every other
+disc.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ import numpy as np
 
 from .errors import ContourError, DegenerateTauError
 from .fo import FConstants, f_constants
-from .theta import ThetaBasis, theta_alpha_deriv, theta_alpha_eval
+# theta_alpha_deriv is not called here; it stays bound because
+# perfbench/spans.py wraps ellpoisson.cech.theta_alpha_deriv on every run
+from .theta import (ThetaBasis, theta_alpha_deriv, theta_alpha_eval,
+                    theta_alpha_jet)
 
 TWO_PI_I = 2j * math.pi
 
@@ -86,8 +92,7 @@ def _node_coeffs(samples, offsets, window: tuple[int, int]) -> np.ndarray:
     return samples @ offsets[:, None] ** -ms / len(offsets)
 
 
-def _circle(q: QuadratureConfig, n: int, tau: complex | None = None):
-    points, rho = q.resolve(n, tau)
+def _circle(points: int, rho: float) -> np.ndarray:
     return rho * np.exp(TWO_PI_I * np.arange(points) / points)
 
 
@@ -95,7 +100,7 @@ def laurent_coeffs(f, center: complex, window: tuple[int, int],
                    q: QuadratureConfig, n: int = 1) -> np.ndarray:
     """Laurent coefficients c_m of the callable f around center for m in
     [m_min, m_max]."""
-    offsets = _circle(q, n)
+    offsets = _circle(*q.resolve(n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         samples = np.asarray(f(center + offsets), dtype=complex)
     if samples.shape != offsets.shape or not np.all(np.isfinite(samples)):
@@ -133,8 +138,8 @@ class GlobalSection:
         return out
 
 
-def psi_local_constant(basis: ThetaBasis, alpha: int, k: int) -> complex:
-    """Disc-k value of psi_alpha for alpha != 0.
+def psi_local_constant(basis: ThetaBasis, alpha: int, k):
+    """Disc-k value of psi_alpha for alpha != 0; k may be an array of discs.
 
     theta_alpha(k/n) reduces to omega^(alpha k) theta_alpha(0) by the 1/n
     shift property, so one theta value per alpha suffices.
@@ -199,9 +204,13 @@ class ResidueSystem:
     """Node tables for the residue calculus at a fixed basis and quadrature.
 
     Immutable after construction.  ``nodes[k, p]`` = k/n + offsets[p] are
-    the quadrature nodes on the circle around k/n; ``phi``, ``dphi`` and
-    ``psi`` hold phi_alpha, phi_alpha' and psi_alpha there, as arrays
-    indexed [alpha, k, p].  The trace tables
+    the quadrature nodes on the circle around k/n, with ``points`` nodes at
+    ``radius``; ``phi``, ``dphi`` and ``psi`` hold phi_alpha, phi_alpha'
+    and psi_alpha there, as arrays indexed [alpha, k, p].  One order-1 jet
+    of each theta_alpha on the circle around 0 gives the values and
+    derivatives on disc 0; disc k is disc 0 times omega^(alpha k), exactly
+    by the 1/n-shift property (theta is 1-periodic, so the n factors of
+    theta_alpha are only permuted).  The trace tables
 
         T3[a, b] = tr(phi_a phi_b psi_{a+b}),
         TD[a, b] = tr(phi_a' phi_b psi_{a+b})
@@ -214,24 +223,27 @@ class ResidueSystem:
         self.quad = quad if quad is not None else QuadratureConfig()
         self.f = f_constants(basis)
         n = basis.n
-        self.offsets = _circle(self.quad, n, basis.params.tau)
+        self.points, self.radius = self.quad.resolve(n, basis.params.tau)
+        self.offsets = _circle(self.points, self.radius)
         self.nodes = np.arange(n)[:, None] / n + self.offsets
+        # shift[a, k] = omega^(a k mod n)
+        shift = basis.omega ** (np.multiply.outer(np.arange(n), np.arange(n))
+                                % n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            th = np.array([theta_alpha_eval(basis, a, self.nodes)
-                           for a in range(n)])
-            dth = np.array([theta_alpha_deriv(basis, a, self.nodes, 1)
-                            for a in range(n)])
-            self.phi = th / th[0]
-            self.dphi = (dth * th[0] - th * dth[0]) / th[0] ** 2
-        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.dphi))):
+            th, dth = np.array([theta_alpha_jet(basis, a, self.offsets, 1)
+                                for a in range(n)]).swapaxes(0, 1)
+            phi0 = th / th[0]
+            dphi0 = (dth * th[0] - th * dth[0]) / th[0] ** 2
+        if not (np.all(np.isfinite(phi0)) and np.all(np.isfinite(dphi0))):
             raise ContourError("a contour around a point of D hit a singularity")
+        self.phi = shift[:, :, None] * phi0[:, None]
+        self.dphi = shift[:, :, None] * dphi0[:, None]
         self.phi[0] = 1.0
         self.dphi[0] = 0.0
         self.psi = np.empty_like(self.phi)
         self.psi[0] = 1.0 / self.offsets
         for a in range(1, n):
-            for k in range(n):
-                self.psi[a, k] = psi_local_constant(basis, a, k)
+            self.psi[a] = psi_local_constant(basis, a, np.arange(n))[:, None]
         psi_sum = self.psi[(np.arange(n)[:, None] + np.arange(n)) % n]
         self.t3 = self.tr(self.phi[:, None] * self.phi * psi_sum)
         self.td = self.tr(self.dphi[:, None] * self.phi * psi_sum)

@@ -211,7 +211,8 @@ def cmd_moduli_compare(cfg: RunConfig):
         match = max(match, float(np.max(np.abs(closed - ref))))
     checks = [_check("method_agreement", agree, 1e-7),
               _check("matches_projective_bracket", match, 1e-6)]
-    return checks, {}
+    return checks, {"contour": {"points": system.points,
+                                "radius": system.radius}}
 
 
 def cmd_leaves(cfg: RunConfig):

@@ -11,11 +11,12 @@ degree-n basis indexed by ``alpha`` in Z/n is the product
           * exp(2*pi*i*(alpha*z + alpha*(alpha-n)*tau/(2n) + alpha/(2n)))
 
 which diagonalises the shift-by-1/n operator and is exactly n-periodic in
-the index.  Values and derivatives are read off one private object, the
-truncated Taylor jet (f, f', f''/2, ...) on a leading array axis: the
-series yields it from one matmul, and the quasi-periodicity multiplier, the
-n shifted factors and the exponential factor are combined by one truncated
-Taylor product, ``_jet_mul``.  Evaluators accept scalars or numpy arrays of
+the index.  Values and derivatives are read off one object, the truncated
+Taylor jet (f, f', f''/2, ...) on a leading array axis, which
+``theta_alpha_jet`` returns whole: the series yields it from one matmul,
+and the quasi-periodicity multiplier, the n shifted factors and the
+exponential factor are combined by one truncated Taylor product,
+``_jet_mul``.  Evaluators accept scalars or numpy arrays of
 points and are pure functions of their arguments; a constructed
 :class:`ThetaBasis` is immutable.  A point where the value may
 leave double-precision range (large |Im z| / Im tau) raises
@@ -220,7 +221,7 @@ class ThetaBasis:
             raise ValueError("truncation_eps must be positive")
         bound = series_bound_for(self.params.tau, self.truncation_eps)
         object.__setattr__(self, "series_bound", bound)
-        jets = np.array([_theta_alpha_jet(self, a, 0.0, 1)
+        jets = np.array([theta_alpha_jet(self, a, 0.0, 1)
                          for a in range(self.n)])
         vals, ders = jets[:, 0], jets[:, 1]
         vals[0] = 0.0
@@ -311,10 +312,12 @@ class ThetaBasis:
         return self.dtheta_at_zero[alpha] / self.theta_at_zero[alpha]
 
 
-def _theta_alpha_jet(basis: ThetaBasis, alpha: int, z, order: int):
+def theta_alpha_jet(basis: ThetaBasis, alpha: int, z, order: int):
     """Jet of the defining product of theta_alpha at the integer index alpha.
 
-    The n shifted factors theta(z + m/n + alpha*tau/n) are evaluated in one
+    Entry j of the leading axis holds the j-th derivative divided by j!, so
+    one order-1 call yields values and first derivatives together.  The n
+    shifted factors theta(z + m/n + alpha*tau/n) are evaluated in one
     call on a trailing axis and multiplied, with the jet of the exponential
     factor, by the truncated Taylor product, which needs no division and so
     stays exact at the zeros of single factors.
@@ -340,7 +343,7 @@ def theta_alpha_raw(basis: ThetaBasis, alpha: int, z):
     Exactly n-periodic in alpha; ``theta_alpha_eval`` evaluates it on the
     stored representative in [0, n).
     """
-    return _theta_alpha_jet(basis, alpha, z, 0)[0]
+    return theta_alpha_jet(basis, alpha, z, 0)[0]
 
 
 def theta_alpha_eval(basis: ThetaBasis, alpha: int, z):
@@ -357,7 +360,7 @@ def theta_alpha_deriv(basis: ThetaBasis, alpha: int, z, order: int = 1):
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    jet = _theta_alpha_jet(basis, alpha % basis.n, z, order)
+    jet = theta_alpha_jet(basis, alpha % basis.n, z, order)
     out = math.factorial(order) * jet[order]
     return complex(out) if out.ndim == 0 else out
 

@@ -18,7 +18,13 @@ from ellpoisson.cech import (
 from ellpoisson.errors import ContourError, DegenerateTauError
 from ellpoisson.fo import sklyanin_bracket
 from ellpoisson.poisson import hn_canonical_extract, projective_matrix
-from ellpoisson.theta import CurveParams, ThetaBasis, theta_alpha_eval
+from ellpoisson.theta import (
+    CurveParams,
+    ThetaBasis,
+    theta_alpha_deriv,
+    theta_alpha_eval,
+    theta_alpha_jet,
+)
 
 Q = QuadratureConfig()
 
@@ -123,6 +129,23 @@ class TestTables:
                         k / 3, (-1, -1), Q, 3)[0]
                 assert abs(total / 3 - s.t3[a, c]) < 1e-10
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.5j])
+    def test_tables_match_direct_evaluation(self, n, tau):
+        # the tables fill disc k from the circle around 0 by the 1/n shift;
+        # the oracle evaluates theta_alpha and theta_alpha' at every node
+        s = system(n, tau)
+        b = s.basis
+        th = np.array([theta_alpha_eval(b, a, s.nodes) for a in range(n)])
+        dth = np.array([theta_alpha_deriv(b, a, s.nodes, 1)
+                        for a in range(n)])
+        phi_direct = th / th[0]
+        dphi_direct = (dth * th[0] - th * dth[0]) / th[0] ** 2
+        for table, direct in ((s.phi[1:], phi_direct[1:]),
+                              (s.dphi[1:], dphi_direct[1:])):
+            scale = np.max(np.abs(direct))
+            assert np.max(np.abs(table - direct)) <= 1e-12 * scale
+
     def test_dphi_matches_finite_difference(self):
         s = system(3)
         h = 1e-6
@@ -135,13 +158,14 @@ class TestTables:
     def test_non_finite_sample_raises_contour_error(self, monkeypatch):
         import ellpoisson.cech as cech
 
-        def poisoned(b, alpha, z):
-            out = theta_alpha_eval(b, alpha, z)
+        # a NaN value at one node of the circle around 0 must be refused
+        def poisoned(b, alpha, z, order):
+            out = theta_alpha_jet(b, alpha, z, order)
             out[0, 0] = np.nan
             return out
 
         b = basis(3)
-        monkeypatch.setattr(cech, "theta_alpha_eval", poisoned)
+        monkeypatch.setattr(cech, "theta_alpha_jet", poisoned)
         with pytest.raises(ContourError):
             ResidueSystem(b, Q)
 

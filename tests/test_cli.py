@@ -166,6 +166,24 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert self.strip_elapsed(text1) == self.strip_elapsed(text2)
 
+    @pytest.mark.parametrize("args, points, radius", [
+        ([], 128, 1 / 12),
+        (["--tau", "0", "0.1", "--quad-points", "64"], 64, 0.025),
+        (["--radius", "0.05"], 128, 0.05),
+    ])
+    def test_moduli_contour_block(self, args, points, radius, tmp_path):
+        # the contour actually used, identical in every run
+        args = ["moduli-compare", "--n", "3", "--samples", "1"] + args
+        blocks = []
+        for name in ("a.json", "b.json"):
+            code, text = run(args, tmp_path, name)
+            assert code == 0
+            contour = json.loads(text)["tables"]["contour"]
+            blocks.append(json.dumps(contour, sort_keys=True))
+        assert blocks[0] == blocks[1]
+        assert contour["points"] == points
+        assert contour["radius"] == pytest.approx(radius, rel=1e-15, abs=0)
+
     def test_different_seed_changes_payload(self, tmp_path):
         base = ["moduli-compare", "--n", "3", "--samples", "4"]
         _, text1 = run(base + ["--seed", "1"], tmp_path, "a.json")

@@ -109,6 +109,35 @@ class TestThetaEval:
         direct = theta_brute(z, tau, terms=80, order=order)
         assert abs(theta_eval(tau, z, order=order) - direct) < 1e-12 * abs(direct)
 
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.5j, 2j, 0.2j, 0.1j,
+                                     0.05j, 0.02j])
+    def test_matches_mpmath_jacobi_theta1(self, tau):
+        # theta(z) = -i exp(pi i (z - tau/4)) theta_1(pi z, exp(pi i tau)),
+        # at 30 digits; the grid includes z = 0.05 + 0.9 tau
+        mp = pytest.importorskip("mpmath")
+        u = 0.05 + 0.1 * np.arange(10)
+        v = 0.1 + 0.2 * np.arange(5)
+        z = (u[:, None] + v * tau).ravel()
+        with mp.workdps(30):
+            t = mp.mpc(tau)
+            nome = mp.exp(1j * mp.pi * t)
+            ref = np.array([complex(-1j * mp.exp(1j * mp.pi * (w - t / 4))
+                                    * mp.jtheta(1, mp.pi * w, nome))
+                            for w in map(mp.mpc, z)])
+        err = np.abs(theta_eval(tau, z) - ref) / np.abs(ref)
+        if tau in (1j, 0.3 + 0.8j, 0.5j):
+            assert np.max(err) < 1e-14
+        # a priori rounding bound of the series sum (the grid lies in the
+        # cell, so these are the terms summed): 2^-53 sum_m |t_m| (1 + |x_m|)
+        # / |theta| for t_m = exp(x_m); the factor 1 + |x_m| covers the
+        # rounding of each exponent, which the cancellation bound
+        # 2^-53 sum_m |t_m| / |theta| leaves out
+        m = np.arange(-60, 62)
+        x = 2j * math.pi * (np.multiply.outer(z, m) + tau * m * (m - 1) / 2)
+        bound = (2.0 ** -53 * np.sum(np.abs(np.exp(x)) * (1 + np.abs(x)),
+                                     axis=1) / np.abs(ref))
+        assert np.all(err < 4 * bound)
+
 
 class TestThetaAlpha:
     def test_theta0_vanishes_on_divisor(self):
