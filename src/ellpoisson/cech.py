@@ -230,8 +230,8 @@ class ResidueSystem:
         shift = basis.omega ** (np.multiply.outer(np.arange(n), np.arange(n))
                                 % n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            th, dth = np.array([theta_alpha_jet(basis, a, self.offsets, 1)
-                                for a in range(n)]).swapaxes(0, 1)
+            th, dth = theta_alpha_jet(basis, np.arange(n), self.offsets,
+                                      1).swapaxes(1, 2)
             phi0 = th / th[0]
             dphi0 = (dth * th[0] - th * dth[0]) / th[0] ** 2
         if not (np.all(np.isfinite(phi0)) and np.all(np.isfinite(dphi0))):

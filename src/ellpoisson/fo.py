@@ -94,14 +94,13 @@ def fo_relations(basis: ThetaBasis, k: int, eta: complex) -> FORelationTensor:
     eta = complex(eta)
     floor = 1e-10 * abs(basis.dtheta_at_zero[0] * eta)
     # th[:, 0] = theta_a(eta), th[:, 1] = theta_a(-eta)
-    th = np.array([theta_alpha_eval(basis, a, np.array([eta, -eta]))
-                   for a in range(n)])
-    for a in range(n):
-        for col, sign in ((0, ""), (1, "-")):
-            if abs(th[a, col]) < floor:
-                raise DegenerateEtaError(
-                    f"theta_{a}({sign}eta) ~ 0 at eta={eta}: "
-                    "torsion-degenerate")
+    th = theta_alpha_eval(basis, np.arange(n), np.array([eta, -eta])).T
+    lost = np.argwhere(np.abs(th) < floor)
+    if len(lost):
+        a, col = lost[0]
+        raise DegenerateEtaError(
+            f"theta_{a}({'-' if col else ''}eta) ~ 0 at eta={eta}: "
+            "torsion-degenerate")
     th0 = basis.theta_at_zero
     i, j, r = np.indices((n, n, n))
     coeffs = th0[(j - i + r * (k - 1)) % n] / (th[(k * r) % n, 0]

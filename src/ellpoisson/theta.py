@@ -16,10 +16,13 @@ Taylor jet (f, f', f''/2, ...) on a leading array axis, which
 ``theta_alpha_jet`` returns whole: the series yields it from one matmul,
 and the quasi-periodicity multiplier, the n shifted factors and the
 exponential factor are combined by one truncated Taylor product,
-``_jet_mul``.  Evaluators accept scalars or numpy arrays of
-points and are pure functions of their arguments; a constructed
-:class:`ThetaBasis` is immutable.  A point where the value may
-leave double-precision range (large |Im z| / Im tau) raises
+``_jet_mul``.  The index alpha may be an integer or a 1-D integer array;
+an array puts theta_alpha for every listed alpha on a trailing axis, so the
+whole basis on a point grid is one evaluation of the (alpha, m) grid of
+shifted factors, taken in chunks of bounded size.  Evaluators accept
+scalars or numpy arrays of points and are pure functions of their
+arguments; a constructed :class:`ThetaBasis` is immutable.  A point where
+the value may leave double-precision range (large |Im z| / Im tau) raises
 :class:`ThetaRangeError` before anything is evaluated.
 """
 
@@ -41,6 +44,10 @@ LOG_LIMIT = 650.0
 # here on the basis checks at their default tolerance 1e-8 fail from
 # rounding in the series alone
 ROUNDING_LIMIT = 1e-8
+
+# largest number of series terms one matmul holds; longer point arrays are
+# evaluated in chunks, which keeps the working memory flat
+_CHUNK_TERMS = 2 ** 16
 
 T_ONE_OVER_N = "T_one_over_n"
 T_TAU_OVER_N = "T_tau_over_n"
@@ -89,37 +96,44 @@ def _reduce_to_cell(z, tau):
     return z1 - a, b
 
 
-def _check_range(what, z, height, factors=1, alpha=0):
+def _check_range(z, height, factors=1, alphas=None):
     """Raise ThetaRangeError unless every partial product of theta_alpha(z)
-    (``factors`` theta factors; theta itself for factors=1, alpha=0) stays
-    in double range; ``height`` is Im(tau) and z an array.
+    (``factors`` theta factors) stays in double range for each alpha in
+    ``alphas``, or of theta itself when ``alphas`` is None; ``height`` is
+    Im(tau) and z an array.
 
     The factors sit at z + m/n + alpha*tau/n and share one reduced lattice
     index b = floor(Im z / Im tau + alpha/n) per point, so their product is
     at most exp(n pi Im(tau) |b|(|b|+1)) times the size of the exponential
     factor of theta_alpha.  b is monotone in Im z, so the two extreme points
-    bound it; non-finite points fail.
+    bound it; non-finite points fail.  The message names the first failing
+    alpha.
     """
     if not z.size:
         return
     low, high = float(z.imag.min()), float(z.imag.max())
-    log_size = math.inf
-    if math.isfinite(low) and math.isfinite(high):
-        offset = (alpha * height) / factors
-        top = max(abs(math.floor((low + offset) / height)),
-                  abs(math.floor((high + offset) / height)))
-        log_size = (factors * math.pi * height * top * (top + 1.0)
-                    + max(0.0, -2.0 * math.pi * alpha * low,
-                          -2.0 * math.pi * alpha * high)
-                    + math.pi * alpha * (factors - alpha) * height / factors)
-    if not log_size <= LOG_LIMIT:
-        size = np.abs(np.ravel(z).imag)
-        worst = complex(np.ravel(z)[np.argmax(np.where(np.isnan(size),
-                                                       np.inf, size))])
-        raise ThetaRangeError(
-            f"{what} at z = {worst} is out of double range: the value may "
-            f"reach exp({log_size:.0f}), beyond the limit exp({LOG_LIMIT:.0f})"
-            " (|Im z| / Im tau too large, or z not finite)")
+    finite = math.isfinite(low) and math.isfinite(high)
+    for alpha in (0,) if alphas is None else alphas:
+        log_size = math.inf
+        if finite:
+            offset = (alpha * height) / factors
+            top = max(abs(math.floor((low + offset) / height)),
+                      abs(math.floor((high + offset) / height)))
+            log_size = (factors * math.pi * height * top * (top + 1.0)
+                        + max(0.0, -2.0 * math.pi * alpha * low,
+                              -2.0 * math.pi * alpha * high)
+                        + math.pi * alpha * (factors - alpha) * height
+                        / factors)
+        if not log_size <= LOG_LIMIT:
+            what = "theta" if alphas is None else f"theta_{alpha}"
+            size = np.abs(np.ravel(z).imag)
+            worst = complex(np.ravel(z)[np.argmax(np.where(np.isnan(size),
+                                                           np.inf, size))])
+            raise ThetaRangeError(
+                f"{what} at z = {worst} is out of double range: the value "
+                f"may reach exp({log_size:.0f}), beyond the limit "
+                f"exp({LOG_LIMIT:.0f}) (|Im z| / Im tau too large, or z not "
+                "finite)")
 
 
 def _series_terms(z0, tau, bound, order):
@@ -182,7 +196,7 @@ def theta_eval(params: CurveParams | complex, z, *, eps: float = 1e-12,
         raise ValueError("Im(tau) must be positive")
     bound = series_bound if series_bound is not None else series_bound_for(tau, eps)
     z = np.asarray(z, dtype=complex)
-    _check_range("theta", z, tau.imag)
+    _check_range(z, tau.imag)
     if order not in (0, 1, 2):
         raise ValueError("derivative order must be 0, 1 or 2")
     out = math.factorial(order) * _theta_jet(z, tau, bound, order)[order]
@@ -221,9 +235,7 @@ class ThetaBasis:
             raise ValueError("truncation_eps must be positive")
         bound = series_bound_for(self.params.tau, self.truncation_eps)
         object.__setattr__(self, "series_bound", bound)
-        jets = np.array([theta_alpha_jet(self, a, 0.0, 1)
-                         for a in range(self.n)])
-        vals, ders = jets[:, 0], jets[:, 1]
+        vals, ders = theta_alpha_jet(self, np.arange(self.n), 0.0, 1)
         vals[0] = 0.0
         object.__setattr__(self, "theta_at_zero", vals)
         object.__setattr__(self, "dtheta_at_zero", ders)
@@ -284,7 +296,7 @@ class ThetaBasis:
         z0, _ = _reduce_to_cell(points.ravel(), tau)
         order = (np.arange(n * n) == 0).astype(int)
         ratio = np.empty(n * n)
-        step = max(1, 2 ** 16 // (2 * bound + 2))
+        step = max(1, _CHUNK_TERMS // (2 * bound + 2))
         for i in range(0, n * n, step):
             terms, weights = _series_terms(z0[i:i + step], tau, bound, 1)
             pick = (np.arange(len(terms)), order[i:i + step])
@@ -312,55 +324,76 @@ class ThetaBasis:
         return self.dtheta_at_zero[alpha] / self.theta_at_zero[alpha]
 
 
-def theta_alpha_jet(basis: ThetaBasis, alpha: int, z, order: int):
-    """Jet of the defining product of theta_alpha at the integer index alpha.
+def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
+                    order: int):
+    """Jet of the defining product of theta_alpha at integer indices alpha.
 
-    Entry j of the leading axis holds the j-th derivative divided by j!, so
-    one order-1 call yields values and first derivatives together.  The n
-    shifted factors theta(z + m/n + alpha*tau/n) are evaluated in one
-    call on a trailing axis and multiplied, with the jet of the exponential
-    factor, by the truncated Taylor product, which needs no division and so
-    stays exact at the zeros of single factors.
+    ``alpha`` is an integer or a 1-D integer array; an array appends a
+    trailing axis with one entry per index, so one call evaluates the whole
+    basis.  Entry j of the leading axis holds the j-th derivative divided
+    by j!, so one order-1 call yields values and first derivatives
+    together.  The factors theta(z + m/n + alpha*tau/n) of every alpha are
+    evaluated in one call on two trailing axes (alpha, m) and multiplied
+    along m, with the jet of the exponential factor, by the truncated
+    Taylor product, which needs no division and so stays exact at the
+    zeros of single factors.  The points are taken in chunks so that no
+    series matmul holds more than 2^16 terms.
     """
     n = basis.n
     tau = basis.params.tau
+    bound = basis.series_bound
     z = np.asarray(z, dtype=complex)
-    _check_range(f"theta_{alpha}", z, tau.imag, n, alpha)
-    offsets = np.arange(n) / n + alpha * tau / n
-    factors = _theta_jet(z[..., None] + offsets, tau, basis.series_bound,
-                         order)
-    jet = factors[..., 0]
-    for m in range(1, n):
-        jet = _jet_mul(jet, factors[..., m])
-    ex = np.exp(TWO_PI_I * (alpha * z + alpha * (alpha - n) * tau / (2.0 * n)
-                            + alpha / (2.0 * n)))
-    return _jet_mul(_exp_jet(ex, TWO_PI_I * alpha, order), jet)
+    index = np.asarray(alpha)
+    if index.ndim > 1 or index.dtype.kind not in "iu":
+        raise ValueError("alpha must be an integer or a 1-D integer array")
+    a = np.atleast_1d(index)
+    _check_range(z, tau.imag, n, a.tolist())
+    # offsets[i, m]: the shift of factor m of theta_{a[i]}
+    offsets = np.arange(n) / n + a[:, None] * tau / n
+    flat = z.ravel()
+    prod = np.empty((order + 1, flat.size, a.size), dtype=complex)
+    step = max(1, _CHUNK_TERMS // (offsets.size * (2 * bound + 2)))
+    for i in range(0, flat.size, step):
+        factors = _theta_jet(flat[i:i + step, None, None] + offsets, tau,
+                             bound, order)
+        jet = factors[..., 0]
+        for m in range(1, n):
+            jet = _jet_mul(jet, factors[..., m])
+        prod[:, i:i + step] = jet
+    ex = np.exp(TWO_PI_I * (np.multiply.outer(z, a)
+                            + a * (a - n) * tau / (2.0 * n) + a / (2.0 * n)))
+    out = _jet_mul(_exp_jet(ex, TWO_PI_I * a, order),
+                   prod.reshape((order + 1,) + z.shape + (a.size,)))
+    return out if index.ndim else out[..., 0]
 
 
-def theta_alpha_raw(basis: ThetaBasis, alpha: int, z):
-    """The defining product formula at an unreduced integer index.
+def theta_alpha_raw(basis: ThetaBasis, alpha: int | np.ndarray, z):
+    """The defining product formula at unreduced integer indices.
 
     Exactly n-periodic in alpha; ``theta_alpha_eval`` evaluates it on the
-    stored representative in [0, n).
+    stored representatives in [0, n).  An array alpha appends a trailing
+    axis, as in ``theta_alpha_jet``.
     """
     return theta_alpha_jet(basis, alpha, z, 0)[0]
 
 
-def theta_alpha_eval(basis: ThetaBasis, alpha: int, z):
-    """theta_alpha(z) for the representative of alpha in [0, n)."""
-    out = theta_alpha_raw(basis, alpha % basis.n, z)
+def theta_alpha_eval(basis: ThetaBasis, alpha: int | np.ndarray, z):
+    """theta_alpha(z) for the representative of alpha in [0, n); an integer
+    array alpha appends a trailing axis."""
+    out = theta_alpha_raw(basis, np.mod(alpha, basis.n), z)
     return complex(out) if out.ndim == 0 else out
 
 
-def theta_alpha_deriv(basis: ThetaBasis, alpha: int, z, order: int = 1):
+def theta_alpha_deriv(basis: ThetaBasis, alpha: int | np.ndarray, z,
+                      order: int = 1):
     """order-th derivative of theta_alpha, read off the product's jet.
 
     The jet is exact term-wise differentiation; finite differences are
-    never used here.
+    never used here.  An integer array alpha appends a trailing axis.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    jet = theta_alpha_jet(basis, alpha % basis.n, z, order)
+    jet = theta_alpha_jet(basis, np.mod(alpha, basis.n), z, order)
     out = math.factorial(order) * jet[order]
     return complex(out) if out.ndim == 0 else out
 

@@ -130,6 +130,25 @@ class TestReports:
                   report["tables"]["strata"] if row[5]]
         assert sorted(tagged) == [(0, 6), (1, 4), (2, 0), (2, 2), (3, 0)]
 
+    def test_leaves_computes_end_dim_once_per_record(self, tmp_path,
+                                                     monkeypatch):
+        import ellpoisson.cli as cli
+        import ellpoisson.leaves as leaves
+
+        calls = []
+        original = leaves.end_dim_sheaf
+
+        def counted(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(leaves, "end_dim_sheaf", counted)
+        monkeypatch.setattr(cli, "end_dim_sheaf", counted)
+        code, text = run(["leaves", "--n", "6"], tmp_path)
+        assert code == 0
+        rows = json.loads(text)["tables"]["strata"]
+        assert len(calls) == len(rows)
+
     def test_leaves_n1(self, tmp_path):
         code, text = run(["leaves", "--n", "1"], tmp_path)
         assert code == 0

@@ -38,6 +38,13 @@ class TestEndDim:
         assert end_dim_sheaf(TorsionType(({1: 1},))) == 3
         assert end_dim_sheaf(TorsionType(({1: 2},))) == 7
 
+    def test_record_carries_sheaf_end_dim(self):
+        # the leaves command reads end_dim_sheaf off the record
+        for n in range(1, 9):
+            for rec in enumerate_strata(n):
+                assert (1 + rec.l + rec.end_dim_torsion
+                        == end_dim_sheaf(rec.torsion))
+
     def test_lower_bound_all_small_types(self):
         for rec in enumerate_strata(6):
             assert end_dim_sheaf(rec.torsion) >= 2 * rec.l + 1

@@ -2,10 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ellpoisson import theta
 from ellpoisson.errors import DegenerateTauError, ThetaRangeError
 from ellpoisson.theta import (
     T_ONE_OVER_N,
@@ -17,6 +19,7 @@ from ellpoisson.theta import (
     section_eval,
     theta_alpha_deriv,
     theta_alpha_eval,
+    theta_alpha_jet,
     theta_eval,
     verify_automorphy,
     zeta_multiplier,
@@ -281,6 +284,77 @@ class TestDoubleRange:
                     continue
                 assert all(np.isfinite(v) for v in vals)
         assert 0 < refused < 121 * 3
+
+
+class TestAllAlpha:
+    """An integer array alpha against the loop of scalar calls."""
+
+    @pytest.mark.parametrize("n", [3, 7, 13])
+    @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC, 0.5j])
+    def test_array_alpha_matches_scalar_calls(self, n, tau):
+        b = basis(n, tau)
+        # unreduced indices on both sides of [0, n)
+        alphas = np.arange(-1, n + 1)
+        rng = np.random.default_rng(11)
+        line = rng.uniform(-1, 2, 200) + rng.uniform(-1, 2, 200) * tau
+        if n == 13:
+            # the line spans several chunks of the all-alpha series
+            assert (line.size * alphas.size * n * (2 * b.series_bound + 2)
+                    > 2 * theta._CHUNK_TERMS)
+        calls = [lambda a, z, o=o: theta_alpha_jet(b, a, z, o)
+                 for o in (0, 1, 2)]
+        calls.append(lambda a, z: theta_alpha_eval(b, a, z))
+        calls += [lambda a, z, o=o: theta_alpha_deriv(b, a, z, o)
+                  for o in (1, 2)]
+        for z in (0.21 + 0.13 * tau, line, line[:20].reshape(4, 5)):
+            for call in calls:
+                table = call(alphas, z)
+                ref = np.stack([call(int(a), z) for a in alphas], axis=-1)
+                assert table.shape == ref.shape
+                assert (np.max(np.abs(table - ref))
+                        <= 1e-14 * np.max(np.abs(ref)))
+
+    def test_scalar_alpha_keeps_its_shape(self):
+        b = basis(5, TAU_SQUARE)
+        z = sample_points(TAU_SQUARE, 6).reshape(2, 3)
+        assert theta_alpha_jet(b, 2, z, 1).shape == (2, 2, 3)
+        assert theta_alpha_jet(b, np.arange(5), z, 1).shape == (2, 2, 3, 5)
+        assert isinstance(theta_alpha_eval(b, 2, 0.3), complex)
+        assert theta_alpha_eval(b, [1, 2], 0.3).shape == (2,)
+
+    def test_range_error_names_the_failing_alpha(self):
+        # at n = 13, tau = i, Im z = 3.5 the factors of theta_alpha share
+        # the lattice index floor(3.5 + alpha/13): 3 for alpha < 7, in
+        # range, and 4 from alpha = 7 on, out of range
+        b = basis(13, TAU_SQUARE)
+        z = 0.1 + 3.5j
+        assert np.all(np.isfinite(theta_alpha_jet(b, np.arange(7), z, 1)))
+        with pytest.raises(ThetaRangeError, match=r"^theta_7 at z"):
+            theta_alpha_jet(b, np.arange(13), z, 0)
+        with pytest.raises(ThetaRangeError, match=r"^theta_9 at z"):
+            theta_alpha_deriv(b, np.array([2, 9, 11]), z, 1)
+
+    def test_alpha_must_be_integer_vector(self):
+        b = basis(3, TAU_SQUARE)
+        with pytest.raises(ValueError, match="1-D integer array"):
+            theta_alpha_jet(b, np.zeros((2, 2), dtype=int), 0.1, 0)
+        with pytest.raises(ValueError, match="1-D integer array"):
+            theta_alpha_eval(b, 1.0, 0.1)
+
+    def test_all_alpha_jet_memory_stays_flat(self):
+        # unchunked, the series terms of 10^4 points x 13 alpha x 13
+        # factors alone would take 270 MB
+        b = basis(13, TAU_SQUARE)
+        z = sample_points(TAU_SQUARE, 10 ** 4)
+        tracemalloc.start()
+        try:
+            out = theta_alpha_jet(b, np.arange(13), z, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 10 ** 4, 13)
+        assert np.all(np.isfinite(out))
+        assert peak < 32 * 2 ** 20
 
 
 class TestBasisTables:
