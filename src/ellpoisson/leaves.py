@@ -11,12 +11,19 @@ dimension over a type of total length l is
 bounded by 2n - 2l since end_dim(T) >= l.  The divisor-class constraint
 ties the cycle of the torsion part to the twisting line bundle through
 lattice arithmetic on the curve.
+
+A local type is a partition of its length.  ``enumerate_strata`` computes
+the canonical form and end_dim of each partition of 1..n once, then builds
+every multiset of them already in canonical order, so end_dim(T) of each
+record is a sum of per-partition values.  ``leaf_dimension`` computes the
+same record from any ``TorsionType`` through ``end_dim_sheaf``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .theta import CurveParams
 
@@ -38,6 +45,13 @@ class TorsionType:
             canon.append(tuple(sorted(local.items(), reverse=True)))
         object.__setattr__(self, "points", tuple(sorted(canon, reverse=True)))
 
+    @classmethod
+    def _canonical(cls, points):
+        """The type whose ``points`` are already canonical; unchecked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "points", points)
+        return t
+
     @property
     def local_lengths(self):
         return tuple(sum(j * r for j, r in local) for local in self.points)
@@ -49,11 +63,14 @@ class TorsionType:
     def describe(self) -> str:
         if not self.points:
             return "0"
-        bits = []
-        for local in self.points:
-            parts = ", ".join(f"{j}^{r}" if r > 1 else f"{j}" for j, r in local)
-            bits.append(f"({parts})")
-        return " + ".join(bits)
+        return " + ".join(map(_describe_local, self.points))
+
+
+@lru_cache(maxsize=4096)
+def _describe_local(local) -> str:
+    """``(j^r, ...)`` for one canonical local type, ``j`` alone when r = 1."""
+    parts = ", ".join(f"{j}^{r}" if r > 1 else f"{j}" for j, r in local)
+    return f"({parts})"
 
 
 @dataclass(frozen=True)
@@ -103,7 +120,11 @@ def leaf_dimension(n: int, t: TorsionType) -> LeafRecord:
     l = t.length
     if l > n:
         raise ValueError("torsion length exceeds n")
-    end_t = end_dim_sheaf(t) - 1 - l
+    return _record(n, t, l, end_dim_sheaf(t) - 1 - l)
+
+
+def _record(n: int, t: TorsionType, l: int, end_t: int) -> LeafRecord:
+    """Record of the type t of length l whose torsion part has end_t."""
     expected = 2 * n - l - end_t
     return LeafRecord(t, l, end_t, expected, expected >= 0)
 
@@ -121,45 +142,63 @@ def _partitions(m, max_part=None):
     return tuple(out)
 
 
-def _partition_to_local(parts):
-    local = {}
-    for j in parts:
-        local[j] = local.get(j, 0) + 1
-    return local
+def _local_types(n):
+    """(local, length, end_dim_local) for every partition of 1..n.
 
-
-@lru_cache(maxsize=None)
-def _local_type_multisets(total, bound=None):
-    """Multisets of nonempty partitions with sizes summing to ``total``.
-
-    ``bound`` caps the canonical key of the largest partition so recursion
-    emits each multiset exactly once (non-increasing order).
+    ``local`` is the canonical ``((j, r_j), ...)`` with j descending; the
+    list is sorted ascending by it.
     """
-    if total == 0:
-        return ((),)
-    out = []
-    for size in range(total, 0, -1):
+    types = []
+    for size in range(1, n + 1):
         for parts in _partitions(size):
-            key = (size, parts)
-            if bound is not None and key > bound:
-                continue
-            for rest in _local_type_multisets(total - size, key):
-                out.append((key,) + rest)
-    return tuple(out)
+            local = {}
+            for j in parts:
+                local[j] = local.get(j, 0) + 1
+            # parts descend, so the items of local already do
+            types.append((tuple(local.items()), size, end_dim_local(local)))
+    types.sort()
+    return types
+
+
+def _multisets(fitting, prefix, end, remaining, bound, out):
+    """Append (points, end_dim) for every completion of ``prefix``.
+
+    ``fitting[m]`` lists (index, local, length, end_dim) for the local types
+    of length at most m, ascending by index.  Each completion adds types of
+    index at most ``bound`` in non-increasing order, so ``points`` stays
+    canonical, and completions are appended in ascending order of
+    ``points``.
+    """
+    if not remaining:
+        out.append((prefix, end))
+        return
+    for i, local, size, local_end in fitting[remaining]:
+        if i > bound:
+            break
+        _multisets(fitting, prefix + (local,), end + local_end,
+                   remaining - size, i, out)
 
 
 def enumerate_strata(n: int):
-    """All leaf records for torsion types of length at most n."""
+    """All leaf records for torsion types of length at most n.
+
+    Records are ordered by length, then by expected dimension descending,
+    then by ``torsion.points`` ascending.
+    """
     if n < 1:
         raise ValueError("n must be positive")
+    types = _local_types(n)
+    fitting = [[(i, local, size, end)
+                for i, (local, size, end) in enumerate(types) if size <= m]
+               for m in range(n + 1)]
     records = []
     for l in range(n + 1):
-        for multiset in _local_type_multisets(l):
-            t = TorsionType(tuple(_partition_to_local(parts)
-                                  for _, parts in multiset))
-            records.append(leaf_dimension(n, t))
-    records.sort(key=lambda rec: (rec.l, -rec.expected_dim,
-                                  rec.torsion.points))
+        level = []
+        _multisets(fitting, (), 0, l, len(types), level)
+        # ascending end_dim is descending expected_dim; the sort is stable
+        level.sort(key=itemgetter(1))
+        records += [_record(n, TorsionType._canonical(points), l, end)
+                    for points, end in level]
     return records
 
 

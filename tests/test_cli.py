@@ -50,6 +50,8 @@ class TestExitCodes:
          "at n = 2 the Sklyanin bracket vanishes identically"),
         (["moduli-compare", "--n", "2", "--samples", "1"],
          "at n = 2 the Sklyanin bracket vanishes identically"),
+        (["leaves", "--n", "0"], "n must be positive"),
+        (["leaves", "--n", "21"], "n must be at most 20"),
     ])
     def test_out_of_domain_input_is_usage_error(self, args, message, capsys):
         code = main(args)
@@ -130,30 +132,50 @@ class TestReports:
                   report["tables"]["strata"] if row[5]]
         assert sorted(tagged) == [(0, 6), (1, 4), (2, 0), (2, 2), (3, 0)]
 
-    def test_leaves_computes_end_dim_once_per_record(self, tmp_path,
-                                                     monkeypatch):
+    def test_leaves_computes_end_dim_once_per_partition(self, tmp_path,
+                                                        monkeypatch):
         import ellpoisson.cli as cli
         import ellpoisson.leaves as leaves
 
-        calls = []
-        original = leaves.end_dim_sheaf
+        sheaf_calls = []
+        local_calls = []
+        end_dim_sheaf = leaves.end_dim_sheaf
+        end_dim_local = leaves.end_dim_local
 
-        def counted(t):
-            calls.append(t)
-            return original(t)
+        def counted_sheaf(t):
+            sheaf_calls.append(t)
+            return end_dim_sheaf(t)
 
-        monkeypatch.setattr(leaves, "end_dim_sheaf", counted)
-        monkeypatch.setattr(cli, "end_dim_sheaf", counted)
+        def counted_local(r):
+            local_calls.append(r)
+            return end_dim_local(r)
+
+        monkeypatch.setattr(leaves, "end_dim_sheaf", counted_sheaf)
+        monkeypatch.setattr(cli, "end_dim_sheaf", counted_sheaf)
+        monkeypatch.setattr(leaves, "end_dim_local", counted_local)
         code, text = run(["leaves", "--n", "6"], tmp_path)
         assert code == 0
         rows = json.loads(text)["tables"]["strata"]
-        assert len(calls) == len(rows)
+        # 110 rows from the 29 partitions of 1..6
+        assert len(rows) == 110
+        assert sheaf_calls == []
+        assert len(local_calls) <= 29
 
     def test_leaves_n1(self, tmp_path):
         code, text = run(["leaves", "--n", "1"], tmp_path)
         assert code == 0
         rows = json.loads(text)["tables"]["strata"]
         assert [(r[0], r[3]) for r in rows] == [(0, 2), (1, 0)]
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.json"
+        code = main(["leaves", "--n", "2", "--output", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert f"error: cannot write report to {path}: " in err
+        assert "No such file or directory" in err
+        assert "Traceback" not in err and out == ""
+        assert not path.parent.exists()
 
     def test_homology_zero_samples_refused(self, tmp_path, capsys):
         path = tmp_path / "out.json"

@@ -19,6 +19,33 @@ from ellpoisson.theta import CurveParams
 PARAMS = CurveParams(0.3 + 0.8j, 3)
 
 
+def describe_oracle(points):
+    """``(j^r, ...) + ...`` written out from the canonical points."""
+    if not points:
+        return "0"
+    return " + ".join(
+        "(" + ", ".join(f"{j}^{r}" if r > 1 else str(j) for j, r in local)
+        + ")" for local in points)
+
+
+def multipartition_numbers(count):
+    """Coefficients of prod_k (1 - x^k)^(-p(k)) up to x^count.
+
+    The Euler transform of the partition numbers p(k): b(m) is the sum of
+    d p(d) over the divisors d of m, and m a(m) = sum_k b(k) a(m - k).
+    """
+    p = [1] + [0] * count
+    for part in range(1, count + 1):
+        for m in range(part, count + 1):
+            p[m] += p[m - part]
+    b = [sum(d * p[d] for d in range(1, m + 1) if m % d == 0)
+         for m in range(count + 1)]
+    a = [1]
+    for m in range(1, count + 1):
+        a.append(sum(b[k] * a[m - k] for k in range(1, m + 1)) // m)
+    return a
+
+
 class TestEndDim:
     def test_reduced_point(self):
         assert end_dim_local({1: 1}) == 1
@@ -105,6 +132,33 @@ class TestEnumeration:
         for rec in records:
             by_l[rec.l] = by_l.get(rec.l, 0) + 1
         assert by_l == {0: 1, 1: 1, 2: 3, 3: 6}
+
+    def test_records_match_leaf_dimension(self):
+        # each record is rebuilt from a scrambled dict form, which the
+        # validating constructor puts back in canonical order
+        for n in range(1, 11):
+            records = enumerate_strata(n)
+            for rec in records:
+                points = tuple(dict(reversed(local))
+                               for local in reversed(rec.torsion.points))
+                oracle = leaf_dimension(n, TorsionType(points))
+                assert rec == oracle
+                assert (rec.torsion.describe()
+                        == describe_oracle(oracle.torsion.points))
+            keys = [(rec.l, -rec.expected_dim, rec.torsion.points)
+                    for rec in records]
+            assert keys == sorted(set(keys))
+
+    def test_counts_are_multipartition_numbers(self):
+        counts = multipartition_numbers(13)
+        assert counts == [1, 1, 3, 6, 14, 27, 58, 111, 223, 424, 817, 1527,
+                          2870, 5279]
+        for n in (1, 6, 13):
+            by_l = [0] * (n + 1)
+            for rec in enumerate_strata(n):
+                by_l[rec.l] += 1
+            assert by_l == counts[:n + 1]
+        assert sum(counts) == 11361
 
 
 class TestDivisorConstraint:
