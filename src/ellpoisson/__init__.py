@@ -1,15 +1,17 @@
 """Theta bases, elliptic quadratic Poisson brackets and residue calculus.
 
-The package has seven building blocks: ``theta`` (the series and the order-n
-section basis), ``poisson`` (a quadratic bracket as one coefficient tensor,
-Jacobi certification as a contraction of that tensor with itself,
-Heisenberg canonical form, projective descent; sparse polynomials and
-Leibniz brackets serve only as test oracles), ``fo`` (elliptic quadratic
-relations, the F table, the semiclassical bracket and its finite-parameter
-oracle, all as tensors), ``cech`` (one table of samples on the contours
-around the divisor, filled from one circle by the exact 1/n shift, from
-which the dual pairing, the principal-part projection checks, the trace
-tables and both routes to the extension-moduli bracket are read),
+The package has seven building blocks: ``theta`` (the series, the order-n
+section basis and the circle nodes every disc is sampled on), ``poisson``
+(a quadratic bracket as one coefficient tensor, Jacobi certification as a
+contraction of that tensor with itself, Heisenberg canonical form,
+projective descent; sparse polynomials and Leibniz brackets serve only as
+test oracles), ``fo`` (elliptic quadratic relations, the F table, the
+semiclassical bracket and its finite-parameter oracle, the mean of the
+single-eta estimate over a circle around eta = 0, all as tensors),
+``cech`` (one table of samples on the contours around the divisor,
+filled from one circle by the exact 1/n shift, from which the dual
+pairing, the principal-part projection checks, the trace tables and both
+routes to the extension-moduli bracket are read),
 ``exact`` (exact rational matrices on int64 numerators, promoted to Python
 ints only where a proven bound fails, products on float64 BLAS below 2^53,
 and one fraction-free elimination for rank and nullspace), ``homology`` (exact
@@ -39,6 +41,7 @@ from .poisson import (
 from .fo import (
     FConstants,
     FORelationTensor,
+    eta_circle,
     f_constants,
     fo_relations,
     semiclassical_from_relations,

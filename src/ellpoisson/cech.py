@@ -34,26 +34,8 @@ from .errors import ContourError, DegenerateTauError
 from .fo import FConstants, f_constants
 # theta_alpha_deriv is not called here; it stays bound because
 # perfbench/spans.py wraps ellpoisson.cech.theta_alpha_deriv on every run
-from .theta import (ThetaBasis, theta_alpha_deriv, theta_alpha_eval,
-                    theta_alpha_jet)
-
-TWO_PI_I = 2j * math.pi
-
-
-def shortest_period(n: int, tau: complex) -> float:
-    """Length of the shortest nonzero vector of the lattice (1/n)Z + Z*tau.
-
-    The zeros of theta_0 form this lattice, so it is the distance from a
-    point of D to the nearest other zero.  Lagrange-Gauss reduction.
-    """
-    u, v = complex(1.0 / n), complex(tau)
-    if abs(u) > abs(v):
-        u, v = v, u
-    while True:
-        v -= round((v / u).real) * u
-        if abs(v) >= abs(u):
-            return abs(u)
-        u, v = v, u
+from .theta import (ThetaBasis, circle_nodes, shortest_period,
+                    theta_alpha_deriv, theta_alpha_eval, theta_alpha_jet)
 
 
 @dataclass(frozen=True)
@@ -92,15 +74,11 @@ def _node_coeffs(samples, offsets, window: tuple[int, int]) -> np.ndarray:
     return samples @ offsets[:, None] ** -ms / len(offsets)
 
 
-def _circle(points: int, rho: float) -> np.ndarray:
-    return rho * np.exp(TWO_PI_I * np.arange(points) / points)
-
-
 def laurent_coeffs(f, center: complex, window: tuple[int, int],
                    q: QuadratureConfig, n: int = 1) -> np.ndarray:
     """Laurent coefficients c_m of the callable f around center for m in
     [m_min, m_max]."""
-    offsets = _circle(*q.resolve(n))
+    offsets = circle_nodes(*q.resolve(n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         samples = np.asarray(f(center + offsets), dtype=complex)
     if samples.shape != offsets.shape or not np.all(np.isfinite(samples)):
@@ -224,7 +202,7 @@ class ResidueSystem:
         self.f = f_constants(basis)
         n = basis.n
         self.points, self.radius = self.quad.resolve(n, basis.params.tau)
-        self.offsets = _circle(self.points, self.radius)
+        self.offsets = circle_nodes(self.points, self.radius)
         self.nodes = np.arange(n)[:, None] / n + self.offsets
         # shift[a, k] = omega^(a k mod n)
         shift = basis.omega ** (np.multiply.outer(np.arange(n), np.arange(n))

@@ -18,8 +18,8 @@ import numpy as np
 
 from .cech import QuadratureConfig, ResidueSystem
 from .errors import EllPoissonError
-from .fo import f_constants, sklyanin_bracket, semiclassical_from_relations
-from .fo import single_eta_bracket
+from .fo import eta_circle, f_constants, sklyanin_bracket, \
+    semiclassical_from_relations, single_eta_bracket
 from .homology import cone_iso_check, hom_complex, pi_bivector, \
     random_kronecker_complex
 # end_dim_sheaf is not called here; it stays bound because
@@ -96,6 +96,9 @@ class RunConfig:
             raise UsageError("k must satisfy 0 < k < n")
         if command == "sklyanin" and math.gcd(self.n, self.k) != 1:
             raise UsageError("gcd(n,k) must be 1")
+        if command == "sklyanin" and self.k == self.n - 1:
+            raise UsageError("k = n - 1 rejected: the algebra is commutative "
+                             "and its bracket vanishes identically")
         if command == "moduli-compare" and self.k != 1:
             raise UsageError("k != 1 rejected: the identification with the "
                              "extension-moduli bracket is only established "
@@ -188,18 +191,20 @@ def cmd_sklyanin(cfg: RunConfig):
         tables["f_table"] = [[a, b, float(f.table[a, b].real),
                               float(f.table[a, b].imag)]
                              for a in range(cfg.n) for b in range(cfg.n)]
-    etas = [1e-2, 1e-3, 1e-4]
-    tensors = [single_eta_bracket(basis, cfg.k, e) for e in etas]
-    est = semiclassical_from_relations(etas, tensors)
-    deviation = est.max_difference(bracket)
-    checks.append(_check("semiclassical_deviation", deviation, 1e-4))
-    singles = [QuadraticBracket(cfg.n, t).max_difference(bracket)
-               for t in tensors]
+    est = semiclassical_from_relations(basis, cfg.k)
+    deviation = est.max_difference(bracket) / bracket.max_abs()
+    checks.append(_check("semiclassical_deviation", deviation, 1e-10))
+    points, radius = eta_circle(basis)
+    # d/10, d/100, d/1000; d = 4 * radius is the distance to the nearest pole
+    etas = [4 * radius / 10 ** m for m in (1, 2, 3)]
+    singles = [QuadraticBracket(cfg.n, single_eta_bracket(basis, cfg.k, e))
+               .max_difference(bracket) for e in etas]
     slope = float(np.polyfit(np.log(etas), np.log(singles), 1)[0])
     checks.append(_check("semiclassical_slope_shortfall",
                          max(0.0, 1.0 - slope), 1e-2))
     tables["semiclassical_single_eta_deviation"] = [
         [e, d] for e, d in zip(etas, singles)]
+    tables["eta_circle"] = {"points": points, "radius": radius}
     return checks, tables
 
 

@@ -23,7 +23,3 @@ class ContourError(EllPoissonError):
 
 class InvarianceError(EllPoissonError):
     """A bracket failed the Heisenberg-invariance pattern beyond tolerance."""
-
-
-class ExtrapolationError(EllPoissonError):
-    """Richardson extrapolation residuals failed to decrease."""

@@ -23,7 +23,8 @@ shifted factors, taken in chunks of bounded size.  Evaluators accept
 scalars or numpy arrays of points and are pure functions of their
 arguments; a constructed :class:`ThetaBasis` is immutable.  A point where
 the value may leave double-precision range (large |Im z| / Im tau) raises
-:class:`ThetaRangeError` before anything is evaluated.
+:class:`ThetaRangeError` before anything is evaluated.  Discs are sampled
+on the trapezoid nodes of ``circle_nodes``, sized by ``shortest_period``.
 """
 
 from __future__ import annotations
@@ -83,6 +84,24 @@ def series_bound_for(tau: complex, eps: float) -> int:
     while log_q * (m * (m - 1) / 2.0) >= target:
         m += 1
     return m
+
+
+def shortest_period(n: int, tau: complex) -> float:
+    """Length of the shortest nonzero vector of the lattice (1/n)Z + Z*tau,
+    by Lagrange-Gauss reduction; n = 1 gives the periods Z + Z*tau."""
+    u, v = complex(1.0 / n), complex(tau)
+    if abs(u) > abs(v):
+        u, v = v, u
+    while True:
+        v -= round((v / u).real) * u
+        if abs(v) >= abs(u):
+            return abs(u)
+        u, v = v, u
+
+
+def circle_nodes(points: int, rho: float) -> np.ndarray:
+    """The trapezoid nodes rho * exp(2 pi i p / points), p = 0..points-1."""
+    return rho * np.exp(TWO_PI_I * np.arange(points) / points)
 
 
 def _reduce_to_cell(z, tau):

@@ -13,7 +13,7 @@ import numpy as np
 
 from ellpoisson.cech import QuadratureConfig, ResidueSystem
 from ellpoisson.cli import main as cli_main
-from ellpoisson.fo import single_eta_bracket, \
+from ellpoisson.fo import eta_circle, single_eta_bracket, \
     semiclassical_from_relations, sklyanin_bracket
 from ellpoisson.homology import cone_iso_check, hom_complex, pi_bivector, \
     random_kronecker_complex
@@ -158,18 +158,21 @@ def test_criterion_5_jacobi():
 def test_criterion_6_semiclassical_limit():
     b = get_basis(3, 1j)
     ref = sklyanin_bracket(b, 1)
-    etas = [1e-2, 1e-3, 1e-4]
+    points, radius = eta_circle(b)
+    # d/10, d/100, d/1000 with d = 4 * radius, as the sklyanin command
+    etas = [4 * radius / 10 ** m for m in (1, 2, 3)]
     singles = [QuadraticBracket(3, single_eta_bracket(b, 1, e))
                .max_difference(ref) for e in etas]
     slope = float(np.polyfit(np.log(etas), np.log(singles), 1)[0])
-    tensors = [single_eta_bracket(b, 1, e) for e in etas]
-    final = semiclassical_from_relations(etas, tensors).max_difference(ref)
+    final = (semiclassical_from_relations(b, 1).max_difference(ref)
+             / ref.max_abs())
     # slope of a first-order error measures 1.0 up to fit noise; a 1%
     # margin keeps the check meaningful without rejecting exact order 1
-    ok = slope >= 0.99 and final < 1e-4
+    ok = slope >= 0.99 and final < 1e-10
     assert report(6, "semiclassical limit converges at first order",
-                  ok, f"slope {slope:.4f} >= 1 (1% fit margin), "
-                      f"deviation {final:.2e} < 1e-4")
+                  ok, f"slope {slope:.4f} >= 1 (1% fit margin), relative "
+                      f"deviation of the {points}-node eta-circle mean "
+                      f"{final:.2e} < 1e-10")
 
 
 def test_criterion_7_moduli_equals_projective():

@@ -13,7 +13,6 @@ from ellpoisson.cech import (
     p_plus,
     phi,
     psi_local_constant,
-    shortest_period,
 )
 from ellpoisson.errors import ContourError, DegenerateTauError
 from ellpoisson.fo import sklyanin_bracket
@@ -21,6 +20,7 @@ from ellpoisson.poisson import hn_canonical_extract, projective_matrix
 from ellpoisson.theta import (
     CurveParams,
     ThetaBasis,
+    shortest_period,
     theta_alpha_deriv,
     theta_alpha_eval,
     theta_alpha_jet,

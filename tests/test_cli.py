@@ -52,6 +52,8 @@ class TestExitCodes:
          "at n = 2 the Sklyanin bracket vanishes identically"),
         (["leaves", "--n", "0"], "n must be positive"),
         (["leaves", "--n", "21"], "n must be at most 20"),
+        (["sklyanin", "--n", "5", "--k", "4"],
+         "its bracket vanishes identically"),
     ])
     def test_out_of_domain_input_is_usage_error(self, args, message, capsys):
         code = main(args)
@@ -96,6 +98,38 @@ class TestExitCodes:
         checks = json.loads(text)["checks"]
         assert [c["name"] for c in checks] == ["method_agreement",
                                                "matches_projective_bracket"]
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12, 13])
+    @pytest.mark.parametrize("tau", [("0", "1"), ("0.3", "0.8"), ("0", "0.5")])
+    def test_sklyanin_passes_at_larger_n(self, n, tau, tmp_path):
+        # the larger n of the bracket workload, where the bracket's scale
+        # and the distance to the nearest pole in eta vary most
+        code, text = run(["sklyanin", "--n", str(n), "--k", "1", "--tau",
+                          *tau], tmp_path)
+        assert code == 0, text
+
+    @pytest.mark.parametrize("error, name", [
+        (1e-6, "semiclassical_deviation"),
+        (1e-3, "semiclassical_slope_shortfall"),
+    ])
+    def test_scaled_closed_form_fails(self, error, name, tmp_path,
+                                      monkeypatch):
+        # power control: the semiclassical checks against a closed form
+        # off by the given relative error
+        import ellpoisson.cli as cli
+        closed_form = cli.sklyanin_bracket
+
+        def scaled(basis, k):
+            ref = closed_form(basis, k)
+            return cli.QuadraticBracket(ref.n, ref.coeffs * (1 + error))
+
+        monkeypatch.setattr(cli, "sklyanin_bracket", scaled)
+        code, text = run(["sklyanin", "--n", "7", "--k", "3", "--tau",
+                          "0", "0.5"], tmp_path)
+        assert code == 1
+        verdicts = {c["name"]: c["pass"]
+                    for c in json.loads(text)["checks"]}
+        assert verdicts[name] is False
 
     def test_sign_flip_fails_with_named_identity(self, tmp_path):
         code, text = run(["homology", "--n", "3", "--samples", "1",
@@ -224,6 +258,20 @@ class TestDeterminism:
         assert blocks[0] == blocks[1]
         assert contour["points"] == points
         assert contour["radius"] == pytest.approx(radius, rel=1e-15, abs=0)
+
+    def test_sklyanin_eta_circle_block(self, tmp_path):
+        # the circle of the semiclassical mean, identical in every run
+        args = ["sklyanin", "--n", "5", "--k", "2", "--tau", "0", "0.5"]
+        blocks = []
+        for name in ("a.json", "b.json"):
+            code, text = run(args, tmp_path, name)
+            assert code == 0
+            circle = json.loads(text)["tables"]["eta_circle"]
+            blocks.append(json.dumps(circle, sort_keys=True))
+        assert blocks[0] == blocks[1]
+        assert circle["points"] == 24
+        # a quarter of the shortest vector of (1/5)(Z + 0.5i Z)
+        assert circle["radius"] == pytest.approx(0.1 / 4, rel=1e-15, abs=0)
 
     def test_different_seed_changes_payload(self, tmp_path):
         base = ["moduli-compare", "--n", "3", "--samples", "4"]

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
+import ellpoisson.fo as fo
 from ellpoisson.errors import DegenerateEtaError
 from ellpoisson.fo import (
+    eta_circle,
     f_constants,
     fo_relations,
     semiclassical_from_relations,
     single_eta_bracket,
     sklyanin_bracket,
 )
-from ellpoisson.poisson import QuadraticBracket
+from ellpoisson.poisson import QuadraticBracket, hn_canonical_extract
 from ellpoisson.theta import CurveParams, ThetaBasis, theta_alpha_eval
 
 
@@ -21,9 +23,10 @@ def basis(n, tau=1j):
     return ThetaBasis(CurveParams(tau, n))
 
 
-def extrapolated(b, k, etas):
-    return semiclassical_from_relations(
-        etas, [single_eta_bracket(b, k, eta) for eta in etas])
+def relative_deviation(b, k):
+    ref = sklyanin_bracket(b, k)
+    est = semiclassical_from_relations(b, k)
+    return est.max_difference(ref) / ref.max_abs()
 
 
 class TestFConstants:
@@ -45,6 +48,15 @@ class TestFConstants:
         neg = t[np.ix_((-idx) % n, (-idx) % n)]
         scale = np.max(np.abs(t))
         assert np.max(np.abs(t + neg)) < 1e-10 * scale
+
+    def test_large_n_small_raw_values_accepted(self):
+        # theta_alpha(0) spans many orders of magnitude at n = 23, tau = 2i;
+        # the basis checks them without the exponential factor, and the
+        # table still equals the canonical form of the closed form
+        b = basis(23, 2j)
+        f = f_constants(b)
+        h = hn_canonical_extract(sklyanin_bracket(b, 1))
+        assert np.max(np.abs(h.table - f.table)) < 1e-10
 
 
 class TestRelations:
@@ -116,19 +128,27 @@ class TestSklyaninBracket:
 
 
 class TestSemiclassical:
-    def test_matches_closed_form_two_points(self):
-        # two-point extrapolation leaves the quadratic term: measured
-        # deviation 2.35e-5 for this sequence, frozen with headroom
-        b = basis(3)
-        est = extrapolated(b, 1, [1e-3, 5e-4])
-        ref = sklyanin_bracket(b, 1)
-        assert est.max_difference(ref) < 5e-5
-
     def test_matches_closed_form_three_points(self):
-        b = basis(3)
-        est = extrapolated(b, 1, [1e-2, 1e-3, 1e-4])
-        ref = sklyanin_bracket(b, 1)
-        assert est.max_difference(ref) < 1e-4
+        # the eta-circle mean at P = 24 nodes; measured 2.6e-15 here
+        assert relative_deviation(basis(3), 1) < 1e-10
+
+    def test_circle_mean_at_n31(self):
+        # measured 2.4e-14; the bracket scale is 2.6e2 here
+        assert relative_deviation(basis(31), 1) < 1e-10
+
+    def test_one_theta_evaluation_on_the_circle(self, monkeypatch):
+        calls = []
+
+        def counted(b, alpha, z):
+            calls.append(np.shape(z))
+            return theta_alpha_eval(b, alpha, z)
+
+        monkeypatch.setattr(fo, "theta_alpha_eval", counted)
+        points, radius = eta_circle(basis(5))
+        semiclassical_from_relations(basis(5), 1)
+        # half the circle; the reflection of theta gives the other half
+        assert calls == [(points // 2,)]
+        assert radius == pytest.approx(1 / 20, rel=1e-15)
 
     def test_convergence_order_at_least_one(self):
         b = basis(3)
@@ -142,11 +162,7 @@ class TestSemiclassical:
 
     def test_torsion_point_in_sequence_rejected(self):
         with pytest.raises(DegenerateEtaError):
-            extrapolated(basis(3), 1, [1e-3, 1.0 / 3.0])
-
-    def test_needs_two_values(self):
-        with pytest.raises(ValueError):
-            extrapolated(basis(3), 1, [1e-3])
+            single_eta_bracket(basis(3), 1, 1.0 / 3.0)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 3)])
     def test_single_eta_entries_match_relations(self, n, k):
