@@ -1,9 +1,9 @@
 """Pin the BLAS thread pools to one thread for the whole test suite.
 
 numpy reads these variables when it is first imported, which is after this
-file loads.  Many small BLAS products, as in ``jacobi_defect``, otherwise
-pay thread start-up and contention on every call.  A value set in the
-environment is kept.
+file loads.  The exact layer multiplies its matrices as float64 on BLAS,
+and many small products otherwise pay thread start-up and contention on
+every call.  A value set in the environment is kept.
 """
 
 import os

@@ -2,12 +2,12 @@
 
 The package has seven building blocks: ``theta`` (the series, the order-n
 section basis and the circle nodes every disc is sampled on), ``poisson``
-(a quadratic bracket as one coefficient tensor, Jacobi certification as a
-contraction of that tensor with itself, Heisenberg canonical form,
-projective descent; sparse polynomials and Leibniz brackets serve only as
-test oracles), ``fo`` (elliptic quadratic relations, the F table, the
-semiclassical bracket and its finite-parameter oracle, the mean of the
-single-eta estimate over a circle around eta = 0, all as tensors),
+(a Z/n-graded quadratic bracket as one n^3 coefficient table, Jacobi
+certification as entrywise products of that table with itself, Heisenberg
+canonical form, projective descent), ``fo`` (elliptic quadratic
+relations, the F table, the semiclassical bracket and its finite-parameter
+oracle, the mean of the single-eta estimate over a circle around eta = 0,
+all as graded tables),
 ``cech`` (one table of samples on the contours around the divisor,
 filled from one circle by the exact 1/n shift, from which the dual
 pairing, the principal-part projection checks, the trace tables and both

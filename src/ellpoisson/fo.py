@@ -16,7 +16,7 @@ a quadratic Poisson bracket; its closed form (implemented in
                  (th_{kr}(0) th_{j-i-r}(0)) * x_{j-r} x_{i+r},
 
 with all values taken at z = 0.  :func:`semiclassical_from_relations`
-recovers the same tensor directly from the finite-eta relations, as the
+recovers the same bracket directly from the finite-eta relations, as the
 mean of the single-eta estimate over a circle around eta = 0, and serves as
 the independent cross-check.
 """
@@ -157,7 +157,7 @@ def _first_order(rel, eta) -> np.ndarray:
 
 
 def single_eta_bracket(basis: ThetaBasis, k: int, eta: complex) -> np.ndarray:
-    """First-order bracket estimate (the tensor layout of
+    """First-order bracket estimate (the coefficient table of
     :class:`QuadraticBracket`) from the relations at one eta, reading the
     generators as commuting at leading order; the error is O(eta)."""
     eta = complex(eta)

@@ -386,20 +386,10 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     return out if index.ndim else out[..., 0]
 
 
-def theta_alpha_raw(basis: ThetaBasis, alpha: int | np.ndarray, z):
-    """The defining product formula at unreduced integer indices.
-
-    Exactly n-periodic in alpha; ``theta_alpha_eval`` evaluates it on the
-    stored representatives in [0, n).  An array alpha appends a trailing
-    axis, as in ``theta_alpha_jet``.
-    """
-    return theta_alpha_jet(basis, alpha, z, 0)[0]
-
-
 def theta_alpha_eval(basis: ThetaBasis, alpha: int | np.ndarray, z):
     """theta_alpha(z) for the representative of alpha in [0, n); an integer
     array alpha appends a trailing axis."""
-    out = theta_alpha_raw(basis, np.mod(alpha, basis.n), z)
+    out = theta_alpha_jet(basis, np.mod(alpha, basis.n), z, 0)[0]
     return complex(out) if out.ndim == 0 else out
 
 

@@ -1,4 +1,4 @@
-"""Tests for the quadratic bracket tensor and its polynomial oracles."""
+"""Tests for the graded bracket table and its polynomial oracles."""
 
 import math
 
@@ -9,15 +9,21 @@ from ellpoisson.errors import InvarianceError
 from ellpoisson.fo import f_constants, sklyanin_bracket
 from ellpoisson.poisson import (
     HnBracket,
-    Polynomial,
     QuadraticBracket,
-    bracket_contraction_oracle,
-    bracket_poly,
     hn_canonical_extract,
     jacobi_defect,
     projective_bracket,
 )
 from ellpoisson.theta import CurveParams, ThetaBasis
+from oracles import (
+    Polynomial,
+    bracket_contraction_oracle,
+    bracket_poly,
+    dense_jacobi_defect,
+    pair_coeffs,
+    pair_poly,
+    pairs,
+)
 
 
 def sklyanin(n, k=1, tau=1j):
@@ -25,20 +31,23 @@ def sklyanin(n, k=1, tau=1j):
 
 
 def table_bracket(n, table):
-    """The bracket with {x_i, x_j} = sum c x_k x_l over table[(i, j)], i < j."""
-    q = np.zeros((n,) * 4, dtype=complex)
+    """The bracket with {x_i, x_j} = sum c x_k x_l over table[(i, j)], i < j;
+    every monomial must have weight k + l = i + j mod n."""
+    g = np.zeros((n,) * 3, dtype=complex)
     for (i, j), monos in table.items():
         for (k, l), c in monos.items():
-            q[i, j, k, l] += c / 2
-            q[i, j, l, k] += c / 2
-    return QuadraticBracket(n, q - q.transpose(1, 0, 2, 3))
+            g[i, j, k] += c / 2
+            g[i, j, l] += c / 2
+    return QuadraticBracket(n, g - g.transpose(1, 0, 2))
 
 
 def random_bracket(n, rng):
-    """A seeded bracket with every tensor entry nonzero (not invariant)."""
-    q = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
-    q = q + q.transpose(0, 1, 3, 2)
-    return QuadraticBracket(n, q - q.transpose(1, 0, 2, 3))
+    """A seeded graded bracket with every table entry off i = j nonzero
+    (not invariant)."""
+    g = rng.standard_normal((n,) * 3) + 1j * rng.standard_normal((n,) * 3)
+    i, j, k = np.indices(g.shape)
+    g = g + g[i, j, (i + j - k) % n]
+    return QuadraticBracket(n, g - g.transpose(1, 0, 2))
 
 
 def leibniz_jacobi(b):
@@ -48,11 +57,19 @@ def leibniz_jacobi(b):
     for i in range(b.n):
         for j in range(i + 1, b.n):
             for k in range(j + 1, b.n):
-                total = (bracket_poly(b, xs[i], b.pair_poly(j, k))
-                         + bracket_poly(b, xs[j], b.pair_poly(k, i))
-                         + bracket_poly(b, xs[k], b.pair_poly(i, j)))
+                total = (bracket_poly(b, xs[i], pair_poly(b, j, k))
+                         + bracket_poly(b, xs[j], pair_poly(b, k, i))
+                         + bracket_poly(b, xs[k], pair_poly(b, i, j)))
                 worst = max(worst, total.max_abs())
     return worst
+
+
+def one_percent_off(b):
+    """b with the monomial x_0 x_1 of {x_0, x_1} scaled by 1.01."""
+    g = b.coeffs.copy()
+    g[0, 1, :2] *= 1.01
+    g[1, 0, :2] *= 1.01
+    return QuadraticBracket(b.n, g)
 
 
 def delta_hn(n=3, c=1.0):
@@ -87,23 +104,43 @@ class TestPolynomial:
             Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
 
 
+class TestLayout:
+    def test_dense_tensor_refused(self):
+        with pytest.raises(ValueError):
+            QuadraticBracket(3, np.zeros((3,) * 4))
+
+    def test_broken_antisymmetry_refused(self):
+        g = table_bracket(3, {(0, 1): {(0, 1): 1.0}}).coeffs.copy()
+        g[0, 1, :2] += 1.0
+        with pytest.raises(ValueError):
+            QuadraticBracket(3, g)
+
+    def test_broken_partner_symmetry_refused(self):
+        # G[0, 1, 0] and G[0, 1, 1] both hold x_0 x_1
+        g = table_bracket(3, {(0, 1): {(0, 1): 1.0}}).coeffs.copy()
+        g[0, 1, 0] += 1.0
+        g[1, 0, 0] -= 1.0
+        with pytest.raises(ValueError):
+            QuadraticBracket(3, g)
+
+
 class TestBracketPoly:
     def test_generator_bracket_antisymmetric(self):
         b = delta_hn().to_quadratic()
-        p01 = b.pair_poly(0, 1)
-        p10 = b.pair_poly(1, 0)
+        p01 = pair_poly(b, 0, 1)
+        p10 = pair_poly(b, 1, 0)
         assert p01 == -p10
 
     def test_diagonal_is_zero(self):
         b = delta_hn().to_quadratic()
-        assert b.pair_poly(1, 1).is_zero()
+        assert pair_poly(b, 1, 1).is_zero()
 
     def test_delta_table_expansion(self):
         # hand expansion of the canonical sum for n = 3, C(1,0)=C(0,1)=c
         c = 0.75
         b = delta_hn(3, c).to_quadratic()
         for i in range(3):
-            p = b.pair_poly(i, (i + 1) % 3)
+            p = pair_poly(b, i, (i + 1) % 3)
             assert abs(p.coefficient([i, i + 1]) - 2 * c) < 1e-15
             assert len(p.terms) == 1
 
@@ -150,7 +187,7 @@ class TestJacobi:
 
     def test_perturbation_detected(self):
         b = sklyanin(3)
-        table = {pair: dict(b.pair_coeffs(*pair)) for pair in b.pairs()}
+        table = {pair: pair_coeffs(b, *pair) for pair in pairs(b)}
         pair = (0, 1)
         mono = next(iter(table[pair]))
         table[pair][mono] += 0.1
@@ -165,18 +202,24 @@ class TestJacobi:
     def test_scale_free(self):
         # one coefficient of a Poisson bracket off by 1%: the defect must
         # not depend on the overall scale of the bracket
-        b = sklyanin(7)
-        q = b.coeffs.copy()
-        q[0, 1, 0, 1] *= 1.01
-        q[1, 0, 0, 1] *= 1.01
-        q[0, 1, 1, 0] *= 1.01
-        q[1, 0, 1, 0] *= 1.01
+        q = one_percent_off(sklyanin(7)).coeffs
         ref = jacobi_defect(QuadraticBracket(7, q))
         assert ref > 1e-8
         for s in (1e-10, 1.0, 1e6):
             got = jacobi_defect(QuadraticBracket(7, s * q))
             assert abs(got - ref) <= 1e-9 * ref
             assert got > 1e-8
+
+    @pytest.mark.parametrize("n", range(5, 14))
+    def test_matches_dense_contraction(self, n):
+        # even n has two squares 2k = i+j in every {x_i, x_j}; the 1%
+        # control reads about 5e-3 on both paths
+        for tau in (1j, 0.3 + 0.8j):
+            for k in (1, n - 1):
+                b = sklyanin(n, k, tau)
+                for br in (b, one_percent_off(b)):
+                    got, ref = jacobi_defect(br), dense_jacobi_defect(br)
+                    assert abs(got - ref) <= 1e-15
 
 
 class TestCanonicalForm:
@@ -208,8 +251,8 @@ class TestCanonicalForm:
         assert np.max(np.abs(h.table - f.table)) < 1e-10
 
     def test_non_invariant_rejected(self):
-        # {x_0, x_1} = x_0 x_2 alone breaks the weight pattern
-        b = table_bracket(3, {(0, 1): {(0, 2): 1.0}})
+        # {x_0, x_1} = x_0 x_1 alone is graded but not shift-invariant
+        b = table_bracket(3, {(0, 1): {(0, 1): 1.0}})
         with pytest.raises(InvarianceError):
             hn_canonical_extract(b)
 
@@ -221,8 +264,8 @@ class TestCanonicalForm:
         omega = np.exp(2j * math.pi / n)
         scaled = {}
         shifted = {}
-        for (i, j) in b.pairs():
-            entry = b.pair_coeffs(i, j)
+        for (i, j) in pairs(b):
+            entry = pair_coeffs(b, i, j)
             scaled[(i, j)] = {
                 (k, l): c * omega ** ((i + j - k - l) % n)
                 for (k, l), c in entry.items()}
@@ -239,21 +282,24 @@ class TestCanonicalForm:
     def test_max_difference_against_monomial_loop(self):
         rng = np.random.default_rng(8)
         a, b = random_bracket(4, rng), random_bracket(4, rng)
+        # magnitudes by np.abs, as in the package: Python's abs(complex)
+        # can differ from it in the last bit
         worst = 0.0
         for i in range(4):
             for j in range(4):
-                pa, pb = a.pair_coeffs(i, j), b.pair_coeffs(i, j)
+                pa, pb = pair_coeffs(a, i, j), pair_coeffs(b, i, j)
                 for mono in set(pa) | set(pb):
-                    worst = max(worst, abs(pa.get(mono, 0j) - pb.get(mono, 0j)))
+                    worst = max(worst,
+                                np.abs(pa.get(mono, 0j) - pb.get(mono, 0j)))
         assert a.max_difference(b) == worst
         assert a.max_difference(a) == 0.0
-        assert a.max_abs() == max(abs(c) for i in range(4) for j in range(4)
-                                  for c in a.pair_coeffs(i, j).values())
+        assert a.max_abs() == max(np.abs(c) for i in range(4) for j in range(4)
+                                  for c in pair_coeffs(a, i, j).values())
 
     def test_small_n_degenerate_cases(self):
         # n = 2 admits only the zero invariant table; n = 1 has no pairs
         h2 = HnBracket(2, np.zeros((2, 2)))
-        assert not h2.to_quadratic().pairs()
+        assert not pairs(h2.to_quadratic())
         b1 = QuadraticBracket(1)
         assert jacobi_defect(b1) == 0.0
 
