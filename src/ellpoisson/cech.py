@@ -37,6 +37,9 @@ from .fo import FConstants, f_constants
 from .theta import (ThetaBasis, circle_nodes, shortest_period,
                     theta_alpha_deriv, theta_alpha_eval, theta_alpha_jet)
 
+# largest relative |sum_a t_a phi_a| that pi_t_class accepts as zero
+KERNEL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -371,20 +374,20 @@ class ResidueSystem:
                 out[j, i] = -val
         return out
 
-    def pi_t_class(self, t, phi_coeffs, tol: float = 1e-8) -> np.ndarray:
+    def pi_t_class(self, t, phi_coeffs) -> np.ndarray:
         """Coordinates of the image class of a cotangent vector.
 
         ``phi_coeffs`` is a :class:`GlobalSection` or its coordinates in the
         (phi_alpha) basis and must satisfy sum t_a phi_coeffs_a = 0 (the
-        kernel condition); the result is well defined up to adding a
-        multiple of t.
+        kernel condition, within ``KERNEL_TOL``); the result is well defined
+        up to adding a multiple of t.
         """
         t = np.asarray(t, dtype=complex)
         if isinstance(phi_coeffs, GlobalSection):
             phi_coeffs = phi_coeffs.coeffs
         a = np.asarray(phi_coeffs, dtype=complex)
         scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(t))))
-        if abs(np.dot(t, a)) > tol * scale:
+        if abs(np.dot(t, a)) > KERNEL_TOL * scale:
             raise ValueError("phi is not in the kernel of the pairing with t")
         psi_t = self._psi_t(t)
         w = psi_t * (psi_t * self._combine(a) - 2.0 * self._p_plus_psi_t(t, a))

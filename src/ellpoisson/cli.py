@@ -2,7 +2,8 @@
 
 Each subcommand runs a family of checks, emits a report (one JSON object
 on one line, or CSV) and exits 0 when every residual passes its tolerance,
-1 on a failed check and 2 on a usage error.
+1 on a failed check and 2 on a usage error.  The tolerances are constants
+of this module, printed with each check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cech import QuadratureConfig, ResidueSystem
+from .cech import ResidueSystem
 from .errors import EllPoissonError
 from .fo import eta_circle, f_constants, sklyanin_bracket, \
     semiclassical_from_relations, single_eta_bracket
@@ -34,8 +35,12 @@ from .theta import (
     verify_automorphy,
 )
 
-DEFAULT_TOL = 1e-8
-DEFAULT_TRUNCATION_EPS = 1e-12
+# tolerances of the numerical checks; the exact checks use 0.0
+TOL = 1e-8
+BRACKET_TOL = 1e-10  # canonical form and semiclassical deviation
+SLOPE_TOL = 1e-2
+METHOD_TOL = 1e-7
+PROJECTIVE_TOL = 1e-6
 THETA_COMMANDS = ("theta", "sklyanin", "moduli-compare")
 # The leaf records number 728,069 at n = 20 and grow about 3.3x per +2.
 MAX_LEAVES_N = 20
@@ -47,10 +52,6 @@ class RunConfig:
     k: int = 1
     tau_re: float = 0.0
     tau_im: float = 1.0
-    truncation_eps: float = DEFAULT_TRUNCATION_EPS
-    tol: float = DEFAULT_TOL
-    quad_points: int = 128
-    radius: float | None = None
     seed: int = 0
     samples: int = 20
     r: int = 1
@@ -77,15 +78,8 @@ class RunConfig:
             raise UsageError("need r >= 1 and n >= 1")
         if command not in THETA_COMMANDS:
             return
-        if not (math.isfinite(self.tau_re) and math.isfinite(self.tau_im)):
-            raise UsageError("tau must be finite")
-        if not (math.isfinite(self.truncation_eps) and self.truncation_eps > 0):
-            raise UsageError("truncation-eps must be positive and finite")
         try:
             CurveParams(self.tau, self.n)
-            if command == "moduli-compare":
-                QuadratureConfig(self.quad_points, self.radius).resolve(
-                    self.n, self.tau)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         if command in ("sklyanin", "moduli-compare") and self.n < 3:
@@ -99,10 +93,6 @@ class RunConfig:
         if command == "sklyanin" and self.k == self.n - 1:
             raise UsageError("k = n - 1 rejected: the algebra is commutative "
                              "and its bracket vanishes identically")
-        if command == "moduli-compare" and self.k != 1:
-            raise UsageError("k != 1 rejected: the identification with the "
-                             "extension-moduli bracket is only established "
-                             "for k = 1")
 
 
 class UsageError(Exception):
@@ -134,9 +124,9 @@ def _sample_chart_points(n, count, seed):
 
 
 def cmd_theta(cfg: RunConfig):
-    basis = ThetaBasis(CurveParams(cfg.tau, cfg.n), cfg.truncation_eps)
+    basis = ThetaBasis(CurveParams(cfg.tau, cfg.n))
     n = cfg.n
-    tau = cfg.tau
+    tau = basis.params.tau  # Re(tau) reduced as the basis holds it
     rng = np.random.default_rng(cfg.seed)
     z = rng.random(100) + rng.random(100) * tau
     omega = basis.omega
@@ -157,19 +147,19 @@ def cmd_theta(cfg: RunConfig):
         scale = np.maximum(np.max(np.abs(lhs), axis=0),
                            np.max(np.abs(rhs), axis=0))
         res = float(np.max(np.max(np.abs(lhs - rhs), axis=0) / scale))
-        checks.append(_check(f"shift_property_{idx}", res, cfg.tol))
+        checks.append(_check(f"shift_property_{idx}", res, TOL))
     ratio = theta_alpha_deriv(basis, 0, 0.0, 2) / basis.dtheta_at_zero[0]
     checks.append(_check("second_log_derivative_2pi_i_n",
-                         abs(ratio - 2j * math.pi * n), cfg.tol))
+                         abs(ratio - 2j * math.pi * n), TOL))
     dref = basis.dtheta_at_zero[0]
     res = float(np.max(np.abs(
         theta_alpha_deriv(basis, 0, np.arange(n) / n, 1) - dref))) / abs(dref)
-    checks.append(_check("dtheta0_constant_on_divisor", res, cfg.tol))
+    checks.append(_check("dtheta0_constant_on_divisor", res, TOL))
     checks.append(_check(
         "automorphy_character",
         verify_automorphy(basis, (n - 1) / 2,
                           lambda w: theta_alpha_eval(basis, 1, w)),
-        cfg.tol))
+        TOL))
     tables = {"theta_at_zero": [[float(v.real), float(v.imag)]
                                 for v in basis.theta_at_zero],
               "dtheta_at_zero": [[float(v.real), float(v.imag)]
@@ -178,22 +168,23 @@ def cmd_theta(cfg: RunConfig):
 
 
 def cmd_sklyanin(cfg: RunConfig):
-    basis = ThetaBasis(CurveParams(cfg.tau, cfg.n), cfg.truncation_eps)
+    basis = ThetaBasis(CurveParams(cfg.tau, cfg.n))
     bracket = sklyanin_bracket(basis, cfg.k)
     from .poisson import jacobi_defect
-    checks = [_check("jacobi_defect", jacobi_defect(bracket), cfg.tol)]
+    checks = [_check("jacobi_defect", jacobi_defect(bracket), TOL)]
     tables = {}
     if cfg.k == 1:
         h = hn_canonical_extract(bracket)
         f = f_constants(basis)
         res = float(np.max(np.abs(h.table - f.table)))
-        checks.append(_check("canonical_form_equals_f_table", res, 1e-10))
+        checks.append(_check("canonical_form_equals_f_table", res,
+                             BRACKET_TOL))
         tables["f_table"] = [[a, b, float(f.table[a, b].real),
                               float(f.table[a, b].imag)]
                              for a in range(cfg.n) for b in range(cfg.n)]
     est = semiclassical_from_relations(basis, cfg.k)
     deviation = est.max_difference(bracket) / bracket.max_abs()
-    checks.append(_check("semiclassical_deviation", deviation, 1e-10))
+    checks.append(_check("semiclassical_deviation", deviation, BRACKET_TOL))
     points, radius = eta_circle(basis)
     # d/10, d/100, d/1000; d = 4 * radius is the distance to the nearest pole
     etas = [4 * radius / 10 ** m for m in (1, 2, 3)]
@@ -201,7 +192,7 @@ def cmd_sklyanin(cfg: RunConfig):
                .max_difference(bracket) for e in etas]
     slope = float(np.polyfit(np.log(etas), np.log(singles), 1)[0])
     checks.append(_check("semiclassical_slope_shortfall",
-                         max(0.0, 1.0 - slope), 1e-2))
+                         max(0.0, 1.0 - slope), SLOPE_TOL))
     tables["semiclassical_single_eta_deviation"] = [
         [e, d] for e, d in zip(etas, singles)]
     tables["eta_circle"] = {"points": points, "radius": radius}
@@ -209,9 +200,8 @@ def cmd_sklyanin(cfg: RunConfig):
 
 
 def cmd_moduli_compare(cfg: RunConfig):
-    basis = ThetaBasis(CurveParams(cfg.tau, cfg.n), cfg.truncation_eps)
-    quad = QuadratureConfig(cfg.quad_points, cfg.radius)
-    system = ResidueSystem(basis, quad)
+    basis = ThetaBasis(CurveParams(cfg.tau, cfg.n))
+    system = ResidueSystem(basis)
     h = hn_canonical_extract(sklyanin_bracket(basis, 1))
     agree = 0.0
     match = 0.0
@@ -221,8 +211,8 @@ def cmd_moduli_compare(cfg: RunConfig):
         ref = projective_matrix(h, t)
         agree = max(agree, float(np.max(np.abs(closed - traced))))
         match = max(match, float(np.max(np.abs(closed - ref))))
-    checks = [_check("method_agreement", agree, 1e-7),
-              _check("matches_projective_bracket", match, 1e-6)]
+    checks = [_check("method_agreement", agree, METHOD_TOL),
+              _check("matches_projective_bracket", match, PROJECTIVE_TOL)]
     return checks, {"contour": {"points": system.points,
                                 "radius": system.radius}}
 
@@ -286,30 +276,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "brackets, residue calculus and leaf combinatorics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, with_k=False, with_quad=False, with_samples=False):
+    def common(p, *, with_k=False, with_tau=False, with_samples=False):
         p.add_argument("--n", type=int, default=3)
         if with_k:
             p.add_argument("--k", type=int, default=1)
-        p.add_argument("--tau", type=float, nargs=2, default=[0.0, 1.0],
-                       metavar=("RE", "IM"))
-        p.add_argument("--truncation-eps", type=float,
-                       default=DEFAULT_TRUNCATION_EPS)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        if with_quad:
-            p.add_argument("--quad-points", type=int, default=128)
-            p.add_argument("--radius", type=float, default=None)
+        if with_tau:
+            p.add_argument("--tau", type=float, nargs=2, default=[0.0, 1.0],
+                           metavar=("RE", "IM"))
         if with_samples:
             p.add_argument("--samples", type=int, default=20)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None)
 
-    common(sub.add_parser("theta", help="basis properties and derivatives"))
+    common(sub.add_parser("theta", help="basis properties and derivatives"),
+           with_tau=True)
     common(sub.add_parser("sklyanin", help="bracket, Jacobi, semiclassical"),
-           with_k=True)
+           with_k=True, with_tau=True)
     common(sub.add_parser("moduli-compare",
                           help="extension-moduli bracket vs projective bracket"),
-           with_k=True, with_quad=True, with_samples=True)
+           with_tau=True, with_samples=True)
     common(sub.add_parser("leaves", help="leaf stratification table"))
     hom = sub.add_parser("homology", help="exact cone-identification checks")
     common(hom, with_samples=True)
@@ -321,14 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
+    tau_re, tau_im = getattr(args, "tau", (0.0, 1.0))
     cfg = RunConfig(
         n=args.n,
         k=getattr(args, "k", 1),
-        tau_re=args.tau[0], tau_im=args.tau[1],
-        truncation_eps=args.truncation_eps,
-        tol=args.tol,
-        quad_points=getattr(args, "quad_points", 128),
-        radius=getattr(args, "radius", None),
+        tau_re=tau_re, tau_im=tau_im,
         seed=args.seed,
         samples=getattr(args, "samples", 20),
         r=getattr(args, "r", 1),

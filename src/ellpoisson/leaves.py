@@ -27,6 +27,9 @@ from operator import itemgetter
 
 from .theta import CurveParams
 
+# largest lattice defect that divisor_constraint accepts as zero
+DIVISOR_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TorsionType:
@@ -226,22 +229,19 @@ def reduce_mod_lattice(z: complex, params: CurveParams) -> complex:
     return zb - round(zb.real)
 
 
-def _lattice_defect(z: complex, params: CurveParams) -> float:
-    return abs(reduce_mod_lattice(z, params))
-
-
 def divisor_constraint(n: int, eta: complex, d: DivisorDatum, z: DivisorDatum,
-                       params: CurveParams, tol: float = 1e-9):
+                       params: CurveParams):
     """Check the class relation sum(Z) - sum(D) + 3n*eta = 0 mod the lattice.
 
-    Returns (ok, defect); unequal degrees are a hard error since the two
-    sides must have the same degree for the relation to make sense.
+    Returns (ok, defect), ok when the defect is at most ``DIVISOR_TOL``;
+    unequal degrees are a hard error since the two sides must have the same
+    degree for the relation to make sense.
     """
     if d.degree != z.degree:
         raise ValueError("divisor degrees differ")
     w = z.weighted_sum() - d.weighted_sum() + 3 * n * complex(eta)
-    defect = _lattice_defect(w, params)
-    return defect <= tol, defect
+    defect = abs(reduce_mod_lattice(w, params))
+    return defect <= DIVISOR_TOL, defect
 
 
 def kronecker_dims(r: int, n: int, d: int = 0):

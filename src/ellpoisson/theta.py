@@ -42,9 +42,14 @@ TWO_PI_I = 2j * math.pi
 LOG_LIMIT = 650.0
 
 # largest a priori relative rounding error of a basis value at 0; from about
-# here on the basis checks at their default tolerance 1e-8 fail from
-# rounding in the series alone
+# here on the basis checks at their tolerance 1e-8 fail from rounding in the
+# series alone
 ROUNDING_LIMIT = 1e-8
+
+# the series is truncated where its omitted terms fall below a tenth of this
+TRUNCATION_EPS = 1e-12
+
+AUTOMORPHY_SAMPLES = 60
 
 # largest number of series terms one matmul holds; longer point arrays are
 # evaluated in chunks, which keeps the working memory flat
@@ -56,16 +61,25 @@ T_TAU_OVER_N = "T_tau_over_n"
 
 @dataclass(frozen=True)
 class CurveParams:
-    """Lattice parameter, basis order and the derived root of unity."""
+    """Lattice parameter, basis order and the derived root of unity.
+
+    Re(tau) is stored modulo 2n by the exact ``math.fmod``: no basis value
+    changes, theta_alpha(z; tau + 2n) = theta_alpha(z; tau), and
+    |Re(tau)| < 2n is kept bit for bit.
+    """
 
     tau: complex
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau.real) and math.isfinite(self.tau.imag)):
+            raise ValueError("tau must be finite")
         if self.tau.imag <= 0:
             raise ValueError("Im(tau) must be positive")
         if self.n < 2:
             raise ValueError("order n must be at least 2")
+        object.__setattr__(self, "tau", complex(
+            math.fmod(self.tau.real, 2 * self.n), self.tau.imag))
 
     @property
     def omega(self) -> complex:
@@ -201,19 +215,20 @@ def _theta_jet(z, tau, bound, order):
                     _series(z0, tau, bound, order))
 
 
-def theta_eval(params: CurveParams | complex, z, *, eps: float = 1e-12,
-               series_bound: int | None = None, order: int = 0):
-    """Evaluate theta (or its order-th z-derivative) at z.
+def theta_eval(tau: complex, z, *, series_bound: int | None = None,
+               order: int = 0):
+    """Evaluate theta (or its order-th z-derivative) at z for tau.
 
-    ``params`` may be a :class:`CurveParams` or a bare lattice parameter tau.
-    z is reduced into the fundamental cell first, so the truncation bound is
-    sound for arbitrary arguments; values and derivatives are restored
-    through the jet of the exact quasi-periodicity multiplier.
+    The series bound defaults to the one ``TRUNCATION_EPS`` gives.  z is
+    reduced into the fundamental cell first, so the bound is sound for
+    arbitrary arguments; values and derivatives are restored through the
+    jet of the exact quasi-periodicity multiplier.
     """
-    tau = params.tau if isinstance(params, CurveParams) else complex(params)
+    tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("Im(tau) must be positive")
-    bound = series_bound if series_bound is not None else series_bound_for(tau, eps)
+    bound = (series_bound if series_bound is not None
+             else series_bound_for(tau, TRUNCATION_EPS))
     z = np.asarray(z, dtype=complex)
     _check_range(z, tau.imag)
     if order not in (0, 1, 2):
@@ -238,21 +253,19 @@ class ThetaSection:
 class ThetaBasis:
     """Precomputed data for the basis theta_0, ..., theta_{n-1}.
 
+    ``series_bound`` is the truncation ``TRUNCATION_EPS`` gives at tau.
     ``theta_at_zero`` and ``dtheta_at_zero`` hold theta_alpha(0) and
     theta_alpha'(0); theta_0(0) is an exact zero (the series terms cancel in
     pairs), so it is stored as 0.
     """
 
     params: CurveParams
-    truncation_eps: float = 1e-12
     series_bound: int = field(init=False)
     theta_at_zero: np.ndarray = field(init=False)
     dtheta_at_zero: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.truncation_eps <= 0:
-            raise ValueError("truncation_eps must be positive")
-        bound = series_bound_for(self.params.tau, self.truncation_eps)
+        bound = series_bound_for(self.params.tau, TRUNCATION_EPS)
         object.__setattr__(self, "series_bound", bound)
         vals, ders = theta_alpha_jet(self, np.arange(self.n), 0.0, 1)
         vals[0] = 0.0
@@ -331,9 +344,6 @@ class ThetaBasis:
     @property
     def omega(self) -> complex:
         return self.params.omega
-
-    def theta(self, z, order: int = 0):
-        return theta_eval(self.params, z, series_bound=self.series_bound, order=order)
 
     def ratio_dtheta(self, alpha: int) -> complex:
         """theta_alpha'(0) / theta_alpha(0) for alpha != 0 mod n."""
@@ -454,17 +464,18 @@ def _sample_grid(tau: complex, count: int):
     return u + v * tau
 
 
-def verify_automorphy(basis: ThetaBasis, c, f, *, weight: int | None = None,
-                      samples: int = 60) -> float:
+def verify_automorphy(basis: ThetaBasis, c, f, *,
+                      weight: int | None = None) -> float:
     """Largest normalized automorphy residual of f for the character c.
 
     Checks f(z+1) = f(z) and f(z+tau) = (-1)^w exp(-2*pi*i*(w*z - c)) f(z)
-    on a deterministic sample grid, normalized by max |f|.  ``weight``
-    defaults to the basis order n; pass 1 to test the basic theta function.
+    on a deterministic grid of ``AUTOMORPHY_SAMPLES`` points, normalized by
+    max |f|.  ``weight`` defaults to the basis order n; pass 1 to test the
+    basic theta function.
     """
     tau = basis.params.tau
     w = basis.n if weight is None else weight
-    z = _sample_grid(tau, samples)
+    z = _sample_grid(tau, AUTOMORPHY_SAMPLES)
     fz = np.asarray(f(z), dtype=complex)
     f1 = np.asarray(f(z + 1.0), dtype=complex)
     ft = np.asarray(f(z + tau), dtype=complex)

@@ -1,11 +1,24 @@
 """End-to-end tests of the batch front-end."""
 
+import argparse
 import hashlib
 import json
+import math
 
 import pytest
 
-from ellpoisson.cli import main
+from ellpoisson.cli import RunConfig, build_parser, main
+
+# the 28 option strings of the subcommands, in the order they are declared
+FLAGS = {
+    "theta": ["--n", "--tau", "--seed", "--format", "--output"],
+    "sklyanin": ["--n", "--k", "--tau", "--seed", "--format", "--output"],
+    "moduli-compare": ["--n", "--tau", "--samples", "--seed", "--format",
+                       "--output"],
+    "leaves": ["--n", "--seed", "--format", "--output"],
+    "homology": ["--n", "--samples", "--seed", "--format", "--output", "--r",
+                 "--inject-sign-flip"],
+}
 
 
 def run(args, tmp_path, name="out.json"):
@@ -30,22 +43,23 @@ class TestExitCodes:
         assert "gcd(n,k) must be 1" in capsys.readouterr().err
 
     def test_moduli_compare_rejects_k2(self, capsys):
-        code = main(["moduli-compare", "--k", "2"])
-        assert code == 2
-        assert "only established for k = 1" in capsys.readouterr().err
+        # the identification with the extension-moduli bracket is only
+        # established for k = 1, so the command has no --k
+        with pytest.raises(SystemExit) as exc:
+            main(["moduli-compare", "--k", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, message", [
         (["theta", "--n", "1"], "order n must be at least 2"),
-        (["theta", "--truncation-eps", "0"],
-         "truncation-eps must be positive and finite"),
+        (["theta", "--tau", "inf", "1"], "tau must be finite"),
         (["homology", "--n", "0"], "need r >= 1 and n >= 1"),
         (["homology", "--r", "0"], "need r >= 1 and n >= 1"),
         (["theta", "--tau", "nan", "1"], "tau must be finite"),
         (["sklyanin", "--n", "5", "--k", "7"], "k must satisfy 0 < k < n"),
         (["moduli-compare", "--samples", "0"], "samples must be at least 1"),
         (["homology", "--samples", "-1"], "samples must be at least 1"),
-        (["moduli-compare", "--quad-points", "16"],
-         "need at least 32 contour points"),
+        (["moduli-compare", "--seed", "-1"], "seed must be non-negative"),
         (["sklyanin", "--n", "2", "--k", "1"],
          "at n = 2 the Sklyanin bracket vanishes identically"),
         (["moduli-compare", "--n", "2", "--samples", "1"],
@@ -79,17 +93,44 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments: --eta" in capsys.readouterr().err
 
-    def test_radius_must_exclude_tau_direction_poles(self, capsys):
-        # at tau = 0.1i the nearest other pole of phi is 0.1 away from 0
-        code = main(["moduli-compare", "--n", "3", "--tau", "0", "0.1",
-                     "--radius", "0.15", "--samples", "1"])
-        assert code == 2
-        assert "radius must lie strictly between 0 and 0.05" in \
-            capsys.readouterr().err
+    def test_flag_surface(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        found = {name: [s for a in p._actions for s in a.option_strings
+                        if s not in ("-h", "--help")]
+                 for name, p in sub.choices.items()}
+        assert found == FLAGS
+        assert len(RunConfig.__dataclass_fields__) == 9
+
+    @pytest.mark.parametrize("args", [
+        ["theta", "--tol", "1e300"],
+        ["theta", "--truncation-eps", "0.5"],
+        ["sklyanin", "--tol", "1e300"],
+        ["sklyanin", "--truncation-eps", "0.5"],
+        ["moduli-compare", "--tol", "-1"],
+        ["moduli-compare", "--truncation-eps", "0"],
+        ["moduli-compare", "--quad-points", "32"],
+        ["moduli-compare", "--radius", "1e-9"],
+        ["moduli-compare", "--k", "2"],
+        ["leaves", "--tau", "0", "-5"],
+        ["leaves", "--tol", "-1"],
+        ["leaves", "--truncation-eps", "0"],
+        ["homology", "--tau", "0", "1"],
+        ["homology", "--tol", "-1"],
+        ["homology", "--truncation-eps", "0"],
+    ], ids=" ".join)
+    def test_removed_flag_is_usage_error(self, args, capsys):
+        # tolerances and numerical settings are constants; a command has no
+        # flag it does not read
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {args[1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["--tau", "0", "0.05"],
-        ["--tau", "0", "0.1", "--radius", "0.025"],
+        ["--tau", "0", "0.1"],
     ])
     def test_small_im_tau_contours_pass(self, args, tmp_path):
         code, text = run(["moduli-compare", "--n", "3", "--samples", "1"]
@@ -130,6 +171,23 @@ class TestExitCodes:
         verdicts = {c["name"]: c["pass"]
                     for c in json.loads(text)["checks"]}
         assert verdicts[name] is False
+
+    @pytest.mark.parametrize("args", [
+        ["theta", "--n", "5"],
+        ["sklyanin", "--n", "5"],
+        ["moduli-compare", "--n", "3", "--samples", "1"],
+    ], ids=" ".join)
+    def test_large_re_tau_reduced_exactly(self, args, tmp_path):
+        # Re tau = 1e7 + 0.3 runs as its fmod-reduced value mod 2n
+        n = int(args[2])
+        runs = []
+        for re_tau in (1e7 + 0.3, math.fmod(1e7 + 0.3, 2 * n)):
+            code, text = run(args + ["--tau", repr(re_tau), "1"], tmp_path)
+            assert code == 0, text
+            report = json.loads(text)
+            runs.append(json.dumps([report["checks"], report["tables"]],
+                                   sort_keys=True))
+        assert runs[0] == runs[1]
 
     def test_sign_flip_fails_with_named_identity(self, tmp_path):
         code, text = run(["homology", "--n", "3", "--samples", "1",
@@ -243,8 +301,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("args, points, radius", [
         ([], 128, 1 / 12),
-        (["--tau", "0", "0.1", "--quad-points", "64"], 64, 0.025),
-        (["--radius", "0.05"], 128, 0.05),
+        (["--tau", "0", "0.1"], 128, 0.025),
     ])
     def test_moduli_contour_block(self, args, points, radius, tmp_path):
         # the contour actually used, identical in every run
@@ -281,18 +338,22 @@ class TestDeterminism:
 
     def test_environment_does_not_set_tolerances(self, tmp_path,
                                                  monkeypatch):
-        # --tol and --truncation-eps are the only way to set these values
+        # the tolerances are constants of the program
         monkeypatch.setenv("ELLPOISSON_TOL", "1e-30")
         monkeypatch.setenv("ELLPOISSON_TRUNCATION_EPS", "1e-9")
         code, text = run(["theta", "--n", "3"], tmp_path)
         assert code == 0
-        params = json.loads(text)["params"]
-        assert params["tol"] == 1e-8
-        assert params["truncation_eps"] == 1e-12
+        checks = json.loads(text)["checks"]
+        assert [c["tolerance"] for c in checks] == [1e-8] * 6
 
     # sha256 of the exit code and the homology payload without timings,
     # computed with int64-loop products on object storage: no arithmetic
-    # path may change a payload
+    # path may change a payload.  The params of those payloads also held
+    # four numerical settings that homology never read, at fixed values;
+    # the test puts them back before hashing.
+    RETIRED_PARAMS = {"tol": 1e-8, "truncation_eps": 1e-12,
+                      "quad_points": 128, "radius": None}
+
     @pytest.mark.parametrize("n, r, seed, flip, digest", [
         (3, 1, 0, False, "bc8859ac03df43b3"),
         (3, 2, 0, False, "5039d148a4e60744"),
@@ -326,5 +387,7 @@ class TestDeterminism:
         report = json.loads(capsys.readouterr().out)
         report.pop("elapsed_ms")
         report.pop("timings", None)
+        assert not self.RETIRED_PARAMS.keys() & report["params"].keys()
+        report["params"].update(self.RETIRED_PARAMS)
         text = f"{code}\n" + json.dumps(report, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

@@ -277,12 +277,39 @@ class TestDoubleRange:
                 try:
                     vals = (theta_alpha_eval(b, alpha, z),
                             theta_alpha_deriv(b, alpha, z, 2),
-                            b.theta(z, order=2))
+                            theta_eval(b.params.tau, z,
+                                       series_bound=b.series_bound, order=2))
                 except ThetaRangeError:
                     refused += 1
                     continue
                 assert all(np.isfinite(v) for v in vals)
         assert 0 < refused < 121 * 3
+
+
+class TestLatticeParameter:
+    def test_re_tau_reduced_exactly_modulo_2n(self):
+        # |Re tau| < 2n is kept bit for bit; math.fmod is exact beyond
+        for tau in (TAU_GENERIC, -9.75 + 0.5j, complex(-0.0, 1.0)):
+            assert repr(CurveParams(tau, 5).tau) == repr(complex(tau))
+        assert CurveParams(1e7 + 0.3 + 1j, 5).tau == complex(
+            math.fmod(1e7 + 0.3, 10), 1.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC])
+    def test_shift_by_n_is_a_sign(self, n, tau):
+        # theta_alpha(z; tau + n) = (-1)^(alpha(alpha-n)) theta_alpha(z; tau);
+        # tau + n is stored unreduced, so both sides are summed afresh.  Each
+        # of the n factors rounds phases of size 2 pi |tau + n|, so the
+        # bound is 4 n 2 pi |tau + n| 2^-53; the errors stay below a third
+        shifted = basis(n, tau + n)
+        assert shifted.params.tau == tau + n
+        z = sample_points(tau, 20, seed=4)
+        alpha = np.arange(n)
+        ref = theta_alpha_eval(basis(n, tau), alpha, z)
+        sign = (-1.0) ** (alpha * (alpha - n))
+        err = (np.abs(theta_alpha_eval(shifted, alpha, z) - sign * ref)
+               / np.max(np.abs(ref), axis=0))
+        assert np.max(err) < 4 * n * 2 * math.pi * abs(tau + n) * 2.0 ** -53
 
 
 class TestAllAlpha:
