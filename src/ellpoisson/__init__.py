@@ -10,14 +10,17 @@ oracle, the mean of the single-eta estimate over a circle around eta = 0,
 all as graded tables),
 ``cech`` (one table of samples on the contours around the divisor,
 filled from one circle by the exact 1/n shift, from which the dual
-pairing, the principal-part projection checks, the trace tables and both
-routes to the extension-moduli bracket are read),
+pairing, the trace tables and both routes to the extension-moduli bracket
+are read, with one expansion of the principal-part projection that is
+certified pair by pair and run by the bracket),
 ``exact`` (exact rational matrices on int64 numerators, promoted to Python
 ints only where a proven bound fails, products on float64 BLAS below 2^53,
 and one fraction-free elimination for rank and nullspace), ``homology`` (exact
 chain algebra for the endomorphism complex, the bivector and the cone
 identification) and ``leaves`` (torsion-type combinatorics and the
 divisor-class constraint).  ``cli`` drives batch verification runs.
+``cech.laurent_coeffs`` and ``fo.fo_relations`` have no caller in the
+package; they stay because ``perfbench/spans.py`` wraps them.
 """
 
 from .theta import (
@@ -40,7 +43,6 @@ from .poisson import (
 )
 from .fo import (
     FConstants,
-    FORelationTensor,
     eta_circle,
     f_constants,
     fo_relations,
@@ -49,11 +51,9 @@ from .fo import (
     sklyanin_bracket,
 )
 from .cech import (
-    GlobalSection,
     QuadratureConfig,
     ResidueSystem,
     laurent_coeffs,
-    p_plus,
 )
 from .homology import (
     VSComplex,

@@ -9,9 +9,11 @@ side of the duality are represented by vectors of disc-local functions
 
 dual to (phi_alpha) under the trace pairing tr(f) = (1/n) sum_k Res_{k/n} f.
 The principal-part projection P_+ has closed theta-quotient forms on the
-products psi_alpha phi_beta, which is all the moduli bracket needs: both
-the trace-pairing route and the fully expanded coefficient route to
-{t_i, t_j} are implemented and cross-checked against each other.
+products psi_alpha phi_beta.  One expansion of P_+(psi_t phi) in those
+forms (:meth:`ResidueSystem.projection_coeffs`) is certified pair by pair
+against the samples and is the one the trace-pairing route to
+{t_i, t_j} and the image class pi_t run; the fully expanded coefficient
+route is cross-checked against the trace-pairing route.
 
 Every residue is a trace over the same n circles around the points of D,
 so :class:`ResidueSystem` holds phi_alpha, phi_alpha' and psi_alpha on
@@ -31,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourError, DegenerateTauError
-from .fo import FConstants, f_constants
-# theta_alpha_deriv is not called here; it stays bound because
-# perfbench/spans.py wraps ellpoisson.cech.theta_alpha_deriv on every run
+from .fo import f_constants
+# theta_alpha_deriv and theta_alpha_eval are not called here; they stay
+# bound because perfbench/spans.py wraps ellpoisson.cech.theta_alpha_deriv
+# and ellpoisson.cech.theta_alpha_eval on every traced run
 from .theta import (ThetaBasis, circle_nodes, shortest_period,
                     theta_alpha_deriv, theta_alpha_eval, theta_alpha_jet)
 
@@ -80,43 +83,13 @@ def _node_coeffs(samples, offsets, window: tuple[int, int]) -> np.ndarray:
 def laurent_coeffs(f, center: complex, window: tuple[int, int],
                    q: QuadratureConfig, n: int = 1) -> np.ndarray:
     """Laurent coefficients c_m of the callable f around center for m in
-    [m_min, m_max]."""
+    [m_min, m_max].  Only tests call it; perfbench/spans.py wraps it."""
     offsets = circle_nodes(*q.resolve(n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         samples = np.asarray(f(center + offsets), dtype=complex)
     if samples.shape != offsets.shape or not np.all(np.isfinite(samples)):
         raise ContourError(f"contour around {center} hit a singularity")
     return _node_coeffs(samples, offsets, window)
-
-
-def phi(basis: ThetaBasis, alpha: int):
-    """Evaluator of phi_alpha = theta_alpha / theta_0 (phi_0 = 1)."""
-    alpha %= basis.n
-    if alpha == 0:
-        return lambda z: np.ones_like(np.asarray(z, dtype=complex))
-    return lambda z: theta_alpha_eval(basis, alpha, z) / theta_alpha_eval(basis, 0, z)
-
-
-@dataclass(frozen=True)
-class GlobalSection:
-    """Linear combination of the phi basis: poles only on D, order <= 1."""
-
-    basis: ThetaBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (self.basis.n,):
-            raise ValueError("need one coefficient per basis index")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for a, c in enumerate(self.coeffs):
-            if c != 0:
-                out = out + c * phi(self.basis, a)(z)
-        return out
 
 
 def psi_local_constant(basis: ThetaBasis, alpha: int, k):
@@ -133,52 +106,6 @@ def psi_local_constant(basis: ThetaBasis, alpha: int, k):
     return (basis.dtheta_at_zero[0]
             * basis.omega ** (-(alpha * k) % basis.n)
             / basis.theta_at_zero[alpha])
-
-
-@dataclass(frozen=True)
-class PPlusForm:
-    """Closed form of P_+(psi_alpha phi_beta): a phi-combination plus an
-    optional multiple of phi_beta'."""
-
-    basis: ThetaBasis
-    phi_coeffs: dict
-    dphi_index: int | None = None
-    dphi_coeff: complex = 0j
-
-    def scaled(self, factor: complex) -> "PPlusForm":
-        return PPlusForm(self.basis,
-                         {g: factor * c for g, c in self.phi_coeffs.items()},
-                         self.dphi_index, factor * self.dphi_coeff)
-
-    def phi_part(self) -> GlobalSection:
-        coeffs = np.zeros(self.basis.n, dtype=complex)
-        for gamma, c in self.phi_coeffs.items():
-            coeffs[gamma % self.basis.n] += c
-        return GlobalSection(self.basis, coeffs)
-
-
-def p_plus(alpha: int, beta: int, basis: ThetaBasis,
-           f_table: FConstants | None = None) -> PPlusForm:
-    """Closed form of P_+(psi_alpha phi_beta).
-
-    Cases: alpha != 0, beta = 0 gives zero; alpha, beta nonzero and distinct
-    gives F(alpha, beta - alpha) phi_{beta-alpha}; alpha = 0, beta != 0
-    gives -phi_beta' + F(0, beta) phi_beta.  The diagonal alpha = beta is
-    defined only inside zero-sum combinations and is rejected here.
-    """
-    n = basis.n
-    alpha %= n
-    beta %= n
-    f = f_table if f_table is not None else f_constants(basis)
-    if alpha == beta:
-        raise ValueError("psi_a phi_a has nonzero residues; only zero-sum "
-                         "combinations of such products are projectable")
-    if beta == 0:
-        return PPlusForm(basis, {})
-    if alpha == 0:
-        return PPlusForm(basis, {beta: f.c(0, beta)}, dphi_index=beta,
-                         dphi_coeff=-1.0)
-    return PPlusForm(basis, {(beta - alpha) % n: f.c(alpha, beta - alpha)})
 
 
 class ResidueSystem:
@@ -258,18 +185,22 @@ class ResidueSystem:
                       coeff_scale: float = 1.0) -> float:
         """Largest principal-part coefficient of psi_a phi_b - P_+(psi_a phi_b).
 
+        P_+(psi_a phi_b) is :meth:`projection_coeffs` at t = e_a, phi = phi_b.
         A small value certifies the closed form; ``coeff_scale`` != 1
-        rescales the closed form to demonstrate the check has power.
+        rescales the closed form to demonstrate the check has power.  The
+        diagonal alpha = beta is defined only inside zero-sum combinations
+        (:meth:`verify_p_plus_zero_sum`) and is rejected here.
         """
         n = self.basis.n
-        form = p_plus(alpha, beta, self.basis, self.f)
-        if coeff_scale != 1.0:
-            form = form.scaled(coeff_scale)
-        dphi_coeffs = np.zeros(n, dtype=complex)
-        if form.dphi_index is not None:
-            dphi_coeffs[form.dphi_index] = form.dphi_coeff
-        projected = self._combine(form.phi_part().coeffs, dphi_coeffs)
-        return self._principal_part(self.psi[alpha % n] * self.phi[beta % n]
+        alpha %= n
+        beta %= n
+        if alpha == beta:
+            raise ValueError("psi_a phi_a has nonzero residues; only zero-sum "
+                             "combinations of such products are projectable")
+        unit = np.eye(n, dtype=complex)
+        phi_c, dphi_c = self.projection_coeffs(unit[alpha], unit[beta])
+        projected = self._combine(coeff_scale * phi_c, coeff_scale * dphi_c)
+        return self._principal_part(self.psi[alpha] * self.phi[beta]
                                     - projected)
 
     def verify_p_plus_zero_sum(self, coeffs) -> float:
@@ -321,12 +252,14 @@ class ResidueSystem:
         """Samples of psi_t = sum_a t_a psi_a."""
         return np.tensordot(t, self.psi, 1)
 
-    def _p_plus_psi_t(self, t, a) -> np.ndarray:
-        """Samples of P_+(psi_t phi) for phi = sum_c a_c phi_c with
-        sum_c t_c a_c = 0, through the closed forms.
+    def projection_coeffs(self, t, a) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of P_+(psi_t phi) for phi = sum_c a_c phi_c with
+        sum_c t_c a_c = 0: the phi and the phi' coefficients.
 
-        The diagonal products psi_c phi_c drop out by the kernel condition,
-        and phi_0' vanishes.
+        The closed forms: P_+(psi_al phi_c) is zero for c = 0,
+        F(al, c - al) phi_{c-al} for al, c nonzero and distinct, and
+        F(0, c) phi_c - phi_c' for al = 0.  The diagonal products
+        psi_c phi_c drop out by the kernel condition, and phi_0' vanishes.
         """
         n = self.basis.n
         phi_coeffs = np.zeros(n, dtype=complex)
@@ -334,7 +267,7 @@ class ResidueSystem:
             for al in range(n):
                 if al != c:
                     phi_coeffs[(c - al) % n] += a[c] * t[al] * self.f.c(al, c - al)
-        return self._combine(phi_coeffs, -a)
+        return phi_coeffs, -t[0] * a
 
     def trace_form_entry(self, t, i: int, j: int) -> complex:
         """Direct quadrature of the projected-cocycle pairing."""
@@ -343,8 +276,10 @@ class ResidueSystem:
         dt_i = self._dt(t, i)
         dt_j = self._dt(t, j)
         return complex(self.tr(
-            self._p_plus_psi_t(t, dt_j) * psi_t * self._combine(dt_i)
-            - self._p_plus_psi_t(t, dt_i) * psi_t * self._combine(dt_j)))
+            self._combine(*self.projection_coeffs(t, dt_j)) * psi_t
+            * self._combine(dt_i)
+            - self._combine(*self.projection_coeffs(t, dt_i)) * psi_t
+            * self._combine(dt_j)))
 
     def _dt(self, t, i: int) -> np.ndarray:
         """Coordinates of the cotangent vector phi_i - t_i phi_0."""
@@ -377,18 +312,17 @@ class ResidueSystem:
     def pi_t_class(self, t, phi_coeffs) -> np.ndarray:
         """Coordinates of the image class of a cotangent vector.
 
-        ``phi_coeffs`` is a :class:`GlobalSection` or its coordinates in the
-        (phi_alpha) basis and must satisfy sum t_a phi_coeffs_a = 0 (the
+        ``phi_coeffs`` holds the coordinates of phi in the (phi_alpha) basis
+        and must satisfy sum t_a phi_coeffs_a = 0 (the
         kernel condition, within ``KERNEL_TOL``); the result is well defined
         up to adding a multiple of t.
         """
         t = np.asarray(t, dtype=complex)
-        if isinstance(phi_coeffs, GlobalSection):
-            phi_coeffs = phi_coeffs.coeffs
         a = np.asarray(phi_coeffs, dtype=complex)
         scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(t))))
         if abs(np.dot(t, a)) > KERNEL_TOL * scale:
             raise ValueError("phi is not in the kernel of the pairing with t")
         psi_t = self._psi_t(t)
-        w = psi_t * (psi_t * self._combine(a) - 2.0 * self._p_plus_psi_t(t, a))
+        w = psi_t * (psi_t * self._combine(a)
+                     - 2.0 * self._combine(*self.projection_coeffs(t, a)))
         return self.tr(self.phi * w)

@@ -9,6 +9,7 @@ of this module, printed with each check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -269,7 +270,10 @@ def _emit(report: dict, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="ellpoisson",
         description="numerical verification of elliptic quadratic Poisson "
@@ -340,10 +344,7 @@ def main(argv=None) -> int:
             checks, tables = cmd_homology(cfg, args.inject_sign_flip)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown command {args.command}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EllPoissonError as exc:
+    except (UsageError, EllPoissonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0

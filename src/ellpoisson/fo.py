@@ -64,24 +64,6 @@ def f_constants(basis: ThetaBasis) -> FConstants:
     return FConstants(n, table)
 
 
-@dataclass(frozen=True)
-class FORelationTensor:
-    """Relation coefficients R[i, j, r] at a fixed translation parameter.
-
-    Rows with i == j are not part of the presentation and are left zero.
-    """
-
-    n: int
-    k: int
-    eta: complex
-    coeffs: np.ndarray
-
-    def relation(self, i, j):
-        if i % self.n == j % self.n:
-            raise IndexError("relations are indexed by pairs i != j")
-        return self.coeffs[i % self.n, j % self.n]
-
-
 def _check_coprime(n: int, k: int):
     if not 0 < k < n:
         raise ValueError("k must satisfy 0 < k < n")
@@ -116,13 +98,14 @@ def _relation_rows(basis: ThetaBasis, k: int, etas) -> np.ndarray:
     return rel
 
 
-def fo_relations(basis: ThetaBasis, k: int, eta: complex) -> FORelationTensor:
-    """The quadratic relation tensor at translation parameter eta."""
+def fo_relations(basis: ThetaBasis, k: int, eta: complex) -> np.ndarray:
+    """The quadratic relation tensor R[i, j, r] at translation parameter
+    eta: the coefficient of x_{j-r} x_{i+r} in relation (i, j).  Rows with
+    i == j are not part of the presentation and are left zero."""
     n = basis.n
-    eta = complex(eta)
-    row = _relation_rows(basis, k, np.array([eta]))[0]
+    row = _relation_rows(basis, k, np.array([complex(eta)]))[0]
     i, j = np.indices((n, n))
-    return FORelationTensor(n, k, eta, row[(j - i) % n])
+    return row[(j - i) % n]
 
 
 def sklyanin_bracket(basis: ThetaBasis, k: int) -> QuadraticBracket:

@@ -1,15 +1,27 @@
-"""Independent oracles for the graded bracket table of ``ellpoisson.poisson``.
+"""Independent oracles for the graded bracket table of ``ellpoisson.poisson``
+and the sample tables of ``ellpoisson.cech``.
 
 Sparse polynomials, the Leibniz extension of the generator brackets, the
 bivector contraction, and the dense n^4 coefficient tensor with its Jacobi
 contraction.  They expand ``QuadraticBracket.coeffs`` into monomials with
 their own loops and share no formulas with the package, which never calls
-them.
+them.  :func:`phi` evaluates phi_alpha = theta_alpha / theta_0 pointwise,
+without the 1/n shift that fills the ``ResidueSystem`` tables.
 """
 
 import numpy as np
 
 from ellpoisson.poisson import QuadraticBracket
+from ellpoisson.theta import ThetaBasis, theta_alpha_eval
+
+
+def phi(basis: ThetaBasis, alpha: int):
+    """Evaluator of phi_alpha = theta_alpha / theta_0 (phi_0 = 1)."""
+    alpha %= basis.n
+    if alpha == 0:
+        return lambda z: np.ones_like(np.asarray(z, dtype=complex))
+    return lambda z: (theta_alpha_eval(basis, alpha, z)
+                      / theta_alpha_eval(basis, 0, z))
 
 
 class Polynomial:

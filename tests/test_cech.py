@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from ellpoisson.cech import (
-    GlobalSection,
     QuadratureConfig,
     ResidueSystem,
     laurent_coeffs,
-    p_plus,
-    phi,
     psi_local_constant,
 )
 from ellpoisson.errors import ContourError, DegenerateTauError
@@ -25,6 +22,8 @@ from ellpoisson.theta import (
     theta_alpha_eval,
     theta_alpha_jet,
 )
+
+from oracles import phi
 
 Q = QuadratureConfig()
 
@@ -204,25 +203,15 @@ class TestTrace:
 
 
 class TestGlobalSection:
-    def test_evaluator_matches_basis_combination(self):
-        b = basis(3)
-        sec = GlobalSection(b, np.array([0.5, -1.0j, 2.0]))
-        z = np.array([0.31 + 0.21j, 0.12 + 0.55j])
-        direct = 0.5 - 1.0j * phi(b, 1)(z) + 2.0 * phi(b, 2)(z)
-        assert np.max(np.abs(sec(z) - direct)) < 1e-13
-
     def test_coordinates_recovered_by_pairing(self):
         # tr(sec * psi_beta) reads off the coefficients; the section is
-        # evaluated by its own closures at the table's nodes
+        # evaluated by the direct oracle at the table's nodes
         s = system(3)
         coeffs = np.array([0.3, 1.2 - 0.4j, -0.7j])
-        values = GlobalSection(s.basis, coeffs)(s.nodes)
+        values = sum(c * phi(s.basis, a)(s.nodes)
+                     for a, c in enumerate(coeffs))
         for beta in range(3):
             assert abs(s.tr(values * s.psi[beta]) - coeffs[beta]) < 1e-9
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            GlobalSection(basis(3), np.ones(4))
 
     def test_covector_cocycle_has_zero_total_residue(self):
         # psi_t (phi_i - t_i) lies in the zero-residue subspace
@@ -239,21 +228,33 @@ class TestPPlus:
         for j in (1, 2):
             assert s.verify_p_plus(j, 0) < 1e-8
 
-    def test_phi_part_is_a_global_section(self):
-        b = basis(3)
-        form = p_plus(1, 2, b)
-        sec = form.phi_part()
-        assert isinstance(sec, GlobalSection)
-        z = np.array([0.4 + 0.3j])
-        assert abs(sec(z)[0] - form.phi_coeffs[1] * phi(b, 1)(z)[0]) < 1e-12
-
     def test_coefficient_for_psi1_phi2(self):
-        b = basis(3)
-        form = p_plus(1, 2, b)
-        th = b.theta_at_zero
-        expected = b.dtheta_at_zero[0] * th[2] / (th[1] * th[1])
-        assert set(form.phi_coeffs) == {1}
-        assert abs(form.phi_coeffs[1] - expected) < 1e-12
+        # the expansion at t = e_alpha, phi = phi_beta against the theta
+        # values at 0, for every ordered pair alpha != beta at n = 3 and 5
+        for n in (3, 5):
+            s = system(n)
+            th = s.basis.theta_at_zero
+            dth = s.basis.dtheta_at_zero
+            unit = np.eye(n, dtype=complex)
+            for alpha in range(n):
+                for beta in range(n):
+                    if alpha == beta:
+                        continue
+                    got_phi, got_dphi = s.projection_coeffs(unit[alpha],
+                                                            unit[beta])
+                    want_phi = np.zeros(n, dtype=complex)
+                    want_dphi = np.zeros(n, dtype=complex)
+                    if alpha == 0:
+                        want_phi[beta] = (dth[beta] / th[beta]
+                                          - 1j * math.pi * n)
+                        want_dphi[beta] = -1.0
+                    elif beta != 0:
+                        want_phi[(beta - alpha) % n] = (
+                            dth[0] * th[beta]
+                            / (th[alpha] * th[(beta - alpha) % n]))
+                    scale = max(1.0, float(np.max(np.abs(want_phi))))
+                    assert np.max(np.abs(got_phi - want_phi)) <= 1e-12 * scale
+                    assert np.array_equal(got_dphi, want_dphi)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_all_pairs_certified(self, n):
@@ -272,9 +273,9 @@ class TestPPlus:
             s.verify_p_plus_zero_sum([1.0, 1.0, 1.0])
 
     def test_diagonal_rejected_outside_combinations(self):
-        b = basis(3)
-        with pytest.raises(ValueError):
-            p_plus(1, 1, b)
+        s = system(3)
+        with pytest.raises(ValueError, match="zero-sum"):
+            s.verify_p_plus(1, 1)
 
     def test_perturbed_constant_detected(self):
         s = system(3)
@@ -353,14 +354,6 @@ class TestPiT:
         t = np.array([1.0, 0.2, -0.4], dtype=complex)
         with pytest.raises(ValueError):
             s.pi_t_class(t, np.array([1.0, 0.0, 0.0]))
-
-    def test_accepts_global_section(self):
-        s = system(3)
-        t = np.array([1.0, 0.2, -0.4], dtype=complex)
-        coeffs = np.array([-t[1], 1.0, 0.0], dtype=complex)
-        by_array = s.pi_t_class(t, coeffs)
-        by_section = s.pi_t_class(t, GlobalSection(s.basis, coeffs))
-        assert np.array_equal(by_array, by_section)
 
     def test_linearity(self):
         b = basis(3)

@@ -73,8 +73,11 @@ class TestRelations:
                 expected = (b.theta_at_zero[(j - i) % n]
                             / (theta_alpha_eval(b, 0, eta)
                                * theta_alpha_eval(b, j - i, -eta)))
-                assert abs(rel.relation(i, j)[0] - expected) < 1e-12 * abs(expected)
-        assert np.all(np.isfinite(rel.coeffs))
+                assert abs(rel[i, j][0] - expected) < 1e-12 * abs(expected)
+        assert rel.shape == (n, n, n)
+        assert np.all(np.isfinite(rel))
+        # rows i == j are not part of the presentation
+        assert not np.any(rel[np.arange(n), np.arange(n)])
 
     def test_torsion_eta_rejected(self):
         with pytest.raises(DegenerateEtaError):
@@ -174,7 +177,7 @@ class TestSemiclassical:
         got = QuadraticBracket(n, single_eta_bracket(b, k, eta))
         for i in range(n):
             for j in range(i + 1, n):
-                c = rel.relation(i, j)
+                c = rel[i, j]
                 d = j - i
                 expect = {tuple(sorted((i, j))): (-c[0] / c[d] - 1.0) / eta}
                 for r in range(n):
