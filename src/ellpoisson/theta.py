@@ -5,26 +5,33 @@ The building block is the entire function
     theta(z) = sum_m (-1)^m exp(2*pi*i*(m*z + m*(m-1)*tau/2)),
 
 a section of the degree-1 line bundle (simple zero on the lattice).  The
-degree-n basis indexed by ``alpha`` in Z/n is the product
+degree-n basis indexed by ``alpha`` in Z/n is defined by the product
 
-    theta_alpha(z) = prod_{m=0}^{n-1} theta(z + m/n + alpha*tau/n)
-          * exp(2*pi*i*(alpha*z + alpha*(alpha-n)*tau/(2n) + alpha/(2n)))
+    theta_alpha(z) = prod_{m=0}^{n-1} theta(z + m/n + alpha*tau/n) * E_alpha(z),
+    E_alpha(z) = exp(2*pi*i*(alpha*z + alpha*(alpha-n)*tau/(2n) + alpha/(2n))),
 
 which diagonalises the shift-by-1/n operator and is exactly n-periodic in
-the index.  Values and derivatives are read off one object, the truncated
-Taylor jet (f, f', f''/2, ...) on a leading array axis, which
-``theta_alpha_jet`` returns whole: the series yields it from one matmul,
-and the quasi-periodicity multiplier, the n shifted factors and the
-exponential factor are combined by one truncated Taylor product,
-``_jet_mul``.  The index alpha may be an integer or a 1-D integer array;
-an array puts theta_alpha for every listed alpha on a trailing axis, so the
-whole basis on a point grid is one evaluation of the (alpha, m) grid of
-shifted factors, taken in chunks of bounded size.  Evaluators accept
-scalars or numpy arrays of points and are pure functions of their
-arguments; a constructed :class:`ThetaBasis` is immutable.  A point where
-the value may leave double-precision range (large |Im z| / Im tau) raises
-:class:`ThetaRangeError` before anything is evaluated.  Discs are sampled
-on the trapezoid nodes of ``circle_nodes``, sized by ``shortest_period``.
+the index.  It is evaluated as one series at n*tau: by the Jacobi triple
+product theta(z) = (Q;Q) (x;Q) (Q/x;Q), x = exp(2*pi*i*z),
+Q = exp(2*pi*i*tau), the n shifted factors multiply to C theta(n z; n tau)
+with C = (Q;Q)^n / (Q^n;Q^n), so
+
+    theta_alpha(z) = C * theta(n*z + alpha*tau; n*tau) * E_alpha(z).
+
+Values and derivatives are read off one object, the truncated Taylor jet
+(f, f', f''/2, ...) on a leading array axis, which ``theta_alpha_jet``
+returns whole: the series yields it from one matmul, and the
+quasi-periodicity multiplier and the exponential factor are combined with it
+by truncated Taylor products, ``_jet_mul``.  The index alpha may be an
+integer or a 1-D integer array; an array puts theta_alpha for every listed
+alpha on a trailing axis, so the whole basis on a point grid is one series
+evaluation on the (point, alpha) grid, taken in chunks of bounded size.
+Evaluators accept scalars or numpy arrays of points and are pure functions
+of their arguments; a constructed :class:`ThetaBasis` is immutable.  A point
+where the value may leave double-precision range (large |Im z| / Im tau)
+raises :class:`ThetaRangeError` before anything is evaluated.  Discs are
+sampled on the trapezoid nodes of ``circle_nodes``, sized by
+``shortest_period``.
 """
 
 from __future__ import annotations
@@ -118,6 +125,12 @@ def circle_nodes(points: int, rho: float) -> np.ndarray:
     return rho * np.exp(TWO_PI_I * np.arange(points) / points)
 
 
+def _euler_terms(tau: complex) -> int:
+    """Smallest K with |Q|^K < 2^-60, Q = exp(2*pi*i*tau): the Euler
+    factors 1 - Q^k, k = 1..K, that the product constant keeps."""
+    return math.floor(60.0 * math.log(2.0) / (2.0 * math.pi * tau.imag)) + 1
+
+
 def _reduce_to_cell(z, tau):
     """Split z = z0 + a + b*tau with z0 in the fundamental cell.
 
@@ -130,17 +143,23 @@ def _reduce_to_cell(z, tau):
 
 
 def _check_range(z, height, factors=1, alphas=None):
-    """Raise ThetaRangeError unless every partial product of theta_alpha(z)
-    (``factors`` theta factors) stays in double range for each alpha in
-    ``alphas``, or of theta itself when ``alphas`` is None; ``height`` is
-    Im(tau) and z an array.
+    """Raise ThetaRangeError unless theta_alpha(z) stays in double range for
+    each alpha in ``alphas``, or theta itself when ``alphas`` is None;
+    ``height`` is Im(tau), ``factors`` the order n and z an array.
 
-    The factors sit at z + m/n + alpha*tau/n and share one reduced lattice
-    index b = floor(Im z / Im tau + alpha/n) per point, so their product is
-    at most exp(n pi Im(tau) |b|(|b|+1)) times the size of the exponential
-    factor of theta_alpha.  b is monotone in Im z, so the two extreme points
-    bound it; non-finite points fail.  The message names the first failing
-    alpha.
+    theta_alpha sums one series at w = n z + alpha tau on Z + Z n tau.  Its
+    reduction uses the lattice index b = floor(Im z / Im tau + alpha/n), the
+    index the n factors theta(z + m/n + alpha tau/n) of the defining product
+    share, so the series' multiplier is at most exp(n pi Im(tau) |b|(|b|+1))
+    as their product is, times the size of the exponential factor E_alpha.
+    The constant C = (Q;Q)^n / (Q^n;Q^n), Q = exp(2 pi i tau), adds little:
+    term by term |C| <= exp(n r/(1 - r)) / (r^n; r^n), r = |Q|, and from
+    |eta(tau)| (Im tau)^(1/4) < 0.78 with eta(i t) = eta(i/t) / sqrt(t),
+    log|C| <= n log(0.78 (Im tau)^(-1/4)) + n pi Im(tau)/12
+    + pi/(12 n Im tau) + 0.01, about e^21 at n = 31 and Im tau = 0.028,
+    about the smallest ThetaBasis accepts there.  b is monotone in Im z, so
+    the two extreme points bound it; non-finite points fail.  The message
+    names the first failing alpha.
     """
     if not z.size:
         return
@@ -253,45 +272,57 @@ class ThetaSection:
 class ThetaBasis:
     """Precomputed data for the basis theta_0, ..., theta_{n-1}.
 
-    ``series_bound`` is the truncation ``TRUNCATION_EPS`` gives at tau.
-    ``theta_at_zero`` and ``dtheta_at_zero`` hold theta_alpha(0) and
-    theta_alpha'(0); theta_0(0) is an exact zero (the series terms cancel in
-    pairs), so it is stored as 0.
+    Every basis value is one series at n*tau times the constant
+    ``product_constant``, C = (Q;Q)^n / (Q^n;Q^n) with Q = exp(2 pi i tau),
+    of the product identity (module docstring).  ``series_bound`` is the
+    truncation ``TRUNCATION_EPS`` gives at n*tau, and C is the Euler
+    product truncated after ``_euler_terms`` factors.  ``theta_at_zero``
+    and ``dtheta_at_zero`` hold theta_alpha(0) and theta_alpha'(0);
+    theta_0(0) is an exact zero (the series terms cancel in pairs), so it
+    is stored as 0.  A lattice whose values at 0 are lost in rounding is
+    refused by the a priori bound of ``_rounding_bound`` before C or any
+    series is evaluated.
     """
 
     params: CurveParams
     series_bound: int = field(init=False)
+    product_constant: complex = field(init=False)
     theta_at_zero: np.ndarray = field(init=False)
     dtheta_at_zero: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        bound = series_bound_for(self.params.tau, TRUNCATION_EPS)
-        object.__setattr__(self, "series_bound", bound)
-        vals, ders = theta_alpha_jet(self, np.arange(self.n), 0.0, 1)
+        n, tau = self.n, self.params.tau
+        object.__setattr__(self, "series_bound",
+                           series_bound_for(n * tau, TRUNCATION_EPS))
+        rounding = self._rounding_bound()
+        if not rounding <= ROUNDING_LIMIT:
+            raise DegenerateTauError(
+                f"Im tau = {tau.imag:g} is out of numerical range at n = {n}: "
+                f"rounding in the theta series may reach {rounding:.1e} of a "
+                f"basis value at 0, beyond {ROUNDING_LIMIT:g}")
+        # the Euler factors 1 - Q^k; every n-th is a factor of (Q^n;Q^n)
+        factors = 1.0 - np.exp(
+            TWO_PI_I * (tau * np.arange(1, _euler_terms(tau) + 1)))
+        object.__setattr__(self, "product_constant", complex(
+            np.prod(factors) ** n / np.prod(factors[n - 1::n])))
+        vals, ders = theta_alpha_jet(self, np.arange(n), 0.0, 1)
         vals[0] = 0.0
         object.__setattr__(self, "theta_at_zero", vals)
         object.__setattr__(self, "dtheta_at_zero", ders)
         self._check_tables()
 
     def _check_tables(self):
-        """Refuse a basis whose values at 0 are lost in rounding.
+        """Refuse a basis whose values at 0 are numerically zero.
 
         theta_0'(0) and theta_alpha(0), alpha != 0, are nonzero for every
-        tau; only a small Im(tau) makes them numerically zero.  The a priori
-        bound of ``_rounding_bound`` is tested first, because the relative
-        tests below can pass on noise (n = 2, tau = 1e-6 i).  Each value
-        at 0 is then compared without its exponential factor E_alpha,
+        tau; only a small Im(tau) makes them numerically zero.  These
+        relative tests can pass on noise (n = 2, tau = 1e-6 i), which is why
+        the rounding bound is tested first.  Each value at 0 is compared
+        without its exponential factor E_alpha,
         |E_alpha(0)| = exp(pi alpha (n - alpha) Im(tau) / n), which at large
         n spreads the raw values over many orders of magnitude.
         """
         n = self.params.n
-        rounding = self._rounding_bound()
-        if not rounding <= ROUNDING_LIMIT:
-            raise DegenerateTauError(
-                f"Im tau = {self.params.tau.imag:g} is out of numerical range "
-                f"at n = {n}: rounding in the theta series may reach "
-                f"{rounding:.1e} of a basis value at 0, beyond "
-                f"{ROUNDING_LIMIT:g}")
         alpha = np.arange(n)
         size = np.exp(np.pi * alpha * (n - alpha) * self.params.tau.imag / n)
         vals = np.abs(self.theta_at_zero) / size
@@ -315,27 +346,24 @@ class ThetaBasis:
     def _rounding_bound(self) -> float:
         """A priori relative rounding error of the values at 0.
 
-        A series sum carries a rounding error of about 2^-53 sum|terms|,
-        so each factor theta(m/n + alpha*tau/n) of theta_alpha(0) has
-        relative error 2^-53 sum|terms| / |value|, and the product the sum
-        of its factors' errors.  The zero factor of theta_0 enters through
-        its derivative, as in theta_0'(0).  Returns the largest over alpha;
-        the factors are summed in chunks of at most 2^16 terms.
+        theta_alpha(0) is C theta(alpha*tau; n*tau) E_alpha(0), and
+        alpha*tau reduces into the fundamental cell of Z + Z*n*tau with
+        lattice index 0, so the series that runs has no multiplier.  Its sum
+        carries a rounding error of about 2^-53 sum|terms|, a relative
+        error of 2^-53 sum|terms| / |value|; the zero of theta_0 enters
+        through its derivative, as in theta_0'(0).  The K Euler factors of
+        C, each raised to the n-th power or divided out once, add
+        K (n + 1) 2^-53.  Returns the largest over alpha of the sum.
         """
-        n, tau, bound = self.n, self.params.tau, self.series_bound
-        # row alpha holds the n factors of theta_alpha
-        points = np.arange(n) / n + np.arange(n)[:, None] * tau / n
-        z0, _ = _reduce_to_cell(points.ravel(), tau)
-        order = (np.arange(n * n) == 0).astype(int)
-        ratio = np.empty(n * n)
-        step = max(1, _CHUNK_TERMS // (2 * bound + 2))
-        for i in range(0, n * n, step):
-            terms, weights = _series_terms(z0[i:i + step], tau, bound, 1)
-            pick = (np.arange(len(terms)), order[i:i + step])
-            size = (np.abs(terms) @ np.abs(weights))[pick]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio[i:i + step] = size / np.abs((terms @ weights)[pick])
-        return 2.0 ** -53 * float(np.max(ratio.reshape(n, n).sum(axis=1)))
+        n, tau = self.n, self.params.tau
+        z0, _ = _reduce_to_cell(np.arange(n) * tau, n * tau)
+        terms, weights = _series_terms(z0, n * tau, self.series_bound, 1)
+        pick = (np.arange(n), (np.arange(n) == 0).astype(int))
+        size = (np.abs(terms) @ np.abs(weights))[pick]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = size / np.abs((terms @ weights)[pick])
+        return 2.0 ** -53 * (float(np.max(ratio))
+                             + _euler_terms(tau) * (n + 1))
 
     @property
     def n(self) -> int:
@@ -355,18 +383,18 @@ class ThetaBasis:
 
 def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
                     order: int):
-    """Jet of the defining product of theta_alpha at integer indices alpha.
+    """Jet of theta_alpha = C theta(n z + alpha tau; n tau) E_alpha(z) at
+    integer indices alpha.
 
     ``alpha`` is an integer or a 1-D integer array; an array appends a
     trailing axis with one entry per index, so one call evaluates the whole
     basis.  Entry j of the leading axis holds the j-th derivative divided
     by j!, so one order-1 call yields values and first derivatives
-    together.  The factors theta(z + m/n + alpha*tau/n) of every alpha are
-    evaluated in one call on two trailing axes (alpha, m) and multiplied
-    along m, with the jet of the exponential factor, by the truncated
-    Taylor product, which needs no division and so stays exact at the
-    zeros of single factors.  The points are taken in chunks so that no
-    series matmul holds more than 2^16 terms.
+    together; the inner argument n z puts a factor n^j on entry j of the
+    series jet.  One series at n*tau is summed per point and index, on the
+    (point, alpha) grid, in chunks of points so that no series matmul holds
+    more than 2^16 terms; its jet is multiplied by the jet of the
+    exponential factor in one truncated Taylor product.
     """
     n = basis.n
     tau = basis.params.tau
@@ -377,22 +405,18 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
         raise ValueError("alpha must be an integer or a 1-D integer array")
     a = np.atleast_1d(index)
     _check_range(z, tau.imag, n, a.tolist())
-    # offsets[i, m]: the shift of factor m of theta_{a[i]}
-    offsets = np.arange(n) / n + a[:, None] * tau / n
     flat = z.ravel()
-    prod = np.empty((order + 1, flat.size, a.size), dtype=complex)
-    step = max(1, _CHUNK_TERMS // (offsets.size * (2 * bound + 2)))
+    series = np.empty((order + 1, flat.size, a.size), dtype=complex)
+    step = max(1, _CHUNK_TERMS // (a.size * (2 * bound + 2)))
     for i in range(0, flat.size, step):
-        factors = _theta_jet(flat[i:i + step, None, None] + offsets, tau,
-                             bound, order)
-        jet = factors[..., 0]
-        for m in range(1, n):
-            jet = _jet_mul(jet, factors[..., m])
-        prod[:, i:i + step] = jet
+        w = n * flat[i:i + step, None] + a * tau
+        series[:, i:i + step] = _theta_jet(w, n * tau, bound, order)
+    series *= (basis.product_constant
+               * float(n) ** np.arange(order + 1))[:, None, None]
     ex = np.exp(TWO_PI_I * (np.multiply.outer(z, a)
                             + a * (a - n) * tau / (2.0 * n) + a / (2.0 * n)))
     out = _jet_mul(_exp_jet(ex, TWO_PI_I * a, order),
-                   prod.reshape((order + 1,) + z.shape + (a.size,)))
+                   series.reshape((order + 1,) + z.shape + (a.size,)))
     return out if index.ndim else out[..., 0]
 
 
@@ -405,7 +429,7 @@ def theta_alpha_eval(basis: ThetaBasis, alpha: int | np.ndarray, z):
 
 def theta_alpha_deriv(basis: ThetaBasis, alpha: int | np.ndarray, z,
                       order: int = 1):
-    """order-th derivative of theta_alpha, read off the product's jet.
+    """order-th derivative of theta_alpha, read off its jet.
 
     The jet is exact term-wise differentiation; finite differences are
     never used here.  An integer array alpha appends a trailing axis.

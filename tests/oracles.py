@@ -1,5 +1,6 @@
-"""Independent oracles for the graded bracket table of ``ellpoisson.poisson``
-and the sample tables of ``ellpoisson.cech``.
+"""Independent oracles for the order-n theta basis of ``ellpoisson.theta``,
+the graded bracket table of ``ellpoisson.poisson`` and the sample tables of
+``ellpoisson.cech``.
 
 Sparse polynomials, the Leibniz extension of the generator brackets, the
 bivector contraction, and the dense n^4 coefficient tensor with its Jacobi
@@ -7,12 +8,39 @@ contraction.  They expand ``QuadraticBracket.coeffs`` into monomials with
 their own loops and share no formulas with the package, which never calls
 them.  :func:`phi` evaluates phi_alpha = theta_alpha / theta_0 pointwise,
 without the 1/n shift that fills the ``ResidueSystem`` tables.
+:func:`theta_alpha_product` evaluates theta_alpha by its defining product
+of n shifted theta factors, which the package replaces by one series.
 """
+
+import math
 
 import numpy as np
 
 from ellpoisson.poisson import QuadraticBracket
-from ellpoisson.theta import ThetaBasis, theta_alpha_eval
+from ellpoisson.theta import ThetaBasis, theta_alpha_eval, theta_eval
+
+
+def theta_alpha_product(basis: ThetaBasis, alpha: int, z, order: int = 0):
+    """Jet (f, f', f''/2)[:order + 1] of the defining product
+
+        theta_alpha(z) = prod_{m<n} theta(z + m/n + alpha tau/n) * E_alpha(z),
+
+    from n ``theta_eval`` factors per derivative order and a Leibniz loop
+    over the Taylor coefficients.
+    """
+    n, tau = basis.n, basis.params.tau
+    z = np.asarray(z, dtype=complex)
+    rate = 2j * math.pi * alpha
+    e = np.exp(rate * z + 2j * math.pi * (alpha * (alpha - n) * tau / (2 * n)
+                                          + alpha / (2 * n)))
+    jet = [e * rate ** j / math.factorial(j) for j in range(order + 1)]
+    for m in range(n):
+        w = z + m / n + alpha * tau / n
+        factor = [theta_eval(tau, w, order=j) / math.factorial(j)
+                  for j in range(order + 1)]
+        jet = [sum(jet[i] * factor[k - i] for i in range(k + 1))
+               for k in range(order + 1)]
+    return np.stack(jet)
 
 
 def phi(basis: ThetaBasis, alpha: int):

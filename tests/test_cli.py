@@ -149,6 +149,18 @@ class TestExitCodes:
                           *tau], tmp_path)
         assert code == 0, text
 
+    @pytest.mark.parametrize("n, k", [(3, 1), (5, 1), (5, 2), (7, 1),
+                                      (7, 3)])
+    def test_sklyanin_passes_at_small_im_tau(self, n, k, tmp_path):
+        # the n shifted factors of the defining product lost about five
+        # digits at tau = 0.05i, and the Jacobi defect read up to 5e-10;
+        # the one series at n tau keeps it at rounding level
+        code, text = run(["sklyanin", "--n", str(n), "--k", str(k),
+                          "--tau", "0", "0.05"], tmp_path)
+        assert code == 0, text
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert checks["jacobi_defect"]["residual"] <= 1e-13
+
     @pytest.mark.parametrize("error, name", [
         (1e-6, "semiclassical_deviation"),
         (1e-3, "semiclassical_slope_shortfall"),

@@ -10,6 +10,7 @@ import pytest
 from ellpoisson import theta
 from ellpoisson.errors import DegenerateTauError, ThetaRangeError
 from ellpoisson.theta import (
+    ROUNDING_LIMIT,
     T_ONE_OVER_N,
     T_TAU_OVER_N,
     CurveParams,
@@ -24,6 +25,7 @@ from ellpoisson.theta import (
     verify_automorphy,
     zeta_multiplier,
 )
+from oracles import theta_alpha_product
 
 TAU_SQUARE = 1j
 TAU_GENERIC = 0.3 + 0.8j
@@ -51,6 +53,42 @@ def cauchy_derivative(f, z, order, radius, nodes=64):
     weight = math.factorial(order) / radius ** order
     return (weight * np.mean(vals * w ** -order, axis=1),
             weight * np.max(np.abs(vals), axis=1))
+
+
+def mpmath_basis_jet(mp, n, tau, z, order):
+    """Jet (f, f', f''/2)[:order + 1] of every theta_alpha at the points z,
+    on a trailing alpha axis, from the defining product of n factors
+    theta(w) = -i exp(pi i (w - tau/4)) theta_1(pi w, exp(pi i tau)) and
+    E_alpha in mpmath at the working precision."""
+    t = mp.mpc(tau)
+    nome = mp.exp(1j * mp.pi * t)
+    out = np.empty((order + 1, len(z), n), dtype=complex)
+    for p, w in enumerate(map(mp.mpc, z)):
+        for alpha in range(n):
+            e = mp.exp(2j * mp.pi * (alpha * w + alpha * (alpha - n) * t
+                                     / (2 * n) + mp.mpf(alpha) / (2 * n)))
+            jet = [e * (2j * mp.pi * alpha) ** j / mp.factorial(j)
+                   for j in range(order + 1)]
+            for m in range(n):
+                u = w + mp.mpf(m) / n + alpha * t / n
+                f = -1j * mp.exp(1j * mp.pi * (u - t / 4))
+                th = [mp.jtheta(1, mp.pi * u, nome, j) * mp.pi ** j
+                      for j in range(order + 1)]
+                factor = [sum(f * (1j * mp.pi) ** i / mp.factorial(i)
+                              * th[k - i] / mp.factorial(k - i)
+                              for i in range(k + 1))
+                          for k in range(order + 1)]
+                jet = [sum(jet[i] * factor[k - i] for i in range(k + 1))
+                       for k in range(order + 1)]
+            out[:, p, alpha] = [complex(v) for v in jet]
+    return out
+
+
+def jet_error(table, ref):
+    """Largest deviation of each jet order over points and indices,
+    relative to the largest entry of that order."""
+    return (np.max(np.abs(table - ref), axis=(1, 2))
+            / np.max(np.abs(ref), axis=(1, 2)))
 
 
 def basis(n, tau):
@@ -184,8 +222,48 @@ class TestThetaAlpha:
             scale = np.max(np.abs(rhs))
             assert np.max(np.abs(lhs - rhs)) < 1e-8 * scale
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC, 0.5j])
+    def test_matches_defining_product(self, n, tau):
+        # values and order-1 and order-2 jets of the one series at n tau
+        # against the n theta_eval factors of the defining product; measured
+        # at most 4.0e-15.  At Im tau <= 0.1 the product itself loses digits
+        # (1.5e-10 at tau = 0.05i, n = 7), so mpmath is the reference there
+        b = basis(n, tau)
+        z = sample_points(tau, 6, seed=8)
+        ref = np.stack([theta_alpha_product(b, a, z, 2) for a in range(n)],
+                       axis=-1)
+        assert np.all(jet_error(theta_alpha_jet(b, np.arange(n), z, 2), ref)
+                      < 1e-13)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC, 0.5j, 0.1j,
+                                     0.05j])
+    def test_matches_mpmath_product(self, n, tau):
+        # the defining product of theta_1 factors at 30 digits; measured at
+        # most 1.1e-14, where the product of double factors reached 1.5e-10
+        mp = pytest.importorskip("mpmath")
+        b = basis(n, tau)
+        z = sample_points(tau, 4, seed=9)
+        with mp.workdps(30):
+            ref = mpmath_basis_jet(mp, n, tau, z, 2)
+        assert np.all(jet_error(theta_alpha_jet(b, np.arange(n), z, 2), ref)
+                      < 1e-13)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC, 0.5j, 0.1j,
+                                     0.05j])
+    def test_product_constant_matches_mpmath(self, n, tau):
+        # C = (Q;Q)^n / (Q^n;Q^n) of the triple product; measured at most
+        # 6.9e-15
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            q = mp.exp(2j * mp.pi * mp.mpc(tau))
+            ref = complex(mp.qp(q, q) ** n / mp.qp(q ** n, q ** n))
+        assert abs(basis(n, tau).product_constant - ref) < 1e-14 * abs(ref)
+
     def test_index_periodicity(self):
-        # theta_{alpha+n} from the defining product agrees with theta_alpha
+        # theta_{alpha+n} at the unreduced index agrees with theta_alpha
         for tau in (TAU_SQUARE, TAU_GENERIC):
             b = basis(5, tau)
             z = sample_points(tau, 10, seed=6)
@@ -277,8 +355,7 @@ class TestDoubleRange:
                 try:
                     vals = (theta_alpha_eval(b, alpha, z),
                             theta_alpha_deriv(b, alpha, z, 2),
-                            theta_eval(b.params.tau, z,
-                                       series_bound=b.series_bound, order=2))
+                            theta_eval(b.params.tau, z, order=2))
                 except ThetaRangeError:
                     refused += 1
                     continue
@@ -322,10 +399,12 @@ class TestAllAlpha:
         # unreduced indices on both sides of [0, n)
         alphas = np.arange(-1, n + 1)
         rng = np.random.default_rng(11)
-        line = rng.uniform(-1, 2, 200) + rng.uniform(-1, 2, 200) * tau
+        size = 2000 if n == 13 else 200
+        line = rng.uniform(-1, 2, size) + rng.uniform(-1, 2, size) * tau
         if n == 13:
-            # the line spans several chunks of the all-alpha series
-            assert (line.size * alphas.size * n * (2 * b.series_bound + 2)
+            # the line spans several chunks of the all-alpha series, one
+            # series per point and index
+            assert (line.size * alphas.size * (2 * b.series_bound + 2)
                     > 2 * theta._CHUNK_TERMS)
         calls = [lambda a, z, o=o: theta_alpha_jet(b, a, z, o)
                  for o in (0, 1, 2)]
@@ -339,6 +418,21 @@ class TestAllAlpha:
                 assert table.shape == ref.shape
                 assert (np.max(np.abs(table - ref))
                         <= 1e-14 * np.max(np.abs(ref)))
+
+    def test_one_series_per_point_and_index(self, monkeypatch):
+        # a P-point x A-index call sums exactly P A series at n tau, not
+        # the n shifted factors of each theta_alpha
+        b = basis(7, TAU_GENERIC)
+        rows = []
+
+        def counted(z0, tau, bound, order):
+            rows.append(np.size(z0))
+            return series_terms(z0, tau, bound, order)
+
+        series_terms = theta._series_terms
+        monkeypatch.setattr(theta, "_series_terms", counted)
+        theta_alpha_jet(b, np.arange(5), sample_points(TAU_GENERIC, 30), 2)
+        assert sum(rows) == 30 * 5
 
     def test_scalar_alpha_keeps_its_shape(self):
         b = basis(5, TAU_SQUARE)
@@ -368,8 +462,8 @@ class TestAllAlpha:
             theta_alpha_eval(b, 1.0, 0.1)
 
     def test_all_alpha_jet_memory_stays_flat(self):
-        # unchunked, the series terms of 10^4 points x 13 alpha x 13
-        # factors alone would take 270 MB
+        # one series per point and index: unchunked, 10^4 points x 13
+        # alpha peak at 35 MB, chunked at 10 MB
         b = basis(13, TAU_SQUARE)
         z = sample_points(TAU_SQUARE, 10 ** 4)
         tracemalloc.start()
@@ -380,7 +474,7 @@ class TestAllAlpha:
             tracemalloc.stop()
         assert out.shape == (1, 10 ** 4, 13)
         assert np.all(np.isfinite(out))
-        assert peak < 32 * 2 ** 20
+        assert peak < 16 * 2 ** 20
 
 
 class TestBasisTables:
@@ -407,14 +501,28 @@ class TestBasisTables:
                            match=r"Im tau = 1e-06 is out of numerical range"):
             basis(3, 1e-6j)
 
-    @pytest.mark.parametrize("n, im", [(2, 1e-6), (2, 0.03), (5, 0.04)])
+    @pytest.mark.parametrize("n, im", [(2, 1e-6), (2, 0.02)])
     def test_series_cancellation_refused(self, n, im):
-        # each of these built before; from rounding alone its theta checks
-        # failed, or at n = 5, Im tau = 0.04 came within 10% of the default
-        # tolerance
+        # at n = 2, Im tau = 1e-6 the relative checks of the values at 0
+        # pass on noise; at Im tau = 0.02 the series at n tau may lose
+        # 1.9e-8 of theta_0'(0)
         with pytest.raises(DegenerateTauError,
                            match="rounding in the theta series"):
             basis(n, 1j * im)
+
+    @pytest.mark.parametrize("n, im", [(2, 0.03), (5, 0.04)])
+    def test_series_cancellation_accepted(self, n, im):
+        # the product of n shifted factors was refused here; the one series
+        # at n tau keeps the values to rounding level (bound 2.7e-11 and
+        # 1.2e-13); against mpmath at 30 digits measured at most 2.1e-15
+        mp = pytest.importorskip("mpmath")
+        b = basis(n, 1j * im)
+        assert b._rounding_bound() < ROUNDING_LIMIT
+        z = sample_points(1j * im, 4, seed=10)
+        with mp.workdps(30):
+            ref = mpmath_basis_jet(mp, n, 1j * im, z, 1)
+        assert np.all(jet_error(theta_alpha_jet(b, np.arange(n), z, 1), ref)
+                      < 1e-13)
 
 
 class TestHeisenberg:
