@@ -1,7 +1,8 @@
 """Theta bases, elliptic quadratic Poisson brackets and residue calculus.
 
 The package has seven building blocks: ``theta`` (the series, the order-n
-section basis and the circle nodes every disc is sampled on), ``poisson``
+section basis and the one trapezoid rule every circle is sampled on, a
+fixed node count at a quarter of the pole distance), ``poisson``
 (a Z/n-graded quadratic bracket as one n^3 coefficient table, Jacobi
 certification as entrywise products of that table with itself, Heisenberg
 canonical form, projective descent), ``fo`` (elliptic quadratic
@@ -43,7 +44,6 @@ from .poisson import (
 )
 from .fo import (
     FConstants,
-    eta_circle,
     f_constants,
     fo_relations,
     semiclassical_from_relations,
@@ -51,7 +51,6 @@ from .fo import (
     sklyanin_bracket,
 )
 from .cech import (
-    QuadratureConfig,
     ResidueSystem,
     laurent_coeffs,
 )

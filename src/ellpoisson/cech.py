@@ -18,9 +18,11 @@ route is cross-checked against the trace-pairing route.
 Every residue is a trace over the same n circles around the points of D,
 so :class:`ResidueSystem` holds phi_alpha, phi_alpha' and psi_alpha on
 those circles as sample tables and reads every quantity off them: by the
-trapezoidal rule, the Laurent coefficient c_m of f around k/n is the node
-mean of f * (z - k/n)^(-m).  The theta series is evaluated on the circle
-around 0 only: the exact 1/n-shift property
+trapezoidal rule on ``theta.circle_nodes``, the Laurent coefficient c_m of
+f around k/n is the node mean of f * (z - k/n)^(-m).  The rule has no
+settings: its node count is fixed and its radius is a quarter of the
+distance between neighbouring points of D.  The theta series is evaluated
+on the circle around 0 only: the exact 1/n-shift property
 theta_alpha(k/n + z) = omega^(alpha k) theta_alpha(z) fills every other
 disc.
 """
@@ -28,7 +30,6 @@ disc.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,36 +38,11 @@ from .fo import f_constants
 # theta_alpha_deriv and theta_alpha_eval are not called here; they stay
 # bound because perfbench/spans.py wraps ellpoisson.cech.theta_alpha_deriv
 # and ellpoisson.cech.theta_alpha_eval on every traced run
-from .theta import (ThetaBasis, circle_nodes, shortest_period,
+from .theta import (CIRCLE_POINTS, ThetaBasis, circle_nodes, shortest_period,
                     theta_alpha_deriv, theta_alpha_eval, theta_alpha_jet)
 
 # largest relative |sum_a t_a phi_a| that pi_t_class accepts as zero
 KERNEL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Trapezoid-on-circle contour settings.
-
-    ``radius`` of None resolves to a quarter of the distance d between
-    neighbouring zeros of theta_0, d = the shortest period of
-    (1/n)Z + Z*tau (at most 1/n, and exactly 1/n unless Im(tau) is small);
-    an explicit radius must stay below d/2.  Without tau, d is taken as 1/n.
-    """
-
-    circle_points: int = 128
-    radius: float | None = None
-
-    def resolve(self, n: int, tau: complex | None = None) -> tuple[int, float]:
-        if self.circle_points < 32:
-            raise ValueError("need at least 32 contour points")
-        d = 1.0 / n if tau is None else shortest_period(n, tau)
-        rho = self.radius if self.radius is not None else d / 4
-        if not 0 < rho < d / 2:
-            raise ValueError(f"radius must lie strictly between 0 and "
-                             f"{d / 2:.6g}, half the distance between "
-                             "neighbouring poles")
-        return self.circle_points, rho
 
 
 def _node_coeffs(samples, offsets, window: tuple[int, int]) -> np.ndarray:
@@ -81,10 +57,11 @@ def _node_coeffs(samples, offsets, window: tuple[int, int]) -> np.ndarray:
 
 
 def laurent_coeffs(f, center: complex, window: tuple[int, int],
-                   q: QuadratureConfig, n: int = 1) -> np.ndarray:
+                   n: int = 1) -> np.ndarray:
     """Laurent coefficients c_m of the callable f around center for m in
-    [m_min, m_max].  Only tests call it; perfbench/spans.py wraps it."""
-    offsets = circle_nodes(*q.resolve(n))
+    [m_min, m_max], on the circle for a pole distance of 1/n.  Only tests
+    call it; perfbench/spans.py wraps it."""
+    offsets = circle_nodes(1.0 / n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         samples = np.asarray(f(center + offsets), dtype=complex)
     if samples.shape != offsets.shape or not np.all(np.isfinite(samples)):
@@ -109,16 +86,19 @@ def psi_local_constant(basis: ThetaBasis, alpha: int, k):
 
 
 class ResidueSystem:
-    """Node tables for the residue calculus at a fixed basis and quadrature.
+    """Node tables for the residue calculus at a fixed basis.
 
     Immutable after construction.  ``nodes[k, p]`` = k/n + offsets[p] are
     the quadrature nodes on the circle around k/n, with ``points`` nodes at
-    ``radius``; ``phi``, ``dphi`` and ``psi`` hold phi_alpha, phi_alpha'
-    and psi_alpha there, as arrays indexed [alpha, k, p].  One order-1 jet
-    of each theta_alpha on the circle around 0 gives the values and
-    derivatives on disc 0; disc k is disc 0 times omega^(alpha k), exactly
-    by the 1/n-shift property (theta is 1-periodic, so the n factors of
-    theta_alpha are only permuted).  The trace tables
+    ``radius``, a quarter of the distance d between neighbouring points of
+    D, d = the shortest period of (1/n)Z + Z*tau (at most 1/n, and exactly
+    1/n unless Im(tau) is small); ``phi``, ``dphi`` and ``psi`` hold
+    phi_alpha, phi_alpha' and psi_alpha there, as arrays indexed
+    [alpha, k, p].  One order-1 jet of each theta_alpha on the circle
+    around 0 gives the values and derivatives on disc 0; disc k is disc 0
+    times omega^(alpha k), exactly by the 1/n-shift property (theta is
+    1-periodic, so the n factors of theta_alpha are only permuted).  The
+    trace tables
 
         T3[a, b] = tr(phi_a phi_b psi_{a+b}),
         TD[a, b] = tr(phi_a' phi_b psi_{a+b})
@@ -126,13 +106,13 @@ class ResidueSystem:
     are the only quadrature inputs the fully expanded bracket needs.
     """
 
-    def __init__(self, basis: ThetaBasis, quad: QuadratureConfig | None = None):
+    def __init__(self, basis: ThetaBasis):
         self.basis = basis
-        self.quad = quad if quad is not None else QuadratureConfig()
         self.f = f_constants(basis)
         n = basis.n
-        self.points, self.radius = self.quad.resolve(n, basis.params.tau)
-        self.offsets = circle_nodes(self.points, self.radius)
+        d = shortest_period(n, basis.params.tau)
+        self.points, self.radius = CIRCLE_POINTS, d / 4
+        self.offsets = circle_nodes(d)
         self.nodes = np.arange(n)[:, None] / n + self.offsets
         # shift[a, k] = omega^(a k mod n)
         shift = basis.omega ** (np.multiply.outer(np.arange(n), np.arange(n))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cech import ResidueSystem
 from .errors import EllPoissonError
-from .fo import eta_circle, f_constants, sklyanin_bracket, \
+from .fo import f_constants, sklyanin_bracket, \
     semiclassical_from_relations, single_eta_bracket
 from .homology import cone_iso_check, hom_complex, pi_bivector, \
     random_kronecker_complex
@@ -29,11 +29,14 @@ from .homology import cone_iso_check, hom_complex, pi_bivector, \
 from .leaves import classical_cubic_rows, end_dim_sheaf, enumerate_strata
 from .poisson import QuadraticBracket, hn_canonical_extract, projective_matrix
 from .theta import (
+    CIRCLE_POINTS,
     CurveParams,
     ThetaBasis,
+    shortest_period,
     theta_alpha_deriv,
     theta_alpha_eval,
     verify_automorphy,
+    zeta_multiplier,
 )
 
 # tolerances of the numerical checks; the exact checks use 0.0
@@ -42,6 +45,10 @@ BRACKET_TOL = 1e-10  # canonical form and semiclassical deviation
 SLOPE_TOL = 1e-2
 METHOD_TOL = 1e-7
 PROJECTIVE_TOL = 1e-6
+# largest a priori rounding bound of the basis values at 0 that sklyanin and
+# moduli-compare accept; semiclassical_deviation reads up to 2.4 times the
+# bound, so beyond BRACKET_TOL / 10 the checks could fail from rounding alone
+BRACKET_ROUNDING_LIMIT = BRACKET_TOL / 10
 THETA_COMMANDS = ("theta", "sklyanin", "moduli-compare")
 # The leaf records number 728,069 at n = 20 and grow about 3.3x per +2.
 MAX_LEAVES_N = 20
@@ -135,11 +142,10 @@ def cmd_theta(cfg: RunConfig):
     # column alpha of each table holds theta_alpha at the 100 points
     alpha = np.arange(n)
     va = theta_alpha_eval(basis, alpha, z)
-    m2 = np.exp(-2j * math.pi * (z + 1 / (2 * n) - (n - 1) * tau / (2 * n)))
     pairs = (
         (theta_alpha_eval(basis, alpha, z + 1.0 / n), omega ** alpha * va),
         (theta_alpha_eval(basis, alpha, z + tau / n),
-         m2[:, None] * va[:, (alpha + 1) % n]),
+         zeta_multiplier(basis, z)[:, None] * va[:, (alpha + 1) % n]),
         (theta_alpha_eval(basis, alpha, -z)[:, -alpha % n],
          -np.exp(-2j * math.pi * alpha / n)
          * np.exp(-2j * math.pi * n * z)[:, None] * va))
@@ -170,6 +176,7 @@ def cmd_theta(cfg: RunConfig):
 
 def cmd_sklyanin(cfg: RunConfig):
     basis = ThetaBasis(CurveParams(cfg.tau, cfg.n))
+    basis.require_rounding(BRACKET_ROUNDING_LIMIT, " for the bracket checks")
     bracket = sklyanin_bracket(basis, cfg.k)
     from .poisson import jacobi_defect
     checks = [_check("jacobi_defect", jacobi_defect(bracket), TOL)]
@@ -186,22 +193,24 @@ def cmd_sklyanin(cfg: RunConfig):
     est = semiclassical_from_relations(basis, cfg.k)
     deviation = est.max_difference(bracket) / bracket.max_abs()
     checks.append(_check("semiclassical_deviation", deviation, BRACKET_TOL))
-    points, radius = eta_circle(basis)
-    # d/10, d/100, d/1000; d = 4 * radius is the distance to the nearest pole
-    etas = [4 * radius / 10 ** m for m in (1, 2, 3)]
+    # d/10, d/100, d/1000; d is the distance to the nearest pole, as in
+    # the eta -> 0 circle mean, whose circle has radius d/4
+    d = shortest_period(1, basis.params.tau) / cfg.n
+    etas = [d / 10 ** m for m in (1, 2, 3)]
     singles = [QuadraticBracket(cfg.n, single_eta_bracket(basis, cfg.k, e))
                .max_difference(bracket) for e in etas]
     slope = float(np.polyfit(np.log(etas), np.log(singles), 1)[0])
     checks.append(_check("semiclassical_slope_shortfall",
                          max(0.0, 1.0 - slope), SLOPE_TOL))
     tables["semiclassical_single_eta_deviation"] = [
-        [e, d] for e, d in zip(etas, singles)]
-    tables["eta_circle"] = {"points": points, "radius": radius}
+        [e, dev] for e, dev in zip(etas, singles)]
+    tables["eta_circle"] = {"points": CIRCLE_POINTS, "radius": d / 4}
     return checks, tables
 
 
 def cmd_moduli_compare(cfg: RunConfig):
     basis = ThetaBasis(CurveParams(cfg.tau, cfg.n))
+    basis.require_rounding(BRACKET_ROUNDING_LIMIT, " for the bracket checks")
     system = ResidueSystem(basis)
     h = hn_canonical_extract(sklyanin_bracket(basis, 1))
     agree = 0.0

@@ -17,8 +17,8 @@ a quadratic Poisson bracket; its closed form (implemented in
 
 with all values taken at z = 0.  :func:`semiclassical_from_relations`
 recovers the same bracket directly from the finite-eta relations, as the
-mean of the single-eta estimate over a circle around eta = 0, and serves as
-the independent cross-check.
+mean of the single-eta estimate over ``theta.circle_nodes`` around
+eta = 0, and serves as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,11 +30,8 @@ import numpy as np
 
 from .errors import DegenerateEtaError
 from .poisson import QuadraticBracket, pair_tensor
-from .theta import ThetaBasis, circle_nodes, shortest_period, theta_alpha_eval
-
-# trapezoid nodes of the eta -> 0 circle mean; at radius d/4 the rule's
-# error falls like 4^-P, and P = 16 leaves about 1e-9 of the bracket
-ETA_CIRCLE_POINTS = 24
+from .theta import (CIRCLE_POINTS, ThetaBasis, circle_nodes, shortest_period,
+                    theta_alpha_eval)
 
 
 @dataclass(frozen=True)
@@ -148,29 +145,21 @@ def single_eta_bracket(basis: ThetaBasis, k: int, eta: complex) -> np.ndarray:
     return pair_tensor(_first_order(rel, eta))
 
 
-def eta_circle(basis: ThetaBasis) -> tuple[int, float]:
-    """Node count and radius d/4 of the circle of the eta -> 0 mean.
-
-    The poles of the single-eta estimate are the zeros of theta_a(+-eta),
-    the nonzero points of (1/n)(Z + Z*tau); d is the shortest of them.
-    """
-    d = shortest_period(1, basis.params.tau) / basis.n
-    return ETA_CIRCLE_POINTS, d / 4
-
-
 def semiclassical_from_relations(basis: ThetaBasis,
                                  k: int) -> QuadraticBracket:
     """The eta -> 0 limit of :func:`single_eta_bracket`, as a circle mean.
 
     The single-eta estimate g(eta) is analytic on a disc around 0 after
     division by the diagonal relation coefficient, so g(0) is the mean of g
-    over a circle in that disc; the trapezoid rule on P nodes converges
-    like 4^-P at radius d/4 (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    over a circle in that disc, sampled on ``circle_nodes(d)``.  Its poles
+    are the zeros of theta_a(+-eta), the nonzero points of
+    (1/n)(Z + Z*tau), so d is the shortest period of Z + Z*tau over n.
     Node p + P/2 is -eta_p, so theta is evaluated on half the circle.
     This path shares no formulas with :func:`sklyanin_bracket` beyond the
     relation tensor itself and is the numerical oracle for the closed form.
     """
-    half = circle_nodes(*eta_circle(basis))[:ETA_CIRCLE_POINTS // 2]
+    d = shortest_period(1, basis.params.tau) / basis.n
+    half = circle_nodes(d)[:CIRCLE_POINTS // 2]
     etas = np.concatenate([half, -half])
     g = _first_order(_relation_rows(basis, k, half),
                      etas[:, None, None]).mean(axis=0)

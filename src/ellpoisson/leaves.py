@@ -244,14 +244,9 @@ def divisor_constraint(n: int, eta: complex, d: DivisorDatum, z: DivisorDatum,
     return defect <= DIVISOR_TOL, defect
 
 
-def kronecker_dims(r: int, n: int, d: int = 0):
-    """Dimension vector (n, 2n + r, n) of the three-term resolution, d = 0.
-
-    Only the degree-zero normalization has an explicit vector; other values
-    of d are rejected.
-    """
-    if d != 0:
-        raise ValueError("dimension vector is only specified for d = 0")
+def kronecker_dims(r: int, n: int):
+    """Dimension vector (n, 2n + r, n) of the three-term resolution in the
+    degree-zero normalization, the only one with an explicit vector."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     return (n, 2 * n + r, n)

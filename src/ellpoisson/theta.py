@@ -29,9 +29,9 @@ evaluation on the (point, alpha) grid, taken in chunks of bounded size.
 Evaluators accept scalars or numpy arrays of points and are pure functions
 of their arguments; a constructed :class:`ThetaBasis` is immutable.  A point
 where the value may leave double-precision range (large |Im z| / Im tau)
-raises :class:`ThetaRangeError` before anything is evaluated.  Discs are
-sampled on the trapezoid nodes of ``circle_nodes``, sized by
-``shortest_period``.
+raises :class:`ThetaRangeError` before anything is evaluated.  Every disc
+is sampled on the ``CIRCLE_POINTS`` trapezoid nodes of ``circle_nodes`` at
+a quarter of its pole distance, which ``shortest_period`` gives.
 """
 
 from __future__ import annotations
@@ -57,6 +57,12 @@ ROUNDING_LIMIT = 1e-8
 TRUNCATION_EPS = 1e-12
 
 AUTOMORPHY_SAMPLES = 60
+
+# trapezoid nodes on every circle; at radius d/4, a quarter of the distance
+# to the nearest other singularity, the rule's aliasing error falls like
+# 4^-P (Trefethen & Weideman, SIAM Rev. 56, 2014), whatever tau and n are:
+# 4^-32 is about 5e-20
+CIRCLE_POINTS = 32
 
 # largest number of series terms one matmul holds; longer point arrays are
 # evaluated in chunks, which keeps the working memory flat
@@ -120,9 +126,10 @@ def shortest_period(n: int, tau: complex) -> float:
         u, v = v, u
 
 
-def circle_nodes(points: int, rho: float) -> np.ndarray:
-    """The trapezoid nodes rho * exp(2 pi i p / points), p = 0..points-1."""
-    return rho * np.exp(TWO_PI_I * np.arange(points) / points)
+def circle_nodes(d: float) -> np.ndarray:
+    """The trapezoid nodes (d/4) exp(2 pi i p / P), P = ``CIRCLE_POINTS``,
+    around a point whose nearest other singularity is at distance d."""
+    return d / 4 * np.exp(TWO_PI_I * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS)
 
 
 def _euler_terms(tau: complex) -> int:
@@ -156,7 +163,7 @@ def _check_range(z, height, factors=1, alphas=None):
     term by term |C| <= exp(n r/(1 - r)) / (r^n; r^n), r = |Q|, and from
     |eta(tau)| (Im tau)^(1/4) < 0.78 with eta(i t) = eta(i/t) / sqrt(t),
     log|C| <= n log(0.78 (Im tau)^(-1/4)) + n pi Im(tau)/12
-    + pi/(12 n Im tau) + 0.01, about e^21 at n = 31 and Im tau = 0.028,
+    + pi/(12 n Im tau) + 0.01, about e^23 at n = 31 and Im tau = 0.021,
     about the smallest ThetaBasis accepts there.  b is monotone in Im z, so
     the two extreme points bound it; non-finite points fail.  The message
     names the first failing alpha.
@@ -280,12 +287,13 @@ class ThetaBasis:
     and ``dtheta_at_zero`` hold theta_alpha(0) and theta_alpha'(0);
     theta_0(0) is an exact zero (the series terms cancel in pairs), so it
     is stored as 0.  A lattice whose values at 0 are lost in rounding is
-    refused by the a priori bound of ``_rounding_bound`` before C or any
-    series is evaluated.
+    refused by the a priori bound ``rounding_bound`` (``_rounding_bound``)
+    before C or any series is evaluated.
     """
 
     params: CurveParams
     series_bound: int = field(init=False)
+    rounding_bound: float = field(init=False)
     product_constant: complex = field(init=False)
     theta_at_zero: np.ndarray = field(init=False)
     dtheta_at_zero: np.ndarray = field(init=False)
@@ -294,12 +302,8 @@ class ThetaBasis:
         n, tau = self.n, self.params.tau
         object.__setattr__(self, "series_bound",
                            series_bound_for(n * tau, TRUNCATION_EPS))
-        rounding = self._rounding_bound()
-        if not rounding <= ROUNDING_LIMIT:
-            raise DegenerateTauError(
-                f"Im tau = {tau.imag:g} is out of numerical range at n = {n}: "
-                f"rounding in the theta series may reach {rounding:.1e} of a "
-                f"basis value at 0, beyond {ROUNDING_LIMIT:g}")
+        object.__setattr__(self, "rounding_bound", self._rounding_bound())
+        self.require_rounding(ROUNDING_LIMIT)
         # the Euler factors 1 - Q^k; every n-th is a factor of (Q^n;Q^n)
         factors = 1.0 - np.exp(
             TWO_PI_I * (tau * np.arange(1, _euler_terms(tau) + 1)))
@@ -320,7 +324,9 @@ class ThetaBasis:
         the rounding bound is tested first.  Each value at 0 is compared
         without its exponential factor E_alpha,
         |E_alpha(0)| = exp(pi alpha (n - alpha) Im(tau) / n), which at large
-        n spreads the raw values over many orders of magnitude.
+        n spreads the raw values over many orders of magnitude.  The last
+        test keeps a product of two values at 0 above exp(-LOG_LIMIT): they
+        carry C, which falls like exp(-pi n / (12 Im tau)) and underflows.
         """
         n = self.params.n
         alpha = np.arange(n)
@@ -329,19 +335,33 @@ class ThetaBasis:
         ders = np.abs(self.dtheta_at_zero) / size
         scale = float(np.max(ders))
         d0 = theta_alpha_deriv(self, 0, np.arange(n) / n, 1)
+        smallest = min(float(ders[0]), float(np.min(vals[1:])))
         for lost, what in (
-                (ders[0] < 1e-10 * max(scale, 1.0),
+                (ders[0] < 1e-10 * scale,
                  "theta_0'(0) is below 1e-10 of the largest theta_alpha'(0)"),
                 (np.min(vals[1:]) < 1e-10 * scale,
                  "theta_alpha(0) is below 1e-10 of the largest "
                  "theta_alpha'(0) for some alpha != 0"),
                 (np.max(np.abs(d0 - self.dtheta_at_zero[0])) > 1e-8 * scale,
-                 "theta_0'(k/n) differs from theta_0'(0)")):
+                 "theta_0'(k/n) differs from theta_0'(0)"),
+                (not smallest >= math.exp(-LOG_LIMIT / 2),
+                 f"the smallest of theta_0'(0) and theta_alpha(0) is "
+                 f"{smallest:.1e}, below exp(-{LOG_LIMIT / 2:.0f}), so a "
+                 "product of two of them may leave double range")):
             if lost:
                 raise DegenerateTauError(
                     f"Im tau = {self.params.tau.imag:g} is out of numerical "
                     f"range at n = {n}: {what}, each taken without its "
                     "exponential factor")
+
+    def require_rounding(self, limit: float, purpose: str = ""):
+        """Raise DegenerateTauError unless ``rounding_bound`` <= limit."""
+        if not self.rounding_bound <= limit:
+            raise DegenerateTauError(
+                f"Im tau = {self.params.tau.imag:g} is out of numerical range"
+                f"{purpose} at n = {self.n}: rounding in the theta series may "
+                f"reach {self.rounding_bound:.1e} of a basis value at 0, "
+                f"beyond {limit:g}")
 
     def _rounding_bound(self) -> float:
         """A priori relative rounding error of the values at 0.

@@ -11,9 +11,9 @@ import time
 
 import numpy as np
 
-from ellpoisson.cech import QuadratureConfig, ResidueSystem
+from ellpoisson.cech import ResidueSystem
 from ellpoisson.cli import main as cli_main
-from ellpoisson.fo import eta_circle, single_eta_bracket, \
+from ellpoisson.fo import single_eta_bracket, \
     semiclassical_from_relations, sklyanin_bracket
 from ellpoisson.homology import cone_iso_check, hom_complex, pi_bivector, \
     random_kronecker_complex
@@ -21,11 +21,10 @@ from ellpoisson.leaves import classical_cubic_rows, DivisorDatum, \
     divisor_constraint, end_dim_sheaf, enumerate_strata
 from ellpoisson.poisson import QuadraticBracket, hn_canonical_extract, \
     jacobi_defect, projective_matrix
-from ellpoisson.theta import CurveParams, ThetaBasis, theta_alpha_deriv, \
-    theta_alpha_eval
+from ellpoisson.theta import CIRCLE_POINTS, CurveParams, ThetaBasis, \
+    shortest_period, theta_alpha_deriv, theta_alpha_eval
 
 TAUS = (1j, 0.3 + 0.8j)
-Q = QuadratureConfig()
 
 _BASES = {}
 
@@ -102,7 +101,7 @@ def test_criterion_2_duality():
     worst = 0.0
     for n in (3, 5, 7):
         for tau in TAUS:
-            pairing = ResidueSystem(get_basis(n, tau), Q).pairing_matrix()
+            pairing = ResidueSystem(get_basis(n, tau)).pairing_matrix()
             worst = max(worst, float(np.max(np.abs(pairing - np.eye(n)))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 10.0
@@ -113,7 +112,7 @@ def test_criterion_2_duality():
 def test_criterion_3_principal_part_projection():
     worst = 0.0
     for n in (3, 5):
-        b = ResidueSystem(get_basis(n, 1j), Q)
+        b = ResidueSystem(get_basis(n, 1j))
         for alpha in range(n):
             for beta in range(n):
                 if alpha == beta:
@@ -122,7 +121,7 @@ def test_criterion_3_principal_part_projection():
         coeffs = np.full(n, -1.0)
         coeffs[0] = n - 1.0
         worst = max(worst, b.verify_p_plus_zero_sum(coeffs))
-    power = ResidueSystem(get_basis(3, 1j), Q).verify_p_plus(
+    power = ResidueSystem(get_basis(3, 1j)).verify_p_plus(
         1, 2, coeff_scale=1.01)
     ok = worst < 1e-8 and power > 1e-4
     assert report(3, "closed forms of the principal-part projection",
@@ -132,7 +131,7 @@ def test_criterion_3_principal_part_projection():
 def test_criterion_4_trace_identity():
     worst = 0.0
     for n in (3, 5):
-        b = ResidueSystem(get_basis(n, 1j), Q)
+        b = ResidueSystem(get_basis(n, 1j))
         for i in range(1, n):
             for j in range(1, n):
                 if i == j:
@@ -158,9 +157,10 @@ def test_criterion_5_jacobi():
 def test_criterion_6_semiclassical_limit():
     b = get_basis(3, 1j)
     ref = sklyanin_bracket(b, 1)
-    points, radius = eta_circle(b)
-    # d/10, d/100, d/1000 with d = 4 * radius, as the sklyanin command
-    etas = [4 * radius / 10 ** m for m in (1, 2, 3)]
+    # d/10, d/100, d/1000 with d the distance to the nearest pole, as the
+    # sklyanin command
+    d = shortest_period(1, b.params.tau) / 3
+    etas = [d / 10 ** m for m in (1, 2, 3)]
     singles = [QuadraticBracket(3, single_eta_bracket(b, 1, e))
                .max_difference(ref) for e in etas]
     slope = float(np.polyfit(np.log(etas), np.log(singles), 1)[0])
@@ -171,7 +171,7 @@ def test_criterion_6_semiclassical_limit():
     ok = slope >= 0.99 and final < 1e-10
     assert report(6, "semiclassical limit converges at first order",
                   ok, f"slope {slope:.4f} >= 1 (1% fit margin), relative "
-                      f"deviation of the {points}-node eta-circle mean "
+                      f"deviation of the {CIRCLE_POINTS}-node eta-circle mean "
                       f"{final:.2e} < 1e-10")
 
 
@@ -182,7 +182,7 @@ def test_criterion_7_moduli_equals_projective():
     for n in (3, 5):
         for tau in TAUS:
             b = get_basis(n, tau)
-            system = ResidueSystem(b, Q)
+            system = ResidueSystem(b)
             h = hn_canonical_extract(sklyanin_bracket(b, 1))
             for t in chart_points(n, 20, seed=17):
                 closed = system.bracket_matrix(t, "closed_form")

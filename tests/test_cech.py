@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import ellpoisson.theta as theta
 from ellpoisson.cech import (
-    QuadratureConfig,
     ResidueSystem,
     laurent_coeffs,
     psi_local_constant,
@@ -15,6 +15,7 @@ from ellpoisson.errors import ContourError, DegenerateTauError
 from ellpoisson.fo import sklyanin_bracket
 from ellpoisson.poisson import hn_canonical_extract, projective_matrix
 from ellpoisson.theta import (
+    CIRCLE_POINTS,
     CurveParams,
     ThetaBasis,
     shortest_period,
@@ -25,15 +26,13 @@ from ellpoisson.theta import (
 
 from oracles import phi
 
-Q = QuadratureConfig()
-
 
 def basis(n, tau=1j):
     return ThetaBasis(CurveParams(tau, n))
 
 
-def system(n, tau=1j, quad=Q):
-    return ResidueSystem(basis(n, tau), quad)
+def system(n, tau=1j):
+    return ResidueSystem(basis(n, tau))
 
 
 def random_chart_point(n, rng):
@@ -45,7 +44,7 @@ def random_chart_point(n, rng):
 class TestLaurent:
     def test_simple_pole(self):
         a = 0.2 + 0.1j
-        coeffs = laurent_coeffs(lambda z: 1.0 / (z - a), a, (-2, 1), Q, n=1)
+        coeffs = laurent_coeffs(lambda z: 1.0 / (z - a), a, (-2, 1), n=1)
         assert abs(coeffs[0]) < 1e-12          # order -2
         assert abs(coeffs[1] - 1.0) < 1e-12    # residue
         assert abs(coeffs[2]) < 1e-12
@@ -54,29 +53,24 @@ class TestLaurent:
     def test_phi1_leading_coefficient(self):
         # Laurent expansion of phi_1 near 0 starts theta_1(0)/theta'_0(0)/z
         b = basis(3)
-        coeffs = laurent_coeffs(phi(b, 1), 0.0, (-1, -1), Q, n=3)
+        coeffs = laurent_coeffs(phi(b, 1), 0.0, (-1, -1), n=3)
         expected = b.theta_at_zero[1] / b.dtheta_at_zero[0]
         assert abs(coeffs[0] - expected) < 1e-9
 
     def test_phi_constant_term_expansion(self):
         # next term: theta_i'(0)/theta_0'(0) - pi*i*n * theta_i(0)/theta_0'(0)
         b = basis(3)
-        coeffs = laurent_coeffs(phi(b, 2), 0.0, (0, 0), Q, n=3)
+        coeffs = laurent_coeffs(phi(b, 2), 0.0, (0, 0), n=3)
         dth0 = b.dtheta_at_zero[0]
         expected = (b.dtheta_at_zero[2] / dth0
                     - 1j * math.pi * 3 * b.theta_at_zero[2] / dth0)
         assert abs(coeffs[0] - expected) < 1e-9
 
-    def test_doubling_points_stable(self):
-        b = basis(3)
-        c1 = laurent_coeffs(phi(b, 1), 0.0, (-1, 2), QuadratureConfig(64), n=3)
-        c2 = laurent_coeffs(phi(b, 1), 0.0, (-1, 2), QuadratureConfig(128), n=3)
-        assert np.max(np.abs(c1 - c2)) < 1e-12
-
     def test_contour_through_pole_detected(self):
+        # the circle for a pole distance of 1 has radius 1/4 and a node at
+        # 1/4
         with pytest.raises(ContourError):
-            laurent_coeffs(lambda z: 1.0 / (z - 0.25), 0.0,
-                           (-1, -1), QuadratureConfig(radius=0.25), n=1)
+            laurent_coeffs(lambda z: 1.0 / (z - 0.25), 0.0, (-1, -1), n=1)
 
 
 class TestContour:
@@ -88,34 +82,24 @@ class TestContour:
             abs(1 / 3 - 0.3 - 0.05j))
 
     def test_default_radius_excludes_tau_direction_poles(self):
-        assert Q.resolve(3, 1j) == (128, 1 / 12)
-        assert Q.resolve(3, 0.1j)[1] == pytest.approx(0.025)
-        assert Q.resolve(3) == (128, 1 / 12)
-
-    def test_radius_beyond_half_the_pole_distance_rejected(self):
-        with pytest.raises(ValueError, match="0.05"):
-            QuadratureConfig(radius=0.15).resolve(3, 0.1j)
-        with pytest.raises(ValueError):
-            QuadratureConfig(radius=1 / 6).resolve(3, 1j)
-        assert QuadratureConfig(radius=0.049).resolve(3, 0.1j)[1] == 0.049
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(16).resolve(3)
+        s = system(3)
+        assert (s.points, s.radius) == (CIRCLE_POINTS, 1 / 12)
+        assert np.allclose(np.abs(s.offsets), 1 / 12, rtol=1e-15, atol=0)
+        assert system(3, 0.1j).radius == pytest.approx(0.025)
 
 
 class TestTables:
     def test_shapes(self):
         s = system(3)
-        assert s.nodes.shape == (3, 128)
+        assert s.nodes.shape == (3, 32)
         for table in (s.phi, s.dphi, s.psi):
-            assert table.shape == (3, 3, 128)
+            assert table.shape == (3, 3, 32)
 
     def test_tables_match_callable_residues(self):
         # T3 entries by laurent_coeffs on closures, a route sharing no
         # samples with the tables
         b = basis(3, 0.3 + 0.8j)
-        s = ResidueSystem(b, Q)
+        s = ResidueSystem(b)
         for a in range(3):
             for c in range(3):
                 g = (a + c) % 3
@@ -125,7 +109,7 @@ class TestTables:
                            (lambda z, v=psi_local_constant(b, g, k): v))
                     total += laurent_coeffs(
                         lambda z: phi(b, a)(z) * phi(b, c)(z) * psi(z),
-                        k / 3, (-1, -1), Q, 3)[0]
+                        k / 3, (-1, -1), 3)[0]
                 assert abs(total / 3 - s.t3[a, c]) < 1e-10
 
     @pytest.mark.parametrize("n", [3, 5, 7])
@@ -144,6 +128,48 @@ class TestTables:
                               (s.dphi[1:], dphi_direct[1:])):
             scale = np.max(np.abs(direct))
             assert np.max(np.abs(table - direct)) <= 1e-12 * scale
+
+    @staticmethod
+    def trapezoid_tables(b, nodes, rho):
+        """T3 and TD by a trapezoid of ``nodes`` nodes on the circles of
+        radius rho around the points of D, from the phi evaluators."""
+        n = b.n
+        w = rho * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+        t3 = np.zeros((n, n), dtype=complex)
+        td = np.zeros((n, n), dtype=complex)
+        for k in range(n):
+            z = k / n + w
+            th0 = theta_alpha_eval(b, 0, z)
+            dlog0 = theta_alpha_deriv(b, 0, z, 1) / th0
+            ph = [phi(b, a)(z) for a in range(n)]
+            dph = [np.zeros(nodes)] + [
+                theta_alpha_deriv(b, a, z, 1) / th0 - ph[a] * dlog0
+                for a in range(1, n)]
+            psi = [1.0 / w] + [
+                b.dtheta_at_zero[0] / theta_alpha_eval(b, g, k / n)
+                for g in range(1, n)]
+            for a in range(n):
+                for c in range(n):
+                    g = psi[(a + c) % n] * w / (n * nodes)
+                    t3[a, c] += np.sum(ph[a] * ph[c] * g)
+                    td[a, c] += np.sum(dph[a] * ph[c] * g)
+        return t3, td
+
+    def test_trace_tables_match_fine_trapezoid(self, monkeypatch):
+        # the reference runs 4x the nodes on a wider circle, whose aliasing
+        # error 3^-128 is far below rounding; at 8 nodes the rule's own
+        # aliasing error shows, so the comparison has power
+        for tau in (1j, 0.3 + 0.8j, 0.1j):
+            b = basis(3, tau)
+            ref3, refd = self.trapezoid_tables(
+                b, 4 * CIRCLE_POINTS, shortest_period(3, tau) / 3)
+            for nodes, agree in ((CIRCLE_POINTS, True), (8, False)):
+                monkeypatch.setattr(theta, "CIRCLE_POINTS", nodes)
+                s = ResidueSystem(b)
+                assert s.offsets.shape == (nodes,)
+                err = max(np.max(np.abs(s.t3 - ref3)) / np.max(np.abs(ref3)),
+                          np.max(np.abs(s.td - refd)) / np.max(np.abs(refd)))
+                assert (err < 1e-12) == agree, (tau, nodes, err)
 
     def test_dphi_matches_finite_difference(self):
         s = system(3)
@@ -166,7 +192,7 @@ class TestTables:
         b = basis(3)
         monkeypatch.setattr(cech, "theta_alpha_jet", poisoned)
         with pytest.raises(ContourError):
-            ResidueSystem(b, Q)
+            ResidueSystem(b)
 
     def test_vanishing_theta_value_is_degenerate(self):
         b = basis(3)
@@ -197,7 +223,7 @@ class TestTrace:
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
     def test_duality(self, n, tau):
-        system = ResidueSystem(basis(n, tau), Q)
+        system = ResidueSystem(basis(n, tau))
         pairing = system.pairing_matrix()
         assert np.max(np.abs(pairing - np.eye(n))) < 1e-8
 
@@ -312,7 +338,7 @@ class TestModuliBracket:
 
     def test_methods_agree(self):
         rng = np.random.default_rng(21)
-        system = ResidueSystem(basis(3), Q)
+        system = ResidueSystem(basis(3))
         for _ in range(3):
             t = random_chart_point(3, rng)
             closed = system.bracket_matrix(t, "closed_form")
@@ -324,7 +350,7 @@ class TestModuliBracket:
     def test_matches_projective_sklyanin(self, n, tau):
         # the moduli bracket equals the projective bracket with C = F
         b = basis(n, tau)
-        system = ResidueSystem(b, Q)
+        system = ResidueSystem(b)
         h = hn_canonical_extract(sklyanin_bracket(b, 1))
         rng = np.random.default_rng(n)
         for _ in range(3):
@@ -334,12 +360,6 @@ class TestModuliBracket:
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(mat - ref)) < 1e-6 * scale
 
-    def test_quadrature_convergence(self):
-        b = basis(3)
-        t = np.array([1.0, 0.4 - 0.2j, -0.1 + 0.3j])
-        m1 = ResidueSystem(b, QuadratureConfig(64)).bracket_matrix(t)
-        m2 = ResidueSystem(b, QuadratureConfig(128)).bracket_matrix(t)
-        assert np.max(np.abs(m1 - m2)) < 1e-10
 
 
 class TestPiT:
@@ -357,7 +377,7 @@ class TestPiT:
 
     def test_linearity(self):
         b = basis(3)
-        system = ResidueSystem(b, Q)
+        system = ResidueSystem(b)
         t = np.array([1.0, 0.3 + 0.2j, -0.5], dtype=complex)
         a1 = np.array([-t[1], 1.0, 0.0], dtype=complex)  # phi_1 - t_1 phi_0
         a2 = np.array([-t[2], 0.0, 1.0], dtype=complex)
@@ -368,7 +388,7 @@ class TestPiT:
     def test_assembles_bracket(self):
         # pairing pi_t(dt_i) against dt_j reproduces {t_i, t_j}
         b = basis(3)
-        system = ResidueSystem(b, Q)
+        system = ResidueSystem(b)
         t = np.array([1.0, 0.25 - 0.3j, 0.6 + 0.1j], dtype=complex)
         mat = system.bracket_matrix(t, "closed_form")
         n = 3

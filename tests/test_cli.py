@@ -87,6 +87,21 @@ class TestExitCodes:
         assert "rounding in the theta series" in err
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("command", ["sklyanin", "moduli-compare"])
+    def test_bracket_lost_in_rounding_refused(self, command, tmp_path,
+                                              capsys):
+        # the basis is accepted at n = 5, Im tau = 0.012 (theta exits 0),
+        # but its rounding bound 4.6e-11 is beyond the 1e-11 under which
+        # the 1e-10 bracket checks cannot fail from rounding alone
+        args = ["--n", "5", "--tau", "0", "0.012"]
+        assert run(["theta"] + args, tmp_path)[0] == 0
+        code = main([command] + args)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert ("Im tau = 0.012 is out of numerical range for the bracket "
+                "checks at n = 5") in err
+        assert "Traceback" not in err and out == ""
+
     def test_eta_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["theta", "--eta", "0", "0"])
@@ -312,8 +327,8 @@ class TestDeterminism:
         assert self.strip_elapsed(text1) == self.strip_elapsed(text2)
 
     @pytest.mark.parametrize("args, points, radius", [
-        ([], 128, 1 / 12),
-        (["--tau", "0", "0.1"], 128, 0.025),
+        ([], 32, 1 / 12),
+        (["--tau", "0", "0.1"], 32, 0.025),
     ])
     def test_moduli_contour_block(self, args, points, radius, tmp_path):
         # the contour actually used, identical in every run
@@ -338,7 +353,7 @@ class TestDeterminism:
             circle = json.loads(text)["tables"]["eta_circle"]
             blocks.append(json.dumps(circle, sort_keys=True))
         assert blocks[0] == blocks[1]
-        assert circle["points"] == 24
+        assert circle["points"] == 32
         # a quarter of the shortest vector of (1/5)(Z + 0.5i Z)
         assert circle["radius"] == pytest.approx(0.1 / 4, rel=1e-15, abs=0)
 

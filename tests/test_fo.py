@@ -8,7 +8,6 @@ import pytest
 import ellpoisson.fo as fo
 from ellpoisson.errors import DegenerateEtaError
 from ellpoisson.fo import (
-    eta_circle,
     f_constants,
     fo_relations,
     semiclassical_from_relations,
@@ -144,15 +143,15 @@ class TestSemiclassical:
         calls = []
 
         def counted(b, alpha, z):
-            calls.append(np.shape(z))
+            calls.append(z)
             return theta_alpha_eval(b, alpha, z)
 
         monkeypatch.setattr(fo, "theta_alpha_eval", counted)
-        points, radius = eta_circle(basis(5))
         semiclassical_from_relations(basis(5), 1)
-        # half the circle; the reflection of theta gives the other half
-        assert calls == [(points // 2,)]
-        assert radius == pytest.approx(1 / 20, rel=1e-15)
+        # half of the 32 nodes; the reflection of theta gives the other half
+        assert [np.shape(z) for z in calls] == [(16,)]
+        # a quarter of the shortest vector of (1/5)(Z + iZ)
+        assert np.allclose(np.abs(calls[0]), 1 / 20, rtol=1e-15, atol=0)
 
     def test_convergence_order_at_least_one(self):
         b = basis(3)

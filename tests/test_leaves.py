@@ -210,6 +210,8 @@ class TestKroneckerDims:
         assert kronecker_dims(2, 0) == (0, 2, 0)
         assert kronecker_dims(3, 5) == (5, 13, 5)
 
-    def test_nonzero_degree_rejected(self):
+    def test_invalid_rank_or_order_rejected(self):
         with pytest.raises(ValueError):
-            kronecker_dims(1, 3, d=1)
+            kronecker_dims(0, 3)
+        with pytest.raises(ValueError):
+            kronecker_dims(1, -1)

@@ -510,11 +510,15 @@ class TestBasisTables:
                            match="rounding in the theta series"):
             basis(n, 1j * im)
 
-    @pytest.mark.parametrize("n, im", [(2, 0.03), (5, 0.04)])
+    @pytest.mark.parametrize("n, im", [(2, 0.03), (5, 0.04), (7, 0.048),
+                                       (5, 0.038), (13, 0.07)])
     def test_series_cancellation_accepted(self, n, im):
-        # the product of n shifted factors was refused here; the one series
-        # at n tau keeps the values to rounding level (bound 2.7e-11 and
-        # 1.2e-13); against mpmath at 30 digits measured at most 2.1e-15
+        # the product of n shifted factors loses these; at the last three
+        # every value carries C = 1.4e-12 (n = 7) or less, so an absolute
+        # floor on theta_0'(0) would refuse them too.  The one series at
+        # n tau keeps the values to rounding level (bound 2.7e-11, then
+        # 1.2e-13 to 1.5e-13); against mpmath at 30 digits measured at most
+        # 1.5e-14
         mp = pytest.importorskip("mpmath")
         b = basis(n, 1j * im)
         assert b._rounding_bound() < ROUNDING_LIMIT
@@ -523,6 +527,18 @@ class TestBasisTables:
             ref = mpmath_basis_jet(mp, n, 1j * im, z, 1)
         assert np.all(jet_error(theta_alpha_jet(b, np.arange(n), z, 1), ref)
                       < 1e-13)
+
+
+    @pytest.mark.parametrize("n, im", [(13, 0.009), (31, 0.02)])
+    def test_values_below_double_range_refused(self, n, im):
+        # the rounding bound reads 1.3e-12 and 1.2e-12 here, but C reads
+        # 3.7e-151 and 1.5e-150, so a product of two basis values, as in
+        # the bracket, may leave double range; at (13, 0.0035) C is an
+        # exact 0 and every value with it
+        with pytest.raises(DegenerateTauError,
+                           match="a product of two of them may leave double "
+                                 "range"):
+            basis(n, 1j * im)
 
 
 class TestHeisenberg:
