@@ -66,6 +66,13 @@ class TestLaurent:
                     - 1j * math.pi * 3 * b.theta_at_zero[2] / dth0)
         assert abs(coeffs[0] - expected) < 1e-9
 
+    def test_doubling_points_stable(self, monkeypatch):
+        b = basis(3)
+        c1 = laurent_coeffs(phi(b, 1), 0.0, (-1, 2), n=3)
+        monkeypatch.setattr(theta, "CIRCLE_POINTS", 2 * CIRCLE_POINTS)
+        c2 = laurent_coeffs(phi(b, 1), 0.0, (-1, 2), n=3)
+        assert np.max(np.abs(c1 - c2)) < 1e-12
+
     def test_contour_through_pole_detected(self):
         # the circle for a pole distance of 1 has radius 1/4 and a node at
         # 1/4
@@ -360,6 +367,15 @@ class TestModuliBracket:
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(mat - ref)) < 1e-6 * scale
 
+    def test_quadrature_convergence(self, monkeypatch):
+        b = basis(3)
+        t = np.array([1.0, 0.4 - 0.2j, -0.1 + 0.3j])
+        m1 = ResidueSystem(b).bracket_matrix(t)
+        monkeypatch.setattr(theta, "CIRCLE_POINTS", 2 * CIRCLE_POINTS)
+        s2 = ResidueSystem(b)
+        assert s2.offsets.shape == (2 * CIRCLE_POINTS,)
+        m2 = s2.bracket_matrix(t)
+        assert np.max(np.abs(m1 - m2)) < 1e-10
 
 
 class TestPiT:
