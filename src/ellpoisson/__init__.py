@@ -1,11 +1,12 @@
 """Theta bases, elliptic quadratic Poisson brackets and residue calculus.
 
-The package has seven building blocks: ``theta`` (the series, the order-n
-section basis and the one trapezoid rule every circle is sampled on, a
-fixed node count at a quarter of the pole distance), ``poisson``
-(a Z/n-graded quadratic bracket as one n^3 coefficient table, Jacobi
-certification as entrywise products of that table with itself, Heisenberg
-canonical form, projective descent), ``fo`` (elliptic quadratic
+The package has seven building blocks: ``theta`` (the order-n section
+basis, each value one theta series at n*tau and defined up to one constant
+common to the whole basis, and the one trapezoid rule every circle is
+sampled on, a fixed node count at a quarter of the pole distance),
+``poisson`` (a Z/n-graded quadratic bracket as one n^3 coefficient table,
+Jacobi certification as entrywise products of that table with itself,
+Heisenberg canonical form, projective descent), ``fo`` (elliptic quadratic
 relations, the F table, the semiclassical bracket and its finite-parameter
 oracle, the mean of the single-eta estimate over a circle around eta = 0,
 all as graded tables),
@@ -27,12 +28,9 @@ package; they stay because ``perfbench/spans.py`` wraps them.
 from .theta import (
     CurveParams,
     ThetaBasis,
-    ThetaSection,
-    heisenberg_act,
     theta_alpha_deriv,
     theta_alpha_eval,
     theta_alpha_jet,
-    theta_eval,
     verify_automorphy,
 )
 from .poisson import (

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEtaError
+from .errors import DegenerateEtaError, ThetaRangeError
 from .poisson import QuadraticBracket, pair_tensor
-from .theta import (CIRCLE_POINTS, ThetaBasis, circle_nodes, shortest_period,
-                    theta_alpha_eval)
+from .theta import (CIRCLE_POINTS, LOG_LIMIT, ThetaBasis, circle_nodes,
+                    shortest_period, theta_alpha_eval)
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,23 @@ def fo_relations(basis: ThetaBasis, k: int, eta: complex) -> np.ndarray:
 
 
 def sklyanin_bracket(basis: ThetaBasis, k: int) -> QuadraticBracket:
-    """The semiclassical quadratic bracket in closed form."""
+    """The semiclassical quadratic bracket in closed form.
+
+    Its words divide by products of two values theta_alpha(0), alpha != 0,
+    which grow like |E_alpha(0)| = exp(pi alpha (n - alpha) Im(tau) / n);
+    where such a product may leave double range, ThetaRangeError is raised
+    before it is formed.
+    """
     n = basis.n
     _check_coprime(n, k)
     th = basis.theta_at_zero
     dth = basis.dtheta_at_zero
+    log_size = 2.0 * math.log(float(np.max(np.abs(th[1:]))))
+    if not log_size <= LOG_LIMIT:
+        raise ThetaRangeError(
+            f"Im tau = {basis.params.tau.imag:g} is out of double range at "
+            f"n = {n}: a product of two theta_alpha(0) may reach "
+            f"exp({log_size:.0f}), beyond the limit exp({LOG_LIMIT:.0f})")
     # g[d, r]: coefficient of the word x_{j-r} x_{i+r} in {x_i, x_j}, d = j-i
     d, r = np.indices((n, n))
     words = (r != 0) & (r != d)

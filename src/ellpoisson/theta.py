@@ -5,18 +5,19 @@ The building block is the entire function
     theta(z) = sum_m (-1)^m exp(2*pi*i*(m*z + m*(m-1)*tau/2)),
 
 a section of the degree-1 line bundle (simple zero on the lattice).  The
-degree-n basis indexed by ``alpha`` in Z/n is defined by the product
+degree-n basis indexed by ``alpha`` in Z/n is one series at n*tau,
 
-    theta_alpha(z) = prod_{m=0}^{n-1} theta(z + m/n + alpha*tau/n) * E_alpha(z),
+    theta_alpha(z) = theta(n*z + alpha*tau; n*tau) * E_alpha(z),
     E_alpha(z) = exp(2*pi*i*(alpha*z + alpha*(alpha-n)*tau/(2n) + alpha/(2n))),
 
 which diagonalises the shift-by-1/n operator and is exactly n-periodic in
-the index.  It is evaluated as one series at n*tau: by the Jacobi triple
-product theta(z) = (Q;Q) (x;Q) (Q/x;Q), x = exp(2*pi*i*z),
-Q = exp(2*pi*i*tau), the n shifted factors multiply to C theta(n z; n tau)
-with C = (Q;Q)^n / (Q^n;Q^n), so
-
-    theta_alpha(z) = C * theta(n*z + alpha*tau; n*tau) * E_alpha(z).
+the index.  By the Jacobi triple product theta(z) = (Q;Q) (x;Q) (Q/x;Q),
+x = exp(2*pi*i*z), Q = exp(2*pi*i*tau), it is the product
+prod_{m=0}^{n-1} theta(z + m/n + alpha*tau/n) * E_alpha(z) divided by
+C = (Q;Q)^n / (Q^n;Q^n), one constant for every alpha.  So the basis is
+defined up to that common factor, and C is never evaluated: no quantity
+read from the basis (the phi ratios, the F table, the bracket, the shift
+checks) changes when every basis value is multiplied by one constant.
 
 Values and derivatives are read off one object, the truncated Taylor jet
 (f, f', f''/2, ...) on a leading array axis, which ``theta_alpha_jet``
@@ -68,9 +69,6 @@ CIRCLE_POINTS = 32
 # evaluated in chunks, which keeps the working memory flat
 _CHUNK_TERMS = 2 ** 16
 
-T_ONE_OVER_N = "T_one_over_n"
-T_TAU_OVER_N = "T_tau_over_n"
-
 
 @dataclass(frozen=True)
 class CurveParams:
@@ -97,10 +95,6 @@ class CurveParams:
     @property
     def omega(self) -> complex:
         return np.exp(TWO_PI_I / self.n)
-
-    @property
-    def q(self) -> complex:
-        return np.exp(TWO_PI_I * self.tau)
 
 
 def series_bound_for(tau: complex, eps: float) -> int:
@@ -132,12 +126,6 @@ def circle_nodes(d: float) -> np.ndarray:
     return d / 4 * np.exp(TWO_PI_I * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS)
 
 
-def _euler_terms(tau: complex) -> int:
-    """Smallest K with |Q|^K < 2^-60, Q = exp(2*pi*i*tau): the Euler
-    factors 1 - Q^k, k = 1..K, that the product constant keeps."""
-    return math.floor(60.0 * math.log(2.0) / (2.0 * math.pi * tau.imag)) + 1
-
-
 def _reduce_to_cell(z, tau):
     """Split z = z0 + a + b*tau with z0 in the fundamental cell.
 
@@ -149,48 +137,40 @@ def _reduce_to_cell(z, tau):
     return z1 - a, b
 
 
-def _check_range(z, height, factors=1, alphas=None):
+def _check_range(z, height, n, alphas):
     """Raise ThetaRangeError unless theta_alpha(z) stays in double range for
-    each alpha in ``alphas``, or theta itself when ``alphas`` is None;
-    ``height`` is Im(tau), ``factors`` the order n and z an array.
+    each alpha in ``alphas``; ``height`` is Im(tau), n the order and z an
+    array.
 
     theta_alpha sums one series at w = n z + alpha tau on Z + Z n tau.  Its
     reduction uses the lattice index b = floor(Im z / Im tau + alpha/n), the
     index the n factors theta(z + m/n + alpha tau/n) of the defining product
     share, so the series' multiplier is at most exp(n pi Im(tau) |b|(|b|+1))
     as their product is, times the size of the exponential factor E_alpha.
-    The constant C = (Q;Q)^n / (Q^n;Q^n), Q = exp(2 pi i tau), adds little:
-    term by term |C| <= exp(n r/(1 - r)) / (r^n; r^n), r = |Q|, and from
-    |eta(tau)| (Im tau)^(1/4) < 0.78 with eta(i t) = eta(i/t) / sqrt(t),
-    log|C| <= n log(0.78 (Im tau)^(-1/4)) + n pi Im(tau)/12
-    + pi/(12 n Im tau) + 0.01, about e^23 at n = 31 and Im tau = 0.021,
-    about the smallest ThetaBasis accepts there.  b is monotone in Im z, so
-    the two extreme points bound it; non-finite points fail.  The message
-    names the first failing alpha.
+    b is monotone in Im z, so the two extreme points bound it; non-finite
+    points fail.  The message names the first failing alpha.
     """
     if not z.size:
         return
     low, high = float(z.imag.min()), float(z.imag.max())
     finite = math.isfinite(low) and math.isfinite(high)
-    for alpha in (0,) if alphas is None else alphas:
+    for alpha in alphas:
         log_size = math.inf
         if finite:
-            offset = (alpha * height) / factors
+            offset = (alpha * height) / n
             top = max(abs(math.floor((low + offset) / height)),
                       abs(math.floor((high + offset) / height)))
-            log_size = (factors * math.pi * height * top * (top + 1.0)
+            log_size = (n * math.pi * height * top * (top + 1.0)
                         + max(0.0, -2.0 * math.pi * alpha * low,
                               -2.0 * math.pi * alpha * high)
-                        + math.pi * alpha * (factors - alpha) * height
-                        / factors)
+                        + math.pi * alpha * (n - alpha) * height / n)
         if not log_size <= LOG_LIMIT:
-            what = "theta" if alphas is None else f"theta_{alpha}"
             size = np.abs(np.ravel(z).imag)
             worst = complex(np.ravel(z)[np.argmax(np.where(np.isnan(size),
                                                            np.inf, size))])
             raise ThetaRangeError(
-                f"{what} at z = {worst} is out of double range: the value "
-                f"may reach exp({log_size:.0f}), beyond the limit "
+                f"theta_{alpha} at z = {worst} is out of double range: the "
+                f"value may reach exp({log_size:.0f}), beyond the limit "
                 f"exp({LOG_LIMIT:.0f}) (|Im z| / Im tau too large, or z not "
                 "finite)")
 
@@ -241,74 +221,33 @@ def _theta_jet(z, tau, bound, order):
                     _series(z0, tau, bound, order))
 
 
-def theta_eval(tau: complex, z, *, series_bound: int | None = None,
-               order: int = 0):
-    """Evaluate theta (or its order-th z-derivative) at z for tau.
-
-    The series bound defaults to the one ``TRUNCATION_EPS`` gives.  z is
-    reduced into the fundamental cell first, so the bound is sound for
-    arbitrary arguments; values and derivatives are restored through the
-    jet of the exact quasi-periodicity multiplier.
-    """
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError("Im(tau) must be positive")
-    bound = (series_bound if series_bound is not None
-             else series_bound_for(tau, TRUNCATION_EPS))
-    z = np.asarray(z, dtype=complex)
-    _check_range(z, tau.imag)
-    if order not in (0, 1, 2):
-        raise ValueError("derivative order must be 0, 1 or 2")
-    out = math.factorial(order) * _theta_jet(z, tau, bound, order)[order]
-    return complex(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class ThetaSection:
-    """Coordinates of a holomorphic section in the basis (theta_alpha)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-        if self.coeffs.ndim != 1:
-            raise ValueError("coefficient vector must be one-dimensional")
-
-
 @dataclass(frozen=True)
 class ThetaBasis:
     """Precomputed data for the basis theta_0, ..., theta_{n-1}.
 
-    Every basis value is one series at n*tau times the constant
-    ``product_constant``, C = (Q;Q)^n / (Q^n;Q^n) with Q = exp(2 pi i tau),
-    of the product identity (module docstring).  ``series_bound`` is the
-    truncation ``TRUNCATION_EPS`` gives at n*tau, and C is the Euler
-    product truncated after ``_euler_terms`` factors.  ``theta_at_zero``
-    and ``dtheta_at_zero`` hold theta_alpha(0) and theta_alpha'(0);
-    theta_0(0) is an exact zero (the series terms cancel in pairs), so it
-    is stored as 0.  A lattice whose values at 0 are lost in rounding is
-    refused by the a priori bound ``rounding_bound`` (``_rounding_bound``)
-    before C or any series is evaluated.
+    Every basis value is one series at n*tau times E_alpha (module
+    docstring); ``series_bound`` is the truncation ``TRUNCATION_EPS`` gives
+    at n*tau.  ``theta_at_zero`` and ``dtheta_at_zero`` hold theta_alpha(0)
+    and theta_alpha'(0); theta_0(0) is an exact zero (the series terms
+    cancel in pairs), so it is stored as 0.  A lattice whose values at 0
+    are lost in rounding is refused by the a priori bound
+    ``rounding_bound`` (``_rounding_bound``) before any series is
+    evaluated.
     """
 
     params: CurveParams
     series_bound: int = field(init=False)
     rounding_bound: float = field(init=False)
-    product_constant: complex = field(init=False)
     theta_at_zero: np.ndarray = field(init=False)
     dtheta_at_zero: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n, tau = self.n, self.params.tau
+        n = self.n
         object.__setattr__(self, "series_bound",
-                           series_bound_for(n * tau, TRUNCATION_EPS))
+                           series_bound_for(n * self.params.tau,
+                                            TRUNCATION_EPS))
         object.__setattr__(self, "rounding_bound", self._rounding_bound())
         self.require_rounding(ROUNDING_LIMIT)
-        # the Euler factors 1 - Q^k; every n-th is a factor of (Q^n;Q^n)
-        factors = 1.0 - np.exp(
-            TWO_PI_I * (tau * np.arange(1, _euler_terms(tau) + 1)))
-        object.__setattr__(self, "product_constant", complex(
-            np.prod(factors) ** n / np.prod(factors[n - 1::n])))
         vals, ders = theta_alpha_jet(self, np.arange(n), 0.0, 1)
         vals[0] = 0.0
         object.__setattr__(self, "theta_at_zero", vals)
@@ -324,9 +263,11 @@ class ThetaBasis:
         the rounding bound is tested first.  Each value at 0 is compared
         without its exponential factor E_alpha,
         |E_alpha(0)| = exp(pi alpha (n - alpha) Im(tau) / n), which at large
-        n spreads the raw values over many orders of magnitude.  The last
-        test keeps a product of two values at 0 above exp(-LOG_LIMIT): they
-        carry C, which falls like exp(-pi n / (12 Im tau)) and underflows.
+        n spreads the raw values over many orders of magnitude.  No value
+        at 0 can underflow: the rounding bound keeps each, without E_alpha,
+        above 2^-53 / ROUNDING_LIMIT times the sum of the absolute series
+        terms, and the m = 0 term (m = 1 for theta_0') alone makes that sum
+        at least 1.
         """
         n = self.params.n
         alpha = np.arange(n)
@@ -335,7 +276,6 @@ class ThetaBasis:
         ders = np.abs(self.dtheta_at_zero) / size
         scale = float(np.max(ders))
         d0 = theta_alpha_deriv(self, 0, np.arange(n) / n, 1)
-        smallest = min(float(ders[0]), float(np.min(vals[1:])))
         for lost, what in (
                 (ders[0] < 1e-10 * scale,
                  "theta_0'(0) is below 1e-10 of the largest theta_alpha'(0)"),
@@ -343,11 +283,7 @@ class ThetaBasis:
                  "theta_alpha(0) is below 1e-10 of the largest "
                  "theta_alpha'(0) for some alpha != 0"),
                 (np.max(np.abs(d0 - self.dtheta_at_zero[0])) > 1e-8 * scale,
-                 "theta_0'(k/n) differs from theta_0'(0)"),
-                (not smallest >= math.exp(-LOG_LIMIT / 2),
-                 f"the smallest of theta_0'(0) and theta_alpha(0) is "
-                 f"{smallest:.1e}, below exp(-{LOG_LIMIT / 2:.0f}), so a "
-                 "product of two of them may leave double range")):
+                 "theta_0'(k/n) differs from theta_0'(0)")):
             if lost:
                 raise DegenerateTauError(
                     f"Im tau = {self.params.tau.imag:g} is out of numerical "
@@ -366,14 +302,12 @@ class ThetaBasis:
     def _rounding_bound(self) -> float:
         """A priori relative rounding error of the values at 0.
 
-        theta_alpha(0) is C theta(alpha*tau; n*tau) E_alpha(0), and
-        alpha*tau reduces into the fundamental cell of Z + Z*n*tau with
-        lattice index 0, so the series that runs has no multiplier.  Its sum
-        carries a rounding error of about 2^-53 sum|terms|, a relative
-        error of 2^-53 sum|terms| / |value|; the zero of theta_0 enters
-        through its derivative, as in theta_0'(0).  The K Euler factors of
-        C, each raised to the n-th power or divided out once, add
-        K (n + 1) 2^-53.  Returns the largest over alpha of the sum.
+        theta_alpha(0) is theta(alpha*tau; n*tau) E_alpha(0), and alpha*tau
+        reduces into the fundamental cell of Z + Z*n*tau with lattice index
+        0, so the series that runs has no multiplier.  Its sum carries a
+        rounding error of about 2^-53 sum|terms|, a relative error of
+        2^-53 sum|terms| / |value|; the zero of theta_0 enters through its
+        derivative, as in theta_0'(0).  Returns the largest over alpha.
         """
         n, tau = self.n, self.params.tau
         z0, _ = _reduce_to_cell(np.arange(n) * tau, n * tau)
@@ -382,8 +316,7 @@ class ThetaBasis:
         size = (np.abs(terms) @ np.abs(weights))[pick]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = size / np.abs((terms @ weights)[pick])
-        return 2.0 ** -53 * (float(np.max(ratio))
-                             + _euler_terms(tau) * (n + 1))
+        return 2.0 ** -53 * float(np.max(ratio))
 
     @property
     def n(self) -> int:
@@ -403,7 +336,7 @@ class ThetaBasis:
 
 def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
                     order: int):
-    """Jet of theta_alpha = C theta(n z + alpha tau; n tau) E_alpha(z) at
+    """Jet of theta_alpha = theta(n z + alpha tau; n tau) E_alpha(z) at
     integer indices alpha.
 
     ``alpha`` is an integer or a 1-D integer array; an array appends a
@@ -431,8 +364,7 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     for i in range(0, flat.size, step):
         w = n * flat[i:i + step, None] + a * tau
         series[:, i:i + step] = _theta_jet(w, n * tau, bound, order)
-    series *= (basis.product_constant
-               * float(n) ** np.arange(order + 1))[:, None, None]
+    series *= (float(n) ** np.arange(order + 1))[:, None, None]
     ex = np.exp(TWO_PI_I * (np.multiply.outer(z, a)
                             + a * (a - n) * tau / (2.0 * n) + a / (2.0 * n)))
     out = _jet_mul(_exp_jet(ex, TWO_PI_I * a, order),
@@ -474,32 +406,6 @@ def zeta_multiplier(basis: ThetaBasis, z):
     return -np.exp(-TWO_PI_I * (np.asarray(z, dtype=complex) - b))
 
 
-def heisenberg_act(basis: ThetaBasis, generator: str,
-                   section: ThetaSection) -> ThetaSection:
-    """Action of the two Heisenberg generators on basis coordinates.
-
-    T_{1/n} scales coefficient alpha by omega^alpha; T_{tau/n} shifts the
-    index cyclically.  The commutation T_{1/n} T_{tau/n} = omega T_{tau/n}
-    T_{1/n} holds exactly on coefficient vectors.
-    """
-    n = basis.n
-    if len(section.coeffs) != n:
-        raise ValueError("section has wrong number of coefficients")
-    if generator == T_ONE_OVER_N:
-        return ThetaSection(section.coeffs * basis.omega ** np.arange(n))
-    if generator == T_TAU_OVER_N:
-        return ThetaSection(np.roll(section.coeffs, 1))
-    raise ValueError(f"unknown generator {generator!r}")
-
-
-def section_eval(basis: ThetaBasis, section: ThetaSection, z):
-    vals = sum(c * theta_alpha_eval(basis, a, z)
-               for a, c in enumerate(section.coeffs) if c != 0)
-    if isinstance(vals, int):  # all coefficients zero
-        vals = np.zeros(np.asarray(z).shape, dtype=complex) if np.ndim(z) else 0j
-    return vals
-
-
 def _sample_grid(tau: complex, count: int):
     """Deterministic low-discrepancy points in the fundamental cell."""
     k = np.arange(count)
@@ -508,17 +414,15 @@ def _sample_grid(tau: complex, count: int):
     return u + v * tau
 
 
-def verify_automorphy(basis: ThetaBasis, c, f, *,
-                      weight: int | None = None) -> float:
+def verify_automorphy(basis: ThetaBasis, c, f) -> float:
     """Largest normalized automorphy residual of f for the character c.
 
-    Checks f(z+1) = f(z) and f(z+tau) = (-1)^w exp(-2*pi*i*(w*z - c)) f(z)
-    on a deterministic grid of ``AUTOMORPHY_SAMPLES`` points, normalized by
-    max |f|.  ``weight`` defaults to the basis order n; pass 1 to test the
-    basic theta function.
+    Checks f(z+1) = f(z) and f(z+tau) = (-1)^n exp(-2*pi*i*(n*z - c)) f(z),
+    n the basis order, on a deterministic grid of ``AUTOMORPHY_SAMPLES``
+    points, normalized by max |f|.
     """
     tau = basis.params.tau
-    w = basis.n if weight is None else weight
+    n = basis.n
     z = _sample_grid(tau, AUTOMORPHY_SAMPLES)
     fz = np.asarray(f(z), dtype=complex)
     f1 = np.asarray(f(z + 1.0), dtype=complex)
@@ -526,7 +430,7 @@ def verify_automorphy(basis: ThetaBasis, c, f, *,
     if not (np.all(np.isfinite(fz)) and np.all(np.isfinite(f1))
             and np.all(np.isfinite(ft))):
         raise ValueError("non-finite sample while checking automorphy")
-    mult = (-1.0) ** w * np.exp(-TWO_PI_I * (w * z - complex(c)))
+    mult = (-1.0) ** n * np.exp(-TWO_PI_I * (n * z - complex(c)))
     scale = max(float(np.max(np.abs(fz))), float(np.max(np.abs(f1))),
                 float(np.max(np.abs(ft))))
     if scale == 0.0:

@@ -9,7 +9,9 @@ their own loops and share no formulas with the package, which never calls
 them.  :func:`phi` evaluates phi_alpha = theta_alpha / theta_0 pointwise,
 without the 1/n shift that fills the ``ResidueSystem`` tables.
 :func:`theta_alpha_product` evaluates theta_alpha by its defining product
-of n shifted theta factors, which the package replaces by one series.
+of n shifted theta factors, each summed directly by :func:`theta_series`;
+the package sums one series at n*tau instead, which is that product
+divided by the constant :func:`product_constant`.
 """
 
 import math
@@ -17,16 +19,36 @@ import math
 import numpy as np
 
 from ellpoisson.poisson import QuadraticBracket
-from ellpoisson.theta import ThetaBasis, theta_alpha_eval, theta_eval
+from ellpoisson.theta import ThetaBasis, theta_alpha_eval
+
+
+def theta_series(z, tau, terms=50, order=0):
+    """order-th z-derivative of theta(z) = sum_m (-1)^m exp(2 pi i (m z +
+    m (m-1) tau / 2)), summed term by term over |m| <= terms, with no
+    reduction of z into the fundamental cell."""
+    z = np.asarray(z, dtype=complex)
+    m = np.arange(-terms, terms + 1)
+    phase = 2j * math.pi * (np.multiply.outer(z, m) + m * (m - 1) * tau / 2)
+    return np.sum((-1.0) ** m * (2j * math.pi * m) ** order * np.exp(phase),
+                  axis=-1)
+
+
+def product_constant(n: int, tau: complex) -> complex:
+    """C = (Q;Q)^n / (Q^n;Q^n), Q = exp(2 pi i tau), as a direct Euler
+    product over the factors 1 - Q^k with |Q|^k above 2^-60."""
+    count = math.floor(60 * math.log(2) / (2 * math.pi * tau.imag)) + 1
+    factors = 1.0 - np.exp(2j * math.pi * (tau * np.arange(1, count + 1)))
+    return complex(np.prod(factors) ** n / np.prod(factors[n - 1::n]))
 
 
 def theta_alpha_product(basis: ThetaBasis, alpha: int, z, order: int = 0):
     """Jet (f, f', f''/2)[:order + 1] of the defining product
 
-        theta_alpha(z) = prod_{m<n} theta(z + m/n + alpha tau/n) * E_alpha(z),
+        prod_{m<n} theta(z + m/n + alpha tau/n) * E_alpha(z),
 
-    from n ``theta_eval`` factors per derivative order and a Leibniz loop
-    over the Taylor coefficients.
+    from n :func:`theta_series` factors per derivative order and a Leibniz
+    loop over the Taylor coefficients.  It is C theta_alpha(z), C the
+    :func:`product_constant` of the basis.
     """
     n, tau = basis.n, basis.params.tau
     z = np.asarray(z, dtype=complex)
@@ -36,7 +58,7 @@ def theta_alpha_product(basis: ThetaBasis, alpha: int, z, order: int = 0):
     jet = [e * rate ** j / math.factorial(j) for j in range(order + 1)]
     for m in range(n):
         w = z + m / n + alpha * tau / n
-        factor = [theta_eval(tau, w, order=j) / math.factorial(j)
+        factor = [theta_series(w, tau, order=j) / math.factorial(j)
                   for j in range(order + 1)]
         jet = [sum(jet[i] * factor[k - i] for i in range(k + 1))
                for k in range(order + 1)]

@@ -5,9 +5,11 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ellpoisson.cli import RunConfig, build_parser, main
+from ellpoisson.fo import FConstants
 
 # the 28 option strings of the subcommands, in the order they are declared
 FLAGS = {
@@ -100,6 +102,16 @@ class TestExitCodes:
         assert code == 2
         assert ("Im tau = 0.012 is out of numerical range for the bracket "
                 "checks at n = 5") in err
+        assert "Traceback" not in err and out == ""
+
+    def test_bracket_beyond_double_range_refused(self, capsys):
+        # |theta_3(0)| reaches exp(431) at n = 7, tau = 80i, so a product of
+        # two values at 0 in the bracket's words would overflow
+        code = main(["sklyanin", "--n", "7", "--k", "2", "--tau", "0", "80"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert ("Im tau = 80 is out of double range at n = 7: a product of "
+                "two theta_alpha(0) may reach exp(862)") in err
         assert "Traceback" not in err and out == ""
 
     def test_eta_flag_removed(self, capsys):
@@ -198,6 +210,37 @@ class TestExitCodes:
         verdicts = {c["name"]: c["pass"]
                     for c in json.loads(text)["checks"]}
         assert verdicts[name] is False
+
+    @pytest.mark.parametrize("im", ["1", "6", "20"])
+    def test_f_table_check_sees_one_entry_off(self, im, tmp_path,
+                                              monkeypatch):
+        # power control: the F entries spread over many decades at large
+        # Im tau (the smallest is 6.9e-43 at 20i), so the comparison is
+        # entrywise relative; a 1e-6 relative error in the smallest entry
+        # must fail it
+        import ellpoisson.cli as cli
+        f_constants = cli.f_constants
+        args = ["sklyanin", "--n", "5", "--k", "1", "--tau", "0", im]
+
+        def verdict():
+            text = run(args, tmp_path)[1]
+            (check,) = [c for c in json.loads(text)["checks"]
+                        if c["name"] == "canonical_form_equals_f_table"]
+            return check
+
+        assert verdict()["pass"]
+
+        def off(basis):
+            f = f_constants(basis)
+            table = f.table.copy()
+            size = np.where(table != 0, np.abs(table), np.inf)
+            table[np.unravel_index(np.argmin(size), size.shape)] *= 1 + 1e-6
+            return FConstants(f.n, table)
+
+        monkeypatch.setattr(cli, "f_constants", off)
+        check = verdict()
+        assert not check["pass"]
+        assert check["residual"] == pytest.approx(1e-6, rel=1e-5)
 
     @pytest.mark.parametrize("args", [
         ["theta", "--n", "5"],

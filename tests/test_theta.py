@@ -1,6 +1,5 @@
-"""Tests for the theta evaluators and the Heisenberg action."""
+"""Tests for the theta series, the order-n basis and the Heisenberg shift."""
 
-import cmath
 import math
 import tracemalloc
 
@@ -8,37 +7,36 @@ import numpy as np
 import pytest
 
 from ellpoisson import theta
+from ellpoisson.cli import main
 from ellpoisson.errors import DegenerateTauError, ThetaRangeError
 from ellpoisson.theta import (
     ROUNDING_LIMIT,
-    T_ONE_OVER_N,
-    T_TAU_OVER_N,
+    TRUNCATION_EPS,
     CurveParams,
     ThetaBasis,
-    ThetaSection,
-    heisenberg_act,
-    section_eval,
+    series_bound_for,
     theta_alpha_deriv,
     theta_alpha_eval,
     theta_alpha_jet,
-    theta_eval,
     verify_automorphy,
     zeta_multiplier,
 )
-from oracles import theta_alpha_product
+from oracles import product_constant, theta_alpha_product, theta_series
 
 TAU_SQUARE = 1j
 TAU_GENERIC = 0.3 + 0.8j
 
 
-def theta_brute(z, tau, terms=50, order=0):
-    """Direct high-truncation summation oracle, no reduction tricks; the
-    order-th derivative is summed term by term."""
-    total = 0j
-    for m in range(-terms, terms + 1):
-        total += (-1) ** m * (2j * math.pi * m) ** order * cmath.exp(
-            2j * math.pi * (m * z + m * (m - 1) * tau / 2.0))
-    return total
+def theta_value(tau, z, *, series_bound=None, order=0):
+    """order-th derivative of the basic theta series at tau as the basis
+    sums it at n*tau: z reduced into the fundamental cell, the multiplier's
+    jet restored, truncated where ``TRUNCATION_EPS`` puts it."""
+    bound = (series_bound if series_bound is not None
+             else series_bound_for(tau, TRUNCATION_EPS))
+    z = np.asarray(z, dtype=complex)
+    out = (math.factorial(order)
+           * theta._theta_jet(z, complex(tau), bound, order)[order])
+    return complex(out) if out.ndim == 0 else out
 
 
 def cauchy_derivative(f, z, order, radius, nodes=64):
@@ -59,9 +57,12 @@ def mpmath_basis_jet(mp, n, tau, z, order):
     """Jet (f, f', f''/2)[:order + 1] of every theta_alpha at the points z,
     on a trailing alpha axis, from the defining product of n factors
     theta(w) = -i exp(pi i (w - tau/4)) theta_1(pi w, exp(pi i tau)) and
-    E_alpha in mpmath at the working precision."""
+    E_alpha in mpmath at the working precision, divided by
+    C = (Q;Q)^n / (Q^n;Q^n), Q = exp(2 pi i tau), from ``mpmath.qp``."""
     t = mp.mpc(tau)
     nome = mp.exp(1j * mp.pi * t)
+    q = mp.exp(2j * mp.pi * t)
+    c = mp.qp(q, q) ** n / mp.qp(q ** n, q ** n)
     out = np.empty((order + 1, len(z), n), dtype=complex)
     for p, w in enumerate(map(mp.mpc, z)):
         for alpha in range(n):
@@ -80,7 +81,7 @@ def mpmath_basis_jet(mp, n, tau, z, order):
                           for k in range(order + 1)]
                 jet = [sum(jet[i] * factor[k - i] for i in range(k + 1))
                        for k in range(order + 1)]
-            out[:, p, alpha] = [complex(v) for v in jet]
+            out[:, p, alpha] = [complex(v / c) for v in jet]
     return out
 
 
@@ -101,54 +102,60 @@ def sample_points(tau, count, seed=0):
 
 
 class TestThetaEval:
+    """The basic series theta(z; tau) as ``_theta_jet`` sums it, against
+    direct summation without reduction and against mpmath."""
+
     def test_vanishes_at_origin(self):
         for tau in (TAU_SQUARE, TAU_GENERIC):
-            assert abs(theta_eval(tau, 0.0)) < 1e-12
+            assert abs(theta_value(tau, 0.0)) < 1e-12
 
     def test_periodicity_in_one(self):
         z = 0.31 + 0.22j
         for tau in (TAU_SQUARE, TAU_GENERIC):
-            assert abs(theta_eval(tau, z + 1) - theta_eval(tau, z)) < 1e-12
+            assert abs(theta_value(tau, z + 1) - theta_value(tau, z)) < 1e-12
 
     def test_matches_brute_force_oracle(self):
-        val = theta_eval(TAU_SQUARE, 0.5)
-        assert abs(val - theta_brute(0.5, TAU_SQUARE)) < 1e-12
+        val = theta_value(TAU_SQUARE, 0.5)
+        assert abs(val - theta_series(0.5, TAU_SQUARE)) < 1e-12
 
     def test_matches_oracle_on_random_points(self):
         for tau in (TAU_SQUARE, TAU_GENERIC):
             for z in sample_points(tau, 12, seed=3):
-                assert abs(theta_eval(tau, z) - theta_brute(z, tau)) < 1e-11
+                assert abs(theta_value(tau, z) - theta_series(z, tau)) < 1e-11
 
     def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            theta_eval(-1j, 0.3)
+        # the series is reached only through a basis, whose lattice
+        # parameter must have Im(tau) > 0
+        with pytest.raises(ValueError, match="Im\\(tau\\) must be positive"):
+            ThetaBasis(CurveParams(-1j, 3))
 
     def test_truncation_soundness(self):
         z = sample_points(TAU_GENERIC, 25, seed=5)
-        base = theta_eval(TAU_GENERIC, z)
-        from ellpoisson.theta import series_bound_for
+        base = theta_value(TAU_GENERIC, z)
         m = series_bound_for(TAU_GENERIC, 1e-12)
-        doubled = theta_eval(TAU_GENERIC, z, series_bound=2 * m)
+        doubled = theta_value(TAU_GENERIC, z, series_bound=2 * m)
         assert np.max(np.abs(base - doubled)) < 1e-12
 
     def test_quasi_periodicity_large_shift(self):
         # reduction handles arguments far outside the cell
         z = 0.2 + 0.1j
         tau = TAU_GENERIC
-        direct = theta_brute(z + 3 * tau - 2, tau, terms=80)
-        assert abs(theta_eval(tau, z + 3 * tau - 2) - direct) < 1e-9 * abs(direct)
+        direct = theta_series(z + 3 * tau - 2, tau, terms=80)
+        assert (abs(theta_value(tau, z + 3 * tau - 2) - direct)
+                < 1e-9 * abs(direct))
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC])
     def test_derivatives_match_termwise_oracle(self, order, tau):
         for z in sample_points(tau, 12, seed=3):
-            direct = theta_brute(z, tau, order=order)
-            assert (abs(theta_eval(tau, z, order=order) - direct)
+            direct = theta_series(z, tau, order=order)
+            assert (abs(theta_value(tau, z, order=order) - direct)
                     < 1e-12 * max(1.0, abs(direct)))
         # far outside the cell the multiplier's jet carries the derivative
         z = 0.2 + 0.1j + 3 * tau - 2
-        direct = theta_brute(z, tau, terms=80, order=order)
-        assert abs(theta_eval(tau, z, order=order) - direct) < 1e-12 * abs(direct)
+        direct = theta_series(z, tau, terms=80, order=order)
+        assert (abs(theta_value(tau, z, order=order) - direct)
+                < 1e-12 * abs(direct))
 
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.5j, 2j, 0.2j, 0.1j,
                                      0.05j, 0.02j])
@@ -165,7 +172,7 @@ class TestThetaEval:
             ref = np.array([complex(-1j * mp.exp(1j * mp.pi * (w - t / 4))
                                     * mp.jtheta(1, mp.pi * w, nome))
                             for w in map(mp.mpc, z)])
-        err = np.abs(theta_eval(tau, z) - ref) / np.abs(ref)
+        err = np.abs(theta_value(tau, z) - ref) / np.abs(ref)
         if tau in (1j, 0.3 + 0.8j, 0.5j):
             assert np.max(err) < 1e-14
         # a priori rounding bound of the series sum (the grid lies in the
@@ -226,22 +233,24 @@ class TestThetaAlpha:
     @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC, 0.5j])
     def test_matches_defining_product(self, n, tau):
         # values and order-1 and order-2 jets of the one series at n tau
-        # against the n theta_eval factors of the defining product; measured
-        # at most 4.0e-15.  At Im tau <= 0.1 the product itself loses digits
-        # (1.5e-10 at tau = 0.05i, n = 7), so mpmath is the reference there
+        # against the n directly summed factors of the defining product,
+        # divided by its constant C; measured at most 4.6e-15.  At
+        # Im tau <= 0.1 the product itself loses digits (1.5e-10 at
+        # tau = 0.05i, n = 7), so mpmath is the reference there
         b = basis(n, tau)
         z = sample_points(tau, 6, seed=8)
         ref = np.stack([theta_alpha_product(b, a, z, 2) for a in range(n)],
-                       axis=-1)
+                       axis=-1) / product_constant(n, tau)
         assert np.all(jet_error(theta_alpha_jet(b, np.arange(n), z, 2), ref)
                       < 1e-13)
 
-    @pytest.mark.parametrize("n", [3, 5, 7])
-    @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC, 0.5j, 0.1j,
-                                     0.05j])
+    @pytest.mark.parametrize("tau, n", [
+        (tau, n) for tau in (TAU_SQUARE, TAU_GENERIC, 0.5j, 0.1j, 0.05j)
+        for n in (3, 5, 7)] + [(0.01j, 7)])
     def test_matches_mpmath_product(self, n, tau):
-        # the defining product of theta_1 factors at 30 digits; measured at
-        # most 1.1e-14, where the product of double factors reached 1.5e-10
+        # the defining product of theta_1 factors at 30 digits, divided by
+        # C; measured at most 1.1e-14 (9.7e-15 at n = 7, 0.01i), where the
+        # product of double factors reached 1.5e-10
         mp = pytest.importorskip("mpmath")
         b = basis(n, tau)
         z = sample_points(tau, 4, seed=9)
@@ -254,13 +263,14 @@ class TestThetaAlpha:
     @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC, 0.5j, 0.1j,
                                      0.05j])
     def test_product_constant_matches_mpmath(self, n, tau):
-        # C = (Q;Q)^n / (Q^n;Q^n) of the triple product; measured at most
-        # 6.9e-15
+        # C = (Q;Q)^n / (Q^n;Q^n) of the triple product, by which the
+        # oracle divides its defining product (the basis never evaluates
+        # it); measured at most 6.9e-15
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             q = mp.exp(2j * mp.pi * mp.mpc(tau))
             ref = complex(mp.qp(q, q) ** n / mp.qp(q ** n, q ** n))
-        assert abs(basis(n, tau).product_constant - ref) < 1e-14 * abs(ref)
+        assert abs(product_constant(n, tau) - ref) < 1e-14 * abs(ref)
 
     def test_index_periodicity(self):
         # theta_{alpha+n} at the unreduced index agrees with theta_alpha
@@ -339,9 +349,7 @@ class TestDoubleRange:
         with pytest.raises(ThetaRangeError):
             theta_alpha_deriv(b, 1, np.array([0.2, 0.1 - 20j]), 2)
         with pytest.raises(ThetaRangeError):
-            theta_eval(TAU_SQUARE, 0.3 + 30j)
-        with pytest.raises(ThetaRangeError):
-            theta_eval(TAU_SQUARE, complex(0.3, math.nan))
+            theta_alpha_eval(b, 2, complex(0.3, math.nan))
 
     @pytest.mark.parametrize("n,tau", [(3, TAU_SQUARE), (13, TAU_GENERIC),
                                        (5, 0.5j)])
@@ -354,8 +362,7 @@ class TestDoubleRange:
             for alpha in (0, 1, n - 1):
                 try:
                     vals = (theta_alpha_eval(b, alpha, z),
-                            theta_alpha_deriv(b, alpha, z, 2),
-                            theta_eval(b.params.tau, z, order=2))
+                            theta_alpha_deriv(b, alpha, z, 2))
                 except ThetaRangeError:
                     refused += 1
                     continue
@@ -514,11 +521,11 @@ class TestBasisTables:
                                        (5, 0.038), (13, 0.07)])
     def test_series_cancellation_accepted(self, n, im):
         # the product of n shifted factors loses these; at the last three
-        # every value carries C = 1.4e-12 (n = 7) or less, so an absolute
-        # floor on theta_0'(0) would refuse them too.  The one series at
-        # n tau keeps the values to rounding level (bound 2.7e-11, then
-        # 1.2e-13 to 1.5e-13); against mpmath at 30 digits measured at most
-        # 1.5e-14
+        # C = 1.4e-12 (n = 7) or less, so the product's values would fail
+        # an absolute floor on theta_0'(0) too.  The one series at n tau keeps the
+        # values to rounding level (bound 2.7e-11, then 5.2e-16 to
+        # 5.9e-15); against mpmath at 30 digits, divided by C, measured at
+        # most 6.6e-15
         mp = pytest.importorskip("mpmath")
         b = basis(n, 1j * im)
         assert b._rounding_bound() < ROUNDING_LIMIT
@@ -528,43 +535,22 @@ class TestBasisTables:
         assert np.all(jet_error(theta_alpha_jet(b, np.arange(n), z, 1), ref)
                       < 1e-13)
 
-
     @pytest.mark.parametrize("n, im", [(13, 0.009), (31, 0.02)])
-    def test_values_below_double_range_refused(self, n, im):
-        # the rounding bound reads 1.3e-12 and 1.2e-12 here, but C reads
-        # 3.7e-151 and 1.5e-150, so a product of two basis values, as in
-        # the bracket, may leave double range; at (13, 0.0035) C is an
-        # exact 0 and every value with it
-        with pytest.raises(DegenerateTauError,
-                           match="a product of two of them may leave double "
-                                 "range"):
-            basis(n, 1j * im)
+    def test_values_without_product_constant_accepted(self, n, im, tmp_path):
+        # the defining product carries C = 3.7e-151 and 1.5e-150 here, so a
+        # product of two of its values may leave double range; the one
+        # series at n tau has no such factor, and the rounding bound reads
+        # 1.9e-13 and 1.9e-15
+        b = basis(n, 1j * im)
+        assert b.rounding_bound < 1e-11
+        args = ["--n", str(n), "--tau", "0", str(im)]
+        for command in ("theta", "sklyanin"):
+            out = tmp_path / f"{command}.json"
+            assert main([command] + args + ["--output", str(out)]) == 0, \
+                out.read_text()
 
 
 class TestHeisenberg:
-    def test_scaling_generator_fixes_e0(self):
-        b = basis(4, TAU_SQUARE)
-        e0 = ThetaSection(np.array([1, 0, 0, 0]))
-        out = heisenberg_act(b, T_ONE_OVER_N, e0)
-        assert np.array_equal(out.coeffs, e0.coeffs)
-
-    def test_shift_has_order_n(self):
-        b = basis(5, TAU_GENERIC)
-        rng = np.random.default_rng(7)
-        sec = ThetaSection(rng.random(5) + 1j * rng.random(5))
-        out = sec
-        for _ in range(5):
-            out = heisenberg_act(b, T_TAU_OVER_N, out)
-        assert np.allclose(out.coeffs, sec.coeffs, atol=0)
-
-    def test_commutation_exact(self):
-        b = basis(4, TAU_SQUARE)
-        rng = np.random.default_rng(8)
-        sec = ThetaSection(rng.random(4) + 1j * rng.random(4))
-        ab = heisenberg_act(b, T_ONE_OVER_N, heisenberg_act(b, T_TAU_OVER_N, sec))
-        ba = heisenberg_act(b, T_TAU_OVER_N, heisenberg_act(b, T_ONE_OVER_N, sec))
-        assert np.max(np.abs(ab.coeffs - b.omega * ba.coeffs)) < 1e-15
-
     def test_shift_operator_pointwise(self):
         # zeta(z)^-1 theta_alpha(z + tau/n) equals theta_{alpha+1}(z)
         n = 3
@@ -575,25 +561,8 @@ class TestHeisenberg:
             rhs = theta_alpha_eval(b, alpha + 1, z)
             assert np.max(np.abs(lhs - rhs)) < 1e-8 * np.max(np.abs(rhs))
 
-    def test_section_eval_matches_operator(self):
-        n = 3
-        b = basis(n, TAU_GENERIC)
-        rng = np.random.default_rng(10)
-        sec = ThetaSection(rng.random(n) + 1j * rng.random(n))
-        z = sample_points(TAU_GENERIC, 8, seed=11)
-        shifted = heisenberg_act(b, T_TAU_OVER_N, sec)
-        lhs = section_eval(b, sec, z + b.params.tau / n) / zeta_multiplier(b, z)
-        rhs = section_eval(b, shifted, z)
-        assert np.max(np.abs(lhs - rhs)) < 1e-8 * np.max(np.abs(rhs))
-
 
 class TestAutomorphy:
-    def test_basic_theta_is_weight_one(self):
-        b = basis(3, TAU_SQUARE)
-        res = verify_automorphy(
-            b, 0, lambda z: theta_eval(TAU_SQUARE, z), weight=1)
-        assert res < 1e-9
-
     def test_zero_section(self):
         b = basis(3, TAU_SQUARE)
         res = verify_automorphy(b, 0, lambda z: np.zeros_like(np.asarray(z)))
