@@ -6,15 +6,17 @@ common to the whole basis, and the one trapezoid rule every circle is
 sampled on, a fixed node count at a quarter of the pole distance),
 ``poisson`` (a Z/n-graded quadratic bracket as one n^3 coefficient table,
 Jacobi certification as entrywise products of that table with itself,
-Heisenberg canonical form, projective descent), ``fo`` (elliptic quadratic
-relations, the F table, the semiclassical bracket and its finite-parameter
-oracle, the mean of the single-eta estimate over a circle around eta = 0,
-all as graded tables),
+Heisenberg canonical form, projective descent of any graded table by the
+chart rule), ``fo`` (elliptic quadratic relations, the F table as a plain
+array, the semiclassical bracket and its finite-parameter oracle, the mean
+of the single-eta estimate over a circle around eta = 0, all as graded
+tables),
 ``cech`` (one table of samples on the contours around the divisor,
 filled from one circle by the exact 1/n shift, from which the dual
 pairing, the trace tables and both routes to the extension-moduli bracket
-are read, with one expansion of the principal-part projection that is
-certified pair by pair and run by the bracket),
+are read, each route one array evaluation for the whole matrix, with one
+expansion of the principal-part projection that is certified pair by pair
+and projects every cotangent vector of the trace route in one product),
 ``exact`` (exact rational matrices on int64 numerators, promoted to Python
 ints only where a proven bound fails, products on float64 BLAS below 2^53,
 and one fraction-free elimination for rank and nullspace), ``homology`` (exact
@@ -24,6 +26,14 @@ divisor-class constraint).  ``cli`` drives batch verification runs.
 ``cech.laurent_coeffs`` and ``fo.fo_relations`` have no caller in the
 package; they stay because ``perfbench/spans.py`` wraps them.
 """
+
+import os
+
+# BLAS reads its thread count when numpy is first imported; one thread
+# spares the exact layer's many small float64 products the pool's start-up
+# and contention.  A value the caller sets is kept.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from .theta import (
     CurveParams,
@@ -38,10 +48,9 @@ from .poisson import (
     QuadraticBracket,
     hn_canonical_extract,
     jacobi_defect,
-    projective_bracket,
+    projective_matrix,
 )
 from .fo import (
-    FConstants,
     f_constants,
     fo_relations,
     semiclassical_from_relations,

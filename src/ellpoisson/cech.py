@@ -13,7 +13,10 @@ products psi_alpha phi_beta.  One expansion of P_+(psi_t phi) in those
 forms (:meth:`ResidueSystem.projection_coeffs`) is certified pair by pair
 against the samples and is the one the trace-pairing route to
 {t_i, t_j} and the image class pi_t run; the fully expanded coefficient
-route is cross-checked against the trace-pairing route.
+route is cross-checked against the trace-pairing route.  Both routes take
+arrays of chart indices, so :meth:`ResidueSystem.bracket_matrix` is one
+evaluation per matrix: the trace route projects all n cotangent vectors
+phi_i - t_i phi_0 with one matrix product.
 
 Every residue is a trace over the same n circles around the points of D,
 so :class:`ResidueSystem` holds phi_alpha, phi_alpha' and psi_alpha on
@@ -35,6 +38,7 @@ import numpy as np
 
 from .errors import ContourError, DegenerateTauError
 from .fo import f_constants
+from .poisson import chart_point
 # theta_alpha_deriv and theta_alpha_eval are not called here; they stay
 # bound because perfbench/spans.py wraps ellpoisson.cech.theta_alpha_deriv
 # and ellpoisson.cech.theta_alpha_eval on every traced run
@@ -143,12 +147,16 @@ class ResidueSystem:
         return (samples.sum(axis=-2) @ self.offsets
                 / (self.basis.n * len(self.offsets)))
 
-    def _combine(self, phi_coeffs, dphi_coeffs=None) -> np.ndarray:
+    def _samples(self, coeffs, table) -> np.ndarray:
+        """Samples of sum_g coeffs[..., g] table[g], one table per row of
+        the coefficients, as one matrix product."""
+        flat = coeffs @ table.reshape(len(table), -1)
+        return flat.reshape(flat.shape[:-1] + table.shape[1:])
+
+    def _combine(self, phi_coeffs, dphi_coeffs) -> np.ndarray:
         """Samples of sum_g c_g phi_g + sum_g d_g phi_g'."""
-        out = np.tensordot(phi_coeffs, self.phi, 1)
-        if dphi_coeffs is not None:
-            out = out + np.tensordot(dphi_coeffs, self.dphi, 1)
-        return out
+        return (self._samples(phi_coeffs, self.phi)
+                + self._samples(dphi_coeffs, self.dphi))
 
     def _principal_part(self, samples) -> float:
         """Largest |c_-2|, |c_-1| over the discs of an (n, P) sample table."""
@@ -194,7 +202,8 @@ class ResidueSystem:
             raise ValueError("need one coefficient per index")
         if abs(np.sum(coeffs)) > 1e-12 * max(1.0, float(np.max(np.abs(coeffs)))):
             raise ValueError("coefficients must sum to zero")
-        return self._principal_part(np.tensordot(coeffs, self.psi * self.phi, 1))
+        return self._principal_part(self._samples(coeffs,
+                                                  self.psi * self.phi))
 
     def verify_trace_identity(self, i: int, j: int) -> float:
         """|F(i,j-i) tr(phi_{j-i} phi_i psi_j) - (th'_i/th_i + th'_{j-i}/th_{j-i}
@@ -203,38 +212,41 @@ class ResidueSystem:
         n = basis.n
         if i % n == 0 or j % n == 0 or (i - j) % n == 0:
             raise ValueError("need i, j and i - j nonzero mod n")
-        lhs = self.f.c(i, j - i) * self.t3[(j - i) % n, i % n]
+        lhs = self.f[i % n, (j - i) % n] * self.t3[(j - i) % n, i % n]
         rhs = (basis.ratio_dtheta(i) + basis.ratio_dtheta(j - i)
                - 2j * math.pi * n)
         return float(abs(lhs - rhs))
 
     # -- the two routes to {t_i, t_j} -------------------------------------
+    # Both take chart indices i, j as integers or as integer arrays that
+    # broadcast against each other, and return one entry per index pair.
 
-    def closed_form_entry(self, t, i: int, j: int) -> complex:
+    def closed_form_entry(self, t, i, j):
         """Fully expanded coefficient formula (trace tables plus F)."""
         n = self.basis.n
         t = np.asarray(t, dtype=complex)
-        f = self.f
-        term1 = sum(t[(j - r) % n] * t[(i + r) % n] * f.c(j - r, r)
-                    * self.t3[r % n, i % n]
-                    for r in range(1, n))
-        term2 = sum(t[(i + r) % n] * t[(j - r) % n] * f.c(i + r, -r)
-                    * self.t3[(-r) % n, j % n]
-                    for r in range(1, n))
-        term3 = sum(t[r % n] * t[(j - r) % n] * f.c(r, j - r)
-                    for r in range(n) if r != j % n)
-        term4 = sum(t[r % n] * t[(i - r) % n] * f.c(r, i - r)
-                    for r in range(n) if r != i % n)
-        term5 = t[(i + j) % n] * (-self.td[j % n, i % n] + self.td[i % n, j % n])
-        return term1 - term2 - t[i % n] * term3 + t[j % n] * term4 + term5
-
-    def _psi_t(self, t) -> np.ndarray:
-        """Samples of psi_t = sum_a t_a psi_a."""
-        return np.tensordot(t, self.psi, 1)
+        f, t3, td = self.f, self.t3, self.td
+        i = np.asarray(i) % n
+        j = np.asarray(j) % n
+        r = np.arange(1, n)
+        ir = (i[..., None] + r) % n
+        jr = (j[..., None] - r) % n
+        words = t[ir] * t[jr]
+        term1 = (words * f[jr, r] * t3[r, i[..., None]]).sum(axis=-1)
+        term2 = (words * f[ir, -r] * t3[-r, j[..., None]]).sum(axis=-1)
+        # conv[m] = sum over r != m of t_r t_{m-r} F(r, m-r)
+        r = np.arange(n)
+        mr = (r[:, None] - r) % n
+        terms = t * t[mr] * f[r, mr]
+        np.fill_diagonal(terms, 0.0)
+        conv = terms.sum(axis=-1)
+        return (term1 - term2 - t[i] * conv[j] + t[j] * conv[i]
+                + t[(i + j) % n] * (-td[j, i] + td[i, j]))
 
     def projection_coeffs(self, t, a) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates of P_+(psi_t phi) for phi = sum_c a_c phi_c with
-        sum_c t_c a_c = 0: the phi and the phi' coefficients.
+        sum_c t_c a_c = 0: the phi and the phi' coefficients.  A 2-D ``a``
+        projects each of its rows.
 
         The closed forms: P_+(psi_al phi_c) is zero for c = 0,
         F(al, c - al) phi_{c-al} for al, c nonzero and distinct, and
@@ -242,51 +254,43 @@ class ResidueSystem:
         psi_c phi_c drop out by the kernel condition, and phi_0' vanishes.
         """
         n = self.basis.n
-        phi_coeffs = np.zeros(n, dtype=complex)
-        for c in range(1, n):
-            for al in range(n):
-                if al != c:
-                    phi_coeffs[(c - al) % n] += a[c] * t[al] * self.f.c(al, c - al)
-        return phi_coeffs, -t[0] * a
+        c = np.arange(n)
+        al = (c[:, None] - c) % n
+        # row c, column e = c - al: the phi_e coefficient of P_+(psi_al phi_c)
+        # times t_al; e = 0 is the diagonal al = c
+        proj = t[al] * self.f[al, c]
+        proj[0] = proj[:, 0] = 0.0
+        return a @ proj, -t[0] * a
 
-    def trace_form_entry(self, t, i: int, j: int) -> complex:
+    def trace_form_entry(self, t, i, j):
         """Direct quadrature of the projected-cocycle pairing."""
-        t = np.asarray(t, dtype=complex)
-        psi_t = self._psi_t(t)
-        dt_i = self._dt(t, i)
-        dt_j = self._dt(t, j)
-        return complex(self.tr(
-            self._combine(*self.projection_coeffs(t, dt_j)) * psi_t
-            * self._combine(dt_i)
-            - self._combine(*self.projection_coeffs(t, dt_i)) * psi_t
-            * self._combine(dt_j)))
-
-    def _dt(self, t, i: int) -> np.ndarray:
-        """Coordinates of the cotangent vector phi_i - t_i phi_0."""
-        i %= self.basis.n
-        a = np.zeros(self.basis.n, dtype=complex)
-        a[0] = -t[i]
-        a[i] += 1.0
-        return a
-
-    def bracket_matrix(self, t, method: str = "closed_form") -> np.ndarray:
-        """Antisymmetric matrix of {t_i, t_j}, chart indices 1..n-1."""
         n = self.basis.n
         t = np.asarray(t, dtype=complex)
-        if len(t) != n or t[0] != 1:
-            raise ValueError("t must have length n with t[0] = 1")
+        # row i: the cotangent vector phi_i - t_i phi_0, and its samples
+        dt = np.eye(n, dtype=complex)
+        dt[:, 0] -= t
+        samples = self.phi - t[:, None, None]
+        cocycle = (self._combine(*self.projection_coeffs(t, dt))
+                   * self._samples(t, self.psi))
+        # subtract the sample tables before the trace: a difference of two
+        # traces cancels less accurately
+        return self.tr(cocycle[j] * samples[i] - cocycle[i] * samples[j])
+
+    def bracket_matrix(self, t, method: str = "closed_form") -> np.ndarray:
+        """Antisymmetric matrix of {t_i, t_j}, chart indices 1..n-1; row
+        and column 0 are zero."""
+        n = self.basis.n
+        t = chart_point(n, t)
         if method == "closed_form":
             entry = self.closed_form_entry
         elif method == "trace_form":
             entry = self.trace_form_entry
         else:
             raise ValueError(f"unknown method {method!r}")
+        idx = np.arange(1, n)
+        upper = np.where(idx[:, None] < idx, entry(t, idx[:, None], idx), 0.0)
         out = np.zeros((n, n), dtype=complex)
-        for i in range(1, n):
-            for j in range(i + 1, n):
-                val = entry(t, i, j)
-                out[i, j] = val
-                out[j, i] = -val
+        out[1:, 1:] = upper - upper.T
         return out
 
     def pi_t_class(self, t, phi_coeffs) -> np.ndarray:
@@ -302,7 +306,7 @@ class ResidueSystem:
         scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(t))))
         if abs(np.dot(t, a)) > KERNEL_TOL * scale:
             raise ValueError("phi is not in the kernel of the pairing with t")
-        psi_t = self._psi_t(t)
-        w = psi_t * (psi_t * self._combine(a)
+        psi_t = self._samples(t, self.psi)
+        w = psi_t * (psi_t * self._samples(a, self.phi)
                      - 2.0 * self._combine(*self.projection_coeffs(t, a)))
         return self.tr(self.phi * w)

@@ -186,13 +186,12 @@ def cmd_sklyanin(cfg: RunConfig):
         f = f_constants(basis)
         # entrywise relative: the entries spread over many decades at
         # large Im(tau); the exact zeros F(a, -a) are left out
-        nonzero = f.table != 0
-        res = float(np.max(np.abs(h.table - f.table)[nonzero]
-                           / np.abs(f.table[nonzero])))
+        nonzero = f != 0
+        res = float(np.max(np.abs(h.table - f)[nonzero]
+                           / np.abs(f[nonzero])))
         checks.append(_check("canonical_form_equals_f_table", res,
                              BRACKET_TOL))
-        tables["f_table"] = [[a, b, float(f.table[a, b].real),
-                              float(f.table[a, b].imag)]
+        tables["f_table"] = [[a, b, float(f[a, b].real), float(f[a, b].imag)]
                              for a in range(cfg.n) for b in range(cfg.n)]
     est = semiclassical_from_relations(basis, cfg.k)
     deviation = est.max_difference(bracket) / bracket.max_abs()
@@ -216,13 +215,13 @@ def cmd_moduli_compare(cfg: RunConfig):
     basis = ThetaBasis(CurveParams(cfg.tau, cfg.n))
     basis.require_rounding(BRACKET_ROUNDING_LIMIT, " for the bracket checks")
     system = ResidueSystem(basis)
-    h = hn_canonical_extract(sklyanin_bracket(basis, 1))
+    bracket = sklyanin_bracket(basis, 1)
     agree = 0.0
     match = 0.0
     for t in _sample_chart_points(cfg.n, cfg.samples, cfg.seed):
         closed = system.bracket_matrix(t, "closed_form")
         traced = system.bracket_matrix(t, "trace_form")
-        ref = projective_matrix(h, t)
+        ref = projective_matrix(bracket, t)
         agree = max(agree, float(np.max(np.abs(closed - traced))))
         match = max(match, float(np.max(np.abs(closed - ref))))
     checks = [_check("method_agreement", agree, METHOD_TOL),

@@ -24,7 +24,6 @@ eta = 0, and serves as the independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,31 +33,31 @@ from .theta import (CIRCLE_POINTS, LOG_LIMIT, ThetaBasis, circle_nodes,
                     shortest_period, theta_alpha_eval)
 
 
-@dataclass(frozen=True)
-class FConstants:
-    """The symmetric table F(alpha, beta) built from theta values at 0.
+def f_constants(basis: ThetaBasis) -> np.ndarray:
+    """The symmetric table F[alpha, beta] built from theta values at 0.
 
     F(a, b) = theta'_0(0) theta_{a+b}(0) / (theta_a(0) theta_b(0)) off the
     axes, F(0, a) = F(a, 0) = theta'_a(0)/theta_a(0) - pi*i*n, F(0,0) = 0.
     """
-
-    n: int
-    table: np.ndarray
-
-    def c(self, alpha, beta):
-        return self.table[alpha % self.n, beta % self.n]
-
-
-def f_constants(basis: ThetaBasis) -> FConstants:
     n = basis.n
     th = basis.theta_at_zero
     dth = basis.dtheta_at_zero
+    a = np.arange(1, n)
     table = np.zeros((n, n), dtype=complex)
-    for a in range(1, n):
-        table[0, a] = table[a, 0] = dth[a] / th[a] - 1j * math.pi * n
-        for b in range(1, n):
-            table[a, b] = dth[0] * th[(a + b) % n] / (th[a] * th[b])
-    return FConstants(n, table)
+    table[0, 1:] = table[1:, 0] = dth[1:] / th[1:] - 1j * math.pi * n
+    table[1:, 1:] = (_product(dth[0], th[(a[:, None] + a) % n])
+                     / _product(th[1:, None], th[1:]))
+    return table
+
+
+def _product(x, y):
+    """x * y with each real product and sum rounded once, as scalar
+    complex arithmetic rounds.  numpy's array loop for complex products may
+    fuse a product into the sum (FMA), which would make the last bit of F
+    depend on the machine's vector instructions."""
+    out = (x.real * y.real - x.imag * y.imag).astype(complex)
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def _check_coprime(n: int, k: int):

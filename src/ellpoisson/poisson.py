@@ -8,10 +8,11 @@ whole table collapses to a single symmetric table
 C(alpha, beta) = G[0, alpha+beta, alpha] with
 
     {x_i, x_j} = sum_r C(r, j-i-r) x_{i+r} x_{j-r},
-    C(beta, alpha) = C(alpha, beta) = -C(-alpha, -beta),
+    C(beta, alpha) = C(alpha, beta) = -C(-alpha, -beta).
 
-and the induced bracket on the chart t_i = x_i / x_0 of projective space
-has the closed three-group form implemented in :func:`projective_bracket`.
+Any graded bracket descends to the chart t_i = x_i / x_0 of projective
+space by the chart rule {t_i, t_j} = {x_i, x_j} - t_i {x_0, x_j}
+- t_j {x_i, x_0} at x = t, which :func:`projective_matrix` reads off G.
 """
 
 from __future__ import annotations
@@ -89,9 +90,6 @@ class HnBracket:
         if max(sym, skew, abs(tab[0, 0])) > CANONICAL_TOL * scale:
             raise ValueError("table violates the symmetries "
                              "C(b,a)=C(a,b)=-C(-a,-b), C(0,0)=0")
-
-    def c(self, alpha, beta):
-        return self.table[alpha % self.n, beta % self.n]
 
     def to_quadratic(self) -> QuadraticBracket:
         """{x_i, x_j} = sum_r C(r, j-i-r) x_{i+r} x_{j-r}, built for i < j.
@@ -192,43 +190,25 @@ def hn_canonical_extract(b: QuadraticBracket) -> HnBracket:
     return HnBracket(n, table)
 
 
-def projective_bracket(h: HnBracket, t, i: int, j: int) -> complex:
-    """{t_i, t_j} on the chart x_0 != 0 for an invariant bracket.
-
-    ``t`` is the full coordinate vector with t[0] = 1 and indices read
-    modulo n; i and j must be nonzero chart indices.
-    """
-    n = h.n
+def chart_point(n: int, t) -> np.ndarray:
+    """t as a complex point t_i = x_i / x_0 of the chart x_0 = 1 of
+    P^{n-1}; ValueError unless t has length n and t[0] = 1."""
     t = np.asarray(t, dtype=complex)
     if len(t) != n or t[0] != 1:
         raise ValueError("t must have length n with t[0] = 1")
-    i %= n
-    j %= n
-    if i == 0 or j == 0:
-        raise IndexError("chart indices must be nonzero")
-    if i == j:
-        return 0j
-    total = 0j
-    for r in range(n):
-        if r != 0 and r != (j - i) % n:
-            total += h.c(r, j - i - r) * t[(i + r) % n] * t[(j - r) % n]
-    s1 = sum(h.c(r, j - r) * t[r % n] * t[(j - r) % n]
-             for r in range(n) if r != 0 and r != j % n)
-    s2 = sum(h.c(r, -i - r) * t[(i + r) % n] * t[(-r) % n]
-             for r in range(n) if r != 0 and r != (-i) % n)
-    total -= t[i] * s1
-    total -= t[j] * s2
-    total += 2.0 * (h.c(0, j - i) - h.c(0, j) - h.c(0, -i)) * t[i] * t[j]
-    return total
+    return t
 
 
-def projective_matrix(h: HnBracket, t) -> np.ndarray:
-    """All {t_i, t_j} as an antisymmetric n x n array (row/col 0 zero)."""
-    n = h.n
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            val = projective_bracket(h, t, i, j)
-            out[i, j] = val
-            out[j, i] = -val
-    return out
+def projective_matrix(b: QuadraticBracket, t) -> np.ndarray:
+    """All {t_i, t_j} on the chart x_0 = 1 as an n x n array whose row and
+    column 0 are zero, by the chart rule
+
+        {t_i, t_j} = {x_i, x_j} - t_i {x_0, x_j} - t_j {x_i, x_0}  at x = t.
+    """
+    n = b.n
+    t = chart_point(n, t)
+    k = np.arange(n)
+    # words[i, j, k] = t_k t_l, l = i+j-k: the monomials of {x_i, x_j}
+    words = t * t[((k[:, None] + k)[..., None] - k) % n]
+    x = (b.coeffs * words).sum(axis=-1)
+    return x - t[:, None] * x[0] - t * x[:, :1]

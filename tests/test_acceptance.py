@@ -19,8 +19,8 @@ from ellpoisson.homology import cone_iso_check, hom_complex, pi_bivector, \
     random_kronecker_complex
 from ellpoisson.leaves import classical_cubic_rows, DivisorDatum, \
     divisor_constraint, end_dim_sheaf, enumerate_strata
-from ellpoisson.poisson import QuadraticBracket, hn_canonical_extract, \
-    jacobi_defect, projective_matrix
+from ellpoisson.poisson import QuadraticBracket, jacobi_defect, \
+    projective_matrix
 from ellpoisson.theta import CIRCLE_POINTS, CurveParams, ThetaBasis, \
     shortest_period, theta_alpha_deriv, theta_alpha_eval
 
@@ -183,11 +183,11 @@ def test_criterion_7_moduli_equals_projective():
         for tau in TAUS:
             b = get_basis(n, tau)
             system = ResidueSystem(b)
-            h = hn_canonical_extract(sklyanin_bracket(b, 1))
+            bracket = sklyanin_bracket(b, 1)
             for t in chart_points(n, 20, seed=17):
                 closed = system.bracket_matrix(t, "closed_form")
                 traced = system.bracket_matrix(t, "trace_form")
-                ref = projective_matrix(h, t)
+                ref = projective_matrix(bracket, t)
                 agree = max(agree, float(np.max(np.abs(closed - traced))))
                 match = max(match, float(np.max(np.abs(closed - ref))))
     elapsed = time.perf_counter() - start

@@ -13,7 +13,7 @@ from ellpoisson.cech import (
 )
 from ellpoisson.errors import ContourError, DegenerateTauError
 from ellpoisson.fo import sklyanin_bracket
-from ellpoisson.poisson import hn_canonical_extract, projective_matrix
+from ellpoisson.poisson import projective_matrix
 from ellpoisson.theta import (
     CIRCLE_POINTS,
     CurveParams,
@@ -289,6 +289,34 @@ class TestPPlus:
                     assert np.max(np.abs(got_phi - want_phi)) <= 1e-12 * scale
                     assert np.array_equal(got_dphi, want_dphi)
 
+    def test_rows_match_term_by_term_expansion(self):
+        # the rows of a 2-D a, each a zero-sum combination with t, against
+        # the closed forms summed term by term from the theta values at 0
+        n = 5
+        s = system(n, 0.3 + 0.8j)
+        th = s.basis.theta_at_zero
+        dth = s.basis.dtheta_at_zero
+        rng = np.random.default_rng(4)
+        t = random_chart_point(n, rng)
+        a = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        a[:, 0] -= a @ t
+        want = np.zeros((3, n), dtype=complex)
+        for row in range(3):
+            for c in range(1, n):
+                for al in range(n):
+                    e = (c - al) % n
+                    if al == 0:
+                        value = dth[c] / th[c] - 1j * math.pi * n
+                    elif al != c:
+                        value = dth[0] * th[c] / (th[al] * th[e])
+                    else:
+                        continue
+                    want[row, e] += a[row, c] * t[al] * value
+        got_phi, got_dphi = s.projection_coeffs(t, a)
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(got_phi - want)) <= 1e-12 * scale
+        assert np.array_equal(got_dphi, -t[0] * a)
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_all_pairs_certified(self, n):
         s = system(n)
@@ -343,6 +371,28 @@ class TestModuliBracket:
             assert np.all(np.isfinite(mat))
             assert np.max(np.abs(mat + mat.T)) == 0.0
 
+    @pytest.mark.parametrize("n", [5, 9])
+    @pytest.mark.parametrize("method", ["closed_form", "trace_form"])
+    def test_entries_on_index_arrays(self, n, method):
+        # one call on broadcasting index arrays equals the per-pair calls,
+        # and bracket_matrix holds the same entries
+        s = system(n, 0.3 + 0.8j)
+        entry = getattr(s, method + "_entry")
+        t = random_chart_point(n, np.random.default_rng(n))
+        idx = np.arange(1, n)
+        grid = entry(t, idx[:, None], idx)
+        pairs = np.array([[entry(t, i, j) for j in range(1, n)]
+                          for i in range(1, n)])
+        assert grid.shape == pairs.shape == (n - 1, n - 1)
+        scale = float(np.max(np.abs(pairs)))
+        assert np.max(np.abs(grid - pairs)) <= 1e-14 * scale
+        mat = s.bracket_matrix(t, method)
+        upper = np.triu(np.ones((n - 1, n - 1), dtype=bool), 1)
+        assert np.array_equal(mat[1:, 1:][upper], grid[upper])
+        assert np.array_equal(mat, -mat.T)
+        column = entry(t, [1, 2], 3)
+        assert np.max(np.abs(column - grid[:2, 2])) <= 1e-14 * scale
+
     def test_methods_agree(self):
         rng = np.random.default_rng(21)
         system = ResidueSystem(basis(3))
@@ -358,12 +408,12 @@ class TestModuliBracket:
         # the moduli bracket equals the projective bracket with C = F
         b = basis(n, tau)
         system = ResidueSystem(b)
-        h = hn_canonical_extract(sklyanin_bracket(b, 1))
+        bracket = sklyanin_bracket(b, 1)
         rng = np.random.default_rng(n)
         for _ in range(3):
             t = random_chart_point(n, rng)
             mat = system.bracket_matrix(t, "closed_form")
-            ref = projective_matrix(h, t)
+            ref = projective_matrix(bracket, t)
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(mat - ref)) < 1e-6 * scale
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from ellpoisson.cli import RunConfig, build_parser, main
-from ellpoisson.fo import FConstants
 
 # the 28 option strings of the subcommands, in the order they are declared
 FLAGS = {
@@ -231,11 +230,10 @@ class TestExitCodes:
         assert verdict()["pass"]
 
         def off(basis):
-            f = f_constants(basis)
-            table = f.table.copy()
+            table = f_constants(basis).copy()
             size = np.where(table != 0, np.abs(table), np.inf)
             table[np.unravel_index(np.argmin(size), size.shape)] *= 1 + 1e-6
-            return FConstants(f.n, table)
+            return table
 
         monkeypatch.setattr(cli, "f_constants", off)
         check = verdict()

@@ -32,22 +32,36 @@ def relative_deviation(b, k):
 class TestFConstants:
     def test_f00_is_zero(self):
         f = f_constants(basis(3))
-        assert f.c(0, 0) == 0
+        assert f[0, 0] == 0
 
     def test_antidiagonal_vanishes(self):
         # alpha + beta = 0 makes the numerator theta_0(0) = 0
         f = f_constants(basis(3))
-        assert f.c(1, 2) == 0
+        assert f[1, 2] == 0
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_symmetries(self, n):
-        f = f_constants(basis(n))
-        t = f.table
+        t = f_constants(basis(n))
         assert np.max(np.abs(t - t.T)) < 1e-10
         idx = np.arange(n)
         neg = t[np.ix_((-idx) % n, (-idx) % n)]
         scale = np.max(np.abs(t))
         assert np.max(np.abs(t + neg)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 13])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.5j])
+    def test_equals_scalar_formula_to_the_bit(self, n, tau):
+        # entry by entry in scalar arithmetic, the reference for the
+        # report's f_table
+        b = basis(n, tau)
+        th = b.theta_at_zero
+        dth = b.dtheta_at_zero
+        ref = np.zeros((n, n), dtype=complex)
+        for a in range(1, n):
+            ref[0, a] = ref[a, 0] = dth[a] / th[a] - 1j * math.pi * n
+            for c in range(1, n):
+                ref[a, c] = dth[0] * th[(a + c) % n] / (th[a] * th[c])
+        assert f_constants(b).tobytes() == ref.tobytes()
 
     def test_large_n_small_raw_values_accepted(self):
         # theta_alpha(0) spans many orders of magnitude at n = 23, tau = 2i;
@@ -56,7 +70,7 @@ class TestFConstants:
         b = basis(23, 2j)
         f = f_constants(b)
         h = hn_canonical_extract(sklyanin_bracket(b, 1))
-        assert np.max(np.abs(h.table - f.table)) < 1e-10
+        assert np.max(np.abs(h.table - f)) < 1e-10
 
 
 class TestRelations:

@@ -6,6 +6,8 @@ in ``src/ellpoisson`` is checked, including those inside functions.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +41,22 @@ def test_checker_sees_a_foreign_import(tmp_path):
     probe.write_text("from . import x\n"
                      "def f():\n    import scipy.linalg\n")
     assert [r for _, r in imported_roots(probe)] == ["scipy"]
+
+
+BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_blas_threads_pinned_unless_set(preset):
+    # a fresh interpreter: BLAS reads the variables when numpy is first
+    # imported, which importing the package does after setting them
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = str(SRC.parent)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, ellpoisson; "
+            f"print(*(os.environ[v] for v in {BLAS_VARIABLES!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout.split()
+    assert out == ["1", preset or "1", "1"]

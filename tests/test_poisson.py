@@ -12,7 +12,7 @@ from ellpoisson.poisson import (
     QuadraticBracket,
     hn_canonical_extract,
     jacobi_defect,
-    projective_bracket,
+    projective_matrix,
 )
 from ellpoisson.theta import CurveParams, ThetaBasis
 from oracles import (
@@ -241,14 +241,14 @@ class TestCanonicalForm:
         assert np.array_equal(recovered.table, h.table)
         for n in range(3, 14):
             f = f_constants(ThetaBasis(CurveParams(0.3 + 0.8j, n)))
-            recovered = hn_canonical_extract(HnBracket(n, f.table).to_quadratic())
-            assert np.array_equal(recovered.table, f.table)
+            recovered = hn_canonical_extract(HnBracket(n, f).to_quadratic())
+            assert np.array_equal(recovered.table, f)
 
     def test_sklyanin_k1_matches_f_table(self):
         basis = ThetaBasis(CurveParams(1j, 3))
         h = hn_canonical_extract(sklyanin_bracket(basis, 1))
         f = f_constants(basis)
-        assert np.max(np.abs(h.table - f.table)) < 1e-10
+        assert np.max(np.abs(h.table - f)) < 1e-10
 
     def test_non_invariant_rejected(self):
         # {x_0, x_1} = x_0 x_1 alone is graded but not shift-invariant
@@ -304,39 +304,48 @@ class TestCanonicalForm:
         assert jacobi_defect(b1) == 0.0
 
 
+def chart_rule(b, t):
+    """{t_i, t_j} = {x_i, x_j} - t_i {x_0, x_j} - t_j {x_i, x_0} at x = t,
+    entry by entry on the Leibniz polynomials."""
+    xs = [Polynomial.variable(b.n, i) for i in range(b.n)]
+    return np.array([[(bracket_poly(b, xi, xj)
+                       - t[i] * bracket_poly(b, xs[0], xj)
+                       - t[j] * bracket_poly(b, xi, xs[0])).eval(t)
+                      for j, xj in enumerate(xs)]
+                     for i, xi in enumerate(xs)])
+
+
 class TestProjective:
     def test_diagonal_and_zero_table(self):
-        h = delta_hn(4, 0.0)
         t = np.array([1.0, 0.3, 0.1, -0.2], dtype=complex)
-        assert projective_bracket(h, t, 1, 1) == 0
-        assert projective_bracket(h, t, 1, 2) == 0
+        assert not np.any(projective_matrix(QuadraticBracket(4), t))
+        mat = projective_matrix(random_bracket(4, np.random.default_rng(2)), t)
+        assert not np.any(np.diag(mat))
+        assert not np.any(mat[0]) and not np.any(mat[:, 0])
 
-    def test_rejects_chart_index_zero(self):
-        h = delta_hn(3, 1.0)
-        with pytest.raises(IndexError):
-            projective_bracket(h, np.array([1.0, 0.2, 0.4]), 0, 1)
+    @pytest.mark.parametrize("t", [[1.0, 0.2], [1.0, 0.2, 0.4, 0.1],
+                                   [0.5, 0.2, 0.4]])
+    def test_rejects_point_off_the_chart(self, t):
+        with pytest.raises(ValueError, match="t\\[0\\] = 1"):
+            projective_matrix(sklyanin(3), t)
 
     def test_against_chart_rule_oracle(self):
         # {x_i/x_0, x_j/x_0} = ({x_i,x_j} - t_i {x_0,x_j} - t_j {x_i,x_0})/x_0^2
-        basis = ThetaBasis(CurveParams(1j, 3))
-        h = hn_canonical_extract(sklyanin_bracket(basis, 1))
-        b = h.to_quadratic()
+        b = sklyanin(3)
         t = np.array([1.0, 0.7 + 0.1j, -0.3], dtype=complex)
+        direct = projective_matrix(b, t)
         for i in range(1, 3):
             for j in range(1, 3):
-                direct = projective_bracket(h, t, i, j)
                 xi = Polynomial.variable(3, i)
                 xj = Polynomial.variable(3, j)
                 x0 = Polynomial.variable(3, 0)
                 chart = (bracket_poly(b, xi, xj)
                          - t[i] * bracket_poly(b, x0, xj)
                          - t[j] * bracket_poly(b, xi, x0))
-                assert abs(direct - chart.eval(t)) < 1e-9
+                assert abs(direct[i, j] - chart.eval(t)) < 1e-9
 
     def test_chart_rule_many_random_points(self):
-        basis = ThetaBasis(CurveParams(0.3 + 0.8j, 5))
-        h = hn_canonical_extract(sklyanin_bracket(basis, 1))
-        b = h.to_quadratic()
+        b = sklyanin(5, tau=0.3 + 0.8j)
         rng = np.random.default_rng(9)
         polys = {}
         for i in range(5):
@@ -350,8 +359,24 @@ class TestProjective:
             i, j = rng.integers(1, 5, size=2)
             if i == j:
                 continue
-            direct = projective_bracket(h, t, int(i), int(j))
+            direct = projective_matrix(b, t)[i, j]
             chart = (polys[(int(i), int(j))].eval(t)
                      - t[i] * polys[(0, int(j))].eval(t)
                      - t[j] * polys[(int(i), 0)].eval(t))
             assert abs(direct - chart) < 1e-9 * max(1.0, abs(chart))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_non_invariant_bracket(self, n):
+        # a graded bracket with no Heisenberg symmetry has no canonical
+        # table C, and still descends to the chart
+        rng = np.random.default_rng(n)
+        b = random_bracket(n, rng)
+        with pytest.raises(InvarianceError):
+            hn_canonical_extract(b)
+        for _ in range(3):
+            t = np.concatenate(
+                ([1.0], rng.standard_normal(n - 1)
+                 + 1j * rng.standard_normal(n - 1)))
+            ref = chart_rule(b, t)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(projective_matrix(b, t) - ref)) < 1e-12 * scale
