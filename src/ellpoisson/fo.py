@@ -38,7 +38,10 @@ def f_constants(basis: ThetaBasis) -> np.ndarray:
 
     F(a, b) = theta'_0(0) theta_{a+b}(0) / (theta_a(0) theta_b(0)) off the
     axes, F(0, a) = F(a, 0) = theta'_a(0)/theta_a(0) - pi*i*n, F(0,0) = 0.
+    Its products of two theta_alpha(0) are range-checked as in
+    :func:`sklyanin_bracket`.
     """
+    _check_range(basis)
     n = basis.n
     th = basis.theta_at_zero
     dth = basis.dtheta_at_zero
@@ -58,6 +61,17 @@ def _product(x, y):
     out = (x.real * y.real - x.imag * y.imag).astype(complex)
     out.imag = x.real * y.imag + x.imag * y.real
     return out
+
+
+def _check_range(basis: ThetaBasis):
+    """Raise ThetaRangeError where a product of two theta_alpha(0),
+    alpha != 0, may leave double range."""
+    log_size = 2.0 * math.log(float(np.max(np.abs(basis.theta_at_zero[1:]))))
+    if not log_size <= LOG_LIMIT:
+        raise ThetaRangeError(
+            f"Im tau = {basis.params.tau.imag:g} is out of double range at "
+            f"n = {basis.n}: a product of two theta_alpha(0) may reach "
+            f"exp({log_size:.0f}), beyond the limit exp({LOG_LIMIT:.0f})")
 
 
 def _check_coprime(n: int, k: int):
@@ -114,14 +128,9 @@ def sklyanin_bracket(basis: ThetaBasis, k: int) -> QuadraticBracket:
     """
     n = basis.n
     _check_coprime(n, k)
+    _check_range(basis)
     th = basis.theta_at_zero
     dth = basis.dtheta_at_zero
-    log_size = 2.0 * math.log(float(np.max(np.abs(th[1:]))))
-    if not log_size <= LOG_LIMIT:
-        raise ThetaRangeError(
-            f"Im tau = {basis.params.tau.imag:g} is out of double range at "
-            f"n = {n}: a product of two theta_alpha(0) may reach "
-            f"exp({log_size:.0f}), beyond the limit exp({LOG_LIMIT:.0f})")
     # g[d, r]: coefficient of the word x_{j-r} x_{i+r} in {x_i, x_j}, d = j-i
     d, r = np.indices((n, n))
     words = (r != 0) & (r != d)

@@ -13,17 +13,26 @@ bivector whose degree-0 block is checked for exact antisymmetry against
 the transpose partner d^0 t.  The printed cone identification
 Cone(ad)[-1] = C . C^0, with the degree-0 change of basis
 [[1, 0], [1, -1]], is verified identity by identity over the rationals.
+Every map through degree 0 of the two complexes, C^0 + C^0, is a matrix
+of blocks that are differentials of the endomorphism complex or integer
+multiples of the identity of C^0, so the identities are evaluated block by
+block and multiply only differentials.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import Mat, assemble, hstack, vstack
 
+# degree-0 blocks, in C^0 + C^0, of the comparison map of the cone with the
+# direct sum, and of the inclusion of C^{>=0} and the diagonal from C^0
 DEG0_CHANGE_OF_BASIS = ((1, 0), (1, -1))
+INCLUSION = ((1,), (0,))
+DIAGONAL = ((1,), (1,))
 
 
 def _as_mat(data, shape):
@@ -231,31 +240,87 @@ def pi_bivector(H: HomComplex) -> PiBivector:
 
 
 def _shifted_cone(H: HomComplex, sign_flip: bool):
-    """Degree data and differentials of the two printed complexes.
+    """Differentials of the two printed complexes and the comparison map,
+    as block matrices (sequences of block rows).
 
-    Returns (dims, d_cone, d_sum, change_of_basis) where degree 0 of both
-    complexes is C^0 + C^0; in the cone the first summand is the shifted
-    target copy, in the direct sum it is the untruncated complex.  The two
-    complexes share one differential object in every degree but -1.
+    Degree 0 of both complexes is C^0 + C^0: in the cone the first summand
+    is the shifted target copy, in the direct sum it is the untruncated
+    complex.  A block is a Mat or an int c standing for c times the
+    identity of C^0, 0 for a zero block.  Every other differential is the
+    1x1 block of H.diff(d), and the two complexes share one block matrix
+    in every degree but -1.
     """
-    dims = {d: H.dim(d) for d in range(H.deg_min, H.deg_max + 1)}
-    dims[0] = 2 * H.dim(0)
-    d_cone = {}
-    d_sum = {}
-    for d in range(H.deg_min, H.deg_max):
-        if d == -1:
-            d_cone[d] = vstack([H.diff(-1), H.diff(-1)])
-            d_sum[d] = vstack([H.diff(-1), Mat.zeros(H.dim(0), H.dim(-1))])
-        elif d == 0:
-            d_cone[d] = d_sum[d] = hstack([H.diff(0),
-                                           Mat.zeros(H.dim(1), H.dim(0))])
-        else:
-            d_cone[d] = d_sum[d] = H.diff(d)
-    ident = Mat.identity(H.dim(0))
-    top = 1 if not sign_flip else -1
-    change = vstack([hstack([ident, Mat.zeros(H.dim(0), H.dim(0))]),
-                     hstack([ident.scale(top), -ident])])
-    return dims, d_cone, d_sum, change
+    d_cone = {d: ((H.diff(d),),) for d in range(H.deg_min, H.deg_max)}
+    d_sum = dict(d_cone)
+    if -1 in d_cone:  # then so is 0
+        a = H.diff(-1)
+        d_cone[-1], d_sum[-1] = ((a,), (a,)), ((a,), (0,))
+        d_cone[0] = d_sum[0] = ((H.diff(0), 0),)
+    (c00, c01), (c10, c11) = DEG0_CHANGE_OF_BASIS
+    change = ((c00, c01), (-c10 if sign_flip else c10, c11))
+    return d_cone, d_sum, change
+
+
+def _block_mat(x, shape) -> Mat:
+    """Block x as a Mat of ``shape``; an int c is c times the identity."""
+    if isinstance(x, Mat):
+        return x
+    return Mat.identity(shape[0]).scale(x) if x else Mat.zeros(*shape)
+
+
+def _times(x, y, products):
+    """Block x times block y.  An int block scales; Mat @ Mat runs once per
+    pair of operands, kept in ``products`` with the operands so that their
+    ids stay unique."""
+    if isinstance(x, Mat) and isinstance(y, Mat):
+        key = (id(x), id(y))
+        if key not in products:
+            products[key] = (x, y, x @ y)
+        return products[key][2]
+    c, m = (x, y) if isinstance(x, int) else (y, x)
+    if not isinstance(m, Mat):
+        return c * m
+    return 0 if c == 0 else m if c == 1 else m.scale(c)
+
+
+def _block_product(left, right, products):
+    """left @ right block by block; zero blocks drop out of each sum."""
+    out = []
+    for row in left:
+        out.append([])
+        for col in zip(*right):
+            terms = [t for t in (_times(x, y, products)
+                                 for x, y in zip(row, col))
+                     if isinstance(t, Mat) or t]
+            mats = [t for t in terms if isinstance(t, Mat)]
+            if mats:
+                terms = [_block_mat(t, mats[0].shape) for t in terms]
+            out[-1].append(sum(terms[1:], terms[0]) if terms else 0)
+    return out
+
+
+def _block_equal(left, right, dim0) -> bool:
+    """Blockwise equality; with dim C^0 = 0 every int block is empty."""
+    for x, y in zip(itertools.chain(*left), itertools.chain(*right)):
+        if isinstance(x, Mat) or isinstance(y, Mat):
+            shape = (x if isinstance(x, Mat) else y).shape
+            if not _block_mat(x, shape) == _block_mat(y, shape):
+                return False
+        elif x != y and dim0:
+            return False
+    return True
+
+
+def _dense(blocks, dim0) -> Mat:
+    """The Mat of a block matrix; a block row or column of ints is C^0."""
+    if len(blocks) == len(blocks[0]) == 1:
+        return blocks[0][0]
+    heights = [next((x.shape[0] for x in row if isinstance(x, Mat)), dim0)
+               for row in blocks]
+    widths = [next((x.shape[1] for x in col if isinstance(x, Mat)), dim0)
+              for col in zip(*blocks)]
+    return vstack([hstack([_block_mat(x, (h, w)) for x, w in zip(row, widths)])
+                   for row, h in zip(blocks, heights)])
 
 
 def homology_dims(dims: dict, diffs: dict, ranks: dict | None = None) -> dict:
@@ -272,44 +337,58 @@ def homology_dims(dims: dict, diffs: dict, ranks: dict | None = None) -> dict:
 
 def cone_iso_check(H: HomComplex, sign_flip: bool = False,
                    with_homology: bool = False):
-    """Verify the printed cone identification exactly.
+    """Verify the printed cone identification exactly, block by block.
 
     Checks (i) both complexes square to zero, (ii) the comparison map with
-    degree-0 block [[1,0],[1,-1]] is an invertible chain map, (iii) the
-    inclusion of the non-negative truncation closes the printed commuting
-    square, and optionally (iv) equality of homology dimensions computed by
-    exact rank.  Returns (ok, failures).
+    degree-0 block DEG0_CHANGE_OF_BASIS is an invertible chain map, (iii)
+    the inclusion of the non-negative truncation closes the printed
+    commuting square, and optionally (iv) equality of homology dimensions
+    computed by exact rank.  Every map through C^0 + C^0 is a block matrix
+    (:func:`_shifted_cone`), so the identities multiply only differentials
+    of H, each pair once; the 2 dim C^0 matrices are assembled only for
+    (iv).  Returns (ok, failures).
     """
-    dims, d_cone, d_sum, change = _shifted_cone(H, sign_flip)
+    d_cone, d_sum, change = _shifted_cone(H, sign_flip)
+    dim0 = H.dim(0)
+    products = {}
+
+    def mul(left, right):
+        return _block_product(left, right, products)
+
+    def same(left, right):
+        return _block_equal(left, right, dim0)
+
     failures = []
     for d in sorted(d_cone):
-        nxt = d_cone.get(d + 1)
-        if nxt is not None and not (nxt @ d_cone[d]).is_zero():
-            failures.append(f"cone differential squares to zero at degree {d}")
-        nxt = d_sum.get(d + 1)
-        if nxt is not None and not (nxt @ d_sum[d]).is_zero():
-            failures.append(f"sum differential squares to zero at degree {d}")
+        for name, diffs in (("cone", d_cone), ("sum", d_sum)):
+            if d + 1 in diffs:
+                square = mul(diffs[d + 1], diffs[d])
+                if not same(square, [[0] * len(square[0])] * len(square)):
+                    failures.append(f"{name} differential squares to zero "
+                                    f"at degree {d}")
     # chain-map squares; the comparison map is the identity off degree 0
     for d in sorted(d_cone):
-        lhs = change @ d_cone[d] if d + 1 == 0 else d_cone[d]
-        rhs = d_sum[d] @ change if d == 0 else d_sum[d]
-        if not lhs == rhs:
+        lhs = mul(change, d_cone[d]) if d + 1 == 0 else d_cone[d]
+        rhs = mul(d_sum[d], change) if d == 0 else d_sum[d]
+        if not same(lhs, rhs):
             failures.append(f"chain-map square at degrees ({d}, {d + 1})")
-    if not (change @ change == Mat.identity(change.shape[0])):
+    if not same(mul(change, change), ((1, 0), (0, 1))):
         failures.append("degree-0 comparison block is not an involution")
     # commuting square with the inclusion of C^{>=0}: through the cone and
     # the comparison map, a section lands as (y, y) in degree 0
-    dim0 = H.dim(0)
-    incl = vstack([Mat.identity(dim0), Mat.zeros(dim0, dim0)])
-    delta = vstack([Mat.identity(dim0), Mat.identity(dim0)])
-    if not (change @ incl == delta):
+    if not same(mul(change, INCLUSION), DIAGONAL):
         failures.append("square with the truncation inclusion does not commute")
-    if H.dim(1) and not (d_cone[0] @ incl == H.diff(0)):
+    if H.dim(1) and not same(mul(d_cone[0], INCLUSION), ((H.diff(0),),)):
         failures.append("truncation inclusion is not a chain map into the cone")
     if with_homology and not failures:
+        dims = {d: H.dim(d) for d in range(H.deg_min, H.deg_max + 1)}
+        dims[0] = 2 * dim0
+        cone = {d: _dense(b, dim0) for d, b in d_cone.items()}
+        direct = {d: cone[d] if b is d_cone[d] else _dense(b, dim0)
+                  for d, b in d_sum.items()}
         ranks = {}
-        if homology_dims(dims, d_cone, ranks) != homology_dims(dims, d_sum,
-                                                               ranks):
+        if homology_dims(dims, cone, ranks) != homology_dims(dims, direct,
+                                                             ranks):
             failures.append("homology dimensions differ")
     return (not failures), failures
 

@@ -12,12 +12,18 @@ without the 1/n shift that fills the ``ResidueSystem`` tables.
 of n shifted theta factors, each summed directly by :func:`theta_series`;
 the package sums one series at n*tau instead, which is that product
 divided by the constant :func:`product_constant`.
+:func:`dense_cone_iso_check` checks the cone identification of
+``ellpoisson.homology`` on dense 2 dim C^0 matrices, with the comparison
+map written out, where the package evaluates the same identities block by
+block.
 """
 
 import math
 
 import numpy as np
 
+from ellpoisson.exact import Mat, hstack, vstack
+from ellpoisson.homology import homology_dims
 from ellpoisson.poisson import QuadraticBracket
 from ellpoisson.theta import ThetaBasis, theta_alpha_eval
 
@@ -328,3 +334,69 @@ def dense_jacobi_defect(b: QuadraticBracket) -> float:
             total += t.transpose(0, 2, 3, 1)
             worst = max(worst, 4.0 * float(np.max(np.abs(total) * inv_stab)))
     return worst / scale ** 2
+
+
+def dense_shifted_cone(H, sign_flip: bool):
+    """Degree data and dense differentials of the two printed complexes.
+
+    Returns (dims, d_cone, d_sum, change) where degree 0 of both complexes
+    is C^0 + C^0; in the cone the first summand is the shifted target copy,
+    in the direct sum it is the untruncated complex.  The two complexes
+    share one differential object in every degree but -1.
+    """
+    dims = {d: H.dim(d) for d in range(H.deg_min, H.deg_max + 1)}
+    dims[0] = 2 * H.dim(0)
+    d_cone = {}
+    d_sum = {}
+    for d in range(H.deg_min, H.deg_max):
+        if d == -1:
+            d_cone[d] = vstack([H.diff(-1), H.diff(-1)])
+            d_sum[d] = vstack([H.diff(-1), Mat.zeros(H.dim(0), H.dim(-1))])
+        elif d == 0:
+            d_cone[d] = d_sum[d] = hstack([H.diff(0),
+                                           Mat.zeros(H.dim(1), H.dim(0))])
+        else:
+            d_cone[d] = d_sum[d] = H.diff(d)
+    ident = Mat.identity(H.dim(0))
+    top = 1 if not sign_flip else -1
+    change = vstack([hstack([ident, Mat.zeros(H.dim(0), H.dim(0))]),
+                     hstack([ident.scale(top), -ident])])
+    return dims, d_cone, d_sum, change
+
+
+def dense_cone_iso_check(H, sign_flip: bool = False,
+                         with_homology: bool = False):
+    """``cone_iso_check`` on dense matrices: the same checks in the same
+    order with the same failure messages.  Returns (ok, failures)."""
+    dims, d_cone, d_sum, change = dense_shifted_cone(H, sign_flip)
+    failures = []
+    for d in sorted(d_cone):
+        nxt = d_cone.get(d + 1)
+        if nxt is not None and not (nxt @ d_cone[d]).is_zero():
+            failures.append(f"cone differential squares to zero at degree {d}")
+        nxt = d_sum.get(d + 1)
+        if nxt is not None and not (nxt @ d_sum[d]).is_zero():
+            failures.append(f"sum differential squares to zero at degree {d}")
+    # chain-map squares; the comparison map is the identity off degree 0
+    for d in sorted(d_cone):
+        lhs = change @ d_cone[d] if d + 1 == 0 else d_cone[d]
+        rhs = d_sum[d] @ change if d == 0 else d_sum[d]
+        if not lhs == rhs:
+            failures.append(f"chain-map square at degrees ({d}, {d + 1})")
+    if not (change @ change == Mat.identity(change.shape[0])):
+        failures.append("degree-0 comparison block is not an involution")
+    # commuting square with the inclusion of C^{>=0}: through the cone and
+    # the comparison map, a section lands as (y, y) in degree 0
+    dim0 = H.dim(0)
+    incl = vstack([Mat.identity(dim0), Mat.zeros(dim0, dim0)])
+    delta = vstack([Mat.identity(dim0), Mat.identity(dim0)])
+    if not (change @ incl == delta):
+        failures.append("square with the truncation inclusion does not commute")
+    if H.dim(1) and not (d_cone[0] @ incl == H.diff(0)):
+        failures.append("truncation inclusion is not a chain map into the cone")
+    if with_homology and not failures:
+        ranks = {}
+        if homology_dims(dims, d_cone, ranks) != homology_dims(dims, d_sum,
+                                                               ranks):
+            failures.append("homology dimensions differ")
+    return (not failures), failures

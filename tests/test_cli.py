@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ class TestExitCodes:
         assert ("Im tau = 80 is out of double range at n = 7: a product of "
                 "two theta_alpha(0) may reach exp(862)") in err
         assert "Traceback" not in err and out == ""
+
+    def test_f_table_beyond_double_range_refused(self, capsys):
+        # the residue tables build F, whose denominators are products of
+        # two theta_alpha(0); at n = 23, tau = 20i such a product reaches
+        # exp(721), and F must be refused before it is formed: a
+        # RuntimeWarning of an overflowing product is an error here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["moduli-compare", "--n", "23", "--tau", "0", "20",
+                         "--samples", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert ("Im tau = 20 is out of double range at n = 23: a product of "
+                "two theta_alpha(0) may reach exp(721)") in err
+        assert "Traceback" not in err and "Warning" not in err and out == ""
 
     def test_eta_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ellpoisson.fo as fo
-from ellpoisson.errors import DegenerateEtaError
+from ellpoisson.errors import DegenerateEtaError, ThetaRangeError
 from ellpoisson.fo import (
     f_constants,
     fo_relations,
@@ -38,6 +38,13 @@ class TestFConstants:
         # alpha + beta = 0 makes the numerator theta_0(0) = 0
         f = f_constants(basis(3))
         assert f[1, 2] == 0
+
+    def test_refused_beyond_double_range(self):
+        # |theta_alpha(0)| reaches exp(360) at n = 23, tau = 20i, so the
+        # denominators theta_a(0) theta_b(0) would overflow; the refusal
+        # comes before any product is formed (a RuntimeWarning would fail)
+        with pytest.raises(ThetaRangeError, match=r"may reach exp\(721\)"):
+            f_constants(basis(23, 20j))
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_symmetries(self, n):

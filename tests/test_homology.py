@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ellpoisson import homology
 from ellpoisson.exact import Mat, hstack, vstack
 from ellpoisson.homology import (
     VSComplex,
@@ -21,10 +22,17 @@ from ellpoisson.homology import (
     pi_bivector,
     random_kronecker_complex,
 )
+from oracles import dense_cone_iso_check
 
 
 def zero_diff_complex():
     return VSComplex({-1: 2, 0: 3, 1: 2}, {})
+
+
+def rational_complex():
+    return VSComplex({-1: 1, 0: 2, 1: 1},
+                     {-1: [[Fraction(1, 2)], [Fraction(1, 3)]],
+                      0: [[2, -3]]})
 
 
 def kronecker(seed=0, r=1, n=3):
@@ -379,13 +387,136 @@ class TestConeIso:
         assert len(calls) == (H.deg_max - H.deg_min) + 1
 
     def test_rational_entries_supported(self):
-        E = VSComplex({-1: 1, 0: 2, 1: 1},
-                      {-1: [[Fraction(1, 2)], [Fraction(1, 3)]],
-                       0: [[2, -3]]})
-        H = hom_complex(E)
+        H = hom_complex(rational_complex())
         ok, failures = cone_iso_check(H)
         assert ok, failures
         assert pi_bivector(H).antisymmetry_ok()
+
+
+def corrupted(degree, seed=0):
+    """H of a Kronecker instance with one entry of its degree-d
+    differential raised by one, after the d^2 = 0 check of construction."""
+    H = hom_complex(kronecker(seed=seed))
+    m = H.diff(degree)
+    num = m.num.copy()
+    num[0, 0] += m.den
+    H._diffs[degree] = Mat(num, m.den)
+    return H
+
+
+class TestConeIsoOracle:
+    """The block evaluation against the dense 2 dim C^0 matrices."""
+
+    CASES = {
+        **{f"kronecker_{seed}": (lambda seed=seed: hom_complex(
+            kronecker(seed=seed)), False) for seed in range(5)},
+        "zero_differential": (lambda: hom_complex(zero_diff_complex()), False),
+        "rational": (lambda: hom_complex(rational_complex()), False),
+        "sign_flip": (lambda: hom_complex(kronecker(seed=1)), True),
+        "zero_complex_sign_flip": (lambda: hom_complex(VSComplex({}, {})),
+                                   True),
+        "corrupted_degree_0": (lambda: corrupted(0), False),
+        "corrupted_degree_-1": (lambda: corrupted(-1), False),
+        "corrupted_degree_1": (lambda: corrupted(1, seed=3), True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("with_homology", [False, True])
+    def test_same_verdict_and_failures(self, case, with_homology):
+        build, flip = self.CASES[case]
+        H = build()
+        got = cone_iso_check(H, sign_flip=flip, with_homology=with_homology)
+        assert got == dense_cone_iso_check(H, sign_flip=flip,
+                                           with_homology=with_homology)
+
+    def test_corrupted_cases_fail(self):
+        # the oracle comparison above has power only where checks fail
+        for case in ("sign_flip", "corrupted_degree_0", "corrupted_degree_-1",
+                     "corrupted_degree_1"):
+            build, flip = self.CASES[case]
+            assert not cone_iso_check(build(), sign_flip=flip)[0], case
+
+
+class TestConeIsoPower:
+    """Every failure message of cone_iso_check is reached by a wrong input."""
+
+    def failures(self, H=None, **kwargs):
+        ok, failures = cone_iso_check(H or hom_complex(kronecker(seed=2)),
+                                      **kwargs)
+        assert not ok
+        return failures
+
+    def test_wrong_differential_fails_both_squares(self):
+        failures = self.failures(corrupted(0))
+        assert "cone differential squares to zero at degree -1" in failures
+        assert "sum differential squares to zero at degree -1" in failures
+
+    def test_sign_flip_fails_chain_map_and_inclusion_squares(self):
+        failures = self.failures(sign_flip=True)
+        assert "chain-map square at degrees (-1, 0)" in failures
+        assert ("square with the truncation inclusion does not commute"
+                in failures)
+
+    def test_non_involution(self, monkeypatch):
+        monkeypatch.setattr(homology, "DEG0_CHANGE_OF_BASIS", ((1, 0), (1, 1)))
+        failures = self.failures()
+        assert "degree-0 comparison block is not an involution" in failures
+
+    def test_wrong_inclusion(self, monkeypatch):
+        monkeypatch.setattr(homology, "INCLUSION", ((0,), (1,)))
+        failures = self.failures()
+        assert ("truncation inclusion is not a chain map into the cone"
+                in failures)
+
+    def test_wrong_rank_fails_homology(self, monkeypatch):
+        # the homology comparison follows from the identities before it, so
+        # only a wrong rank reaches it: count nonzero rows, which tells the
+        # cone's (a; a) from the sum's (a; 0)
+        monkeypatch.setattr(Mat, "rank", lambda self: int(
+            np.count_nonzero(np.any(self.num != 0, axis=1))))
+        failures = self.failures(with_homology=True)
+        assert failures == ["homology dimensions differ"]
+
+
+class TestBlocks:
+    def test_int_block_is_multiple_of_identity(self):
+        m = Mat.from_rows([[1, 2], [3, Fraction(1, 2)]])
+        three = Mat.identity(2).scale(3)
+        products = {}
+        # (m, 1) @ (m; 3) = m m + 3 I, and the product of m with m is kept
+        got = homology._block_product(((m, 1),), ((m,), (3,)), products)
+        assert homology._block_equal(got, [[m @ m + three]], 2)
+        assert [key for key in products] == [(id(m), id(m))]
+        assert homology._block_equal([[three, 0]], [[3, Mat.zeros(2, 2)]], 2)
+        assert not homology._block_equal([[m]], [[3]], 2)
+        assert homology._dense(((m, 0), (3, -1)), 2) == vstack(
+            [hstack([m, Mat.zeros(2, 2)]), hstack([three, -Mat.identity(2)])])
+
+
+class TestConeIsoProducts:
+    @pytest.mark.parametrize("with_homology", [False, True])
+    def test_only_differentials_of_h_multiply_once(self, monkeypatch,
+                                                   with_homology):
+        # the comparison map, the inclusion and the diagonal are integer
+        # blocks, so no product has a side of 2 dim C^0, and the cone and
+        # the direct sum share each product of two differentials
+        H = hom_complex(kronecker(seed=2, n=5))
+        diffs = {id(H.diff(d)) for d in range(H.deg_min, H.deg_max)}
+        calls = []
+        matmul = Mat.__matmul__
+
+        def counted(self, other):
+            calls.append((self, other))
+            return matmul(self, other)
+
+        monkeypatch.setattr(Mat, "__matmul__", counted)
+        ok, failures = cone_iso_check(H, with_homology=with_homology)
+        assert ok, failures
+        sides = {side for a, b in calls for side in a.shape + b.shape}
+        assert 2 * H.dim(0) not in sides
+        assert all(id(m) in diffs for pair in calls for m in pair)
+        pairs = [(id(a), id(b)) for a, b in calls]
+        assert len(set(pairs)) == len(pairs) == H.deg_max - H.deg_min - 1
 
 
 class TestGenerator:
