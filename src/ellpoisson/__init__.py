@@ -21,10 +21,12 @@ and projects every cotangent vector of the trace route in one product),
 ints only where a proven bound fails, products on float64 BLAS below 2^53,
 and one fraction-free elimination for rank and nullspace), ``homology`` (exact
 chain algebra for the endomorphism complex, the bivector and the cone
-identification) and ``leaves`` (torsion-type combinatorics and the
+identification, the trace pairing as one signed permutation that gathers
+columns) and ``leaves`` (torsion-type combinatorics and the
 divisor-class constraint).  ``cli`` drives batch verification runs.
 ``cech.laurent_coeffs`` and ``fo.fo_relations`` have no caller in the
-package; they stay because ``perfbench/spans.py`` wraps them.
+package, and ``homology`` no longer uses its imports ``hstack`` and
+``vstack``; they stay because ``perfbench/spans.py`` wraps them.
 """
 
 import os
@@ -65,10 +67,10 @@ from .homology import (
     VSComplex,
     ad_map,
     cone_iso_check,
-    duality_t,
     hom_complex,
     pi_bivector,
     random_kronecker_complex,
+    trace_pairing,
 )
 from .leaves import (
     DivisorDatum,

@@ -232,8 +232,8 @@ def cmd_moduli_compare(cfg: RunConfig):
 
 def cmd_leaves(cfg: RunConfig):
     records = enumerate_strata(cfg.n)
-    tagged = ({rec.torsion for rec in classical_cubic_rows(records)}
-              if cfg.n == 3 else ())
+    classical = classical_cubic_rows(records) if cfg.n == 3 else []
+    tagged = {rec.torsion for rec in classical}
     rows = [[rec.l, rec.torsion.describe(), rec.end_dim_torsion,
              rec.expected_dim, rec.feasible, rec.torsion in tagged]
             for rec in records]
@@ -244,8 +244,7 @@ def cmd_leaves(cfg: RunConfig):
                 else 1.0 for rec in records)
     checks.append(_check("end_dim_lower_bound", bound, 0.0))
     if cfg.n == 3:
-        values = sorted((rec.l, rec.expected_dim)
-                        for rec in classical_cubic_rows(records))
+        values = sorted((rec.l, rec.expected_dim) for rec in classical)
         ok = values == [(0, 6), (1, 4), (2, 0), (2, 2), (3, 0)]
         checks.append(_check("classical_rows_reproduced",
                              0.0 if ok else 1.0, 0.0))

@@ -65,6 +65,13 @@ AUTOMORPHY_SAMPLES = 60
 # 4^-32 is about 5e-20
 CIRCLE_POINTS = 32
 
+# largest series truncation M a basis is built with; a lattice that needs
+# more is refused before any series is summed.  Over n = 2..13 and 31, 41
+# values of Re tau in [0, 1] and 50 of Im tau in [1e-8, 0.05], the rounding
+# bound accepts no basis with M above 565 (n = 3, tau = 0.025 + 1e-5 i);
+# n = 2, Im tau = 1e-6 (M = 2183) is still refused by that bound
+MAX_SERIES_TERMS = 4096
+
 # largest number of series terms one matmul holds; longer point arrays are
 # evaluated in chunks, which keeps the working memory flat
 _CHUNK_TERMS = 2 ** 16
@@ -97,11 +104,20 @@ class CurveParams:
         return np.exp(TWO_PI_I / self.n)
 
 
-def series_bound_for(tau: complex, eps: float) -> int:
-    """Smallest M with |q|^(M(M-1)/2) < eps/10, q = exp(2*pi*i*tau)."""
+def series_bound_for(tau: complex, eps: float):
+    """Smallest M >= 2 with |q|^(M(M-1)/2) < eps/10, q = exp(2*pi*i*tau).
+
+    The condition reads M(M-1)/2 > log(eps/10) / log|q|; the root of the
+    quadratic places M within one, and the comparison itself settles it.
+    Past 2^53 the rounded-up root is returned, and math.inf past double
+    range, where no integer M is worth counting to.
+    """
     log_q = -2.0 * math.pi * tau.imag  # log|q| < 0
     target = math.log(eps / 10.0)
-    m = 2
+    root = 0.5 + math.sqrt(0.25 + 2.0 * target / log_q)
+    if not root < 2.0 ** 53:
+        return math.ceil(root) if math.isfinite(root) else math.inf
+    m = max(2, math.floor(root) - 1)
     while log_q * (m * (m - 1) / 2.0) >= target:
         m += 1
     return m
@@ -229,10 +245,11 @@ class ThetaBasis:
     docstring); ``series_bound`` is the truncation ``TRUNCATION_EPS`` gives
     at n*tau.  ``theta_at_zero`` and ``dtheta_at_zero`` hold theta_alpha(0)
     and theta_alpha'(0); theta_0(0) is an exact zero (the series terms
-    cancel in pairs), so it is stored as 0.  A lattice whose values at 0
-    are lost in rounding is refused by the a priori bound
-    ``rounding_bound`` (``_rounding_bound``) before any series is
-    evaluated.
+    cancel in pairs), so it is stored as 0.  A lattice where n Im(tau) is
+    not finite, or whose truncation exceeds ``MAX_SERIES_TERMS``, is
+    refused before any series is summed; one whose values at 0 are lost in
+    rounding is refused by the a priori bound ``rounding_bound``
+    (``_rounding_bound``) before the basis is evaluated.
     """
 
     params: CurveParams
@@ -242,10 +259,16 @@ class ThetaBasis:
     dtheta_at_zero: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n = self.n
-        object.__setattr__(self, "series_bound",
-                           series_bound_for(n * self.params.tau,
-                                            TRUNCATION_EPS))
+        n, height = self.n, self.params.tau.imag
+        bound = series_bound_for(n * self.params.tau, TRUNCATION_EPS)
+        finite = math.isfinite(n * height)
+        if not (finite and bound <= MAX_SERIES_TERMS):
+            why = (f"the theta series at n*tau needs {bound:.3g} terms, "
+                   f"beyond the limit {MAX_SERIES_TERMS}" if finite
+                   else "n Im tau is not finite")
+            raise DegenerateTauError(f"Im tau = {height:g} is out of "
+                                     f"numerical range at n = {n}: {why}")
+        object.__setattr__(self, "series_bound", bound)
         object.__setattr__(self, "rounding_bound", self._rounding_bound())
         self.require_rounding(ROUNDING_LIMIT)
         vals, ders = theta_alpha_jet(self, np.arange(n), 0.0, 1)

@@ -15,7 +15,11 @@ divided by the constant :func:`product_constant`.
 :func:`dense_cone_iso_check` checks the cone identification of
 ``ellpoisson.homology`` on dense 2 dim C^0 matrices, with the comparison
 map written out, where the package evaluates the same identities block by
-block.
+block, and can compare the homology of the cone and the sum by exact rank
+(:func:`homology_dims`).  :func:`dense_duality_t` and
+:func:`dense_kappa_inverse_deg_minus1` write the trace pairing out as
+dense signed permutation matrices, entry by entry, where the package
+gathers columns by ``trace_pairing``.
 """
 
 import math
@@ -23,7 +27,6 @@ import math
 import numpy as np
 
 from ellpoisson.exact import Mat, hstack, vstack
-from ellpoisson.homology import homology_dims
 from ellpoisson.poisson import QuadraticBracket
 from ellpoisson.theta import ThetaBasis, theta_alpha_eval
 
@@ -334,6 +337,57 @@ def dense_jacobi_defect(b: QuadraticBracket) -> float:
             total += t.transpose(0, 2, 3, 1)
             worst = max(worst, 4.0 * float(np.max(np.abs(total) * inv_stab)))
     return worst / scale ** 2
+
+
+def _transpose_perm(m: int) -> Mat:
+    out = np.zeros((m * m, m * m), dtype=np.int64)
+    for a in range(m):
+        for b in range(m):
+            # column-major: entry (row, col) of a matrix sits at col*m + row
+            out[b * m + a, a * m + b] = 1
+    return Mat(out, 1)
+
+
+def dense_duality_t(H) -> Mat:
+    """(C^0)^dual -> C^0: blockwise (-1)^i times the trace-pairing duality."""
+    dim0 = H.dim(0)
+    out = np.zeros((dim0, dim0), dtype=np.int64)
+    for (i, rows, cols, off) in H.blocks(0):
+        perm = _transpose_perm(rows)
+        piece = perm.num if i % 2 == 0 else -perm.num
+        out[off:off + rows * cols, off:off + rows * cols] = piece
+    return Mat(out, 1)
+
+
+def dense_kappa_inverse_deg_minus1(H) -> Mat:
+    """(C^1)^dual -> C^{-1} inverting the trace pairing between C^{+-1}."""
+    rows = H.dim(-1)
+    cols = H.dim(1)
+    out = np.zeros((rows, cols), dtype=np.int64)
+    plus_off = {i: (r, c, off) for (i, r, c, off) in H.blocks(1)}
+    for (i, r_m, c_m, off_m) in H.blocks(-1):
+        # block i of C^{-1}: E^i -> E^{i-1}; pairs with block i-1 of C^1
+        if (i - 1) not in plus_off:
+            continue
+        r_p, c_p, off_p = plus_off[i - 1]
+        sign = 1 if i % 2 == 0 else -1
+        # elementary (a, b) in the minus block pairs with (b, a) in the plus
+        for a in range(r_m):
+            for b in range(c_m):
+                out[off_m + b * r_m + a, off_p + a * r_p + b] = sign
+    return Mat(out, 1)
+
+
+def homology_dims(dims: dict, diffs: dict, ranks: dict | None = None) -> dict:
+    """Homology dimensions by exact rank; calls that share ``ranks`` (rank
+    by id of the differential) rank a shared differential once."""
+    ranks = {} if ranks is None else ranks
+    for m in diffs.values():
+        if id(m) not in ranks:
+            ranks[id(m)] = m.rank()
+    rank = {d: ranks[id(m)] for d, m in diffs.items()}
+    return {d: dims[d] - rank.get(d, 0) - rank.get(d - 1, 0)
+            for d in sorted(dims)}
 
 
 def dense_shifted_cone(H, sign_flip: bool):

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -103,6 +104,29 @@ class TestExitCodes:
         assert ("Im tau = 0.012 is out of numerical range for the bracket "
                 "checks at n = 5") in err
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("args, message", [
+        (["sklyanin", "--n", "5", "--tau", "0", "1e-300"],
+         "Im tau = 1e-300 is out of numerical range at n = 5: the theta "
+         "series at n*tau needs 1.38e+150 terms, beyond the limit 4096"),
+        (["theta", "--n", "3", "--tau", "0", "1e308"],
+         "Im tau = 1e+308 is out of numerical range at n = 3: n Im tau is "
+         "not finite"),
+    ], ids=["sklyanin_small_im_tau", "theta_large_im_tau"])
+    def test_series_beyond_limit_refused_at_once(self, args, message,
+                                                 capsys):
+        # the truncation is found in closed form and refused before any
+        # series is summed; counting the 1.4e150 terms never returned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = time.perf_counter()
+            code = main(args)
+            elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err and "Warning" not in err and out == ""
+        assert elapsed < 1.0
 
     def test_bracket_beyond_double_range_refused(self, capsys):
         # |theta_3(0)| reaches exp(431) at n = 7, tau = 80i, so a product of
@@ -307,6 +331,22 @@ class TestReports:
         tagged = [tuple(row[:1] + row[3:4]) for row in
                   report["tables"]["strata"] if row[5]]
         assert sorted(tagged) == [(0, 6), (1, 4), (2, 0), (2, 2), (3, 0)]
+
+    def test_leaves_tags_classical_rows_once(self, tmp_path, monkeypatch):
+        import ellpoisson.cli as cli
+
+        calls = []
+        classical_cubic_rows = cli.classical_cubic_rows
+
+        def counted(records):
+            calls.append(len(records))
+            return classical_cubic_rows(records)
+
+        monkeypatch.setattr(cli, "classical_cubic_rows", counted)
+        assert run(["leaves", "--n", "3"], tmp_path)[0] == 0
+        assert len(calls) == 1
+        assert run(["leaves", "--n", "4"], tmp_path)[0] == 0
+        assert len(calls) == 1
 
     def test_leaves_computes_end_dim_once_per_partition(self, tmp_path,
                                                         monkeypatch):

@@ -10,19 +10,24 @@ import pytest
 from ellpoisson import homology
 from ellpoisson.exact import Mat, hstack, vstack
 from ellpoisson.homology import (
+    HomComplex,
     VSComplex,
     ad_chain_defect,
     ad_map,
     cone_iso_check,
-    duality_t,
     euler_pairing_check,
     hom_complex,
-    homology_dims,
-    kappa_inverse_deg_minus1,
     pi_bivector,
     random_kronecker_complex,
+    trace_pairing,
 )
-from oracles import dense_cone_iso_check
+from oracles import (
+    dense_cone_iso_check,
+    dense_duality_t,
+    dense_kappa_inverse_deg_minus1,
+    dense_shifted_cone,
+    homology_dims,
+)
 
 
 def zero_diff_complex():
@@ -241,6 +246,20 @@ class TestHomComplex:
             expected = sum(E.dim(i) * E.dim(i + d) for i in E.degrees())
             assert H.dim(d) == expected
 
+    def test_unsigned_differential_fails_d_squared(self, monkeypatch):
+        # the sign (-1)^d of f_{i+1} phi_i is the only negation in the
+        # assembly; without it the construction-time check fires
+        assemble = HomComplex._assemble_diff
+
+        def unsigned(self, d):
+            with monkeypatch.context() as patch:
+                patch.setattr(Mat, "__neg__", lambda m: m)
+                return assemble(self, d)
+
+        monkeypatch.setattr(HomComplex, "_assemble_diff", unsigned)
+        with pytest.raises(AssertionError, match="fails d\\^2 = 0"):
+            hom_complex(random_kronecker_complex(1, 3, 0))
+
     def test_composition_validated(self):
         with pytest.raises(ValueError):
             VSComplex({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]})
@@ -286,38 +305,77 @@ class TestAd:
         assert ad_map(H)[-1].rank() == H.diff(-1).rank()
 
 
+def pairing_matrix(partner, sign, cols) -> Mat:
+    """Dense matrix of kappa on C^d x C^{-d}: entry (q, partner[q]) is
+    sign[q], the pairing of the two unit vectors."""
+    out = np.zeros((len(partner), cols), dtype=np.int64)
+    out[np.arange(len(partner)), partner] = sign
+    return Mat(out)
+
+
+def pairing_cases():
+    return {"kronecker": hom_complex(kronecker(seed=4)),
+            "zero_differential": hom_complex(zero_diff_complex()),
+            "rational": hom_complex(rational_complex()),
+            "zero_complex": hom_complex(VSComplex({}, {}))}
+
+
+def same_bytes(a: Mat, b: Mat) -> bool:
+    return (a.num.dtype == b.num.dtype and a.shape == b.shape
+            and a.den == b.den and a.num.tolist() == b.num.tolist())
+
+
 class TestDuality:
     def test_single_line_in_degree_zero(self):
         E = VSComplex({0: 1}, {})
         H = hom_complex(E)
-        t = duality_t(H)
-        assert t.entry(0, 0) == 1
+        partner, sign = trace_pairing(H, 0)
+        assert partner.tolist() == [0] and sign.tolist() == [1]
 
     def test_block_signs(self):
         E = zero_diff_complex()
         H = hom_complex(E)
-        t = duality_t(H)
+        partner, sign = trace_pairing(H, 0)
         for (i, rows, cols, off) in H.blocks(0):
-            # diagonal of each block carries (-1)^i on symmetric positions
-            sign = 1 if i % 2 == 0 else -1
-            assert t.entry(off, off) == sign
+            # entry (0, 0) of each block pairs with itself, to (-1)^i
+            assert partner[off] == off
+            assert np.all(sign[off:off + rows * cols] == (-1) ** i)
 
     def test_involution(self):
+        # degree 0 pairs with itself: the signed permutation squares to 1
         H = hom_complex(kronecker(seed=4))
-        t = duality_t(H)
-        assert t @ t == Mat.identity(t.shape[0])
+        partner, sign = trace_pairing(H, 0)
+        assert np.array_equal(partner[partner], np.arange(H.dim(0)))
+        assert np.all(sign[partner] == sign)
+        t = pairing_matrix(partner, sign, H.dim(0))
+        assert t @ t == Mat.identity(H.dim(0))
 
     def test_induced_form_symmetric(self):
         H = hom_complex(kronecker(seed=5))
-        t = duality_t(H)
+        partner, sign = trace_pairing(H, 0)
         rng = np.random.default_rng(6)
-        dim0 = t.shape[0]
+        dim0 = H.dim(0)
         for _ in range(3):
-            xi = Mat.from_rows([[int(v)] for v in rng.integers(-5, 6, dim0)])
-            eta = Mat.from_rows([[int(v)] for v in rng.integers(-5, 6, dim0)])
-            lhs = (eta.T @ (t @ xi)).entry(0, 0)
-            rhs = (xi.T @ (t @ eta)).entry(0, 0)
-            assert lhs == rhs
+            xi = rng.integers(-5, 6, dim0)
+            eta = rng.integers(-5, 6, dim0)
+            assert np.sum(xi * sign * eta[partner]) == np.sum(
+                eta * sign * xi[partner])
+
+    @pytest.mark.parametrize("case", sorted(pairing_cases()))
+    def test_matches_dense_builders(self, case):
+        H = pairing_cases()[case]
+        t = pairing_matrix(*trace_pairing(H, 0), H.dim(0))
+        assert same_bytes(t, dense_duality_t(H))
+        kappa_inv = pairing_matrix(*trace_pairing(H, -1), H.dim(1))
+        assert same_bytes(kappa_inv, dense_kappa_inverse_deg_minus1(H))
+
+    @pytest.mark.parametrize("case", sorted(pairing_cases()))
+    def test_bivector_matches_dense_products(self, case):
+        H = pairing_cases()[case]
+        pi = pi_bivector(H)
+        assert same_bytes(pi.component,
+                          H.diff(-1) @ dense_kappa_inverse_deg_minus1(H))
+        assert same_bytes(pi.partner, H.diff(0) @ dense_duality_t(H))
 
 
 class TestPiBivector:
@@ -339,11 +397,49 @@ class TestPiBivector:
         assert pi.component.rank() <= H.diff(0).rank()
 
     def test_kappa_inverse_is_exact_inverse(self):
+        # the pairings of C^{-1} with C^1 and of C^1 with C^{-1} are inverse
+        # permutations, with opposite signs: kappa(g, f) = -kappa(f, g)
         H = hom_complex(kronecker(seed=8))
-        j = kappa_inverse_deg_minus1(H)
-        # build the forward pairing matrix and check j inverts it
-        forward = j.T  # signed permutation: inverse equals transpose here
-        assert forward @ j == Mat.identity(H.dim(-1))
+        minus, minus_sign = trace_pairing(H, -1)
+        plus, plus_sign = trace_pairing(H, 1)
+        assert np.array_equal(plus[minus], np.arange(H.dim(-1)))
+        assert np.array_equal(minus[plus], np.arange(H.dim(1)))
+        assert np.array_equal(plus_sign[minus], -minus_sign)
+        # a signed permutation matrix is inverted by its transpose
+        j = pairing_matrix(minus, minus_sign, H.dim(1))
+        assert j @ j.T == Mat.identity(H.dim(-1))
+
+    @pytest.mark.parametrize("wrong", ["transposed", "sign_flipped"])
+    def test_wrong_pairing_fails_antisymmetry(self, monkeypatch, wrong):
+        # without the transpose, degree-0 entries pair with themselves;
+        # with the sign flipped, the partner changes sign
+        H = hom_complex(kronecker(seed=2))
+        assert pi_bivector(H).antisymmetry_ok()
+        pairing = homology.trace_pairing
+
+        def wrong_pairing(H, d):
+            partner, sign = pairing(H, d)
+            if d:
+                return partner, sign
+            if wrong == "transposed":
+                return np.arange(H.dim(0)), sign
+            return partner, -sign
+
+        monkeypatch.setattr(homology, "trace_pairing", wrong_pairing)
+        assert not pi_bivector(H).antisymmetry_ok()
+
+    def test_no_products(self, monkeypatch):
+        H = hom_complex(kronecker(seed=2, n=5))
+        calls = []
+        matmul = Mat.__matmul__
+
+        def counted(self, other):
+            calls.append((self.shape, other.shape))
+            return matmul(self, other)
+
+        monkeypatch.setattr(Mat, "__matmul__", counted)
+        assert pi_bivector(H).antisymmetry_ok()
+        assert calls == []
 
 
 class TestConeIso:
@@ -365,14 +461,19 @@ class TestConeIso:
         assert any("chain-map square" in f for f in failures)
 
     def test_homology_dims_match(self):
+        # the isomorphism the block check proves, seen in homology: the
+        # dense cone and sum have equal homology dimensions by exact rank
         H = hom_complex(kronecker(seed=2))
-        ok, failures = cone_iso_check(H, with_homology=True)
+        ok, failures = cone_iso_check(H)
         assert ok, failures
+        dims, d_cone, d_sum, _ = dense_shifted_cone(H, False)
+        assert homology_dims(dims, d_cone) == homology_dims(dims, d_sum)
 
     def test_homology_ranks_each_distinct_differential_once(self,
                                                             monkeypatch):
         # the cone and the direct sum differ only in degree -1, so the
-        # homology comparison needs one more rank than H has differentials
+        # oracle's homology comparison needs one more rank than H has
+        # differentials
         H = hom_complex(kronecker(seed=2, n=5))
         calls = []
         echelon = Mat._echelon
@@ -382,7 +483,7 @@ class TestConeIso:
             return echelon(self)
 
         monkeypatch.setattr(Mat, "_echelon", counted)
-        ok, failures = cone_iso_check(H, with_homology=True)
+        ok, failures = dense_cone_iso_check(H, with_homology=True)
         assert ok, failures
         assert len(calls) == (H.deg_max - H.deg_min) + 1
 
@@ -405,7 +506,10 @@ def corrupted(degree, seed=0):
 
 
 class TestConeIsoOracle:
-    """The block evaluation against the dense 2 dim C^0 matrices."""
+    """The block evaluation against the dense 2 dim C^0 matrices; with
+    ``with_homology`` the oracle also compares the homology dimensions of
+    the dense cone and sum, which the block check leaves to the
+    isomorphism it proves."""
 
     CASES = {
         **{f"kronecker_{seed}": (lambda seed=seed: hom_complex(
@@ -425,7 +529,7 @@ class TestConeIsoOracle:
     def test_same_verdict_and_failures(self, case, with_homology):
         build, flip = self.CASES[case]
         H = build()
-        got = cone_iso_check(H, sign_flip=flip, with_homology=with_homology)
+        got = cone_iso_check(H, sign_flip=flip)
         assert got == dense_cone_iso_check(H, sign_flip=flip,
                                            with_homology=with_homology)
 
@@ -469,13 +573,16 @@ class TestConeIsoPower:
                 in failures)
 
     def test_wrong_rank_fails_homology(self, monkeypatch):
-        # the homology comparison follows from the identities before it, so
-        # only a wrong rank reaches it: count nonzero rows, which tells the
-        # cone's (a; a) from the sum's (a; 0)
+        # the oracle's homology comparison follows from the identities
+        # before it, so only a wrong rank reaches it: count nonzero rows,
+        # which tells the cone's (a; a) from the sum's (a; 0); the block
+        # check ranks nothing and still passes
         monkeypatch.setattr(Mat, "rank", lambda self: int(
             np.count_nonzero(np.any(self.num != 0, axis=1))))
-        failures = self.failures(with_homology=True)
-        assert failures == ["homology dimensions differ"]
+        H = hom_complex(kronecker(seed=2))
+        assert dense_cone_iso_check(H, with_homology=True) == (
+            False, ["homology dimensions differ"])
+        assert cone_iso_check(H) == (True, [])
 
 
 class TestBlocks:
@@ -489,17 +596,16 @@ class TestBlocks:
         assert [key for key in products] == [(id(m), id(m))]
         assert homology._block_equal([[three, 0]], [[3, Mat.zeros(2, 2)]], 2)
         assert not homology._block_equal([[m]], [[3]], 2)
-        assert homology._dense(((m, 0), (3, -1)), 2) == vstack(
-            [hstack([m, Mat.zeros(2, 2)]), hstack([three, -Mat.identity(2)])])
 
 
 class TestConeIsoProducts:
-    @pytest.mark.parametrize("with_homology", [False, True])
+    @pytest.mark.parametrize("sign_flip", [False, True])
     def test_only_differentials_of_h_multiply_once(self, monkeypatch,
-                                                   with_homology):
+                                                   sign_flip):
         # the comparison map, the inclusion and the diagonal are integer
         # blocks, so no product has a side of 2 dim C^0, and the cone and
-        # the direct sum share each product of two differentials
+        # the direct sum share each product of two differentials; the sign
+        # flip changes an integer block only
         H = hom_complex(kronecker(seed=2, n=5))
         diffs = {id(H.diff(d)) for d in range(H.deg_min, H.deg_max)}
         calls = []
@@ -510,8 +616,8 @@ class TestConeIsoProducts:
             return matmul(self, other)
 
         monkeypatch.setattr(Mat, "__matmul__", counted)
-        ok, failures = cone_iso_check(H, with_homology=with_homology)
-        assert ok, failures
+        ok, failures = cone_iso_check(H, sign_flip=sign_flip)
+        assert ok != sign_flip, failures
         sides = {side for a, b in calls for side in a.shape + b.shape}
         assert 2 * H.dim(0) not in sides
         assert all(id(m) in diffs for pair in calls for m in pair)

@@ -503,6 +503,52 @@ class TestBasisTables:
             # far below the refusal limit of 1e-8
             assert b._rounding_bound() < 1e-13
 
+    def test_series_bound_is_the_smallest_truncation(self):
+        # the closed form against the definition, counted term by term,
+        # across Im tau and at the edges where M(M-1)/2 log|q| hits the
+        # target
+        def counted(im, eps):
+            log_q, target = -2.0 * math.pi * im, math.log(eps / 10.0)
+            m = 2
+            while log_q * (m * (m - 1) / 2.0) >= target:
+                m += 1
+            return m
+
+        ims = list(np.geomspace(1e-5, 1e3, 400))
+        for m in range(2, 200):
+            edge = -math.log(1e-13) / (math.pi * m * (m - 1))
+            ims += [edge, math.nextafter(edge, 0), math.nextafter(edge, 1)]
+        for im in ims:
+            for eps in (1e-12, 1e-8):
+                assert series_bound_for(complex(0.3, im), eps) == counted(
+                    im, eps), (im, eps)
+
+    @pytest.mark.parametrize("n, im, message", [
+        (5, 1e-10, "the theta series at n*tau needs 1.38e+05 terms, beyond "
+                   "the limit 4096"),
+        (5, 1e-300, "needs 1.38e+150 terms"),
+        (3, 1e-310, "needs inf terms"),
+        (3, 1e308, "n Im tau is not finite"),
+    ], ids=["im_1e-10", "im_1e-300", "subnormal_im", "infinite_n_im"])
+    def test_series_beyond_limit_refused_before_summing(self, n, im, message,
+                                                        monkeypatch):
+        def summed(*args):
+            raise AssertionError("a series was summed")
+
+        monkeypatch.setattr(theta, "_series_terms", summed)
+        with pytest.raises(DegenerateTauError) as exc:
+            basis(n, 1j * im)
+        text = str(exc.value)
+        assert text.startswith(
+            f"Im tau = {im:g} is out of numerical range at n = {n}: ")
+        assert message in text
+
+    def test_largest_accepted_truncation_still_builds(self):
+        # the largest M of an accepted basis in the scan behind
+        # MAX_SERIES_TERMS
+        b = basis(3, 0.025 + 1e-5j)
+        assert b.series_bound == 565 < theta.MAX_SERIES_TERMS
+
     def test_small_im_tau_refused_by_range(self):
         with pytest.raises(DegenerateTauError,
                            match=r"Im tau = 1e-06 is out of numerical range"):
