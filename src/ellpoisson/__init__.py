@@ -20,7 +20,8 @@ and projects every cotangent vector of the trace route in one product),
 ``exact`` (exact rational matrices on int64 numerators, promoted to Python
 ints only where a proven bound fails, products on float64 BLAS below 2^53,
 and one fraction-free elimination for rank and nullspace), ``homology`` (exact
-chain algebra for the endomorphism complex, the bivector and the cone
+chain algebra for the endomorphism complex, itself a complex that forms
+each product of two of its matrices once, the bivector and the cone
 identification, the trace pairing as one signed permutation that gathers
 columns) and ``leaves`` (torsion-type combinatorics and the
 divisor-class constraint).  ``cli`` drives batch verification runs.
@@ -65,7 +66,6 @@ from .cech import (
 )
 from .homology import (
     VSComplex,
-    ad_map,
     cone_iso_check,
     hom_complex,
     pi_bivector,

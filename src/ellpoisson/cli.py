@@ -235,7 +235,8 @@ def cmd_leaves(cfg: RunConfig):
     classical = classical_cubic_rows(records) if cfg.n == 3 else []
     tagged = {rec.torsion for rec in classical}
     rows = [[rec.l, rec.torsion.describe(), rec.end_dim_torsion,
-             rec.expected_dim, rec.feasible, rec.torsion in tagged]
+             rec.expected_dim, rec.feasible,
+             cfg.n == 3 and rec.torsion in tagged]
             for rec in records]
     checks = []
     # 1 + l + end_dim_torsion is end_dim_sheaf(rec.torsion), read off the

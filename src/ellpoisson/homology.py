@@ -8,8 +8,8 @@ Given a complex E with differentials phi_i, the endomorphism complex has
 with the trace pairing kappa(f, g) = sum_i (-1)^i tr(g_{i+d} f_i) between
 C^d and C^{-d}, a signed permutation of the unit vectors
 (:func:`trace_pairing`).  The chain map ``ad`` from the non-positive to the
-shifted non-negative truncation has a single nonzero component, the
-differential C^{-1} -> C^0; composed with the inverse trace pairing it
+shifted non-negative truncation has a single nonzero component, ad = d^{-1},
+the differential C^{-1} -> C^0; composed with the inverse trace pairing it
 yields the bivector whose degree-0 block is checked for exact
 antisymmetry against the transpose partner d^0 t.  Both are the
 differential with its columns gathered and signed, with no product.  The
@@ -20,13 +20,16 @@ isomorphism, so their homology agrees without a rank.  Every map through
 degree 0 of the two complexes, C^0 + C^0, is a matrix of blocks that are
 differentials of the endomorphism complex or integer multiples of the
 identity of C^0, so the identities are evaluated block by block and
-multiply only differentials.
+multiply only consecutive differentials.  The endomorphism complex is a
+:class:`VSComplex`, which forms each product of two of its matrices once:
+its d^2 = 0 check on construction forms every such product, and the cone
+identification reads them back.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,11 +59,14 @@ class VSComplex:
     ``dims`` maps degree to dimension; ``diffs[i]`` is the matrix of the
     map from degree i to degree i+1 (shape dims[i+1] x dims[i]); missing
     differentials are zero.  Composition of consecutive differentials is
-    verified to vanish exactly.
+    verified to vanish exactly, through :meth:`product`, which forms each
+    product of two operands once per complex.
     """
 
     dims: dict
     diffs: dict
+    _products: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         dims = {int(k): int(v) for k, v in self.dims.items() if v}
@@ -75,7 +81,7 @@ class VSComplex:
         object.__setattr__(self, "diffs", diffs)
         for i, m in diffs.items():
             nxt = diffs.get(i + 1)
-            if nxt is not None and not (nxt @ m).is_zero():
+            if nxt is not None and not self.product(nxt, m).is_zero():
                 raise ValueError(f"differentials at degrees {i}, {i + 1} do not "
                                  "compose to zero")
 
@@ -91,9 +97,22 @@ class VSComplex:
     def degrees(self):
         return sorted(self.dims)
 
+    def product(self, x: Mat, y: Mat) -> Mat:
+        """x @ y, formed once per pair of operands and kept with them, so
+        that their ids stay unique; a differential replaced after
+        construction is a new operand and is multiplied again."""
+        key = (id(x), id(y))
+        if key not in self._products:
+            self._products[key] = (x, y, x @ y)
+        return self._products[key][2]
 
-class HomComplex:
-    """The endomorphism complex of a VSComplex with explicit matrices."""
+
+class HomComplex(VSComplex):
+    """The endomorphism complex of a VSComplex with explicit matrices.
+
+    C^d has one column-major block per degree i of the source, Hom(E^i,
+    E^{i+d}), listed by :meth:`blocks`.
+    """
 
     def __init__(self, source: VSComplex):
         self.source = source
@@ -114,26 +133,12 @@ class HomComplex:
                     blocks.append((i, rows, cols, offset))
                     offset += rows * cols
             self._blocks[d] = (blocks, offset)
-        self._diffs = {d: self._assemble_diff(d)
-                       for d in range(self.deg_min, self.deg_max)}
-        for d in range(self.deg_min, self.deg_max - 1):
-            if not (self.diff(d + 1) @ self.diff(d)).is_zero():
-                raise AssertionError("endomorphism differential fails d^2 = 0")
-
-    def dim(self, d: int) -> int:
-        return self._blocks.get(d, ((), 0))[1]
+        super().__init__({d: size for d, (_, size) in self._blocks.items()},
+                         {d: self._assemble_diff(d)
+                          for d in range(self.deg_min, self.deg_max)})
 
     def blocks(self, d: int):
         return self._blocks.get(d, ((), 0))[0]
-
-    def diff(self, d: int) -> Mat:
-        m = self._diffs.get(d)
-        if m is None:
-            return Mat.zeros(self.dim(d + 1), self.dim(d))
-        return m
-
-    def degrees(self):
-        return [d for d in range(self.deg_min, self.deg_max + 1) if self.dim(d)]
 
     def _assemble_diff(self, d: int) -> Mat:
         """Matrix of C^d -> C^{d+1} in column-major flattened coordinates."""
@@ -152,31 +157,11 @@ class HomComplex:
                 else:
                     continue
                 pieces.append((toff, soff, piece))
-        return assemble((self.dim(d + 1), self.dim(d)), pieces)
+        return assemble((self._blocks[d + 1][1], self._blocks[d][1]), pieces)
 
 
 def hom_complex(E: VSComplex) -> HomComplex:
     return HomComplex(E)
-
-
-def ad_map(H: HomComplex) -> dict:
-    """Components of the chain map from C^{<=0} into the shifted C^{>=0}.
-
-    The only component is in degree -1, the differential C^{-1} -> C^0;
-    the one from C^0 is zero, matching the cone identification checked in
-    :func:`cone_iso_check`.
-    """
-    return {-1: H.diff(-1)}
-
-
-def ad_chain_defect(H: HomComplex) -> bool:
-    """True when ad commutes with the differentials exactly.
-
-    With ad^{-2} and ad^0 zero, the two squares are ad^{-1} d^{-2} = 0 and
-    d^0 ad^{-1} = 0.
-    """
-    ad = ad_map(H)[-1]
-    return (ad @ H.diff(-2)).is_zero() and (H.diff(0) @ ad).is_zero()
 
 
 def trace_pairing(H: HomComplex, d: int):
@@ -226,7 +211,7 @@ def _signed_columns(m: Mat, partner, sign) -> Mat:
 
 
 def pi_bivector(H: HomComplex) -> PiBivector:
-    """The component is d^{-1} after the inverse of kappa on C^{-1} x C^1,
+    """The component is ad = d^{-1} after the inverse of kappa on C^{-1} x C^1,
     whose sign is that of the C^{-1} side: kappa(g, f) = -kappa(f, g) for
     g in C^{-1}, f in C^1.  The partner is d^0 after the degree-0
     pairing, an involution."""
@@ -264,29 +249,24 @@ def _block_mat(x, shape) -> Mat:
     return Mat.identity(shape[0]).scale(x) if x else Mat.zeros(*shape)
 
 
-def _times(x, y, products):
-    """Block x times block y.  An int block scales; Mat @ Mat runs once per
-    pair of operands, kept in ``products`` with the operands so that their
-    ids stay unique."""
+def _times(x, y, H: VSComplex):
+    """Block x times block y.  An int block scales; a product of two
+    matrices is H's, formed once per complex."""
     if isinstance(x, Mat) and isinstance(y, Mat):
-        key = (id(x), id(y))
-        if key not in products:
-            products[key] = (x, y, x @ y)
-        return products[key][2]
+        return H.product(x, y)
     c, m = (x, y) if isinstance(x, int) else (y, x)
     if not isinstance(m, Mat):
         return c * m
     return 0 if c == 0 else m if c == 1 else m.scale(c)
 
 
-def _block_product(left, right, products):
+def _block_product(left, right, H: VSComplex):
     """left @ right block by block; zero blocks drop out of each sum."""
     out = []
     for row in left:
         out.append([])
         for col in zip(*right):
-            terms = [t for t in (_times(x, y, products)
-                                 for x, y in zip(row, col))
+            terms = [t for t in (_times(x, y, H) for x, y in zip(row, col))
                      if isinstance(t, Mat) or t]
             mats = [t for t in terms if isinstance(t, Mat)]
             if mats:
@@ -315,16 +295,15 @@ def cone_iso_check(H: HomComplex, sign_flip: bool = False):
     is an isomorphism of complexes, so the two have the same homology, and
     (iii) the inclusion of the non-negative truncation closes the printed
     commuting square.  Every map through C^0 + C^0 is a block matrix
-    (:func:`_shifted_cone`), so the identities multiply only differentials
-    of H, each pair once, and no 2 dim C^0 matrix is assembled.  Returns
-    (ok, failures).
+    (:func:`_shifted_cone`), so the identities multiply only consecutive
+    differentials of H, whose products the construction check of H formed
+    already, and no 2 dim C^0 matrix is assembled.  Returns (ok, failures).
     """
     d_cone, d_sum, change = _shifted_cone(H, sign_flip)
     dim0 = H.dim(0)
-    products = {}
 
     def mul(left, right):
-        return _block_product(left, right, products)
+        return _block_product(left, right, H)
 
     def same(left, right):
         return _block_equal(left, right, dim0)

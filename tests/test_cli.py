@@ -400,6 +400,26 @@ class TestReports:
         assert "samples must be at least 1" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_homology_product_budget(self, tmp_path, monkeypatch):
+        # the generator's product, the d^2 = 0 check of E, the three of H,
+        # which the cone identification reads back, and chain_map_ok's two;
+        # the operands stay alive in ``calls``, so their ids are unique
+        from ellpoisson.exact import Mat
+
+        calls = []
+        matmul = Mat.__matmul__
+
+        def counted(self, other):
+            calls.append((self, other))
+            return matmul(self, other)
+
+        monkeypatch.setattr(Mat, "__matmul__", counted)
+        args = ["homology", "--n", "5", "--samples", "1", "--seed", "0"]
+        assert run(args, tmp_path)[0] == 0
+        pairs = [(id(a), id(b)) for a, b in calls]
+        assert len(pairs) == 7
+        assert len(set(pairs)) == len(pairs)
+
     def test_sklyanin_k2_has_no_f_row(self, tmp_path):
         code, text = run(["sklyanin", "--n", "5", "--k", "2"], tmp_path)
         assert code == 0
