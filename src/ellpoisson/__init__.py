@@ -9,8 +9,9 @@ Jacobi certification as entrywise products of that table with itself,
 Heisenberg canonical form, projective descent of any graded table by the
 chart rule), ``fo`` (elliptic quadratic relations, the F table as a plain
 array, the semiclassical bracket and its finite-parameter oracle, the mean
-of the single-eta estimate over a circle around eta = 0, all as graded
-tables),
+of the single-eta estimate over a circle around eta = 0, read with the
+single-eta tables at the slope values from one relation tensor, all as
+graded tables),
 ``cech`` (one table of samples on the contours around the divisor,
 filled from one circle by the exact 1/n shift, from which the dual
 pairing, the trace tables and both routes to the extension-moduli bracket
@@ -25,9 +26,11 @@ each product of two of its matrices once, the bivector and the cone
 identification, the trace pairing as one signed permutation that gathers
 columns) and ``leaves`` (torsion-type combinatorics and the
 divisor-class constraint).  ``cli`` drives batch verification runs.
-``cech.laurent_coeffs`` and ``fo.fo_relations`` have no caller in the
-package, and ``homology`` no longer uses its imports ``hstack`` and
-``vstack``; they stay because ``perfbench/spans.py`` wraps them.
+``cech.laurent_coeffs``, ``fo.fo_relations`` and ``fo.single_eta_bracket``
+have no caller in the package, ``homology`` no longer uses its imports
+``hstack`` and ``vstack``, and ``cli`` no longer uses its imports
+``QuadraticBracket``, ``single_eta_bracket`` and ``end_dim_sheaf``; they
+stay because ``perfbench/spans.py`` wraps them.
 """
 
 import os

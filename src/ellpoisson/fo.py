@@ -151,9 +151,11 @@ def _first_order(rel, eta) -> np.ndarray:
     n = rel.shape[-1]
     dd = np.arange(1, n)
     g = np.zeros_like(rel)
-    g[..., 1:, :] = -rel[..., 1:, :] / rel[..., dd, dd][..., None]
+    np.divide(-rel[..., 1:, :], rel[..., dd, dd][..., None],
+              out=g[..., 1:, :])
     g[..., dd, 0] = g[..., dd, dd] = (g[..., dd, 0] - 1.0) / 2.0
-    return g / eta
+    g /= eta
+    return g
 
 
 def single_eta_bracket(basis: ThetaBasis, k: int, eta: complex) -> np.ndarray:
@@ -165,22 +167,30 @@ def single_eta_bracket(basis: ThetaBasis, k: int, eta: complex) -> np.ndarray:
     return pair_tensor(_first_order(rel, eta))
 
 
-def semiclassical_from_relations(basis: ThetaBasis,
-                                 k: int) -> QuadraticBracket:
-    """The eta -> 0 limit of :func:`single_eta_bracket`, as a circle mean.
+def semiclassical_from_relations(basis: ThetaBasis, k: int, etas=()):
+    """The eta -> 0 limit of :func:`single_eta_bracket`, as a circle mean,
+    and the single-eta tables at ``etas``, from one relation evaluation.
 
     The single-eta estimate g(eta) is analytic on a disc around 0 after
     division by the diagonal relation coefficient, so g(0) is the mean of g
     over a circle in that disc, sampled on ``circle_nodes(d)``.  Its poles
     are the zeros of theta_a(+-eta), the nonzero points of
     (1/n)(Z + Z*tau), so d is the shortest period of Z + Z*tau over n.
-    Node p + P/2 is -eta_p, so theta is evaluated on half the circle.
+    Node p + P/2 is -eta_p, so theta is evaluated on half the circle, and
+    at ``etas`` in the same call.  Returns the mean as a
+    :class:`QuadraticBracket` and the coefficient tables of
+    :func:`single_eta_bracket` at ``etas``, stacked on a leading axis.
     This path shares no formulas with :func:`sklyanin_bracket` beyond the
     relation tensor itself and is the numerical oracle for the closed form.
     """
     d = shortest_period(1, basis.params.tau) / basis.n
     half = circle_nodes(d)[:CIRCLE_POINTS // 2]
-    etas = np.concatenate([half, -half])
-    g = _first_order(_relation_rows(basis, k, half),
-                     etas[:, None, None]).mean(axis=0)
-    return QuadraticBracket(basis.n, pair_tensor(g))
+    extra = np.asarray(etas, dtype=complex)
+    h, m = len(half), len(half) + len(extra)
+    rel = _relation_rows(basis, k, np.concatenate([half, extra]))
+    # rows p and m + p hold the relations at +eta_p and -eta_p
+    mean = _first_order(np.concatenate([rel[:h], rel[m:m + h]]),
+                        np.concatenate([half, -half])[:, None, None]
+                        ).mean(axis=0)
+    singles = pair_tensor(_first_order(rel[h:m], extra[:, None, None]))
+    return QuadraticBracket(basis.n, pair_tensor(mean)), singles

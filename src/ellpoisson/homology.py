@@ -58,15 +58,19 @@ class VSComplex:
 
     ``dims`` maps degree to dimension; ``diffs[i]`` is the matrix of the
     map from degree i to degree i+1 (shape dims[i+1] x dims[i]); missing
-    differentials are zero.  Composition of consecutive differentials is
-    verified to vanish exactly, through :meth:`product`, which forms each
-    product of two operands once per complex.
+    differentials are zero, one zero matrix per shape, so that
+    :meth:`product` meets the same operand on every call.  Composition of
+    consecutive differentials is verified to vanish exactly, through
+    :meth:`product`, which forms each product of two operands once per
+    complex.
     """
 
     dims: dict
     diffs: dict
     _products: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    _zeros: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         dims = {int(k): int(v) for k, v in self.dims.items() if v}
@@ -91,7 +95,10 @@ class VSComplex:
     def diff(self, i: int) -> Mat:
         m = self.diffs.get(i)
         if m is None:
-            return Mat.zeros(self.dim(i + 1), self.dim(i))
+            shape = (self.dim(i + 1), self.dim(i))
+            m = self._zeros.get(shape)
+            if m is None:
+                m = self._zeros[shape] = Mat.zeros(*shape)
         return m
 
     def degrees(self):

@@ -26,6 +26,12 @@ from .errors import InvarianceError
 # canonical-table checks, relative to the largest coefficient
 CANONICAL_TOL = 1e-8
 
+# largest number of entries in one temporary of jacobi_defect: a chunk's
+# few complex temporaries of 2^12 entries stay in a core's L2 cache and keep
+# the working memory of a call under 0.5 MB at n = 13; chunks of 2^15
+# entries ran slower at n = 13 and n = 31
+_JACOBI_CHUNK = 2 ** 12
+
 
 class QuadraticBracket:
     """A graded quadratic bracket held as one coefficient table.
@@ -55,19 +61,30 @@ class QuadraticBracket:
         self.n = n
         self.coeffs = g
 
+    def _weights(self) -> np.ndarray:
+        """The factor, 2 or 1 on the squares, that takes a table entry at
+        [i, j, k] to the coefficient of the monomial x_k x_{i+j-k}."""
+        i, j, k = np.indices(self.coeffs.shape)
+        return np.where((2 * k - i - j) % self.n, 2.0, 1.0)
+
     def monomials(self) -> np.ndarray:
         """Coefficient of the monomial x_k x_{i+j-k} in {x_i, x_j} at
         [i, j, k]."""
-        i, j, k = np.indices(self.coeffs.shape)
-        return self.coeffs * np.where((2 * k - i - j) % self.n, 2.0, 1.0)
+        return self.coeffs * self._weights()
 
     def max_abs(self):
         return float(np.max(np.abs(self.monomials()), initial=0.0))
 
     def max_difference(self, other):
         """Largest monomial-coefficient difference to ``other``."""
-        diff = self.monomials() - other.monomials()
-        return float(np.max(np.abs(diff), initial=0.0))
+        return float(other.max_differences(self.coeffs[None])[0])
+
+    def max_differences(self, tables) -> np.ndarray:
+        """Largest monomial-coefficient difference of each coefficient
+        table of a stack on the leading axis to this bracket; the tables
+        are taken unchecked."""
+        diff = np.asarray(tables) * self._weights() - self.monomials()
+        return np.max(np.abs(diff), axis=(-3, -2, -1), initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -107,13 +124,16 @@ def pair_tensor(g) -> np.ndarray:
 
     The words r and j-i-r name the same monomial, so each entry is the
     mean of the two; the entries for i > j are their exact negatives, and
-    row g[0] (i = j) is multiplied by zero.
+    row g[0] (i = j) is multiplied by zero.  Leading axes of g are kept,
+    so a stack of word tables gives a stack of coefficient tables.
     """
-    n = len(g)
+    n = g.shape[-1]
     i, j, k = np.indices((n, n, n))
     lo, hi = np.minimum(i, j), np.maximum(i, j)
-    return np.sign(j - i) * (
-        g[hi - lo, (hi - k) % n] + g[hi - lo, (k - lo) % n]) / 2.0
+    out = g[..., hi - lo, (hi - k) % n] + g[..., hi - lo, (k - lo) % n]
+    out *= np.sign(j - i)
+    out /= 2.0
+    return out
 
 
 def jacobi_defect(b: QuadraticBracket) -> float:
@@ -124,10 +144,12 @@ def jacobi_defect(b: QuadraticBracket) -> float:
     With G = ``b.coeffs``, {x_i, {x_j, x_k}} = 2 sum_{a,p} G[j,k,a]
     G[i,a,p] x_p x_s x_l with s = i+a-p and l = j+k-a.  Indexed by (p, s),
     a = p+s-i is fixed, so each cyclic term is an entrywise product
-    t[p, s], symmetric in (p, s), with l = i+j+k-p-s.  For each pair i < j
-    the three terms are formed for all k > j at once; the coefficient of
+    t[p, s], symmetric in (p, s), with l = i+j+k-p-s; the coefficient of
     x_p x_s x_l is the sum over the orderings of (p, s, l) divided by the
-    order of the stabilizer of the index triple.
+    order of the stabilizer of the index triple.  Every factor is gathered
+    from ``G.ravel()`` at flat offsets, whose tables are built once per
+    call, and the triples i < j < k run in lexicographic chunks of at most
+    ``_JACOBI_CHUNK`` entries per temporary.
     """
     scale = b.max_abs()
     if scale == 0.0:
@@ -144,21 +166,40 @@ def jacobi_defect(b: QuadraticBracket) -> float:
     # 1 / |stabilizer of (p, s, l)| by the number of equal pairs, 0, 1 or 3
     equal = (p == s).astype(int) + (s == third) + (p == third)
     inv_stab = np.array([1.0, 0.5, 0.0, 1.0 / 6.0])[equal]
+    # u[p, s] = t[p, l] at offset swap[w] of an n x n block
+    swap = p * n + third
+    # the triples i < j < k in lexicographic order, and their weights
+    idx = np.arange(n)
+    i, j, k = np.nonzero((idx[:, None, None] < idx[:, None])
+                         & (idx[:, None] < idx))
+    w = (i + j + k) % n
+    # offsets of the rows G[j, k], G[i, k] and G[i, j] of each triple
+    jk, ik, ij = (((a * n + c) * n)[:, None, None]
+                  for a, c in ((j, k), (i, k), (i, j)))
+    step = max(1, _JACOBI_CHUNK // (n * n))
+    block = np.arange(0, step * n * n, n * n)[:, None, None]
+    flat = g.ravel()
     worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n - 1):
-            ks = slice(j + 1, n)
-            w = (i + j + np.arange(j + 1, n)) % n
-            # t[k, p, s]: the Jacobi sum is 2 sum_{p,s} t x_p x_s x_l
-            t = g[j, ks][:, inner[i]] * lead[i]
-            t -= g[i, ks][:, inner[j]] * lead[j]
-            t += g[i, j, inner[ks]] * lead[ks]
-            # the six orderings of (p, s, l) give t twice at each of three
-            # placements of l; u[k, p, s] = t[k, p, l] = t[k, l, p]
-            u = t[np.arange(len(w))[:, None, None], p, third[w]]
-            total = t + u + u.transpose(0, 2, 1)
-            worst = max(worst, 4.0 * float(
-                np.max(np.abs(total) * inv_stab[w])))
+    for lo in range(0, len(i), step):
+        c = slice(lo, lo + step)
+        ci, cj, ck, cw = i[c], j[c], k[c], w[c]
+        # t[., p, s]: the Jacobi sum is 2 sum_{p,s} t x_p x_s x_l
+        t = flat[jk[c] + inner[ci]]
+        t *= lead[ci]
+        v = flat[ik[c] + inner[cj]]
+        v *= lead[cj]
+        t -= v
+        v = flat[ij[c] + inner[ck]]
+        v *= lead[ck]
+        t += v
+        # the six orderings of (p, s, l) give t twice at each of three
+        # placements of l; u[., p, s] = t[., p, l] = t[., l, p]
+        u = t.ravel()[block[:len(cw)] + swap[cw]]
+        v = t + u
+        v += u.transpose(0, 2, 1)
+        size = np.abs(v)
+        size *= inv_stab[cw]
+        worst = max(worst, 4.0 * float(size.max()))
     return worst / scale ** 2
 
 

@@ -73,8 +73,10 @@ CIRCLE_POINTS = 32
 MAX_SERIES_TERMS = 4096
 
 # largest number of series terms one matmul holds; longer point arrays are
-# evaluated in chunks, which keeps the working memory flat
-_CHUNK_TERMS = 2 ** 16
+# evaluated in chunks, which keeps the working memory flat: the theta
+# command's 400 points at n = 11 take four chunks, whose arrays stay as
+# small as those of four separate 100-point calls
+_CHUNK_TERMS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,12 @@ def _series_terms(z0, tau, bound, order):
     m = np.arange(-bound, bound + 2)
     # exponent m(m-1)/2 is an exact integer; identical for the pair (m, 1-m)
     quad = (m * (m - 1)) // 2
-    terms = np.exp(TWO_PI_I * (np.multiply.outer(z0, m) + tau * quad))
+    # exp(2 pi i (m z0 + tau m(m-1)/2)), formed in place: the terms are the
+    # largest array of a chunk, and one copy of them bounds its memory
+    terms = np.multiply.outer(z0, m)
+    terms += tau * quad
+    np.multiply(TWO_PI_I, terms, out=terms)
+    np.exp(terms, out=terms)
     signs = np.where(m % 2 == 0, 1.0, -1.0)
     weights = np.stack([signs * (TWO_PI_I * m) ** j / math.factorial(j)
                         for j in range(order + 1)], axis=-1)
@@ -369,7 +376,7 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     together; the inner argument n z puts a factor n^j on entry j of the
     series jet.  One series at n*tau is summed per point and index, on the
     (point, alpha) grid, in chunks of points so that no series matmul holds
-    more than 2^16 terms; its jet is multiplied by the jet of the
+    more than 2^13 terms; its jet is multiplied by the jet of the
     exponential factor in one truncated Taylor product.
     """
     n = basis.n
@@ -442,20 +449,20 @@ def verify_automorphy(basis: ThetaBasis, c, f) -> float:
 
     Checks f(z+1) = f(z) and f(z+tau) = (-1)^n exp(-2*pi*i*(n*z - c)) f(z),
     n the basis order, on a deterministic grid of ``AUTOMORPHY_SAMPLES``
-    points, normalized by max |f|.
+    points, normalized by max |f|.  f is called once, on the grid, the grid
+    shifted by 1 and the grid shifted by tau, concatenated, and must return
+    one value per point.
     """
     tau = basis.params.tau
     n = basis.n
     z = _sample_grid(tau, AUTOMORPHY_SAMPLES)
-    fz = np.asarray(f(z), dtype=complex)
-    f1 = np.asarray(f(z + 1.0), dtype=complex)
-    ft = np.asarray(f(z + tau), dtype=complex)
-    if not (np.all(np.isfinite(fz)) and np.all(np.isfinite(f1))
-            and np.all(np.isfinite(ft))):
+    values = np.asarray(f(np.concatenate([z, z + 1.0, z + tau])),
+                        dtype=complex)
+    if not np.all(np.isfinite(values)):
         raise ValueError("non-finite sample while checking automorphy")
+    fz, f1, ft = values.reshape(3, len(z))
     mult = (-1.0) ** n * np.exp(-TWO_PI_I * (n * z - complex(c)))
-    scale = max(float(np.max(np.abs(fz))), float(np.max(np.abs(f1))),
-                float(np.max(np.abs(ft))))
+    scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         return 0.0
     r1 = float(np.max(np.abs(f1 - fz)))

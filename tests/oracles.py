@@ -6,7 +6,10 @@ Sparse polynomials, the Leibniz extension of the generator brackets, the
 bivector contraction, and the dense n^4 coefficient tensor with its Jacobi
 contraction.  They expand ``QuadraticBracket.coeffs`` into monomials with
 their own loops and share no formulas with the package, which never calls
-them.  :func:`phi` evaluates phi_alpha = theta_alpha / theta_0 pointwise,
+them.  :func:`pairwise_jacobi_defect` is the exception: it repeats the
+package's Jacobi arithmetic per entry in a loop over generator pairs, so
+that the gathered triples of ``jacobi_defect`` can be compared with it bit
+for bit.  :func:`phi` evaluates phi_alpha = theta_alpha / theta_0 pointwise,
 without the 1/n shift that fills the ``ResidueSystem`` tables.
 :func:`theta_alpha_product` evaluates theta_alpha by its defining product
 of n shifted theta factors, each summed directly by :func:`theta_series`;
@@ -302,6 +305,57 @@ def bracket_contraction_oracle(b: QuadraticBracket, f: Polynomial,
                 continue
             out = out + pair_poly(b, i, j) * dfi * dgj
     return out
+
+
+def pairwise_jacobi_defect(b: QuadraticBracket) -> float:
+    """Largest coefficient of the cyclic Jacobi sum over generator triples,
+    divided by the square of the largest monomial coefficient, so that the
+    result does not change when the bracket is rescaled.
+
+    With G = ``b.coeffs``, {x_i, {x_j, x_k}} = 2 sum_{a,p} G[j,k,a]
+    G[i,a,p] x_p x_s x_l with s = i+a-p and l = j+k-a.  Indexed by (p, s),
+    a = p+s-i is fixed, so each cyclic term is an entrywise product
+    t[p, s], symmetric in (p, s), with l = i+j+k-p-s.  For each pair i < j
+    the three terms are formed for all k > j at once; the coefficient of
+    x_p x_s x_l is the sum over the orderings of (p, s, l) divided by the
+    order of the stabilizer of the index triple.
+
+    This is ``ellpoisson.poisson.jacobi_defect`` as a loop over the pairs
+    (i, j), with the same arithmetic per entry: the package gathers every
+    triple i < j < k from flat offsets instead, and must match it bit for
+    bit.
+    """
+    scale = b.max_abs()
+    if scale == 0.0:
+        return 0.0
+    n = b.n
+    g = b.coeffs
+    p, s = np.indices((n, n))
+    x = np.arange(n)[:, None, None]
+    # a term {x_x, x_a x_l} reaches x_p x_s through a = inner[x]; the
+    # monomials of weight w are x_p x_s x_l with l = third[w]
+    inner = (p + s - x) % n
+    third = (x - p - s) % n
+    lead = g[x, inner, p]  # lead[x, p, s] = G[x, p+s-x, p]
+    # 1 / |stabilizer of (p, s, l)| by the number of equal pairs, 0, 1 or 3
+    equal = (p == s).astype(int) + (s == third) + (p == third)
+    inv_stab = np.array([1.0, 0.5, 0.0, 1.0 / 6.0])[equal]
+    worst = 0.0
+    for i in range(n):
+        for j in range(i + 1, n - 1):
+            ks = slice(j + 1, n)
+            w = (i + j + np.arange(j + 1, n)) % n
+            # t[k, p, s]: the Jacobi sum is 2 sum_{p,s} t x_p x_s x_l
+            t = g[j, ks][:, inner[i]] * lead[i]
+            t -= g[i, ks][:, inner[j]] * lead[j]
+            t += g[i, j, inner[ks]] * lead[ks]
+            # the six orderings of (p, s, l) give t twice at each of three
+            # placements of l; u[k, p, s] = t[k, p, l] = t[k, l, p]
+            u = t[np.arange(len(w))[:, None, None], p, third[w]]
+            total = t + u + u.transpose(0, 2, 1)
+            worst = max(worst, 4.0 * float(
+                np.max(np.abs(total) * inv_stab[w])))
+    return worst / scale ** 2
 
 
 def dense_jacobi_defect(b: QuadraticBracket) -> float:

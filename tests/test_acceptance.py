@@ -164,7 +164,7 @@ def test_criterion_6_semiclassical_limit():
     singles = [QuadraticBracket(3, single_eta_bracket(b, 1, e))
                .max_difference(ref) for e in etas]
     slope = float(np.polyfit(np.log(etas), np.log(singles), 1)[0])
-    final = (semiclassical_from_relations(b, 1).max_difference(ref)
+    final = (semiclassical_from_relations(b, 1)[0].max_difference(ref)
              / ref.max_abs())
     # slope of a first-order error measures 1.0 up to fit noise; a 1%
     # margin keeps the check meaningful without rejecting exact order 1

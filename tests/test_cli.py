@@ -420,6 +420,51 @@ class TestReports:
         assert len(pairs) == 7
         assert len(set(pairs)) == len(pairs)
 
+    def test_sklyanin_evaluates_the_relations_once(self, tmp_path,
+                                                   monkeypatch):
+        # one theta call on the 16 half-circle nodes and the three slope
+        # values; the closed form and the circle mean are the only brackets
+        # built, the single-eta tables are compared as one stacked array
+        import ellpoisson.fo as fo
+        from ellpoisson.poisson import QuadraticBracket
+
+        points, built = [], []
+        evaluate = fo.theta_alpha_eval
+        init = QuadraticBracket.__init__
+
+        def counted_eval(basis, alpha, z):
+            points.append(np.shape(z))
+            return evaluate(basis, alpha, z)
+
+        def counted_init(self, n, coeffs=None):
+            built.append(n)
+            init(self, n, coeffs)
+
+        monkeypatch.setattr(fo, "theta_alpha_eval", counted_eval)
+        monkeypatch.setattr(QuadraticBracket, "__init__", counted_init)
+        code, text = run(["sklyanin", "--n", "7", "--k", "3"], tmp_path)
+        assert code == 0
+        assert points == [(19,)]
+        assert built == [7, 7]
+        etas = json.loads(text)["tables"]["semiclassical_single_eta_deviation"]
+        assert len(etas) == 3
+
+    def test_theta_one_call_per_point_set(self, tmp_path, monkeypatch):
+        # z, z + 1/n, z + tau/n and -z in one call; the automorphy check's
+        # grid, shifted by 1 and by tau, in another
+        import ellpoisson.cli as cli
+
+        shapes = []
+        evaluate = cli.theta_alpha_eval
+
+        def counted(basis, alpha, z):
+            shapes.append(np.shape(z))
+            return evaluate(basis, alpha, z)
+
+        monkeypatch.setattr(cli, "theta_alpha_eval", counted)
+        assert run(["theta", "--n", "5"], tmp_path)[0] == 0
+        assert shapes == [(400,), (180,)]
+
     def test_sklyanin_k2_has_no_f_row(self, tmp_path):
         code, text = run(["sklyanin", "--n", "5", "--k", "2"], tmp_path)
         assert code == 0
@@ -533,5 +578,28 @@ class TestDeterminism:
         report.pop("timings", None)
         assert not self.RETIRED_PARAMS.keys() & report["params"].keys()
         report["params"].update(self.RETIRED_PARAMS)
+        text = f"{code}\n" + json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    # sha256 of the exit code and the payload without timings, taken before
+    # the bracket jobs evaluated their tables as whole arrays: the batching
+    # of theta calls, relation rows and Jacobi triples moves no bit
+    @pytest.mark.parametrize("args, digest", [
+        (["sklyanin", "--n", "5", "--k", "2", "--tau", "0", "1"],
+         "dbfa4ffc6716ab84"),
+        (["sklyanin", "--n", "10", "--k", "1", "--tau", "0.3", "0.8"],
+         "7fa09bc1c755abf7"),
+        (["sklyanin", "--n", "13", "--k", "2", "--tau", "0", "0.5"],
+         "f48e5fb2cb3a7e47"),
+        (["sklyanin", "--n", "31", "--k", "1"], "4a223d5b58086554"),
+        (["theta", "--n", "3"], "1ea2c24c9ffad0a4"),
+        (["theta", "--n", "11"], "79461039bd3129ff"),
+        (["moduli-compare", "--n", "5", "--samples", "4"],
+         "0ebbaaf6aae92e13"),
+    ])
+    def test_payload_pinned(self, args, digest, capsys):
+        code = main(args)
+        report = json.loads(capsys.readouterr().out)
+        report.pop("elapsed_ms")
         text = f"{code}\n" + json.dumps(report, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

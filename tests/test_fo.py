@@ -25,7 +25,7 @@ def basis(n, tau=1j):
 
 def relative_deviation(b, k):
     ref = sklyanin_bracket(b, k)
-    est = semiclassical_from_relations(b, k)
+    est, _ = semiclassical_from_relations(b, k)
     return est.max_difference(ref) / ref.max_abs()
 
 
@@ -173,6 +173,31 @@ class TestSemiclassical:
         assert [np.shape(z) for z in calls] == [(16,)]
         # a quarter of the shortest vector of (1/5)(Z + iZ)
         assert np.allclose(np.abs(calls[0]), 1 / 20, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("n,k,tau", [(5, 2, 1j), (10, 1, 0.3 + 0.8j),
+                                         (13, 2, 0.5j)])
+    def test_tables_at_etas_from_the_same_evaluation(self, n, k, tau,
+                                                     monkeypatch):
+        # the single-eta tables ride along the circle nodes in one theta
+        # call, and equal single_eta_bracket and the bare circle mean to
+        # the bit
+        b = basis(n, tau)
+        etas = [1e-2, 1e-3 + 2e-4j, 1e-4]
+        alone = semiclassical_from_relations(b, k)[0].coeffs
+        singles = [single_eta_bracket(b, k, e) for e in etas]
+        calls = []
+
+        def counted(basis, alpha, z):
+            calls.append(np.shape(z))
+            return theta_alpha_eval(basis, alpha, z)
+
+        monkeypatch.setattr(fo, "theta_alpha_eval", counted)
+        est, tables = semiclassical_from_relations(b, k, etas)
+        assert calls == [(19,)]
+        assert est.coeffs.tobytes() == alone.tobytes()
+        assert tables.shape == (3, n, n, n)
+        for table, single in zip(tables, singles):
+            assert table.tobytes() == single.tobytes()
 
     def test_convergence_order_at_least_one(self):
         b = basis(3)

@@ -643,6 +643,21 @@ class TestConeIsoProducts:
         assert sorted(pairs) == sorted([(id(new), id(H.diff(-1))),
                                         (id(H.diff(1)), id(new))])
 
+    def test_zero_differentials_multiply_once(self, monkeypatch):
+        # every missing differential of a degree is one zero matrix, so
+        # repeated checks read its products from the complex: the first
+        # call forms the three pairs, the next ones form none
+        H = hom_complex(zero_diff_complex())
+        calls = counted_products(monkeypatch)
+        sizes = []
+        for _ in range(3):
+            ok, failures = cone_iso_check(H)
+            assert ok, failures
+            sizes.append(len(H._products))
+        assert sizes == [3, 3, 3]
+        assert len(calls) == 3
+        assert H.diff(0) is H.diff(0)
+
 
 class TestGenerator:
     def test_shapes_and_determinism(self):

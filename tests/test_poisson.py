@@ -1,10 +1,12 @@
 """Tests for the graded bracket table and its polynomial oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ellpoisson import poisson
 from ellpoisson.errors import InvarianceError
 from ellpoisson.fo import f_constants, sklyanin_bracket
 from ellpoisson.poisson import (
@@ -23,6 +25,7 @@ from oracles import (
     pair_coeffs,
     pair_poly,
     pairs,
+    pairwise_jacobi_defect,
 )
 
 
@@ -220,6 +223,44 @@ class TestJacobi:
                 for br in (b, one_percent_off(b)):
                     got, ref = jacobi_defect(br), dense_jacobi_defect(br)
                     assert abs(got - ref) <= 1e-15
+
+    @pytest.mark.parametrize("n", list(range(2, 14)) + [31])
+    def test_equals_pairwise_loop(self, n):
+        # the same arithmetic per entry over gathered triples: the residual
+        # is the pair loop's to the bit, on the Sklyanin brackets, their 1%
+        # controls and a random table; n = 2 has no triple
+        brackets = [random_bracket(n, np.random.default_rng(70 + n))]
+        for tau in (1j, 0.3 + 0.8j, 6j):
+            for k in sorted({1, n - 1}):
+                b = sklyanin(n, k, tau)
+                brackets += [b, one_percent_off(b)]
+        for b in brackets:
+            got = jacobi_defect(b)
+            assert got == pairwise_jacobi_defect(b)
+            assert got == 0.0 or n > 2
+
+    @pytest.mark.parametrize("chunk", [1, 200, 2 ** 15])
+    def test_chunk_size_does_not_change_the_residual(self, chunk,
+                                                     monkeypatch):
+        # chunks of one triple, of chunks that split the triples of one i,
+        # and of every triple at once
+        monkeypatch.setattr(poisson, "_JACOBI_CHUNK", chunk)
+        for b in (one_percent_off(sklyanin(7, 3, 0.3 + 0.8j)),
+                  random_bracket(9, np.random.default_rng(3))):
+            assert jacobi_defect(b) == pairwise_jacobi_defect(b)
+
+    def test_working_memory_is_chunked(self):
+        # at n = 31 the 4495 triples hold 4.3e6 entries (69 MB as complex);
+        # chunked, a call needs its n^3 tables and a few small temporaries,
+        # 2.2 MB in all, where the loop over pairs reached 3.8 MB
+        b = sklyanin(31)
+        tracemalloc.start()
+        try:
+            jacobi_defect(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 class TestCanonicalForm:

@@ -614,6 +614,21 @@ class TestAutomorphy:
         res = verify_automorphy(b, 0, lambda z: np.zeros_like(np.asarray(z)))
         assert res == 0.0
 
+    def test_one_call_on_the_shifted_grids(self):
+        # the grid, the grid shifted by 1 and by tau, concatenated
+        b = basis(3, TAU_SQUARE)
+        calls = []
+
+        def f(z):
+            calls.append(np.array(z))
+            return theta_alpha_eval(b, 1, z)
+
+        assert verify_automorphy(b, 1.0, f) < 1e-8
+        assert len(calls) == 1
+        z = calls[0].reshape(3, -1)
+        assert np.array_equal(z[1], z[0] + 1.0)
+        assert np.array_equal(z[2], z[0] + b.params.tau)
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_character_scan_identifies_constant(self, n):
         # scanning c over m/(2n) certifies the basis character c = (n-1)/2
