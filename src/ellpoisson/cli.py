@@ -116,19 +116,19 @@ def _check(name, residual, tolerance):
 
 
 def _sample_chart_points(n, count, seed):
-    """Seeded points with t_0 = 1 and the rest uniform on the unit disc."""
+    """Seeded points with t_0 = 1 and the rest uniform on the unit disc: the
+    first count * (n - 1) pairs of a uniform stream on [-1, 1]^2 that fall
+    in the disc, in order, fill the points row by row."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        t = np.ones(n, dtype=complex)
-        for i in range(1, n):
-            while True:
-                u, v = rng.uniform(-1.0, 1.0, size=2)
-                if u * u + v * v <= 1.0:
-                    t[i] = complex(u, v)
-                    break
-        out.append(t)
-    return out
+    need = count * (n - 1)
+    pairs = np.empty((0, 2))
+    while len(pairs) < need:
+        draw = rng.uniform(-1.0, 1.0, size=(2 * need, 2))
+        inside = draw[:, 0] * draw[:, 0] + draw[:, 1] * draw[:, 1] <= 1.0
+        pairs = np.concatenate([pairs, draw[inside]])
+    t = np.ones((count, n), dtype=complex)
+    t[:, 1:] = pairs[:need].view(complex).reshape(count, n - 1)
+    return list(t)
 
 
 # -- subcommands -----------------------------------------------------------

@@ -41,11 +41,12 @@ class QuadraticBracket:
     in (i, j) and equal at k and l, and both are checked exactly.  The
     coefficient of the monomial x_k x_l is therefore 2 coeffs[i, j, k] for
     k != l and coeffs[i, j, k] on the squares 2k = i+j mod n (one k for
-    odd n, two or none for even n).  Omitting ``coeffs`` gives the zero
-    bracket.  Only exact zeros are absent terms.
+    odd n, two or none for even n); ``weights`` holds that factor, 2 or 1,
+    for every entry.  Omitting ``coeffs`` gives the zero bracket.  Only
+    exact zeros are absent terms.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "coeffs", "weights")
 
     def __init__(self, n, coeffs=None):
         shape = (n,) * 3
@@ -60,17 +61,14 @@ class QuadraticBracket:
                              "(i, j) and equal at k and i+j-k")
         self.n = n
         self.coeffs = g
-
-    def _weights(self) -> np.ndarray:
-        """The factor, 2 or 1 on the squares, that takes a table entry at
-        [i, j, k] to the coefficient of the monomial x_k x_{i+j-k}."""
-        i, j, k = np.indices(self.coeffs.shape)
-        return np.where((2 * k - i - j) % self.n, 2.0, 1.0)
+        # the factor, 2 or 1 on the squares, that takes a table entry at
+        # [i, j, k] to the coefficient of the monomial x_k x_{i+j-k}
+        self.weights = np.where((2 * k - i - j) % n, 2.0, 1.0)
 
     def monomials(self) -> np.ndarray:
         """Coefficient of the monomial x_k x_{i+j-k} in {x_i, x_j} at
         [i, j, k]."""
-        return self.coeffs * self._weights()
+        return self.coeffs * self.weights
 
     def max_abs(self):
         return float(np.max(np.abs(self.monomials()), initial=0.0))
@@ -83,7 +81,7 @@ class QuadraticBracket:
         """Largest monomial-coefficient difference of each coefficient
         table of a stack on the leading axis to this bracket; the tables
         are taken unchecked."""
-        diff = np.asarray(tables) * self._weights() - self.monomials()
+        diff = np.asarray(tables) * self.weights - self.monomials()
         return np.max(np.abs(diff), axis=(-3, -2, -1), initial=0.0)
 
 

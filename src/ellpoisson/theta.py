@@ -27,6 +27,10 @@ by truncated Taylor products, ``_jet_mul``.  The index alpha may be an
 integer or a 1-D integer array; an array puts theta_alpha for every listed
 alpha on a trailing axis, so the whole basis on a point grid is one series
 evaluation on the (point, alpha) grid, taken in chunks of bounded size.
+One kernel computes every basis value: ``_series_sums`` reduces the points
+and sums the series, ``_basis_jet`` applies the multiplier, n^j and
+E_alpha.  A :class:`ThetaBasis` runs it once, on 0, the divisor and the
+residue circle, for every table of the basis and its residue system.
 Evaluators accept scalars or numpy arrays of points and are pure functions
 of their arguments; a constructed :class:`ThetaBasis` is immutable.  A point
 where the value may leave double-precision range (large |Im z| / Im tau)
@@ -72,10 +76,11 @@ CIRCLE_POINTS = 32
 # n = 2, Im tau = 1e-6 (M = 2183) is still refused by that bound
 MAX_SERIES_TERMS = 4096
 
-# largest number of series terms one matmul holds; longer point arrays are
+# largest number of series terms formed at once; longer point arrays are
 # evaluated in chunks, which keeps the working memory flat: the theta
 # command's 400 points at n = 11 take four chunks, whose arrays stay as
-# small as those of four separate 100-point calls
+# small as those of four separate 100-point calls.  The pass of a basis
+# at Im tau >= 0.5 and n <= 31 fits one chunk (6324 terms at n = 31)
 _CHUNK_TERMS = 2 ** 13
 
 
@@ -214,10 +219,40 @@ def _series_terms(z0, tau, bound, order):
     return terms, weights
 
 
-def _series(z0, tau, bound, order):
-    """Jet of the basic series at reduced points, from one matmul."""
-    terms, weights = _series_terms(z0, tau, bound, order)
-    return np.moveaxis(terms @ weights, -1, 0)
+def _series_sums(w, shapes, tau, bound, order, absolute=False):
+    """Sums of the basic series at tau at the flat points w, the first half
+    of the kernel every basis value goes through.
+
+    w holds grids of the given (rows, columns) shapes, row by row; a basis
+    grid holds n z + alpha tau, one row per point z and one column per
+    index alpha.  Each point is reduced, w = z0 + a + b*tau.  The terms
+    come from one ``_series_terms`` call while they number at most
+    ``_CHUNK_TERMS``, else from one call per row; each row is summed by one
+    matmul in its grid's layout, so no sum depends on the calls.  Returns
+    z0, b, the sums (jet on the trailing axis) and, with ``absolute``, the
+    sums of the absolute terms over the first grid, else None.
+    """
+    calls = [shapes]
+    if w.size * (2 * bound + 2) > _CHUNK_TERMS:
+        calls = [[(1, cols)] for rows, cols in shapes for _ in range(rows)]
+    z0, b = _reduce_to_cell(w, tau)
+    sums = np.empty((w.size, order + 1), dtype=complex)
+    size = (np.empty((shapes[0][0] * shapes[0][1], order + 1)) if absolute
+            else None)
+    start = 0
+    for call in calls:
+        stop = start + sum(rows * cols for rows, cols in call)
+        terms, weights = _series_terms(z0[start:stop], tau, bound, order)
+        for rows, cols in call:
+            block = terms[:rows * cols].reshape(rows, cols, -1)
+            terms = terms[rows * cols:]
+            part = slice(start, start + rows * cols)
+            sums[part] = (block @ weights).reshape(rows * cols, -1)
+            if absolute and start < len(size):
+                size[part] = (np.abs(block) @ np.abs(weights)).reshape(
+                    rows * cols, -1)
+            start = part.stop
+    return z0, b, sums, size
 
 
 def _exp_jet(value, rate, order):
@@ -234,14 +269,25 @@ def _jet_mul(a, b):
                      for k in range(len(a))])
 
 
-def _theta_jet(z, tau, bound, order):
-    """Jet of theta at z: the reduced series times the multiplier's jet."""
-    z0, b = _reduce_to_cell(z, tau)
-    # theta(z0 + b*tau) = (-1)^b exp(-2 pi i (b z0 + tau b(b-1)/2)) theta(z0)
+def _basis_jet(basis, z, a, z0, b, sums):
+    """Jet of theta_alpha at the (point, index) pairs that z and a
+    broadcast to, from the ``_series_sums`` output z0, b and sums of its
+    series at n*tau: the quasi-periodicity multiplier, the factor n^j that
+    the inner argument n z puts on entry j, and E_alpha, each by a
+    truncated Taylor product; the second half of the kernel."""
+    n, tau = basis.n, basis.params.tau
+    order = sums.shape[-1] - 1
+    # theta(z0 + b n tau) = (-1)^b exp(-2 pi i (b z0 + n tau b(b-1)/2))
+    # theta(z0) on the lattice Z + Z n tau
     g = np.where(b % 2 == 0, 1.0, -1.0) * np.exp(
-        -TWO_PI_I * (b * z0 + tau * b * (b - 1) / 2.0))
-    return _jet_mul(_exp_jet(g, -TWO_PI_I * b, order),
-                    _series(z0, tau, bound, order))
+        -TWO_PI_I * (b * z0 + n * tau * b * (b - 1) / 2.0))
+    series = _jet_mul(_exp_jet(g, -TWO_PI_I * b, order),
+                      np.moveaxis(sums, -1, 0))
+    series *= (float(n) ** np.arange(order + 1)).reshape(
+        (-1,) + (1,) * z0.ndim)
+    ex = np.exp(TWO_PI_I * (z * a + a * (a - n) * tau / (2.0 * n)
+                            + a / (2.0 * n)))
+    return _jet_mul(_exp_jet(ex, TWO_PI_I * a, order), series)
 
 
 @dataclass(frozen=True)
@@ -250,13 +296,19 @@ class ThetaBasis:
 
     Every basis value is one series at n*tau times E_alpha (module
     docstring); ``series_bound`` is the truncation ``TRUNCATION_EPS`` gives
-    at n*tau.  ``theta_at_zero`` and ``dtheta_at_zero`` hold theta_alpha(0)
-    and theta_alpha'(0); theta_0(0) is an exact zero (the series terms
-    cancel in pairs), so it is stored as 0.  A lattice where n Im(tau) is
-    not finite, or whose truncation exceeds ``MAX_SERIES_TERMS``, is
+    at n*tau.  Every table comes from one pass of the kernel over the
+    (point, alpha) pairs z = 0 and z = ``circle_offsets`` (the residue
+    circle around 0) for every alpha, and z = k/n for alpha = 0.
+    ``theta_at_zero`` and ``dtheta_at_zero`` hold theta_alpha(0) and
+    theta_alpha'(0); theta_0(0) is an exact zero (the series terms cancel
+    in pairs), so it is stored as 0.  ``circle_jet[j, p, alpha]`` is the
+    order-1 jet on the circle, or None where those values may leave double
+    range, and ``circle_error`` the :class:`ThetaRangeError` that refuses
+    them.  A lattice where n Im(tau) is not finite, or whose truncation
+    exceeds ``MAX_SERIES_TERMS``, is
     refused before any series is summed; one whose values at 0 are lost in
-    rounding is refused by the a priori bound ``rounding_bound``
-    (``_rounding_bound``) before the basis is evaluated.
+    rounding is refused by the a priori bound ``rounding_bound``, read off
+    the terms at 0 before any multiplier or exponential factor is applied.
     """
 
     params: CurveParams
@@ -264,28 +316,66 @@ class ThetaBasis:
     rounding_bound: float = field(init=False)
     theta_at_zero: np.ndarray = field(init=False)
     dtheta_at_zero: np.ndarray = field(init=False)
+    circle_offsets: np.ndarray = field(init=False)
+    circle_jet: np.ndarray | None = field(init=False)
+    circle_error: ThetaRangeError | None = field(init=False)
 
     def __post_init__(self):
-        n, height = self.n, self.params.tau.imag
-        bound = series_bound_for(n * self.params.tau, TRUNCATION_EPS)
-        finite = math.isfinite(n * height)
+        n, tau = self.n, self.params.tau
+        bound = series_bound_for(n * tau, TRUNCATION_EPS)
+        finite = math.isfinite(n * tau.imag)
         if not (finite and bound <= MAX_SERIES_TERMS):
             why = (f"the theta series at n*tau needs {bound:.3g} terms, "
                    f"beyond the limit {MAX_SERIES_TERMS}" if finite
                    else "n Im tau is not finite")
-            raise DegenerateTauError(f"Im tau = {height:g} is out of "
+            raise DegenerateTauError(f"Im tau = {tau.imag:g} is out of "
                                      f"numerical range at n = {n}: {why}")
         object.__setattr__(self, "series_bound", bound)
-        object.__setattr__(self, "rounding_bound", self._rounding_bound())
+        alpha = np.arange(n)
+        offsets = circle_nodes(shortest_period(n, tau))
+        # the (point, alpha) pairs of the pass, in grids of rows of points:
+        # 0 for every alpha, k/n for alpha = 0, the circle for every alpha
+        points = [np.zeros(n), alpha / n]
+        index = [alpha, np.zeros_like(alpha)]
+        shapes = [(1, n), (n, 1)]
+        error = None
+        try:
+            _check_range(offsets, tau.imag, n, alpha.tolist())
+            points.append(np.repeat(offsets, n))
+            index.append(np.tile(alpha, len(offsets)))
+            shapes.append((len(offsets), n))
+        except ThetaRangeError as exc:
+            # kept without its traceback, whose frames would hold the pass
+            error = exc.with_traceback(None)
+        z = np.concatenate(points, dtype=complex)
+        a = np.concatenate(index)
+        z0, b, sums, size = _series_sums(n * z + a * tau, shapes, n * tau,
+                                         bound, 1, absolute=True)
+        # theta_alpha(0) is the series at alpha*tau, whose lattice index is
+        # 0, times E_alpha(0).  The sum carries a rounding error of about
+        # 2^-53 sum|terms|, against the value, or against the derivative
+        # for the zero of theta_0; the bound is the largest over alpha
+        pick = (alpha, (alpha == 0).astype(int))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = size[pick] / np.abs(sums[pick])
+        object.__setattr__(self, "rounding_bound",
+                           2.0 ** -53 * float(np.max(ratio)))
         self.require_rounding(ROUNDING_LIMIT)
-        vals, ders = theta_alpha_jet(self, np.arange(n), 0.0, 1)
+        _check_range(z[:1], tau.imag, n, alpha.tolist())
+        jet = _basis_jet(self, z, a, z0, b, sums)
+        vals, ders = jet[:, :n]
         vals[0] = 0.0
         object.__setattr__(self, "theta_at_zero", vals)
         object.__setattr__(self, "dtheta_at_zero", ders)
-        self._check_tables()
+        self._check_tables(jet[1, n:2 * n])
+        object.__setattr__(self, "circle_offsets", offsets)
+        object.__setattr__(self, "circle_jet", None if error is not None
+                           else jet[:, 2 * n:].reshape(2, len(offsets), n))
+        object.__setattr__(self, "circle_error", error)
 
-    def _check_tables(self):
-        """Refuse a basis whose values at 0 are numerically zero.
+    def _check_tables(self, d0):
+        """Refuse a basis whose values at 0 are numerically zero; ``d0``
+        holds theta_0'(k/n), k = 0..n-1.
 
         theta_0'(0) and theta_alpha(0), alpha != 0, are nonzero for every
         tau; only a small Im(tau) makes them numerically zero.  These
@@ -305,7 +395,6 @@ class ThetaBasis:
         vals = np.abs(self.theta_at_zero) / size
         ders = np.abs(self.dtheta_at_zero) / size
         scale = float(np.max(ders))
-        d0 = theta_alpha_deriv(self, 0, np.arange(n) / n, 1)
         for lost, what in (
                 (ders[0] < 1e-10 * scale,
                  "theta_0'(0) is below 1e-10 of the largest theta_alpha'(0)"),
@@ -328,25 +417,6 @@ class ThetaBasis:
                 f"{purpose} at n = {self.n}: rounding in the theta series may "
                 f"reach {self.rounding_bound:.1e} of a basis value at 0, "
                 f"beyond {limit:g}")
-
-    def _rounding_bound(self) -> float:
-        """A priori relative rounding error of the values at 0.
-
-        theta_alpha(0) is theta(alpha*tau; n*tau) E_alpha(0), and alpha*tau
-        reduces into the fundamental cell of Z + Z*n*tau with lattice index
-        0, so the series that runs has no multiplier.  Its sum carries a
-        rounding error of about 2^-53 sum|terms|, a relative error of
-        2^-53 sum|terms| / |value|; the zero of theta_0 enters through its
-        derivative, as in theta_0'(0).  Returns the largest over alpha.
-        """
-        n, tau = self.n, self.params.tau
-        z0, _ = _reduce_to_cell(np.arange(n) * tau, n * tau)
-        terms, weights = _series_terms(z0, n * tau, self.series_bound, 1)
-        pick = (np.arange(n), (np.arange(n) == 0).astype(int))
-        size = (np.abs(terms) @ np.abs(weights))[pick]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = size / np.abs((terms @ weights)[pick])
-        return 2.0 ** -53 * float(np.max(ratio))
 
     @property
     def n(self) -> int:
@@ -373,15 +443,12 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     trailing axis with one entry per index, so one call evaluates the whole
     basis.  Entry j of the leading axis holds the j-th derivative divided
     by j!, so one order-1 call yields values and first derivatives
-    together; the inner argument n z puts a factor n^j on entry j of the
-    series jet.  One series at n*tau is summed per point and index, on the
-    (point, alpha) grid, in chunks of points so that no series matmul holds
-    more than 2^13 terms; its jet is multiplied by the jet of the
-    exponential factor in one truncated Taylor product.
+    together.  One series at n*tau is summed per point and index, on the
+    (point, alpha) grid, by the kernel the basis builds its tables with:
+    ``_series_sums``, in chunks of points so that no series matmul holds
+    more than 2^13 terms, then ``_basis_jet``.
     """
-    n = basis.n
-    tau = basis.params.tau
-    bound = basis.series_bound
+    n, tau = basis.n, basis.params.tau
     z = np.asarray(z, dtype=complex)
     index = np.asarray(alpha)
     if index.ndim > 1 or index.dtype.kind not in "iu":
@@ -389,16 +456,16 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     a = np.atleast_1d(index)
     _check_range(z, tau.imag, n, a.tolist())
     flat = z.ravel()
-    series = np.empty((order + 1, flat.size, a.size), dtype=complex)
-    step = max(1, _CHUNK_TERMS // (a.size * (2 * bound + 2)))
+    out = np.empty((order + 1, flat.size, a.size), dtype=complex)
+    step = max(1, _CHUNK_TERMS // (a.size * (2 * basis.series_bound + 2)))
     for i in range(0, flat.size, step):
-        w = n * flat[i:i + step, None] + a * tau
-        series[:, i:i + step] = _theta_jet(w, n * tau, bound, order)
-    series *= (float(n) ** np.arange(order + 1))[:, None, None]
-    ex = np.exp(TWO_PI_I * (np.multiply.outer(z, a)
-                            + a * (a - n) * tau / (2.0 * n) + a / (2.0 * n)))
-    out = _jet_mul(_exp_jet(ex, TWO_PI_I * a, order),
-                   series.reshape((order + 1,) + z.shape + (a.size,)))
+        part = flat[i:i + step, None]
+        shape = (len(part), a.size)
+        z0, b, sums, _ = _series_sums((n * part + a * tau).ravel(), [shape],
+                                      n * tau, basis.series_bound, order)
+        out[:, i:i + step] = _basis_jet(basis, part, a, *(
+            x.reshape(shape + x.shape[1:]) for x in (z0, b, sums)))
+    out = out.reshape((order + 1,) + z.shape + (a.size,))
     return out if index.ndim else out[..., 0]
 
 

@@ -15,6 +15,12 @@ without the 1/n shift that fills the ``ResidueSystem`` tables.
 of n shifted theta factors, each summed directly by :func:`theta_series`;
 the package sums one series at n*tau instead, which is that product
 divided by the constant :func:`product_constant`.
+:func:`three_sum_basis` and :func:`three_sum_tables` repeat the
+construction that summed the series four times per lattice (for the
+rounding bound, the values at 0, theta_0'(k/n) and the residue circle),
+against which the one pass of ``ThetaBasis`` is compared byte for byte.
+:func:`chart_points_loop` draws the ``moduli-compare`` chart points by
+one rejection loop per coordinate, where the package draws arrays.
 :func:`dense_cone_iso_check` checks the cone identification of
 ``ellpoisson.homology`` on dense 2 dim C^0 matrices, with the comparison
 map written out, where the package evaluates the same identities block by
@@ -29,9 +35,14 @@ import math
 
 import numpy as np
 
+from types import SimpleNamespace
+
+from ellpoisson import theta
+from ellpoisson.errors import ThetaRangeError
 from ellpoisson.exact import Mat, hstack, vstack
+from ellpoisson.fo import f_constants
 from ellpoisson.poisson import QuadraticBracket
-from ellpoisson.theta import ThetaBasis, theta_alpha_eval
+from ellpoisson.theta import ThetaBasis, theta_alpha_eval, theta_alpha_jet
 
 
 def theta_series(z, tau, terms=50, order=0):
@@ -84,6 +95,86 @@ def phi(basis: ThetaBasis, alpha: int):
         return lambda z: np.ones_like(np.asarray(z, dtype=complex))
     return lambda z: (theta_alpha_eval(basis, alpha, z)
                       / theta_alpha_eval(basis, 0, z))
+
+
+def three_sum_basis(params):
+    """The basis tables as four separate sums of the series at n*tau built
+    them: the rounding bound from the terms at alpha*tau, then
+    ``theta_alpha_jet`` at 0 for every alpha, at k/n for alpha = 0 and on
+    the circle around 0.  Refuses as the basis does, through its own
+    ``require_rounding`` and ``_check_tables``; returns a namespace with
+    the basis's table attributes.  The truncation must be within
+    ``MAX_SERIES_TERMS``."""
+    n, tau = params.n, params.tau
+    b = SimpleNamespace(params=params, n=n, series_bound=theta.series_bound_for(
+        n * tau, theta.TRUNCATION_EPS))
+    z0, _ = theta._reduce_to_cell(np.arange(n) * tau, n * tau)
+    terms, weights = theta._series_terms(z0, n * tau, b.series_bound, 1)
+    pick = (np.arange(n), (np.arange(n) == 0).astype(int))
+    size = (np.abs(terms) @ np.abs(weights))[pick]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = size / np.abs((terms @ weights)[pick])
+    b.rounding_bound = 2.0 ** -53 * float(np.max(ratio))
+    ThetaBasis.require_rounding(b, theta.ROUNDING_LIMIT)
+    b.theta_at_zero, b.dtheta_at_zero = theta_alpha_jet(b, np.arange(n),
+                                                        0.0, 1)
+    b.theta_at_zero[0] = 0.0
+    ThetaBasis._check_tables(b, theta_alpha_jet(b, 0, np.arange(n) / n, 1)[1])
+    b.circle_offsets = theta.circle_nodes(theta.shortest_period(n, tau))
+    try:
+        b.circle_jet = theta_alpha_jet(b, np.arange(n), b.circle_offsets, 1)
+        b.circle_error = None
+    except ThetaRangeError as exc:
+        b.circle_jet, b.circle_error = None, exc
+    return b
+
+
+def three_sum_tables(b) -> dict:
+    """The residue tables phi, dphi, psi, T3 and TD from the circle jet of
+    a :func:`three_sum_basis` namespace, as ``ResidueSystem`` forms them,
+    with the disc-k values of psi_alpha from the values at 0 by the 1/n
+    shift."""
+    n = b.n
+    omega = np.exp(2j * math.pi / n)
+    shift = omega ** (np.multiply.outer(np.arange(n), np.arange(n)) % n)
+    th, dth = b.circle_jet.swapaxes(1, 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi0 = th / th[0]
+        dphi0 = (dth * th[0] - th * dth[0]) / th[0] ** 2
+    out = {"phi": shift[:, :, None] * phi0[:, None],
+           "dphi": shift[:, :, None] * dphi0[:, None]}
+    out["phi"][0] = 1.0
+    out["dphi"][0] = 0.0
+    psi = np.empty_like(out["phi"])
+    psi[0] = 1.0 / b.circle_offsets
+    for a in range(1, n):
+        psi[a] = (b.dtheta_at_zero[0] * omega ** (-(a * np.arange(n)) % n)
+                  / b.theta_at_zero[a])[:, None]
+    psi_sum = psi[(np.arange(n)[:, None] + np.arange(n)) % n]
+    trace = lambda f: (f.sum(axis=-2) @ b.circle_offsets
+                       / (n * len(b.circle_offsets)))
+    out.update(psi=psi, f=f_constants(b),
+               t3=trace(out["phi"][:, None] * out["phi"] * psi_sum),
+               td=trace(out["dphi"][:, None] * out["phi"] * psi_sum))
+    return out
+
+
+def chart_points_loop(n, count, seed):
+    """Chart points with t_0 = 1, the others drawn pair by pair from one
+    ``default_rng(seed)`` stream on [-1, 1]^2 until one falls in the unit
+    disc."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        t = np.ones(n, dtype=complex)
+        for i in range(1, n):
+            while True:
+                u, v = rng.uniform(-1.0, 1.0, size=2)
+                if u * u + v * v <= 1.0:
+                    t[i] = complex(u, v)
+                    break
+        out.append(t)
+    return out
 
 
 class Polynomial:

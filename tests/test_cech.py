@@ -11,7 +11,8 @@ from ellpoisson.cech import (
     laurent_coeffs,
     psi_local_constant,
 )
-from ellpoisson.errors import ContourError, DegenerateTauError
+from ellpoisson.errors import (ContourError, DegenerateTauError,
+                               EllPoissonError, ThetaRangeError)
 from ellpoisson.fo import sklyanin_bracket
 from ellpoisson.poisson import projective_matrix
 from ellpoisson.theta import (
@@ -21,10 +22,9 @@ from ellpoisson.theta import (
     shortest_period,
     theta_alpha_deriv,
     theta_alpha_eval,
-    theta_alpha_jet,
 )
 
-from oracles import phi
+from oracles import phi, three_sum_basis, three_sum_tables
 
 
 def basis(n, tau=1j):
@@ -171,8 +171,9 @@ class TestTables:
             ref3, refd = self.trapezoid_tables(
                 b, 4 * CIRCLE_POINTS, shortest_period(3, tau) / 3)
             for nodes, agree in ((CIRCLE_POINTS, True), (8, False)):
+                # the basis samples its circle when it is built
                 monkeypatch.setattr(theta, "CIRCLE_POINTS", nodes)
-                s = ResidueSystem(b)
+                s = ResidueSystem(basis(3, tau))
                 assert s.offsets.shape == (nodes,)
                 err = max(np.max(np.abs(s.t3 - ref3)) / np.max(np.abs(ref3)),
                           np.max(np.abs(s.td - refd)) / np.max(np.abs(refd)))
@@ -187,17 +188,10 @@ class TestTables:
             assert np.max(np.abs(fd - s.dphi[a, 1, :4])) < 1e-6 * np.max(
                 np.abs(fd))
 
-    def test_non_finite_sample_raises_contour_error(self, monkeypatch):
-        import ellpoisson.cech as cech
-
+    def test_non_finite_sample_raises_contour_error(self):
         # a NaN value at one node of the circle around 0 must be refused
-        def poisoned(b, alpha, z, order):
-            out = theta_alpha_jet(b, alpha, z, order)
-            out[0, 0] = np.nan
-            return out
-
         b = basis(3)
-        monkeypatch.setattr(cech, "theta_alpha_jet", poisoned)
+        b.circle_jet[0, 0] = np.nan
         with pytest.raises(ContourError):
             ResidueSystem(b)
 
@@ -422,10 +416,74 @@ class TestModuliBracket:
         t = np.array([1.0, 0.4 - 0.2j, -0.1 + 0.3j])
         m1 = ResidueSystem(b).bracket_matrix(t)
         monkeypatch.setattr(theta, "CIRCLE_POINTS", 2 * CIRCLE_POINTS)
-        s2 = ResidueSystem(b)
+        s2 = ResidueSystem(basis(3))
         assert s2.offsets.shape == (2 * CIRCLE_POINTS,)
         m2 = s2.bracket_matrix(t)
         assert np.max(np.abs(m1 - m2)) < 1e-10
+
+
+# 13 lattice parameters from 0.01i to 6i, with Re tau = 1/2 among them
+LATTICE_TAUS = (0.01j, 0.02j, 0.05j, 0.1j, 0.2j, 0.5j, 1j, 2j, 6j, 0.3 + 0.8j,
+                0.5 + 0.02j, 0.5 + 0.05j, 0.5 + 0.5j)
+
+
+class TestOnePass:
+    """The basis samples 0, the divisor and the residue circle in one pass
+    over the series terms; the residue system evaluates no theta."""
+
+    @pytest.mark.parametrize("n", list(range(2, 14)) + [31])
+    def test_tables_equal_the_three_sum_construction(self, n):
+        for tau in LATTICE_TAUS:
+            params = CurveParams(tau, n)
+            try:
+                ref = three_sum_basis(params)
+            except EllPoissonError as exc:
+                with pytest.raises(type(exc)) as new:
+                    ThetaBasis(params)
+                assert str(new.value) == str(exc)
+                continue
+            b = ThetaBasis(params)
+            assert repr(b.rounding_bound) == repr(ref.rounding_bound)
+            for name in ("theta_at_zero", "dtheta_at_zero", "circle_offsets"):
+                assert getattr(b, name).tobytes() == getattr(ref,
+                                                             name).tobytes()
+            if ref.circle_jet is None:
+                assert b.circle_jet is None
+                assert str(b.circle_error) == str(ref.circle_error)
+                continue
+            assert b.circle_jet.tobytes() == ref.circle_jet.tobytes()
+            assert b.circle_error is None
+            s = ResidueSystem(b)
+            for name, table in three_sum_tables(ref).items():
+                assert getattr(s, name).tobytes() == table.tobytes(), (
+                    n, tau, name)
+
+    def test_system_evaluates_no_theta(self, monkeypatch):
+        import ellpoisson.cech as cech
+
+        def summed(*args):
+            raise AssertionError("a theta series was summed")
+
+        b = basis(5, 0.3 + 0.8j)
+        monkeypatch.setattr(theta, "_series_terms", summed)
+        monkeypatch.setattr(theta, "theta_alpha_jet", summed)
+        s = ResidueSystem(b)
+        assert s.offsets is b.circle_offsets
+        assert not hasattr(cech, "theta_alpha_jet")
+
+    def test_refused_circle_raises_the_basis_error(self):
+        # at n = 31, tau = 6i the circle's lower half reduces with lattice
+        # index -1, whose multiplier bound exp(1169) is beyond range; the
+        # basis itself builds, and only the residue system is refused
+        b = basis(31, 6j)
+        assert b.circle_jet is None
+        with pytest.raises(ThetaRangeError) as exc:
+            ResidueSystem(b)
+        assert str(exc.value) == str(b.circle_error)
+        assert b.circle_error.__traceback__ is None
+        assert str(exc.value).startswith(
+            "theta_0 at z = (4.938091932045779e-19+0.008064516129032258j) "
+            "is out of double range: the value may reach exp(1169)")
 
 
 class TestPiT:

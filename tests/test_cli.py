@@ -10,7 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ellpoisson.cli import RunConfig, build_parser, main
+from ellpoisson.cli import RunConfig, _sample_chart_points, build_parser, \
+    main
+from oracles import chart_points_loop
 
 # the 28 option strings of the subcommands, in the order they are declared
 FLAGS = {
@@ -305,6 +307,56 @@ class TestExitCodes:
         assert "chain-map square" in report["tables"]["failures"][0][1]
 
 
+class TestRefusals:
+    """Out-of-range lattices keep their exit codes and messages, with no
+    RuntimeWarning, now that the basis samples the residue circle."""
+
+    @pytest.mark.parametrize("args, expected", [
+        (["--n", "3", "--tau", "0", "1e-6"],
+         {c: (2, "Im tau = 1e-06 is out of numerical range at n = 3: "
+                 "rounding in the theta series may reach 8.7e+03 of a basis "
+                 "value at 0, beyond 1e-08")
+          for c in ("theta", "sklyanin", "moduli-compare")}),
+        (["--n", "5", "--tau", "0", "1e-10"],
+         {c: (2, "Im tau = 1e-10 is out of numerical range at n = 5: the "
+                 "theta series at n*tau needs 1.38e+05 terms, beyond the "
+                 "limit 4096")
+          for c in ("theta", "sklyanin", "moduli-compare")}),
+        (["--n", "7", "--tau", "0", "0.006"],
+         {c: (2, "Im tau = 0.006 is out of numerical range at n = 7: "
+                 "rounding in the theta series may reach 1.7e-08 of a basis "
+                 "value at 0, beyond 1e-08")
+          for c in ("theta", "sklyanin", "moduli-compare")}),
+        # the basis builds; theta refuses its own sample points, and
+        # moduli-compare the residue circle, whose lower half reduces with
+        # lattice index -1
+        (["--n", "31", "--tau", "0", "6"],
+         {"theta": (2, "theta_0 at z = (0.9271545530678674+6.163052476062281j)"
+                       " is out of double range: the value may reach "
+                       "exp(1169)"),
+          "sklyanin": (0, ""),
+          "moduli-compare": (2, "theta_0 at z = (4.938091932045779e-19"
+                                "+0.008064516129032258j) is out of double "
+                                "range: the value may reach exp(1169)")}),
+    ], ids=["im_1e-6", "series_terms_limit", "rounding_limit", "n31_tau6i"])
+    @pytest.mark.parametrize("command", ["theta", "sklyanin",
+                                         "moduli-compare"])
+    def test_theta_commands_keep_their_refusals(self, command, args,
+                                                expected, capsys):
+        extra = ["--samples", "1"] if command == "moduli-compare" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command] + args + extra)
+        out, err = capsys.readouterr()
+        code_expected, message = expected[command]
+        assert code == code_expected
+        if message:
+            assert err.startswith("error: " + message)
+            assert "Traceback" not in err and out == ""
+        else:
+            assert err == ""
+
+
 class TestReports:
     def test_json_schema(self, tmp_path):
         code, text = run(["sklyanin", "--n", "3", "--k", "1"], tmp_path)
@@ -472,6 +524,21 @@ class TestReports:
         names = [c["name"] for c in report["checks"]]
         assert "canonical_form_equals_f_table" not in names
         assert "jacobi_defect" in names
+
+
+class TestChartPoints:
+    def test_array_draws_equal_the_rejection_loop(self):
+        # the loop's points for count = 20 start with those for any smaller
+        # count, since both read one stream in order
+        for n in range(3, 14):
+            for seed in range(100):
+                ref = chart_points_loop(n, 20, seed)
+                for count in range(1, 21):
+                    points = _sample_chart_points(n, count, seed)
+                    assert len(points) == count
+                    for t, r in zip(points, ref):
+                        assert t.dtype == r.dtype and t.shape == r.shape
+                        assert t.tobytes() == r.tobytes(), (n, count, seed)
 
 
 class TestDeterminism:

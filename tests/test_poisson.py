@@ -127,6 +127,26 @@ class TestLayout:
             QuadraticBracket(3, g)
 
 
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_weights_built_once(self, n, monkeypatch):
+        b = sklyanin_bracket(ThetaBasis(CurveParams(0.3 + 0.8j, n)), 1)
+        for i, j, k in np.ndindex(n, n, n):
+            expected = 1.0 if (2 * k - i - j) % n == 0 else 2.0
+            assert b.weights[i, j, k] == expected
+        # monomials, max_abs, max_difference and max_differences read the
+        # table the constructor built
+        other = QuadraticBracket(n, 2 * b.coeffs)
+
+        def indices(*args, **kwargs):
+            raise AssertionError("np.indices called")
+
+        monkeypatch.setattr(np, "indices", indices)
+        assert np.array_equal(b.monomials(), b.coeffs * b.weights)
+        assert b.max_abs() == other.max_abs() / 2
+        assert b.max_difference(other) == b.max_abs()
+        assert b.max_differences(other.coeffs[None])[0] == b.max_abs()
+
+
 class TestBracketPoly:
     def test_generator_bracket_antisymmetric(self):
         b = delta_hn().to_quadratic()

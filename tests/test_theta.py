@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,12 +31,16 @@ TAU_GENERIC = 0.3 + 0.8j
 def theta_value(tau, z, *, series_bound=None, order=0):
     """order-th derivative of the basic theta series at tau as the basis
     sums it at n*tau: z reduced into the fundamental cell, the multiplier's
-    jet restored, truncated where ``TRUNCATION_EPS`` puts it."""
+    jet restored, truncated where ``TRUNCATION_EPS`` puts it.  The basic
+    series is theta_0 of order n = 1, whose factor E_0 is 1."""
     bound = (series_bound if series_bound is not None
              else series_bound_for(tau, TRUNCATION_EPS))
     z = np.asarray(z, dtype=complex)
-    out = (math.factorial(order)
-           * theta._theta_jet(z, complex(tau), bound, order)[order])
+    order_one = SimpleNamespace(n=1, params=SimpleNamespace(tau=complex(tau)))
+    reduced = theta._series_sums(z.ravel(), [(z.size, 1)], complex(tau),
+                                 bound, order)[:3]
+    jet = theta._basis_jet(order_one, z.ravel(), 0, *reduced)
+    out = math.factorial(order) * jet[order].reshape(z.shape)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -102,7 +107,7 @@ def sample_points(tau, count, seed=0):
 
 
 class TestThetaEval:
-    """The basic series theta(z; tau) as ``_theta_jet`` sums it, against
+    """The basic series theta(z; tau) as the kernel sums it, against
     direct summation without reduction and against mpmath."""
 
     def test_vanishes_at_origin(self):
@@ -501,7 +506,7 @@ class TestBasisTables:
             b = basis(n, tau)
             assert b.n == n
             # far below the refusal limit of 1e-8
-            assert b._rounding_bound() < 1e-13
+            assert b.rounding_bound < 1e-13
 
     def test_series_bound_is_the_smallest_truncation(self):
         # the closed form against the definition, counted term by term,
@@ -574,7 +579,7 @@ class TestBasisTables:
         # most 6.6e-15
         mp = pytest.importorskip("mpmath")
         b = basis(n, 1j * im)
-        assert b._rounding_bound() < ROUNDING_LIMIT
+        assert b.rounding_bound < ROUNDING_LIMIT
         z = sample_points(1j * im, 4, seed=10)
         with mp.workdps(30):
             ref = mpmath_basis_jet(mp, n, 1j * im, z, 1)
@@ -594,6 +599,55 @@ class TestBasisTables:
             out = tmp_path / f"{command}.json"
             assert main([command] + args + ["--output", str(out)]) == 0, \
                 out.read_text()
+
+
+class TestBasisPass:
+    """Every table of a basis comes from one pass over the series terms."""
+
+    @pytest.mark.parametrize("n", list(range(2, 14)) + [31])
+    def test_one_series_call_per_build(self, n, monkeypatch):
+        calls = []
+
+        def counted(z0, tau, bound, order):
+            calls.append(np.size(z0))
+            return series_terms(z0, tau, bound, order)
+
+        series_terms = theta._series_terms
+        monkeypatch.setattr(theta, "_series_terms", counted)
+        for tau in (TAU_SQUARE, TAU_GENERIC, 0.5j):
+            calls.clear()
+            b = basis(n, tau)
+            # 0 and the circle for every alpha, k/n for alpha = 0
+            assert calls == [n * (theta.CIRCLE_POINTS + 1) + n]
+            assert b.circle_jet.shape == (2, theta.CIRCLE_POINTS, n)
+
+    @pytest.mark.parametrize("n, tau", [(3, 0.025 + 1e-5j), (5, TAU_GENERIC),
+                                        (13, 0.5j), (31, TAU_SQUARE)])
+    def test_chunked_pass_gives_the_same_tables(self, n, tau, monkeypatch):
+        # pieces of whole rows, each row summed by its own matmul: the
+        # chunk size moves no bit
+        whole = basis(n, tau)
+        monkeypatch.setattr(theta, "_CHUNK_TERMS", 64)
+        calls = []
+        series_terms = theta._series_terms
+        monkeypatch.setattr(theta, "_series_terms",
+                            lambda *args: calls.append(1) or series_terms(
+                                *args))
+        cut = basis(n, tau)
+        assert len(calls) > 2
+        assert repr(cut.rounding_bound) == repr(whole.rounding_bound)
+        for name in ("theta_at_zero", "dtheta_at_zero", "circle_jet"):
+            assert getattr(cut, name).tobytes() == getattr(whole,
+                                                           name).tobytes()
+
+    def test_rounding_refused_before_any_factor(self, monkeypatch):
+        def applied(*args):
+            raise AssertionError("a multiplier or E_alpha was applied")
+
+        monkeypatch.setattr(theta, "_basis_jet", applied)
+        with pytest.raises(DegenerateTauError,
+                           match="rounding in the theta series"):
+            basis(3, 1e-6j)
 
 
 class TestHeisenberg:
