@@ -2,9 +2,10 @@
 
 The package has seven building blocks: ``theta`` (the order-n section
 basis, each value one theta series at n*tau and defined up to one constant
-common to the whole basis, every table of a basis from one pass over the
-series terms, and the one trapezoid rule every circle is sampled on, a
-fixed node count at a quarter of the pole distance),
+common to the whole basis, every table of a basis from one series pass
+over one grid of rows of (point, alpha) pairs, and the one trapezoid rule
+every circle is sampled on, a fixed node count at a quarter of the pole
+distance),
 ``poisson`` (a Z/n-graded quadratic bracket as one n^3 coefficient table,
 Jacobi certification as entrywise products of that table with itself,
 Heisenberg canonical form, projective descent of any graded table by the
@@ -84,7 +85,6 @@ from .leaves import (
     end_dim_local,
     end_dim_sheaf,
     enumerate_strata,
-    kronecker_dims,
     leaf_dimension,
 )
 

@@ -105,8 +105,8 @@ class ResidueSystem:
     is disc 0 times omega^(alpha k), exactly by the 1/n-shift property
     (theta is 1-periodic, so the n factors of theta_alpha are only
     permuted).  A basis whose circle values may leave double range holds no
-    jet, and the system raises its ``circle_error`` again.  The trace
-    tables
+    jet, only the refusal message ``circle_error``, which the system raises
+    as a :class:`ThetaRangeError`.  The trace tables
 
         T3[a, b] = tr(phi_a phi_b psi_{a+b}),
         TD[a, b] = tr(phi_a' phi_b psi_{a+b})
@@ -119,9 +119,7 @@ class ResidueSystem:
         self.f = f_constants(basis)
         n = basis.n
         if basis.circle_jet is None:
-            # a new instance: raising the stored one would tie its traceback,
-            # and the frames in it, to the basis
-            raise ThetaRangeError(*basis.circle_error.args)
+            raise ThetaRangeError(basis.circle_error)
         self.offsets = basis.circle_offsets
         self.points = len(self.offsets)
         self.radius = shortest_period(n, basis.params.tau) / 4

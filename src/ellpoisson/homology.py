@@ -340,13 +340,6 @@ def cone_iso_check(H: HomComplex, sign_flip: bool = False):
     return (not failures), failures
 
 
-def euler_pairing_check(H: HomComplex) -> bool:
-    """sum_d (-1)^d dim C^d equals (sum_i (-1)^i dim E^i)^2."""
-    total = sum((-1) ** d * H.dim(d) for d in range(H.deg_min, H.deg_max + 1))
-    e = sum((-1) ** i * n for i, n in H.source.dims.items())
-    return total == e * e
-
-
 # -- seeded generators for shaped test instances ---------------------------
 
 

@@ -242,11 +242,3 @@ def divisor_constraint(n: int, eta: complex, d: DivisorDatum, z: DivisorDatum,
     w = z.weighted_sum() - d.weighted_sum() + 3 * n * complex(eta)
     defect = abs(reduce_mod_lattice(w, params))
     return defect <= DIVISOR_TOL, defect
-
-
-def kronecker_dims(r: int, n: int):
-    """Dimension vector (n, 2n + r, n) of the three-term resolution in the
-    degree-zero normalization, the only one with an explicit vector."""
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    return (n, 2 * n + r, n)

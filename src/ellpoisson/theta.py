@@ -26,11 +26,14 @@ quasi-periodicity multiplier and the exponential factor are combined with it
 by truncated Taylor products, ``_jet_mul``.  The index alpha may be an
 integer or a 1-D integer array; an array puts theta_alpha for every listed
 alpha on a trailing axis, so the whole basis on a point grid is one series
-evaluation on the (point, alpha) grid, taken in chunks of bounded size.
+evaluation on a grid of (point, alpha) pairs, one row per point.
 One kernel computes every basis value: ``_series_sums`` reduces the points
-and sums the series, ``_basis_jet`` applies the multiplier, n^j and
-E_alpha.  A :class:`ThetaBasis` runs it once, on 0, the divisor and the
-residue circle, for every table of the basis and its residue system.
+and sums the series, as many whole rows per call as ``_rows_per_call``
+allows and each row by its own matmul; ``_basis_jet`` applies the
+multiplier, n^j and E_alpha.  A :class:`ThetaBasis` runs it once, on one
+grid of rows of n pairs (0 for every alpha, the divisor k/n for alpha = 0,
+each residue-circle node for every alpha), for every table of the basis
+and its residue system.
 Evaluators accept scalars or numpy arrays of points and are pure functions
 of their arguments; a constructed :class:`ThetaBasis` is immutable.  A point
 where the value may leave double-precision range (large |Im z| / Im tau)
@@ -76,11 +79,12 @@ CIRCLE_POINTS = 32
 # n = 2, Im tau = 1e-6 (M = 2183) is still refused by that bound
 MAX_SERIES_TERMS = 4096
 
-# largest number of series terms formed at once; longer point arrays are
-# evaluated in chunks, which keeps the working memory flat: the theta
-# command's 400 points at n = 11 take four chunks, whose arrays stay as
-# small as those of four separate 100-point calls.  The pass of a basis
-# at Im tau >= 0.5 and n <= 31 fits one chunk (6324 terms at n = 31)
+# largest number of series terms one call forms, unless one grid row alone
+# holds more: a grid is summed in chunks of whole rows, which keeps the
+# working memory flat: the theta command's 400 points at n = 11 take four
+# chunks, whose arrays stay as small as those of four separate 100-point
+# calls.  The pass of a basis at Im tau >= 0.5 and n <= 31 fits one chunk
+# (6324 terms at n = 31)
 _CHUNK_TERMS = 2 ** 13
 
 
@@ -219,40 +223,33 @@ def _series_terms(z0, tau, bound, order):
     return terms, weights
 
 
-def _series_sums(w, shapes, tau, bound, order, absolute=False):
+def _rows_per_call(cols, bound):
+    """Rows of ``cols`` series each that one ``_series_terms`` call takes:
+    as many whole rows as fit in ``_CHUNK_TERMS`` terms, at least one."""
+    return max(1, _CHUNK_TERMS // (cols * (2 * bound + 2)))
+
+
+def _series_sums(w, cols, tau, bound, order):
     """Sums of the basic series at tau at the flat points w, the first half
     of the kernel every basis value goes through.
 
-    w holds grids of the given (rows, columns) shapes, row by row; a basis
-    grid holds n z + alpha tau, one row per point z and one column per
-    index alpha.  Each point is reduced, w = z0 + a + b*tau.  The terms
-    come from one ``_series_terms`` call while they number at most
-    ``_CHUNK_TERMS``, else from one call per row; each row is summed by one
-    matmul in its grid's layout, so no sum depends on the calls.  Returns
-    z0, b, the sums (jet on the trailing axis) and, with ``absolute``, the
-    sums of the absolute terms over the first grid, else None.
+    w holds one grid row by row, ``cols`` points a row; a basis grid holds
+    n z + alpha tau, one (point, alpha) pair per entry.  Each point is
+    reduced, w = z0 + a + b*tau.  Each ``_series_terms`` call takes the
+    whole rows ``_rows_per_call`` allows, and each row is summed by its own
+    matmul, so no sum depends on the calls.  Returns z0, b, the sums (jet
+    on the trailing axis) and the sums of the absolute terms over row 0.
     """
-    calls = [shapes]
-    if w.size * (2 * bound + 2) > _CHUNK_TERMS:
-        calls = [[(1, cols)] for rows, cols in shapes for _ in range(rows)]
     z0, b = _reduce_to_cell(w, tau)
-    sums = np.empty((w.size, order + 1), dtype=complex)
-    size = (np.empty((shapes[0][0] * shapes[0][1], order + 1)) if absolute
-            else None)
-    start = 0
-    for call in calls:
-        stop = start + sum(rows * cols for rows, cols in call)
-        terms, weights = _series_terms(z0[start:stop], tau, bound, order)
-        for rows, cols in call:
-            block = terms[:rows * cols].reshape(rows, cols, -1)
-            terms = terms[rows * cols:]
-            part = slice(start, start + rows * cols)
-            sums[part] = (block @ weights).reshape(rows * cols, -1)
-            if absolute and start < len(size):
-                size[part] = (np.abs(block) @ np.abs(weights)).reshape(
-                    rows * cols, -1)
-            start = part.stop
-    return z0, b, sums, size
+    rows = z0.reshape(-1, cols)
+    sums = np.empty(rows.shape + (order + 1,), dtype=complex)
+    step = _rows_per_call(cols, bound)
+    for i in range(0, len(rows), step):
+        terms, weights = _series_terms(rows[i:i + step], tau, bound, order)
+        sums[i:i + step] = terms @ weights
+        if i == 0:
+            size = np.abs(terms[0]) @ np.abs(weights)
+    return z0, b, sums.reshape(w.size, -1), size
 
 
 def _exp_jet(value, rate, order):
@@ -296,16 +293,18 @@ class ThetaBasis:
 
     Every basis value is one series at n*tau times E_alpha (module
     docstring); ``series_bound`` is the truncation ``TRUNCATION_EPS`` gives
-    at n*tau.  Every table comes from one pass of the kernel over the
-    (point, alpha) pairs z = 0 and z = ``circle_offsets`` (the residue
-    circle around 0) for every alpha, and z = k/n for alpha = 0.
+    at n*tau.  Every table comes from one pass of the kernel over one grid
+    of rows of n (point, alpha) pairs: z = 0 for every alpha, z = k/n for
+    alpha = 0, then one row for each node of ``circle_offsets`` (the
+    residue circle around 0) for every alpha.
     ``theta_at_zero`` and ``dtheta_at_zero`` hold theta_alpha(0) and
     theta_alpha'(0); theta_0(0) is an exact zero (the series terms cancel
     in pairs), so it is stored as 0.  ``circle_jet[j, p, alpha]`` is the
     order-1 jet on the circle, or None where those values may leave double
-    range, and ``circle_error`` the :class:`ThetaRangeError` that refuses
-    them.  A lattice where n Im(tau) is not finite, or whose truncation
-    exceeds ``MAX_SERIES_TERMS``, is
+    range; then the circle rows are left out of the pass, and
+    ``circle_error`` holds the message of the :class:`ThetaRangeError`
+    that refuses them, else None.  A lattice where n Im(tau) is not
+    finite, or whose truncation exceeds ``MAX_SERIES_TERMS``, is
     refused before any series is summed; one whose values at 0 are lost in
     rounding is refused by the a priori bound ``rounding_bound``, read off
     the terms at 0 before any multiplier or exponential factor is applied.
@@ -318,7 +317,7 @@ class ThetaBasis:
     dtheta_at_zero: np.ndarray = field(init=False)
     circle_offsets: np.ndarray = field(init=False)
     circle_jet: np.ndarray | None = field(init=False)
-    circle_error: ThetaRangeError | None = field(init=False)
+    circle_error: str | None = field(init=False)
 
     def __post_init__(self):
         n, tau = self.n, self.params.tau
@@ -333,24 +332,17 @@ class ThetaBasis:
         object.__setattr__(self, "series_bound", bound)
         alpha = np.arange(n)
         offsets = circle_nodes(shortest_period(n, tau))
-        # the (point, alpha) pairs of the pass, in grids of rows of points:
-        # 0 for every alpha, k/n for alpha = 0, the circle for every alpha
-        points = [np.zeros(n), alpha / n]
-        index = [alpha, np.zeros_like(alpha)]
-        shapes = [(1, n), (n, 1)]
+        # the (point, alpha) pairs of the pass, in rows of n: 0 for every
+        # alpha, k/n for alpha = 0, then each circle node for every alpha
+        z = np.concatenate([np.zeros(n), alpha / n, np.repeat(offsets, n)])
+        a = np.concatenate([alpha, 0 * alpha, np.tile(alpha, len(offsets))])
         error = None
         try:
             _check_range(offsets, tau.imag, n, alpha.tolist())
-            points.append(np.repeat(offsets, n))
-            index.append(np.tile(alpha, len(offsets)))
-            shapes.append((len(offsets), n))
         except ThetaRangeError as exc:
-            # kept without its traceback, whose frames would hold the pass
-            error = exc.with_traceback(None)
-        z = np.concatenate(points, dtype=complex)
-        a = np.concatenate(index)
-        z0, b, sums, size = _series_sums(n * z + a * tau, shapes, n * tau,
-                                         bound, 1, absolute=True)
+            error = str(exc)
+            z, a = z[:2 * n], a[:2 * n]
+        z0, b, sums, size = _series_sums(n * z + a * tau, n, n * tau, bound, 1)
         # theta_alpha(0) is the series at alpha*tau, whose lattice index is
         # 0, times E_alpha(0).  The sum carries a rounding error of about
         # 2^-53 sum|terms|, against the value, or against the derivative
@@ -444,9 +436,9 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     basis.  Entry j of the leading axis holds the j-th derivative divided
     by j!, so one order-1 call yields values and first derivatives
     together.  One series at n*tau is summed per point and index, on the
-    (point, alpha) grid, by the kernel the basis builds its tables with:
-    ``_series_sums``, in chunks of points so that no series matmul holds
-    more than 2^13 terms, then ``_basis_jet``.
+    (point, alpha) grid, one row of len(alpha) pairs per point, by the
+    kernel the basis builds its tables with: ``_series_sums``, in chunks of
+    the whole rows ``_rows_per_call`` allows, then ``_basis_jet``.
     """
     n, tau = basis.n, basis.params.tau
     z = np.asarray(z, dtype=complex)
@@ -457,11 +449,11 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     _check_range(z, tau.imag, n, a.tolist())
     flat = z.ravel()
     out = np.empty((order + 1, flat.size, a.size), dtype=complex)
-    step = max(1, _CHUNK_TERMS // (a.size * (2 * basis.series_bound + 2)))
+    step = _rows_per_call(a.size, basis.series_bound)
     for i in range(0, flat.size, step):
         part = flat[i:i + step, None]
         shape = (len(part), a.size)
-        z0, b, sums, _ = _series_sums((n * part + a * tau).ravel(), [shape],
+        z0, b, sums, _ = _series_sums((n * part + a * tau).ravel(), a.size,
                                       n * tau, basis.series_bound, order)
         out[:, i:i + step] = _basis_jet(basis, part, a, *(
             x.reshape(shape + x.shape[1:]) for x in (z0, b, sums)))

@@ -479,8 +479,8 @@ class TestOnePass:
         assert b.circle_jet is None
         with pytest.raises(ThetaRangeError) as exc:
             ResidueSystem(b)
-        assert str(exc.value) == str(b.circle_error)
-        assert b.circle_error.__traceback__ is None
+        assert isinstance(b.circle_error, str)
+        assert str(exc.value) == b.circle_error
         assert str(exc.value).startswith(
             "theta_0 at z = (4.938091932045779e-19+0.008064516129032258j) "
             "is out of double range: the value may reach exp(1169)")

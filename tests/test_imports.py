@@ -1,8 +1,11 @@
-"""The package imports only the standard library and numpy.
+"""The package imports only the standard library and numpy, and keeps
+only what it reaches.
 
 scipy, mpmath, sympy and hypothesis are test-time dependencies at most
 (pyproject declares only numpy for the package), so every import statement
-in ``src/ellpoisson`` is checked, including those inside functions.
+in ``src/ellpoisson`` is checked, including those inside functions.  Every
+public top-level function and class is named somewhere in the package
+outside its own definition, or exported by ``ellpoisson/__init__.py``.
 """
 
 import ast
@@ -41,6 +44,57 @@ def test_checker_sees_a_foreign_import(tmp_path):
     probe.write_text("from . import x\n"
                      "def f():\n    import scipy.linalg\n")
     assert [r for _, r in imported_roots(probe)] == ["scipy"]
+
+
+def unreached(paths):
+    """``file:name`` of every public top-level function or class in
+    ``paths`` that no other top-level statement of ``paths`` names (as a
+    name, an attribute or an imported name) and that ``__init__.py``, if
+    among them, does not import."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in paths}
+    named = {}
+    exported = set()
+    for path, tree in trees.items():
+        for statement in tree.body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                    if path.name == "__init__.py":
+                        exported.update(names)
+                else:
+                    continue
+                for name in names:
+                    named.setdefault(name, []).append(statement)
+    return [f"{path.name}:{node.name}"
+            for path, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in exported
+            and all(s is node for s in named.get(node.name, ()))]
+
+
+def test_every_public_name_is_reached():
+    assert unreached(sorted(SRC.glob("*.py"))) == []
+
+
+def test_checker_sees_an_unreached_name(tmp_path):
+    # power control: a name used only inside its own definition, and one
+    # named nowhere, are both reported; exported and called ones are not
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text(
+        "def exported():\n    return called()\n"
+        "def called():\n    return 1\n"
+        "def recursive(k):\n    return recursive(k - 1)\n"
+        "class Orphan:\n    pass\n"
+        "def _private():\n    pass\n")
+    assert unreached(sorted(tmp_path.glob("*.py"))) == ["a.py:recursive",
+                                                        "a.py:Orphan"]
 
 
 BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -11,7 +11,6 @@ from ellpoisson.leaves import (
     end_dim_local,
     end_dim_sheaf,
     enumerate_strata,
-    kronecker_dims,
     leaf_dimension,
 )
 from ellpoisson.theta import CurveParams
@@ -202,16 +201,3 @@ class TestDivisorConstraint:
         z = DivisorDatum([(0.2, 2)])
         with pytest.raises(ValueError):
             divisor_constraint(1, 0.0, d, z, PARAMS)
-
-
-class TestKroneckerDims:
-    def test_values(self):
-        assert kronecker_dims(1, 3) == (3, 7, 3)
-        assert kronecker_dims(2, 0) == (0, 2, 0)
-        assert kronecker_dims(3, 5) == (5, 13, 5)
-
-    def test_invalid_rank_or_order_rejected(self):
-        with pytest.raises(ValueError):
-            kronecker_dims(0, 3)
-        with pytest.raises(ValueError):
-            kronecker_dims(1, -1)

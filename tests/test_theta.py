@@ -37,7 +37,7 @@ def theta_value(tau, z, *, series_bound=None, order=0):
              else series_bound_for(tau, TRUNCATION_EPS))
     z = np.asarray(z, dtype=complex)
     order_one = SimpleNamespace(n=1, params=SimpleNamespace(tau=complex(tau)))
-    reduced = theta._series_sums(z.ravel(), [(z.size, 1)], complex(tau),
+    reduced = theta._series_sums(z.ravel(), 1, complex(tau),
                                  bound, order)[:3]
     jet = theta._basis_jet(order_one, z.ravel(), 0, *reduced)
     out = math.factorial(order) * jet[order].reshape(z.shape)
@@ -472,6 +472,22 @@ class TestAllAlpha:
             theta_alpha_jet(b, np.zeros((2, 2), dtype=int), 0.1, 0)
         with pytest.raises(ValueError, match="1-D integer array"):
             theta_alpha_eval(b, 1.0, 0.1)
+
+    @pytest.mark.parametrize("n", [3, 13])
+    @pytest.mark.parametrize("tau", [TAU_SQUARE, TAU_GENERIC, 0.05j])
+    def test_chunk_size_moves_no_bit(self, n, tau, monkeypatch):
+        # whole rows of (point, alpha) pairs per call, each row summed by
+        # its own matmul: one row per call, the default and one call for
+        # all 400 points give the same bytes
+        b = basis(n, tau)
+        z = sample_points(tau, 400)
+        alphas = np.arange(n)
+        whole = [theta_alpha_jet(b, alphas, z, order) for order in (0, 1, 2)]
+        for chunk in (64, 2 ** 20):
+            monkeypatch.setattr(theta, "_CHUNK_TERMS", chunk)
+            for order, ref in enumerate(whole):
+                assert (theta_alpha_jet(b, alphas, z, order).tobytes()
+                        == ref.tobytes())
 
     def test_all_alpha_jet_memory_stays_flat(self):
         # one series per point and index: unchunked, 10^4 points x 13
