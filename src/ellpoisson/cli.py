@@ -4,6 +4,19 @@ Each subcommand runs a family of checks, emits a report (one JSON object
 on one line, or CSV) and exits 0 when every residual passes its tolerance,
 1 on a failed check and 2 on a usage error.  The tolerances are constants
 of this module, printed with each check.
+
+The jobs of one process share the whole-lattice objects they build: the
+:class:`ThetaBasis` of a lattice, its :class:`ResidueSystem` and its
+Sklyanin bracket of each k.  Each depends only on the lattice, the reduced
+:class:`CurveParams` (tau, n), and on k for a bracket, and is immutable.  A
+memo per kind keeps the most recently used ones, keyed by the lattice and
+the build function, and hands them out with their arrays read-only.  It
+holds at most 64 bases, 16 systems and 64 brackets, about twice what one
+round of the benchmark's lattice workloads uses; full memos at n = 31,
+tau = i hold 73 MB.  Only objects are shared: every check (the rounding
+limit, the chart points, the F table, the bracket matrices, the Jacobi
+defect, the semiclassical limit) runs on every job, and a refused lattice
+is refused again on every job, since a build that raises is not kept.
 """
 
 from __future__ import annotations
@@ -131,11 +144,74 @@ def _sample_chart_points(n, count, seed):
     return list(t)
 
 
+# -- shared lattice objects ------------------------------------------------
+
+
+class _Memo:
+    """The objects built for the ``size`` most recently used keys.
+
+    Every array attribute named in ``frozen`` is made read-only when its
+    object is stored, so a consumer that writes into a shared table fails
+    instead of changing a later job.  A build that raises stores nothing.
+    """
+
+    def __init__(self, size, frozen):
+        self.size = size
+        self.frozen = frozen
+        self.entries = {}  # oldest use first
+
+    def get(self, key, build, *args):
+        """build(*args), built once per ``key`` and ``build``.  The key
+        reads a tracing wrapper's ``__wrapped__``, so traced and untraced
+        jobs share objects, while a replaced build function gets entries
+        of its own."""
+        key = (getattr(build, "__wrapped__", build),) + key
+        value = self.entries.pop(key, None)
+        if value is None:
+            value = build(*args)
+            for name in self.frozen:
+                array = getattr(value, name)
+                if array is not None:
+                    array.setflags(write=False)
+        self.entries[key] = value
+        if len(self.entries) > self.size:
+            del self.entries[next(iter(self.entries))]
+        return value
+
+
+# one round of the moduli workload uses 9 systems, one bracket round 27
+# bases and 39 brackets; retained at n = 31, tau = i: 36 kB a basis, 1.5 MB
+# a system, 0.7 MB a bracket
+_BASES = _Memo(64, ("theta_at_zero", "dtheta_at_zero", "circle_offsets",
+                    "circle_jet"))
+_SYSTEMS = _Memo(16, ("f", "nodes", "phi", "dphi", "psi", "t3", "td"))
+_BRACKETS = _Memo(64, ("coeffs", "weights"))
+
+
+def _clear_memo():
+    """Drop every shared lattice object, as in a new process."""
+    for memo in (_BASES, _SYSTEMS, _BRACKETS):
+        memo.entries.clear()
+
+
+def _basis(cfg: RunConfig) -> ThetaBasis:
+    params = CurveParams(cfg.tau, cfg.n)
+    return _BASES.get((params,), ThetaBasis, params)
+
+
+def _system(basis: ThetaBasis) -> ResidueSystem:
+    return _SYSTEMS.get((basis.params,), ResidueSystem, basis)
+
+
+def _bracket(basis: ThetaBasis, k: int):
+    return _BRACKETS.get((basis.params, k), sklyanin_bracket, basis, k)
+
+
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_theta(cfg: RunConfig):
-    basis = ThetaBasis(CurveParams(cfg.tau, cfg.n))
+    basis = _basis(cfg)
     n = cfg.n
     tau = basis.params.tau  # Re(tau) reduced as the basis holds it
     rng = np.random.default_rng(cfg.seed)
@@ -189,9 +265,9 @@ def cmd_sklyanin(cfg: RunConfig):
     stacked array, so only the closed form and the circle mean are built
     as :class:`QuadraticBracket`.
     """
-    basis = ThetaBasis(CurveParams(cfg.tau, cfg.n))
+    basis = _basis(cfg)
     basis.require_rounding(BRACKET_ROUNDING_LIMIT, " for the bracket checks")
-    bracket = sklyanin_bracket(basis, cfg.k)
+    bracket = _bracket(basis, cfg.k)
     from .poisson import jacobi_defect
     checks = [_check("jacobi_defect", jacobi_defect(bracket), TOL)]
     tables = {}
@@ -225,10 +301,10 @@ def cmd_sklyanin(cfg: RunConfig):
 
 
 def cmd_moduli_compare(cfg: RunConfig):
-    basis = ThetaBasis(CurveParams(cfg.tau, cfg.n))
+    basis = _basis(cfg)
     basis.require_rounding(BRACKET_ROUNDING_LIMIT, " for the bracket checks")
-    system = ResidueSystem(basis)
-    bracket = sklyanin_bracket(basis, 1)
+    system = _system(basis)
+    bracket = _bracket(basis, 1)
     agree = 0.0
     match = 0.0
     for t in _sample_chart_points(cfg.n, cfg.samples, cfg.seed):

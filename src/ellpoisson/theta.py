@@ -175,7 +175,9 @@ def _check_range(z, height, n, alphas):
     share, so the series' multiplier is at most exp(n pi Im(tau) |b|(|b|+1))
     as their product is, times the size of the exponential factor E_alpha.
     b is monotone in Im z, so the two extreme points bound it; non-finite
-    points fail.  The message names the first failing alpha.
+    points fail.  The message names the first failing alpha and the
+    extreme point whose |b| gives the bound, or the point of largest
+    |Im z| where both give it or a point is not finite.
     """
     if not z.size:
         return
@@ -185,16 +187,20 @@ def _check_range(z, height, n, alphas):
         log_size = math.inf
         if finite:
             offset = (alpha * height) / n
-            top = max(abs(math.floor((low + offset) / height)),
-                      abs(math.floor((high + offset) / height)))
+            b_low = abs(math.floor((low + offset) / height))
+            b_high = abs(math.floor((high + offset) / height))
+            top = max(b_low, b_high)
             log_size = (n * math.pi * height * top * (top + 1.0)
                         + max(0.0, -2.0 * math.pi * alpha * low,
                               -2.0 * math.pi * alpha * high)
                         + math.pi * alpha * (n - alpha) * height / n)
         if not log_size <= LOG_LIMIT:
-            size = np.abs(np.ravel(z).imag)
-            worst = complex(np.ravel(z)[np.argmax(np.where(np.isnan(size),
-                                                           np.inf, size))])
+            flat = np.ravel(z)
+            size = np.abs(flat.imag)
+            if finite and b_low != b_high:
+                size = -flat.imag if b_low > b_high else flat.imag
+            worst = complex(flat[np.argmax(np.where(np.isnan(size),
+                                                    np.inf, size))])
             raise ThetaRangeError(
                 f"theta_{alpha} at z = {worst} is out of double range: the "
                 f"value may reach exp({log_size:.0f}), beyond the limit "

@@ -482,7 +482,7 @@ class TestOnePass:
         assert isinstance(b.circle_error, str)
         assert str(exc.value) == b.circle_error
         assert str(exc.value).startswith(
-            "theta_0 at z = (4.938091932045779e-19+0.008064516129032258j) "
+            "theta_0 at z = (-1.4814275796137336e-18-0.008064516129032258j) "
             "is out of double range: the value may reach exp(1169)")
 
 

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import time
 import warnings
 
@@ -335,8 +336,8 @@ class TestRefusals:
                        " is out of double range: the value may reach "
                        "exp(1169)"),
           "sklyanin": (0, ""),
-          "moduli-compare": (2, "theta_0 at z = (4.938091932045779e-19"
-                                "+0.008064516129032258j) is out of double "
+          "moduli-compare": (2, "theta_0 at z = (-1.4814275796137336e-18"
+                                "-0.008064516129032258j) is out of double "
                                 "range: the value may reach exp(1169)")}),
     ], ids=["im_1e-6", "series_terms_limit", "rounding_limit", "n31_tau6i"])
     @pytest.mark.parametrize("command", ["theta", "sklyanin",
@@ -670,3 +671,128 @@ class TestDeterminism:
         report.pop("elapsed_ms")
         text = f"{code}\n" + json.dumps(report, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+MEMO_TAUS = (["0", "1"], ["0.3", "0.8"], ["0", "0.5"])
+# a mix of the benchmark rounds, the -0.0 edge and refused lattices
+MEMO_JOBS = (
+    [["moduli-compare", "--n", str(n), "--samples", str(s),
+      "--seed", str(seed), "--tau", *tau]
+     for n, s, seed in ((3, 1, 11), (3, 4, 12), (4, 1, 13), (5, 2, 14))
+     for tau in MEMO_TAUS]
+    + [["sklyanin", "--n", str(n), "--k", str(k), "--seed", str(n + k),
+        "--tau", *tau]
+       for n, k in ((5, 1), (5, 2), (7, 3), (9, 2)) for tau in MEMO_TAUS]
+    + [["theta", "--n", str(n), "--seed", str(n), "--tau", *tau]
+       for n in (3, 7) for tau in MEMO_TAUS]
+    # -0.0 and 0.0 are one key: the job with -0.0 is served the objects
+    # built for 0.0, and its payload must still be its own
+    + [[command, "--n", "5", "--tau", re, "1"]
+       for command in ("theta", "sklyanin", "moduli-compare")
+       for re in ("0", "-0.0")]
+    # refused lattices, each twice: a refusal is never kept
+    + [["moduli-compare", "--n", "31", "--tau", "0", "6", "--samples",
+        "1"]] * 2
+    + [["sklyanin", "--n", "3", "--tau", "0", "1e-6"]] * 2)
+
+
+class TestLatticeMemo:
+    """The jobs of one process share each lattice's basis, residue system
+    and Sklyanin bracket; the checks still run on every job."""
+
+    @staticmethod
+    def outcome(args, capsys):
+        code = main(args)
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"elapsed_ms": [^,}]*', '"elapsed_ms": null',
+                            out), err
+
+    def test_payloads_do_not_depend_on_the_job_order(self, capsys,
+                                                     monkeypatch):
+        import ellpoisson.cli as cli
+
+        built = []
+        build = cli.ThetaBasis
+
+        def counted(params):
+            built.append(params)
+            return build(params)
+
+        monkeypatch.setattr(cli, "ThetaBasis", counted)
+        cold = []
+        for args in MEMO_JOBS:
+            cli._clear_memo()
+            cold.append(self.outcome(args, capsys))
+        assert len(built) == len(MEMO_JOBS)
+        filling = [self.outcome(args, capsys) for args in MEMO_JOBS]
+        del built[:]
+        warm = [self.outcome(args, capsys) for args in MEMO_JOBS]
+        backwards = [self.outcome(args, capsys) for args in MEMO_JOBS[::-1]]
+        assert filling == cold
+        assert warm == cold
+        assert backwards[::-1] == cold
+        # warm jobs build only the basis that refuses, on each of its jobs
+        assert len(built) == 2 * 2
+        assert {code for code, _, _ in cold} == {0, 2}
+        refused = [(code, err) for code, _, err in cold[-4:]]
+        assert refused[0] == refused[1] and refused[2] == refused[3]
+        assert all(code == 2 and err.startswith("error: ")
+                   for code, err in refused)
+        # the payload of the -0.0 job prints its own Re tau
+        assert '"tau_re": -0.0' in cold[-5][1]
+
+    @pytest.mark.parametrize("error, name", [
+        (1e-6, "semiclassical_deviation"),
+        (1e-3, "semiclassical_slope_shortfall"),
+    ])
+    def test_scaled_control_fails_after_a_warm_call(self, error, name,
+                                                    tmp_path, monkeypatch):
+        # the unscaled bracket built by a passing job is not served to a
+        # job that runs with a replaced sklyanin_bracket
+        import ellpoisson.cli as cli
+        args = ["sklyanin", "--n", "7", "--k", "3", "--tau", "0", "0.5"]
+        assert run(args, tmp_path)[0] == 0
+        closed_form = cli.sklyanin_bracket
+
+        def scaled(basis, k):
+            ref = closed_form(basis, k)
+            return cli.QuadraticBracket(ref.n, ref.coeffs * (1 + error))
+
+        monkeypatch.setattr(cli, "sklyanin_bracket", scaled)
+        code, text = run(args, tmp_path)
+        assert code == 1
+        verdicts = {c["name"]: c["pass"]
+                    for c in json.loads(text)["checks"]}
+        assert verdicts[name] is False
+
+    def test_shared_arrays_are_read_only(self):
+        import ellpoisson.cli as cli
+        cfg = RunConfig(n=5)
+        basis = cli._basis(cfg)
+        system = cli._system(basis)
+        bracket = cli._bracket(basis, 1)
+        assert cli._basis(cfg) is basis
+        assert cli._system(basis) is system
+        assert cli._bracket(basis, 1) is bracket
+        for obj, names in (
+                (basis, ("theta_at_zero", "dtheta_at_zero", "circle_offsets",
+                         "circle_jet")),
+                (system, ("f", "nodes", "phi", "dphi", "psi", "t3", "td")),
+                (bracket, ("coeffs", "weights"))):
+            for name in names:
+                array = getattr(obj, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 1.0
+
+    def test_objects_built_outside_the_memo_stay_writable(self):
+        import ellpoisson.cli as cli
+        from ellpoisson.poisson import QuadraticBracket
+        from ellpoisson.theta import CurveParams, ThetaBasis
+
+        shared = cli._bracket(cli._basis(RunConfig(n=5)), 1)
+        g = shared.coeffs.copy()
+        own = QuadraticBracket(5, g)
+        assert own.coeffs is g and g.flags.writeable
+        basis = ThetaBasis(CurveParams(1j, 5))
+        assert basis is not cli._basis(RunConfig(n=5))
+        assert basis.theta_at_zero.flags.writeable

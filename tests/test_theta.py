@@ -356,6 +356,15 @@ class TestDoubleRange:
         with pytest.raises(ThetaRangeError):
             theta_alpha_eval(b, 2, complex(0.3, math.nan))
 
+    def test_range_error_names_the_point_of_the_bound(self):
+        # at n = 31, tau = 6i, Im z = -0.01 reduces with lattice index -1,
+        # beyond range, and Im z = 5.9 with index 0: the message names the
+        # lower point, although the upper one has the larger |Im z|
+        b = basis(31, 6j)
+        with pytest.raises(ThetaRangeError,
+                           match=r"^theta_0 at z = \(0\.5-0\.01j\)"):
+            theta_alpha_eval(b, 0, np.array([0.5 + 5.9j, 0.5 - 0.01j]))
+
     @pytest.mark.parametrize("n,tau", [(3, TAU_SQUARE), (13, TAU_GENERIC),
                                        (5, 0.5j)])
     def test_value_is_finite_or_refused(self, n, tau):
