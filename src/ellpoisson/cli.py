@@ -8,15 +8,21 @@ of this module, printed with each check.
 The jobs of one process share the whole-lattice objects they build: the
 :class:`ThetaBasis` of a lattice, its :class:`ResidueSystem` and its
 Sklyanin bracket of each k.  Each depends only on the lattice, the reduced
-:class:`CurveParams` (tau, n), and on k for a bracket, and is immutable.  A
-memo per kind keeps the most recently used ones, keyed by the lattice and
-the build function, and hands them out with their arrays read-only.  It
-holds at most 64 bases, 16 systems and 64 brackets, about twice what one
-round of the benchmark's lattice workloads uses; full memos at n = 31,
-tau = i hold 73 MB.  Only objects are shared: every check (the rounding
-limit, the chart points, the F table, the bracket matrices, the Jacobi
-defect, the semiclassical limit) runs on every job, and a refused lattice
-is refused again on every job, since a build that raises is not kept.
+:class:`CurveParams` (tau, n), and on k for a bracket, and is immutable.
+A memo per kind keeps the most recently used ones, keyed by the lattice
+and the functions that build the object and its basis, and hands them out
+with their array attributes read-only.  It holds at most 64 bases, 16
+systems and 64 brackets, about twice what one round of the benchmark's
+lattice workloads uses; full memos at n = 31, tau = i hold 73 MB.  Only a
+caller that runs several jobs of one lattice through :func:`main` in one
+process gains from it; the ``ellpoisson`` script runs one job per process
+and builds each object once, as without the memo.  A job whose lattice is
+not held pays for the bookkeeping and the freezing, a few per cent of a
+small ``moduli-compare`` job.  Only objects are shared: every check (the
+rounding limit, the chart points, the F table, the bracket matrices, the
+Jacobi defect, the semiclassical limit) runs on every job, and a refused
+lattice is refused again on every job, since a build that raises is not
+kept.
 """
 
 from __future__ import annotations
@@ -150,28 +156,28 @@ def _sample_chart_points(n, count, seed):
 class _Memo:
     """The objects built for the ``size`` most recently used keys.
 
-    Every array attribute named in ``frozen`` is made read-only when its
-    object is stored, so a consumer that writes into a shared table fails
-    instead of changing a later job.  A build that raises stores nothing.
+    Every array attribute of an object is made read-only when it is
+    stored, so a consumer that writes into a shared table fails instead of
+    changing a later job.  A build that raises stores nothing.
     """
 
-    def __init__(self, size, frozen):
+    def __init__(self, size):
         self.size = size
-        self.frozen = frozen
         self.entries = {}  # oldest use first
 
     def get(self, key, build, *args):
-        """build(*args), built once per ``key`` and ``build``.  The key
-        reads a tracing wrapper's ``__wrapped__``, so traced and untraced
-        jobs share objects, while a replaced build function gets entries
+        """build(*args), built once per ``build`` and ``key``.  Functions
+        are keyed through a tracing wrapper's ``__wrapped__``, so traced and
+        untraced jobs share objects, while a replaced function keys entries
         of its own."""
-        key = (getattr(build, "__wrapped__", build),) + key
+        key = tuple(getattr(part, "__wrapped__", part)
+                    for part in (build, *key))
         value = self.entries.pop(key, None)
         if value is None:
             value = build(*args)
-            for name in self.frozen:
+            for name in getattr(value, "__slots__", None) or vars(value):
                 array = getattr(value, name)
-                if array is not None:
+                if isinstance(array, np.ndarray):
                     array.setflags(write=False)
         self.entries[key] = value
         if len(self.entries) > self.size:
@@ -182,10 +188,9 @@ class _Memo:
 # one round of the moduli workload uses 9 systems, one bracket round 27
 # bases and 39 brackets; retained at n = 31, tau = i: 36 kB a basis, 1.5 MB
 # a system, 0.7 MB a bracket
-_BASES = _Memo(64, ("theta_at_zero", "dtheta_at_zero", "circle_offsets",
-                    "circle_jet"))
-_SYSTEMS = _Memo(16, ("f", "nodes", "phi", "dphi", "psi", "t3", "td"))
-_BRACKETS = _Memo(64, ("coeffs", "weights"))
+_BASES = _Memo(64)
+_SYSTEMS = _Memo(16)
+_BRACKETS = _Memo(64)
 
 
 def _clear_memo():
@@ -199,12 +204,17 @@ def _basis(cfg: RunConfig) -> ThetaBasis:
     return _BASES.get((params,), ThetaBasis, params)
 
 
+# a system or a bracket is keyed by the function that builds its basis too,
+# so one built from another basis of the lattice is never served
+
+
 def _system(basis: ThetaBasis) -> ResidueSystem:
-    return _SYSTEMS.get((basis.params,), ResidueSystem, basis)
+    return _SYSTEMS.get((ThetaBasis, basis.params), ResidueSystem, basis)
 
 
 def _bracket(basis: ThetaBasis, k: int):
-    return _BRACKETS.get((basis.params, k), sklyanin_bracket, basis, k)
+    return _BRACKETS.get((ThetaBasis, basis.params, k), sklyanin_bracket,
+                         basis, k)
 
 
 # -- subcommands -----------------------------------------------------------

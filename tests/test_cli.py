@@ -765,6 +765,36 @@ class TestLatticeMemo:
                     for c in json.loads(text)["checks"]}
         assert verdicts[name] is False
 
+    def test_perturbed_basis_fails_after_a_warm_call(self, tmp_path,
+                                                     monkeypatch):
+        # power control: a replaced ThetaBasis whose circle jet is off by
+        # 1e-3 must fail the comparison, and is not served the residue
+        # system or the bracket a passing job built from the genuine basis
+        import ellpoisson.cli as cli
+        args = ["moduli-compare", "--n", "5", "--tau", "0", "1"]
+        assert run(args, tmp_path)[0] == 0
+        genuine = cli.ThetaBasis
+        system = cli._system(cli._basis(RunConfig(n=5)))
+        bracket = cli._bracket(cli._basis(RunConfig(n=5)), 1)
+
+        def perturbed(params):
+            basis = genuine(params)
+            jet = basis.circle_jet.copy()
+            jet[0, :, 1] *= 1 + 1e-3
+            object.__setattr__(basis, "circle_jet", jet)
+            return basis
+
+        monkeypatch.setattr(cli, "ThetaBasis", perturbed)
+        code, text = run(args, tmp_path)
+        assert code == 1
+        verdicts = {c["name"]: c["pass"]
+                    for c in json.loads(text)["checks"]}
+        assert verdicts["matches_projective_bracket"] is False
+        basis = cli._basis(RunConfig(n=5))
+        assert cli._system(basis) is not system
+        assert cli._system(basis).basis is basis
+        assert cli._bracket(basis, 1) is not bracket
+
     def test_shared_arrays_are_read_only(self):
         import ellpoisson.cli as cli
         cfg = RunConfig(n=5)
@@ -774,13 +804,12 @@ class TestLatticeMemo:
         assert cli._basis(cfg) is basis
         assert cli._system(basis) is system
         assert cli._bracket(basis, 1) is bracket
-        for obj, names in (
-                (basis, ("theta_at_zero", "dtheta_at_zero", "circle_offsets",
-                         "circle_jet")),
-                (system, ("f", "nodes", "phi", "dphi", "psi", "t3", "td")),
-                (bracket, ("coeffs", "weights"))):
-            for name in names:
-                array = getattr(obj, name)
+        for obj in (basis, system, bracket):
+            names = getattr(obj, "__slots__", None) or vars(obj)
+            arrays = [getattr(obj, name) for name in names
+                      if isinstance(getattr(obj, name), np.ndarray)]
+            assert arrays
+            for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     array[(0,) * array.ndim] = 1.0
 
