@@ -5,10 +5,9 @@ Importing ellpoisson pins the BLAS thread pools to one thread unless the
 environment sets them, and BLAS reads them only when numpy is first
 imported; the test modules import numpy before the package.
 
-The command line shares each lattice's basis, residue system and bracket
-between the jobs of a process (``ellpoisson.cli``); a test that replaces a
-library name or constant must not be served an object an earlier test
-built.
+The command line caches each lattice's basis, residue system and bracket,
+keyed by their build functions (``ellpoisson.cli``); clearing the caches
+keeps a test from being served an object an earlier test built.
 """
 
 import pytest

@@ -5,24 +5,12 @@ on one line, or CSV) and exits 0 when every residual passes its tolerance,
 1 on a failed check and 2 on a usage error.  The tolerances are constants
 of this module, printed with each check.
 
-The jobs of one process share the whole-lattice objects they build: the
-:class:`ThetaBasis` of a lattice, its :class:`ResidueSystem` and its
-Sklyanin bracket of each k.  Each depends only on the lattice, the reduced
-:class:`CurveParams` (tau, n), and on k for a bracket, and is immutable.
-A memo per kind keeps the most recently used ones, keyed by the lattice
-and the functions that build the object and its basis, and hands them out
-with their array attributes read-only.  It holds at most 64 bases, 16
-systems and 64 brackets, about twice what one round of the benchmark's
-lattice workloads uses; full memos at n = 31, tau = i hold 73 MB.  Only a
-caller that runs several jobs of one lattice through :func:`main` in one
-process gains from it; the ``ellpoisson`` script runs one job per process
-and builds each object once, as without the memo.  A job whose lattice is
-not held pays for the bookkeeping and the freezing, a few per cent of a
-small ``moduli-compare`` job.  Only objects are shared: every check (the
-rounding limit, the chart points, the F table, the bracket matrices, the
-Jacobi defect, the semiclassical limit) runs on every job, and a refused
-lattice is refused again on every job, since a build that raises is not
-kept.
+The jobs of one process share each lattice's :class:`ThetaBasis`,
+:class:`ResidueSystem` and Sklyanin bracket through ``functools.lru_cache``,
+keyed by the functions that build the object and its basis, the reduced
+:class:`CurveParams` and k; a replaced or traced builder builds objects of
+its own.  Shared arrays are read-only, a build that raises is not kept, and
+every check runs on every job.
 """
 
 from __future__ import annotations
@@ -153,68 +141,53 @@ def _sample_chart_points(n, count, seed):
 # -- shared lattice objects ------------------------------------------------
 
 
-class _Memo:
-    """The objects built for the ``size`` most recently used keys.
-
-    Every array attribute of an object is made read-only when it is
-    stored, so a consumer that writes into a shared table fails instead of
-    changing a later job.  A build that raises stores nothing.
-    """
-
-    def __init__(self, size):
-        self.size = size
-        self.entries = {}  # oldest use first
-
-    def get(self, key, build, *args):
-        """build(*args), built once per ``build`` and ``key``.  Functions
-        are keyed through a tracing wrapper's ``__wrapped__``, so traced and
-        untraced jobs share objects, while a replaced function keys entries
-        of its own."""
-        key = tuple(getattr(part, "__wrapped__", part)
-                    for part in (build, *key))
-        value = self.entries.pop(key, None)
-        if value is None:
-            value = build(*args)
-            for name in getattr(value, "__slots__", None) or vars(value):
-                array = getattr(value, name)
-                if isinstance(array, np.ndarray):
-                    array.setflags(write=False)
-        self.entries[key] = value
-        if len(self.entries) > self.size:
-            del self.entries[next(iter(self.entries))]
-        return value
+def _frozen(value):
+    """``value`` with every array attribute read-only, so a consumer that
+    writes into a shared table fails instead of changing a later job."""
+    for name in getattr(value, "__slots__", None) or vars(value):
+        array = getattr(value, name)
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return value
 
 
 # one round of the moduli workload uses 9 systems, one bracket round 27
 # bases and 39 brackets; retained at n = 31, tau = i: 36 kB a basis, 1.5 MB
-# a system, 0.7 MB a bracket
-_BASES = _Memo(64)
-_SYSTEMS = _Memo(16)
-_BRACKETS = _Memo(64)
+# a system, 0.7 MB a bracket.  A system or a bracket is keyed by the
+# function that builds its basis too, and built from the basis held for it.
+
+
+@functools.lru_cache(maxsize=64)
+def _bases(build, params):
+    return _frozen(build(params))
+
+
+@functools.lru_cache(maxsize=16)
+def _systems(build, basis_build, params):
+    return _frozen(build(_bases(basis_build, params)))
+
+
+@functools.lru_cache(maxsize=64)
+def _brackets(build, basis_build, params, k):
+    return _frozen(build(_bases(basis_build, params), k))
 
 
 def _clear_memo():
     """Drop every shared lattice object, as in a new process."""
-    for memo in (_BASES, _SYSTEMS, _BRACKETS):
-        memo.entries.clear()
+    for cache in (_bases, _systems, _brackets):
+        cache.cache_clear()
 
 
 def _basis(cfg: RunConfig) -> ThetaBasis:
-    params = CurveParams(cfg.tau, cfg.n)
-    return _BASES.get((params,), ThetaBasis, params)
-
-
-# a system or a bracket is keyed by the function that builds its basis too,
-# so one built from another basis of the lattice is never served
+    return _bases(ThetaBasis, CurveParams(cfg.tau, cfg.n))
 
 
 def _system(basis: ThetaBasis) -> ResidueSystem:
-    return _SYSTEMS.get((ThetaBasis, basis.params), ResidueSystem, basis)
+    return _systems(ResidueSystem, ThetaBasis, basis.params)
 
 
 def _bracket(basis: ThetaBasis, k: int):
-    return _BRACKETS.get((ThetaBasis, basis.params, k), sklyanin_bracket,
-                         basis, k)
+    return _brackets(sklyanin_bracket, ThetaBasis, basis.params, k)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -381,86 +354,79 @@ def _emit(report: dict, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# command: (function, help, options in the order --help lists them); an
+# option that is not a RunConfig field is passed to the function
+COMMANDS = {
+    "theta": (cmd_theta, "basis properties and derivatives",
+              ("n", "tau", "seed", "format", "output_path")),
+    "sklyanin": (cmd_sklyanin, "bracket, Jacobi, semiclassical",
+                 ("n", "k", "tau", "seed", "format", "output_path")),
+    "moduli-compare": (cmd_moduli_compare,
+                       "extension-moduli bracket vs projective bracket",
+                       ("n", "tau", "samples", "seed", "format",
+                        "output_path")),
+    "leaves": (cmd_leaves, "leaf stratification table",
+               ("n", "seed", "format", "output_path")),
+    "homology": (cmd_homology, "exact cone-identification checks",
+                 ("n", "samples", "seed", "format", "output_path", "r",
+                  "inject_sign_flip")),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it
-    unchanged, so every :func:`main` call shares it."""
+    unchanged, so every :func:`main` call shares it.  Its defaults are
+    those of :class:`RunConfig`."""
     parser = argparse.ArgumentParser(
         prog="ellpoisson",
         description="numerical verification of elliptic quadratic Poisson "
                     "brackets, residue calculus and leaf combinatorics")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, with_k=False, with_tau=False, with_samples=False):
-        p.add_argument("--n", type=int, default=3)
-        if with_k:
-            p.add_argument("--k", type=int, default=1)
-        if with_tau:
-            p.add_argument("--tau", type=float, nargs=2, default=[0.0, 1.0],
-                           metavar=("RE", "IM"))
-        if with_samples:
-            p.add_argument("--samples", type=int, default=20)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None)
-
-    common(sub.add_parser("theta", help="basis properties and derivatives"),
-           with_tau=True)
-    common(sub.add_parser("sklyanin", help="bracket, Jacobi, semiclassical"),
-           with_k=True, with_tau=True)
-    common(sub.add_parser("moduli-compare",
-                          help="extension-moduli bracket vs projective bracket"),
-           with_tau=True, with_samples=True)
-    common(sub.add_parser("leaves", help="leaf stratification table"))
-    hom = sub.add_parser("homology", help="exact cone-identification checks")
-    common(hom, with_samples=True)
-    hom.add_argument("--r", type=int, default=1,
-                     help="rank parameter of the three-term shape")
-    hom.add_argument("--inject-sign-flip", action="store_true",
-                     help="flip a sign in the comparison map (power control)")
+    options = {
+        "n": ("--n", {"type": int}),
+        "k": ("--k", {"type": int}),
+        "tau": ("--tau", {"type": float, "nargs": 2, "metavar": ("RE", "IM")}),
+        "samples": ("--samples", {"type": int}),
+        "seed": ("--seed", {"type": int}),
+        "format": ("--format", {"choices": ("json", "csv")}),
+        "output_path": ("--output", {"metavar": "OUTPUT"}),
+        "r": ("--r", {"type": int,
+                      "help": "rank parameter of the three-term shape"}),
+        "inject_sign_flip": ("--inject-sign-flip", {
+            "action": "store_true",
+            "help": "flip a sign in the comparison map (power control)"}),
+    }
+    defaults = asdict(RunConfig())
+    defaults["tau"] = [defaults["tau_re"], defaults["tau_im"]]
+    for command, (_, text, dests) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for dest in dests:
+            flag, kwargs = options[dest]
+            p.add_argument(flag, dest=dest, **kwargs)
+        p.set_defaults(**{dest: defaults[dest] for dest in dests
+                          if dest in defaults})
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    tau_re, tau_im = getattr(args, "tau", (0.0, 1.0))
-    cfg = RunConfig(
-        n=args.n,
-        k=getattr(args, "k", 1),
-        tau_re=tau_re, tau_im=tau_im,
-        seed=args.seed,
-        samples=getattr(args, "samples", 20),
-        r=getattr(args, "r", 1),
-        format=args.format,
-        output_path=args.output,
-    )
-    cfg.validate(args.command)
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    opts = vars(build_parser().parse_args(argv))
+    command = opts.pop("command")
+    if "tau" in opts:
+        opts["tau_re"], opts["tau_im"] = opts.pop("tau")
+    extra = {name: opts.pop(name) for name in list(opts)
+             if name not in RunConfig.__dataclass_fields__}
     started = time.perf_counter()
     try:
-        cfg = _config_from(args)
-        if args.command == "theta":
-            checks, tables = cmd_theta(cfg)
-        elif args.command == "sklyanin":
-            checks, tables = cmd_sklyanin(cfg)
-        elif args.command == "moduli-compare":
-            checks, tables = cmd_moduli_compare(cfg)
-        elif args.command == "leaves":
-            checks, tables = cmd_leaves(cfg)
-        elif args.command == "homology":
-            checks, tables = cmd_homology(cfg, args.inject_sign_flip)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command}")
+        cfg = RunConfig(**opts)
+        cfg.validate(command)
+        checks, tables = COMMANDS[command][0](cfg, **extra)
     except (UsageError, EllPoissonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     report = {
-        "command": args.command,
+        "command": command,
         "params": asdict(cfg),
         "checks": checks,
         "tables": tables,

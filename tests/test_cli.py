@@ -7,6 +7,7 @@ import math
 import re
 import time
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -24,6 +25,93 @@ FLAGS = {
     "leaves": ["--n", "--seed", "--format", "--output"],
     "homology": ["--n", "--samples", "--seed", "--format", "--output", "--r",
                  "--inject-sign-flip"],
+}
+
+
+# the --help text of the parser and of each subcommand at 80 columns
+HELP = {
+    "": """\
+usage: ellpoisson [-h] {theta,sklyanin,moduli-compare,leaves,homology} ...
+
+numerical verification of elliptic quadratic Poisson brackets, residue
+calculus and leaf combinatorics
+
+positional arguments:
+  {theta,sklyanin,moduli-compare,leaves,homology}
+    theta               basis properties and derivatives
+    sklyanin            bracket, Jacobi, semiclassical
+    moduli-compare      extension-moduli bracket vs projective bracket
+    leaves              leaf stratification table
+    homology            exact cone-identification checks
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "theta": """\
+usage: ellpoisson theta [-h] [--n N] [--tau RE IM] [--seed SEED]
+                        [--format {json,csv}] [--output OUTPUT]
+
+options:
+  -h, --help           show this help message and exit
+  --n N
+  --tau RE IM
+  --seed SEED
+  --format {json,csv}
+  --output OUTPUT
+""",
+    "sklyanin": """\
+usage: ellpoisson sklyanin [-h] [--n N] [--k K] [--tau RE IM] [--seed SEED]
+                           [--format {json,csv}] [--output OUTPUT]
+
+options:
+  -h, --help           show this help message and exit
+  --n N
+  --k K
+  --tau RE IM
+  --seed SEED
+  --format {json,csv}
+  --output OUTPUT
+""",
+    "moduli-compare": """\
+usage: ellpoisson moduli-compare [-h] [--n N] [--tau RE IM]
+                                 [--samples SAMPLES] [--seed SEED]
+                                 [--format {json,csv}] [--output OUTPUT]
+
+options:
+  -h, --help           show this help message and exit
+  --n N
+  --tau RE IM
+  --samples SAMPLES
+  --seed SEED
+  --format {json,csv}
+  --output OUTPUT
+""",
+    "leaves": """\
+usage: ellpoisson leaves [-h] [--n N] [--seed SEED] [--format {json,csv}]
+                         [--output OUTPUT]
+
+options:
+  -h, --help           show this help message and exit
+  --n N
+  --seed SEED
+  --format {json,csv}
+  --output OUTPUT
+""",
+    "homology": """\
+usage: ellpoisson homology [-h] [--n N] [--samples SAMPLES] [--seed SEED]
+                           [--format {json,csv}] [--output OUTPUT] [--r R]
+                           [--inject-sign-flip]
+
+options:
+  -h, --help           show this help message and exit
+  --n N
+  --samples SAMPLES
+  --seed SEED
+  --format {json,csv}
+  --output OUTPUT
+  --r R                rank parameter of the three-term shape
+  --inject-sign-flip   flip a sign in the comparison map (power control)
+""",
 }
 
 
@@ -171,6 +259,30 @@ class TestExitCodes:
                  for name, p in sub.choices.items()}
         assert found == FLAGS
         assert len(RunConfig.__dataclass_fields__) == 9
+
+    @pytest.mark.parametrize("command", HELP, ids=lambda c: c or "top-level")
+    def test_help_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_defaults_are_those_of_run_config(self, command, capsys):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        defaults = asdict(RunConfig())
+        defaults["tau"] = [defaults["tau_re"], defaults["tau_im"]]
+        dests = [a.dest for a in sub.choices[command]._actions
+                 if a.dest in defaults]
+        # every option but --inject-sign-flip sets a RunConfig field
+        assert len(dests) == len(FLAGS[command]) - (command == "homology")
+        for dest in dests:
+            assert sub.choices[command].get_default(dest) == defaults[dest]
+        assert main([command]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["params"] == asdict(RunConfig())
 
     @pytest.mark.parametrize("args", [
         ["theta", "--tol", "1e300"],
@@ -795,6 +907,32 @@ class TestLatticeMemo:
         assert cli._system(basis).basis is basis
         assert cli._bracket(basis, 1) is not bracket
 
+    @pytest.mark.parametrize("args, names", [
+        (["theta", "--n", "5", "--tau", "0.3", "0.8"], ["ThetaBasis"]),
+        (["sklyanin", "--n", "5", "--k", "2"],
+         ["ThetaBasis", "sklyanin_bracket"]),
+        (["moduli-compare", "--n", "4", "--samples", "2"],
+         ["ThetaBasis", "ResidueSystem", "sklyanin_bracket"]),
+    ], ids=["theta", "sklyanin", "moduli-compare"])
+    def test_traced_builders_build_again(self, args, names, capsys,
+                                         monkeypatch):
+        # a tracer installs a fresh function whose __wrapped__ is the real
+        # builder on every traced job; each such job builds its own
+        # objects on a warm lattice and prints the warm job's payload
+        import ellpoisson.cli as cli
+        self.outcome(args, capsys)
+        warm = self.outcome(args, capsys)
+        real = {name: getattr(cli, name) for name in names}
+        for _ in range(2):
+            built = []
+            for name in names:
+                def traced(*call, name=name):
+                    built.append(name)
+                    return real[name](*call)
+                traced.__wrapped__ = real[name]
+                monkeypatch.setattr(cli, name, traced)
+            assert self.outcome(args, capsys) == warm
+            assert built == names
     def test_shared_arrays_are_read_only(self):
         import ellpoisson.cli as cli
         cfg = RunConfig(n=5)
