@@ -2,10 +2,9 @@
 
 The package has seven building blocks: ``theta`` (the order-n section
 basis, each value one theta series at n*tau and defined up to one constant
-common to the whole basis, every table of a basis from one series pass
-over one grid of rows of (point, alpha) pairs, and the one trapezoid rule
-every circle is sampled on, a fixed node count at a quarter of the pole
-distance),
+common to the whole basis, its constants at 0 from one series pass over
+two rows of (point, alpha) pairs, and the one trapezoid rule every circle
+is sampled on, a fixed node count at a quarter of the pole distance),
 ``poisson`` (a Z/n-graded quadratic bracket as one n^3 coefficient table,
 Jacobi certification as entrywise products of that table with itself,
 Heisenberg canonical form, projective descent of any graded table by the
@@ -14,12 +13,13 @@ array, the semiclassical bracket and its finite-parameter oracle, the mean
 of the single-eta estimate over a circle around eta = 0, read with the
 single-eta tables at the slope values from one relation tensor, all as
 graded tables),
-``cech`` (one table of samples on the contours around the divisor,
-filled from the basis's circle jet by the exact 1/n shift, from which the dual
-pairing, the trace tables and both routes to the extension-moduli bracket
-are read, each route one array evaluation for the whole matrix, with one
-expansion of the principal-part projection that is certified pair by pair
-and projects every cotangent vector of the trace route in one product),
+``cech`` (one table of samples on the contours around the divisor, filled
+from one theta jet on the circle around 0 by the exact 1/n shift, from
+which the dual pairing, the trace tables and both routes to the
+extension-moduli bracket are read, each route one array evaluation for
+the whole matrix, with one expansion of the principal-part projection
+that is certified pair by pair and projects every cotangent vector of the
+trace route in one product),
 ``exact`` (exact rational matrices on int64 numerators, promoted to Python
 ints only where a proven bound fails, products on float64 BLAS below 2^53,
 and one fraction-free elimination for rank and nullspace), ``homology`` (exact

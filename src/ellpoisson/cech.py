@@ -24,11 +24,11 @@ those circles as sample tables and reads every quantity off them: by the
 trapezoidal rule on ``theta.circle_nodes``, the Laurent coefficient c_m of
 f around k/n is the node mean of f * (z - k/n)^(-m).  The rule has no
 settings: its node count is fixed and its radius is a quarter of the
-distance between neighbouring points of D.  This module evaluates no
-theta function: the basis holds the jet of every theta_alpha on the circle
-around 0 from its one series pass, and the exact 1/n-shift property
-theta_alpha(k/n + z) = omega^(alpha k) theta_alpha(z) fills every other
-disc.
+distance between neighbouring points of D.  The circle around 0 is the
+only place this module evaluates theta: one ``theta_alpha_jet`` call gives
+the order-1 jet of every theta_alpha there, and the exact 1/n-shift
+property theta_alpha(k/n + z) = omega^(alpha k) theta_alpha(z) fills every
+other disc.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ import math
 
 import numpy as np
 
-from .errors import ContourError, DegenerateTauError, ThetaRangeError
+from .errors import ContourError, DegenerateTauError
 from .fo import f_constants
 from .poisson import chart_point
 # theta_alpha_deriv and theta_alpha_eval are not called here; they stay
 # bound because perfbench/spans.py wraps ellpoisson.cech.theta_alpha_deriv
 # and ellpoisson.cech.theta_alpha_eval on every traced run
 from .theta import (ThetaBasis, circle_nodes, shortest_period,
-                    theta_alpha_deriv, theta_alpha_eval)
+                    theta_alpha_deriv, theta_alpha_eval, theta_alpha_jet)
 
 # largest relative |sum_a t_a phi_a| that pi_t_class accepts as zero
 KERNEL_TOL = 1e-8
@@ -99,14 +99,13 @@ class ResidueSystem:
     D, d = the shortest period of (1/n)Z + Z*tau (at most 1/n, and exactly
     1/n unless Im(tau) is small); ``phi``, ``dphi`` and ``psi`` hold
     phi_alpha, phi_alpha' and psi_alpha there, as arrays indexed
-    [alpha, k, p].  The basis's order-1 jet of each theta_alpha on the
-    circle around 0 (``ThetaBasis.circle_jet``, on the nodes
-    ``circle_offsets``) gives the values and derivatives on disc 0; disc k
-    is disc 0 times omega^(alpha k), exactly by the 1/n-shift property
-    (theta is 1-periodic, so the n factors of theta_alpha are only
-    permuted).  A basis whose circle values may leave double range holds no
-    jet, only the refusal message ``circle_error``, which the system raises
-    as a :class:`ThetaRangeError`.  The trace tables
+    [alpha, k, p].  One ``theta_alpha_jet`` call on the circle around 0,
+    ``offsets = circle_nodes(d)``, gives the values and derivatives of
+    every theta_alpha on disc 0; disc k is disc 0 times omega^(alpha k),
+    exactly by the 1/n-shift property (theta is 1-periodic, so the n
+    factors of theta_alpha are only permuted).  A circle whose values may
+    leave double range is refused by that call with a
+    :class:`ThetaRangeError`.  The trace tables
 
         T3[a, b] = tr(phi_a phi_b psi_{a+b}),
         TD[a, b] = tr(phi_a' phi_b psi_{a+b})
@@ -118,16 +117,16 @@ class ResidueSystem:
         self.basis = basis
         self.f = f_constants(basis)
         n = basis.n
-        if basis.circle_jet is None:
-            raise ThetaRangeError(basis.circle_error)
-        self.offsets = basis.circle_offsets
+        d = shortest_period(n, basis.params.tau)
+        self.offsets = circle_nodes(d)
         self.points = len(self.offsets)
-        self.radius = shortest_period(n, basis.params.tau) / 4
+        self.radius = d / 4
         self.nodes = np.arange(n)[:, None] / n + self.offsets
         # shift[a, k] = omega^(a k mod n)
         shift = basis.omega ** (np.multiply.outer(np.arange(n), np.arange(n))
                                 % n)
-        th, dth = basis.circle_jet.swapaxes(1, 2)
+        th, dth = theta_alpha_jet(basis, np.arange(n), self.offsets,
+                                  1).swapaxes(1, 2)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             phi0 = th / th[0]
             dphi0 = (dth * th[0] - th * dth[0]) / th[0] ** 2

@@ -59,6 +59,10 @@ PROJECTIVE_TOL = 1e-6
 # moduli-compare accept; semiclassical_deviation reads up to 2.4 times the
 # bound, so beyond BRACKET_TOL / 10 the checks could fail from rounding alone
 BRACKET_ROUNDING_LIMIT = BRACKET_TOL / 10
+# the same for theta: on 2838 lattices (n = 2..13, bound 1e-13 to 1e-8)
+# second_log_derivative_2pi_i_n reads up to 107 times the bound, so beyond
+# TOL / 107 its check could fail from rounding alone
+THETA_ROUNDING_LIMIT = TOL / 200
 THETA_COMMANDS = ("theta", "sklyanin", "moduli-compare")
 # The leaf records number 728,069 at n = 20 and grow about 3.3x per +2.
 MAX_LEAVES_N = 20
@@ -94,6 +98,15 @@ class RunConfig:
                              "table grows about 3.3x per +2 in n")
         if command == "homology" and (self.r < 1 or self.n < 1):
             raise UsageError("need r >= 1 and n >= 1")
+        m = 2 * self.n + self.r  # a homology instance has dims (n, m, n)
+        # the largest arrays of its job, the differentials d^-1 and d^0 of
+        # the endomorphism complex, hold 2 n m (2 n^2 + m^2) 8-byte entries
+        size = 16 * self.n * m * (2 * self.n ** 2 + m ** 2)
+        if command == "homology" and size > np.iinfo(np.intp).max:
+            raise UsageError(f"n = {self.n}, r = {self.r} is too large: a "
+                             "differential of the endomorphism complex "
+                             f"would take {size:.3g} bytes, beyond numpy's "
+                             "largest array")
         if command not in THETA_COMMANDS:
             return
         try:
@@ -152,7 +165,7 @@ def _frozen(value):
 
 
 # one round of the moduli workload uses 9 systems, one bracket round 27
-# bases and 39 brackets; retained at n = 31, tau = i: 36 kB a basis, 1.5 MB
+# bases and 39 brackets; retained at n = 31, tau = i: 2.8 kB a basis, 1.5 MB
 # a system, 0.7 MB a bracket.  A system or a bracket is keyed by the
 # function that builds its basis too, and built from the basis held for it.
 
@@ -195,6 +208,7 @@ def _bracket(basis: ThetaBasis, k: int):
 
 def cmd_theta(cfg: RunConfig):
     basis = _basis(cfg)
+    basis.require_rounding(THETA_ROUNDING_LIMIT, " for the theta checks")
     n = cfg.n
     tau = basis.params.tau  # Re(tau) reduced as the basis holds it
     rng = np.random.default_rng(cfg.seed)
@@ -423,6 +437,10 @@ def main(argv=None) -> int:
         checks, tables = COMMANDS[command][0](cfg, **extra)
     except (UsageError, EllPoissonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes beyond what the host can allocate
+        print(f"error: {command} ran out of memory at these sizes: "
+              f"{str(exc) or 'MemoryError'}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     report = {

@@ -30,10 +30,10 @@ evaluation on a grid of (point, alpha) pairs, one row per point.
 One kernel computes every basis value: ``_series_sums`` reduces the points
 and sums the series, as many whole rows per call as ``_rows_per_call``
 allows and each row by its own matmul; ``_basis_jet`` applies the
-multiplier, n^j and E_alpha.  A :class:`ThetaBasis` runs it once, on one
-grid of rows of n pairs (0 for every alpha, the divisor k/n for alpha = 0,
-each residue-circle node for every alpha), for every table of the basis
-and its residue system.
+multiplier, n^j and E_alpha.  A :class:`ThetaBasis` runs it once, on two
+rows of n pairs (0 for every alpha, the divisor k/n for alpha = 0), for
+its constants at 0; every other value, the residue circle of ``cech``
+among them, is read off ``theta_alpha_jet``.
 Evaluators accept scalars or numpy arrays of points and are pure functions
 of their arguments; a constructed :class:`ThetaBasis` is immutable.  A point
 where the value may leave double-precision range (large |Im z| / Im tau)
@@ -299,17 +299,12 @@ class ThetaBasis:
 
     Every basis value is one series at n*tau times E_alpha (module
     docstring); ``series_bound`` is the truncation ``TRUNCATION_EPS`` gives
-    at n*tau.  Every table comes from one pass of the kernel over one grid
-    of rows of n (point, alpha) pairs: z = 0 for every alpha, z = k/n for
-    alpha = 0, then one row for each node of ``circle_offsets`` (the
-    residue circle around 0) for every alpha.
+    at n*tau.  Its constants come from one pass of the kernel over two
+    rows of n (point, alpha) pairs: z = 0 for every alpha, then z = k/n
+    for alpha = 0.
     ``theta_at_zero`` and ``dtheta_at_zero`` hold theta_alpha(0) and
     theta_alpha'(0); theta_0(0) is an exact zero (the series terms cancel
-    in pairs), so it is stored as 0.  ``circle_jet[j, p, alpha]`` is the
-    order-1 jet on the circle, or None where those values may leave double
-    range; then the circle rows are left out of the pass, and
-    ``circle_error`` holds the message of the :class:`ThetaRangeError`
-    that refuses them, else None.  A lattice where n Im(tau) is not
+    in pairs), so it is stored as 0.  A lattice where n Im(tau) is not
     finite, or whose truncation exceeds ``MAX_SERIES_TERMS``, is
     refused before any series is summed; one whose values at 0 are lost in
     rounding is refused by the a priori bound ``rounding_bound``, read off
@@ -321,9 +316,6 @@ class ThetaBasis:
     rounding_bound: float = field(init=False)
     theta_at_zero: np.ndarray = field(init=False)
     dtheta_at_zero: np.ndarray = field(init=False)
-    circle_offsets: np.ndarray = field(init=False)
-    circle_jet: np.ndarray | None = field(init=False)
-    circle_error: str | None = field(init=False)
 
     def __post_init__(self):
         n, tau = self.n, self.params.tau
@@ -337,17 +329,10 @@ class ThetaBasis:
                                      f"numerical range at n = {n}: {why}")
         object.__setattr__(self, "series_bound", bound)
         alpha = np.arange(n)
-        offsets = circle_nodes(shortest_period(n, tau))
         # the (point, alpha) pairs of the pass, in rows of n: 0 for every
-        # alpha, k/n for alpha = 0, then each circle node for every alpha
-        z = np.concatenate([np.zeros(n), alpha / n, np.repeat(offsets, n)])
-        a = np.concatenate([alpha, 0 * alpha, np.tile(alpha, len(offsets))])
-        error = None
-        try:
-            _check_range(offsets, tau.imag, n, alpha.tolist())
-        except ThetaRangeError as exc:
-            error = str(exc)
-            z, a = z[:2 * n], a[:2 * n]
+        # alpha, then k/n for alpha = 0
+        z = np.concatenate([np.zeros(n), alpha / n])
+        a = np.concatenate([alpha, 0 * alpha])
         z0, b, sums, size = _series_sums(n * z + a * tau, n, n * tau, bound, 1)
         # theta_alpha(0) is the series at alpha*tau, whose lattice index is
         # 0, times E_alpha(0).  The sum carries a rounding error of about
@@ -365,11 +350,7 @@ class ThetaBasis:
         vals[0] = 0.0
         object.__setattr__(self, "theta_at_zero", vals)
         object.__setattr__(self, "dtheta_at_zero", ders)
-        self._check_tables(jet[1, n:2 * n])
-        object.__setattr__(self, "circle_offsets", offsets)
-        object.__setattr__(self, "circle_jet", None if error is not None
-                           else jet[:, 2 * n:].reshape(2, len(offsets), n))
-        object.__setattr__(self, "circle_error", error)
+        self._check_tables(jet[1, n:])
 
     def _check_tables(self, d0):
         """Refuse a basis whose values at 0 are numerically zero; ``d0``

@@ -38,7 +38,6 @@ import numpy as np
 from types import SimpleNamespace
 
 from ellpoisson import theta
-from ellpoisson.errors import ThetaRangeError
 from ellpoisson.exact import Mat, hstack, vstack
 from ellpoisson.fo import f_constants
 from ellpoisson.poisson import QuadraticBracket
@@ -98,13 +97,12 @@ def phi(basis: ThetaBasis, alpha: int):
 
 
 def three_sum_basis(params):
-    """The basis tables as four separate sums of the series at n*tau built
-    them: the rounding bound from the terms at alpha*tau, then
-    ``theta_alpha_jet`` at 0 for every alpha, at k/n for alpha = 0 and on
-    the circle around 0.  Refuses as the basis does, through its own
-    ``require_rounding`` and ``_check_tables``; returns a namespace with
-    the basis's table attributes.  The truncation must be within
-    ``MAX_SERIES_TERMS``."""
+    """The basis tables as three separate sums of the series at n*tau: the
+    rounding bound from the terms at alpha*tau, then ``theta_alpha_jet`` at
+    0 for every alpha and at k/n for alpha = 0.  Refuses as the basis
+    does, through its own ``require_rounding`` and ``_check_tables``;
+    returns a namespace with the basis's table attributes.  The truncation
+    must be within ``MAX_SERIES_TERMS``."""
     n, tau = params.n, params.tau
     b = SimpleNamespace(params=params, n=n, series_bound=theta.series_bound_for(
         n * tau, theta.TRUNCATION_EPS))
@@ -120,24 +118,19 @@ def three_sum_basis(params):
                                                         0.0, 1)
     b.theta_at_zero[0] = 0.0
     ThetaBasis._check_tables(b, theta_alpha_jet(b, 0, np.arange(n) / n, 1)[1])
-    b.circle_offsets = theta.circle_nodes(theta.shortest_period(n, tau))
-    try:
-        b.circle_jet = theta_alpha_jet(b, np.arange(n), b.circle_offsets, 1)
-        b.circle_error = None
-    except ThetaRangeError as exc:
-        b.circle_jet, b.circle_error = None, exc
     return b
 
 
 def three_sum_tables(b) -> dict:
-    """The residue tables phi, dphi, psi, T3 and TD from the circle jet of
-    a :func:`three_sum_basis` namespace, as ``ResidueSystem`` forms them,
-    with the disc-k values of psi_alpha from the values at 0 by the 1/n
-    shift."""
+    """The residue tables phi, dphi, psi, T3 and TD of a
+    :func:`three_sum_basis` namespace, as ``ResidueSystem`` forms them:
+    from ``theta_alpha_jet`` on the circle around 0, with the disc-k values
+    of psi_alpha from the values at 0 by the 1/n shift."""
     n = b.n
     omega = np.exp(2j * math.pi / n)
     shift = omega ** (np.multiply.outer(np.arange(n), np.arange(n)) % n)
-    th, dth = b.circle_jet.swapaxes(1, 2)
+    offsets = theta.circle_nodes(theta.shortest_period(n, b.params.tau))
+    th, dth = theta_alpha_jet(b, np.arange(n), offsets, 1).swapaxes(1, 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         phi0 = th / th[0]
         dphi0 = (dth * th[0] - th * dth[0]) / th[0] ** 2
@@ -146,13 +139,12 @@ def three_sum_tables(b) -> dict:
     out["phi"][0] = 1.0
     out["dphi"][0] = 0.0
     psi = np.empty_like(out["phi"])
-    psi[0] = 1.0 / b.circle_offsets
+    psi[0] = 1.0 / offsets
     for a in range(1, n):
         psi[a] = (b.dtheta_at_zero[0] * omega ** (-(a * np.arange(n)) % n)
                   / b.theta_at_zero[a])[:, None]
     psi_sum = psi[(np.arange(n)[:, None] + np.arange(n)) % n]
-    trace = lambda f: (f.sum(axis=-2) @ b.circle_offsets
-                       / (n * len(b.circle_offsets)))
+    trace = lambda f: (f.sum(axis=-2) @ offsets / (n * len(offsets)))
     out.update(psi=psi, f=f_constants(b),
                t3=trace(out["phi"][:, None] * out["phi"] * psi_sum),
                td=trace(out["dphi"][:, None] * out["phi"] * psi_sum))

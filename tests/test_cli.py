@@ -162,6 +162,18 @@ class TestExitCodes:
         (["leaves", "--n", "21"], "n must be at most 20"),
         (["sklyanin", "--n", "5", "--k", "4"],
          "its bracket vanishes identically"),
+        # sizes no host can allocate
+        (["moduli-compare", "--samples", "1000000000000000"],
+         "moduli-compare ran out of memory at these sizes: Unable to "
+         "allocate"),
+        (["homology", "--n", "3", "--r", "1000000000000000"],
+         "n = 3, r = 1000000000000000 is too large: a differential of the "
+         "endomorphism complex would take 4.8e+46 bytes, beyond numpy's "
+         "largest array"),
+        (["homology", "--n", "1000000000000000"],
+         "n = 1000000000000000, r = 1 is too large: a differential of the "
+         "endomorphism complex would take 1.92e+62 bytes, beyond numpy's "
+         "largest array"),
     ])
     def test_out_of_domain_input_is_usage_error(self, args, message, capsys):
         code = main(args)
@@ -421,8 +433,9 @@ class TestExitCodes:
 
 
 class TestRefusals:
-    """Out-of-range lattices keep their exit codes and messages, with no
-    RuntimeWarning, now that the basis samples the residue circle."""
+    """Out-of-range lattices and sizes keep their exit codes and one-line
+    messages, with no RuntimeWarning, now that the residue system samples
+    the residue circle."""
 
     @pytest.mark.parametrize("args, expected", [
         (["--n", "3", "--tau", "0", "1e-6"],
@@ -451,7 +464,21 @@ class TestRefusals:
           "moduli-compare": (2, "theta_0 at z = (-1.4814275796137336e-18"
                                 "-0.008064516129032258j) is out of double "
                                 "range: the value may reach exp(1169)")}),
-    ], ids=["im_1e-6", "series_terms_limit", "rounding_limit", "n31_tau6i"])
+        # the basis accepts its rounding bound 8.7e-9, but there theta's
+        # second_log_derivative_2pi_i_n reads 1.3e-8 against tolerance 1e-8
+        (["--n", "7", "--tau", "0", "0.006222594939493735"],
+         {c: (2, f"Im tau = 0.00622259 is out of numerical range for the "
+                 f"{what} checks at n = 7: rounding in the theta series may "
+                 f"reach 8.7e-09 of a basis value at 0, beyond {limit}")
+          for c, what, limit in (("theta", "theta", "5e-11"),
+                                 ("sklyanin", "bracket", "1e-11"),
+                                 ("moduli-compare", "bracket", "1e-11"))}),
+        # no host can allocate the basis of order 10^15
+        (["--n", "1000000000000000"],
+         {c: (2, f"{c} ran out of memory at these sizes: Unable to allocate")
+          for c in ("theta", "sklyanin", "moduli-compare")}),
+    ], ids=["im_1e-6", "series_terms_limit", "rounding_limit", "n31_tau6i",
+            "theta_rounding_limit", "n_1e15"])
     @pytest.mark.parametrize("command", ["theta", "sklyanin",
                                          "moduli-compare"])
     def test_theta_commands_keep_their_refusals(self, command, args,
@@ -465,6 +492,7 @@ class TestRefusals:
         assert code == code_expected
         if message:
             assert err.startswith("error: " + message)
+            assert err.count("\n") == 1
             assert "Traceback" not in err and out == ""
         else:
             assert err == ""
@@ -879,7 +907,7 @@ class TestLatticeMemo:
 
     def test_perturbed_basis_fails_after_a_warm_call(self, tmp_path,
                                                      monkeypatch):
-        # power control: a replaced ThetaBasis whose circle jet is off by
+        # power control: a replaced ThetaBasis whose theta_1(0) is off by
         # 1e-3 must fail the comparison, and is not served the residue
         # system or the bracket a passing job built from the genuine basis
         import ellpoisson.cli as cli
@@ -891,9 +919,9 @@ class TestLatticeMemo:
 
         def perturbed(params):
             basis = genuine(params)
-            jet = basis.circle_jet.copy()
-            jet[0, :, 1] *= 1 + 1e-3
-            object.__setattr__(basis, "circle_jet", jet)
+            vals = basis.theta_at_zero.copy()
+            vals[1] *= 1 + 1e-3
+            object.__setattr__(basis, "theta_at_zero", vals)
             return basis
 
         monkeypatch.setattr(cli, "ThetaBasis", perturbed)

@@ -642,9 +642,9 @@ class TestBasisPass:
         for tau in (TAU_SQUARE, TAU_GENERIC, 0.5j):
             calls.clear()
             b = basis(n, tau)
-            # 0 and the circle for every alpha, k/n for alpha = 0
-            assert calls == [n * (theta.CIRCLE_POINTS + 1) + n]
-            assert b.circle_jet.shape == (2, theta.CIRCLE_POINTS, n)
+            # 0 for every alpha, k/n for alpha = 0
+            assert calls == [2 * n]
+            assert b.theta_at_zero.shape == b.dtheta_at_zero.shape == (n,)
 
     @pytest.mark.parametrize("n, tau", [(3, 0.025 + 1e-5j), (5, TAU_GENERIC),
                                         (13, 0.5j), (31, TAU_SQUARE)])
@@ -659,9 +659,10 @@ class TestBasisPass:
                             lambda *args: calls.append(1) or series_terms(
                                 *args))
         cut = basis(n, tau)
-        assert len(calls) > 2
+        # one call per row, the finest cut of the two rows
+        assert len(calls) == 2
         assert repr(cut.rounding_bound) == repr(whole.rounding_bound)
-        for name in ("theta_at_zero", "dtheta_at_zero", "circle_jet"):
+        for name in ("theta_at_zero", "dtheta_at_zero"):
             assert getattr(cut, name).tobytes() == getattr(whole,
                                                            name).tobytes()
 
