@@ -52,7 +52,6 @@ from .theta import (
     verify_automorphy,
 )
 from .poisson import (
-    HnBracket,
     QuadraticBracket,
     hn_canonical_extract,
     jacobi_defect,
@@ -85,7 +84,6 @@ from .leaves import (
     end_dim_local,
     end_dim_sheaf,
     enumerate_strata,
-    leaf_dimension,
 )
 
 __version__ = "0.1.0"

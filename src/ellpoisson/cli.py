@@ -274,7 +274,7 @@ def cmd_sklyanin(cfg: RunConfig):
         # entrywise relative: the entries spread over many decades at
         # large Im(tau); the exact zeros F(a, -a) are left out
         nonzero = f != 0
-        res = float(np.max(np.abs(h.table - f)[nonzero]
+        res = float(np.max(np.abs(h - f)[nonzero]
                            / np.abs(f[nonzero])))
         checks.append(_check("canonical_form_equals_f_table", res,
                              BRACKET_TOL))

@@ -76,10 +76,8 @@ class Mat:
 
     __slots__ = ("num", "den", "shape", "bound")
 
-    def __init__(self, num, den=1, shape=None):
+    def __init__(self, num, den=1):
         num = np.asarray(num)
-        if shape is not None:
-            num = num.reshape(shape)
         if num.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
         if num.dtype.kind not in "iubO":

@@ -15,8 +15,7 @@ lattice arithmetic on the curve.
 A local type is a partition of its length.  ``enumerate_strata`` computes
 the canonical form and end_dim of each partition of 1..n once, then builds
 every multiset of them already in canonical order, so end_dim(T) of each
-record is a sum of per-partition values.  ``leaf_dimension`` computes the
-same record from any ``TorsionType`` through ``end_dim_sheaf``.
+record is a sum of per-partition values.
 """
 
 from __future__ import annotations
@@ -118,20 +117,6 @@ def end_dim_sheaf(t: TorsionType) -> int:
     return 1 + t.length + sum(end_dim_local(dict(local)) for local in t.points)
 
 
-def leaf_dimension(n: int, t: TorsionType) -> LeafRecord:
-    """Expected leaf dimension 2n + 1 - end_dim_sheaf over the type t."""
-    l = t.length
-    if l > n:
-        raise ValueError("torsion length exceeds n")
-    return _record(n, t, l, end_dim_sheaf(t) - 1 - l)
-
-
-def _record(n: int, t: TorsionType, l: int, end_t: int) -> LeafRecord:
-    """Record of the type t of length l whose torsion part has end_t."""
-    expected = 2 * n - l - end_t
-    return LeafRecord(t, l, end_t, expected, expected >= 0)
-
-
 @lru_cache(maxsize=None)
 def _partitions(m, max_part=None):
     """Partitions of m as descending tuples of parts."""
@@ -200,8 +185,10 @@ def enumerate_strata(n: int):
         _multisets(fitting, (), 0, l, len(types), level)
         # ascending end_dim is descending expected_dim; the sort is stable
         level.sort(key=itemgetter(1))
-        records += [_record(n, TorsionType._canonical(points), l, end)
-                    for points, end in level]
+        for points, end in level:
+            expected = 2 * n - l - end
+            records.append(LeafRecord(TorsionType._canonical(points), l, end,
+                                      expected, expected >= 0))
     return records
 
 

@@ -17,8 +17,6 @@ space by the chart rule {t_i, t_j} = {x_i, x_j} - t_i {x_0, x_j}
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvarianceError
@@ -83,37 +81,6 @@ class QuadraticBracket:
         are taken unchecked."""
         diff = np.asarray(tables) * self.weights - self.monomials()
         return np.max(np.abs(diff), axis=(-3, -2, -1), initial=0.0)
-
-
-@dataclass(frozen=True)
-class HnBracket:
-    """Canonical table C(alpha, beta) of a Heisenberg-invariant bracket."""
-
-    n: int
-    table: np.ndarray
-
-    def __post_init__(self):
-        tab = np.asarray(self.table, dtype=complex)
-        if tab.shape != (self.n, self.n):
-            raise ValueError("table must be n x n")
-        object.__setattr__(self, "table", tab)
-        scale = max(float(np.max(np.abs(tab))), 1e-30)
-        sym = np.max(np.abs(tab - tab.T))
-        idx = np.arange(self.n)
-        neg = tab[np.ix_((-idx) % self.n, (-idx) % self.n)]
-        skew = np.max(np.abs(tab + neg))
-        if max(sym, skew, abs(tab[0, 0])) > CANONICAL_TOL * scale:
-            raise ValueError("table violates the symmetries "
-                             "C(b,a)=C(a,b)=-C(-a,-b), C(0,0)=0")
-
-    def to_quadratic(self) -> QuadraticBracket:
-        """{x_i, x_j} = sum_r C(r, j-i-r) x_{i+r} x_{j-r}, built for i < j.
-
-        The monomial x_{i+a} x_{i+b} gets C(a, b) + C(b, a).
-        """
-        n = self.n
-        d, r = np.indices((n, n))
-        return QuadraticBracket(n, pair_tensor(self.table[(d - r) % n, r]))
 
 
 def pair_tensor(g) -> np.ndarray:
@@ -201,15 +168,16 @@ def jacobi_defect(b: QuadraticBracket) -> float:
     return worst / scale ** 2
 
 
-def hn_canonical_extract(b: QuadraticBracket) -> HnBracket:
-    """Recover the unique C(alpha, beta) of a Heisenberg-invariant bracket.
+def hn_canonical_extract(b: QuadraticBracket) -> np.ndarray:
+    """The n x n table C[alpha, beta] of a Heisenberg-invariant bracket.
 
     C(alpha, beta) is the table entry of x_{i+alpha} x_{i+beta} in
     {x_i, x_{i+alpha+beta}}, and candidates must agree for every base
     point i; the layout of the table already forces
-    C(alpha, beta) = C(beta, alpha).  Raises :class:`InvarianceError` when
-    the candidates disagree, or C(-alpha, -beta) != -C(alpha, beta), beyond
-    ``CANONICAL_TOL`` relative to the largest coefficient.
+    C(alpha, beta) = C(beta, alpha) and C(0, 0) = 0.  Raises
+    :class:`InvarianceError` when the candidates disagree, or
+    C(-alpha, -beta) != -C(alpha, beta), beyond ``CANONICAL_TOL`` relative
+    to the largest monomial coefficient.
     """
     n = b.n
     scale = max(b.max_abs(), 1e-30)
@@ -226,7 +194,7 @@ def hn_canonical_extract(b: QuadraticBracket) -> HnBracket:
         raise InvarianceError(
             f"bracket is not Heisenberg-invariant: violation {violation:.3e} "
             f"(scale {scale:.3e})")
-    return HnBracket(n, table)
+    return table
 
 
 def chart_point(n: int, t) -> np.ndarray:

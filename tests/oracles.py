@@ -1,6 +1,6 @@
 """Independent oracles for the order-n theta basis of ``ellpoisson.theta``,
-the graded bracket table of ``ellpoisson.poisson`` and the sample tables of
-``ellpoisson.cech``.
+the graded bracket table of ``ellpoisson.poisson``, the sample tables of
+``ellpoisson.cech`` and the leaf records of ``ellpoisson.leaves``.
 
 Sparse polynomials, the Leibniz extension of the generator brackets, the
 bivector contraction, and the dense n^4 coefficient tensor with its Jacobi
@@ -28,7 +28,11 @@ block, and can compare the homology of the cone and the sum by exact rank
 (:func:`homology_dims`).  :func:`dense_duality_t` and
 :func:`dense_kappa_inverse_deg_minus1` write the trace pairing out as
 dense signed permutation matrices, entry by entry, where the package
-gathers columns by ``trace_pairing``.
+gathers columns by ``trace_pairing``.  :func:`canonical_bracket` builds
+the bracket of a Heisenberg-invariant table C(alpha, beta), the table that
+``hn_canonical_extract`` reads back.  :func:`leaf_dimension` computes one
+leaf record from any torsion type through ``end_dim_sheaf``, where
+``enumerate_strata`` sums per-partition values.
 """
 
 import math
@@ -40,7 +44,8 @@ from types import SimpleNamespace
 from ellpoisson import theta
 from ellpoisson.exact import Mat, hstack, vstack
 from ellpoisson.fo import f_constants
-from ellpoisson.poisson import QuadraticBracket
+from ellpoisson.leaves import LeafRecord, TorsionType, end_dim_sheaf
+from ellpoisson.poisson import QuadraticBracket, pair_tensor
 from ellpoisson.theta import ThetaBasis, theta_alpha_eval, theta_alpha_jet
 
 
@@ -294,6 +299,16 @@ class Polynomial:
                             for i, e in enumerate(expo) if e)
             bits.append(f"({c:.6g})*{mono}" if mono else f"({c:.6g})")
         return " + ".join(bits)
+
+
+def canonical_bracket(table) -> QuadraticBracket:
+    """The Heisenberg-invariant bracket of the n x n table C(alpha, beta):
+    {x_i, x_j} = sum_r C(r, j-i-r) x_{i+r} x_{j-r}, built for i < j, so
+    the monomial x_{i+a} x_{i+b} gets C(a, b) + C(b, a)."""
+    table = np.asarray(table, dtype=complex)
+    n = len(table)
+    d, r = np.indices((n, n))
+    return QuadraticBracket(n, pair_tensor(table[(d - r) % n, r]))
 
 
 def pair_coeffs(b: QuadraticBracket, i, j):
@@ -591,3 +606,13 @@ def dense_cone_iso_check(H, sign_flip: bool = False,
                                                                ranks):
             failures.append("homology dimensions differ")
     return (not failures), failures
+
+
+def leaf_dimension(n: int, t: TorsionType) -> LeafRecord:
+    """Expected leaf dimension 2n + 1 - end_dim_sheaf over the type t."""
+    l = t.length
+    if l > n:
+        raise ValueError("torsion length exceeds n")
+    end_t = end_dim_sheaf(t) - 1 - l
+    expected = 2 * n - l - end_t
+    return LeafRecord(t, l, end_t, expected, expected >= 0)

@@ -77,7 +77,7 @@ class TestFConstants:
         b = basis(23, 2j)
         f = f_constants(b)
         h = hn_canonical_extract(sklyanin_bracket(b, 1))
-        assert np.max(np.abs(h.table - f)) < 1e-10
+        assert np.max(np.abs(h - f)) < 1e-10
 
 
 class TestRelations:

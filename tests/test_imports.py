@@ -6,6 +6,9 @@ scipy, mpmath, sympy and hypothesis are test-time dependencies at most
 in ``src/ellpoisson`` is checked, including those inside functions.  Every
 public top-level function and class is named somewhere in the package
 outside its own definition, or exported by ``ellpoisson/__init__.py``.
+Every public method of a public top-level class is named by an attribute
+access in the package outside its own body, or listed in ``TEST_ONLY``
+with the test that calls it.
 """
 
 import ast
@@ -46,14 +49,29 @@ def test_checker_sees_a_foreign_import(tmp_path):
     assert [r for _, r in imported_roots(probe)] == ["scipy"]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def public(body, kinds):
+    """The definitions of ``kinds`` in ``body`` whose names do not start
+    with an underscore."""
+    return [node for node in body
+            if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
 def unreached(paths):
     """``file:name`` of every public top-level function or class in
     ``paths`` that no other top-level statement of ``paths`` names (as a
     name, an attribute or an imported name) and that ``__init__.py``, if
-    among them, does not import."""
+    among them, does not import, and ``file:Class.name`` of every public
+    method of a public top-level class that no attribute access ``x.name``
+    outside the method's own body names.  Methods are matched by attribute
+    only, so a local variable that shares a method's name does not reach
+    it."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in paths}
     named = {}
+    attributes = {}
     exported = set()
     for path, tree in trees.items():
         for statement in tree.body:
@@ -62,6 +80,7 @@ def unreached(paths):
                     names = [node.id]
                 elif isinstance(node, ast.Attribute):
                     names = [node.attr]
+                    attributes.setdefault(node.attr, []).append(node)
                 elif isinstance(node, ast.ImportFrom):
                     names = [alias.name for alias in node.names]
                     if path.name == "__init__.py":
@@ -70,31 +89,62 @@ def unreached(paths):
                     continue
                 for name in names:
                     named.setdefault(name, []).append(statement)
-    return [f"{path.name}:{node.name}"
-            for path, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")
-            and node.name not in exported
-            and all(s is node for s in named.get(node.name, ()))]
+    found = []
+    for path, tree in trees.items():
+        for node in public(tree.body, FUNCTIONS + (ast.ClassDef,)):
+            if (node.name not in exported
+                    and all(s is node for s in named.get(node.name, ()))):
+                found.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for method in public(node.body, FUNCTIONS):
+                    own = set(map(id, ast.walk(method)))
+                    if all(id(a) in own
+                           for a in attributes.get(method.name, ())):
+                        found.append(f"{path.name}:{node.name}.{method.name}")
+    return found
+
+
+# methods that only tests call, each with the test that calls it; a row
+# that the package reaches, or that names no method, fails the guard
+TEST_ONLY = {
+    "cech.py:ResidueSystem.pairing_matrix":
+        "test_acceptance.py::test_criterion_2_duality",
+    "cech.py:ResidueSystem.verify_p_plus":
+        "test_acceptance.py::test_criterion_3_principal_part_projection",
+    "cech.py:ResidueSystem.verify_p_plus_zero_sum":
+        "test_acceptance.py::test_criterion_3_principal_part_projection",
+    "cech.py:ResidueSystem.verify_trace_identity":
+        "test_acceptance.py::test_criterion_4_trace_identity",
+    # until a reported check of the foliation calls it
+    "cech.py:ResidueSystem.pi_t_class": "test_cech.py::TestPiT",
+    "exact.py:Mat.entry": "test_homology.py::TestExactMat",
+}
 
 
 def test_every_public_name_is_reached():
-    assert unreached(sorted(SRC.glob("*.py"))) == []
+    assert sorted(unreached(sorted(SRC.glob("*.py")))) == sorted(TEST_ONLY)
 
 
 def test_checker_sees_an_unreached_name(tmp_path):
     # power control: a name used only inside its own definition, and one
-    # named nowhere, are both reported; exported and called ones are not
+    # named nowhere, are both reported; exported and called ones are not.
+    # A method is reported unless an attribute access outside its body
+    # names it: a local variable of the same name does not count
     (tmp_path / "__init__.py").write_text("from .a import exported\n")
     (tmp_path / "a.py").write_text(
-        "def exported():\n    return called()\n"
+        "def exported():\n    entry = called()\n"
+        "    return Used().called_method(entry)\n"
         "def called():\n    return 1\n"
         "def recursive(k):\n    return recursive(k - 1)\n"
         "class Orphan:\n    pass\n"
+        "class Used:\n"
+        "    def called_method(self, x):\n        return x\n"
+        "    def entry(self):\n        return self.entry()\n"
+        "    def _private(self):\n        pass\n"
         "def _private():\n    pass\n")
     assert unreached(sorted(tmp_path.glob("*.py"))) == ["a.py:recursive",
-                                                        "a.py:Orphan"]
+                                                        "a.py:Orphan",
+                                                        "a.py:Used.entry"]
 
 
 BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -11,9 +11,9 @@ from ellpoisson.leaves import (
     end_dim_local,
     end_dim_sheaf,
     enumerate_strata,
-    leaf_dimension,
 )
 from ellpoisson.theta import CurveParams
+from oracles import leaf_dimension
 
 PARAMS = CurveParams(0.3 + 0.8j, 3)
 

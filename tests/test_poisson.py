@@ -10,7 +10,6 @@ from ellpoisson import poisson
 from ellpoisson.errors import InvarianceError
 from ellpoisson.fo import f_constants, sklyanin_bracket
 from ellpoisson.poisson import (
-    HnBracket,
     QuadraticBracket,
     hn_canonical_extract,
     jacobi_defect,
@@ -21,6 +20,7 @@ from oracles import (
     Polynomial,
     bracket_contraction_oracle,
     bracket_poly,
+    canonical_bracket,
     dense_jacobi_defect,
     pair_coeffs,
     pair_poly,
@@ -76,11 +76,12 @@ def one_percent_off(b):
 
 
 def delta_hn(n=3, c=1.0):
-    """Minimal symmetric table with C(1,0) = C(0,1) = c completed by skewness."""
+    """Bracket of the minimal symmetric table C(1,0) = C(0,1) = c
+    completed by skewness."""
     table = np.zeros((n, n), dtype=complex)
     table[1, 0] = table[0, 1] = c
     table[(n - 1) % n, 0] = table[0, (n - 1) % n] = -c
-    return HnBracket(n, table)
+    return canonical_bracket(table)
 
 
 class TestPolynomial:
@@ -149,19 +150,19 @@ class TestLayout:
 
 class TestBracketPoly:
     def test_generator_bracket_antisymmetric(self):
-        b = delta_hn().to_quadratic()
+        b = delta_hn()
         p01 = pair_poly(b, 0, 1)
         p10 = pair_poly(b, 1, 0)
         assert p01 == -p10
 
     def test_diagonal_is_zero(self):
-        b = delta_hn().to_quadratic()
+        b = delta_hn()
         assert pair_poly(b, 1, 1).is_zero()
 
     def test_delta_table_expansion(self):
         # hand expansion of the canonical sum for n = 3, C(1,0)=C(0,1)=c
         c = 0.75
-        b = delta_hn(3, c).to_quadratic()
+        b = delta_hn(3, c)
         for i in range(3):
             p = pair_poly(b, i, (i + 1) % 3)
             assert abs(p.coefficient([i, i + 1]) - 2 * c) < 1e-15
@@ -174,7 +175,7 @@ class TestBracketPoly:
         assert bracket_poly(b, f, one).is_zero()
 
     def test_leibniz_exact_by_construction(self):
-        b = delta_hn(3, 1.0).to_quadratic()
+        b = delta_hn(3, 1.0)
         x0 = Polynomial.variable(3, 0)
         x1 = Polynomial.variable(3, 1)
         x2 = Polynomial.variable(3, 2)
@@ -297,19 +298,18 @@ class TestCanonicalForm:
                     na, nb = (-a) % n, (-bb) % n
                     table[a, bb] = table[bb, a] = val
                     table[na, nb] = table[nb, na] = -val
-        h = HnBracket(n, table)
-        recovered = hn_canonical_extract(h.to_quadratic())
-        assert np.array_equal(recovered.table, h.table)
+        recovered = hn_canonical_extract(canonical_bracket(table))
+        assert np.array_equal(recovered, table)
         for n in range(3, 14):
             f = f_constants(ThetaBasis(CurveParams(0.3 + 0.8j, n)))
-            recovered = hn_canonical_extract(HnBracket(n, f).to_quadratic())
-            assert np.array_equal(recovered.table, f)
+            recovered = hn_canonical_extract(canonical_bracket(f))
+            assert np.array_equal(recovered, f)
 
     def test_sklyanin_k1_matches_f_table(self):
         basis = ThetaBasis(CurveParams(1j, 3))
         h = hn_canonical_extract(sklyanin_bracket(basis, 1))
         f = f_constants(basis)
-        assert np.max(np.abs(h.table - f)) < 1e-10
+        assert np.max(np.abs(h - f)) < 1e-10
 
     def test_non_invariant_rejected(self):
         # {x_0, x_1} = x_0 x_1 alone is graded but not shift-invariant
@@ -359,8 +359,7 @@ class TestCanonicalForm:
 
     def test_small_n_degenerate_cases(self):
         # n = 2 admits only the zero invariant table; n = 1 has no pairs
-        h2 = HnBracket(2, np.zeros((2, 2)))
-        assert not pairs(h2.to_quadratic())
+        assert not pairs(canonical_bracket(np.zeros((2, 2))))
         b1 = QuadraticBracket(1)
         assert jacobi_defect(b1) == 0.0
 
