@@ -24,10 +24,11 @@ trace route in one product),
 ints only where a proven bound fails, products on float64 BLAS below 2^53,
 and one fraction-free elimination for rank and nullspace), ``homology`` (exact
 chain algebra for the endomorphism complex, itself a complex that forms
-each product of two of its matrices once, the bivector and the cone
-identification, the trace pairing as one signed permutation that gathers
-columns) and ``leaves`` (torsion-type combinatorics and the
-divisor-class constraint).  ``cli`` drives batch verification runs.
+each product of two of its matrices once, the bivector, the cone
+identification on Kronecker pairs A (x) X by the mixed-product rule, and
+the trace pairing as one signed permutation that gathers columns) and
+``leaves`` (torsion-type combinatorics and the divisor-class
+constraint).  ``cli`` drives batch verification runs.
 ``cech.laurent_coeffs``, ``fo.fo_relations`` and ``fo.single_eta_bracket``
 have no caller in the package, ``homology`` no longer uses its imports
 ``hstack`` and ``vstack``, and ``cli`` no longer uses its imports

@@ -66,6 +66,9 @@ THETA_ROUNDING_LIMIT = TOL / 200
 THETA_COMMANDS = ("theta", "sklyanin", "moduli-compare")
 # The leaf records number 728,069 at n = 20 and grow about 3.3x per +2.
 MAX_LEAVES_N = 20
+# Each homology instance adds one check of about 85 bytes to the report and
+# takes about 3 ms at n = 3, so 10,000 instances make a report near 1 MB.
+MAX_HOMOLOGY_SAMPLES = 10_000
 
 
 @dataclass
@@ -91,6 +94,9 @@ class RunConfig:
             raise UsageError("seed must be non-negative")
         if command in ("moduli-compare", "homology") and self.samples < 1:
             raise UsageError("samples must be at least 1")
+        if command == "homology" and self.samples > MAX_HOMOLOGY_SAMPLES:
+            raise UsageError(f"samples must be at most {MAX_HOMOLOGY_SAMPLES}"
+                             ": each instance adds one check to the report")
         if command == "leaves" and self.n < 1:
             raise UsageError("n must be positive")
         if command == "leaves" and self.n > MAX_LEAVES_N:

@@ -5,7 +5,7 @@ with the numerators' largest absolute value cached.  The numerators are an
 int64 array whenever every entry fits, and Python-int objects only when one
 does not.  Each operation proves a bound on the entries it produces from
 the cached values of its operands before it runs: sums, Kronecker
-products, scalings, comparisons and stacks stay on int64 while that bound
+products, comparisons and stacks stay on int64 while that bound
 is below 2^63, and a product of inner dimension k runs as float64 BLAS
 while k * max|A| * max|B| < 2^53, where every partial sum is an integer
 that float64 holds exactly (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008).
@@ -155,12 +155,6 @@ class Mat:
 
     def __neg__(self) -> "Mat":
         return Mat(-self.num, self.den)
-
-    def scale(self, v) -> "Mat":
-        v = Fraction(v)
-        (num,) = _scaled(((self, v.numerator),),
-                         self.bound * abs(v.numerator))
-        return Mat(num, self.den * v.denominator)._reduced()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):

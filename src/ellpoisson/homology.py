@@ -17,10 +17,11 @@ printed cone identification Cone(ad)[-1] = C . C^0, with the degree-0
 change of basis [[1, 0], [1, -1]], is verified identity by identity over
 the rationals; an invertible chain map between the two complexes is an
 isomorphism, so their homology agrees without a rank.  Every map through
-degree 0 of the two complexes, C^0 + C^0, is a matrix of blocks that are
-differentials of the endomorphism complex or integer multiples of the
-identity of C^0, so the identities are evaluated block by block and
-multiply only consecutive differentials.  The endomorphism complex is a
+degree 0 of the two complexes, C^0 + C^0, is a Kronecker product A (x) X
+of an integer matrix A over the two summands and a differential X of the
+endomorphism complex or the identity of C^0, so the identities follow the
+mixed-product rule (A (x) X)(B (x) Y) = AB (x) XY and multiply only
+consecutive differentials.  The endomorphism complex is a
 :class:`VSComplex`, which forms each product of two of its matrices once:
 its d^2 = 0 check on construction forms every such product, and the cone
 identification reads them back.
@@ -28,7 +29,7 @@ identification reads them back.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,98 +230,63 @@ def pi_bivector(H: HomComplex) -> PiBivector:
 
 def _shifted_cone(H: HomComplex, sign_flip: bool):
     """Differentials of the two printed complexes and the comparison map,
-    as block matrices (sequences of block rows).
-
-    Degree 0 of both complexes is C^0 + C^0: in the cone the first summand
-    is the shifted target copy, in the direct sum it is the untruncated
-    complex.  A block is a Mat or an int c standing for c times the
-    identity of C^0, 0 for a zero block.  Every other differential is the
-    1x1 block of H.diff(d), and the two complexes share one block matrix
-    in every degree but -1.
+    each a Kronecker pair (A, X) standing for A (x) X: A is an integer
+    matrix over the summands of C^0 + C^0, 1x1 off degree 0, and X a
+    differential of H, or None for the identity of C^0.  In degree 0 the
+    first summand is the shifted target copy in the cone and the
+    untruncated complex in the direct sum; the two complexes share one
+    pair in every degree but -1.
     """
-    d_cone = {d: ((H.diff(d),),) for d in range(H.deg_min, H.deg_max)}
+    d_cone = {d: (np.array([[1]]), H.diff(d))
+              for d in range(H.deg_min, H.deg_max)}
     d_sum = dict(d_cone)
     if -1 in d_cone:  # then so is 0
         a = H.diff(-1)
-        d_cone[-1], d_sum[-1] = ((a,), (a,)), ((a,), (0,))
-        d_cone[0] = d_sum[0] = ((H.diff(0), 0),)
-    (c00, c01), (c10, c11) = DEG0_CHANGE_OF_BASIS
-    change = ((c00, c01), (-c10 if sign_flip else c10, c11))
-    return d_cone, d_sum, change
+        d_cone[-1] = (np.array([[1], [1]]), a)
+        d_sum[-1] = (np.array([[1], [0]]), a)
+        d_cone[0] = d_sum[0] = (np.array([[1, 0]]), H.diff(0))
+    change = np.array(DEG0_CHANGE_OF_BASIS)
+    if sign_flip:
+        change[1, 0] *= -1
+    return d_cone, d_sum, (change, None)
 
 
-def _block_mat(x, shape) -> Mat:
-    """Block x as a Mat of ``shape``; an int c is c times the identity."""
-    if isinstance(x, Mat):
-        return x
-    return Mat.identity(shape[0]).scale(x) if x else Mat.zeros(*shape)
+def _pair_product(H: VSComplex, left, right):
+    """(A (x) X)(B (x) Y) = AB (x) XY, where None is the identity and a
+    product of two differentials is H's, formed once per complex."""
+    (a, x), (b, y) = left, right
+    return a @ b, (x if y is None else y if x is None else H.product(x, y))
 
 
-def _times(x, y, H: VSComplex):
-    """Block x times block y.  An int block scales; a product of two
-    matrices is H's, formed once per complex."""
-    if isinstance(x, Mat) and isinstance(y, Mat):
-        return H.product(x, y)
-    c, m = (x, y) if isinstance(x, int) else (y, x)
-    if not isinstance(m, Mat):
-        return c * m
-    return 0 if c == 0 else m if c == 1 else m.scale(c)
-
-
-def _block_product(left, right, H: VSComplex):
-    """left @ right block by block; zero blocks drop out of each sum."""
-    out = []
-    for row in left:
-        out.append([])
-        for col in zip(*right):
-            terms = [t for t in (_times(x, y, H) for x, y in zip(row, col))
-                     if isinstance(t, Mat) or t]
-            mats = [t for t in terms if isinstance(t, Mat)]
-            if mats:
-                terms = [_block_mat(t, mats[0].shape) for t in terms]
-            out[-1].append(sum(terms[1:], terms[0]) if terms else 0)
-    return out
-
-
-def _block_equal(left, right, dim0) -> bool:
-    """Blockwise equality; with dim C^0 = 0 every int block is empty."""
-    for x, y in zip(itertools.chain(*left), itertools.chain(*right)):
-        if isinstance(x, Mat) or isinstance(y, Mat):
-            shape = (x if isinstance(x, Mat) else y).shape
-            if not _block_mat(x, shape) == _block_mat(y, shape):
-                return False
-        elif x != y and dim0:
-            return False
-    return True
+def _pair_equal(H: VSComplex, left, right) -> bool:
+    """Equality on one operand only: (A - B) (x) X = 0, where None is zero
+    when H.dim(0) = 0.  Distinct operands never compare equal."""
+    (a, x), (b, y) = left, right
+    return x is y and (not (a - b).any()
+                       or (not H.dim(0) if x is None else x.is_zero()))
 
 
 def cone_iso_check(H: HomComplex, sign_flip: bool = False):
-    """Verify the printed cone identification exactly, block by block.
+    """Verify the printed cone identification exactly, pair by pair.
 
     Checks (i) both complexes square to zero, (ii) the comparison map with
     degree-0 block DEG0_CHANGE_OF_BASIS is an invertible chain map, which
     is an isomorphism of complexes, so the two have the same homology, and
     (iii) the inclusion of the non-negative truncation closes the printed
-    commuting square.  Every map through C^0 + C^0 is a block matrix
-    (:func:`_shifted_cone`), so the identities multiply only consecutive
-    differentials of H, whose products the construction check of H formed
-    already, and no 2 dim C^0 matrix is assembled.  Returns (ok, failures).
+    commuting square.  Each identity is read on Kronecker pairs by the
+    mixed-product rule (:func:`_shifted_cone`); its only matrix products
+    are of consecutive differentials of H, which the construction check of
+    H formed already.  Returns (ok, failures).
     """
     d_cone, d_sum, change = _shifted_cone(H, sign_flip)
-    dim0 = H.dim(0)
-
-    def mul(left, right):
-        return _block_product(left, right, H)
-
-    def same(left, right):
-        return _block_equal(left, right, dim0)
-
+    mul = functools.partial(_pair_product, H)
+    same = functools.partial(_pair_equal, H)
     failures = []
     for d in sorted(d_cone):
         for name, diffs in (("cone", d_cone), ("sum", d_sum)):
             if d + 1 in diffs:
-                square = mul(diffs[d + 1], diffs[d])
-                if not same(square, [[0] * len(square[0])] * len(square)):
+                a, x = mul(diffs[d + 1], diffs[d])
+                if not same((a, x), (0, x)):
                     failures.append(f"{name} differential squares to zero "
                                     f"at degree {d}")
     # chain-map squares; the comparison map is the identity off degree 0
@@ -329,13 +295,15 @@ def cone_iso_check(H: HomComplex, sign_flip: bool = False):
         rhs = mul(d_sum[d], change) if d == 0 else d_sum[d]
         if not same(lhs, rhs):
             failures.append(f"chain-map square at degrees ({d}, {d + 1})")
-    if not same(mul(change, change), ((1, 0), (0, 1))):
+    if not same(mul(change, change), (np.eye(2, dtype=int), None)):
         failures.append("degree-0 comparison block is not an involution")
     # commuting square with the inclusion of C^{>=0}: through the cone and
     # the comparison map, a section lands as (y, y) in degree 0
-    if not same(mul(change, INCLUSION), DIAGONAL):
+    inclusion = (np.array(INCLUSION), None)
+    if not same(mul(change, inclusion), (np.array(DIAGONAL), None)):
         failures.append("square with the truncation inclusion does not commute")
-    if H.dim(1) and not same(mul(d_cone[0], INCLUSION), ((H.diff(0),),)):
+    if H.dim(1) and not same(mul(d_cone[0], inclusion),
+                             (np.array([[1]]), H.diff(0))):
         failures.append("truncation inclusion is not a chain map into the cone")
     return (not failures), failures
 

@@ -201,9 +201,10 @@ def _check_range(z, height, n, alphas):
                 size = -flat.imag if b_low > b_high else flat.imag
             worst = complex(flat[np.argmax(np.where(np.isnan(size),
                                                     np.inf, size))])
+            shown = f"{log_size:.0f}" if log_size < 1e15 else f"{log_size:.3g}"
             raise ThetaRangeError(
                 f"theta_{alpha} at z = {worst} is out of double range: the "
-                f"value may reach exp({log_size:.0f}), beyond the limit "
+                f"value may reach exp({shown}), beyond the limit "
                 f"exp({LOG_LIMIT:.0f}) (|Im z| / Im tau too large, or z not "
                 "finite)")
 

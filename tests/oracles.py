@@ -23,16 +23,17 @@ against which the one pass of ``ThetaBasis`` is compared byte for byte.
 one rejection loop per coordinate, where the package draws arrays.
 :func:`dense_cone_iso_check` checks the cone identification of
 ``ellpoisson.homology`` on dense 2 dim C^0 matrices, with the comparison
-map written out, where the package evaluates the same identities block by
-block, and can compare the homology of the cone and the sum by exact rank
-(:func:`homology_dims`).  :func:`dense_duality_t` and
-:func:`dense_kappa_inverse_deg_minus1` write the trace pairing out as
-dense signed permutation matrices, entry by entry, where the package
-gathers columns by ``trace_pairing``.  :func:`canonical_bracket` builds
-the bracket of a Heisenberg-invariant table C(alpha, beta), the table that
-``hn_canonical_extract`` reads back.  :func:`leaf_dimension` computes one
-leaf record from any torsion type through ``end_dim_sheaf``, where
-``enumerate_strata`` sums per-partition values.
+map written out, where the package evaluates the same identities on
+Kronecker pairs A (x) X by the mixed-product rule, and can compare the
+homology of the cone and the sum by exact rank (:func:`homology_dims`).
+:func:`dense_duality_t` and :func:`dense_kappa_inverse_deg_minus1` write
+the trace pairing out as dense signed permutation matrices, entry by
+entry, where the package gathers columns by ``trace_pairing``.
+:func:`canonical_bracket` builds the bracket of a Heisenberg-invariant
+table C(alpha, beta), the table that ``hn_canonical_extract`` reads back.
+:func:`leaf_dimension` computes one leaf record from any torsion type
+through ``end_dim_sheaf``, where ``enumerate_strata`` sums per-partition
+values.
 """
 
 import math
@@ -564,9 +565,8 @@ def dense_shifted_cone(H, sign_flip: bool):
         else:
             d_cone[d] = d_sum[d] = H.diff(d)
     ident = Mat.identity(H.dim(0))
-    top = 1 if not sign_flip else -1
     change = vstack([hstack([ident, Mat.zeros(H.dim(0), H.dim(0))]),
-                     hstack([ident.scale(top), -ident])])
+                     hstack([-ident if sign_flip else ident, -ident])])
     return dims, d_cone, d_sum, change
 
 

@@ -174,6 +174,10 @@ class TestExitCodes:
          "n = 1000000000000000, r = 1 is too large: a differential of the "
          "endomorphism complex would take 1.92e+62 bytes, beyond numpy's "
          "largest array"),
+        # one check per instance: refused before the first is built
+        (["homology", "--n", "3", "--samples", "1000000000000000"],
+         "samples must be at most 10000: each instance adds one check to "
+         "the report"),
     ])
     def test_out_of_domain_input_is_usage_error(self, args, message, capsys):
         code = main(args)
@@ -477,8 +481,13 @@ class TestRefusals:
         (["--n", "1000000000000000"],
          {c: (2, f"{c} ran out of memory at these sizes: Unable to allocate")
           for c in ("theta", "sklyanin", "moduli-compare")}),
+        # the 301-digit exponent bound prints in short scientific form
+        (["--n", "3", "--tau", "0", "1e300"],
+         {c: (2, "theta_1 at z = 0j is out of double range: the value may "
+                 "reach exp(2.09e+300), beyond the limit exp(650)")
+          for c in ("theta", "sklyanin", "moduli-compare")}),
     ], ids=["im_1e-6", "series_terms_limit", "rounding_limit", "n31_tau6i",
-            "theta_rounding_limit", "n_1e15"])
+            "theta_rounding_limit", "n_1e15", "im_1e300"])
     @pytest.mark.parametrize("command", ["theta", "sklyanin",
                                          "moduli-compare"])
     def test_theta_commands_keep_their_refusals(self, command, args,
@@ -492,7 +501,7 @@ class TestRefusals:
         assert code == code_expected
         if message:
             assert err.startswith("error: " + message)
-            assert err.count("\n") == 1
+            assert err.count("\n") == 1 and len(err) <= 200
             assert "Traceback" not in err and out == ""
         else:
             assert err == ""

@@ -169,8 +169,8 @@ class TestElimination:
     def test_storage_bound_operations_agree_with_fractions(self):
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
-        # largest entries at which sums, scalings by 2 and 3, Kronecker
-        # products and denominators up to 4 cross 2^63, and their neighbours
+        # largest entries at which sums, Kronecker products and
+        # denominators up to 4 cross 2^63, and their neighbours
         tops = [v + e for v in (2 ** 62, 2 ** 63 // 3, math.isqrt(2 ** 63))
                 for e in (-1, 0, 1)] + [2 ** 63 - 1, 2 ** 61]
 
@@ -187,10 +187,8 @@ class TestElimination:
                    tops=st.tuples(st.sampled_from(tops),
                                   st.sampled_from(tops)),
                    dens=st.tuples(st.integers(1, 4), st.integers(1, 4)),
-                   factor=st.sampled_from((Fraction(2), Fraction(-3),
-                                           Fraction(3, 2), Fraction(1, 4))),
                    data=st.data())
-        def check(rows, cols, tops, dens, factor, data):
+        def check(rows, cols, tops, dens, data):
             nums = []
             for top in tops:
                 entry = st.one_of(st.sampled_from((top, -top)),
@@ -202,18 +200,15 @@ class TestElimination:
                 nums.append(num)
             A, B = Mat(nums[0], dens[0]), Mat(nums[1], dens[1])
             fa, fb = fractions(A), fractions(B)
-            results = [A + B, A.kron(B), A.scale(factor), -A,
-                       hstack([A, B]), vstack([A, B])]
+            results = [A + B, A.kron(B), -A, hstack([A, B]), vstack([A, B])]
             assert all(stored(m) for m in [A, B] + results)
             assert fractions(results[0]) == [
                 [x + y for x, y in zip(ra, rb)] for ra, rb in zip(fa, fb)]
             assert fractions(results[1]) == [
                 [x * y for x in ra for y in rb] for ra in fa for rb in fb]
-            assert fractions(results[2]) == [[x * factor for x in r]
-                                             for r in fa]
-            assert fractions(results[3]) == [[-x for x in r] for r in fa]
-            assert fractions(results[4]) == [ra + rb for ra, rb in zip(fa, fb)]
-            assert fractions(results[5]) == fa + fb
+            assert fractions(results[2]) == [[-x for x in r] for r in fa]
+            assert fractions(results[3]) == [ra + rb for ra, rb in zip(fa, fb)]
+            assert fractions(results[4]) == fa + fb
             # the same values over a larger denominator may need objects
             s = dens[1] + 1
             assert A == Mat(nums[0] * s, dens[0] * s)
@@ -471,7 +466,7 @@ class TestConeIso:
         assert any("chain-map square" in f for f in failures)
 
     def test_homology_dims_match(self):
-        # the isomorphism the block check proves, seen in homology: the
+        # the isomorphism the pair check proves, seen in homology: the
         # dense cone and sum have equal homology dimensions by exact rank
         H = hom_complex(kronecker(seed=2))
         ok, failures = cone_iso_check(H)
@@ -516,9 +511,9 @@ def corrupted(degree, seed=0):
 
 
 class TestConeIsoOracle:
-    """The block evaluation against the dense 2 dim C^0 matrices; with
+    """The pair evaluation against the dense 2 dim C^0 matrices; with
     ``with_homology`` the oracle also compares the homology dimensions of
-    the dense cone and sum, which the block check leaves to the
+    the dense cone and sum, which the pair check leaves to the
     isomorphism it proves."""
 
     CASES = {
@@ -585,7 +580,7 @@ class TestConeIsoPower:
     def test_wrong_rank_fails_homology(self, monkeypatch):
         # the oracle's homology comparison follows from the identities
         # before it, so only a wrong rank reaches it: count nonzero rows,
-        # which tells the cone's (a; a) from the sum's (a; 0); the block
+        # which tells the cone's (a; a) from the sum's (a; 0); the pair
         # check ranks nothing and still passes
         monkeypatch.setattr(Mat, "rank", lambda self: int(
             np.count_nonzero(np.any(self.num != 0, axis=1))))
@@ -595,20 +590,62 @@ class TestConeIsoPower:
         assert cone_iso_check(H) == (True, [])
 
 
-class TestBlocks:
-    def test_int_block_is_multiple_of_identity(self):
+class TestPairs:
+    """The Kronecker pairs (A, X) of the cone identification, A (x) X."""
+
+    def test_product_and_equality(self):
         m = Mat.from_rows([[1, 2], [3, Fraction(1, 2)]])
-        three = Mat.identity(2).scale(3)
-        E = VSComplex({}, {})
-        # (m, 1) @ (m; 3) = m m + 3 I, and the complex keeps the product of
-        # m with m
-        got = homology._block_product(((m, 1),), ((m,), (3,)), E)
-        assert homology._block_equal(got, [[m @ m + three]], 2)
+        E = VSComplex({0: 2}, {})
+        row, col = np.array([[1, 1]]), np.array([[1], [3]])
+        # (A (x) m)(B (x) m) = AB (x) m m, and the complex keeps m m
+        got = homology._pair_product(E, (row, m), (col, m))
+        assert got[0].tolist() == [[4]]
         assert list(E._products) == [(id(m), id(m))]
-        assert homology._block_product(((m,),), ((m,),), E)[0][0] is \
-            E._products[id(m), id(m)][2]
-        assert homology._block_equal([[three, 0]], [[3, Mat.zeros(2, 2)]], 2)
-        assert not homology._block_equal([[m]], [[3]], 2)
+        assert got[1] is E._products[id(m), id(m)][2]
+        assert homology._pair_product(E, (col, m), (row, m))[1] is got[1]
+        # None is the identity of C^0 on either side and forms no product
+        assert homology._pair_product(E, (row, None), (col, m))[1] is m
+        assert homology._pair_product(E, (row, m), (col, None))[1] is m
+        a, x = homology._pair_product(E, (row, None), (col, None))
+        assert a.tolist() == [[4]] and x is None
+        assert len(E._products) == 1
+        # equal on one operand when (A - B) (x) X = 0
+        outer = col @ row
+        assert homology._pair_equal(E, (outer, m), (outer.copy(), m))
+        assert not homology._pair_equal(E, (outer, m), (0 * outer, m))
+        zero = Mat.zeros(2, 2)
+        assert homology._pair_equal(E, (outer, zero), (0 * outer, zero))
+        # None is zero only when dim C^0 = 0
+        assert not homology._pair_equal(E, (outer, None), (0, None))
+        assert homology._pair_equal(VSComplex({}, {}), (outer, None),
+                                    (0, None))
+        # distinct operands never compare equal, even with equal entries
+        # or as two zero maps
+        twin = Mat.from_rows([[1, 2], [3, Fraction(1, 2)]])
+        assert twin == m
+        assert not homology._pair_equal(E, (outer, m), (outer, twin))
+        assert not homology._pair_equal(E, (outer, None),
+                                        (outer, Mat.identity(2)))
+        assert not homology._pair_equal(E, (outer, zero),
+                                        (outer, Mat.zeros(2, 2)))
+
+    @pytest.mark.parametrize("sign_flip", [False, True])
+    def test_cone_iso_check_constructs_no_mat(self, monkeypatch, sign_flip):
+        # every identity is read off integer factors and the products that
+        # the construction of H formed, so no matrix is built, and no
+        # identity of side dim C^0 in particular
+        H = hom_complex(kronecker(seed=2, n=5))
+        built = []
+        init = Mat.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Mat, "__init__", counted)
+        ok, failures = cone_iso_check(H, sign_flip=sign_flip)
+        assert ok != sign_flip, failures
+        assert built == []
 
 
 class TestConeIsoProducts:
@@ -616,10 +653,10 @@ class TestConeIsoProducts:
     def test_only_differentials_of_h_multiply_once(self, monkeypatch,
                                                    sign_flip):
         # the comparison map, the inclusion and the diagonal are integer
-        # blocks, so the only products the check needs are of consecutive
-        # differentials of H; the d^2 = 0 check of construction formed each
-        # once, and the cone identification forms none; the sign flip
-        # changes an integer block only
+        # factors times the identity, so the only products the check needs
+        # are of consecutive differentials of H; the d^2 = 0 check of
+        # construction formed each once, and the cone identification forms
+        # none; the sign flip changes an integer factor only
         E = kronecker(seed=2, n=5)
         calls = counted_products(monkeypatch)
         H = hom_complex(E)
