@@ -21,19 +21,20 @@ the whole matrix, with one expansion of the principal-part projection
 that is certified pair by pair and projects every cotangent vector of the
 trace route in one product),
 ``exact`` (exact rational matrices on int64 numerators, promoted to Python
-ints only where a proven bound fails, products on float64 BLAS below 2^53,
-and one fraction-free elimination for rank and nullspace), ``homology`` (exact
-chain algebra for the endomorphism complex, itself a complex that forms
-each product of two of its matrices once, the bivector, the cone
+ints only where a proven bound fails, products on float64 BLAS below 2^53
+and on float64 limbs past it, and one fraction-free elimination for rank
+and nullspace), ``homology`` (exact chain algebra for the endomorphism
+complex, itself a complex that forms each product of two of its matrices
+once and writes each differential in place, the bivector, the cone
 identification on Kronecker pairs A (x) X by the mixed-product rule, and
 the trace pairing as one signed permutation that gathers columns) and
 ``leaves`` (torsion-type combinatorics and the divisor-class
 constraint).  ``cli`` drives batch verification runs.
-``cech.laurent_coeffs``, ``fo.fo_relations`` and ``fo.single_eta_bracket``
-have no caller in the package, ``homology`` no longer uses its imports
-``hstack`` and ``vstack``, and ``cli`` no longer uses its imports
-``QuadraticBracket``, ``single_eta_bracket`` and ``end_dim_sheaf``; they
-stay because ``perfbench/spans.py`` wraps them.
+``cech.laurent_coeffs``, ``fo.fo_relations``, ``fo.single_eta_bracket``
+and ``exact.Mat.kron`` have no caller in the package, ``homology`` no
+longer uses its imports ``hstack`` and ``vstack``, and ``cli`` no longer
+uses its imports ``QuadraticBracket``, ``single_eta_bracket`` and
+``end_dim_sheaf``; they stay because ``perfbench/spans.py`` wraps them.
 """
 
 import os

@@ -67,7 +67,8 @@ THETA_COMMANDS = ("theta", "sklyanin", "moduli-compare")
 # The leaf records number 728,069 at n = 20 and grow about 3.3x per +2.
 MAX_LEAVES_N = 20
 # Each homology instance adds one check of about 85 bytes to the report and
-# takes about 3 ms at n = 3, so 10,000 instances make a report near 1 MB.
+# takes about 1.3 ms at n = 3 and 0.1 s at n = 10 (2-vCPU Xeon VM), so
+# 10,000 instances make a report near 1 MB.
 MAX_HOMOLOGY_SAMPLES = 10_000
 
 
@@ -451,7 +452,9 @@ def main(argv=None) -> int:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     report = {
         "command": command,
-        "params": asdict(cfg),
+        # the fields are scalars, so no deep copy (asdict) is needed
+        "params": {name: getattr(cfg, name)
+                   for name in RunConfig.__dataclass_fields__},
         "checks": checks,
         "tables": tables,
         "elapsed_ms": round(elapsed_ms, 3),

@@ -9,10 +9,17 @@ products, comparisons and stacks stay on int64 while that bound
 is below 2^63, and a product of inner dimension k runs as float64 BLAS
 while k * max|A| * max|B| < 2^53, where every partial sum is an integer
 that float64 holds exactly (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008).
-Where a bound fails the operands are promoted to objects, so every
-identity checked against these matrices is exact.  Rank and nullspace read
-one fraction-free Gauss-Jordan elimination on objects (Bareiss, Math.
-Comp. 22, 1968).
+Past 2^53 the operand with the larger bound is split into s-bit limbs,
+X = sum_j X_j 2^(sj), with k * max|other| * 2^s <= 2^53, or both operands
+are where that leaves no bit, so that each limb product is again an exact
+float64 BLAS product; the limb products are summed on int64 while
+k * max|A| * max|B| < 2^63 and on objects past it (Ozaki, Ogita, Oishi &
+Rump, Numer. Algorithms 59, 2012).  Where a bound fails, the operands are
+promoted to objects, and so is a product with at least k limb products,
+so every identity checked against these matrices is exact.  Transposes
+and negations keep their operand's bound.  Rank and nullspace read one
+fraction-free Gauss-Jordan elimination on objects (Bareiss, Math. Comp.
+22, 1968).
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 _INT64_BOUND = 2 ** 63
-_FLOAT64_EXACT = 2 ** 53
+_FLOAT64_BITS = 53
+_FLOAT64_EXACT = 2 ** _FLOAT64_BITS
 # float64 entries of one row block of a product's left factor and result
 _BLOCK = 2 ** 16
 
@@ -67,6 +75,57 @@ def _float64_product(a, b):
     return out
 
 
+def _limbs(x: "Mat", s: int, count: int) -> list:
+    """The numerators of ``x`` as ``count`` signed s-bit limbs, int64
+    arrays x_j with x = sum_j x_j 2^(sj), |x_j| < 2^s and the sign of x."""
+    if count == 1:
+        return [x.num]
+    mag = np.abs(x.num)
+    negative = x.num < 0
+    limbs = ((mag >> (s * j)) & ((1 << s) - 1) for j in range(count))
+    return [np.where(negative, -limb, limb).astype(np.int64, copy=False)
+            for limb in limbs]
+
+
+def _limb_product(a: "Mat", b: "Mat"):
+    """Numerators of a @ b, summed from exact float64 limb products.
+
+    The operand with the larger bound is split into s-bit limbs (``_limbs``)
+    with s the widest width for which k * max|other| * 2^s <= 2^53, and the
+    other is kept whole; where that leaves no bit, both are split into
+    limbs of (53 - bitlength(k)) / 2 bits.  Either way every limb product
+    is below 2^53 in size.  Every partial sum of limbs is at most the
+    operand in size, so every partial sum of the limb products is bounded by
+    k * max|a| * max|b|: they are summed on int64 below 2^63 and on objects
+    past it.  With at least k limb products, summing them would cost as
+    many object operations as the product, which then runs on objects.
+    """
+    k = a.shape[1]
+    room = _FLOAT64_BITS - (k * min(a.bound, b.bound)).bit_length()
+    if room > 0:
+        split_a = a.bound > b.bound
+        widths = (room if split_a else a.bound.bit_length(),
+                  b.bound.bit_length() if split_a else room)
+    else:
+        widths = ((_FLOAT64_BITS - k.bit_length()) // 2,) * 2
+    # the number of limbs of each operand, rounded up
+    counts = [-(-m.bound.bit_length() // w) if w > 0 else k
+              for m, w in zip((a, b), widths)]
+    if counts[0] * counts[1] >= k:
+        return _to_object_int(a.num) @ _to_object_int(b.num)
+    wide = k * a.bound * b.bound >= _INT64_BOUND
+    right = _limbs(b, widths[1], counts[1])
+    total = 0
+    for i, x in enumerate(_limbs(a, widths[0], counts[0])):
+        for j, y in enumerate(right):
+            prod = _float64_product(x, y)
+            if wide:
+                prod = _to_object_int(prod)
+            prod <<= widths[0] * i + widths[1] * j
+            total = total + prod
+    return total
+
+
 class Mat:
     """Immutable exact rational matrix: integer numerators / denominator.
 
@@ -94,6 +153,18 @@ class Mat:
         self.shape = num.shape
         self.bound = bound
 
+    @classmethod
+    def _of(cls, num, den, bound):
+        """Matrix of numerators that a caller has checked: ``bound`` is
+        their largest absolute value and ``num`` is int64 exactly when it
+        is below 2^63, so nothing is scanned or converted."""
+        m = object.__new__(cls)
+        m.num = num
+        m.den = den
+        m.shape = num.shape
+        m.bound = bound
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -112,10 +183,6 @@ class Mat:
     @classmethod
     def zeros(cls, r, c):
         return cls(np.zeros((r, c), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(n, dtype=np.int64))
 
     # -- helpers -----------------------------------------------------------
 
@@ -143,7 +210,7 @@ class Mat:
         if bound < _FLOAT64_EXACT:
             num = _float64_product(self.num, other.num)
         else:
-            num = _to_object_int(self.num) @ _to_object_int(other.num)
+            num = _limb_product(self, other)
         return Mat(num, self.den * other.den)._reduced()
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -154,7 +221,7 @@ class Mat:
         return Mat(a + b, self.den * other.den)._reduced()
 
     def __neg__(self) -> "Mat":
-        return Mat(-self.num, self.den)
+        return Mat._of(-self.num, self.den, self.bound)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
@@ -170,7 +237,7 @@ class Mat:
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.num.T, self.den)
+        return Mat._of(self.num.T, self.den, self.bound)
 
     def kron(self, other: "Mat") -> "Mat":
         a, b = _scaled(((self, 1), (other, 1)), self.bound * other.bound)
@@ -194,19 +261,21 @@ class Mat:
             r = len(pivots)
             if r == rows:
                 break
-            below = np.flatnonzero(a[r:, col] != 0)
+            below = np.flatnonzero(a[r:, col])
             if not below.size:
                 continue
             p = r + int(below[0])
-            a[[r, p]] = a[[p, r]]
+            if p != r:
+                a[[r, p]] = a[[p, r]]
             piv = a[r, col]
-            # rows below are zero left of col; rows above change everywhere
-            for span, left in ((slice(r + 1, None), col), (slice(0, r), 0)):
-                sub = a[span, left:]
-                step = np.outer(a[span, col], a[r, left:])
-                sub *= piv
-                sub -= step
-                sub //= d
+            # every row but the pivot row in one update: the pivot row is
+            # zero left of col, so the zeros of the rows below stay zero
+            row = a[r].copy()
+            step = np.outer(a[:, col], row)
+            a *= piv
+            a -= step
+            a //= d
+            a[r] = row
             d = piv
             pivots.append(col)
         return a, pivots, d
@@ -235,16 +304,29 @@ class Mat:
         return f"Mat({self.shape[0]}x{self.shape[1]}, den={self.den})"
 
 
+def common_denominator(mats):
+    """(den, numerators, bound) of ``mats`` over the lcm of their
+    denominators, with the largest absolute scaled numerator; every array
+    holds objects when that bound reaches 2^63 and int64 otherwise."""
+    den = math.lcm(*(m.den for m in mats))
+    pairs = [(m, den // m.den) for m in mats]
+    bound = max((m.bound * f for m, f in pairs), default=0)
+    return den, _scaled(pairs, bound), bound
+
+
+def zeros_for(shape, bound):
+    """Zero numerators of ``shape`` in the storage that ``bound`` needs."""
+    return np.zeros(shape, dtype=object if bound >= _INT64_BOUND else np.int64)
+
+
 def assemble(shape, pieces) -> Mat:
     """Matrix of ``shape`` holding each (row, col, Mat) piece of ``pieces``
     at that offset and zeros elsewhere, over the lcm of their denominators."""
-    den = math.lcm(*(m.den for _, _, m in pieces))
-    pairs = [(m, den // m.den) for _, _, m in pieces]
-    nums = _scaled(pairs, max((m.bound * f for m, f in pairs), default=0))
-    num = np.zeros(shape, dtype=nums[0].dtype if nums else np.int64)
+    den, nums, bound = common_denominator([m for _, _, m in pieces])
+    num = zeros_for(shape, bound)
     for (row, col, m), piece in zip(pieces, nums):
         num[row:row + m.shape[0], col:col + m.shape[1]] = piece
-    return Mat(num, den)._reduced()
+    return Mat._of(num, den, bound)._reduced()
 
 
 def _stack(mats, axis) -> Mat:

@@ -24,7 +24,11 @@ mixed-product rule (A (x) X)(B (x) Y) = AB (x) XY and multiply only
 consecutive differentials.  The endomorphism complex is a
 :class:`VSComplex`, which forms each product of two of its matrices once:
 its d^2 = 0 check on construction forms every such product, and the cone
-identification reads them back.
+identification reads them back.  Each of its differentials is one array
+over the lcm of the denominators of E, into which every Kronecker block
+I (x) phi or phi^T (x) I is written in place, so no Kronecker product is
+formed.  The seeded instances of :func:`random_kronecker_complex` read the
+rank of phi_{-1} off the nullspace they need anyway.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import Mat, assemble
+from .exact import Mat, common_denominator, zeros_for
 # unused here; kept as module attributes because perfbench/spans.py wraps them
 from .exact import hstack, vstack  # noqa: F401
 
@@ -149,23 +153,44 @@ class HomComplex(VSComplex):
         return self._blocks.get(d, ((), 0))[0]
 
     def _assemble_diff(self, d: int) -> Mat:
-        """Matrix of C^d -> C^{d+1} in column-major flattened coordinates."""
+        """Matrix of C^d -> C^{d+1} in column-major flattened coordinates.
+
+        Each Kronecker block is written in place into one array over the
+        lcm of the denominators: I (x) phi has phi in its diagonal blocks,
+        and phi^T (x) I has entry (a, b) of phi^T on the diagonal of its
+        block (a, b)."""
         E = self.source
         pieces = []
         for (ti, trows, tcols, toff) in self.blocks(d + 1):
             for (si, srows, scols, soff) in self.blocks(d):
                 if si == ti:
-                    # f_i -> phi_{i+d} f_i : (I_{dims[i]} (x) phi_{i+d})
-                    piece = Mat.identity(scols).kron(E.diff(ti + d))
+                    # f_i -> phi_{i+d} f_i : I_{dims[i]} (x) phi_{i+d}
+                    phi = E.diff(ti + d)
                 elif si == ti + 1:
-                    # f_{i+1} -> -(-1)^d f_{i+1} phi_i : (phi_i^T (x) I)
-                    piece = E.diff(ti).T.kron(Mat.identity(trows))
-                    if d % 2 == 0:
-                        piece = -piece
+                    # f_{i+1} -> -(-1)^d f_{i+1} phi_i : phi_i^T (x) I
+                    phi = E.diff(ti)
                 else:
                     continue
-                pieces.append((toff, soff, piece))
-        return assemble((self._blocks[d + 1][1], self._blocks[d][1]), pieces)
+                # block (a, b) of the Kronecker product is [a, :, b, :]
+                pieces.append((toff, soff, (tcols, trows, scols, srows),
+                               si == ti, phi))
+        den, nums, bound = common_denominator([p[-1] for p in pieces])
+        num = zeros_for((self._blocks[d + 1][1], self._blocks[d][1]), bound)
+        for (toff, soff, shape, same, _), phi in zip(pieces, nums):
+            view = num[toff:toff + shape[0] * shape[1],
+                       soff:soff + shape[2] * shape[3]].reshape(shape)
+            if same:
+                idx = np.arange(shape[0])
+                view[idx, :, idx, :] = phi
+            else:
+                idx = np.arange(shape[1])
+                view[:, idx, :, idx] = _hom_sign(d) * phi.T
+        return Mat._of(num, den, bound)._reduced()
+
+
+def _hom_sign(d: int) -> int:
+    """The sign -(-1)^d of f_{i+1} phi_i in (df)_i."""
+    return 1 if d % 2 else -1
 
 
 def hom_complex(E: VSComplex) -> HomComplex:
@@ -215,7 +240,7 @@ def _signed_columns(m: Mat, partner, sign) -> Mat:
     """m times a signed permutation: column q is column partner[q] of m
     times sign[q].  The entries and their gcd are m's, so a reduced m gives
     the reduced product."""
-    return Mat(m.num[:, partner] * sign, m.den)
+    return Mat._of(m.num[:, partner] * sign, m.den, m.bound)
 
 
 def pi_bivector(H: HomComplex) -> PiBivector:
@@ -315,7 +340,8 @@ def random_kronecker_complex(r: int, n: int, seed: int) -> VSComplex:
     """Seeded three-term complex with dimension vector (n, 2n+r, n).
 
     Degrees (-1, 0, 1); integer differentials with the composite zero and
-    generic ranks.
+    generic ranks.  phi_{-1} has rank mid - (rows of the nullspace of its
+    transpose), so one elimination serves both the rank test and phi_0.
     """
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
@@ -323,9 +349,9 @@ def random_kronecker_complex(r: int, n: int, seed: int) -> VSComplex:
     mid = 2 * n + r
     while True:
         phi0 = Mat(rng.integers(-3, 4, size=(mid, n)))
-        if phi0.rank() < n:
-            continue
         null_rows = phi0.T.nullspace()  # rows v with v . phi0 = 0
+        if mid - null_rows.shape[0] < n:  # the rank of phi0
+            continue
         phi1 = Mat(rng.integers(-2, 3, size=(n, null_rows.shape[0]))) @ null_rows
         if phi1.rank() == n:
             return VSComplex({-1: n, 0: mid, 1: n}, {-1: phi0, 0: phi1})

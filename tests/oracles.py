@@ -26,6 +26,9 @@ one rejection loop per coordinate, where the package draws arrays.
 map written out, where the package evaluates the same identities on
 Kronecker pairs A (x) X by the mixed-product rule, and can compare the
 homology of the cone and the sum by exact rank (:func:`homology_dims`).
+:func:`dense_hom_differential` builds each differential of the
+endomorphism complex as dense Kronecker products stacked block by block,
+where the package writes every block in place into one array.
 :func:`dense_duality_t` and :func:`dense_kappa_inverse_deg_minus1` write
 the trace pairing out as dense signed permutation matrices, entry by
 entry, where the package gathers columns by ``trace_pairing``.
@@ -543,6 +546,37 @@ def homology_dims(dims: dict, diffs: dict, ranks: dict | None = None) -> dict:
             for d in sorted(dims)}
 
 
+def identity(n: int) -> Mat:
+    return Mat(np.eye(n, dtype=np.int64))
+
+
+def dense_hom_differential(H, d: int) -> Mat:
+    """The differential C^d -> C^{d+1} of the endomorphism complex H,
+    block by block from its definition: I (x) phi_{i+d} from Hom(E^i,
+    E^{i+d}) and -(-1)^d phi_i^T (x) I from Hom(E^{i+1}, E^{i+d+1}), each a
+    dense Kronecker product (``Mat.kron``), zero blocks elsewhere, the
+    block rows joined by ``hstack`` and stacked by ``vstack``."""
+    E = H.source
+    shape = (H.dim(d + 1), H.dim(d))
+    if not all(shape):
+        return Mat.zeros(*shape)
+    rows = []
+    for (ti, trows, tcols, _) in H.blocks(d + 1):
+        row = []
+        for (si, srows, scols, _) in H.blocks(d):
+            if si == ti:
+                piece = identity(scols).kron(E.diff(ti + d))
+            elif si == ti + 1:
+                piece = E.diff(ti).T.kron(identity(trows))
+                if d % 2 == 0:
+                    piece = -piece
+            else:
+                piece = Mat.zeros(trows * tcols, srows * scols)
+            row.append(piece)
+        rows.append(hstack(row))
+    return vstack(rows)
+
+
 def dense_shifted_cone(H, sign_flip: bool):
     """Degree data and dense differentials of the two printed complexes.
 
@@ -564,7 +598,7 @@ def dense_shifted_cone(H, sign_flip: bool):
                                            Mat.zeros(H.dim(1), H.dim(0))])
         else:
             d_cone[d] = d_sum[d] = H.diff(d)
-    ident = Mat.identity(H.dim(0))
+    ident = identity(H.dim(0))
     change = vstack([hstack([ident, Mat.zeros(H.dim(0), H.dim(0))]),
                      hstack([-ident if sign_flip else ident, -ident])])
     return dims, d_cone, d_sum, change
@@ -589,13 +623,13 @@ def dense_cone_iso_check(H, sign_flip: bool = False,
         rhs = d_sum[d] @ change if d == 0 else d_sum[d]
         if not lhs == rhs:
             failures.append(f"chain-map square at degrees ({d}, {d + 1})")
-    if not (change @ change == Mat.identity(change.shape[0])):
+    if not (change @ change == identity(change.shape[0])):
         failures.append("degree-0 comparison block is not an involution")
     # commuting square with the inclusion of C^{>=0}: through the cone and
     # the comparison map, a section lands as (y, y) in degree 0
     dim0 = H.dim(0)
-    incl = vstack([Mat.identity(dim0), Mat.zeros(dim0, dim0)])
-    delta = vstack([Mat.identity(dim0), Mat.identity(dim0)])
+    incl = vstack([identity(dim0), Mat.zeros(dim0, dim0)])
+    delta = vstack([identity(dim0), identity(dim0)])
     if not (change @ incl == delta):
         failures.append("square with the truncation inclusion does not commute")
     if H.dim(1) and not (d_cone[0] @ incl == H.diff(0)):

@@ -7,10 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellpoisson import homology
+from ellpoisson import exact, homology
 from ellpoisson.exact import Mat, hstack, vstack
 from ellpoisson.homology import (
-    HomComplex,
     PiBivector,
     VSComplex,
     cone_iso_check,
@@ -22,9 +21,11 @@ from ellpoisson.homology import (
 from oracles import (
     dense_cone_iso_check,
     dense_duality_t,
+    dense_hom_differential,
     dense_kappa_inverse_deg_minus1,
     dense_shifted_cone,
     homology_dims,
+    identity,
 )
 
 
@@ -64,7 +65,7 @@ class TestExactMat:
 
     def test_kron_identity(self):
         a = Mat.from_rows([[1, 2], [3, 4]])
-        k = Mat.identity(2).kron(a)
+        k = identity(2).kron(a)
         assert k.entry(0, 0) == 1 and k.entry(2, 2) == 1
         assert k.entry(0, 2) == 0
 
@@ -74,7 +75,7 @@ def elimination_cases():
     empty, wide and tall shapes."""
     rng = np.random.default_rng(20)
     mats = [Mat.zeros(3, 4), Mat.zeros(0, 3), Mat.zeros(3, 0),
-            Mat.from_rows([[0, 0, 5]]), Mat.identity(4)]
+            Mat.from_rows([[0, 0, 5]]), identity(4)]
     for rows, cols in ((1, 1), (2, 5), (5, 2), (4, 4), (6, 9), (9, 6)):
         for rank in range(min(rows, cols) + 1):
             left = Mat(rng.integers(-4, 5, size=(rows, rank)))
@@ -166,6 +167,126 @@ class TestElimination:
 
         check()
 
+    def test_limb_products_agree_with_object_products(self, monkeypatch):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        calls = []
+        product = exact._float64_product
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return product(a, b)
+
+        monkeypatch.setattr(exact, "_float64_product", counted)
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(k=st.integers(1, 16), rows=st.integers(1, 3),
+                   cols=st.integers(1, 3),
+                   bits=st.sampled_from((52, 53, 54, 62, 63, 64, 66, 100,
+                                         112)),
+                   share=st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+                   data=st.data())
+        def check(k, rows, cols, bits, share, data):
+            # k * top_a * top_b sits near 2^bits, split between the two
+            # operands by `share`, so either one may be the split one, and
+            # an even share past 2^100 splits both
+            top_a = max(1, int(2.0 ** ((bits - math.log2(k)) * share)))
+            top_b = max(1, 2 ** bits // (k * top_a))
+
+            def draw(top, shape):
+                entry = st.one_of(st.sampled_from((top, -top)),
+                                  st.integers(-top, top))
+                num = np.array(data.draw(st.lists(
+                    entry, min_size=shape[0] * shape[1],
+                    max_size=shape[0] * shape[1])),
+                    dtype=object).reshape(shape)
+                num[0, 0] = top * data.draw(st.sampled_from((1, -1)))
+                return Mat(num)
+
+            A, B = draw(top_a, (rows, k)), draw(top_b, (k, cols))
+            want = (exact._to_object_int(A.num)
+                    @ exact._to_object_int(B.num)).tolist()
+            # the limb path on both sides of 2^53 and of 2^63
+            del calls[:]
+            got = exact._limb_product(A, B)
+            assert got.tolist() == want
+            bound = k * A.bound * B.bound
+            assert got.dtype == (object if calls == [] or bound >= 2 ** 63
+                                 else np.int64)
+            prod = A @ B
+            assert prod.num.tolist() == want
+            assert prod.num.dtype == (object if prod.bound >= 2 ** 63
+                                      else np.int64)
+
+        check()
+
+    @pytest.mark.parametrize("bits,products,dtype", [
+        (52, 1, np.int64),   # one float64 product
+        (54, 2, np.int64),   # two limbs, summed on int64
+        (62, 2, np.int64),
+        (64, 2, object),     # two limbs, summed on objects
+        (100, 3, object),
+    ])
+    def test_product_paths_by_bound(self, monkeypatch, bits, products,
+                                    dtype):
+        # k = 64 rows of +-top against a 2^20 operand: k * max|A| = 2^26,
+        # so the larger operand splits into 27-bit limbs past 2^53
+        calls = []
+        product = exact._float64_product
+        monkeypatch.setattr(exact, "_float64_product", lambda a, b: (
+            calls.append(1), product(a, b))[1])
+        # the first column of the product is k * 2^20 * top, near 2^bits
+        top = 2 ** (bits - 26) - 1
+        signs = np.where(np.arange(64) % 3, 1, -1)
+        A = Mat(np.full((2, 64), 2 ** 20, dtype=np.int64))
+        B = Mat(np.array([[top, top // 3 * int(s)] for s in signs],
+                         dtype=object))
+        got = A @ B
+        assert len(calls) == products
+        assert got.num.dtype == dtype
+        assert got.num.tolist() == (exact._to_object_int(A.num)
+                                    @ exact._to_object_int(B.num)).tolist()
+
+    def test_limb_width_is_the_widest_exact_one(self):
+        # k * max|A| = 7 (2^40 + 1) has 43 bits, so the limbs of B have
+        # 10 bits; each limb of B is all ones, and the limb products
+        # 7 (2^40 + 1)(2^10 - 1) are odd and just below 2^53: one bit more
+        # per limb would put them past 2^53, where float64 rounds them
+        A = Mat(np.full((1, 7), 2 ** 40 + 1, dtype=np.int64))
+        B = Mat(np.full((7, 1), 2 ** 60 - 1, dtype=np.int64))
+        assert (7 * (2 ** 40 + 1) * (2 ** 10 - 1)) % 2 == 1
+        assert 2 ** 52 < 7 * (2 ** 40 + 1) * (2 ** 10 - 1) < 2 ** 53
+        assert exact._limb_product(A, B).tolist() == [
+            [7 * (2 ** 40 + 1) * (2 ** 60 - 1)]]
+
+    def test_both_operands_split_where_one_leaves_no_room(self,
+                                                           monkeypatch):
+        # k * max|smaller| near 16 * 2^50 has 55 bits, so both operands
+        # split into (53 - 5) // 2 = 24-bit limbs: three of each, nine
+        # products, fewer than k = 16
+        calls = []
+        product = exact._float64_product
+        monkeypatch.setattr(exact, "_float64_product", lambda a, b: (
+            calls.append(1), product(a, b))[1])
+        rng = np.random.default_rng(5)
+        A = Mat(rng.integers(-2 ** 50, 2 ** 50, size=(3, 16)))
+        B = Mat(rng.integers(-2 ** 50, 2 ** 50, size=(16, 2)))
+        assert A.bound.bit_length() == B.bound.bit_length() == 50
+        got = A @ B
+        assert len(calls) == 9
+        assert got.num.tolist() == (exact._to_object_int(A.num)
+                                    @ exact._to_object_int(B.num)).tolist()
+
+    def test_object_products_where_limbs_cannot_help(self, monkeypatch):
+        # at least k limb products: 3 x 3 limbs of 25 bits for k = 2, and
+        # 5 limbs of 49 bits against a whole operand for k = 2
+        monkeypatch.setattr(exact, "_float64_product", None)
+        wide = Mat(np.full((1, 2), 2 ** 51, dtype=np.int64))
+        assert (wide @ wide.T).entry(0, 0) == 2 ** 103
+        narrow = Mat(np.array([[2 ** 200, 3]], dtype=object))
+        assert (narrow @ Mat(np.array([[5], [7]]))).entry(0, 0) == (
+            5 * 2 ** 200 + 21)
+
     def test_storage_bound_operations_agree_with_fractions(self):
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
@@ -239,16 +360,10 @@ class TestHomComplex:
             assert H.dim(d) == expected
 
     def test_unsigned_differential_fails_d_squared(self, monkeypatch):
-        # the sign (-1)^d of f_{i+1} phi_i is the only negation in the
-        # assembly; without it the complex's d^2 = 0 check fires
-        assemble = HomComplex._assemble_diff
-
-        def unsigned(self, d):
-            with monkeypatch.context() as patch:
-                patch.setattr(Mat, "__neg__", lambda m: m)
-                return assemble(self, d)
-
-        monkeypatch.setattr(HomComplex, "_assemble_diff", unsigned)
+        # the sign -(-1)^d of f_{i+1} phi_i is the only sign the writer
+        # puts in; without it the complex's d^2 = 0 check fires
+        hom_complex(random_kronecker_complex(1, 3, 0))
+        monkeypatch.setattr(homology, "_hom_sign", lambda d: 1)
         with pytest.raises(ValueError, match="do not compose to zero"):
             hom_complex(random_kronecker_complex(1, 3, 0))
 
@@ -282,6 +397,67 @@ class TestHomComplex:
                         for d in range(H.deg_min, H.deg_max + 1))
             e = sum((-1) ** i * m for i, m in H.source.dims.items())
             assert total == e * e
+
+
+def big_complex():
+    """Entries at and past 2^63, so every differential holds objects."""
+    return VSComplex({-1: 1, 0: 2, 1: 1},
+                     {-1: [[2 ** 63], [2 ** 64 + 1]],
+                      0: [[2 ** 64 + 1, -(2 ** 63)]]})
+
+
+def scaled_past_int64_complex():
+    """int64 entries whose scaling to the common denominator 3 passes
+    2^63 where both differentials meet in one block row."""
+    return VSComplex({-1: 1, 0: 2, 1: 1},
+                     {-1: [[2 ** 62], [2 ** 62]],
+                      0: [[Fraction(1, 3), Fraction(-1, 3)]]})
+
+
+def differential_cases():
+    cases = {f"n{n}_r{r}_seed{seed}": (lambda n=n, r=r, seed=seed:
+                                       random_kronecker_complex(r, n, seed))
+             for n in range(1, 7) for r in range(1, 4) for seed in (0, 9)}
+    cases.update(rational=rational_complex, zero=zero_diff_complex,
+                 big=big_complex, scaled=scaled_past_int64_complex,
+                 two_term=lambda: VSComplex({0: 2, 1: 3},
+                                            {0: [[1, 2], [0, 1], [4, 0]]}))
+    return cases
+
+
+class TestAssembledDifferentials:
+    """The in-place writer against the dense Kronecker products, stacked."""
+
+    @pytest.mark.parametrize("case", sorted(differential_cases()))
+    def test_matches_dense_kron(self, case):
+        H = hom_complex(differential_cases()[case]())
+        for d in range(H.deg_min, H.deg_max):
+            got = H._assemble_diff(d)
+            want = dense_hom_differential(H, d)
+            assert same_bytes(got, want), d
+            assert got.bound == want.bound
+            assert same_bytes(H.diff(d), want)
+
+    def test_object_and_rational_cases_reach_their_paths(self):
+        # power of the comparison above: both storages and a denominator
+        H = hom_complex(big_complex())
+        assert H.diff(0).num.dtype == object and H.diff(0).den == 1
+        # every entry of E fits int64; scaled by 3 they no longer do
+        E = scaled_past_int64_complex()
+        assert E.diff(-1).num.dtype == np.int64
+        H = hom_complex(E)
+        assert all(H.diff(d).num.dtype == object and H.diff(d).den == 3
+                   for d in range(H.deg_min, H.deg_max))
+        assert hom_complex(kronecker()).diff(0).num.dtype == np.int64
+        assert hom_complex(rational_complex()).diff(0).den == 6
+
+    def test_wrong_block_is_seen(self):
+        # the comparison has power: one entry off in the writer's output
+        H = hom_complex(kronecker(seed=1))
+        m = H._assemble_diff(0)
+        num = m.num.copy()
+        num[-1, -1] += 1
+        assert not same_bytes(Mat(num, m.den), dense_hom_differential(H, 0))
 
 
 def counted_products(monkeypatch):
@@ -340,7 +516,7 @@ class TestDuality:
         assert np.array_equal(partner[partner], np.arange(H.dim(0)))
         assert np.all(sign[partner] == sign)
         t = pairing_matrix(partner, sign, H.dim(0))
-        assert t @ t == Mat.identity(H.dim(0))
+        assert t @ t == identity(H.dim(0))
 
     def test_induced_form_symmetric(self):
         H = hom_complex(kronecker(seed=5))
@@ -399,7 +575,7 @@ class TestPiBivector:
         assert np.array_equal(plus_sign[minus], -minus_sign)
         # a signed permutation matrix is inverted by its transpose
         j = pairing_matrix(minus, minus_sign, H.dim(1))
-        assert j @ j.T == Mat.identity(H.dim(-1))
+        assert j @ j.T == identity(H.dim(-1))
 
     @pytest.mark.parametrize("wrong", ["transposed", "sign_flipped"])
     def test_wrong_pairing_fails_antisymmetry(self, monkeypatch, wrong):
@@ -625,7 +801,7 @@ class TestPairs:
         assert twin == m
         assert not homology._pair_equal(E, (outer, m), (outer, twin))
         assert not homology._pair_equal(E, (outer, None),
-                                        (outer, Mat.identity(2)))
+                                        (outer, identity(2)))
         assert not homology._pair_equal(E, (outer, zero),
                                         (outer, Mat.zeros(2, 2)))
 
