@@ -8,7 +8,7 @@ is sampled on, a fixed node count at a quarter of the pole distance),
 ``poisson`` (a Z/n-graded quadratic bracket as one n^3 coefficient table,
 Jacobi certification as entrywise products of that table with itself,
 Heisenberg canonical form, projective descent of any graded table by the
-chart rule), ``fo`` (elliptic quadratic relations, the F table as a plain
+chart rule at a stack of chart points), ``fo`` (elliptic quadratic relations, the F table as a plain
 array, the semiclassical bracket and its finite-parameter oracle, the mean
 of the single-eta estimate over a circle around eta = 0, read with the
 single-eta tables at the slope values from one relation tensor, all as
@@ -17,7 +17,7 @@ graded tables),
 from one theta jet on the circle around 0 by the exact 1/n shift, from
 which the dual pairing, the trace tables and both routes to the
 extension-moduli bracket are read, each route one array evaluation for
-the whole matrix, with one expansion of the principal-part projection
+a chunk of chart points, with one expansion of the principal-part projection
 that is certified pair by pair and projects every cotangent vector of the
 trace route in one product),
 ``exact`` (exact rational matrices on int64 numerators, promoted to Python

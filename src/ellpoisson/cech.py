@@ -14,9 +14,13 @@ forms (:meth:`ResidueSystem.projection_coeffs`) is certified pair by pair
 against the samples and is the one the trace-pairing route to
 {t_i, t_j} and the image class pi_t run; the fully expanded coefficient
 route is cross-checked against the trace-pairing route.  Both routes take
-arrays of chart indices, so :meth:`ResidueSystem.bracket_matrix` is one
-evaluation per matrix: the trace route projects all n cotangent vectors
-phi_i - t_i phi_0 with one matrix product.
+a stack of chart points on leading axes and arrays of chart indices, so
+:meth:`ResidueSystem.bracket_matrix` is one evaluation per chunk of points:
+the trace route projects all n cotangent vectors phi_i - t_i phi_0 of
+every point with one matrix product per point.  A stacked matrix equals
+the matrix of its point alone bit for bit, because every sum runs over a
+C-contiguous last axis and psi_t stays one vector-matrix product per
+point.
 
 Every residue is a trace over the same n circles around the points of D,
 so :class:`ResidueSystem` holds phi_alpha, phi_alpha' and psi_alpha on
@@ -39,7 +43,7 @@ import numpy as np
 
 from .errors import ContourError, DegenerateTauError
 from .fo import f_constants
-from .poisson import chart_point
+from .poisson import chart_point, map_stack
 # theta_alpha_deriv and theta_alpha_eval are not called here; they stay
 # bound because perfbench/spans.py wraps ellpoisson.cech.theta_alpha_deriv
 # and ellpoisson.cech.theta_alpha_eval on every traced run
@@ -88,6 +92,18 @@ def psi_local_constant(basis: ThetaBasis, alpha: int, k):
     return (basis.dtheta_at_zero[0]
             * basis.omega ** (-(alpha * k) % basis.n)
             / basis.theta_at_zero[alpha])
+
+
+def _index_pair(n, i, j):
+    """Chart indices i, j mod n as arrays with one number of axes, so that
+    gathers from a stack along them broadcast against each other."""
+    i = np.asarray(i) % n
+    j = np.asarray(j) % n
+    if i.ndim < j.ndim:
+        i = i.reshape((1,) * (j.ndim - i.ndim) + i.shape)
+    elif j.ndim < i.ndim:
+        j = j.reshape((1,) * (i.ndim - j.ndim) + j.shape)
+    return i, j
 
 
 class ResidueSystem:
@@ -222,35 +238,46 @@ class ResidueSystem:
         return float(abs(lhs - rhs))
 
     # -- the two routes to {t_i, t_j} -------------------------------------
-    # Both take chart indices i, j as integers or as integer arrays that
-    # broadcast against each other, and return one entry per index pair.
+    # Both take a chart point t (n,), or a stack of them (..., n), and chart
+    # indices i, j as integers or as integer arrays that broadcast against
+    # each other; they return one entry per point and index pair, shaped as
+    # the stack axes followed by the index axes.  A stacked entry equals,
+    # bit for bit, the entry of its point alone, by two rules:
+    # - every gather from a stacked array is a ``take``, which keeps the
+    #   stack axes outermost in memory, so each sum runs over a C-contiguous
+    #   last axis and adds in the order it does for one point;
+    # - psi_t = t.psi stays one vector-matrix product per point, since a
+    #   stacked matrix product rounds differently.
 
     def closed_form_entry(self, t, i, j):
-        """Fully expanded coefficient formula (trace tables plus F)."""
+        """Fully expanded coefficient formula (trace tables plus F), at a
+        point t (n,) or a stack (..., n); its sums run over C-contiguous
+        last axes."""
         n = self.basis.n
         t = np.asarray(t, dtype=complex)
         f, t3, td = self.f, self.t3, self.td
-        i = np.asarray(i) % n
-        j = np.asarray(j) % n
+        i, j = _index_pair(n, i, j)
         r = np.arange(1, n)
         ir = (i[..., None] + r) % n
         jr = (j[..., None] - r) % n
-        words = t[ir] * t[jr]
+        words = t.take(ir, axis=-1) * t.take(jr, axis=-1)
         term1 = (words * f[jr, r] * t3[r, i[..., None]]).sum(axis=-1)
         term2 = (words * f[ir, -r] * t3[-r, j[..., None]]).sum(axis=-1)
-        # conv[m] = sum over r != m of t_r t_{m-r} F(r, m-r)
+        # conv[..., m] = sum over r != m of t_r t_{m-r} F(r, m-r)
         r = np.arange(n)
         mr = (r[:, None] - r) % n
-        terms = t * t[mr] * f[r, mr]
-        np.fill_diagonal(terms, 0.0)
+        terms = t[..., None, :] * t.take(mr, axis=-1) * f[r, mr]
+        terms.reshape(-1, n * n)[:, ::n + 1] = 0.0  # r = m
         conv = terms.sum(axis=-1)
-        return (term1 - term2 - t[i] * conv[j] + t[j] * conv[i]
-                + t[(i + j) % n] * (-td[j, i] + td[i, j]))
+        return (term1 - term2 - t.take(i, axis=-1) * conv.take(j, axis=-1)
+                + t.take(j, axis=-1) * conv.take(i, axis=-1)
+                + t.take((i + j) % n, axis=-1) * (-td[j, i] + td[i, j]))
 
     def projection_coeffs(self, t, a) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates of P_+(psi_t phi) for phi = sum_c a_c phi_c with
         sum_c t_c a_c = 0: the phi and the phi' coefficients.  A 2-D ``a``
-        projects each of its rows.
+        projects each of its rows; a stack of points t (..., n) takes a
+        stack a (..., m, n) of rows for each point.
 
         The closed forms: P_+(psi_al phi_c) is zero for c = 0,
         F(al, c - al) phi_{c-al} for al, c nonzero and distinct, and
@@ -262,40 +289,65 @@ class ResidueSystem:
         al = (c[:, None] - c) % n
         # row c, column e = c - al: the phi_e coefficient of P_+(psi_al phi_c)
         # times t_al; e = 0 is the diagonal al = c
-        proj = t[al] * self.f[al, c]
-        proj[0] = proj[:, 0] = 0.0
-        return a @ proj, -t[0] * a
+        proj = t.take(al, axis=-1) * self.f[al, c]
+        proj[..., 0, :] = proj[..., :, 0] = 0.0
+        lead = -t[0] if t.ndim == 1 else -t[..., :1, None]
+        return a @ proj, lead * a
 
     def trace_form_entry(self, t, i, j):
-        """Direct quadrature of the projected-cocycle pairing."""
+        """Direct quadrature of the projected-cocycle pairing, at a point t
+        (n,) or a stack (..., n), with psi_t one vector-matrix product per
+        point."""
         n = self.basis.n
         t = np.asarray(t, dtype=complex)
+        i, j = _index_pair(n, i, j)
         # row i: the cotangent vector phi_i - t_i phi_0, and its samples
-        dt = np.eye(n, dtype=complex)
-        dt[:, 0] -= t
-        samples = self.phi - t[:, None, None]
+        dt = np.zeros(t.shape + (n,), dtype=complex)
+        dt.reshape(-1, n * n)[:, ::n + 1] = 1.0
+        dt[..., 0] -= t
+        samples = self.phi - t[..., None, None]
+        # (1, n) @ (n, n P) for each point: one vector-matrix product each
+        psi_t = t[..., None, :] @ self.psi.reshape(n, -1)
         cocycle = (self._combine(*self.projection_coeffs(t, dt))
-                   * self._samples(t, self.psi))
+                   * psi_t.reshape(t.shape[:-1] + (1,) + self.psi.shape[1:]))
         # subtract the sample tables before the trace: a difference of two
         # traces cancels less accurately
-        return self.tr(cocycle[j] * samples[i] - cocycle[i] * samples[j])
+        row = t.ndim - 1
+        pairing = cocycle.take(j, axis=row) * samples.take(i, axis=row)
+        pairing -= cocycle.take(i, axis=row) * samples.take(j, axis=row)
+        return self.tr(pairing)
 
     def bracket_matrix(self, t, method: str = "closed_form") -> np.ndarray:
         """Antisymmetric matrix of {t_i, t_j}, chart indices 1..n-1; row
-        and column 0 are zero."""
+        and column 0 are zero.
+
+        A stack of points t (..., n) gives a stack of matrices (..., n, n),
+        each bit for bit the matrix of its point alone, and a row off the
+        chart raises :func:`poisson.chart_point`'s ValueError.
+        :func:`poisson.map_stack` cuts the stack into chunks by the largest
+        temporary of the route: (n-1)^3 entries a point for the closed
+        form, (n-1)^2 n ``points`` for the trace form.
+        """
         n = self.basis.n
         t = chart_point(n, t)
+        # the entries of a route's largest temporary, per point
         if method == "closed_form":
-            entry = self.closed_form_entry
+            entry, size = self.closed_form_entry, (n - 1) ** 3
         elif method == "trace_form":
-            entry = self.trace_form_entry
+            entry, size = self.trace_form_entry, (n - 1) ** 2 * n * self.points
         else:
             raise ValueError(f"unknown method {method!r}")
         idx = np.arange(1, n)
-        upper = np.where(idx[:, None] < idx, entry(t, idx[:, None], idx), 0.0)
-        out = np.zeros((n, n), dtype=complex)
-        out[1:, 1:] = upper - upper.T
-        return out
+        below = idx[:, None] >= idx
+
+        def route(t):
+            upper = entry(t, idx[:, None], idx)
+            upper[:, below] = 0.0
+            out = np.zeros(t.shape + (n,), dtype=complex)
+            out[:, 1:, 1:] = upper - upper.transpose(0, 2, 1)
+            return out
+
+        return map_stack(route, t, size)
 
     def pi_t_class(self, t, phi_coeffs) -> np.ndarray:
         """Coordinates of the image class of a cotangent vector.

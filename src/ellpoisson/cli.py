@@ -70,6 +70,11 @@ MAX_LEAVES_N = 20
 # takes about 1.3 ms at n = 3 and 0.1 s at n = 10 (2-vCPU Xeon VM), so
 # 10,000 instances make a report near 1 MB.
 MAX_HOMOLOGY_SAMPLES = 10_000
+# The largest product of a homology instance, d^0 d^-1 of its endomorphism
+# complex, takes 4 n^2 m^2 (2 n^2 + m^2) multiply-adds, m = 2n + r.  At
+# n = 16 (1.8e9 of them) an instance takes 6.4 s on a 2-vCPU Xeon VM, so
+# this bound on samples times that count keeps a run near 40 s at most.
+MAX_HOMOLOGY_MADDS = 10 ** 10
 
 
 @dataclass
@@ -114,6 +119,12 @@ class RunConfig:
                              "differential of the endomorphism complex "
                              f"would take {size:.3g} bytes, beyond numpy's "
                              "largest array")
+        madds = 4 * self.n ** 2 * m ** 2 * (2 * self.n ** 2 + m ** 2)
+        if command == "homology" and self.samples * madds > MAX_HOMOLOGY_MADDS:
+            raise UsageError(
+                f"samples x the multiply-adds of an instance's largest "
+                f"product must be at most {MAX_HOMOLOGY_MADDS:.0e}: at n = "
+                f"{self.n}, r = {self.r} an instance takes {madds:.3g}")
         if command not in THETA_COMMANDS:
             return
         try:
@@ -155,7 +166,7 @@ def _sample_chart_points(n, count, seed):
         pairs = np.concatenate([pairs, draw[inside]])
     t = np.ones((count, n), dtype=complex)
     t[:, 1:] = pairs[:need].view(complex).reshape(count, n - 1)
-    return list(t)
+    return t
 
 
 # -- shared lattice objects ------------------------------------------------
@@ -309,14 +320,14 @@ def cmd_moduli_compare(cfg: RunConfig):
     basis.require_rounding(BRACKET_ROUNDING_LIMIT, " for the bracket checks")
     system = _system(basis)
     bracket = _bracket(basis, 1)
-    agree = 0.0
-    match = 0.0
-    for t in _sample_chart_points(cfg.n, cfg.samples, cfg.seed):
-        closed = system.bracket_matrix(t, "closed_form")
-        traced = system.bracket_matrix(t, "trace_form")
-        ref = projective_matrix(bracket, t)
-        agree = max(agree, float(np.max(np.abs(closed - traced))))
-        match = max(match, float(np.max(np.abs(closed - ref))))
+    t = _sample_chart_points(cfg.n, cfg.samples, cfg.seed)
+    closed = system.bracket_matrix(t, "closed_form")
+    traced = system.bracket_matrix(t, "trace_form")
+    ref = projective_matrix(bracket, t)
+    # the largest deviation over the points; Python's max passes over a
+    # NaN point, as the running maximum of one point at a time did
+    agree = max([0.0] + np.abs(closed - traced).max(axis=(1, 2)).tolist())
+    match = max([0.0] + np.abs(closed - ref).max(axis=(1, 2)).tolist())
     checks = [_check("method_agreement", agree, METHOD_TOL),
               _check("matches_projective_bracket", match, PROJECTIVE_TOL)]
     return checks, {"contour": {"points": system.points,

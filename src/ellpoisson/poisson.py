@@ -30,6 +30,14 @@ CANONICAL_TOL = 1e-8
 # entries ran slower at n = 13 and n = 31
 _JACOBI_CHUNK = 2 ** 12
 
+# largest number of entries per temporary of a stacked bracket route
+# (projective_matrix and ResidueSystem.bracket_matrix): a stack of chart
+# points runs in chunks of whole points under this budget.  Complex
+# temporaries of 2^13 entries (128 KiB) keep a chunk's working set in a
+# core's L2 cache; on the trace route 2^12 ran slower at n = 5, and 2^14
+# and 2^15 at n = 3
+_STACK_CHUNK = 2 ** 13
+
 
 class QuadraticBracket:
     """A graded quadratic bracket held as one coefficient table.
@@ -198,12 +206,33 @@ def hn_canonical_extract(b: QuadraticBracket) -> np.ndarray:
 
 
 def chart_point(n: int, t) -> np.ndarray:
-    """t as a complex point t_i = x_i / x_0 of the chart x_0 = 1 of
-    P^{n-1}; ValueError unless t has length n and t[0] = 1."""
-    t = np.asarray(t, dtype=complex)
-    if len(t) != n or t[0] != 1:
+    """t as complex points t_i = x_i / x_0 of the chart x_0 = 1 of
+    P^{n-1}, one point per row of any leading stack axes; ValueError
+    unless every row has length n and t[..., 0] = 1."""
+    try:
+        t = np.asarray(t, dtype=complex)
+    except ValueError:  # rows of different lengths
+        t = None
+    if (t is None or t.ndim == 0 or t.shape[-1] != n
+            or np.count_nonzero(t[..., 0] != 1)):
         raise ValueError("t must have length n with t[0] = 1")
     return t
+
+
+def map_stack(route, t, entries: int) -> np.ndarray:
+    """``route`` on a chart point t (n,) or a stack t (..., n), whose
+    largest temporary holds ``entries`` entries per point.  The route
+    always sees a 2-D stack (S, n), of at most ``_STACK_CHUNK // entries``
+    points unless one point alone is larger, and returns one result per
+    point on its leading axis; the results keep the axes of the stack."""
+    flat = t.reshape(-1, t.shape[-1])
+    step = max(1, _STACK_CHUNK // entries)
+    if len(flat) <= step:
+        out = route(flat)
+    else:
+        out = np.concatenate([route(flat[lo:lo + step])
+                              for lo in range(0, len(flat), step)])
+    return out.reshape(t.shape[:-1] + out.shape[1:])
 
 
 def projective_matrix(b: QuadraticBracket, t) -> np.ndarray:
@@ -211,11 +240,20 @@ def projective_matrix(b: QuadraticBracket, t) -> np.ndarray:
     column 0 are zero, by the chart rule
 
         {t_i, t_j} = {x_i, x_j} - t_i {x_0, x_j} - t_j {x_i, x_0}  at x = t.
+
+    A stack of points t (..., n) gives a stack of matrices (..., n, n),
+    each bit for bit the matrix of its point alone (:func:`map_stack`).
     """
     n = b.n
-    t = chart_point(n, t)
     k = np.arange(n)
-    # words[i, j, k] = t_k t_l, l = i+j-k: the monomials of {x_i, x_j}
-    words = t * t[((k[:, None] + k)[..., None] - k) % n]
-    x = (b.coeffs * words).sum(axis=-1)
-    return x - t[:, None] * x[0] - t * x[:, :1]
+    # words[..., i, j, k] = t_k t_l, l = i+j-k: the monomials of {x_i, x_j}
+    pairs = ((k[:, None] + k)[..., None] - k) % n
+
+    def route(t):
+        # take keeps the stack axis outermost in memory, so the sum runs
+        # over a contiguous last axis, in the order it takes for one point
+        words = t[:, None, None, :] * t.take(pairs, axis=-1)
+        x = (b.coeffs * words).sum(axis=-1)
+        return x - t[:, :, None] * x[:, :1, :] - t[:, None, :] * x[:, :, :1]
+
+    return map_stack(route, chart_point(n, t), n ** 3)

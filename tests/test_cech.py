@@ -11,10 +11,11 @@ from ellpoisson.cech import (
     laurent_coeffs,
     psi_local_constant,
 )
+from ellpoisson.cli import _sample_chart_points
 from ellpoisson.errors import (ContourError, DegenerateTauError,
                                EllPoissonError, ThetaRangeError)
 from ellpoisson.fo import sklyanin_bracket
-from ellpoisson.poisson import projective_matrix
+from ellpoisson.poisson import _STACK_CHUNK, projective_matrix
 from ellpoisson.theta import (
     CIRCLE_POINTS,
     CurveParams,
@@ -427,6 +428,94 @@ class TestModuliBracket:
         assert s2.offsets.shape == (2 * CIRCLE_POINTS,)
         m2 = s2.bracket_matrix(t)
         assert np.max(np.abs(m1 - m2)) < 1e-10
+
+
+def same_bits(stacked, points):
+    return (np.array_equal(stacked, points)
+            and stacked.dtype == points.dtype
+            and stacked.tobytes() == points.tobytes())
+
+
+class TestStacks:
+    """A stack of chart points on leading axes gives, bit for bit, the
+    matrices of its points evaluated one at a time, as ``moduli-compare``
+    evaluated them before it passed its samples as one stack."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 9])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.5j])
+    def test_stack_equals_points(self, n, tau):
+        b = basis(n, tau)
+        s = ResidueSystem(b)
+        bracket = sklyanin_bracket(b, 1)
+        for count in (1, 2, 7):
+            t = _sample_chart_points(n, count, n + count)
+            for method in ("closed_form", "trace_form"):
+                stacked = s.bracket_matrix(t, method)
+                assert stacked.shape == (count, n, n)
+                points = np.array([s.bracket_matrix(row, method)
+                                   for row in t])
+                assert same_bits(stacked, points), (n, tau, count, method)
+            stacked = projective_matrix(bracket, t)
+            points = np.array([projective_matrix(bracket, row) for row in t])
+            assert same_bits(stacked, points), (n, tau, count)
+
+    def test_stack_across_chunks(self):
+        # 130 points at n = 5 run in several chunks on every route, and two
+        # leading stack axes come back as they went in
+        n = 5
+        b = basis(n, 0.3 + 0.8j)
+        s = ResidueSystem(b)
+        bracket = sklyanin_bracket(b, 1)
+        t = _sample_chart_points(n, 130, 3)
+        for entries in ((n - 1) ** 3, (n - 1) ** 2 * n * s.points, n ** 3):
+            assert len(t) > _STACK_CHUNK // entries
+        grid = t.reshape(2, 65, n)
+        for method in ("closed_form", "trace_form"):
+            stacked = s.bracket_matrix(grid, method)
+            assert stacked.shape == (2, 65, n, n)
+            points = np.array([s.bracket_matrix(row, method) for row in t])
+            assert same_bits(stacked.reshape(130, n, n), points)
+        stacked = projective_matrix(bracket, grid)
+        assert stacked.shape == (2, 65, n, n)
+        points = np.array([projective_matrix(bracket, row) for row in t])
+        assert same_bits(stacked.reshape(130, n, n), points)
+
+    @pytest.mark.parametrize("method", ["closed_form", "trace_form"])
+    def test_entries_of_a_stack(self, method):
+        # the broadcasting index API on a stack: stack axes, then index axes
+        n = 5
+        s = system(n, 0.3 + 0.8j)
+        entry = getattr(s, method + "_entry")
+        t = _sample_chart_points(n, 3, 8)
+        idx = np.arange(1, n)
+        grid = entry(t, idx[:, None], idx)
+        assert grid.shape == (3, n - 1, n - 1)
+        assert same_bits(grid, np.array([entry(row, idx[:, None], idx)
+                                         for row in t]))
+        column = entry(t, [1, 2], 3)
+        assert column.shape == (3, 2)
+        assert same_bits(column, np.array([entry(row, [1, 2], 3)
+                                           for row in t]))
+
+    @pytest.mark.parametrize("change", ["t0", "ragged", "width"])
+    def test_row_off_the_chart_refused(self, change):
+        n = 3
+        s = system(n)
+        bracket = sklyanin_bracket(s.basis, 1)
+        rows = _sample_chart_points(n, 4, 0).tolist()
+        if change == "t0":
+            rows[2][0] = 0.5
+        elif change == "ragged":
+            rows[2].append(0.1)
+        else:
+            rows = [row + [0.1] for row in rows]
+        calls = [lambda t: s.bracket_matrix(t, "closed_form"),
+                 lambda t: s.bracket_matrix(t, "trace_form"),
+                 lambda t: projective_matrix(bracket, t)]
+        message = r"^t must have length n with t\[0\] = 1$"
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(rows)
 
 
 # 13 lattice parameters from 0.01i to 6i, with Re tau = 1/2 among them

@@ -6,14 +6,15 @@ import json
 import math
 import re
 import time
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from ellpoisson.cli import RunConfig, _sample_chart_points, build_parser, \
-    main
+from ellpoisson.cli import RunConfig, UsageError, _sample_chart_points, \
+    build_parser, main
 from oracles import chart_points_loop
 
 # the 28 option strings of the subcommands, in the order they are declared
@@ -507,6 +508,45 @@ class TestRefusals:
             assert err == ""
 
 
+class TestHomologyWork:
+    """homology refuses a run whose samples times the multiply-adds of an
+    instance's largest product, 4 n^2 m^2 (2 n^2 + m^2) with m = 2n + r,
+    exceed MAX_HOMOLOGY_MADDS."""
+
+    def test_refused_at_once(self, capsys):
+        started = time.perf_counter()
+        code = main(["homology", "--n", "16", "--samples", "10000"])
+        elapsed = time.perf_counter() - started
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("error: samples x the multiply-adds of an instance's "
+                       "largest product must be at most 1e+10: at n = 16, "
+                       "r = 1 an instance takes 1.79e+09\n")
+        assert elapsed < 1.0
+        # n = 22 is refused even with one sample
+        with pytest.raises(UsageError, match="must be at most 1e"):
+            RunConfig(n=22, r=1, samples=1).validate("homology")
+
+    @pytest.mark.parametrize("n, r, samples", [
+        (7, 2, 562), (10, 1, 88), (16, 1, 5), (21, 1, 1)])
+    def test_largest_accepted(self, n, r, samples):
+        # the largest count of samples at (n, r) within the bound; n = 21
+        # is the largest n accepted at all
+        RunConfig(n=n, r=r, samples=samples).validate("homology")
+        with pytest.raises(UsageError, match="must be at most 1e"):
+            RunConfig(n=n, r=r, samples=samples + 1).validate("homology")
+
+    def test_every_shipped_configuration_accepted(self):
+        # the benchmark's homology jobs, the defaults and --n 10
+        for n in range(1, 8):
+            for r in (1, 2):
+                RunConfig(n=n, r=r, samples=2).validate("homology")
+        RunConfig().validate("homology")
+        RunConfig(n=10, samples=1).validate("homology")
+        # at n = 3 the samples bound binds first
+        RunConfig(n=3, r=2, samples=10_000).validate("homology")
+
+
 class TestReports:
     def test_json_schema(self, tmp_path):
         code, text = run(["sklyanin", "--n", "3", "--k", "1"], tmp_path)
@@ -676,6 +716,36 @@ class TestReports:
         assert "jacobi_defect" in names
 
 
+class TestSampleStack:
+    """moduli-compare evaluates its samples as one stack per route, cut
+    into chunks of whole points, so its memory does not grow with
+    --samples."""
+
+    @staticmethod
+    def traced_peak(args):
+        tracemalloc.start()
+        try:
+            code = main(args)
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_bounded(self, capsys):
+        code, peak = self.traced_peak(["moduli-compare", "--n", "9",
+                                       "--samples", "1000"])
+        assert code == 0
+        assert peak < 16 * 2 ** 20
+
+    def test_peak_bound_has_power(self, capsys, monkeypatch):
+        # one chunk for the whole stack: 30 points already pass the bound
+        import ellpoisson.poisson as poisson
+        monkeypatch.setattr(poisson, "_STACK_CHUNK", 2 ** 40)
+        code, peak = self.traced_peak(["moduli-compare", "--n", "9",
+                                       "--samples", "30"])
+        assert code == 0
+        assert peak > 16 * 2 ** 20
+
+
 class TestChartPoints:
     def test_array_draws_equal_the_rejection_loop(self):
         # the loop's points for count = 20 start with those for any smaller
@@ -813,6 +883,11 @@ class TestDeterminism:
         (["theta", "--n", "11"], "79461039bd3129ff"),
         (["moduli-compare", "--n", "5", "--samples", "4"],
          "0ebbaaf6aae92e13"),
+        # taken before the samples ran as one stack
+        (["moduli-compare", "--n", "3", "--samples", "7"],
+         "cf367eadd1c0130c"),
+        (["moduli-compare", "--n", "9", "--samples", "2", "--tau", "0.3",
+          "0.8"], "d8398be1b2599bf1"),
     ])
     def test_payload_pinned(self, args, digest, capsys):
         code = main(args)
