@@ -22,12 +22,12 @@ that is certified pair by pair and projects every cotangent vector of the
 trace route in one product),
 ``exact`` (exact rational matrices on int64 numerators, promoted to Python
 ints only where a proven bound fails, products on float64 BLAS below 2^53
-and on float64 limbs past it, and one fraction-free elimination for rank
+and on Python ints past it, and one fraction-free elimination for rank
 and nullspace), ``homology`` (exact chain algebra for the endomorphism
-complex, itself a complex that forms each product of two of its matrices
-once and writes each differential in place, the bivector, the cone
-identification on Kronecker pairs A (x) X by the mixed-product rule, and
-the trace pairing as one signed permutation that gathers columns) and
+complex, itself a complex that writes each differential in place and
+proves d^2 = 0 on the factors, the bivector, the cone identification on
+Kronecker pairs A (x) X by the mixed-product rule, and the trace pairing
+as one signed permutation, adjoint to d, that gathers columns) and
 ``leaves`` (torsion-type combinatorics and the divisor-class
 constraint).  ``cli`` drives batch verification runs.
 ``cech.laurent_coeffs``, ``fo.fo_relations``, ``fo.single_eta_bracket``

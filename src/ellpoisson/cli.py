@@ -66,15 +66,15 @@ THETA_ROUNDING_LIMIT = TOL / 200
 THETA_COMMANDS = ("theta", "sklyanin", "moduli-compare")
 # The leaf records number 728,069 at n = 20 and grow about 3.3x per +2.
 MAX_LEAVES_N = 20
-# Each homology instance adds one check of about 85 bytes to the report and
-# takes about 1.3 ms at n = 3 and 0.1 s at n = 10 (2-vCPU Xeon VM), so
-# 10,000 instances make a report near 1 MB.
+# Each homology instance adds one check of about 85 bytes to the report, so
+# 10,000 instances make a report near 1 MB; at n = 3 they take about 13 s.
 MAX_HOMOLOGY_SAMPLES = 10_000
-# The largest product of a homology instance, d^0 d^-1 of its endomorphism
-# complex, takes 4 n^2 m^2 (2 n^2 + m^2) multiply-adds, m = 2n + r.  At
-# n = 16 (1.8e9 of them) an instance takes 6.4 s on a 2-vCPU Xeon VM, so
-# this bound on samples times that count keeps a run near 40 s at most.
-MAX_HOMOLOGY_MADDS = 10 ** 10
+# An instance's largest cost is its differentials d^-1 and d^0, 4 n m
+# (2 n^2 + m^2) entries with m = 2n + r: 30-40 ns per entry at n = 7..14,
+# 100-115 ns at n = 16..20 (probe products past 2^53) and 250-280 ns and a
+# peak of 35 bytes at n = 24 (entries past 2^63; 2-vCPU Xeon VM).  This
+# bound keeps a run near 5 s and an instance below 1 GB: n <= 25.
+MAX_HOMOLOGY_ENTRIES = 2 * 10 ** 7
 
 
 @dataclass
@@ -113,18 +113,19 @@ class RunConfig:
         m = 2 * self.n + self.r  # a homology instance has dims (n, m, n)
         # the largest arrays of its job, the differentials d^-1 and d^0 of
         # the endomorphism complex, hold 2 n m (2 n^2 + m^2) 8-byte entries
-        size = 16 * self.n * m * (2 * self.n ** 2 + m ** 2)
-        if command == "homology" and size > np.iinfo(np.intp).max:
+        entries = 4 * self.n * m * (2 * self.n ** 2 + m ** 2)
+        if command == "homology" and 4 * entries > np.iinfo(np.intp).max:
             raise UsageError(f"n = {self.n}, r = {self.r} is too large: a "
                              "differential of the endomorphism complex "
-                             f"would take {size:.3g} bytes, beyond numpy's "
-                             "largest array")
-        madds = 4 * self.n ** 2 * m ** 2 * (2 * self.n ** 2 + m ** 2)
-        if command == "homology" and self.samples * madds > MAX_HOMOLOGY_MADDS:
+                             f"would take {4 * entries:.3g} bytes, beyond "
+                             "numpy's largest array")
+        if command == "homology" and self.samples * entries > \
+                MAX_HOMOLOGY_ENTRIES:
             raise UsageError(
-                f"samples x the multiply-adds of an instance's largest "
-                f"product must be at most {MAX_HOMOLOGY_MADDS:.0e}: at n = "
-                f"{self.n}, r = {self.r} an instance takes {madds:.3g}")
+                "samples x the entries of an instance's differentials d^-1 "
+                f"and d^0 must be at most MAX_HOMOLOGY_ENTRIES = "
+                f"{MAX_HOMOLOGY_ENTRIES:.0e}: at n = {self.n}, r = {self.r} "
+                f"an instance has {entries:.3g}")
         if command not in THETA_COMMANDS:
             return
         try:

@@ -8,15 +8,10 @@ the cached values of its operands before it runs: sums, Kronecker
 products, comparisons and stacks stay on int64 while that bound
 is below 2^63, and a product of inner dimension k runs as float64 BLAS
 while k * max|A| * max|B| < 2^53, where every partial sum is an integer
-that float64 holds exactly (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008).
-Past 2^53 the operand with the larger bound is split into s-bit limbs,
-X = sum_j X_j 2^(sj), with k * max|other| * 2^s <= 2^53, or both operands
-are where that leaves no bit, so that each limb product is again an exact
-float64 BLAS product; the limb products are summed on int64 while
-k * max|A| * max|B| < 2^63 and on objects past it (Ozaki, Ogita, Oishi &
-Rump, Numer. Algorithms 59, 2012).  Where a bound fails, the operands are
-promoted to objects, and so is a product with at least k limb products,
-so every identity checked against these matrices is exact.  Transposes
+that float64 holds exactly (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008),
+and on Python-int objects past it; the package forms such products only
+with a few columns.  Every identity checked against these matrices is
+exact.  Transposes
 and negations keep their operand's bound.  Rank and nullspace read one
 fraction-free Gauss-Jordan elimination on objects (Bareiss, Math. Comp.
 22, 1968).
@@ -30,19 +25,13 @@ from fractions import Fraction
 import numpy as np
 
 _INT64_BOUND = 2 ** 63
-_FLOAT64_BITS = 53
-_FLOAT64_EXACT = 2 ** _FLOAT64_BITS
-# float64 entries of one row block of a product's left factor and result
-_BLOCK = 2 ** 16
+_FLOAT64_EXACT = 2 ** 53
 
 
 def _to_object_int(arr):
-    """Promote numerators to a new array of Python-int objects."""
-    # tolist() yields native Python ints, keeping later arithmetic unbounded
-    out = np.empty(arr.shape, dtype=object)
-    if arr.size:
-        out[...] = np.asarray(arr.tolist(), dtype=object)
-    return out
+    """Promote numerators to a new array of Python-int objects, which keep
+    later arithmetic unbounded."""
+    return arr.astype(object)
 
 
 def _scaled(pairs, bound):
@@ -62,68 +51,8 @@ def _scaled(pairs, bound):
 
 
 def _float64_product(a, b):
-    """a @ b for int64 arrays with k * max|a| * max|b| < 2^53.
-
-    ``b`` is converted once and ``a`` in row blocks, so the float64 working
-    set stays near the size of the int64 result.
-    """
-    fb = b.astype(np.float64)
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-    step = max(1, _BLOCK // (a.shape[1] + b.shape[1]))
-    for i in range(0, a.shape[0], step):
-        out[i:i + step] = a[i:i + step].astype(np.float64) @ fb
-    return out
-
-
-def _limbs(x: "Mat", s: int, count: int) -> list:
-    """The numerators of ``x`` as ``count`` signed s-bit limbs, int64
-    arrays x_j with x = sum_j x_j 2^(sj), |x_j| < 2^s and the sign of x."""
-    if count == 1:
-        return [x.num]
-    mag = np.abs(x.num)
-    negative = x.num < 0
-    limbs = ((mag >> (s * j)) & ((1 << s) - 1) for j in range(count))
-    return [np.where(negative, -limb, limb).astype(np.int64, copy=False)
-            for limb in limbs]
-
-
-def _limb_product(a: "Mat", b: "Mat"):
-    """Numerators of a @ b, summed from exact float64 limb products.
-
-    The operand with the larger bound is split into s-bit limbs (``_limbs``)
-    with s the widest width for which k * max|other| * 2^s <= 2^53, and the
-    other is kept whole; where that leaves no bit, both are split into
-    limbs of (53 - bitlength(k)) / 2 bits.  Either way every limb product
-    is below 2^53 in size.  Every partial sum of limbs is at most the
-    operand in size, so every partial sum of the limb products is bounded by
-    k * max|a| * max|b|: they are summed on int64 below 2^63 and on objects
-    past it.  With at least k limb products, summing them would cost as
-    many object operations as the product, which then runs on objects.
-    """
-    k = a.shape[1]
-    room = _FLOAT64_BITS - (k * min(a.bound, b.bound)).bit_length()
-    if room > 0:
-        split_a = a.bound > b.bound
-        widths = (room if split_a else a.bound.bit_length(),
-                  b.bound.bit_length() if split_a else room)
-    else:
-        widths = ((_FLOAT64_BITS - k.bit_length()) // 2,) * 2
-    # the number of limbs of each operand, rounded up
-    counts = [-(-m.bound.bit_length() // w) if w > 0 else k
-              for m, w in zip((a, b), widths)]
-    if counts[0] * counts[1] >= k:
-        return _to_object_int(a.num) @ _to_object_int(b.num)
-    wide = k * a.bound * b.bound >= _INT64_BOUND
-    right = _limbs(b, widths[1], counts[1])
-    total = 0
-    for i, x in enumerate(_limbs(a, widths[0], counts[0])):
-        for j, y in enumerate(right):
-            prod = _float64_product(x, y)
-            if wide:
-                prod = _to_object_int(prod)
-            prod <<= widths[0] * i + widths[1] * j
-            total = total + prod
-    return total
+    """a @ b for int64 arrays with k * max|a| * max|b| < 2^53, on float64."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 class Mat:
@@ -182,7 +111,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, r, c):
-        return cls(np.zeros((r, c), dtype=np.int64))
+        return cls._of(np.zeros((r, c), dtype=np.int64), 1, 0)
 
     # -- helpers -----------------------------------------------------------
 
@@ -210,7 +139,7 @@ class Mat:
         if bound < _FLOAT64_EXACT:
             num = _float64_product(self.num, other.num)
         else:
-            num = _limb_product(self, other)
+            num = _to_object_int(self.num) @ _to_object_int(other.num)
         return Mat(num, self.den * other.den)._reduced()
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -331,16 +260,11 @@ def assemble(shape, pieces) -> Mat:
 
 def _stack(mats, axis) -> Mat:
     mats = list(mats)
-    size = mats[0].shape[1 - axis]
-    if any(m.shape[1 - axis] != size for m in mats):
+    if len({m.shape[1 - axis] for m in mats}) > 1:
         raise ValueError("column counts differ" if axis == 0
                          else "row counts differ")
-    pieces = []
-    offset = 0
-    for m in mats:
-        pieces.append((offset, 0, m) if axis == 0 else (0, offset, m))
-        offset += m.shape[axis]
-    return assemble((offset, size) if axis == 0 else (size, offset), pieces)
+    den, nums, bound = common_denominator(mats)
+    return Mat._of(np.concatenate(nums, axis=axis), den, bound)._reduced()
 
 
 def hstack(mats) -> Mat:

@@ -7,28 +7,22 @@ Given a complex E with differentials phi_i, the endomorphism complex has
 
 with the trace pairing kappa(f, g) = sum_i (-1)^i tr(g_{i+d} f_i) between
 C^d and C^{-d}, a signed permutation of the unit vectors
-(:func:`trace_pairing`).  The chain map ``ad`` from the non-positive to the
-shifted non-negative truncation has a single nonzero component, ad = d^{-1},
-the differential C^{-1} -> C^0; composed with the inverse trace pairing it
-yields the bivector whose degree-0 block is checked for exact
-antisymmetry against the transpose partner d^0 t.  Both are the
-differential with its columns gathered and signed, with no product.  The
-printed cone identification Cone(ad)[-1] = C . C^0, with the degree-0
-change of basis [[1, 0], [1, -1]], is verified identity by identity over
-the rationals; an invertible chain map between the two complexes is an
-isomorphism, so their homology agrees without a rank.  Every map through
-degree 0 of the two complexes, C^0 + C^0, is a Kronecker product A (x) X
-of an integer matrix A over the two summands and a differential X of the
-endomorphism complex or the identity of C^0, so the identities follow the
-mixed-product rule (A (x) X)(B (x) Y) = AB (x) XY and multiply only
-consecutive differentials.  The endomorphism complex is a
-:class:`VSComplex`, which forms each product of two of its matrices once:
-its d^2 = 0 check on construction forms every such product, and the cone
-identification reads them back.  Each of its differentials is one array
-over the lcm of the denominators of E, into which every Kronecker block
-I (x) phi or phi^T (x) I is written in place, so no Kronecker product is
-formed.  The seeded instances of :func:`random_kronecker_complex` read the
-rank of phi_{-1} off the nullspace they need anyway.
+(:func:`trace_pairing`) that is adjoint to the differential.  The chain map
+``ad`` from the non-positive to the shifted non-negative truncation has a
+single nonzero component, ad = d^{-1}; composed with the inverse trace
+pairing it yields the bivector whose degree-0 block is checked for exact
+antisymmetry against the transpose partner d^0 t.  Both are differentials
+with their columns gathered and signed.  The printed cone identification
+Cone(ad)[-1] = C . C^0, with the degree-0 change of basis [[1, 0], [1, -1]],
+is verified identity by identity over the rationals on Kronecker pairs
+A (x) X (:func:`cone_iso_check`); an invertible chain map between the two
+complexes is an isomorphism, so their homology agrees without a rank.
+Each differential is one array into which every Kronecker block I (x) phi
+or phi^T (x) I is written in place, and d^2 = 0 is proved on those
+factors, so the only products are of E's size and of a probe of a few
+columns that ties each array to them (:meth:`HomComplex._check_squares`).
+The seeded instances of :func:`random_kronecker_complex` read the rank of
+phi_{-1} off the nullspace they need anyway.
 """
 
 from __future__ import annotations
@@ -38,10 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import Mat, common_denominator, zeros_for
+from .exact import Mat, assemble, common_denominator, zeros_for
 # unused here; kept as module attributes because perfbench/spans.py wraps them
 from .exact import hstack, vstack  # noqa: F401
 
+# the seed and count of the integer columns that tie each assembled
+# differential of an endomorphism complex to its Kronecker factors
+PROBE_SEED = 0
+PROBE_COLUMNS = 2
 # degree-0 blocks, in C^0 + C^0, of the comparison map of the cone with the
 # direct sum, and of the inclusion of C^{>=0} and the diagonal from C^0
 DEG0_CHANGE_OF_BASIS = ((1, 0), (1, -1))
@@ -88,11 +86,14 @@ class VSComplex:
                 diffs[i] = m
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "diffs", diffs)
-        for i, m in diffs.items():
-            nxt = diffs.get(i + 1)
+        self._check_squares()
+
+    def _check_squares(self):
+        for i, m in self.diffs.items():
+            nxt = self.diffs.get(i + 1)
             if nxt is not None and not self.product(nxt, m).is_zero():
-                raise ValueError(f"differentials at degrees {i}, {i + 1} do not "
-                                 "compose to zero")
+                raise ValueError(f"differentials at degrees {i}, {i + 1} do "
+                                 "not compose to zero")
 
     def dim(self, i: int) -> int:
         return self.dims.get(i, 0)
@@ -110,9 +111,10 @@ class VSComplex:
         return sorted(self.dims)
 
     def product(self, x: Mat, y: Mat) -> Mat:
-        """x @ y, formed once per pair of operands and kept with them, so
-        that their ids stay unique; a differential replaced after
-        construction is a new operand and is multiplied again."""
+        """x @ y, formed once per pair of operands, or proven zero by the
+        construction, and kept with them, so that their ids stay unique; a
+        differential replaced after construction is a new operand and is
+        multiplied again."""
         key = (id(x), id(y))
         if key not in self._products:
             self._products[key] = (x, y, x @ y)
@@ -151,6 +153,67 @@ class HomComplex(VSComplex):
 
     def blocks(self, d: int):
         return self._blocks.get(d, ((), 0))[0]
+
+    def _check_squares(self):
+        """d^2 = 0 on the Kronecker factors, then a probe of each array.
+
+        Each block of d^{d+1} d^d sums I (x) phi phi, (phi phi)^T (x) I and
+        (_hom_sign(d) + _hom_sign(d + 1)) phi_i^T (x) phi_{i+d+1} (mixed-
+        product rule), so it vanishes with E's squares, which E's
+        construction formed, when the signs cancel; the zero products are
+        kept.  Each array must send the seeded columns of :meth:`_probe`,
+        which have no zero entry, to their image, so a wrong entry is
+        always seen (Freivalds, 1977).
+        """
+        phi = self.source.diffs
+        for d in range(self.deg_min, self.deg_max - 1):
+            if _hom_sign(d) + _hom_sign(d + 1) and any(
+                    i + d + 1 in phi for i in phi):
+                raise ValueError(f"differentials at degrees {d}, {d + 1} do "
+                                 "not compose to zero")
+            x, y = self.diff(d + 1), self.diff(d)
+            self._products[id(x), id(y)] = (x, y, Mat.zeros(x.shape[0],
+                                                            y.shape[1]))
+        v, w, den = self._probe()
+        degrees = range(self.deg_min, self.deg_max)
+        cut = np.cumsum([self.dim(d) for d in degrees])
+        for d, vd, wd in zip(degrees, np.split(v, cut), np.split(w, cut)[1:]):
+            if not self.diff(d) @ Mat(vd) == Mat(wd, den):
+                raise ValueError(f"differential at degree {d} does not match "
+                                 "its Kronecker factors")
+
+    def _probe(self):
+        """Seeded integer columns v over C^deg_min + ... + C^deg_max and
+        numerators w over ``den`` of their image under the definition of d.
+
+        That sum is End(E), E the sum of the E^i, on which d F = phi F -
+        eps F eps phi, phi the sum of the phi_i and eps = (-1)^i on E^i.  So
+        k probe matrices F take two products of E's size, read in the
+        coordinates of :meth:`blocks`.
+        """
+        E, k = self.source, PROBE_COLUMNS
+        degs = E.degrees()
+        start = dict(zip(degs, np.cumsum([0] + [E.dim(i) for i in degs])))
+        deg = np.repeat(np.array(degs, dtype=np.int64),
+                        [E.dim(i) for i in degs])
+        size = len(deg)
+        # entry (row, col) of End(E) sits in C^d, d = deg[row] - deg[col],
+        # in block deg[col], column-major
+        row, col = np.indices((size, size)).reshape(2, -1)
+        at = np.lexsort((row, col, deg[col], deg[row] - deg[col]))
+        f = np.random.default_rng(PROBE_SEED).integers(-3, 3,
+                                                       size=(k, size, size))
+        f[f >= 0] += 1
+        eps = 1 - 2 * (deg % 2)
+        phi = assemble((size, size), [(start[i + 1], start[i], m)
+                                      for i, m in E.diffs.items()])
+        left = phi @ Mat(np.hstack(f))  # [a, (t, b)]
+        right = Mat(np.vstack(f * eps[:, None] * eps)) @ phi  # [(t, a), b]
+        image = left + -Mat._of(np.hstack(right.num.reshape(k, size, size)),
+                                right.den, right.bound)
+        w = image.num.reshape(size, k, size).transpose(1, 0, 2)
+        return (f.reshape(k, -1)[:, at].T, w.reshape(k, -1)[:, at].T,
+                image.den)
 
     def _assemble_diff(self, d: int) -> Mat:
         """Matrix of C^d -> C^{d+1} in column-major flattened coordinates.
@@ -231,16 +294,29 @@ class PiBivector:
         return self.component.T == -self.partner
 
     def chain_map_ok(self, H: HomComplex) -> bool:
-        if not (H.diff(0) @ self.component).is_zero():
-            return False
-        return (self.component @ H.diff(1).T).is_zero()
+        """d^0 component = 0 and component (d^1)^T = 0, with no product.
+
+        Up to the sign that :meth:`antisymmetry_ok` checks, the component
+        must be d^{-1} P_1, so d^0 component is d^0 d^{-1} P_1, and by the
+        adjointness (d^1 P_{-1})^T = d^{-2} P_2, component (d^1)^T is
+        d^{-1} d^{-2} P_2: both vanish with the squares that H proved zero.
+        """
+        ad = _paired(H, -1)
+        squares = (H.product(H.diff(d + 1), H.diff(d)) for d in (-2, -1))
+        return (self.component == ad or self.component == -ad) and \
+            _paired(H, 1).T == _paired(H, -2) and all(
+                p.is_zero() for p in squares)
 
 
-def _signed_columns(m: Mat, partner, sign) -> Mat:
-    """m times a signed permutation: column q is column partner[q] of m
-    times sign[q].  The entries and their gcd are m's, so a reduced m gives
-    the reduced product."""
-    return Mat._of(m.num[:, partner] * sign, m.den, m.bound)
+def _paired(H: HomComplex, j: int) -> Mat:
+    """d^j P_{-j}: column q is column partner[q] of d^j times sign[q], for
+    the trace pairing (partner, sign) of C^{-j} with C^j, whose transpose
+    is d^{-j-1} P_{j+1}.  A reduced d^j gives a reduced result."""
+    m = H.diff(j)
+    partner, sign = trace_pairing(H, -j)
+    num = np.take(m.num, partner, axis=1)
+    num *= sign
+    return Mat._of(num, m.den, m.bound)
 
 
 def pi_bivector(H: HomComplex) -> PiBivector:
@@ -248,9 +324,7 @@ def pi_bivector(H: HomComplex) -> PiBivector:
     whose sign is that of the C^{-1} side: kappa(g, f) = -kappa(f, g) for
     g in C^{-1}, f in C^1.  The partner is d^0 after the degree-0
     pairing, an involution."""
-    partner, sign = trace_pairing(H, 1)
-    comp = _signed_columns(H.diff(-1), partner, -sign)
-    return PiBivector(comp, _signed_columns(H.diff(0), *trace_pairing(H, 0)))
+    return PiBivector(-_paired(H, -1), _paired(H, 0))
 
 
 def _shifted_cone(H: HomComplex, sign_flip: bool):
@@ -278,7 +352,7 @@ def _shifted_cone(H: HomComplex, sign_flip: bool):
 
 def _pair_product(H: VSComplex, left, right):
     """(A (x) X)(B (x) Y) = AB (x) XY, where None is the identity and a
-    product of two differentials is H's, formed once per complex."""
+    product of two differentials is H's, kept by the complex."""
     (a, x), (b, y) = left, right
     return a @ b, (x if y is None else y if x is None else H.product(x, y))
 
@@ -300,8 +374,8 @@ def cone_iso_check(H: HomComplex, sign_flip: bool = False):
     (iii) the inclusion of the non-negative truncation closes the printed
     commuting square.  Each identity is read on Kronecker pairs by the
     mixed-product rule (:func:`_shifted_cone`); its only matrix products
-    are of consecutive differentials of H, which the construction check of
-    H formed already.  Returns (ok, failures).
+    are of consecutive differentials of H, which the construction of H
+    proved zero and kept.  Returns (ok, failures).
     """
     d_cone, d_sum, change = _shifted_cone(H, sign_flip)
     mul = functools.partial(_pair_product, H)

@@ -29,14 +29,17 @@ homology of the cone and the sum by exact rank (:func:`homology_dims`).
 :func:`dense_hom_differential` builds each differential of the
 endomorphism complex as dense Kronecker products stacked block by block,
 where the package writes every block in place into one array.
-:func:`dense_duality_t` and :func:`dense_kappa_inverse_deg_minus1` write
-the trace pairing out as dense signed permutation matrices, entry by
-entry, where the package gathers columns by ``trace_pairing``.
+:func:`dense_duality_t`, :func:`dense_kappa_inverse_deg_minus1` and
+:func:`dense_trace_pairing` write the trace pairing out as dense signed
+permutation matrices, entry by entry, where the package gathers columns
+by ``trace_pairing``.
 :func:`canonical_bracket` builds the bracket of a Heisenberg-invariant
 table C(alpha, beta), the table that ``hn_canonical_extract`` reads back.
 :func:`leaf_dimension` computes one leaf record from any torsion type
 through ``end_dim_sheaf``, where ``enumerate_strata`` sums per-partition
-values.
+values.  :func:`stratum_counts` counts the records by length and torsion
+end_dim from a generating function, with e(lambda) = sum_i (2i - 1)
+lambda_i per partition, where ``leaves`` sums min(i, j) r_i r_j.
 """
 
 import math
@@ -534,6 +537,21 @@ def dense_kappa_inverse_deg_minus1(H) -> Mat:
     return Mat(out, 1)
 
 
+def dense_trace_pairing(H, d: int) -> Mat:
+    """C^d -> C^{-d}, entry by entry from the trace: entry (a, b) of block i
+    of C^d, Hom(E^i, E^{i+d}), goes to (-1)^i times entry (b, a) of block
+    i + d of C^{-d}, Hom(E^{i+d}, E^i), both column-major."""
+    out = np.zeros((H.dim(-d), H.dim(d)), dtype=np.int64)
+    dual = {i: (r, off) for (i, r, _, off) in H.blocks(-d)}
+    for (i, rows, cols, off) in H.blocks(d):
+        dual_rows, dual_off = dual[i + d]
+        for a in range(rows):
+            for b in range(cols):
+                out[dual_off + a * dual_rows + b, off + b * rows + a] = (
+                    -1 if i % 2 else 1)
+    return Mat(out, 1)
+
+
 def homology_dims(dims: dict, diffs: dict, ranks: dict | None = None) -> dict:
     """Homology dimensions by exact rank; calls that share ``ranks`` (rank
     by id of the differential) rank a shared differential once."""
@@ -650,3 +668,32 @@ def leaf_dimension(n: int, t: TorsionType) -> LeafRecord:
     end_t = end_dim_sheaf(t) - 1 - l
     expected = 2 * n - l - end_t
     return LeafRecord(t, l, end_t, expected, expected >= 0)
+
+
+def _descending_partitions(m: int, largest: int):
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest), 0, -1):
+        for rest in _descending_partitions(m - first, first):
+            yield (first,) + rest
+
+
+def stratum_counts(n: int) -> np.ndarray:
+    """counts[l, e]: the number of torsion types of length l and torsion
+    end_dim e, for l <= n, as the coefficient of x^l y^e in
+    prod_lambda (1 - x^|lambda| y^e(lambda))^-1 over the partitions lambda
+    of 1..n, with e(lambda) = sum_i (2i - 1) lambda_i for lambda descending.
+    Each factor is a geometric series, multiplied in by integer
+    convolution."""
+    counts = np.zeros((n + 1, n * n + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for size in range(1, n + 1):
+        for parts in _descending_partitions(size, size):
+            e = sum((2 * i + 1) * part for i, part in enumerate(parts))
+            # times 1 / (1 - x^size y^e), ascending in l so that each
+            # type can repeat
+            for l in range(size, n + 1):
+                counts[l, e:] += counts[l - size, :counts.shape[1] - e]
+    return counts
+

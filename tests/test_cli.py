@@ -509,9 +509,9 @@ class TestRefusals:
 
 
 class TestHomologyWork:
-    """homology refuses a run whose samples times the multiply-adds of an
-    instance's largest product, 4 n^2 m^2 (2 n^2 + m^2) with m = 2n + r,
-    exceed MAX_HOMOLOGY_MADDS."""
+    """homology refuses a run whose samples times the entries of an
+    instance's differentials d^-1 and d^0, 4 n m (2 n^2 + m^2) with
+    m = 2n + r, exceed MAX_HOMOLOGY_ENTRIES."""
 
     def test_refused_at_once(self, capsys):
         started = time.perf_counter()
@@ -519,21 +519,22 @@ class TestHomologyWork:
         elapsed = time.perf_counter() - started
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == ("error: samples x the multiply-adds of an instance's "
-                       "largest product must be at most 1e+10: at n = 16, "
-                       "r = 1 an instance takes 1.79e+09\n")
+        assert err == ("error: samples x the entries of an instance's "
+                       "differentials d^-1 and d^0 must be at most "
+                       "MAX_HOMOLOGY_ENTRIES = 2e+07: at n = 16, r = 1 an "
+                       "instance has 3.38e+06\n")
         assert elapsed < 1.0
-        # n = 22 is refused even with one sample
-        with pytest.raises(UsageError, match="must be at most 1e"):
-            RunConfig(n=22, r=1, samples=1).validate("homology")
+        # n = 26 is refused even with one sample
+        with pytest.raises(UsageError, match="must be at most MAX_HOMOLOGY"):
+            RunConfig(n=26, r=1, samples=1).validate("homology")
 
     @pytest.mark.parametrize("n, r, samples", [
-        (7, 2, 562), (10, 1, 88), (16, 1, 5), (21, 1, 1)])
+        (3, 1, 3553), (7, 2, 126), (10, 1, 37), (16, 1, 5), (25, 1, 1)])
     def test_largest_accepted(self, n, r, samples):
-        # the largest count of samples at (n, r) within the bound; n = 21
+        # the largest count of samples at (n, r) within the bound; n = 25
         # is the largest n accepted at all
         RunConfig(n=n, r=r, samples=samples).validate("homology")
-        with pytest.raises(UsageError, match="must be at most 1e"):
+        with pytest.raises(UsageError, match="must be at most MAX_HOMOLOGY"):
             RunConfig(n=n, r=r, samples=samples + 1).validate("homology")
 
     def test_every_shipped_configuration_accepted(self):
@@ -543,8 +544,8 @@ class TestHomologyWork:
                 RunConfig(n=n, r=r, samples=2).validate("homology")
         RunConfig().validate("homology")
         RunConfig(n=10, samples=1).validate("homology")
-        # at n = 3 the samples bound binds first
-        RunConfig(n=3, r=2, samples=10_000).validate("homology")
+        # at n = 2 the samples bound binds first
+        RunConfig(n=2, r=1, samples=10_000).validate("homology")
 
 
 class TestReports:
@@ -643,24 +644,32 @@ class TestReports:
         assert not path.exists()
 
     def test_homology_product_budget(self, tmp_path, monkeypatch):
-        # the generator's product, the d^2 = 0 check of E, the three of H,
-        # which the cone identification reads back, and chain_map_ok's two;
-        # the operands stay alive in ``calls``, so their ids are unique
+        # no product of two differentials of the endomorphism complex: the
+        # generator's product, the d^2 = 0 check of E and the two products
+        # of the probe on End(E) each contract over E, at most 4n + r wide,
+        # and the probe multiplies each of the four differentials of H by
+        # its few columns; chain_map_ok and the cone identification read
+        # the zero products that H proved
         from ellpoisson.exact import Mat
+        from ellpoisson.homology import PROBE_COLUMNS
 
-        calls = []
+        shapes = []
         matmul = Mat.__matmul__
 
         def counted(self, other):
-            calls.append((self, other))
+            shapes.append((self.shape, other.shape))
             return matmul(self, other)
 
         monkeypatch.setattr(Mat, "__matmul__", counted)
         args = ["homology", "--n", "5", "--samples", "1", "--seed", "0"]
         assert run(args, tmp_path)[0] == 0
-        pairs = [(id(a), id(b)) for a, b in calls]
-        assert len(pairs) == 7
-        assert len(set(pairs)) == len(pairs)
+        size = 21
+        assert len(shapes) == 8
+        assert [b[1] for a, b in shapes if a[1] > size] == [PROBE_COLUMNS] * 4
+        assert all(a[1] <= size or b[1] == PROBE_COLUMNS for a, b in shapes)
+        # 123,889 multiply-adds, where seven products of differentials of
+        # H, formed before the factor check, took 5,549,555
+        assert sum(a[0] * a[1] * b[1] for a, b in shapes) < 130_000
 
     def test_sklyanin_evaluates_the_relations_once(self, tmp_path,
                                                    monkeypatch):

@@ -1,5 +1,6 @@
 """Exact-arithmetic tests for the endomorphism-complex machinery."""
 
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -24,6 +25,7 @@ from oracles import (
     dense_hom_differential,
     dense_kappa_inverse_deg_minus1,
     dense_shifted_cone,
+    dense_trace_pairing,
     homology_dims,
     identity,
 )
@@ -68,6 +70,28 @@ class TestExactMat:
         k = identity(2).kron(a)
         assert k.entry(0, 0) == 1 and k.entry(2, 2) == 1
         assert k.entry(0, 2) == 0
+
+    @pytest.mark.parametrize("top, blas, dtype", [
+        (2 ** 53 - 1, True, np.int64),
+        (2 ** 53, False, np.int64),
+        (2 ** 53 + 1, False, np.int64),  # not a float64 value
+        (2 ** 63 - 1, False, np.int64),
+        (2 ** 63, False, object),
+    ], ids=["2^53-1", "2^53", "2^53+1", "2^63-1", "2^63"])
+    def test_two_paths_at_the_edges(self, monkeypatch, top, blas, dtype):
+        # k max|A| max|B| = top: float64 BLAS while it is below 2^53,
+        # Python ints from 2^53 on, and int64 storage below 2^63; the odd
+        # entries past 2^53 would round on float64
+        calls = []
+        product = exact._float64_product
+        monkeypatch.setattr(exact, "_float64_product", lambda a, b: (
+            calls.append(1), product(a, b))[1])
+        A = Mat(np.array([[1], [-1]]))
+        B = Mat(np.array([[top, top - 2]], dtype=object))
+        got = A @ B
+        assert bool(calls) == blas
+        assert got.num.dtype == dtype
+        assert got.num.tolist() == [[top, top - 2], [-top, 2 - top]]
 
 
 def elimination_cases():
@@ -167,75 +191,23 @@ class TestElimination:
 
         check()
 
-    def test_limb_products_agree_with_object_products(self, monkeypatch):
-        hyp = pytest.importorskip("hypothesis")
-        st = hyp.strategies
-        calls = []
-        product = exact._float64_product
-
-        def counted(a, b):
-            calls.append(a.shape)
-            return product(a, b)
-
-        monkeypatch.setattr(exact, "_float64_product", counted)
-
-        @hyp.settings(max_examples=300, deadline=None)
-        @hyp.given(k=st.integers(1, 16), rows=st.integers(1, 3),
-                   cols=st.integers(1, 3),
-                   bits=st.sampled_from((52, 53, 54, 62, 63, 64, 66, 100,
-                                         112)),
-                   share=st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
-                   data=st.data())
-        def check(k, rows, cols, bits, share, data):
-            # k * top_a * top_b sits near 2^bits, split between the two
-            # operands by `share`, so either one may be the split one, and
-            # an even share past 2^100 splits both
-            top_a = max(1, int(2.0 ** ((bits - math.log2(k)) * share)))
-            top_b = max(1, 2 ** bits // (k * top_a))
-
-            def draw(top, shape):
-                entry = st.one_of(st.sampled_from((top, -top)),
-                                  st.integers(-top, top))
-                num = np.array(data.draw(st.lists(
-                    entry, min_size=shape[0] * shape[1],
-                    max_size=shape[0] * shape[1])),
-                    dtype=object).reshape(shape)
-                num[0, 0] = top * data.draw(st.sampled_from((1, -1)))
-                return Mat(num)
-
-            A, B = draw(top_a, (rows, k)), draw(top_b, (k, cols))
-            want = (exact._to_object_int(A.num)
-                    @ exact._to_object_int(B.num)).tolist()
-            # the limb path on both sides of 2^53 and of 2^63
-            del calls[:]
-            got = exact._limb_product(A, B)
-            assert got.tolist() == want
-            bound = k * A.bound * B.bound
-            assert got.dtype == (object if calls == [] or bound >= 2 ** 63
-                                 else np.int64)
-            prod = A @ B
-            assert prod.num.tolist() == want
-            assert prod.num.dtype == (object if prod.bound >= 2 ** 63
-                                      else np.int64)
-
-        check()
-
     @pytest.mark.parametrize("bits,products,dtype", [
         (52, 1, np.int64),   # one float64 product
-        (54, 2, np.int64),   # two limbs, summed on int64
-        (62, 2, np.int64),
-        (64, 2, object),     # two limbs, summed on objects
-        (100, 3, object),
+        (53, 1, np.int64),   # k max|A| max|B| = 2^53 - 2^26, still float64
+        (54, 0, np.int64),   # past 2^53: objects, and the result fits int64
+        (62, 0, np.int64),
+        (64, 0, object),     # the result is past 2^63
+        (100, 0, object),
     ])
     def test_product_paths_by_bound(self, monkeypatch, bits, products,
                                     dtype):
-        # k = 64 rows of +-top against a 2^20 operand: k * max|A| = 2^26,
-        # so the larger operand splits into 27-bit limbs past 2^53
+        # k = 64 rows of +-top against a 2^20 operand: the bound
+        # k max|A| max|B| is 2^bits - 2^26, and the first column of the
+        # product reaches it, so it is past 2^63 from 64 bits on
         calls = []
         product = exact._float64_product
         monkeypatch.setattr(exact, "_float64_product", lambda a, b: (
             calls.append(1), product(a, b))[1])
-        # the first column of the product is k * 2^20 * top, near 2^bits
         top = 2 ** (bits - 26) - 1
         signs = np.where(np.arange(64) % 3, 1, -1)
         A = Mat(np.full((2, 64), 2 ** 20, dtype=np.int64))
@@ -247,39 +219,9 @@ class TestElimination:
         assert got.num.tolist() == (exact._to_object_int(A.num)
                                     @ exact._to_object_int(B.num)).tolist()
 
-    def test_limb_width_is_the_widest_exact_one(self):
-        # k * max|A| = 7 (2^40 + 1) has 43 bits, so the limbs of B have
-        # 10 bits; each limb of B is all ones, and the limb products
-        # 7 (2^40 + 1)(2^10 - 1) are odd and just below 2^53: one bit more
-        # per limb would put them past 2^53, where float64 rounds them
-        A = Mat(np.full((1, 7), 2 ** 40 + 1, dtype=np.int64))
-        B = Mat(np.full((7, 1), 2 ** 60 - 1, dtype=np.int64))
-        assert (7 * (2 ** 40 + 1) * (2 ** 10 - 1)) % 2 == 1
-        assert 2 ** 52 < 7 * (2 ** 40 + 1) * (2 ** 10 - 1) < 2 ** 53
-        assert exact._limb_product(A, B).tolist() == [
-            [7 * (2 ** 40 + 1) * (2 ** 60 - 1)]]
-
-    def test_both_operands_split_where_one_leaves_no_room(self,
-                                                           monkeypatch):
-        # k * max|smaller| near 16 * 2^50 has 55 bits, so both operands
-        # split into (53 - 5) // 2 = 24-bit limbs: three of each, nine
-        # products, fewer than k = 16
-        calls = []
-        product = exact._float64_product
-        monkeypatch.setattr(exact, "_float64_product", lambda a, b: (
-            calls.append(1), product(a, b))[1])
-        rng = np.random.default_rng(5)
-        A = Mat(rng.integers(-2 ** 50, 2 ** 50, size=(3, 16)))
-        B = Mat(rng.integers(-2 ** 50, 2 ** 50, size=(16, 2)))
-        assert A.bound.bit_length() == B.bound.bit_length() == 50
-        got = A @ B
-        assert len(calls) == 9
-        assert got.num.tolist() == (exact._to_object_int(A.num)
-                                    @ exact._to_object_int(B.num)).tolist()
-
     def test_object_products_where_limbs_cannot_help(self, monkeypatch):
-        # at least k limb products: 3 x 3 limbs of 25 bits for k = 2, and
-        # 5 limbs of 49 bits against a whole operand for k = 2
+        # past 2^53 a product runs on objects and never on float64, however
+        # far past: 2^103 for k = 2, and 2^200 against small entries
         monkeypatch.setattr(exact, "_float64_product", None)
         wide = Mat(np.full((1, 2), 2 ** 51, dtype=np.int64))
         assert (wide @ wide.T).entry(0, 0) == 2 ** 103
@@ -366,6 +308,41 @@ class TestHomComplex:
         monkeypatch.setattr(homology, "_hom_sign", lambda d: 1)
         with pytest.raises(ValueError, match="do not compose to zero"):
             hom_complex(random_kronecker_complex(1, 3, 0))
+
+    @pytest.mark.parametrize("degree", [-2, -1, 0, 1])
+    def test_probe_sees_a_wrong_entry(self, monkeypatch, degree):
+        # the probe columns have no zero entry, so one entry written wrong
+        # anywhere in an assembled differential changes its image
+        assemble = homology.HomComplex._assemble_diff
+        rng = np.random.default_rng(degree + 10)
+        for _ in range(3):
+            where = []
+
+            def wrong(self, d):
+                m = assemble(self, d)
+                if d != degree:
+                    return m
+                num = m.num.copy()
+                where.append(tuple(rng.integers(0, num.shape)))
+                num[where[-1]] += m.den
+                return Mat(num, m.den)
+
+            monkeypatch.setattr(homology.HomComplex, "_assemble_diff", wrong)
+            with pytest.raises(ValueError, match=f"differential at degree "
+                               f"{degree} does not match its Kronecker"):
+                hom_complex(kronecker(seed=1))
+            assert len(where) == 1
+
+    def test_probe_sees_a_wrong_sign(self, monkeypatch):
+        # the writer and the factor check read the same _hom_sign; a writer
+        # that negates a whole differential still squares to zero, and only
+        # the probe sees it
+        assemble = homology.HomComplex._assemble_diff
+        monkeypatch.setattr(homology.HomComplex, "_assemble_diff",
+                            lambda self, d: -assemble(self, d) if d == 0
+                            else assemble(self, d))
+        with pytest.raises(ValueError, match="degree 0 does not match"):
+            hom_complex(kronecker(seed=1))
 
     def test_composition_validated(self):
         with pytest.raises(ValueError):
@@ -546,6 +523,73 @@ class TestDuality:
         assert same_bytes(pi.partner, H.diff(0) @ dense_duality_t(H))
 
 
+def adjoint_defects(H, diff, pairing) -> list:
+    """The degrees j at which P_j (d^j)^T = (-1)^j d^{-j-1} P_{j+1} fails,
+    by dense products, for the differentials diff(j) and the matrices
+    pairing(j) of the trace pairing C^j -> C^{-j}."""
+    bad = []
+    for j in range(H.deg_min, H.deg_max):
+        rhs = diff(-j - 1) @ pairing(j + 1)
+        if not pairing(j) @ diff(j).T == (-rhs if j % 2 else rhs):
+            bad.append(j)
+    return bad
+
+
+def package_pairing(H):
+    """C^j -> C^{-j} as a dense matrix of ``trace_pairing``, read when
+    called."""
+    return lambda j: pairing_matrix(*homology.trace_pairing(H, j),
+                                    H.dim(-j)).T
+
+
+ADJOINT_CASES = {**{f"kronecker_{seed}": (lambda seed=seed: kronecker(
+    seed=seed)) for seed in range(5)},
+    "rational": rational_complex, "zero_differential": zero_diff_complex}
+
+
+class TestAdjointness:
+    """The trace pairing is adjoint to the differential, which reduces both
+    identities of ``chain_map_ok`` to d^2 = 0."""
+
+    @pytest.mark.parametrize("case", sorted(ADJOINT_CASES))
+    def test_holds_at_every_degree(self, case):
+        H = hom_complex(ADJOINT_CASES[case]())
+        assert H.deg_max - H.deg_min == 4
+        dense = functools.partial(dense_hom_differential, H)
+        assert adjoint_defects(H, dense, functools.partial(
+            dense_trace_pairing, H)) == []
+        for j in range(H.deg_min, H.deg_max + 1):
+            assert same_bytes(package_pairing(H)(j), dense_trace_pairing(H, j))
+        assert adjoint_defects(H, H.diff, package_pairing(H)) == []
+        # the gathered form that chain_map_ok reads
+        for j in range(H.deg_min, H.deg_max):
+            assert homology._paired(H, j).T == homology._paired(H, -j - 1)
+
+    def test_unsigned_differential_fails(self, monkeypatch):
+        H = hom_complex(kronecker(seed=0))
+        monkeypatch.setattr(homology, "_hom_sign", lambda d: 1)
+        unsigned = {j: H._assemble_diff(j) for j in H.diffs}
+        assert adjoint_defects(H, unsigned.get, package_pairing(H)) != []
+        H.diffs.update(unsigned)
+        assert any(not homology._paired(H, j).T == homology._paired(H, -j - 1)
+                   for j in range(H.deg_min, H.deg_max))
+
+    def test_sign_flipped_pairing_fails(self, monkeypatch):
+        # the sign of block i + d of C^{-d} in place of block i of C^d
+        # flips it at odd d, so one side of each identity changes sign
+        H = hom_complex(kronecker(seed=0))
+        pairing = homology.trace_pairing
+
+        def flipped(H, d):
+            partner, sign = pairing(H, d)
+            return partner, -sign if d % 2 else sign
+
+        monkeypatch.setattr(homology, "trace_pairing", flipped)
+        assert adjoint_defects(H, H.diff, package_pairing(H)) == list(
+            range(H.deg_min, H.deg_max))
+        assert not pi_bivector(H).chain_map_ok(H)
+
+
 class TestPiBivector:
     def test_zero_for_zero_differential(self):
         H = hom_complex(zero_diff_complex())
@@ -608,11 +652,10 @@ class TestPiBivector:
         assert not PiBivector(Mat(num, pi.component.den),
                               pi.partner).chain_map_ok(H)
         partner, sign = trace_pairing(H, 1)
-        permuted = homology._signed_columns(H.diff(-1), np.roll(partner, 1),
-                                            -sign)
+        num = H.diff(-1).num
+        permuted = Mat(num[:, np.roll(partner, 1)] * -sign)
         assert not PiBivector(permuted, pi.partner).chain_map_ok(H)
-        unsigned = PiBivector(
-            homology._signed_columns(H.diff(-1), partner, sign), pi.partner)
+        unsigned = PiBivector(Mat(num[:, partner] * sign), pi.partner)
         assert unsigned.chain_map_ok(H)
         assert not unsigned.antisymmetry_ok()
 
@@ -826,24 +869,29 @@ class TestPairs:
 
 class TestConeIsoProducts:
     @pytest.mark.parametrize("sign_flip", [False, True])
-    def test_only_differentials_of_h_multiply_once(self, monkeypatch,
-                                                   sign_flip):
-        # the comparison map, the inclusion and the diagonal are integer
-        # factors times the identity, so the only products the check needs
-        # are of consecutive differentials of H; the d^2 = 0 check of
-        # construction formed each once, and the cone identification forms
-        # none; the sign flip changes an integer factor only
+    def test_no_two_differentials_of_h_multiply(self, monkeypatch,
+                                                sign_flip):
+        # H proves d^2 = 0 on the factors of E and keeps each zero product,
+        # so its construction multiplies a differential of H only by the
+        # probe's columns, and the cone identification, whose only products
+        # are of consecutive differentials of H, forms none; the sign flip
+        # changes an integer factor only
         E = kronecker(seed=2, n=5)
         calls = counted_products(monkeypatch)
         H = hom_complex(E)
+        diffs = [H.diff(d) for d in range(H.deg_min, H.deg_max)]
+        assert not any(a is x and b is y for a, b in calls
+                       for x in diffs for y in diffs)
+        assert [(a, b.shape) for a, b in calls if any(a is x for x in diffs)
+                ] == [(x, (x.shape[1], homology.PROBE_COLUMNS))
+                      for x in diffs]
         built = len(calls)
         ok, failures = cone_iso_check(H, sign_flip=sign_flip)
         assert ok != sign_flip, failures
         assert len(calls) == built
-        diffs = [H.diff(d) for d in range(H.deg_min, H.deg_max)]
-        assert [(id(a), id(b)) for a, b in calls] == [
+        assert [(id(x), id(y)) for x, y, _ in H._products.values()] == [
             (id(y), id(x)) for x, y in zip(diffs, diffs[1:])]
-        assert len(calls) == H.deg_max - H.deg_min - 1
+        assert all(p.is_zero() for _, _, p in H._products.values())
 
     def test_replaced_differential_multiplies_again(self, monkeypatch):
         # a differential replaced after construction is a new operand, so
@@ -858,10 +906,10 @@ class TestConeIsoProducts:
         assert sorted(pairs) == sorted([(id(new), id(H.diff(-1))),
                                         (id(H.diff(1)), id(new))])
 
-    def test_zero_differentials_multiply_once(self, monkeypatch):
-        # every missing differential of a degree is one zero matrix, so
-        # repeated checks read its products from the complex: the first
-        # call forms the three pairs, the next ones form none
+    def test_zero_differentials_are_read_back(self, monkeypatch):
+        # every missing differential of a degree is one zero matrix, and
+        # the construction of H keeps the three zero products of those
+        # matrices, so repeated checks read them and form none
         H = hom_complex(zero_diff_complex())
         calls = counted_products(monkeypatch)
         sizes = []
@@ -870,8 +918,60 @@ class TestConeIsoProducts:
             assert ok, failures
             sizes.append(len(H._products))
         assert sizes == [3, 3, 3]
-        assert len(calls) == 3
+        assert calls == []
         assert H.diff(0) is H.diff(0)
+
+
+class TestObjectPath:
+    """A real instance past both bounds: at n = 20 the differentials of E
+    have 55-bit entries, so the probe products pass 2^53 and 2^63 and run
+    on Python ints, while every array stays int64."""
+
+    @pytest.fixture(scope="class")
+    def E(self):
+        return random_kronecker_complex(1, 20, 0)
+
+    def test_checks_pass_on_objects(self, E, monkeypatch):
+        bounds = []
+        matmul = Mat.__matmul__
+
+        def counted(self, other):
+            bounds.append((other.shape[1], self.shape[1] * self.bound
+                           * other.bound))
+            return matmul(self, other)
+
+        monkeypatch.setattr(Mat, "__matmul__", counted)
+        H = hom_complex(E)
+        assert E.diff(0).bound.bit_length() == 55
+        probes = [b for cols, b in bounds if cols == homology.PROBE_COLUMNS]
+        assert len(probes) == H.deg_max - H.deg_min
+        assert max(probes) >= 2 ** 63
+        assert all(H.diff(d).num.dtype == np.int64 for d in H.diffs)
+        ok, failures = cone_iso_check(H)
+        assert ok, failures
+        pi = pi_bivector(H)
+        assert pi.antisymmetry_ok() and pi.chain_map_ok(H)
+        assert not cone_iso_check(H, sign_flip=True)[0]
+
+    def test_unsigned_differential_fails(self, E, monkeypatch):
+        monkeypatch.setattr(homology, "_hom_sign", lambda d: 1)
+        with pytest.raises(ValueError, match="do not compose to zero"):
+            hom_complex(E)
+
+    def test_probe_sees_a_wrong_entry(self, E, monkeypatch):
+        assemble = homology.HomComplex._assemble_diff
+
+        def wrong(self, d):
+            m = assemble(self, d)
+            if d:
+                return m
+            num = m.num.copy()
+            num[-1, -1] += 1
+            return Mat(num, m.den)
+
+        monkeypatch.setattr(homology.HomComplex, "_assemble_diff", wrong)
+        with pytest.raises(ValueError, match="degree 0 does not match"):
+            hom_complex(E)
 
 
 class TestGenerator:

@@ -5,6 +5,7 @@ import pytest
 
 from ellpoisson.leaves import (
     DivisorDatum,
+    LeafRecord,
     TorsionType,
     classical_cubic_rows,
     divisor_constraint,
@@ -13,7 +14,7 @@ from ellpoisson.leaves import (
     enumerate_strata,
 )
 from ellpoisson.theta import CurveParams
-from oracles import leaf_dimension
+from oracles import leaf_dimension, stratum_counts
 
 PARAMS = CurveParams(0.3 + 0.8j, 3)
 
@@ -158,6 +159,42 @@ class TestEnumeration:
                 by_l[rec.l] += 1
             assert by_l == counts[:n + 1]
         assert sum(counts) == 11361
+
+
+def counts_of(records, n):
+    counts = np.zeros((n + 1, n * n + 1), dtype=np.int64)
+    for rec in records:
+        counts[rec.l, rec.end_dim_torsion] += 1
+    return counts
+
+
+class TestStratumCounts:
+    """The records of each length l and torsion end_dim e against the
+    coefficients of prod_lambda (1 - x^|lambda| y^e(lambda))^-1."""
+
+    @pytest.mark.parametrize("n", [6, 9, 12, 13])
+    def test_match_the_generating_function(self, n):
+        want = stratum_counts(n)
+        assert np.array_equal(counts_of(enumerate_strata(n), n), want)
+        # y = 1 gives the multipartition numbers
+        assert want.sum(axis=1).tolist() == multipartition_numbers(n)
+        # below l = 2 each part of a single point has e = 1, 3, 5, ...
+        assert np.flatnonzero(want[1]).tolist() == [1]
+
+    def test_a_dropped_record_or_a_shifted_end_dim_fails(self):
+        n = 9
+        records = enumerate_strata(n)
+        want = stratum_counts(n)
+        for k in (0, 1, len(records) // 2, len(records) - 1):
+            assert not np.array_equal(
+                counts_of(records[:k] + records[k + 1:], n), want)
+            rec = records[k]
+            step = 1 if rec.end_dim_torsion < n * n else -1
+            shifted = LeafRecord(rec.torsion, rec.l,
+                                 rec.end_dim_torsion + step,
+                                 rec.expected_dim - step, rec.feasible)
+            assert not np.array_equal(
+                counts_of(records[:k] + [shifted] + records[k + 1:], n), want)
 
 
 class TestDivisorConstraint:
