@@ -183,10 +183,6 @@ class ResidueSystem:
         return float(np.max(np.abs(_node_coeffs(samples, self.offsets,
                                                 (-2, -1)))))
 
-    def pairing_matrix(self) -> np.ndarray:
-        """<phi_a, psi_b>; equals the identity within quadrature error."""
-        return self.tr(self.phi[:, None] * self.psi)
-
     # -- checks of the closed forms ----------------------------------------
 
     def verify_p_plus(self, alpha: int, beta: int,

@@ -75,6 +75,14 @@ MAX_HOMOLOGY_SAMPLES = 10_000
 # peak of 35 bytes at n = 24 (entries past 2^63; 2-vCPU Xeon VM).  This
 # bound keeps a run near 5 s and an instance below 1 GB: n <= 25.
 MAX_HOMOLOGY_ENTRIES = 2 * 10 ** 7
+# sklyanin's Jacobi check grows as n^5: 0.16 s at n = 31, 1.4 s at 47 and
+# 4.9 s at 63 in-process at tau = i (2-vCPU Xeon VM).  This bound on n for
+# every theta command keeps a run near 5 s.
+MAX_THETA_N = 63
+# moduli-compare keeps three samples x n x n complex stacks; an entry costs
+# about 2 us at n = 3, 4 us at n = 9, 18 us at n = 31 and 38 us at n = 63
+# (same VM), so this bound keeps a run near 5 s: 25 samples at n = 63.
+MAX_MODULI_ENTRIES = 10 ** 5
 
 
 @dataclass
@@ -132,6 +140,16 @@ class RunConfig:
             CurveParams(self.tau, self.n)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        if self.n > MAX_THETA_N:
+            raise UsageError(f"n must be at most MAX_THETA_N = {MAX_THETA_N}"
+                             ": sklyanin's Jacobi check grows as n^5 and "
+                             "takes about 5 s there")
+        if command == "moduli-compare" and self.samples * self.n ** 2 > \
+                MAX_MODULI_ENTRIES:
+            raise UsageError(
+                "samples x n^2 must be at most MAX_MODULI_ENTRIES = "
+                f"{MAX_MODULI_ENTRIES:.0e}: at n = {self.n} that is "
+                f"{MAX_MODULI_ENTRIES // self.n ** 2} samples")
         if command in ("sklyanin", "moduli-compare") and self.n < 3:
             raise UsageError("n must be at least 3: at n = 2 the Sklyanin "
                              "bracket vanishes identically "

@@ -123,9 +123,6 @@ class Mat:
             return self
         return Mat(self.num // g, self.den // g)
 
-    def entry(self, i, j) -> Fraction:
-        return Fraction(int(self.num[i, j]), self.den)
-
     # -- algebra -----------------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":

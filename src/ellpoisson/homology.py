@@ -15,20 +15,24 @@ antisymmetry against the transpose partner d^0 t.  Both are differentials
 with their columns gathered and signed.  The printed cone identification
 Cone(ad)[-1] = C . C^0, with the degree-0 change of basis [[1, 0], [1, -1]],
 is verified identity by identity over the rationals on Kronecker pairs
-A (x) X (:func:`cone_iso_check`); an invertible chain map between the two
-complexes is an isomorphism, so their homology agrees without a rank.
-Each differential is one array into which every Kronecker block I (x) phi
-or phi^T (x) I is written in place, and d^2 = 0 is proved on those
-factors, so the only products are of E's size and of a probe of a few
-columns that ties each array to them (:meth:`HomComplex._check_squares`).
+A (x) X, with X named by its degree (:func:`cone_iso_check`); an
+invertible chain map between the two complexes is an isomorphism, so their
+homology agrees without a rank.  A constructed complex is read-only and
+has proved d^2 = 0, so no check multiplies its differentials again.  Each
+differential of the endomorphism complex is one array into which every
+Kronecker block I (x) phi or phi^T (x) I is written in place, and d^2 = 0
+is proved on those factors, so the only products are of E's size and of a
+probe of a few columns that ties each array to them
+(:meth:`HomComplex._check_squares`).
 The seeded instances of :func:`random_kronecker_complex` read the rank of
 phi_{-1} off the nullspace they need anyway.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,19 +65,14 @@ class VSComplex:
 
     ``dims`` maps degree to dimension; ``diffs[i]`` is the matrix of the
     map from degree i to degree i+1 (shape dims[i+1] x dims[i]); missing
-    differentials are zero, one zero matrix per shape, so that
-    :meth:`product` meets the same operand on every call.  Composition of
-    consecutive differentials is verified to vanish exactly, through
-    :meth:`product`, which forms each product of two operands once per
-    complex.
+    differentials are zero.  Construction verifies that consecutive
+    differentials compose to zero exactly, and leaves both mappings and
+    the numerators of every differential read-only, so d^2 = 0 holds for
+    every constructed complex.
     """
 
-    dims: dict
-    diffs: dict
-    _products: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
-    _zeros: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    dims: Mapping
+    diffs: Mapping
 
     def __post_init__(self):
         dims = {int(k): int(v) for k, v in self.dims.items() if v}
@@ -83,15 +82,16 @@ class VSComplex:
             shape = (dims.get(i + 1, 0), dims.get(i, 0))
             m = _as_mat(d, shape)
             if not m.is_zero():
+                m.num.setflags(write=False)
                 diffs[i] = m
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "diffs", diffs)
+        object.__setattr__(self, "dims", MappingProxyType(dims))
+        object.__setattr__(self, "diffs", MappingProxyType(diffs))
         self._check_squares()
 
     def _check_squares(self):
         for i, m in self.diffs.items():
             nxt = self.diffs.get(i + 1)
-            if nxt is not None and not self.product(nxt, m).is_zero():
+            if nxt is not None and not (nxt @ m).is_zero():
                 raise ValueError(f"differentials at degrees {i}, {i + 1} do "
                                  "not compose to zero")
 
@@ -100,44 +100,29 @@ class VSComplex:
 
     def diff(self, i: int) -> Mat:
         m = self.diffs.get(i)
-        if m is None:
-            shape = (self.dim(i + 1), self.dim(i))
-            m = self._zeros.get(shape)
-            if m is None:
-                m = self._zeros[shape] = Mat.zeros(*shape)
-        return m
+        return Mat.zeros(self.dim(i + 1), self.dim(i)) if m is None else m
 
     def degrees(self):
         return sorted(self.dims)
 
-    def product(self, x: Mat, y: Mat) -> Mat:
-        """x @ y, formed once per pair of operands, or proven zero by the
-        construction, and kept with them, so that their ids stay unique; a
-        differential replaced after construction is a new operand and is
-        multiplied again."""
-        key = (id(x), id(y))
-        if key not in self._products:
-            self._products[key] = (x, y, x @ y)
-        return self._products[key][2]
 
-
+@dataclass(frozen=True, init=False)
 class HomComplex(VSComplex):
     """The endomorphism complex of a VSComplex with explicit matrices.
 
     C^d has one column-major block per degree i of the source, Hom(E^i,
-    E^{i+d}), listed by :meth:`blocks`.
+    E^{i+d}), listed by :meth:`blocks`.  The source, the degree range and
+    the blocks are read-only once built, as the differentials are.
     """
 
     def __init__(self, source: VSComplex):
-        self.source = source
         degs = source.degrees()
         if not degs:
-            self.deg_min, self.deg_max = 0, -1
+            deg_min, deg_max = 0, -1
         else:
-            self.deg_min = min(degs) - max(degs)
-            self.deg_max = max(degs) - min(degs)
-        self._blocks = {}
-        for d in range(self.deg_min, self.deg_max + 1):
+            deg_min, deg_max = min(degs) - max(degs), max(degs) - min(degs)
+        table = {}
+        for d in range(deg_min, deg_max + 1):
             blocks = []
             offset = 0
             for i in degs:
@@ -146,10 +131,14 @@ class HomComplex(VSComplex):
                 if rows and cols:
                     blocks.append((i, rows, cols, offset))
                     offset += rows * cols
-            self._blocks[d] = (blocks, offset)
-        super().__init__({d: size for d, (_, size) in self._blocks.items()},
+            table[d] = (tuple(blocks), offset)
+        for name, value in (("source", source), ("deg_min", deg_min),
+                            ("deg_max", deg_max),
+                            ("_blocks", MappingProxyType(table))):
+            object.__setattr__(self, name, value)
+        super().__init__({d: size for d, (_, size) in table.items()},
                          {d: self._assemble_diff(d)
-                          for d in range(self.deg_min, self.deg_max)})
+                          for d in range(deg_min, deg_max)})
 
     def blocks(self, d: int):
         return self._blocks.get(d, ((), 0))[0]
@@ -160,10 +149,10 @@ class HomComplex(VSComplex):
         Each block of d^{d+1} d^d sums I (x) phi phi, (phi phi)^T (x) I and
         (_hom_sign(d) + _hom_sign(d + 1)) phi_i^T (x) phi_{i+d+1} (mixed-
         product rule), so it vanishes with E's squares, which E's
-        construction formed, when the signs cancel; the zero products are
-        kept.  Each array must send the seeded columns of :meth:`_probe`,
-        which have no zero entry, to their image, so a wrong entry is
-        always seen (Freivalds, 1977).
+        construction proved zero, when the signs cancel.  Each array must
+        send the seeded columns of :meth:`_probe`, which have no zero
+        entry, to their image, so a wrong entry is always seen (Freivalds,
+        1977).
         """
         phi = self.source.diffs
         for d in range(self.deg_min, self.deg_max - 1):
@@ -171,9 +160,6 @@ class HomComplex(VSComplex):
                     i + d + 1 in phi for i in phi):
                 raise ValueError(f"differentials at degrees {d}, {d + 1} do "
                                  "not compose to zero")
-            x, y = self.diff(d + 1), self.diff(d)
-            self._products[id(x), id(y)] = (x, y, Mat.zeros(x.shape[0],
-                                                            y.shape[1]))
         v, w, den = self._probe()
         degrees = range(self.deg_min, self.deg_max)
         cut = np.cumsum([self.dim(d) for d in degrees])
@@ -299,13 +285,12 @@ class PiBivector:
         Up to the sign that :meth:`antisymmetry_ok` checks, the component
         must be d^{-1} P_1, so d^0 component is d^0 d^{-1} P_1, and by the
         adjointness (d^1 P_{-1})^T = d^{-2} P_2, component (d^1)^T is
-        d^{-1} d^{-2} P_2: both vanish with the squares that H proved zero.
+        d^{-1} d^{-2} P_2: both vanish, as d^2 = 0 holds for every
+        constructed complex.
         """
         ad = _paired(H, -1)
-        squares = (H.product(H.diff(d + 1), H.diff(d)) for d in (-2, -1))
         return (self.component == ad or self.component == -ad) and \
-            _paired(H, 1).T == _paired(H, -2) and all(
-                p.is_zero() for p in squares)
+            _paired(H, 1).T == _paired(H, -2)
 
 
 def _paired(H: HomComplex, j: int) -> Mat:
@@ -329,80 +314,76 @@ def pi_bivector(H: HomComplex) -> PiBivector:
 
 def _shifted_cone(H: HomComplex, sign_flip: bool):
     """Differentials of the two printed complexes and the comparison map,
-    each a Kronecker pair (A, X) standing for A (x) X: A is an integer
-    matrix over the summands of C^0 + C^0, 1x1 off degree 0, and X a
-    differential of H, or None for the identity of C^0.  In degree 0 the
-    first summand is the shifted target copy in the cone and the
-    untruncated complex in the direct sum; the two complexes share one
+    each a Kronecker pair (A, x) standing for A (x) X: A is an integer
+    matrix over the summands of C^0 + C^0, 1x1 off degree 0, and X is the
+    differential of H of degree x, or the identity of C^0 for x None.  In
+    degree 0 the first summand is the shifted target copy in the cone and
+    the untruncated complex in the direct sum; the two complexes share one
     pair in every degree but -1.
     """
-    d_cone = {d: (np.array([[1]]), H.diff(d))
-              for d in range(H.deg_min, H.deg_max)}
+    d_cone = {d: (np.array([[1]]), d) for d in range(H.deg_min, H.deg_max)}
     d_sum = dict(d_cone)
     if -1 in d_cone:  # then so is 0
-        a = H.diff(-1)
-        d_cone[-1] = (np.array([[1], [1]]), a)
-        d_sum[-1] = (np.array([[1], [0]]), a)
-        d_cone[0] = d_sum[0] = (np.array([[1, 0]]), H.diff(0))
+        d_cone[-1] = (np.array([[1], [1]]), -1)
+        d_sum[-1] = (np.array([[1], [0]]), -1)
+        d_cone[0] = d_sum[0] = (np.array([[1, 0]]), 0)
     change = np.array(DEG0_CHANGE_OF_BASIS)
     if sign_flip:
         change[1, 0] *= -1
     return d_cone, d_sum, (change, None)
 
 
-def _pair_product(H: VSComplex, left, right):
-    """(A (x) X)(B (x) Y) = AB (x) XY, where None is the identity and a
-    product of two differentials is H's, kept by the complex."""
+def _pair_product(left, right):
+    """(A (x) X)(B (x) Y) = AB (x) XY, where one of X and Y is the identity
+    (None); a product of two differentials is never formed."""
     (a, x), (b, y) = left, right
-    return a @ b, (x if y is None else y if x is None else H.product(x, y))
+    if x is not None and y is not None:
+        raise ValueError(f"product of the differentials of degrees {x} and "
+                         f"{y}")
+    return a @ b, (y if x is None else x)
 
 
 def _pair_equal(H: VSComplex, left, right) -> bool:
-    """Equality on one operand only: (A - B) (x) X = 0, where None is zero
-    when H.dim(0) = 0.  Distinct operands never compare equal."""
+    """Equality on one operand only: (A - B) (x) X = 0, where the identity
+    (None) is zero when H.dim(0) = 0.  Distinct degrees never compare
+    equal, even as two zero maps."""
     (a, x), (b, y) = left, right
-    return x is y and (not (a - b).any()
-                       or (not H.dim(0) if x is None else x.is_zero()))
+    return x == y and (not (a - b).any()
+                       or (not H.dim(0) if x is None else H.diff(x).is_zero()))
 
 
 def cone_iso_check(H: HomComplex, sign_flip: bool = False):
     """Verify the printed cone identification exactly, pair by pair.
 
-    Checks (i) both complexes square to zero, (ii) the comparison map with
-    degree-0 block DEG0_CHANGE_OF_BASIS is an invertible chain map, which
-    is an isomorphism of complexes, so the two have the same homology, and
-    (iii) the inclusion of the non-negative truncation closes the printed
+    Checks (ii) that the comparison map with degree-0 block
+    DEG0_CHANGE_OF_BASIS is an invertible chain map, which is an
+    isomorphism of complexes, so the two have the same homology, and (iii)
+    that the inclusion of the non-negative truncation closes the printed
     commuting square.  Each identity is read on Kronecker pairs by the
-    mixed-product rule (:func:`_shifted_cone`); its only matrix products
-    are of consecutive differentials of H, which the construction of H
-    proved zero and kept.  Returns (ok, failures).
+    mixed-product rule (:func:`_shifted_cone`), with no matrix product.
+    Claim (i), that both complexes square to zero, needs no check: each
+    square is AB (x) d^{d+1} d^d, and the construction of H proved d^2 = 0
+    (:meth:`HomComplex._check_squares`).  Returns (ok, failures).
     """
     d_cone, d_sum, change = _shifted_cone(H, sign_flip)
-    mul = functools.partial(_pair_product, H)
-    same = functools.partial(_pair_equal, H)
     failures = []
-    for d in sorted(d_cone):
-        for name, diffs in (("cone", d_cone), ("sum", d_sum)):
-            if d + 1 in diffs:
-                a, x = mul(diffs[d + 1], diffs[d])
-                if not same((a, x), (0, x)):
-                    failures.append(f"{name} differential squares to zero "
-                                    f"at degree {d}")
     # chain-map squares; the comparison map is the identity off degree 0
     for d in sorted(d_cone):
-        lhs = mul(change, d_cone[d]) if d + 1 == 0 else d_cone[d]
-        rhs = mul(d_sum[d], change) if d == 0 else d_sum[d]
-        if not same(lhs, rhs):
+        lhs = _pair_product(change, d_cone[d]) if d + 1 == 0 else d_cone[d]
+        rhs = _pair_product(d_sum[d], change) if d == 0 else d_sum[d]
+        if not _pair_equal(H, lhs, rhs):
             failures.append(f"chain-map square at degrees ({d}, {d + 1})")
-    if not same(mul(change, change), (np.eye(2, dtype=int), None)):
+    if not _pair_equal(H, _pair_product(change, change),
+                       (np.eye(2, dtype=int), None)):
         failures.append("degree-0 comparison block is not an involution")
     # commuting square with the inclusion of C^{>=0}: through the cone and
     # the comparison map, a section lands as (y, y) in degree 0
     inclusion = (np.array(INCLUSION), None)
-    if not same(mul(change, inclusion), (np.array(DIAGONAL), None)):
+    if not _pair_equal(H, _pair_product(change, inclusion),
+                       (np.array(DIAGONAL), None)):
         failures.append("square with the truncation inclusion does not commute")
-    if H.dim(1) and not same(mul(d_cone[0], inclusion),
-                             (np.array([[1]]), H.diff(0))):
+    if H.dim(1) and not _pair_equal(H, _pair_product(d_cone[0], inclusion),
+                                    (np.array([[1]]), 0)):
         failures.append("truncation inclusion is not a chain map into the cone")
     return (not failures), failures
 

@@ -40,9 +40,13 @@ through ``end_dim_sheaf``, where ``enumerate_strata`` sums per-partition
 values.  :func:`stratum_counts` counts the records by length and torsion
 end_dim from a generating function, with e(lambda) = sum_i (2i - 1)
 lambda_i per partition, where ``leaves`` sums min(i, j) r_i r_j.
+:func:`mat_entry` and :func:`phi_psi_pairing` are readers that only the
+tests need: an exact entry as a Fraction, and the duality pairing of a
+``ResidueSystem``'s tables by its trace form.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -566,6 +570,17 @@ def homology_dims(dims: dict, diffs: dict, ranks: dict | None = None) -> dict:
 
 def identity(n: int) -> Mat:
     return Mat(np.eye(n, dtype=np.int64))
+
+
+def mat_entry(m: Mat, i: int, j: int) -> Fraction:
+    """Entry (i, j) of an exact matrix as a Fraction."""
+    return Fraction(int(m.num[i, j]), m.den)
+
+
+def phi_psi_pairing(system) -> np.ndarray:
+    """<phi_a, psi_b> by the trace form of a ``ResidueSystem``; equals the
+    identity within quadrature error."""
+    return system.tr(system.phi[:, None] * system.psi)
 
 
 def dense_hom_differential(H, d: int) -> Mat:

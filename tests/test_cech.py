@@ -25,7 +25,8 @@ from ellpoisson.theta import (
     theta_alpha_eval,
 )
 
-from oracles import phi, three_sum_basis, three_sum_tables
+from oracles import phi, phi_psi_pairing, three_sum_basis, \
+    three_sum_tables
 
 
 def basis(n, tau=1j):
@@ -233,7 +234,7 @@ class TestTrace:
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
     def test_duality(self, n, tau):
         system = ResidueSystem(basis(n, tau))
-        pairing = system.pairing_matrix()
+        pairing = phi_psi_pairing(system)
         assert np.max(np.abs(pairing - np.eye(n))) < 1e-8
 
 

@@ -163,10 +163,10 @@ class TestExitCodes:
         (["leaves", "--n", "21"], "n must be at most 20"),
         (["sklyanin", "--n", "5", "--k", "4"],
          "its bracket vanishes identically"),
-        # sizes no host can allocate
+        # sizes no host can allocate, refused before anything is built
         (["moduli-compare", "--samples", "1000000000000000"],
-         "moduli-compare ran out of memory at these sizes: Unable to "
-         "allocate"),
+         "samples x n^2 must be at most MAX_MODULI_ENTRIES = 1e+05: at "
+         "n = 3 that is 11111 samples"),
         (["homology", "--n", "3", "--r", "1000000000000000"],
          "n = 3, r = 1000000000000000 is too large: a differential of the "
          "endomorphism complex would take 4.8e+46 bytes, beyond numpy's "
@@ -478,9 +478,11 @@ class TestRefusals:
           for c, what, limit in (("theta", "theta", "5e-11"),
                                  ("sklyanin", "bracket", "1e-11"),
                                  ("moduli-compare", "bracket", "1e-11"))}),
-        # no host can allocate the basis of order 10^15
+        # no host can allocate the basis of order 10^15; refused by the
+        # bound on n before it is built
         (["--n", "1000000000000000"],
-         {c: (2, f"{c} ran out of memory at these sizes: Unable to allocate")
+         {c: (2, "n must be at most MAX_THETA_N = 63: sklyanin's Jacobi "
+                 "check grows as n^5 and takes about 5 s there")
           for c in ("theta", "sklyanin", "moduli-compare")}),
         # the 301-digit exponent bound prints in short scientific form
         (["--n", "3", "--tau", "0", "1e300"],
@@ -546,6 +548,97 @@ class TestHomologyWork:
         RunConfig(n=10, samples=1).validate("homology")
         # at n = 2 the samples bound binds first
         RunConfig(n=2, r=1, samples=10_000).validate("homology")
+
+
+class TestThetaWork:
+    """The theta commands refuse n above MAX_THETA_N, and moduli-compare
+    refuses samples x n^2 above MAX_MODULI_ENTRIES, before anything is
+    built."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["theta", "--n", str(10 ** 20)], "MAX_THETA_N = 63"),
+        (["sklyanin", "--n", str(10 ** 20)], "MAX_THETA_N = 63"),
+        (["moduli-compare", "--n", str(10 ** 20)], "MAX_THETA_N = 63"),
+        (["moduli-compare", "--n", "3", "--samples", str(10 ** 20)],
+         "MAX_MODULI_ENTRIES = 1e+05: at n = 3 that is 11111 samples"),
+    ])
+    def test_refused_at_once(self, args, message, capsys):
+        started = time.perf_counter()
+        code = main(args)
+        elapsed = time.perf_counter() - started
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("command", ["theta", "sklyanin",
+                                         "moduli-compare"])
+    def test_largest_n_accepted(self, command):
+        RunConfig(n=63, k=2, samples=1).validate(command)
+        with pytest.raises(UsageError, match="must be at most MAX_THETA_N"):
+            RunConfig(n=64, k=3, samples=1).validate(command)
+
+    @pytest.mark.parametrize("n, samples", [
+        (3, 11111), (9, 1234), (31, 104), (63, 25)])
+    def test_largest_samples_accepted(self, n, samples):
+        RunConfig(n=n, samples=samples).validate("moduli-compare")
+        with pytest.raises(UsageError, match="must be at most MAX_MODULI"):
+            RunConfig(n=n, samples=samples + 1).validate("moduli-compare")
+
+    def test_every_shipped_configuration_accepted(self):
+        # the README's largest examples and the tests' largest n
+        RunConfig(n=9, samples=1000).validate("moduli-compare")
+        RunConfig(n=5, samples=1000).validate("moduli-compare")
+        RunConfig(n=31, k=1).validate("sklyanin")
+        RunConfig(n=31, samples=1, tau_im=6.0).validate("moduli-compare")
+
+    def test_memory_error_is_usage_error(self, monkeypatch, capsys):
+        # no accepted size is known to run out of memory, so the handler
+        # for a host that cannot allocate one is reached by a stand-in
+        import ellpoisson.cli as cli
+
+        def unable(cfg):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setitem(cli.COMMANDS, "theta",
+                            (unable,) + cli.COMMANDS["theta"][1:])
+        assert main(["theta"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: theta ran out of memory at "
+                                     "these sizes: Unable to allocate 8.00 "
+                                     "EiB\n")
+
+
+# every integer option of every command
+INTEGER_OPTIONS = {command: [flag for flag in flags
+                             if flag in ("--n", "--k", "--samples", "--seed",
+                                         "--r")]
+                   for command, flags in FLAGS.items()}
+
+
+class TestExtremeValues:
+    """Each integer option at 0 and at +-10^20 refuses with exit 2 or runs
+    a small job; no value raises out of main."""
+
+    @pytest.mark.parametrize("argv", [
+        [command, flag, str(value)]
+        for command, flags in INTEGER_OPTIONS.items() for flag in flags
+        for value in (0, 10 ** 20, -10 ** 20)], ids=" ".join)
+    def test_never_raises(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert (out == "") == (code == 2)
+        assert "Traceback" not in err
+
+    def test_every_integer_option_is_swept(self):
+        # the sweep's options are those that the parser reads as integers
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert {command: [a.option_strings[0] for a in p._actions
+                          if a.type is int]
+                for command, p in sub.choices.items()} == INTEGER_OPTIONS
 
 
 class TestReports:
@@ -648,8 +741,8 @@ class TestReports:
         # generator's product, the d^2 = 0 check of E and the two products
         # of the probe on End(E) each contract over E, at most 4n + r wide,
         # and the probe multiplies each of the four differentials of H by
-        # its few columns; chain_map_ok and the cone identification read
-        # the zero products that H proved
+        # its few columns; chain_map_ok and the cone identification form
+        # none, as H proved d^2 = 0 when it was built
         from ellpoisson.exact import Mat
         from ellpoisson.homology import PROBE_COLUMNS
 
