@@ -67,13 +67,15 @@ THETA_COMMANDS = ("theta", "sklyanin", "moduli-compare")
 # The leaf records number 728,069 at n = 20 and grow about 3.3x per +2.
 MAX_LEAVES_N = 20
 # Each homology instance adds one check of about 85 bytes to the report, so
-# 10,000 instances make a report near 1 MB; at n = 3 they take about 13 s.
+# 10,000 instances make a report near 1 MB; at n = 2, the largest n that
+# MAX_HOMOLOGY_ENTRIES lets run them, they take 5-6 s in-process.
 MAX_HOMOLOGY_SAMPLES = 10_000
 # An instance's largest cost is its differentials d^-1 and d^0, 4 n m
-# (2 n^2 + m^2) entries with m = 2n + r: 30-40 ns per entry at n = 7..14,
-# 100-115 ns at n = 16..20 (probe products past 2^53) and 250-280 ns and a
-# peak of 35 bytes at n = 24 (entries past 2^63; 2-vCPU Xeon VM).  This
-# bound keeps a run near 5 s and an instance below 1 GB: n <= 25.
+# (2 n^2 + m^2) entries with m = 2n + r: 26-40 ns per entry at n = 7..14,
+# 77-83 ns at n = 16..20 (probe products past 2^53) and 175 ns and a peak
+# of 35 bytes at n = 24 (entries past 2^63; in-process, r = 1, 2-vCPU Xeon
+# VM).  This bound keeps a run below about 4 s and an instance below 1 GB:
+# n <= 25.
 MAX_HOMOLOGY_ENTRIES = 2 * 10 ** 7
 # sklyanin's Jacobi check grows as n^5: 0.16 s at n = 31, 1.4 s at 47 and
 # 4.9 s at 63 in-process at tau = i (2-vCPU Xeon VM).  This bound on n for

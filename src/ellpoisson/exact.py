@@ -72,7 +72,9 @@ class Mat:
             raise TypeError("numerators must be integers")
         if den <= 0:
             raise ValueError("denominator must be positive")
-        bound = max(int(num.max()), -int(num.min())) if num.size else 0
+        # the ufuncs' own reductions, without numpy's Python wrappers
+        bound = max(int(np.maximum.reduce(num, axis=None)),
+                    -int(np.minimum.reduce(num, axis=None))) if num.size else 0
         if bound >= _INT64_BOUND:
             num = num if num.dtype == object else _to_object_int(num)
         elif num.dtype != np.int64:
@@ -121,7 +123,11 @@ class Mat:
         g = math.gcd(int(np.gcd.reduce(self.num, axis=None)), self.den)
         if g == 1:
             return self
-        return Mat(self.num // g, self.den // g)
+        # g divides every numerator, so the bound divides exactly too
+        num, bound = self.num // g, self.bound // g
+        if num.dtype == object and bound < _INT64_BOUND:
+            num = num.astype(np.int64)
+        return Mat._of(num, self.den // g, bound)
 
     # -- algebra -----------------------------------------------------------
 

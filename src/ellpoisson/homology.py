@@ -23,13 +23,19 @@ differential of the endomorphism complex is one array into which every
 Kronecker block I (x) phi or phi^T (x) I is written in place, and d^2 = 0
 is proved on those factors, so the only products are of E's size and of a
 probe of a few columns that ties each array to them
-(:meth:`HomComplex._check_squares`).
+(:meth:`HomComplex._check_squares`).  The block table, the probe's seeded
+columns with their order over the C^d, and the trace pairing depend on
+E's dimension vector alone: they are built once per shape, read-only, and
+shared by every instance of it (:func:`_layout`); an instance pays for its
+differentials, the probe's two products with its phi and their ties.
 The seeded instances of :func:`random_kronecker_complex` read the rank of
-phi_{-1} off the nullspace they need anyway.
+phi_{-1} off the nullspace they need anyway, and rank a draw R before
+forming phi_0 = R N.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -106,42 +112,127 @@ class VSComplex:
         return sorted(self.dims)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# the trace pairing of a degree outside the complex, where C^d = 0
+_NO_PAIRING = (_read_only(np.empty(0, dtype=np.int64)),
+               _read_only(np.empty(0, dtype=np.int64)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """What an endomorphism complex and its checks read of E's dimension
+    vector alone, shared by every complex of that shape.
+
+    ``blocks`` maps each degree d to the blocks of C^d
+    (:meth:`HomComplex.blocks`) and their total size.  For the probe,
+    ``start`` gives the offset of each E^i in E, the sum of the E^i, of
+    dimension ``size``; ``probe`` is the k probe matrices F side by side
+    and ``probe_eps`` the k matrices eps F eps on top of each other;
+    ``columns`` are the entries of F over C^d, one Mat of k columns per
+    source degree d, cut at ``cut``; and ``left_at`` and ``right_at``
+    gather the entries of phi F and eps F eps phi in the same order.
+    ``pairing`` maps d to the trace pairing (:func:`trace_pairing`).  Every
+    array is read-only.
+    """
+
+    deg_min: int
+    deg_max: int
+    blocks: Mapping
+    size: int
+    start: Mapping
+    probe: Mat
+    probe_eps: Mat
+    columns: tuple
+    cut: np.ndarray
+    left_at: np.ndarray
+    right_at: np.ndarray
+    pairing: Mapping
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(dims, seed, k) -> _Layout:
+    """The :class:`_Layout` of the sorted (degree, dimension) pairs ``dims``
+    with ``k`` probe matrices drawn from ``seed``.  Built on the first
+    complex of a shape; a ``homology`` run's instances share one shape."""
+    degs = [i for i, _ in dims]
+    dim = dict(dims)
+    deg_min, deg_max = (min(degs) - max(degs), max(degs) - min(degs)) \
+        if degs else (0, -1)
+    blocks = {}
+    for d in range(deg_min, deg_max + 1):
+        table = []
+        offset = 0
+        for i in degs:
+            rows, cols = dim.get(i + d, 0), dim[i]
+            if rows:
+                table.append((i, rows, cols, offset))
+                offset += rows * cols
+        blocks[d] = (tuple(table), offset)
+    pairing = {}
+    for d, (table, size) in blocks.items():
+        partner = np.empty(size, dtype=np.int64)
+        sign = np.empty(size, dtype=np.int64)
+        dual = {i: off for (i, _, _, off) in blocks[-d][0]}
+        for (i, rows, cols, off) in table:
+            b, a = np.divmod(np.arange(rows * cols), rows)
+            partner[off:off + rows * cols] = dual[i + d] + a * cols + b
+            sign[off:off + rows * cols] = -1 if i % 2 else 1
+        pairing[d] = (_read_only(partner), _read_only(sign))
+    start = dict(zip(degs, np.cumsum([0] + [dim[i] for i in degs]).tolist()))
+    deg = np.repeat(np.array(degs, dtype=np.int64), [dim[i] for i in degs])
+    size = len(deg)
+    # entry (row, col) of End(E) sits in C^d, d = deg[row] - deg[col],
+    # in block deg[col], column-major
+    row, col = np.indices((size, size)).reshape(2, -1)
+    at = np.lexsort((row, col, deg[col], deg[row] - deg[col]))
+    f = np.random.default_rng(seed).integers(-3, 3, size=(k, size, size))
+    f[f >= 0] += 1
+    eps = 1 - 2 * (deg % 2)
+    # phi F is [a, (t, b)] and eps F eps phi is [(t, a), b] for probe t
+    t = np.arange(k)
+    left_at = (row[at, None] * k + t) * size + col[at, None]
+    right_at = (t * size + row[at, None]) * size + col[at, None]
+    cut = np.cumsum([blocks[d][1] for d in range(deg_min, deg_max)],
+                    dtype=np.int64)
+    # no differential leaves C^deg_max
+    columns = np.split(f.reshape(k, -1)[:, at].T, cut)[:-1]
+    return _Layout(
+        deg_min, deg_max, MappingProxyType(blocks), size,
+        MappingProxyType(start), Mat(_read_only(np.hstack(f))),
+        Mat(_read_only(np.vstack(f * eps[:, None] * eps))),
+        tuple(Mat(_read_only(v)) for v in columns), _read_only(cut),
+        _read_only(left_at), _read_only(right_at), MappingProxyType(pairing))
+
+
 @dataclass(frozen=True, init=False)
 class HomComplex(VSComplex):
     """The endomorphism complex of a VSComplex with explicit matrices.
 
     C^d has one column-major block per degree i of the source, Hom(E^i,
     E^{i+d}), listed by :meth:`blocks`.  The source, the degree range and
-    the blocks are read-only once built, as the differentials are.
+    the blocks are read-only once built, as the differentials are.  What
+    depends on E's dimensions alone, the block table, the probe's columns
+    and gathers and the trace pairing, is built once per shape and shared
+    (:func:`_layout`); each instance writes its differentials and forms
+    the probe's images from its own phi.
     """
 
     def __init__(self, source: VSComplex):
-        degs = source.degrees()
-        if not degs:
-            deg_min, deg_max = 0, -1
-        else:
-            deg_min, deg_max = min(degs) - max(degs), max(degs) - min(degs)
-        table = {}
-        for d in range(deg_min, deg_max + 1):
-            blocks = []
-            offset = 0
-            for i in degs:
-                rows = source.dim(i + d)
-                cols = source.dim(i)
-                if rows and cols:
-                    blocks.append((i, rows, cols, offset))
-                    offset += rows * cols
-            table[d] = (tuple(blocks), offset)
-        for name, value in (("source", source), ("deg_min", deg_min),
-                            ("deg_max", deg_max),
-                            ("_blocks", MappingProxyType(table))):
+        layout = _layout(tuple((i, source.dim(i)) for i in source.degrees()),
+                         PROBE_SEED, PROBE_COLUMNS)
+        for name, value in (("source", source), ("deg_min", layout.deg_min),
+                            ("deg_max", layout.deg_max), ("_layout", layout)):
             object.__setattr__(self, name, value)
-        super().__init__({d: size for d, (_, size) in table.items()},
+        super().__init__({d: size for d, (_, size) in layout.blocks.items()},
                          {d: self._assemble_diff(d)
-                          for d in range(deg_min, deg_max)})
+                          for d in range(layout.deg_min, layout.deg_max)})
 
     def blocks(self, d: int):
-        return self._blocks.get(d, ((), 0))[0]
+        return self._layout.blocks.get(d, ((), 0))[0]
 
     def _check_squares(self):
         """d^2 = 0 on the Kronecker factors, then a probe of each array.
@@ -150,9 +241,9 @@ class HomComplex(VSComplex):
         (_hom_sign(d) + _hom_sign(d + 1)) phi_i^T (x) phi_{i+d+1} (mixed-
         product rule), so it vanishes with E's squares, which E's
         construction proved zero, when the signs cancel.  Each array must
-        send the seeded columns of :meth:`_probe`, which have no zero
-        entry, to their image, so a wrong entry is always seen (Freivalds,
-        1977).
+        send the seeded columns of the shape's probe, which have no zero
+        entry, to their image (:meth:`_probe`), so a wrong entry is always
+        seen (Freivalds, 1977).
         """
         phi = self.source.diffs
         for d in range(self.deg_min, self.deg_max - 1):
@@ -160,46 +251,37 @@ class HomComplex(VSComplex):
                     i + d + 1 in phi for i in phi):
                 raise ValueError(f"differentials at degrees {d}, {d + 1} do "
                                  "not compose to zero")
-        v, w, den = self._probe()
+        w, den = self._probe()
         degrees = range(self.deg_min, self.deg_max)
-        cut = np.cumsum([self.dim(d) for d in degrees])
-        for d, vd, wd in zip(degrees, np.split(v, cut), np.split(w, cut)[1:]):
-            if not self.diff(d) @ Mat(vd) == Mat(wd, den):
+        for d, vd, wd in zip(degrees, self._layout.columns,
+                             np.split(w, self._layout.cut)[1:]):
+            if not self.diff(d) @ vd == Mat(wd, den):
                 raise ValueError(f"differential at degree {d} does not match "
                                  "its Kronecker factors")
 
     def _probe(self):
-        """Seeded integer columns v over C^deg_min + ... + C^deg_max and
-        numerators w over ``den`` of their image under the definition of d.
+        """Numerators over ``den`` of the image of the shape's probe columns
+        under the definition of d, in the coordinates of :meth:`blocks`.
 
-        That sum is End(E), E the sum of the E^i, on which d F = phi F -
-        eps F eps phi, phi the sum of the phi_i and eps = (-1)^i on E^i.  So
-        k probe matrices F take two products of E's size, read in the
-        coordinates of :meth:`blocks`.
+        The sum C^deg_min + ... + C^deg_max is End(E), E the sum of the E^i,
+        on which d F = phi F - eps F eps phi, phi the sum of the phi_i and
+        eps = (-1)^i on E^i.  So the k probe matrices F take two products of
+        E's size, with F and eps F eps read from the shape's layout, and
+        one gather per product reads their entries in the order of the
+        probe columns.
         """
-        E, k = self.source, PROBE_COLUMNS
-        degs = E.degrees()
-        start = dict(zip(degs, np.cumsum([0] + [E.dim(i) for i in degs])))
-        deg = np.repeat(np.array(degs, dtype=np.int64),
-                        [E.dim(i) for i in degs])
-        size = len(deg)
-        # entry (row, col) of End(E) sits in C^d, d = deg[row] - deg[col],
-        # in block deg[col], column-major
-        row, col = np.indices((size, size)).reshape(2, -1)
-        at = np.lexsort((row, col, deg[col], deg[row] - deg[col]))
-        f = np.random.default_rng(PROBE_SEED).integers(-3, 3,
-                                                       size=(k, size, size))
-        f[f >= 0] += 1
-        eps = 1 - 2 * (deg % 2)
-        phi = assemble((size, size), [(start[i + 1], start[i], m)
-                                      for i, m in E.diffs.items()])
-        left = phi @ Mat(np.hstack(f))  # [a, (t, b)]
-        right = Mat(np.vstack(f * eps[:, None] * eps)) @ phi  # [(t, a), b]
-        image = left + -Mat._of(np.hstack(right.num.reshape(k, size, size)),
-                                right.den, right.bound)
-        w = image.num.reshape(size, k, size).transpose(1, 0, 2)
-        return (f.reshape(k, -1)[:, at].T, w.reshape(k, -1)[:, at].T,
-                image.den)
+        E, layout = self.source, self._layout
+        phi = assemble((layout.size, layout.size),
+                       [(layout.start[i + 1], layout.start[i], m)
+                        for i, m in E.diffs.items()])
+        left = phi @ layout.probe  # [a, (t, b)]
+        right = layout.probe_eps @ phi  # [(t, a), b]
+        # each gather is a permutation of all entries, so keeps the bound
+        image = Mat._of(np.take(left.num, layout.left_at), left.den,
+                        left.bound) + -Mat._of(np.take(right.num,
+                                                       layout.right_at),
+                                               right.den, right.bound)
+        return image.num, image.den
 
     def _assemble_diff(self, d: int) -> Mat:
         """Matrix of C^d -> C^{d+1} in column-major flattened coordinates.
@@ -224,7 +306,8 @@ class HomComplex(VSComplex):
                 pieces.append((toff, soff, (tcols, trows, scols, srows),
                                si == ti, phi))
         den, nums, bound = common_denominator([p[-1] for p in pieces])
-        num = zeros_for((self._blocks[d + 1][1], self._blocks[d][1]), bound)
+        num = zeros_for((self._layout.blocks[d + 1][1],
+                         self._layout.blocks[d][1]), bound)
         for (toff, soff, shape, same, _), phi in zip(pieces, nums):
             view = num[toff:toff + shape[0] * shape[1],
                        soff:soff + shape[2] * shape[3]].reshape(shape)
@@ -253,15 +336,10 @@ def trace_pairing(H: HomComplex, d: int):
     order, pairs with entry (b, a) of block i + d of C^{-d}, to (-1)^i;
     every other pair of unit vectors pairs to zero.  Returns integer arrays
     (partner, sign) over C^d: the index of that entry in C^{-d} and (-1)^i.
+    They depend on E's dimensions alone, so they are built once per shape
+    (:func:`_layout`) and are read-only.
     """
-    partner = np.empty(H.dim(d), dtype=np.int64)
-    sign = np.empty(H.dim(d), dtype=np.int64)
-    dual = {i: off for (i, _, _, off) in H.blocks(-d)}
-    for (i, rows, cols, off) in H.blocks(d):
-        b, a = np.divmod(np.arange(rows * cols), rows)
-        partner[off:off + rows * cols] = dual[i + d] + a * cols + b
-        sign[off:off + rows * cols] = -1 if i % 2 else 1
-    return partner, sign
+    return H._layout.pairing.get(d, _NO_PAIRING)
 
 
 @dataclass(frozen=True)
@@ -395,8 +473,12 @@ def random_kronecker_complex(r: int, n: int, seed: int) -> VSComplex:
     """Seeded three-term complex with dimension vector (n, 2n+r, n).
 
     Degrees (-1, 0, 1); integer differentials with the composite zero and
-    generic ranks.  phi_{-1} has rank mid - (rows of the nullspace of its
-    transpose), so one elimination serves both the rank test and phi_0.
+    generic ranks.  phi_{-1} has rank mid - (rows of the nullspace N of its
+    transpose), so one elimination serves both its rank test and phi_0 =
+    R N for a drawn R.  Each row of N has the pivot at its own free column
+    and zeros at the others, so N has full row rank, rank(R N) = rank(R),
+    and only the small R is ranked; the product is formed once, for the R
+    accepted.
     """
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
@@ -407,6 +489,7 @@ def random_kronecker_complex(r: int, n: int, seed: int) -> VSComplex:
         null_rows = phi0.T.nullspace()  # rows v with v . phi0 = 0
         if mid - null_rows.shape[0] < n:  # the rank of phi0
             continue
-        phi1 = Mat(rng.integers(-2, 3, size=(n, null_rows.shape[0]))) @ null_rows
-        if phi1.rank() == n:
-            return VSComplex({-1: n, 0: mid, 1: n}, {-1: phi0, 0: phi1})
+        R = Mat(rng.integers(-2, 3, size=(n, null_rows.shape[0])))
+        if R.rank() == n:
+            return VSComplex({-1: n, 0: mid, 1: n},
+                             {-1: phi0, 0: R @ null_rows})

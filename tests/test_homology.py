@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ellpoisson import exact, homology
+from ellpoisson.cli import main
 from ellpoisson.exact import Mat, hstack, vstack
 from ellpoisson.homology import (
     PiBivector,
@@ -45,6 +46,16 @@ def rational_complex():
 
 def kronecker(seed=0, r=1, n=3):
     return random_kronecker_complex(r, n, seed)
+
+
+@pytest.fixture(autouse=True)
+def cached_layouts():
+    """Build the layouts of the shapes most tests use, so their checks run
+    as the second and later instances of a run do, with the shape's layout
+    cached; ``TestLayout`` covers the first, cold instance."""
+    for r, n in ((1, 3), (1, 5), (1, 20)):
+        homology._layout(((-1, n), (0, 2 * n + r), (1, n)),
+                         homology.PROBE_SEED, homology.PROBE_COLUMNS)
 
 
 class TestExactMat:
@@ -94,6 +105,26 @@ class TestExactMat:
         assert bool(calls) == blas
         assert got.num.dtype == dtype
         assert got.num.tolist() == [[top, top - 2], [-top, 2 - top]]
+
+    def test_storage_at_the_int64_edges(self):
+        # the bound is read once, and a reduction divides it rather than
+        # scanning again: -2^63 has no int64 negation, so its matrix
+        # holds objects; 2^63 - 1 stays int64; an object matrix whose
+        # reduced bound fits goes back to int64
+        low = Mat(np.array([[-2 ** 63, 1]], dtype=np.int64))
+        assert low.num.dtype == object and low.bound == 2 ** 63
+        assert low.num.tolist() == [[-2 ** 63, 1]]
+        high = Mat(np.array([[2 ** 63 - 1], [-5]], dtype=np.int64))
+        assert high.num.dtype == np.int64 and high.bound == 2 ** 63 - 1
+        wide = Mat(np.array([[2 ** 64, -2 ** 63], [0, 12]], dtype=object),
+                   4)._reduced()
+        assert wide.num.dtype == np.int64 and wide.den == 1
+        assert wide.bound == 2 ** 62
+        assert wide.num.tolist() == [[2 ** 62, -2 ** 61], [0, 3]]
+        # still past 2^63 after the reduction: objects, bound divided
+        still = Mat(np.array([[2 ** 66, 2]], dtype=object), 2)._reduced()
+        assert still.num.dtype == object and still.bound == 2 ** 65
+        assert still.num.tolist() == [[2 ** 65, 1]] and still.den == 1
 
 
 def elimination_cases():
@@ -400,6 +431,93 @@ class TestHomComplex:
                         for d in range(H.deg_min, H.deg_max + 1))
             e = sum((-1) ** i * m for i, m in H.source.dims.items())
             assert total == e * e
+
+
+class TestLayout:
+    """What depends on E's dimension vector alone is built once per shape
+    and shared, read-only, by every complex of that shape."""
+
+    def test_one_layout_per_shape(self, capsys):
+        homology._layout.cache_clear()
+        assert main(["homology", "--n", "4", "--samples", "20"]) == 0
+        info = homology._layout.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+        assert main(["homology", "--n", "4", "--samples", "3", "--r",
+                     "2"]) == 0
+        assert homology._layout.cache_info().misses == 2
+        capsys.readouterr()
+
+    def test_instances_of_one_shape_share_it(self):
+        H, G = hom_complex(kronecker(seed=1)), hom_complex(kronecker(seed=2))
+        assert H._layout is G._layout
+        for d in range(H.deg_min, H.deg_max + 1):
+            assert all(a is b for a, b in zip(trace_pairing(H, d),
+                                              trace_pairing(G, d)))
+        assert H.blocks(0) is G.blocks(0)
+
+    def test_shared_arrays_are_read_only(self):
+        H = hom_complex(kronecker(seed=1, r=2, n=4))
+        layout = H._layout
+        # every array the layout shares, the numerators of its Mats included
+        arrays = [layout.cut, layout.left_at, layout.right_at,
+                  layout.probe.num, layout.probe_eps.num,
+                  *(m.num for m in layout.columns),
+                  *(a for pair in layout.pairing.values() for a in pair),
+                  *homology._NO_PAIRING]
+        assert len(arrays) > 20
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        for table in (H._layout.blocks, H._layout.start, H._layout.pairing):
+            with pytest.raises(TypeError):
+                table[0] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            H._layout.size = 0
+
+    def test_same_size_different_shapes(self):
+        # dims (3, 8, 3) and (2, 10, 2): End(E) has size 14 for both, and
+        # each gets its own layout
+        one = hom_complex(random_kronecker_complex(2, 3, 0))
+        two = hom_complex(random_kronecker_complex(6, 2, 0))
+        assert one._layout.size == two._layout.size == 14
+        assert one._layout is not two._layout
+        assert one.dim(0) != two.dim(0)
+        for H in (one, two):
+            assert cone_iso_check(H) == (True, [])
+            pi = pi_bivector(H)
+            assert pi.antisymmetry_ok() and pi.chain_map_ok(H)
+
+    def test_key_covers_the_probe_constants(self, monkeypatch):
+        # a probe of another seed or width is another layout, and the
+        # checks pass with it
+        E = kronecker(seed=3)
+        base = hom_complex(E)._layout
+        built = {}
+        for name, value in (("PROBE_SEED", 5), ("PROBE_COLUMNS", 3)):
+            with monkeypatch.context() as m:
+                m.setattr(homology, name, value)
+                built[name] = hom_complex(E)
+            assert built[name]._layout is not base
+            assert cone_iso_check(built[name]) == (True, [])
+        assert not np.array_equal(built["PROBE_SEED"]._layout.probe.num,
+                                  base.probe.num)
+        assert built["PROBE_COLUMNS"]._layout.left_at.shape[1] == 3
+        assert hom_complex(E)._layout is base
+
+    def test_cold_and_cached_runs_form_the_same_products(self, monkeypatch,
+                                                         capsys):
+        # building a layout multiplies nothing, so a job forms the same 8
+        # products whether its shape's layout is cached or not
+        counts = []
+        for clear in (True, False):
+            if clear:
+                homology._layout.cache_clear()
+            calls = counted_products(monkeypatch)
+            assert main(["homology", "--n", "5", "--samples", "1"]) == 0
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert counts == [8, 8]
+        capsys.readouterr()
 
 
 def big_complex():
@@ -974,3 +1092,35 @@ class TestGenerator:
         E = random_kronecker_complex(2, 4, seed=12)
         assert E.diff(-1).rank() == 4
         assert E.diff(0).rank() == 4
+
+    def test_rank_of_r_decides(self, monkeypatch):
+        # each row of the nullspace N has its pivot at its own free column
+        # and zeros at the others, so rank(R N) = rank(R) for every draw R,
+        # accepted or not; the generator ranks R alone and forms R N once
+        rejected = 0
+        for r, n in ((1, 1), (1, 2), (2, 3), (3, 4)):
+            for seed in range(25):
+                rng = np.random.default_rng(seed)
+                mid = 2 * n + r
+                while True:
+                    phi0 = Mat(rng.integers(-3, 4, size=(mid, n)))
+                    null_rows = phi0.T.nullspace()
+                    if mid - null_rows.shape[0] < n:
+                        continue
+                    R = Mat(rng.integers(-2, 3, size=(n, null_rows.shape[0])))
+                    assert R.rank() == (R @ null_rows).rank()
+                    if R.rank() == n:
+                        break
+                    rejected += 1
+                calls = counted_products(monkeypatch)
+                E = random_kronecker_complex(r, n, seed)
+                # R N, then E's own d^2 = 0 check
+                assert len(calls) == 2
+                monkeypatch.undo()
+                assert E.diff(0) == R @ null_rows
+        assert rejected > 0
+        # two equal rows: both ranks fall below n together
+        phi0 = Mat(np.array([[1, 0], [0, 1], [1, 1], [2, -1], [0, 3]]))
+        null_rows = phi0.T.nullspace()
+        R = Mat(np.array([[1, -2, 0], [1, -2, 0]]))
+        assert R.rank() == (R @ null_rows).rank() == 1
