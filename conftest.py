@@ -6,7 +6,8 @@ environment sets them, and BLAS reads them only when numpy is first
 imported; the test modules import numpy before the package.
 
 The command line caches each lattice's basis, residue system and bracket,
-keyed by their build functions (``ellpoisson.cli``); clearing the caches
+keyed by their build functions and the lattice or the basis they are built
+from (``ellpoisson.cli``); clearing the caches
 keeps a test from being served an object an earlier test built.
 """
 

@@ -18,8 +18,8 @@ from one theta jet on the circle around 0 by the exact 1/n shift, from
 which the dual pairing, the trace tables and both routes to the
 extension-moduli bracket are read, each route one array evaluation for
 a chunk of chart points, with one expansion of the principal-part projection
-that is certified pair by pair and projects every cotangent vector of the
-trace route in one product),
+that the tests certify pair by pair and that projects every cotangent
+vector of the trace route in one product),
 ``exact`` (exact rational matrices on int64 numerators, promoted to Python
 ints only where a proven bound fails, products on float64 BLAS below 2^53
 and on Python ints past it, and one fraction-free elimination for rank
@@ -29,7 +29,9 @@ proves d^2 = 0 on the factors, the bivector, the cone identification on
 Kronecker pairs A (x) X by the mixed-product rule, and the trace pairing
 as one signed permutation, adjoint to d, that gathers columns) and
 ``leaves`` (torsion-type combinatorics and the divisor-class
-constraint).  ``cli`` drives batch verification runs.
+constraint).  ``cli`` drives batch verification runs.  An input outside
+the domain of the function that takes it raises ``errors.UsageError``,
+both an ``EllPoissonError`` and a ``ValueError``.
 ``cech.laurent_coeffs``, ``fo.fo_relations``, ``fo.single_eta_bracket``
 and ``exact.Mat.kron`` have no caller in the package, ``homology`` no
 longer uses its imports ``hstack`` and ``vstack``, and ``cli`` no longer

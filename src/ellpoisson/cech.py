@@ -10,8 +10,8 @@ side of the duality are represented by vectors of disc-local functions
 dual to (phi_alpha) under the trace pairing tr(f) = (1/n) sum_k Res_{k/n} f.
 The principal-part projection P_+ has closed theta-quotient forms on the
 products psi_alpha phi_beta.  One expansion of P_+(psi_t phi) in those
-forms (:meth:`ResidueSystem.projection_coeffs`) is certified pair by pair
-against the samples and is the one the trace-pairing route to
+forms (:meth:`ResidueSystem.projection_coeffs`), which the tests certify
+pair by pair against the samples, is the one the trace-pairing route to
 {t_i, t_j} and the image class pi_t run; the fully expanded coefficient
 route is cross-checked against the trace-pairing route.  Both routes take
 a stack of chart points on leading axes and arrays of chart indices, so
@@ -36,8 +36,6 @@ other disc.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -177,61 +175,6 @@ class ResidueSystem:
         """Samples of sum_g c_g phi_g + sum_g d_g phi_g'."""
         return (self._samples(phi_coeffs, self.phi)
                 + self._samples(dphi_coeffs, self.dphi))
-
-    def _principal_part(self, samples) -> float:
-        """Largest |c_-2|, |c_-1| over the discs of an (n, P) sample table."""
-        return float(np.max(np.abs(_node_coeffs(samples, self.offsets,
-                                                (-2, -1)))))
-
-    # -- checks of the closed forms ----------------------------------------
-
-    def verify_p_plus(self, alpha: int, beta: int,
-                      coeff_scale: float = 1.0) -> float:
-        """Largest principal-part coefficient of psi_a phi_b - P_+(psi_a phi_b).
-
-        P_+(psi_a phi_b) is :meth:`projection_coeffs` at t = e_a, phi = phi_b.
-        A small value certifies the closed form; ``coeff_scale`` != 1
-        rescales the closed form to demonstrate the check has power.  The
-        diagonal alpha = beta is defined only inside zero-sum combinations
-        (:meth:`verify_p_plus_zero_sum`) and is rejected here.
-        """
-        n = self.basis.n
-        alpha %= n
-        beta %= n
-        if alpha == beta:
-            raise ValueError("psi_a phi_a has nonzero residues; only zero-sum "
-                             "combinations of such products are projectable")
-        unit = np.eye(n, dtype=complex)
-        phi_c, dphi_c = self.projection_coeffs(unit[alpha], unit[beta])
-        projected = self._combine(coeff_scale * phi_c, coeff_scale * dphi_c)
-        return self._principal_part(self.psi[alpha] * self.phi[beta]
-                                    - projected)
-
-    def verify_p_plus_zero_sum(self, coeffs) -> float:
-        """Principal-part residual of sum_a c_a psi_a phi_a when sum c_a = 0.
-
-        The projection of such a combination vanishes, so the combination
-        itself must be regular near every point of D.
-        """
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if len(coeffs) != self.basis.n:
-            raise ValueError("need one coefficient per index")
-        if abs(np.sum(coeffs)) > 1e-12 * max(1.0, float(np.max(np.abs(coeffs)))):
-            raise ValueError("coefficients must sum to zero")
-        return self._principal_part(self._samples(coeffs,
-                                                  self.psi * self.phi))
-
-    def verify_trace_identity(self, i: int, j: int) -> float:
-        """|F(i,j-i) tr(phi_{j-i} phi_i psi_j) - (th'_i/th_i + th'_{j-i}/th_{j-i}
-        - 2 pi i n)| for i, j, i-j nonzero mod n."""
-        basis = self.basis
-        n = basis.n
-        if i % n == 0 or j % n == 0 or (i - j) % n == 0:
-            raise ValueError("need i, j and i - j nonzero mod n")
-        lhs = self.f[i % n, (j - i) % n] * self.t3[(j - i) % n, i % n]
-        rhs = (basis.ratio_dtheta(i) + basis.ratio_dtheta(j - i)
-               - 2j * math.pi * n)
-        return float(abs(lhs - rhs))
 
     # -- the two routes to {t_i, t_j} -------------------------------------
     # Both take a chart point t (n,), or a stack of them (..., n), and chart

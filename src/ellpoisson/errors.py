@@ -5,6 +5,11 @@ class EllPoissonError(Exception):
     """Base class for all package-specific errors."""
 
 
+class UsageError(EllPoissonError, ValueError):
+    """An input outside the domain of the code that takes it; the command
+    line exits 2 on it."""
+
+
 class DegenerateTauError(EllPoissonError):
     """A theta value that must be nonzero vanished for this lattice parameter."""
 

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateEtaError, ThetaRangeError
+from .errors import DegenerateEtaError, ThetaRangeError, UsageError
 from .poisson import QuadraticBracket, pair_tensor
 from .theta import (CIRCLE_POINTS, LOG_LIMIT, ThetaBasis, circle_nodes,
                     shortest_period, theta_alpha_eval)
@@ -75,10 +75,11 @@ def _check_range(basis: ThetaBasis):
 
 
 def _check_coprime(n: int, k: int):
+    """Raise UsageError unless 0 < k < n and gcd(n, k) = 1."""
     if not 0 < k < n:
-        raise ValueError("k must satisfy 0 < k < n")
+        raise UsageError("k must satisfy 0 < k < n")
     if math.gcd(n, k) != 1:
-        raise ValueError("gcd(n,k) must be 1")
+        raise UsageError("gcd(n,k) must be 1")
 
 
 def _relation_rows(basis: ThetaBasis, k: int, etas) -> np.ndarray:

@@ -42,6 +42,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .errors import UsageError
 from .exact import Mat, assemble, common_denominator, zeros_for
 # unused here; kept as module attributes because perfbench/spans.py wraps them
 from .exact import hstack, vstack  # noqa: F401
@@ -366,8 +367,10 @@ class PiBivector:
         d^{-1} d^{-2} P_2: both vanish, as d^2 = 0 holds for every
         constructed complex.
         """
+        # pi_bivector builds the component as -ad, so that sign is tried
+        # first
         ad = _paired(H, -1)
-        return (self.component == ad or self.component == -ad) and \
+        return (self.component == -ad or self.component == ad) and \
             _paired(H, 1).T == _paired(H, -2)
 
 
@@ -478,10 +481,10 @@ def random_kronecker_complex(r: int, n: int, seed: int) -> VSComplex:
     R N for a drawn R.  Each row of N has the pivot at its own free column
     and zeros at the others, so N has full row rank, rank(R N) = rank(R),
     and only the small R is ranked; the product is formed once, for the R
-    accepted.
+    accepted.  r < 1 or n < 1 raises :class:`UsageError`.
     """
     if r < 1 or n < 1:
-        raise ValueError("need r >= 1 and n >= 1")
+        raise UsageError("need r >= 1 and n >= 1")
     rng = np.random.default_rng(seed)
     mid = 2 * n + r
     while True:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
+from .errors import UsageError
 from .theta import CurveParams
 
 # largest lattice defect that divisor_constraint accepts as zero
@@ -171,10 +172,11 @@ def enumerate_strata(n: int):
     """All leaf records for torsion types of length at most n.
 
     Records are ordered by length, then by expected dimension descending,
-    then by ``torsion.points`` ascending.
+    then by ``torsion.points`` ascending.  n < 1 raises
+    :class:`UsageError`.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise UsageError("n must be positive")
     types = _local_types(n)
     fitting = [[(i, local, size, end)
                 for i, (local, size, end) in enumerate(types) if size <= m]

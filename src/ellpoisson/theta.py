@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTauError, ThetaRangeError
+from .errors import DegenerateTauError, ThetaRangeError, UsageError
 
 TWO_PI_I = 2j * math.pi
 # exp() overflows above exp(709.78); the rest is headroom for the series sums
@@ -94,7 +94,8 @@ class CurveParams:
 
     Re(tau) is stored modulo 2n by the exact ``math.fmod``: no basis value
     changes, theta_alpha(z; tau + 2n) = theta_alpha(z; tau), and
-    |Re(tau)| < 2n is kept bit for bit.
+    |Re(tau)| < 2n is kept bit for bit.  A non-finite tau, Im(tau) <= 0
+    or n < 2 raises :class:`UsageError`.
     """
 
     tau: complex
@@ -102,11 +103,11 @@ class CurveParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.tau.real) and math.isfinite(self.tau.imag)):
-            raise ValueError("tau must be finite")
+            raise UsageError("tau must be finite")
         if self.tau.imag <= 0:
-            raise ValueError("Im(tau) must be positive")
+            raise UsageError("Im(tau) must be positive")
         if self.n < 2:
-            raise ValueError("order n must be at least 2")
+            raise UsageError("order n must be at least 2")
         object.__setattr__(self, "tau", complex(
             math.fmod(self.tau.real, 2 * self.n), self.tau.imag))
 
@@ -294,7 +295,7 @@ def _basis_jet(basis, z, a, z0, b, sums):
     return _jet_mul(_exp_jet(ex, TWO_PI_I * a, order), series)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaBasis:
     """Precomputed data for the basis theta_0, ..., theta_{n-1}.
 
@@ -310,6 +311,8 @@ class ThetaBasis:
     refused before any series is summed; one whose values at 0 are lost in
     rounding is refused by the a priori bound ``rounding_bound``, read off
     the terms at 0 before any multiplier or exponential factor is applied.
+    A basis compares and hashes by identity, so it can key the objects
+    built from it.
     """
 
     params: CurveParams
@@ -405,13 +408,6 @@ class ThetaBasis:
     @property
     def omega(self) -> complex:
         return self.params.omega
-
-    def ratio_dtheta(self, alpha: int) -> complex:
-        """theta_alpha'(0) / theta_alpha(0) for alpha != 0 mod n."""
-        alpha %= self.n
-        if alpha == 0:
-            raise ValueError("theta_0(0) = 0; the logarithmic value is undefined")
-        return self.dtheta_at_zero[alpha] / self.theta_at_zero[alpha]
 
 
 def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,

@@ -42,7 +42,10 @@ end_dim from a generating function, with e(lambda) = sum_i (2i - 1)
 lambda_i per partition, where ``leaves`` sums min(i, j) r_i r_j.
 :func:`mat_entry` and :func:`phi_psi_pairing` are readers that only the
 tests need: an exact entry as a Fraction, and the duality pairing of a
-``ResidueSystem``'s tables by its trace form.
+``ResidueSystem``'s tables by its trace form.  :func:`verify_p_plus`,
+:func:`verify_p_plus_zero_sum` and :func:`verify_trace_identity` check the
+closed forms of a ``ResidueSystem`` against its sample tables, with
+:func:`ratio_dtheta` reading a basis' logarithmic derivatives at 0.
 """
 
 import math
@@ -53,6 +56,7 @@ import numpy as np
 from types import SimpleNamespace
 
 from ellpoisson import theta
+from ellpoisson.cech import _node_coeffs
 from ellpoisson.exact import Mat, hstack, vstack
 from ellpoisson.fo import f_constants
 from ellpoisson.leaves import LeafRecord, TorsionType, end_dim_sheaf
@@ -581,6 +585,72 @@ def phi_psi_pairing(system) -> np.ndarray:
     """<phi_a, psi_b> by the trace form of a ``ResidueSystem``; equals the
     identity within quadrature error."""
     return system.tr(system.phi[:, None] * system.psi)
+
+
+def ratio_dtheta(basis: ThetaBasis, alpha: int) -> complex:
+    """theta_alpha'(0) / theta_alpha(0) for alpha != 0 mod n."""
+    alpha %= basis.n
+    if alpha == 0:
+        raise ValueError("theta_0(0) = 0; the logarithmic value is undefined")
+    return basis.dtheta_at_zero[alpha] / basis.theta_at_zero[alpha]
+
+
+def _principal_part(system, samples) -> float:
+    """Largest |c_-2|, |c_-1| over the discs of an (n, P) sample table of a
+    ``ResidueSystem``."""
+    return float(np.max(np.abs(_node_coeffs(samples, system.offsets,
+                                            (-2, -1)))))
+
+
+def verify_p_plus(system, alpha: int, beta: int,
+                  coeff_scale: float = 1.0) -> float:
+    """Largest principal-part coefficient of psi_a phi_b - P_+(psi_a phi_b).
+
+    P_+(psi_a phi_b) is ``system.projection_coeffs`` at t = e_a,
+    phi = phi_b.  A small value certifies the closed form; ``coeff_scale``
+    != 1 rescales the closed form to demonstrate the check has power.  The
+    diagonal alpha = beta is defined only inside zero-sum combinations
+    (:func:`verify_p_plus_zero_sum`) and is rejected here.
+    """
+    n = system.basis.n
+    alpha %= n
+    beta %= n
+    if alpha == beta:
+        raise ValueError("psi_a phi_a has nonzero residues; only zero-sum "
+                         "combinations of such products are projectable")
+    unit = np.eye(n, dtype=complex)
+    phi_c, dphi_c = system.projection_coeffs(unit[alpha], unit[beta])
+    projected = system._combine(coeff_scale * phi_c, coeff_scale * dphi_c)
+    return _principal_part(system,
+                           system.psi[alpha] * system.phi[beta] - projected)
+
+
+def verify_p_plus_zero_sum(system, coeffs) -> float:
+    """Principal-part residual of sum_a c_a psi_a phi_a when sum c_a = 0.
+
+    The projection of such a combination vanishes, so the combination
+    itself must be regular near every point of D.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if len(coeffs) != system.basis.n:
+        raise ValueError("need one coefficient per index")
+    if abs(np.sum(coeffs)) > 1e-12 * max(1.0, float(np.max(np.abs(coeffs)))):
+        raise ValueError("coefficients must sum to zero")
+    return _principal_part(system,
+                           system._samples(coeffs, system.psi * system.phi))
+
+
+def verify_trace_identity(system, i: int, j: int) -> float:
+    """|F(i,j-i) tr(phi_{j-i} phi_i psi_j) - (th'_i/th_i + th'_{j-i}/th_{j-i}
+    - 2 pi i n)| for i, j, i-j nonzero mod n."""
+    basis = system.basis
+    n = basis.n
+    if i % n == 0 or j % n == 0 or (i - j) % n == 0:
+        raise ValueError("need i, j and i - j nonzero mod n")
+    lhs = system.f[i % n, (j - i) % n] * system.t3[(j - i) % n, i % n]
+    rhs = (ratio_dtheta(basis, i) + ratio_dtheta(basis, j - i)
+           - 2j * math.pi * n)
+    return float(abs(lhs - rhs))
 
 
 def dense_hom_differential(H, d: int) -> Mat:

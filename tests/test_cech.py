@@ -26,7 +26,8 @@ from ellpoisson.theta import (
 )
 
 from oracles import phi, phi_psi_pairing, three_sum_basis, \
-    three_sum_tables
+    three_sum_tables, verify_p_plus, verify_p_plus_zero_sum, \
+    verify_trace_identity
 
 
 def basis(n, tau=1j):
@@ -262,7 +263,7 @@ class TestPPlus:
     def test_psi_j_phi_0_projects_to_zero(self):
         s = system(3)
         for j in (1, 2):
-            assert s.verify_p_plus(j, 0) < 1e-8
+            assert verify_p_plus(s, j, 0) < 1e-8
 
     def test_coefficient_for_psi1_phi2(self):
         # the expansion at t = e_alpha, phi = phi_beta against the theta
@@ -327,24 +328,24 @@ class TestPPlus:
             for beta in range(n):
                 if alpha == beta:
                     continue
-                assert s.verify_p_plus(alpha, beta) < 1e-8
+                assert verify_p_plus(s, alpha, beta) < 1e-8
 
     def test_zero_sum_combination(self):
         s = system(3)
-        assert s.verify_p_plus_zero_sum([1.0, 1.0, -2.0]) < 1e-8
-        assert s.verify_p_plus_zero_sum([0.0, 1.0, -1.0]) < 1e-8
+        assert verify_p_plus_zero_sum(s, [1.0, 1.0, -2.0]) < 1e-8
+        assert verify_p_plus_zero_sum(s, [0.0, 1.0, -1.0]) < 1e-8
         with pytest.raises(ValueError):
-            s.verify_p_plus_zero_sum([1.0, 1.0, 1.0])
+            verify_p_plus_zero_sum(s, [1.0, 1.0, 1.0])
 
     def test_diagonal_rejected_outside_combinations(self):
         s = system(3)
         with pytest.raises(ValueError, match="zero-sum"):
-            s.verify_p_plus(1, 1)
+            verify_p_plus(s, 1, 1)
 
     def test_perturbed_constant_detected(self):
         s = system(3)
-        assert s.verify_p_plus(1, 2, coeff_scale=1.01) > 1e-4
-        assert s.verify_p_plus(0, 2, coeff_scale=1.01) > 1e-4
+        assert verify_p_plus(s, 1, 2, coeff_scale=1.01) > 1e-4
+        assert verify_p_plus(s, 0, 2, coeff_scale=1.01) > 1e-4
 
 
 class TestTraceIdentity:
@@ -355,14 +356,14 @@ class TestTraceIdentity:
             for j in range(1, n):
                 if i == j:
                     continue
-                assert s.verify_trace_identity(i, j) < 1e-8
+                assert verify_trace_identity(s, i, j) < 1e-8
 
     def test_generic_tau(self):
         s = system(3, 0.3 + 0.8j)
         for (i, j) in [(1, 2), (2, 1)]:
-            assert s.verify_trace_identity(i, j) < 1e-7
+            assert verify_trace_identity(s, i, j) < 1e-7
         with pytest.raises(ValueError):
-            s.verify_trace_identity(1, 1)
+            verify_trace_identity(s, 1, 1)
 
 
 class TestModuliBracket:

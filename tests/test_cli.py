@@ -1,6 +1,7 @@
 """End-to-end tests of the batch front-end."""
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -13,8 +14,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from ellpoisson import errors
 from ellpoisson.cli import RunConfig, UsageError, _sample_chart_points, \
     build_parser, main
+from ellpoisson.fo import sklyanin_bracket
+from ellpoisson.homology import random_kronecker_complex
+from ellpoisson.leaves import enumerate_strata
+from ellpoisson.theta import CurveParams, ThetaBasis
 from oracles import chart_points_loop
 
 # the 28 option strings of the subcommands, in the order they are declared
@@ -187,6 +193,38 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
         assert out == ""  # no report
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: CurveParams(complex(math.inf, 1.0), 3), "tau must be finite"),
+        (lambda: CurveParams(-1j, 3), "Im(tau) must be positive"),
+        (lambda: CurveParams(1j, 1), "order n must be at least 2"),
+        (lambda: sklyanin_bracket(ThetaBasis(CurveParams(1j, 5)), 7),
+         "k must satisfy 0 < k < n"),
+        (lambda: sklyanin_bracket(ThetaBasis(CurveParams(1j, 4)), 2),
+         "gcd(n,k) must be 1"),
+        (lambda: random_kronecker_complex(0, 3, seed=0),
+         "need r >= 1 and n >= 1"),
+        (lambda: enumerate_strata(0), "n must be positive"),
+    ], ids=["tau_finite", "im_tau", "order", "k_range", "coprime", "shape",
+            "leaves_n"])
+    def test_library_refusal_is_a_usage_error(self, build, message):
+        # the library refuses its own domain; main exits 2 on it
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            build()
+        assert type(exc.value) is UsageError is errors.UsageError
+        assert isinstance(exc.value, errors.EllPoissonError)
+
+    def test_plain_value_error_is_not_a_usage_error(self, monkeypatch):
+        # power control: a ValueError from a bug propagates out of main
+        # instead of exiting 2
+        import ellpoisson.cli as cli
+
+        def broken(E):
+            raise ValueError("not a usage error")
+
+        monkeypatch.setattr(cli, "hom_complex", broken)
+        with pytest.raises(ValueError, match="not a usage error"):
+            main(["homology", "--n", "2", "--samples", "1"])
 
     def test_theta_lost_in_rounding_refused(self, capsys):
         # at n = 2 the relative checks of the values at 0 pass on noise;
@@ -381,6 +419,29 @@ class TestExitCodes:
         verdicts = {c["name"]: c["pass"]
                     for c in json.loads(text)["checks"]}
         assert verdicts[name] is False
+
+    @pytest.mark.parametrize("points", [slice(None), slice(1, 2)],
+                             ids=["every_point", "one_point"])
+    def test_nan_point_fails_the_projective_check(self, points, tmp_path,
+                                                  monkeypatch):
+        # a NaN in the projective matrices is a failed comparison, not a
+        # point passed over
+        import ellpoisson.cli as cli
+        projective = cli.projective_matrix
+
+        def with_nan(bracket, t):
+            out = projective(bracket, t).copy()
+            out[points] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, "projective_matrix", with_nan)
+        code, text = run(["moduli-compare", "--n", "3", "--samples", "3"],
+                         tmp_path)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert checks["method_agreement"]["pass"] is True
+        assert checks["matches_projective_bracket"]["pass"] is False
+        assert math.isnan(checks["matches_projective_bracket"]["residual"])
 
     @pytest.mark.parametrize("im", ["1", "6", "20"])
     def test_f_table_check_sees_one_entry_off(self, im, tmp_path,
@@ -1147,6 +1208,66 @@ class TestLatticeMemo:
                 monkeypatch.setattr(cli, name, traced)
             assert self.outcome(args, capsys) == warm
             assert built == names
+    @pytest.mark.parametrize("args", [
+        ["theta", "--n", "3"],
+        ["sklyanin", "--n", "5", "--k", "2"],
+        ["moduli-compare", "--n", "3", "--samples", "1"],
+    ], ids=["theta", "sklyanin", "moduli-compare"])
+    def test_one_curve_params_per_job(self, args, capsys, monkeypatch):
+        made = []
+        check = CurveParams.__post_init__
+
+        def counted(params):
+            made.append(params)
+            check(params)
+
+        monkeypatch.setattr(CurveParams, "__post_init__", counted)
+        for _ in range(2):  # a cold and a warm lattice
+            del made[:]
+            assert self.outcome(args, capsys)[0] == 0
+            assert len(made) == 1
+
+    def test_memo_is_keyed_by_the_basis(self, monkeypatch):
+        # a system and a bracket are built from the basis passed in, even
+        # when the memo holds objects of an equal lattice
+        import ellpoisson.cli as cli
+        warm = cli._basis(RunConfig(n=5))
+        cli._system(warm), cli._bracket(warm, 1)
+        built = []
+        closed_form = cli.sklyanin_bracket
+
+        def recorded(basis, k):
+            built.append(basis)
+            return closed_form(basis, k)
+
+        monkeypatch.setattr(cli, "sklyanin_bracket", recorded)
+        b = ThetaBasis(CurveParams(1j, 5))
+        system, bracket = cli._system(b), cli._bracket(b, 1)
+        assert system.basis is b and built == [b]
+        assert cli._system(b) is system and cli._bracket(b, 1) is bracket
+        assert built == [b]
+        assert cli._system(warm) is not system
+        assert cli._system(warm).basis is warm
+
+    def test_changed_basis_gets_new_objects(self):
+        import ellpoisson.cli as cli
+        b = ThetaBasis(CurveParams(1j, 5))
+        system, bracket = cli._system(b), cli._bracket(b, 1)
+        # the memo shares b with the objects built from it
+        with pytest.raises(ValueError, match="read-only"):
+            b.theta_at_zero[1] *= 1.001
+        changed = copy.copy(b)
+        vals = b.theta_at_zero.copy()
+        vals[1] *= 1.001
+        object.__setattr__(changed, "theta_at_zero", vals)
+        assert cli._system(changed) is not system
+        assert cli._system(changed).basis is changed
+        assert cli._bracket(changed, 1) is not bracket
+        assert np.array_equal(cli._bracket(changed, 1).coeffs,
+                              sklyanin_bracket(changed, 1).coeffs)
+        assert not np.array_equal(cli._bracket(changed, 1).coeffs,
+                                  bracket.coeffs)
+
     def test_shared_arrays_are_read_only(self):
         import ellpoisson.cli as cli
         cfg = RunConfig(n=5)

@@ -107,12 +107,6 @@ def unreached(paths):
 # methods that only tests call, each with the test that calls it; a row
 # that the package reaches, or that names no method, fails the guard
 TEST_ONLY = {
-    "cech.py:ResidueSystem.verify_p_plus":
-        "test_acceptance.py::test_criterion_3_principal_part_projection",
-    "cech.py:ResidueSystem.verify_p_plus_zero_sum":
-        "test_acceptance.py::test_criterion_3_principal_part_projection",
-    "cech.py:ResidueSystem.verify_trace_identity":
-        "test_acceptance.py::test_criterion_4_trace_identity",
     # until a reported check of the foliation calls it
     "cech.py:ResidueSystem.pi_t_class": "test_cech.py::TestPiT",
     # perfbench/spans.py wraps it, and no longer sees a call from the package
