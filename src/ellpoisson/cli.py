@@ -199,9 +199,10 @@ def _frozen(value):
 
 # one round of the moduli workload uses 9 systems, one bracket round 27
 # bases and 39 brackets; retained at n = 31, tau = i: 2.8 kB a basis, 1.5 MB
-# a system, 0.7 MB a bracket.  A system or a bracket is keyed by the basis
-# it is built from, which hashes by identity; that basis is shared with it,
-# so its arrays are made read-only too.
+# a system, 0.5 MB a bracket (its weights are the table every bracket of the
+# order shares).  A system or a bracket is keyed by the basis it is built
+# from, which hashes by identity; that basis is shared with it, so its
+# arrays are made read-only too.
 
 
 @functools.lru_cache(maxsize=64)
@@ -323,8 +324,9 @@ def cmd_sklyanin(cfg: RunConfig):
     checks.append(_check("semiclassical_deviation", deviation, BRACKET_TOL))
     singles = [float(v) for v in bracket.max_differences(single_tables)]
     slope = float(np.polyfit(np.log(etas), np.log(singles), 1)[0])
+    # np.maximum keeps a NaN slope, which then fails its tolerance
     checks.append(_check("semiclassical_slope_shortfall",
-                         max(0.0, 1.0 - slope), SLOPE_TOL))
+                         np.maximum(0.0, 1.0 - slope), SLOPE_TOL))
     tables["semiclassical_single_eta_deviation"] = [
         [e, dev] for e, dev in zip(etas, singles)]
     tables["eta_circle"] = {"points": CIRCLE_POINTS, "radius": d / 4}

@@ -374,14 +374,16 @@ class PiBivector:
             _paired(H, 1).T == _paired(H, -2)
 
 
-def _paired(H: HomComplex, j: int) -> Mat:
-    """d^j P_{-j}: column q is column partner[q] of d^j times sign[q], for
-    the trace pairing (partner, sign) of C^{-j} with C^j, whose transpose
-    is d^{-j-1} P_{j+1}.  A reduced d^j gives a reduced result."""
+def _paired(H: HomComplex, j: int, negate: bool = False) -> Mat:
+    """d^j P_{-j}, or its negative: column q is column partner[q] of d^j
+    times sign[q], for the trace pairing (partner, sign) of C^{-j} with
+    C^j, whose transpose is d^{-j-1} P_{j+1}.  The negative takes -sign
+    into the same in-place product, so no negated copy of the gathered
+    matrix is made.  A reduced d^j gives a reduced result."""
     m = H.diff(j)
     partner, sign = trace_pairing(H, -j)
     num = np.take(m.num, partner, axis=1)
-    num *= sign
+    num *= -sign if negate else sign
     return Mat._of(num, m.den, m.bound)
 
 
@@ -390,7 +392,7 @@ def pi_bivector(H: HomComplex) -> PiBivector:
     whose sign is that of the C^{-1} side: kappa(g, f) = -kappa(f, g) for
     g in C^{-1}, f in C^1.  The partner is d^0 after the degree-0
     pairing, an involution."""
-    return PiBivector(-_paired(H, -1), _paired(H, 0))
+    return PiBivector(_paired(H, -1, negate=True), _paired(H, 0))
 
 
 def _shifted_cone(H: HomComplex, sign_flip: bool):

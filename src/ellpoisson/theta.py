@@ -30,7 +30,12 @@ evaluation on a grid of (point, alpha) pairs, one row per point.
 One kernel computes every basis value: ``_series_sums`` reduces the points
 and sums the series, as many whole rows per call as ``_rows_per_call``
 allows and each row by its own matmul; ``_basis_jet`` applies the
-multiplier, n^j and E_alpha.  A :class:`ThetaBasis` runs it once, on two
+multiplier, n^j and E_alpha, each Taylor product written into one
+preallocated jet.  What depends on the truncation and the jet order alone,
+the exponents m, m(m-1)/2 and the weight matrix, is built once per
+(bound, order) and shared read-only (``_series_table``); nothing is keyed
+by a lattice or a basis, so any object with ``n``, ``params`` and
+``series_bound`` evaluates.  A :class:`ThetaBasis` runs it once, on two
 rows of n pairs (0 for every alpha, the divisor k/n for alpha = 0), for
 its constants at 0; every other value, the residue circle of ``cech``
 among them, is read off ``theta_alpha_jet``.
@@ -44,6 +49,7 @@ a quarter of its pole distance, which ``shortest_period`` gives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -210,24 +216,43 @@ def _check_range(z, height, n, alphas):
                 "finite)")
 
 
-def _series_terms(z0, tau, bound, order):
-    """Terms of the basic series at reduced points and their weights.
+@functools.lru_cache(maxsize=16)
+def _series_table(bound, order):
+    """The exponents m = -bound..bound+1 of the truncated series, the exact
+    integers m(m-1)/2, and the (terms x order+1) weight matrix whose column
+    j holds the term-wise derivative factor (-1)^m (2 pi i m)^j / j!.
 
-    The term-wise derivatives j = 0..order, each divided by j!, are the
-    columns of a (terms x order+1) weight matrix.
+    They depend on the truncation and the jet order alone, so each
+    (bound, order) builds them once and every basis that truncates there
+    shares them; they are read-only.  An entry holds 16 (order + 2) bytes
+    a term: 384 bytes at order 2 for n = 63, tau = i (bound 2), and 0.5 MB
+    at ``MAX_SERIES_TERMS``, so the 16 kept entries stay below 8.4 MB.
     """
     m = np.arange(-bound, bound + 2)
     # exponent m(m-1)/2 is an exact integer; identical for the pair (m, 1-m)
     quad = (m * (m - 1)) // 2
+    signs = np.where(m % 2 == 0, 1.0, -1.0)
+    weights = np.stack([signs * (TWO_PI_I * m) ** j / math.factorial(j)
+                        for j in range(order + 1)], axis=-1)
+    for table in (m, quad, weights):
+        table.setflags(write=False)
+    return m, quad, weights
+
+
+def _series_terms(z0, tau, bound, order):
+    """Terms of the basic series at reduced points and their weights.
+
+    The term-wise derivatives j = 0..order, each divided by j!, are the
+    columns of a (terms x order+1) weight matrix, shared by every call with
+    the same (bound, order) (:func:`_series_table`).
+    """
+    m, quad, weights = _series_table(bound, order)
     # exp(2 pi i (m z0 + tau m(m-1)/2)), formed in place: the terms are the
     # largest array of a chunk, and one copy of them bounds its memory
     terms = np.multiply.outer(z0, m)
     terms += tau * quad
     np.multiply(TWO_PI_I, terms, out=terms)
     np.exp(terms, out=terms)
-    signs = np.where(m % 2 == 0, 1.0, -1.0)
-    weights = np.stack([signs * (TWO_PI_I * m) ** j / math.factorial(j)
-                        for j in range(order + 1)], axis=-1)
     return terms, weights
 
 
@@ -238,15 +263,16 @@ def _rows_per_call(cols, bound):
 
 
 def _series_sums(w, cols, tau, bound, order):
-    """Sums of the basic series at tau at the flat points w, the first half
-    of the kernel every basis value goes through.
+    """Sums of the basic series at tau at the points w, the first half of
+    the kernel every basis value goes through.
 
     w holds one grid row by row, ``cols`` points a row; a basis grid holds
     n z + alpha tau, one (point, alpha) pair per entry.  Each point is
     reduced, w = z0 + a + b*tau.  Each ``_series_terms`` call takes the
     whole rows ``_rows_per_call`` allows, and each row is summed by its own
-    matmul, so no sum depends on the calls.  Returns z0, b, the sums (jet
-    on the trailing axis) and the sums of the absolute terms over row 0.
+    matmul, so no sum depends on the calls.  Returns z0 and b in the shape
+    of w, the sums with the jet on an appended trailing axis, and the sums
+    of the absolute terms over row 0.
     """
     z0, b = _reduce_to_cell(w, tau)
     rows = z0.reshape(-1, cols)
@@ -254,32 +280,44 @@ def _series_sums(w, cols, tau, bound, order):
     step = _rows_per_call(cols, bound)
     for i in range(0, len(rows), step):
         terms, weights = _series_terms(rows[i:i + step], tau, bound, order)
-        sums[i:i + step] = terms @ weights
+        np.matmul(terms, weights, out=sums[i:i + step])
         if i == 0:
             size = np.abs(terms[0]) @ np.abs(weights)
-    return z0, b, sums.reshape(w.size, -1), size
+    return z0, b, sums.reshape(w.shape + (order + 1,)), size
 
 
 def _exp_jet(value, rate, order):
     """Jet of value * exp(rate * h) in h at h = 0."""
-    jet = [value]
+    jet = np.empty((order + 1,) + value.shape, dtype=complex)
+    jet[0] = value
     for j in range(1, order + 1):
-        jet.append(jet[-1] * rate / j)
-    return np.stack(jet)
+        np.multiply(jet[j - 1], rate, out=jet[j])
+        jet[j] /= j
+    return jet
 
 
-def _jet_mul(a, b):
-    """Truncated Taylor product: the jet of f*g from the jets of f and g."""
-    return np.stack([sum(a[i] * b[k - i] for i in range(k + 1))
-                     for k in range(len(a))])
+def _jet_mul(a, b, out=None):
+    """Truncated Taylor product: the jet of f*g from the jets a and b of f
+    and g, of one shape, in ``out`` if given.  Entry k is summed from 0 as
+    Python's ``sum`` would, 0 + a[0] b[k] + a[1] b[k-1] + ..., so that an
+    entry -0.0 comes out as +0.0."""
+    if out is None:
+        out = np.zeros(b.shape, dtype=complex)
+    else:
+        out[...] = 0.0
+    for k in range(len(out)):
+        for i in range(k + 1):
+            out[k] += a[i] * b[k - i]
+    return out
 
 
-def _basis_jet(basis, z, a, z0, b, sums):
+def _basis_jet(basis, z, a, z0, b, sums, out=None):
     """Jet of theta_alpha at the (point, index) pairs that z and a
     broadcast to, from the ``_series_sums`` output z0, b and sums of its
     series at n*tau: the quasi-periodicity multiplier, the factor n^j that
     the inner argument n z puts on entry j, and E_alpha, each by a
-    truncated Taylor product; the second half of the kernel."""
+    truncated Taylor product; the second half of the kernel.  The jet is
+    written to ``out`` if given."""
     n, tau = basis.n, basis.params.tau
     order = sums.shape[-1] - 1
     # theta(z0 + b n tau) = (-1)^b exp(-2 pi i (b z0 + n tau b(b-1)/2))
@@ -287,12 +325,12 @@ def _basis_jet(basis, z, a, z0, b, sums):
     g = np.where(b % 2 == 0, 1.0, -1.0) * np.exp(
         -TWO_PI_I * (b * z0 + n * tau * b * (b - 1) / 2.0))
     series = _jet_mul(_exp_jet(g, -TWO_PI_I * b, order),
-                      np.moveaxis(sums, -1, 0))
-    series *= (float(n) ** np.arange(order + 1)).reshape(
-        (-1,) + (1,) * z0.ndim)
+                      sums.transpose((-1,) + tuple(range(z0.ndim))))
+    for j in range(order + 1):
+        series[j] *= float(n) ** j
     ex = np.exp(TWO_PI_I * (z * a + a * (a - n) * tau / (2.0 * n)
                             + a / (2.0 * n)))
-    return _jet_mul(_exp_jet(ex, TWO_PI_I * a, order), series)
+    return _jet_mul(_exp_jet(ex, TWO_PI_I * a, order), series, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,16 +469,14 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
         raise ValueError("alpha must be an integer or a 1-D integer array")
     a = np.atleast_1d(index)
     _check_range(z, tau.imag, n, a.tolist())
-    flat = z.ravel()
-    out = np.empty((order + 1, flat.size, a.size), dtype=complex)
+    flat = z.reshape(-1, 1)
+    out = np.empty((order + 1, len(flat), a.size), dtype=complex)
     step = _rows_per_call(a.size, basis.series_bound)
-    for i in range(0, flat.size, step):
-        part = flat[i:i + step, None]
-        shape = (len(part), a.size)
-        z0, b, sums, _ = _series_sums((n * part + a * tau).ravel(), a.size,
-                                      n * tau, basis.series_bound, order)
-        out[:, i:i + step] = _basis_jet(basis, part, a, *(
-            x.reshape(shape + x.shape[1:]) for x in (z0, b, sums)))
+    for i in range(0, len(flat), step):
+        part = flat[i:i + step]
+        z0, b, sums, _ = _series_sums(n * part + a * tau, a.size, n * tau,
+                                      basis.series_bound, order)
+        _basis_jet(basis, part, a, z0, b, sums, out[:, i:i + step])
     out = out.reshape((order + 1,) + z.shape + (a.size,))
     return out if index.ndim else out[..., 0]
 

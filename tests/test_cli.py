@@ -443,6 +443,25 @@ class TestExitCodes:
         assert checks["matches_projective_bracket"]["pass"] is False
         assert math.isnan(checks["matches_projective_bracket"]["residual"])
 
+    def test_nan_slope_fails_the_slope_check(self, tmp_path, monkeypatch):
+        # NaN single-eta deviations make a NaN slope, a failed check and not
+        # a shortfall of 0.0
+        import ellpoisson.cli as cli
+        relations = cli.semiclassical_from_relations
+
+        def nan_singles(basis, k, etas):
+            est, singles = relations(basis, k, etas)
+            return est, np.full_like(singles, np.nan)
+
+        monkeypatch.setattr(cli, "semiclassical_from_relations", nan_singles)
+        code, text = run(["sklyanin", "--n", "5", "--k", "2"], tmp_path)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert checks["semiclassical_deviation"]["pass"] is True
+        slope = checks["semiclassical_slope_shortfall"]
+        assert slope["pass"] is False
+        assert math.isnan(slope["residual"])
+
     @pytest.mark.parametrize("im", ["1", "6", "20"])
     def test_f_table_check_sees_one_entry_off(self, im, tmp_path,
                                               monkeypatch):
@@ -1181,6 +1200,25 @@ class TestLatticeMemo:
         assert cli._system(basis) is not system
         assert cli._system(basis).basis is basis
         assert cli._bracket(basis, 1) is not bracket
+
+    def test_one_table_build_per_order(self, capsys):
+        # the bracket and Jacobi tables of an order, and the series tables
+        # of a truncation, are built once: a second lattice of the same
+        # order and truncation builds none
+        from ellpoisson import poisson, theta
+        caches = (poisson._layout, poisson._jacobi_layout,
+                  theta._series_table)
+        for cache in caches:
+            cache.cache_clear()
+        args = ["sklyanin", "--n", "7", "--k", "3"]
+        assert main(args) == 0
+        built = [cache.cache_info().misses for cache in caches]
+        # one order; the basis pass (order 1) and the relations (order 0)
+        assert built == [1, 1, 2]
+        assert poisson._layout.cache_info().hits > 0
+        assert main(args + ["--tau", "0.3", "1"]) == 0
+        assert [cache.cache_info().misses for cache in caches] == built
+        capsys.readouterr()
 
     @pytest.mark.parametrize("args, names", [
         (["theta", "--n", "5", "--tau", "0.3", "0.8"], ["ThetaBasis"]),

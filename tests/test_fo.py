@@ -1,5 +1,6 @@
 """Tests for the relation tensor, F table and semiclassical limit."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -238,3 +239,30 @@ class TestSemiclassical:
         b1 = sklyanin_bracket(b, 1)
         b4 = sklyanin_bracket(b, 4)
         assert b1.max_difference(b4) > 1e-3
+
+
+def relations_digest(n, k, tau):
+    """sha256 of the circle mean, the single-eta tables at three etas and
+    the relation tensor at one eta."""
+    b = basis(n, tau)
+    etas = [0.01, 0.001 + 0.0005j, 1e-4j]
+    est, singles = semiclassical_from_relations(b, k, etas)
+    h = hashlib.sha256()
+    h.update(est.coeffs.tobytes() + singles.tobytes())
+    h.update(fo_relations(b, k, 0.02 + 0.01j).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestRelationPins:
+    """Digests taken before the relation gathers were built once per
+    (n, k): no layout may move a bit of a relation or an estimate."""
+
+    DIGESTS = {(5, 1, 1j): "98cd37426e47ab66",
+               (5, 2, 0.3 + 0.8j): "179debb3f51e4fec",
+               (10, 3, 0.5j): "18886cf1437eabb5",
+               (13, 2, 1j): "9f14272f7b2c450b"}
+
+    @pytest.mark.parametrize("n, k, tau", [(5, 1, 1j), (5, 2, 0.3 + 0.8j),
+                                           (10, 3, 0.5j), (13, 2, 1j)])
+    def test_estimates_pinned(self, n, k, tau):
+        assert relations_digest(n, k, tau) == self.DIGESTS[n, k, tau]

@@ -1,5 +1,6 @@
 """Tests for the graded bracket table and its polynomial oracles."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -260,6 +261,17 @@ class TestJacobi:
             assert got == pairwise_jacobi_defect(b)
             assert got == 0.0 or n > 2
 
+    @pytest.mark.parametrize("size", [math.inf, 1e200],
+                             ids=["infinite", "square_overflows"])
+    def test_unreadable_scale_reads_nan(self, size):
+        # an infinite coefficient read 0.0, and one whose square leaves
+        # double range raised OverflowError; NaN fails any tolerance
+        g = sklyanin(5).coeffs.copy()
+        g[0, 1, :2] = size
+        g[1, 0, :2] = -size
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(jacobi_defect(QuadraticBracket(5, g)))
+
     @pytest.mark.parametrize("chunk", [1, 200, 2 ** 15])
     def test_chunk_size_does_not_change_the_residual(self, chunk,
                                                      monkeypatch):
@@ -317,6 +329,17 @@ class TestCanonicalForm:
         with pytest.raises(InvarianceError):
             hn_canonical_extract(b)
 
+    def test_nan_violation_rejected(self):
+        # the invariant bracket of delta_hn with its coefficients made
+        # infinite: both tests read NaN, which the comparison passed over
+        g = delta_hn().coeffs
+        g = np.where(g.real > 0, math.inf,
+                     np.where(g.real < 0, -math.inf, 0.0)).astype(complex)
+        with np.errstate(invalid="ignore"):
+            b = QuadraticBracket(3, g)
+            with pytest.raises(InvarianceError, match="violation nan"):
+                hn_canonical_extract(b)
+
     def test_heisenberg_covariance_of_tensor(self):
         # conjugating by either generator action on coordinates fixes the tensor
         basis = ThetaBasis(CurveParams(1j, 5))
@@ -362,6 +385,38 @@ class TestCanonicalForm:
         assert not pairs(canonical_bracket(np.zeros((2, 2))))
         b1 = QuadraticBracket(1)
         assert jacobi_defect(b1) == 0.0
+
+
+class TestSharedLayout:
+    """The index tables of an order n are built once, shared by every
+    bracket of that order, and read-only."""
+
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_tables_are_read_only(self, n):
+        tables = [getattr(layout, name)
+                  for layout in (poisson._layout(n), poisson._jacobi_layout(n))
+                  for name in layout.__slots__]
+        tables.append(QuadraticBracket(n).weights)
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+
+    def test_brackets_of_one_order_share_the_weights(self):
+        one, two = sklyanin(5), sklyanin(5, 2, 0.3 + 0.8j)
+        assert one.weights is two.weights is QuadraticBracket(5).weights
+        assert QuadraticBracket(4).weights is not one.weights
+
+    def test_tables_match_the_index_arithmetic(self):
+        # the gathers read what np.indices gives: the mirror entry, the
+        # factor 2 off the squares and the chart words t_k t_{i+j-k}
+        n = 6
+        layout = poisson._layout(n)
+        i, j, k = np.indices((n,) * 3)
+        g = random_bracket(n, np.random.default_rng(5)).coeffs
+        assert np.array_equal(g.take(layout.mirror), g[i, j, (i + j - k) % n])
+        assert np.array_equal(layout.weights,
+                              np.where((2 * k - i - j) % n, 2.0, 1.0))
+        assert np.array_equal(layout.third, (i + j - k) % n)
 
 
 def chart_rule(b, t):
@@ -440,3 +495,36 @@ class TestProjective:
             ref = chart_rule(b, t)
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(projective_matrix(b, t) - ref)) < 1e-12 * scale
+
+
+def bracket_digest(n):
+    """sha256 of ``pair_tensor`` on a seeded word table and a stack of two,
+    the weights and ``repr(jacobi_defect)`` of the bracket it gives and of
+    the Sklyanin bracket at k = 1 and 3 (tau = 0.3 + 0.8i), and the
+    projective matrices of both brackets at three seeded chart points."""
+    rng = np.random.default_rng(n)
+    words = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    h = hashlib.sha256()
+    h.update(poisson.pair_tensor(words[0]).tobytes())
+    h.update(poisson.pair_tensor(words[1:]).tobytes())
+    basis = ThetaBasis(CurveParams(0.3 + 0.8j, n))
+    t = np.ones((3, n), dtype=complex)
+    t[:, 1:] = rng.uniform(-0.7, 0.7, (3, n - 1, 2)).view(complex)[..., 0]
+    for b in (QuadraticBracket(n, poisson.pair_tensor(words[0])),
+              sklyanin_bracket(basis, 1), sklyanin_bracket(basis, 3)):
+        h.update(b.coeffs.tobytes() + b.weights.tobytes())
+        h.update(repr(jacobi_defect(b)).encode())
+        h.update(projective_matrix(b, t).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestBracketPins:
+    """Digests taken before the gathers of the bracket tables were built
+    once per n: no table layout may move a bit."""
+
+    DIGESTS = {5: "45d8494012e61d5b", 10: "686b60d019c25da1",
+               13: "0566bc61aee9fbc5"}
+
+    @pytest.mark.parametrize("n", [5, 10, 13])
+    def test_tables_pinned(self, n):
+        assert bracket_digest(n) == self.DIGESTS[n]

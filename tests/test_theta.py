@@ -1,5 +1,6 @@
 """Tests for the theta series, the order-n basis and the Heisenberg shift."""
 
+import hashlib
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -23,7 +24,7 @@ from ellpoisson.theta import (
     zeta_multiplier,
 )
 from oracles import product_constant, ratio_dtheta, theta_alpha_product, \
-    theta_series
+    theta_series, three_sum_basis
 
 TAU_SQUARE = 1j
 TAU_GENERIC = 0.3 + 0.8j
@@ -677,6 +678,48 @@ class TestBasisPass:
             basis(3, 1e-6j)
 
 
+class TestSharedTables:
+    """The series tables depend on the truncation and the jet order alone:
+    each is built once, shared and read-only."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_tables_are_read_only(self, order):
+        for table in theta._series_table(3, order):
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+
+    def test_bases_with_one_truncation_share_the_weights(self, monkeypatch):
+        one, two = basis(5, TAU_SQUARE), basis(5, 0.3 + 1j)
+        assert one.series_bound == two.series_bound
+        seen = []
+
+        def recorded(*args):
+            terms, weights = series_terms(*args)
+            seen.append(weights)
+            return terms, weights
+
+        series_terms = theta._series_terms
+        monkeypatch.setattr(theta, "_series_terms", recorded)
+        theta._series_table.cache_clear()
+        for b in (one, two):
+            theta_alpha_jet(b, np.arange(5), sample_points(b.params.tau, 7), 1)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert theta._series_table.cache_info().misses == 1
+
+    def test_namespace_basis_evaluates(self):
+        # the kernel reads n, params and series_bound off its basis and
+        # keys nothing by it: the namespace basis of the three-sum oracle
+        # evaluates to the bytes of the basis
+        params = CurveParams(0.3 + 0.8j, 7)
+        ref, namespace = ThetaBasis(params), three_sum_basis(params)
+        assert isinstance(namespace, SimpleNamespace)
+        z = sample_points(params.tau, 9).reshape(3, 3)
+        for order in (0, 1, 2):
+            for alpha in (3, np.arange(7)):
+                assert (theta_alpha_jet(namespace, alpha, z, order).tobytes()
+                        == theta_alpha_jet(ref, alpha, z, order).tobytes())
+
+
 class TestHeisenberg:
     def test_shift_operator_pointwise(self):
         # zeta(z)^-1 theta_alpha(z + tau/n) equals theta_{alpha+1}(z)
@@ -720,3 +763,61 @@ class TestAutomorphy:
         best = min(range(len(cs)), key=lambda i: residuals[i])
         assert abs((cs[best] - (n - 1) / 2) % 1.0) < 1e-12
         assert residuals[best] < 1e-8
+
+
+PIN_TAUS = (1j, 0.3 + 0.8j, 0.5j)
+
+
+def kernel_digest(n, tau):
+    """sha256 of the basis tables and of ``theta_alpha_jet`` at orders 0-2,
+    with alpha scalar (n - 1) or an unreduced array (-1..n) and z scalar or
+    a 3 x 4 grid in the fundamental cell."""
+    b = basis(n, tau)
+    h = hashlib.sha256()
+    h.update(f"{b.series_bound} {b.rounding_bound!r}".encode())
+    for table in (b.theta_at_zero, b.dtheta_at_zero):
+        h.update(table.tobytes())
+    k = np.arange(12)
+    grid = ((0.37 * k + 0.11) % 1.0 + ((0.61 * k + 0.05) % 1.0) * tau
+            ).reshape(3, 4)
+    for z in (0.21 + 0.13 * tau, grid):
+        for alpha in (n - 1, np.arange(-1, n + 1)):
+            for order in (0, 1, 2):
+                out = theta_alpha_jet(b, alpha, z, order)
+                h.update(repr(out.shape).encode() + out.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestKernelPins:
+    """Digests taken before the series terms, weights and jet products
+    were built from shared per-shape tables: no kernel path may move a
+    bit of a basis table or a jet."""
+
+    DIGESTS = {
+        (2, 1j): "9ebdb318acebb42c",
+        (2, 0.3 + 0.8j): "22061a8f693a8d7b",
+        (2, 0.5j): "5cdc39139ab9716d",
+        (3, 1j): "f5aaeb6c2188157e",
+        (3, 0.3 + 0.8j): "fadf5b2ddf94b24f",
+        (3, 0.5j): "3ca19af68f151549",
+        (5, 1j): "20d06438b5b36532",
+        (5, 0.3 + 0.8j): "d13c9f63c503ef9a",
+        (5, 0.5j): "9053906dbc2500d6",
+        (7, 1j): "756df182b87513fc",
+        (7, 0.3 + 0.8j): "885cfd175048f3cb",
+        (7, 0.5j): "d50fc815d3a51b5e",
+        (11, 1j): "7df6c565f875ffec",
+        (11, 0.3 + 0.8j): "c6cdfeb1b9663205",
+        (11, 0.5j): "9b1c8a6147c8983e",
+        (13, 1j): "d25fa6c2733b16f3",
+        (13, 0.3 + 0.8j): "f52a6569d502a8fb",
+        (13, 0.5j): "254ba6046cf2c57b",
+        (31, 1j): "ee83622f7789e82b",
+        (31, 0.3 + 0.8j): "5dba7b6bc6bf619e",
+        (31, 0.5j): "0b098d442c74cd01",
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13, 31])
+    @pytest.mark.parametrize("tau", PIN_TAUS, ids=["i", "generic", "half_i"])
+    def test_jet_and_tables_pinned(self, n, tau):
+        assert kernel_digest(n, tau) == self.DIGESTS[n, tau]
