@@ -14,8 +14,9 @@ forms (:meth:`ResidueSystem.projection_coeffs`), which the tests certify
 pair by pair against the samples, is the one the trace-pairing route to
 {t_i, t_j} and the image class pi_t run; the fully expanded coefficient
 route is cross-checked against the trace-pairing route.  Both routes take
-a stack of chart points on leading axes and arrays of chart indices, so
-:meth:`ResidueSystem.bracket_matrix` is one evaluation per chunk of points:
+a stack of chart points on leading axes and return the grid of {t_i, t_j}
+over the chart indices 1..n-1, so :meth:`ResidueSystem.bracket_matrix` is
+one evaluation per chunk of points:
 the trace route projects all n cotangent vectors phi_i - t_i phi_0 of
 every point with one matrix product per point.  A stacked matrix equals
 the matrix of its point alone bit for bit, because every sum runs over a
@@ -92,28 +93,16 @@ def psi_local_constant(basis: ThetaBasis, alpha: int, k):
             / basis.theta_at_zero[alpha])
 
 
-def _index_pair(n, i, j):
-    """Chart indices i, j mod n as arrays with one number of axes, so that
-    gathers from a stack along them broadcast against each other."""
-    i = np.asarray(i) % n
-    j = np.asarray(j) % n
-    if i.ndim < j.ndim:
-        i = i.reshape((1,) * (j.ndim - i.ndim) + i.shape)
-    elif j.ndim < i.ndim:
-        j = j.reshape((1,) * (i.ndim - j.ndim) + j.shape)
-    return i, j
-
-
 class ResidueSystem:
     """Node tables for the residue calculus at a fixed basis.
 
-    Immutable after construction.  ``nodes[k, p]`` = k/n + offsets[p] are
-    the quadrature nodes on the circle around k/n, with ``points`` nodes at
-    ``radius``, a quarter of the distance d between neighbouring points of
-    D, d = the shortest period of (1/n)Z + Z*tau (at most 1/n, and exactly
-    1/n unless Im(tau) is small); ``phi``, ``dphi`` and ``psi`` hold
-    phi_alpha, phi_alpha' and psi_alpha there, as arrays indexed
-    [alpha, k, p].  One ``theta_alpha_jet`` call on the circle around 0,
+    ``nodes[k, p]`` = k/n + offsets[p] are the quadrature nodes on the
+    circle around k/n, with ``points`` nodes at ``radius``, a quarter of
+    the distance d between neighbouring points of D, d = the shortest
+    period of (1/n)Z + Z*tau (at most 1/n, and exactly 1/n unless Im(tau)
+    is small); ``phi``, ``dphi`` and ``psi`` hold phi_alpha, phi_alpha' and
+    psi_alpha there, as arrays indexed [alpha, k, p].  One
+    ``theta_alpha_jet`` call on the circle around 0,
     ``offsets = circle_nodes(d)``, gives the values and derivatives of
     every theta_alpha on disc 0; disc k is disc 0 times omega^(alpha k),
     exactly by the 1/n-shift property (theta is 1-periodic, so the n
@@ -124,7 +113,9 @@ class ResidueSystem:
         T3[a, b] = tr(phi_a phi_b psi_{a+b}),
         TD[a, b] = tr(phi_a' phi_b psi_{a+b})
 
-    are the only quadrature inputs the fully expanded bracket needs.
+    are the only quadrature inputs the fully expanded bracket needs.  The
+    arrays of a system that the lattice memo of ``cli`` shares are
+    read-only; one built outside the memo keeps them writable.
     """
 
     def __init__(self, basis: ThetaBasis):
@@ -177,26 +168,25 @@ class ResidueSystem:
                 + self._samples(dphi_coeffs, self.dphi))
 
     # -- the two routes to {t_i, t_j} -------------------------------------
-    # Both take a chart point t (n,), or a stack of them (..., n), and chart
-    # indices i, j as integers or as integer arrays that broadcast against
-    # each other; they return one entry per point and index pair, shaped as
-    # the stack axes followed by the index axes.  A stacked entry equals,
-    # bit for bit, the entry of its point alone, by two rules:
+    # Both take a chart point t (n,), or a stack of them (..., n), and
+    # return the grid (..., n-1, n-1) of {t_i, t_j}, i, j = 1..n-1, that
+    # bracket_matrix reads.  A stacked grid equals, bit for bit, the grid
+    # of its point alone, by two rules:
     # - every gather from a stacked array is a ``take``, which keeps the
     #   stack axes outermost in memory, so each sum runs over a C-contiguous
     #   last axis and adds in the order it does for one point;
     # - psi_t = t.psi stays one vector-matrix product per point, since a
     #   stacked matrix product rounds differently.
 
-    def closed_form_entry(self, t, i, j):
+    def closed_form_entry(self, t):
         """Fully expanded coefficient formula (trace tables plus F), at a
         point t (n,) or a stack (..., n); its sums run over C-contiguous
         last axes."""
         n = self.basis.n
         t = np.asarray(t, dtype=complex)
         f, t3, td = self.f, self.t3, self.td
-        i, j = _index_pair(n, i, j)
         r = np.arange(1, n)
+        i, j = r[:, None], r[None, :]
         ir = (i[..., None] + r) % n
         jr = (j[..., None] - r) % n
         words = t.take(ir, axis=-1) * t.take(jr, axis=-1)
@@ -233,13 +223,13 @@ class ResidueSystem:
         lead = -t[0] if t.ndim == 1 else -t[..., :1, None]
         return a @ proj, lead * a
 
-    def trace_form_entry(self, t, i, j):
+    def trace_form_entry(self, t):
         """Direct quadrature of the projected-cocycle pairing, at a point t
         (n,) or a stack (..., n), with psi_t one vector-matrix product per
         point."""
         n = self.basis.n
         t = np.asarray(t, dtype=complex)
-        i, j = _index_pair(n, i, j)
+        i, j = np.arange(1, n)[:, None], np.arange(1, n)[None, :]
         # row i: the cotangent vector phi_i - t_i phi_0, and its samples
         dt = np.zeros(t.shape + (n,), dtype=complex)
         dt.reshape(-1, n * n)[:, ::n + 1] = 1.0
@@ -280,7 +270,7 @@ class ResidueSystem:
         below = idx[:, None] >= idx
 
         def route(t):
-            upper = entry(t, idx[:, None], idx)
+            upper = entry(t)
             upper[:, below] = 0.0
             out = np.zeros(t.shape + (n,), dtype=complex)
             out[:, 1:, 1:] = upper - upper.transpose(0, 2, 1)

@@ -40,9 +40,10 @@ rows of n pairs (0 for every alpha, the divisor k/n for alpha = 0), for
 its constants at 0; every other value, the residue circle of ``cech``
 among them, is read off ``theta_alpha_jet``.
 Evaluators accept scalars or numpy arrays of points and are pure functions
-of their arguments; a constructed :class:`ThetaBasis` is immutable.  A point
-where the value may leave double-precision range (large |Im z| / Im tau)
-raises :class:`ThetaRangeError` before anything is evaluated.  Every disc
+of their arguments; a constructed :class:`ThetaBasis` rebinds no attribute,
+and its arrays are read-only where the lattice memo of ``cli`` shares it.
+A point where the value may leave double-precision range (large |Im z| /
+Im tau) raises :class:`ThetaRangeError` before anything is evaluated.  Every disc
 is sampled on the ``CIRCLE_POINTS`` trapezoid nodes of ``circle_nodes`` at
 a quarter of its pole distance, which ``shortest_period`` gives.
 """
