@@ -1,26 +1,25 @@
-"""Exact rational matrices sized for chain-complex checks.
+"""Exact integer matrices sized for chain-complex checks.
 
-A matrix is stored as integer numerators over one positive denominator,
-with the numerators' largest absolute value cached.  The numerators are an
-int64 array whenever every entry fits, and Python-int objects only when one
-does not.  Each operation proves a bound on the entries it produces from
-the cached values of its operands before it runs: sums, Kronecker
-products, comparisons and stacks stay on int64 while that bound
-is below 2^63, and a product of inner dimension k runs as float64 BLAS
-while k * max|A| * max|B| < 2^53, where every partial sum is an integer
-that float64 holds exactly (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008),
-and on Python-int objects past it; the package forms such products only
-with a few columns.  Every identity checked against these matrices is
-exact.  Transposes
-and negations keep their operand's bound.  Rank and nullspace read one
-fraction-free Gauss-Jordan elimination on objects (Bareiss, Math. Comp.
-22, 1968).
+A matrix is stored as its integer entries, with their largest absolute
+value cached.  The entries are an int64 array whenever every one fits, and
+Python-int objects only when one does not.  Each operation proves a bound
+on the entries it produces from the cached values of its operands before
+it runs: sums, Kronecker products, comparisons and stacks stay on int64
+while that bound is below 2^63, and a product of inner dimension k runs as
+float64 BLAS while k * max|A| * max|B| < 2^53, where every partial sum is
+an integer that float64 holds exactly (Dumas, Giorgi & Pernet, ACM TOMS
+35, 2008), and on Python-int objects past it; the package forms such
+products only with a few columns.  Every identity checked against these
+matrices is exact.  Transposes and negations keep their operand's bound.
+Rank and nullspace are over Q, read off one fraction-free Gauss-Jordan
+elimination on objects (Bareiss, Math. Comp. 22, 1968).
+
+There are no denominators: a rational complex is isomorphic to an
+integer one, and the checks made against these matrices are invariant
+under isomorphism (see :mod:`.homology`).
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,25 +28,18 @@ _FLOAT64_EXACT = 2 ** 53
 
 
 def _to_object_int(arr):
-    """Promote numerators to a new array of Python-int objects, which keep
+    """Promote entries to a new array of Python-int objects, which keep
     later arithmetic unbounded."""
     return arr.astype(object)
 
 
-def _scaled(pairs, bound):
-    """Numerators of (Mat, factor) pairs times their factors.
-
-    ``bound`` must bound every entry the caller computes from the results;
-    below 2^63 they stay int64, otherwise all are promoted.  A factor of 1
-    copies nothing.
-    """
-    wide = bound >= _INT64_BOUND or any(abs(f) >= _INT64_BOUND
-                                        for _, f in pairs)
-    out = []
-    for m, f in pairs:
-        num = _to_object_int(m.num) if wide else m.num
-        out.append(num if f == 1 else num * f)
-    return out
+def _widened(mats, bound):
+    """The entries of ``mats``, promoted to objects when ``bound``, which
+    must bound every entry the caller computes from them, reaches 2^63,
+    and as stored, uncopied, otherwise."""
+    if bound >= _INT64_BOUND:
+        return [_to_object_int(m.num) for m in mats]
+    return [m.num for m in mats]
 
 
 def _float64_product(a, b):
@@ -56,22 +48,20 @@ def _float64_product(a, b):
 
 
 class Mat:
-    """Immutable exact rational matrix: integer numerators / denominator.
+    """Immutable exact integer matrix.
 
-    ``bound`` is the largest absolute numerator; ``num`` is int64 exactly
-    when ``bound`` is below 2^63.
+    ``bound`` is the largest absolute entry; ``num`` is int64 exactly when
+    ``bound`` is below 2^63.
     """
 
-    __slots__ = ("num", "den", "shape", "bound")
+    __slots__ = ("num", "shape", "bound")
 
-    def __init__(self, num, den=1):
+    def __init__(self, num):
         num = np.asarray(num)
         if num.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
         if num.dtype.kind not in "iubO":
-            raise TypeError("numerators must be integers")
-        if den <= 0:
-            raise ValueError("denominator must be positive")
+            raise TypeError("entries must be integers")
         # the ufuncs' own reductions, without numpy's Python wrappers
         bound = max(int(np.maximum.reduce(num, axis=None)),
                     -int(np.minimum.reduce(num, axis=None))) if num.size else 0
@@ -80,18 +70,16 @@ class Mat:
         elif num.dtype != np.int64:
             num = num.astype(np.int64)
         self.num = num
-        self.den = int(den)
         self.shape = num.shape
         self.bound = bound
 
     @classmethod
-    def _of(cls, num, den, bound):
-        """Matrix of numerators that a caller has checked: ``bound`` is
-        their largest absolute value and ``num`` is int64 exactly when it
-        is below 2^63, so nothing is scanned or converted."""
+    def _of(cls, num, bound):
+        """Matrix of entries that a caller has checked: ``bound`` is their
+        largest absolute value and ``num`` is int64 exactly when it is
+        below 2^63, so nothing is scanned or converted."""
         m = object.__new__(cls)
         m.num = num
-        m.den = den
         m.shape = num.shape
         m.bound = bound
         return m
@@ -100,34 +88,17 @@ class Mat:
 
     @classmethod
     def from_rows(cls, rows, shape=None):
-        """Matrix from nested rows of int or Fraction entries."""
+        """Matrix from nested rows of int entries."""
         rows = [list(r) for r in rows]
         if shape is None:
             shape = (len(rows), len(rows[0]) if rows else 0)
-        if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
-            raise TypeError("entries must be int or Fraction")
-        den = math.lcm(*(Fraction(v).denominator for row in rows for v in row))
-        num = np.array([[int(v * den) for v in row] for row in rows],
-                       dtype=object)
-        return cls(num.reshape(shape), den)
+        if not all(isinstance(v, int) for row in rows for v in row):
+            raise TypeError("entries must be int")
+        return cls(np.array(rows, dtype=object).reshape(shape))
 
     @classmethod
     def zeros(cls, r, c):
-        return cls._of(np.zeros((r, c), dtype=np.int64), 1, 0)
-
-    # -- helpers -----------------------------------------------------------
-
-    def _reduced(self):
-        if self.den == 1:
-            return self
-        g = math.gcd(int(np.gcd.reduce(self.num, axis=None)), self.den)
-        if g == 1:
-            return self
-        # g divides every numerator, so the bound divides exactly too
-        num, bound = self.num // g, self.bound // g
-        if num.dtype == object and bound < _INT64_BOUND:
-            num = num.astype(np.int64)
-        return Mat._of(num, self.den // g, bound)
+        return cls._of(np.zeros((r, c), dtype=np.int64), 0)
 
     # -- algebra -----------------------------------------------------------
 
@@ -140,43 +111,37 @@ class Mat:
             # float64 cannot
             return Mat.zeros(self.shape[0], other.shape[1])
         if bound < _FLOAT64_EXACT:
-            num = _float64_product(self.num, other.num)
-        else:
-            num = _to_object_int(self.num) @ _to_object_int(other.num)
-        return Mat(num, self.den * other.den)._reduced()
+            return Mat(_float64_product(self.num, other.num))
+        return Mat(_to_object_int(self.num) @ _to_object_int(other.num))
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in addition")
-        a, b = _scaled(((self, other.den), (other, self.den)),
-                       self.bound * other.den + other.bound * self.den)
-        return Mat(a + b, self.den * other.den)._reduced()
+        a, b = _widened((self, other), self.bound + other.bound)
+        return Mat(a + b)
 
     def __neg__(self) -> "Mat":
-        return Mat._of(-self.num, self.den, self.bound)
+        return Mat._of(-self.num, self.bound)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.shape != other.shape:
-            return False
-        a, b = _scaled(((self, other.den), (other, self.den)),
-                       max(self.bound * other.den, other.bound * self.den))
-        return bool(np.array_equal(a, b))
+        # equal bounds mean equal storages
+        return (self.shape == other.shape and self.bound == other.bound
+                and bool(np.array_equal(self.num, other.num)))
 
     def is_zero(self) -> bool:
         return self.bound == 0
 
     @property
     def T(self) -> "Mat":
-        return Mat._of(self.num.T, self.den, self.bound)
+        return Mat._of(self.num.T, self.bound)
 
     def kron(self, other: "Mat") -> "Mat":
-        a, b = _scaled(((self, 1), (other, 1)), self.bound * other.bound)
-        return Mat(np.kron(a, b), self.den * other.den)._reduced()
+        return Mat(np.kron(*_widened((self, other), self.bound * other.bound)))
 
     def _echelon(self):
-        """Fraction-free Gauss-Jordan elimination of the numerators.
+        """One fraction-free Gauss-Jordan elimination of the entries.
 
         Returns (a, pivots, d): ``a`` is row-equivalent to ``num``, its first
         len(pivots) rows are in reduced echelon form with pivot columns
@@ -213,7 +178,7 @@ class Mat:
         return a, pivots, d
 
     def rank(self) -> int:
-        """Rank over the rationals; the denominator plays no part."""
+        """Rank over Q."""
         return len(self._echelon()[1])
 
     def nullspace(self) -> "Mat":
@@ -233,32 +198,30 @@ class Mat:
         return Mat(basis)
 
     def __repr__(self):
-        return f"Mat({self.shape[0]}x{self.shape[1]}, den={self.den})"
+        return f"Mat({self.shape[0]}x{self.shape[1]}, bound={self.bound})"
 
 
-def common_denominator(mats):
-    """(den, numerators, bound) of ``mats`` over the lcm of their
-    denominators, with the largest absolute scaled numerator; every array
-    holds objects when that bound reaches 2^63 and int64 otherwise."""
-    den = math.lcm(*(m.den for m in mats))
-    pairs = [(m, den // m.den) for m in mats]
-    bound = max((m.bound * f for m, f in pairs), default=0)
-    return den, _scaled(pairs, bound), bound
+def common_storage(mats):
+    """(entries, bound) of ``mats``, with ``bound`` their largest absolute
+    entry; every array holds objects when that bound reaches 2^63 and
+    int64 otherwise."""
+    bound = max((m.bound for m in mats), default=0)
+    return _widened(mats, bound), bound
 
 
 def zeros_for(shape, bound):
-    """Zero numerators of ``shape`` in the storage that ``bound`` needs."""
+    """Zero entries of ``shape`` in the storage that ``bound`` needs."""
     return np.zeros(shape, dtype=object if bound >= _INT64_BOUND else np.int64)
 
 
 def assemble(shape, pieces) -> Mat:
     """Matrix of ``shape`` holding each (row, col, Mat) piece of ``pieces``
-    at that offset and zeros elsewhere, over the lcm of their denominators."""
-    den, nums, bound = common_denominator([m for _, _, m in pieces])
+    at that offset and zeros elsewhere."""
+    nums, bound = common_storage([m for _, _, m in pieces])
     num = zeros_for(shape, bound)
     for (row, col, m), piece in zip(pieces, nums):
         num[row:row + m.shape[0], col:col + m.shape[1]] = piece
-    return Mat._of(num, den, bound)._reduced()
+    return Mat._of(num, bound)
 
 
 def _stack(mats, axis) -> Mat:
@@ -266,8 +229,8 @@ def _stack(mats, axis) -> Mat:
     if len({m.shape[1 - axis] for m in mats}) > 1:
         raise ValueError("column counts differ" if axis == 0
                          else "row counts differ")
-    den, nums, bound = common_denominator(mats)
-    return Mat._of(np.concatenate(nums, axis=axis), den, bound)._reduced()
+    nums, bound = common_storage(mats)
+    return Mat._of(np.concatenate(nums, axis=axis), bound)
 
 
 def hstack(mats) -> Mat:

@@ -14,8 +14,8 @@ pairing it yields the bivector whose degree-0 block is checked for exact
 antisymmetry against the transpose partner d^0 t.  Both are differentials
 with their columns gathered and signed.  The printed cone identification
 Cone(ad)[-1] = C . C^0, with the degree-0 change of basis [[1, 0], [1, -1]],
-is verified identity by identity over the rationals on Kronecker pairs
-A (x) X, with X named by its degree (:func:`cone_iso_check`); an
+is verified exactly, identity by identity, on Kronecker pairs A (x) X,
+with X named by its degree (:func:`cone_iso_check`); an
 invertible chain map between the two complexes is an isomorphism, so their
 homology agrees without a rank.  A constructed complex is read-only and
 has proved d^2 = 0, so no check multiplies its differentials again.  Each
@@ -31,6 +31,13 @@ differentials, the probe's two products with its phi and their ties.
 The seeded instances of :func:`random_kronecker_complex` read the rank of
 phi_{-1} off the nullspace they need anyway, and rank a draw R before
 forming phi_0 = R N.
+
+Differentials have integer entries (:class:`.exact.Mat`), and ranks and
+homology are over Q.  A complex with rational differentials is
+isomorphic to an integer one: multiply phi_i by some lambda_i > 0 that
+clears its denominators, and E^i by mu_i with mu_{i+1} = lambda_i mu_i.
+d^2 = 0, the cone identification and the antisymmetry of the bivector
+are invariant under isomorphism, so an integer complex loses no case.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import UsageError
-from .exact import Mat, assemble, common_denominator, zeros_for
+from .exact import Mat, assemble, common_storage, zeros_for
 # unused here; kept as module attributes because perfbench/spans.py wraps them
 from .exact import hstack, vstack  # noqa: F401
 
@@ -68,14 +75,14 @@ def _as_mat(data, shape):
 
 @dataclass(frozen=True)
 class VSComplex:
-    """Bounded complex of finite-dimensional vector spaces, exact entries.
+    """Bounded complex of Q-vector spaces with integer differentials.
 
     ``dims`` maps degree to dimension; ``diffs[i]`` is the matrix of the
-    map from degree i to degree i+1 (shape dims[i+1] x dims[i]); missing
-    differentials are zero.  Construction verifies that consecutive
-    differentials compose to zero exactly, and leaves both mappings and
-    the numerators of every differential read-only, so d^2 = 0 holds for
-    every constructed complex.
+    map from degree i to degree i+1 (shape dims[i+1] x dims[i]), a Mat or
+    rows of ints; missing differentials are zero.  Construction verifies
+    that consecutive differentials compose to zero exactly, and leaves
+    both mappings and the entries of every differential read-only, so
+    d^2 = 0 holds for every constructed complex.
     """
 
     dims: Mapping
@@ -252,17 +259,16 @@ class HomComplex(VSComplex):
                     i + d + 1 in phi for i in phi):
                 raise ValueError(f"differentials at degrees {d}, {d + 1} do "
                                  "not compose to zero")
-        w, den = self._probe()
         degrees = range(self.deg_min, self.deg_max)
         for d, vd, wd in zip(degrees, self._layout.columns,
-                             np.split(w, self._layout.cut)[1:]):
-            if not self.diff(d) @ vd == Mat(wd, den):
+                             np.split(self._probe(), self._layout.cut)[1:]):
+            if not self.diff(d) @ vd == Mat(wd):
                 raise ValueError(f"differential at degree {d} does not match "
                                  "its Kronecker factors")
 
     def _probe(self):
-        """Numerators over ``den`` of the image of the shape's probe columns
-        under the definition of d, in the coordinates of :meth:`blocks`.
+        """Entries of the image of the shape's probe columns under the
+        definition of d, in the coordinates of :meth:`blocks`.
 
         The sum C^deg_min + ... + C^deg_max is End(E), E the sum of the E^i,
         on which d F = phi F - eps F eps phi, phi the sum of the phi_i and
@@ -278,19 +284,17 @@ class HomComplex(VSComplex):
         left = phi @ layout.probe  # [a, (t, b)]
         right = layout.probe_eps @ phi  # [(t, a), b]
         # each gather is a permutation of all entries, so keeps the bound
-        image = Mat._of(np.take(left.num, layout.left_at), left.den,
-                        left.bound) + -Mat._of(np.take(right.num,
-                                                       layout.right_at),
-                                               right.den, right.bound)
-        return image.num, image.den
+        image = Mat._of(np.take(left.num, layout.left_at), left.bound) + \
+            -Mat._of(np.take(right.num, layout.right_at), right.bound)
+        return image.num
 
     def _assemble_diff(self, d: int) -> Mat:
         """Matrix of C^d -> C^{d+1} in column-major flattened coordinates.
 
-        Each Kronecker block is written in place into one array over the
-        lcm of the denominators: I (x) phi has phi in its diagonal blocks,
-        and phi^T (x) I has entry (a, b) of phi^T on the diagonal of its
-        block (a, b)."""
+        Each Kronecker block is written in place into one array, in the
+        storage that its largest entry needs: I (x) phi has phi in its
+        diagonal blocks, and phi^T (x) I has entry (a, b) of phi^T on the
+        diagonal of its block (a, b)."""
         E = self.source
         pieces = []
         for (ti, trows, tcols, toff) in self.blocks(d + 1):
@@ -306,7 +310,7 @@ class HomComplex(VSComplex):
                 # block (a, b) of the Kronecker product is [a, :, b, :]
                 pieces.append((toff, soff, (tcols, trows, scols, srows),
                                si == ti, phi))
-        den, nums, bound = common_denominator([p[-1] for p in pieces])
+        nums, bound = common_storage([p[-1] for p in pieces])
         num = zeros_for((self._layout.blocks[d + 1][1],
                          self._layout.blocks[d][1]), bound)
         for (toff, soff, shape, same, _), phi in zip(pieces, nums):
@@ -318,7 +322,7 @@ class HomComplex(VSComplex):
             else:
                 idx = np.arange(shape[1])
                 view[:, idx, :, idx] = _hom_sign(d) * phi.T
-        return Mat._of(num, den, bound)._reduced()
+        return Mat._of(num, bound)
 
 
 def _hom_sign(d: int) -> int:
@@ -379,12 +383,12 @@ def _paired(H: HomComplex, j: int, negate: bool = False) -> Mat:
     times sign[q], for the trace pairing (partner, sign) of C^{-j} with
     C^j, whose transpose is d^{-j-1} P_{j+1}.  The negative takes -sign
     into the same in-place product, so no negated copy of the gathered
-    matrix is made.  A reduced d^j gives a reduced result."""
+    matrix is made."""
     m = H.diff(j)
     partner, sign = trace_pairing(H, -j)
     num = np.take(m.num, partner, axis=1)
     num *= -sign if negate else sign
-    return Mat._of(num, m.den, m.bound)
+    return Mat._of(num, m.bound)
 
 
 def pi_bivector(H: HomComplex) -> PiBivector:

@@ -41,7 +41,7 @@ values.  :func:`stratum_counts` counts the records by length and torsion
 end_dim from a generating function, with e(lambda) = sum_i (2i - 1)
 lambda_i per partition, where ``leaves`` sums min(i, j) r_i r_j.
 :func:`mat_entry` and :func:`phi_psi_pairing` are readers that only the
-tests need: an exact entry as a Fraction, and the duality pairing of a
+tests need: an exact entry as a Python int, and the duality pairing of a
 ``ResidueSystem``'s tables by its trace form.  :func:`verify_p_plus`,
 :func:`verify_p_plus_zero_sum` and :func:`verify_trace_identity` check the
 closed forms of a ``ResidueSystem`` against its sample tables, with
@@ -49,7 +49,6 @@ closed forms of a ``ResidueSystem`` against its sample tables, with
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -512,7 +511,7 @@ def _transpose_perm(m: int) -> Mat:
         for b in range(m):
             # column-major: entry (row, col) of a matrix sits at col*m + row
             out[b * m + a, a * m + b] = 1
-    return Mat(out, 1)
+    return Mat(out)
 
 
 def dense_duality_t(H) -> Mat:
@@ -523,7 +522,7 @@ def dense_duality_t(H) -> Mat:
         perm = _transpose_perm(rows)
         piece = perm.num if i % 2 == 0 else -perm.num
         out[off:off + rows * cols, off:off + rows * cols] = piece
-    return Mat(out, 1)
+    return Mat(out)
 
 
 def dense_kappa_inverse_deg_minus1(H) -> Mat:
@@ -542,7 +541,7 @@ def dense_kappa_inverse_deg_minus1(H) -> Mat:
         for a in range(r_m):
             for b in range(c_m):
                 out[off_m + b * r_m + a, off_p + a * r_p + b] = sign
-    return Mat(out, 1)
+    return Mat(out)
 
 
 def dense_trace_pairing(H, d: int) -> Mat:
@@ -557,7 +556,7 @@ def dense_trace_pairing(H, d: int) -> Mat:
             for b in range(cols):
                 out[dual_off + a * dual_rows + b, off + b * rows + a] = (
                     -1 if i % 2 else 1)
-    return Mat(out, 1)
+    return Mat(out)
 
 
 def homology_dims(dims: dict, diffs: dict, ranks: dict | None = None) -> dict:
@@ -576,9 +575,9 @@ def identity(n: int) -> Mat:
     return Mat(np.eye(n, dtype=np.int64))
 
 
-def mat_entry(m: Mat, i: int, j: int) -> Fraction:
-    """Entry (i, j) of an exact matrix as a Fraction."""
-    return Fraction(int(m.num[i, j]), m.den)
+def mat_entry(m: Mat, i: int, j: int) -> int:
+    """Entry (i, j) of an exact matrix as a Python int."""
+    return int(m.num[i, j])
 
 
 def phi_psi_pairing(system) -> np.ndarray:

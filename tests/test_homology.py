@@ -39,9 +39,16 @@ def zero_diff_complex():
 
 
 def rational_complex():
-    return VSComplex({-1: 1, 0: 2, 1: 1},
-                     {-1: [[Fraction(1, 2)], [Fraction(1, 3)]],
-                      0: [[2, -3]]})
+    """The integer image of the complex with rational differentials
+    phi_{-1} = (1/2, 1/3)^T and phi_0 = (2, -3): each phi_i times the lcm
+    lambda_i of its denominators, which E^i times mu_i, mu_{i+1} = lambda_i
+    mu_i, makes an isomorphism."""
+    diffs = {}
+    for i, rows in {-1: [[Fraction(1, 2)], [Fraction(1, 3)]],
+                    0: [[Fraction(2), Fraction(-3)]]}.items():
+        lam = math.lcm(*(v.denominator for row in rows for v in row))
+        diffs[i] = [[int(v * lam) for v in row] for row in rows]
+    return VSComplex({-1: 1, 0: 2, 1: 1}, diffs)
 
 
 def kronecker(seed=0, r=1, n=3):
@@ -59,14 +66,18 @@ def cached_layouts():
 
 
 class TestExactMat:
-    def test_matmul_exact_fractions(self):
-        a = Mat.from_rows([[Fraction(1, 2), 1], [0, Fraction(1, 3)]])
-        b = Mat.from_rows([[2, 0], [1, 6]])
-        prod = a @ b
-        assert mat_entry(prod, 0, 0) == 2
-        assert mat_entry(prod, 0, 1) == 6
-        assert mat_entry(prod, 1, 0) == Fraction(1, 3)
-        assert mat_entry(prod, 1, 1) == 2
+    def test_from_rows_refuses_a_fraction(self):
+        # integer entries only: a Fraction, even a whole one, is refused
+        for entry in (Fraction(1, 2), Fraction(2, 1)):
+            with pytest.raises(TypeError, match="entries must be int"):
+                Mat.from_rows([[1, entry]])
+        assert Mat.from_rows([[1, -2]]).num.tolist() == [[1, -2]]
+
+    def test_complex_refuses_a_fraction_row(self):
+        with pytest.raises(TypeError, match="entries must be int"):
+            VSComplex({-1: 1, 0: 2, 1: 1},
+                      {-1: [[Fraction(1, 2)], [Fraction(1, 3)]],
+                       0: [[2, -3]]})
 
     def test_big_integer_path(self):
         big = 2 ** 40
@@ -107,29 +118,19 @@ class TestExactMat:
         assert got.num.tolist() == [[top, top - 2], [-top, 2 - top]]
 
     def test_storage_at_the_int64_edges(self):
-        # the bound is read once, and a reduction divides it rather than
-        # scanning again: -2^63 has no int64 negation, so its matrix
-        # holds objects; 2^63 - 1 stays int64; an object matrix whose
-        # reduced bound fits goes back to int64
+        # the bound is read once: -2^63 has no int64 negation, so its
+        # matrix holds objects; 2^63 - 1 stays int64
         low = Mat(np.array([[-2 ** 63, 1]], dtype=np.int64))
         assert low.num.dtype == object and low.bound == 2 ** 63
         assert low.num.tolist() == [[-2 ** 63, 1]]
         high = Mat(np.array([[2 ** 63 - 1], [-5]], dtype=np.int64))
         assert high.num.dtype == np.int64 and high.bound == 2 ** 63 - 1
-        wide = Mat(np.array([[2 ** 64, -2 ** 63], [0, 12]], dtype=object),
-                   4)._reduced()
-        assert wide.num.dtype == np.int64 and wide.den == 1
-        assert wide.bound == 2 ** 62
-        assert wide.num.tolist() == [[2 ** 62, -2 ** 61], [0, 3]]
-        # still past 2^63 after the reduction: objects, bound divided
-        still = Mat(np.array([[2 ** 66, 2]], dtype=object), 2)._reduced()
-        assert still.num.dtype == object and still.bound == 2 ** 65
-        assert still.num.tolist() == [[2 ** 65, 1]] and still.den == 1
 
 
 def elimination_cases():
-    """Seeded integer and rational matrices of every rank, including zero,
-    empty, wide and tall shapes."""
+    """Seeded integer matrices of every rank, including zero, empty, wide
+    and tall shapes; the second of each rank has a right factor of larger
+    entries, a draw of fractions p/q, q <= 6, scaled by 60 = lcm(1..6)."""
     rng = np.random.default_rng(20)
     mats = [Mat.zeros(3, 4), Mat.zeros(0, 3), Mat.zeros(3, 0),
             Mat.from_rows([[0, 0, 5]]), identity(4)]
@@ -137,12 +138,12 @@ def elimination_cases():
         for rank in range(min(rows, cols) + 1):
             left = Mat(rng.integers(-4, 5, size=(rows, rank)))
             right = Mat(rng.integers(-4, 5, size=(rank, cols)))
-            rational = Mat.from_rows(
-                [[Fraction(int(p), int(q)) for p, q in zip(
+            scaled = Mat.from_rows(
+                [[int(p) * 60 // int(q) for p, q in zip(
                     rng.integers(-5, 6, size=cols),
                     rng.integers(1, 7, size=cols))] for _ in range(rank)],
                 (rank, cols))
-            mats += [left @ right, left @ rational]
+            mats += [left @ right, left @ scaled]
     return mats
 
 
@@ -171,8 +172,7 @@ class TestElimination:
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         for m in elimination_cases():
-            ref = sympy.Matrix(*m.shape, [sympy.Rational(int(v), m.den)
-                                          for v in m.num.flat])
+            ref = sympy.Matrix(*m.shape, [int(v) for v in m.num.flat])
             assert m.rank() == ref.rank()
             # sympy puts 1 at the free column; scaled to primitive integers
             # its basis must be ours, row for row
@@ -192,10 +192,8 @@ class TestElimination:
         @hyp.given(k=st.integers(1, 4), rows=st.integers(1, 3),
                    cols=st.integers(1, 3),
                    bits=st.sampled_from((53, 62, 64, 66)),
-                   above=st.booleans(),
-                   dens=st.tuples(st.integers(1, 6), st.integers(1, 6)),
-                   data=st.data())
-        def check(k, rows, cols, bits, above, dens, data):
+                   above=st.booleans(), data=st.data())
+        def check(k, rows, cols, bits, above, data):
             # entries at most `top` in size, with one entry of A and of B at
             # +-top, so k * top^2 sits just below or just above 2^bits: 2^53
             # bounds the float64 product, and at 64 and 66 bits sums with
@@ -214,7 +212,7 @@ class TestElimination:
                          dtype=object).reshape(k, cols)
             a[0, 0] = top * data.draw(st.sampled_from((1, -1)))
             b[-1, -1] = top * data.draw(st.sampled_from((1, -1)))
-            A, B = Mat(a, dens[0]), Mat(b, dens[1])
+            A, B = Mat(a), Mat(b)
             assert (k * A.bound * B.bound < 2 ** bits) != above
             prod = A @ B
             for i in range(rows):
@@ -266,8 +264,8 @@ class TestElimination:
     def test_storage_bound_operations_agree_with_fractions(self):
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
-        # largest entries at which sums, Kronecker products and
-        # denominators up to 4 cross 2^63, and their neighbours
+        # largest entries at which sums and Kronecker products cross 2^63,
+        # and their neighbours, with 2^63 // 3 among them
         tops = [v + e for v in (2 ** 62, 2 ** 63 // 3, math.isqrt(2 ** 63))
                 for e in (-1, 0, 1)] + [2 ** 63 - 1, 2 ** 61]
 
@@ -283,9 +281,8 @@ class TestElimination:
         @hyp.given(rows=st.integers(1, 3), cols=st.integers(1, 3),
                    tops=st.tuples(st.sampled_from(tops),
                                   st.sampled_from(tops)),
-                   dens=st.tuples(st.integers(1, 4), st.integers(1, 4)),
                    data=st.data())
-        def check(rows, cols, tops, dens, data):
+        def check(rows, cols, tops, data):
             nums = []
             for top in tops:
                 entry = st.one_of(st.sampled_from((top, -top)),
@@ -295,7 +292,7 @@ class TestElimination:
                     dtype=object).reshape(rows, cols)
                 num[0, 0] = top * data.draw(st.sampled_from((1, -1)))
                 nums.append(num)
-            A, B = Mat(nums[0], dens[0]), Mat(nums[1], dens[1])
+            A, B = Mat(nums[0]), Mat(nums[1])
             fa, fb = fractions(A), fractions(B)
             results = [A + B, A.kron(B), -A, hstack([A, B]), vstack([A, B])]
             assert all(stored(m) for m in [A, B] + results)
@@ -306,9 +303,6 @@ class TestElimination:
             assert fractions(results[2]) == [[-x for x in r] for r in fa]
             assert fractions(results[3]) == [ra + rb for ra, rb in zip(fa, fb)]
             assert fractions(results[4]) == fa + fb
-            # the same values over a larger denominator may need objects
-            s = dens[1] + 1
-            assert A == Mat(nums[0] * s, dens[0] * s)
             assert (A == B) == (fa == fb)
             assert A + -A == Mat.zeros(rows, cols)
 
@@ -358,8 +352,8 @@ class TestHomComplex:
                     return m
                 num = m.num.copy()
                 where.append(tuple(rng.integers(0, num.shape)))
-                num[where[-1]] += m.den
-                return Mat(num, m.den)
+                num[where[-1]] += 1
+                return Mat(num)
 
             monkeypatch.setattr(homology.HomComplex, "_assemble_diff", wrong)
             with pytest.raises(ValueError, match=f"differential at degree "
@@ -380,7 +374,7 @@ class TestHomComplex:
 
     def test_read_only_after_construction(self):
         # d^2 = 0 is proved once, at construction, and nothing changes a
-        # complex after it: neither its mappings nor their numerators
+        # complex after it: neither its mappings nor their entries
         E = kronecker(seed=1)
         H = hom_complex(E)
         with pytest.raises(TypeError):
@@ -458,7 +452,7 @@ class TestLayout:
     def test_shared_arrays_are_read_only(self):
         H = hom_complex(kronecker(seed=1, r=2, n=4))
         layout = H._layout
-        # every array the layout shares, the numerators of its Mats included
+        # every array the layout shares, the entries of its Mats included
         arrays = [layout.cut, layout.left_at, layout.right_at,
                   layout.probe.num, layout.probe_eps.num,
                   *(m.num for m in layout.columns),
@@ -528,11 +522,10 @@ def big_complex():
 
 
 def scaled_past_int64_complex():
-    """int64 entries whose scaling to the common denominator 3 passes
-    2^63 where both differentials meet in one block row."""
+    """An int64 phi_{-1} that meets a phi_0 of entries +-2^63 in one block
+    row of an assembled differential, which then holds objects."""
     return VSComplex({-1: 1, 0: 2, 1: 1},
-                     {-1: [[2 ** 62], [2 ** 62]],
-                      0: [[Fraction(1, 3), Fraction(-1, 3)]]})
+                     {-1: [[1], [1]], 0: [[2 ** 63, -(2 ** 63)]]})
 
 
 def differential_cases():
@@ -560,17 +553,17 @@ class TestAssembledDifferentials:
             assert same_bytes(H.diff(d), want)
 
     def test_object_and_rational_cases_reach_their_paths(self):
-        # power of the comparison above: both storages and a denominator
+        # power of the comparison above: both storages, and an int64
+        # differential promoted where it meets an object one
         H = hom_complex(big_complex())
-        assert H.diff(0).num.dtype == object and H.diff(0).den == 1
-        # every entry of E fits int64; scaled by 3 they no longer do
+        assert H.diff(0).num.dtype == object
         E = scaled_past_int64_complex()
         assert E.diff(-1).num.dtype == np.int64
+        assert E.diff(0).num.dtype == object
         H = hom_complex(E)
-        assert all(H.diff(d).num.dtype == object and H.diff(d).den == 3
+        assert all(H.diff(d).num.dtype == object
                    for d in range(H.deg_min, H.deg_max))
         assert hom_complex(kronecker()).diff(0).num.dtype == np.int64
-        assert hom_complex(rational_complex()).diff(0).den == 6
 
     def test_wrong_block_is_seen(self):
         # the comparison has power: one entry off in the writer's output
@@ -578,7 +571,7 @@ class TestAssembledDifferentials:
         m = H._assemble_diff(0)
         num = m.num.copy()
         num[-1, -1] += 1
-        assert not same_bytes(Mat(num, m.den), dense_hom_differential(H, 0))
+        assert not same_bytes(Mat(num), dense_hom_differential(H, 0))
 
 
 def counted_products(monkeypatch):
@@ -611,7 +604,7 @@ def pairing_cases():
 
 def same_bytes(a: Mat, b: Mat) -> bool:
     return (a.num.dtype == b.num.dtype and a.shape == b.shape
-            and a.den == b.den and a.num.tolist() == b.num.tolist())
+            and a.num.tolist() == b.num.tolist())
 
 
 class TestDuality:
@@ -794,9 +787,8 @@ class TestPiBivector:
         pi = pi_bivector(H)
         assert pi.chain_map_ok(H) and pi.antisymmetry_ok()
         num = pi.component.num.copy()
-        num[0, 0] += pi.component.den
-        assert not PiBivector(Mat(num, pi.component.den),
-                              pi.partner).chain_map_ok(H)
+        num[0, 0] += 1
+        assert not PiBivector(Mat(num), pi.partner).chain_map_ok(H)
         partner, sign = trace_pairing(H, 1)
         num = H.diff(-1).num
         permuted = Mat(num[:, np.roll(partner, 1)] * -sign)
@@ -859,7 +851,10 @@ class TestConeIso:
         assert len(calls) == (H.deg_max - H.deg_min) + 1
 
     def test_rational_entries_supported(self):
-        H = hom_complex(rational_complex())
+        # through the integer image of the rational complex
+        E = rational_complex()
+        assert E.diff(-1).num.tolist() == [[3], [2]]
+        H = hom_complex(E)
         ok, failures = cone_iso_check(H)
         assert ok, failures
         assert pi_bivector(H).antisymmetry_ok()
@@ -1059,7 +1054,7 @@ class TestObjectPath:
                 return m
             num = m.num.copy()
             num[-1, -1] += 1
-            return Mat(num, m.den)
+            return Mat(num)
 
         monkeypatch.setattr(homology.HomComplex, "_assemble_diff", wrong)
         with pytest.raises(ValueError, match="degree 0 does not match"):
@@ -1085,7 +1080,9 @@ class TestGenerator:
         # the instances depend on the nullspace basis the elimination
         # returns; these digests pin them to the sequence seen so far
         E = random_kronecker_complex(r, n, seed)
-        text = repr([(E.diff(d).num.tolist(), E.diff(d).den) for d in (-1, 0)])
+        # each digest hashes the entries with the denominator 1 that a
+        # matrix carried when they were pinned
+        text = repr([(E.diff(d).num.tolist(), 1) for d in (-1, 0)])
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_generic_ranks(self):

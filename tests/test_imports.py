@@ -8,10 +8,13 @@ public top-level function and class is named somewhere in the package
 outside its own definition and outside ``ellpoisson/__init__.py``, and
 every public method of a public top-level class is named by an attribute
 access in the package outside its own body, or the name is listed in
-``TEST_ONLY`` with the test that calls it.
+``TEST_ONLY`` with the test that calls it.  An imported name reaches its
+definition only where the importing module uses it; the imports that
+nothing in their module uses are listed in ``PERFBENCH_ONLY``.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -59,15 +62,44 @@ def public(body, kinds):
             if isinstance(node, kinds) and not node.name.startswith("_")]
 
 
+def loaded_names(tree):
+    """Every name that a module reads as a plain name."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def imported_names(tree):
+    """(name imported, name bound) of every ``from ... import`` in a
+    module but ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.name, alias.asname or alias.name
+
+
+def unused_imports(paths):
+    """``file:name`` of every name imported by ``from ... import`` in
+    ``paths`` that nothing else in the importing module reads."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = loaded_names(tree)
+        found += [f"{path.name}:{name}" for name, bound in imported_names(tree)
+                  if bound not in loaded]
+    return found
+
+
 def unreached(paths):
     """``file:name`` of every public top-level function or class in
     ``paths`` that no other top-level statement of ``paths`` names (as a
-    name, an attribute or an imported name), and ``file:Class.name`` of
+    name, an attribute, or a name imported into a module that reads it),
+    and ``file:Class.name`` of
     every public method of a public top-level class that no attribute
     access ``x.name`` outside the method's own body names.  Methods are
     matched by attribute only, so a local variable that shares a method's
     name does not reach it.  No statement of an ``__init__.py`` reaches a
-    name, so a re-export cannot hide one that nothing calls."""
+    name, so a re-export cannot hide one that nothing calls, and neither
+    does an import that nothing in its module reads."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in paths}
     named = {}
@@ -75,6 +107,7 @@ def unreached(paths):
     for path, tree in trees.items():
         if path.name == "__init__.py":
             continue
+        loaded = loaded_names(tree)
         for statement in tree.body:
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name):
@@ -83,7 +116,8 @@ def unreached(paths):
                     names = [node.attr]
                     attributes.setdefault(node.attr, []).append(node)
                 elif isinstance(node, ast.ImportFrom):
-                    names = [alias.name for alias in node.names]
+                    names = [alias.name for alias in node.names
+                             if (alias.asname or alias.name) in loaded]
                 else:
                     continue
                 for name in names:
@@ -116,11 +150,44 @@ TEST_ONLY = {
     "cech.py:ResidueSystem.pi_t_class": "test_cech.py::TestPiT",
     # perfbench/spans.py wraps it, and no longer sees a call from the package
     "exact.py:Mat.kron": "test_homology.py::TestExactMat",
+    # reached only by an import in PERFBENCH_ONLY
+    "fo.py:single_eta_bracket": "test_fo.py::TestSemiclassical",
+    "leaves.py:end_dim_sheaf": "test_leaves.py::TestEndDim",
+}
+
+# imports that nothing in the importing module reads, each with the
+# perfbench/spans.py TARGETS row that wraps the module attribute it makes
+PERFBENCH_ONLY = {
+    "cli.py:single_eta_bracket": "fo.single_eta",
+    "cli.py:QuadraticBracket": "poisson.bracket",
+    "cli.py:end_dim_sheaf": "leaves.end_dim",
+    "cech.py:theta_alpha_eval": "theta.eval",
+    "cech.py:theta_alpha_deriv": "theta.eval",
+    "homology.py:hstack": "exact.stack",
+    "homology.py:vstack": "exact.stack",
 }
 
 
 def test_every_public_name_is_reached():
     assert sorted(unreached(sorted(SRC.glob("*.py")))) == sorted(TEST_ONLY)
+
+
+def test_unused_imports_are_the_perfbench_only_table():
+    assert sorted(unused_imports(sorted(SRC.glob("*.py")))) == sorted(
+        PERFBENCH_ONLY)
+
+
+def test_perfbench_only_rows_name_their_targets():
+    # each row is a TARGETS row: the importing module, the name and the
+    # span name
+    path = SRC.parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = {(module, attr, span) for module, attr, span, _ in spans.TARGETS}
+    for row, span in PERFBENCH_ONLY.items():
+        file, name = row.split(":")
+        assert (f"ellpoisson.{file[:-3]}", name, span) in targets, row
 
 
 def test_checker_sees_an_unreached_name(tmp_path):
@@ -145,6 +212,24 @@ def test_checker_sees_an_unreached_name(tmp_path):
                                                         "a.py:recursive",
                                                         "a.py:Orphan",
                                                         "a.py:Used.entry"]
+
+
+
+def test_checker_sees_an_unused_import(tmp_path):
+    # power control: a name that only an unread import names is reported
+    # by both checks; read, under its own name or an alias, the import
+    # reaches it.  ``from __future__`` binds nothing to read
+    (tmp_path / "a.py").write_text("def wrapped():\n    return 1\n")
+    importer = tmp_path / "b.py"
+    paths = [tmp_path / "a.py", importer]
+    importer.write_text("from __future__ import annotations\n"
+                        "from .a import wrapped\n")
+    assert unused_imports(paths) == ["b.py:wrapped"]
+    assert unreached(paths) == ["a.py:wrapped"]
+    for text in ("from .a import wrapped\nVALUE = wrapped()\n",
+                 "from .a import wrapped as w\nVALUE = w()\n"):
+        importer.write_text(text)
+        assert unused_imports(paths) == [] and unreached(paths) == []
 
 
 BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
