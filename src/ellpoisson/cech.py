@@ -114,8 +114,8 @@ class ResidueSystem:
         TD[a, b] = tr(phi_a' phi_b psi_{a+b})
 
     are the only quadrature inputs the fully expanded bracket needs.  The
-    arrays of a system that the lattice memo of ``cli`` shares are
-    read-only; one built outside the memo keeps them writable.
+    arrays of a system that the lattice cache of ``cli`` shares are
+    read-only; one built outside the cache keeps them writable.
     """
 
     def __init__(self, basis: ThetaBasis):

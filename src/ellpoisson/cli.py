@@ -11,12 +11,13 @@ only what this module owns (the seed, the sample counts, the work budgets
 and the commands' own bounds on n and k).
 
 The jobs of one process share each lattice's :class:`ThetaBasis`,
-:class:`ResidueSystem` and Sklyanin bracket through ``functools.lru_cache``:
-a basis is keyed by the function that builds it and the reduced
-:class:`CurveParams`, a system or a bracket by its builder, the basis
-object it is built from and k.  A replaced or traced builder builds objects
-of its own.  Shared arrays are read-only, a build that raises is not kept,
-and every check runs on every job.
+:class:`ResidueSystem` and Sklyanin bracket through one
+``functools.lru_cache``, ``_shared(build, *args)``, keyed by the function
+that builds the object and its arguments: the reduced :class:`CurveParams`
+for a basis, the basis object (and k) for a system or a bracket.  A
+replaced or traced builder builds objects of its own.  Shared arrays are
+read-only, a build that raises is not kept, and every check runs on every
+job.
 """
 
 from __future__ import annotations
@@ -197,52 +198,22 @@ def _frozen(value):
     return value
 
 
-# one round of the moduli workload uses 9 systems, one bracket round 27
-# bases and 39 brackets; retained at n = 31, tau = i: 2.8 kB a basis, 1.5 MB
-# a system, 0.5 MB a bracket (its weights are the table every bracket of the
-# order shares).  A system or a bracket is keyed by the basis it is built
-# from, which hashes by identity; that basis is shared with it, so its
-# arrays are made read-only too.
-
-
-@functools.lru_cache(maxsize=64)
-def _bases(build, params):
-    return _frozen(build(params))
-
-
-@functools.lru_cache(maxsize=16)
-def _systems(build, basis):
-    return _frozen(build(_frozen(basis)))
-
-
-@functools.lru_cache(maxsize=64)
-def _brackets(build, basis, k):
-    return _frozen(build(_frozen(basis), k))
-
-
-def _clear_memo():
-    """Drop every shared lattice object, as in a new process."""
-    for cache in (_bases, _systems, _brackets):
-        cache.cache_clear()
-
-
-def _basis(cfg: RunConfig) -> ThetaBasis:
-    return _bases(ThetaBasis, CurveParams(cfg.tau, cfg.n))
-
-
-def _system(basis: ThetaBasis) -> ResidueSystem:
-    return _systems(ResidueSystem, basis)
-
-
-def _bracket(basis: ThetaBasis, k: int):
-    return _brackets(sklyanin_bracket, basis, k)
+# One cache for every shared lattice object; a basis hashes by identity.
+# One round of the moduli workload reads 27 objects, one bracket round 66
+# (27 bases and 39 brackets); at 64 entries a bracket round rebuilds 35.
+# So it retains at most 128 objects of any kind: at n = 63 a system takes
+# about 6 MB and a bracket about 4 MB, beside the 2 MB weights table every
+# bracket of the order shares.  No known caller keeps more than 66.
+@functools.lru_cache(maxsize=128)
+def _shared(build, *args):
+    return _frozen(build(*args))
 
 
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_theta(cfg: RunConfig):
-    basis = _basis(cfg)
+    basis = _shared(ThetaBasis, CurveParams(cfg.tau, cfg.n))
     basis.require_rounding(THETA_ROUNDING_LIMIT, " for the theta checks")
     n = cfg.n
     tau = basis.params.tau  # Re(tau) reduced as the basis holds it
@@ -297,9 +268,9 @@ def cmd_sklyanin(cfg: RunConfig):
     stacked array, so only the closed form and the circle mean are built
     as :class:`QuadraticBracket`.
     """
-    basis = _basis(cfg)
+    basis = _shared(ThetaBasis, CurveParams(cfg.tau, cfg.n))
     basis.require_rounding(BRACKET_ROUNDING_LIMIT, " for the bracket checks")
-    bracket = _bracket(basis, cfg.k)
+    bracket = _shared(sklyanin_bracket, basis, cfg.k)
     from .poisson import jacobi_defect
     checks = [_check("jacobi_defect", jacobi_defect(bracket), TOL)]
     tables = {}
@@ -334,10 +305,10 @@ def cmd_sklyanin(cfg: RunConfig):
 
 
 def cmd_moduli_compare(cfg: RunConfig):
-    basis = _basis(cfg)
+    basis = _shared(ThetaBasis, CurveParams(cfg.tau, cfg.n))
     basis.require_rounding(BRACKET_ROUNDING_LIMIT, " for the bracket checks")
-    system = _system(basis)
-    bracket = _bracket(basis, 1)
+    system = _shared(ResidueSystem, basis)
+    bracket = _shared(sklyanin_bracket, basis, 1)
     t = _sample_chart_points(cfg.n, cfg.samples, cfg.seed)
     closed = system.bracket_matrix(t, "closed_form")
     traced = system.bracket_matrix(t, "trace_form")

@@ -41,7 +41,7 @@ its constants at 0; every other value, the residue circle of ``cech``
 among them, is read off ``theta_alpha_jet``.
 Evaluators accept scalars or numpy arrays of points and are pure functions
 of their arguments; a constructed :class:`ThetaBasis` rebinds no attribute,
-and its arrays are read-only where the lattice memo of ``cli`` shares it.
+and its arrays are read-only where the lattice cache of ``cli`` shares it.
 A point where the value may leave double-precision range (large |Im z| /
 Im tau) raises :class:`ThetaRangeError` before anything is evaluated.  Every disc
 is sampled on the ``CIRCLE_POINTS`` trapezoid nodes of ``circle_nodes`` at

@@ -2,14 +2,18 @@
 
 import argparse
 import copy
+import functools
 import hashlib
+import importlib.util
 import json
 import math
 import re
+import sys
 import time
 import tracemalloc
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1102,6 +1106,12 @@ MEMO_JOBS = (
     + [["sklyanin", "--n", "3", "--tau", "0", "1e-6"]] * 2)
 
 
+def shared_basis(n=5):
+    """The basis the theta commands read at tau = i, from the memo."""
+    import ellpoisson.cli as cli
+    return cli._shared(cli.ThetaBasis, CurveParams(1j, n))
+
+
 class TestLatticeMemo:
     """The jobs of one process share each lattice's basis, residue system
     and Sklyanin bracket; the checks still run on every job."""
@@ -1127,7 +1137,7 @@ class TestLatticeMemo:
         monkeypatch.setattr(cli, "ThetaBasis", counted)
         cold = []
         for args in MEMO_JOBS:
-            cli._clear_memo()
+            cli._shared.cache_clear()
             cold.append(self.outcome(args, capsys))
         assert len(built) == len(MEMO_JOBS)
         filling = [self.outcome(args, capsys) for args in MEMO_JOBS]
@@ -1180,8 +1190,8 @@ class TestLatticeMemo:
         args = ["moduli-compare", "--n", "5", "--tau", "0", "1"]
         assert run(args, tmp_path)[0] == 0
         genuine = cli.ThetaBasis
-        system = cli._system(cli._basis(RunConfig(n=5)))
-        bracket = cli._bracket(cli._basis(RunConfig(n=5)), 1)
+        system = cli._shared(cli.ResidueSystem, shared_basis())
+        bracket = cli._shared(cli.sklyanin_bracket, shared_basis(), 1)
 
         def perturbed(params):
             basis = genuine(params)
@@ -1196,10 +1206,10 @@ class TestLatticeMemo:
         verdicts = {c["name"]: c["pass"]
                     for c in json.loads(text)["checks"]}
         assert verdicts["matches_projective_bracket"] is False
-        basis = cli._basis(RunConfig(n=5))
-        assert cli._system(basis) is not system
-        assert cli._system(basis).basis is basis
-        assert cli._bracket(basis, 1) is not bracket
+        basis = shared_basis()
+        assert cli._shared(cli.ResidueSystem, basis) is not system
+        assert cli._shared(cli.ResidueSystem, basis).basis is basis
+        assert cli._shared(cli.sklyanin_bracket, basis, 1) is not bracket
 
     def test_one_table_build_per_order(self, capsys):
         # the bracket and Jacobi tables of an order, and the series tables
@@ -1265,12 +1275,54 @@ class TestLatticeMemo:
             assert self.outcome(args, capsys)[0] == 0
             assert len(made) == 1
 
-    def test_memo_is_keyed_by_the_basis(self, monkeypatch):
+    @staticmethod
+    def replay_misses(jobs, capsys):
+        """The memo misses of one replay of ``jobs`` through :func:`main`,
+        in one process, as perfbench replays a round."""
+        import ellpoisson.cli as cli
+        before = cli._shared.cache_info().misses
+        assert {main(job.argv) for job in jobs} <= {0, 1}
+        capsys.readouterr()
+        return cli._shared.cache_info().misses - before
+
+    @staticmethod
+    def bracket_round(monkeypatch):
+        """The jobs of perfbench's bracket round at seed 1."""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / \
+            "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclass looks its module up while the module is executed
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        return workloads.round_jobs("bracket", 1)
+
+    def test_a_bracket_round_fits_the_memo(self, capsys, monkeypatch):
+        # the largest known working set, one bracket round (27 bases and 39
+        # brackets), is held whole: a second replay builds nothing
+        import ellpoisson.cli as cli
+        jobs = self.bracket_round(monkeypatch)
+        assert self.replay_misses(jobs, capsys) == 66
+        assert self.replay_misses(jobs, capsys) == 0
+        assert cli._shared.cache_info().currsize == 66
+
+    def test_a_smaller_memo_rebuilds_a_bracket_round(self, capsys,
+                                                     monkeypatch):
+        # power control: at 64 entries the second replay rebuilds objects
+        import ellpoisson.cli as cli
+        monkeypatch.setattr(cli, "_shared", functools.lru_cache(maxsize=64)(
+            cli._shared.__wrapped__))
+        jobs = self.bracket_round(monkeypatch)
+        assert self.replay_misses(jobs, capsys) == 66
+        assert self.replay_misses(jobs, capsys) == 35
+
+    def test_memo_is_keyed_by_the_basis(self):
         # a system and a bracket are built from the basis passed in, even
         # when the memo holds objects of an equal lattice
         import ellpoisson.cli as cli
-        warm = cli._basis(RunConfig(n=5))
-        cli._system(warm), cli._bracket(warm, 1)
+        warm = shared_basis()
+        cli._shared(cli.ResidueSystem, warm)
+        cli._shared(cli.sklyanin_bracket, warm, 1)
         built = []
         closed_form = cli.sklyanin_bracket
 
@@ -1278,43 +1330,41 @@ class TestLatticeMemo:
             built.append(basis)
             return closed_form(basis, k)
 
-        monkeypatch.setattr(cli, "sklyanin_bracket", recorded)
         b = ThetaBasis(CurveParams(1j, 5))
-        system, bracket = cli._system(b), cli._bracket(b, 1)
+        system = cli._shared(cli.ResidueSystem, b)
+        bracket = cli._shared(recorded, b, 1)
         assert system.basis is b and built == [b]
-        assert cli._system(b) is system and cli._bracket(b, 1) is bracket
+        assert cli._shared(cli.ResidueSystem, b) is system
+        assert cli._shared(recorded, b, 1) is bracket
         assert built == [b]
-        assert cli._system(warm) is not system
-        assert cli._system(warm).basis is warm
+        assert cli._shared(cli.ResidueSystem, warm) is not system
+        assert cli._shared(cli.ResidueSystem, warm).basis is warm
 
     def test_changed_basis_gets_new_objects(self):
         import ellpoisson.cli as cli
         b = ThetaBasis(CurveParams(1j, 5))
-        system, bracket = cli._system(b), cli._bracket(b, 1)
-        # the memo shares b with the objects built from it
-        with pytest.raises(ValueError, match="read-only"):
-            b.theta_at_zero[1] *= 1.001
+        system = cli._shared(cli.ResidueSystem, b)
+        bracket = cli._shared(cli.sklyanin_bracket, b, 1)
         changed = copy.copy(b)
         vals = b.theta_at_zero.copy()
         vals[1] *= 1.001
         object.__setattr__(changed, "theta_at_zero", vals)
-        assert cli._system(changed) is not system
-        assert cli._system(changed).basis is changed
-        assert cli._bracket(changed, 1) is not bracket
-        assert np.array_equal(cli._bracket(changed, 1).coeffs,
+        assert cli._shared(cli.ResidueSystem, changed) is not system
+        assert cli._shared(cli.ResidueSystem, changed).basis is changed
+        rebuilt = cli._shared(cli.sklyanin_bracket, changed, 1)
+        assert rebuilt is not bracket
+        assert np.array_equal(rebuilt.coeffs,
                               sklyanin_bracket(changed, 1).coeffs)
-        assert not np.array_equal(cli._bracket(changed, 1).coeffs,
-                                  bracket.coeffs)
+        assert not np.array_equal(rebuilt.coeffs, bracket.coeffs)
 
     def test_shared_arrays_are_read_only(self):
         import ellpoisson.cli as cli
-        cfg = RunConfig(n=5)
-        basis = cli._basis(cfg)
-        system = cli._system(basis)
-        bracket = cli._bracket(basis, 1)
-        assert cli._basis(cfg) is basis
-        assert cli._system(basis) is system
-        assert cli._bracket(basis, 1) is bracket
+        basis = shared_basis()
+        system = cli._shared(cli.ResidueSystem, basis)
+        bracket = cli._shared(cli.sklyanin_bracket, basis, 1)
+        assert shared_basis() is basis
+        assert cli._shared(cli.ResidueSystem, basis) is system
+        assert cli._shared(cli.sklyanin_bracket, basis, 1) is bracket
         for obj in (basis, system, bracket):
             names = getattr(obj, "__slots__", None) or vars(obj)
             arrays = [getattr(obj, name) for name in names
@@ -1329,10 +1379,10 @@ class TestLatticeMemo:
         from ellpoisson.poisson import QuadraticBracket
         from ellpoisson.theta import CurveParams, ThetaBasis
 
-        shared = cli._bracket(cli._basis(RunConfig(n=5)), 1)
+        shared = cli._shared(cli.sklyanin_bracket, shared_basis(), 1)
         g = shared.coeffs.copy()
         own = QuadraticBracket(5, g)
         assert own.coeffs is g and g.flags.writeable
         basis = ThetaBasis(CurveParams(1j, 5))
-        assert basis is not cli._basis(RunConfig(n=5))
+        assert basis is not shared_basis()
         assert basis.theta_at_zero.flags.writeable
