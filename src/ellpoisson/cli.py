@@ -10,6 +10,12 @@ takes it, with a :class:`UsageError`; :meth:`RunConfig.validate` checks
 only what this module owns (the seed, the sample counts, the work budgets
 and the commands' own bounds on n and k).
 
+:func:`main` parses once: when the first word names a command, that
+command's parser reads the options alone, and arguments it leaves over are
+refused through the top-level parser, with its usage line; any other first
+word goes to the top-level parser.  Reports are encoded by one shared
+``json.JSONEncoder``.
+
 The jobs of one process share each lattice's :class:`ThetaBasis`,
 :class:`ResidueSystem` and Sklyanin bracket through one
 ``functools.lru_cache``, ``_shared(build, *args)``, keyed by the function
@@ -202,8 +208,9 @@ def _frozen(value):
 # One round of the moduli workload reads 27 objects, one bracket round 66
 # (27 bases and 39 brackets); at 64 entries a bracket round rebuilds 35.
 # So it retains at most 128 objects of any kind: at n = 63 a system takes
-# about 6 MB and a bracket about 4 MB, beside the 2 MB weights table every
-# bracket of the order shares.  No known caller keeps more than 66.
+# about 6.9 MB (0.56 MB of it the tables of its routes) and a bracket about
+# 4 MB, beside the 2 MB weights table every bracket of the order shares.
+# No known caller keeps more than 66.
 @functools.lru_cache(maxsize=128)
 def _shared(build, *args):
     return _frozen(build(*args))
@@ -363,11 +370,14 @@ def cmd_homology(cfg: RunConfig, inject_sign_flip=False):
 
 # -- report plumbing -------------------------------------------------------
 
+# the encoder json.dumps(report, sort_keys=True) would build on every call,
+# built once; without indent it uses the C encoder: one object per line
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def _emit(report: dict, cfg: RunConfig) -> str:
     if cfg.format == "json":
-        # without indent json uses its C encoder: one object per line
-        return json.dumps(report, sort_keys=True) + "\n"
+        return _ENCODER.encode(report) + "\n"
     lines = ["name,residual,tolerance,pass"]
     for c in report["checks"]:
         lines.append(f"{c['name']},{c['residual']!r},{c['tolerance']!r},"
@@ -395,10 +405,11 @@ COMMANDS = {
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it
-    unchanged, so every :func:`main` call shares it.  Its defaults are
-    those of :class:`RunConfig`."""
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each command, built once per
+    process; parsing leaves them unchanged, so every :func:`main` call
+    shares them.  Their defaults are those of :class:`RunConfig`."""
     parser = argparse.ArgumentParser(
         prog="ellpoisson",
         description="numerical verification of elliptic quadratic Poisson "
@@ -420,19 +431,31 @@ def build_parser() -> argparse.ArgumentParser:
     }
     defaults = asdict(RunConfig())
     defaults["tau"] = [defaults["tau_re"], defaults["tau_im"]]
+    commands = {}
     for command, (_, text, dests) in COMMANDS.items():
-        p = sub.add_parser(command, help=text)
+        p = commands[command] = sub.add_parser(command, help=text)
         for dest in dests:
             flag, kwargs = options[dest]
             p.add_argument(flag, dest=dest, **kwargs)
         p.set_defaults(**{dest: defaults[dest] for dest in dests
                           if dest in defaults})
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    opts = vars(build_parser().parse_args(argv))
-    command = opts.pop("command")
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser()
+    if argv and argv[0] in commands:
+        # the command's parser alone, as the top-level parser would call
+        # it; what it leaves over is reported as the top-level parser does
+        command = argv[0]
+        parsed, rest = commands[command].parse_known_args(argv[1:])
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        opts = vars(parsed)
+    else:  # not a command word: the top-level parser refuses it or helps
+        opts = vars(parser.parse_args(argv))
+        command = opts.pop("command")
     if "tau" in opts:
         opts["tau_re"], opts["tau_im"] = opts.pop("tau")
     extra = {name: opts.pop(name) for name in list(opts)

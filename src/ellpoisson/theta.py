@@ -263,7 +263,7 @@ def _rows_per_call(cols, bound):
     return max(1, _CHUNK_TERMS // (cols * (2 * bound + 2)))
 
 
-def _series_sums(w, cols, tau, bound, order):
+def _series_sums(w, cols, tau, bound, order, size=False):
     """Sums of the basic series at tau at the points w, the first half of
     the kernel every basis value goes through.
 
@@ -272,8 +272,9 @@ def _series_sums(w, cols, tau, bound, order):
     reduced, w = z0 + a + b*tau.  Each ``_series_terms`` call takes the
     whole rows ``_rows_per_call`` allows, and each row is summed by its own
     matmul, so no sum depends on the calls.  Returns z0 and b in the shape
-    of w, the sums with the jet on an appended trailing axis, and the sums
-    of the absolute terms over row 0.
+    of w and the sums with the jet on an appended trailing axis; with
+    ``size``, also the sums of the absolute terms over row 0, which only
+    :class:`ThetaBasis` reads.
     """
     z0, b = _reduce_to_cell(w, tau)
     rows = z0.reshape(-1, cols)
@@ -282,9 +283,10 @@ def _series_sums(w, cols, tau, bound, order):
     for i in range(0, len(rows), step):
         terms, weights = _series_terms(rows[i:i + step], tau, bound, order)
         np.matmul(terms, weights, out=sums[i:i + step])
-        if i == 0:
-            size = np.abs(terms[0]) @ np.abs(weights)
-    return z0, b, sums.reshape(w.shape + (order + 1,)), size
+        if size and i == 0:
+            absolute = np.abs(terms[0]) @ np.abs(weights)
+    sums = sums.reshape(w.shape + (order + 1,))
+    return (z0, b, sums, absolute) if size else (z0, b, sums)
 
 
 def _exp_jet(value, rate, order):
@@ -376,7 +378,8 @@ class ThetaBasis:
         # alpha, then k/n for alpha = 0
         z = np.concatenate([np.zeros(n), alpha / n])
         a = np.concatenate([alpha, 0 * alpha])
-        z0, b, sums, size = _series_sums(n * z + a * tau, n, n * tau, bound, 1)
+        z0, b, sums, size = _series_sums(n * z + a * tau, n, n * tau, bound, 1,
+                                         size=True)
         # theta_alpha(0) is the series at alpha*tau, whose lattice index is
         # 0, times E_alpha(0).  The sum carries a rounding error of about
         # 2^-53 sum|terms|, against the value, or against the derivative
@@ -475,8 +478,8 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     step = _rows_per_call(a.size, basis.series_bound)
     for i in range(0, len(flat), step):
         part = flat[i:i + step]
-        z0, b, sums, _ = _series_sums(n * part + a * tau, a.size, n * tau,
-                                      basis.series_bound, order)
+        z0, b, sums = _series_sums(n * part + a * tau, a.size, n * tau,
+                                   basis.series_bound, order)
         _basis_jet(basis, part, a, z0, b, sums, out[:, i:i + step])
     out = out.reshape((order + 1,) + z.shape + (a.size,))
     return out if index.ndim else out[..., 0]

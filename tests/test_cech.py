@@ -1,5 +1,6 @@
 """Tests for the residue calculus and the moduli-of-extensions bracket."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -475,6 +476,18 @@ class TestStacks:
         points = np.array([projective_matrix(bracket, row) for row in t])
         assert same_bits(stacked.reshape(130, n, n), points)
 
+    def test_thousand_point_stack(self):
+        # the largest stack moduli-compare takes at n = 9 (samples x n^2
+        # up to MAX_MODULI_ENTRIES) runs in many chunks on both routes
+        n = 9
+        s = system(n, 0.3 + 0.8j)
+        t = _sample_chart_points(n, 1000, 9)
+        for method in ("closed_form", "trace_form"):
+            stacked = s.bracket_matrix(t, method)
+            assert stacked.shape == (1000, n, n)
+            points = np.array([s.bracket_matrix(row, method) for row in t])
+            assert same_bits(stacked, points), method
+
     @pytest.mark.parametrize("method", ["closed_form", "trace_form"])
     def test_entries_of_a_stack(self, method):
         # a stack of points gives the stack axes, then the grid of each
@@ -511,6 +524,44 @@ class TestStacks:
 # 13 lattice parameters from 0.01i to 6i, with Re tau = 1/2 among them
 LATTICE_TAUS = (0.01j, 0.02j, 0.05j, 0.1j, 0.2j, 0.5j, 1j, 2j, 6j, 0.3 + 0.8j,
                 0.5 + 0.02j, 0.5 + 0.05j, 0.5 + 0.5j)
+
+
+def route_digest(n):
+    """sha256 of the closed and trace grids of a seeded stack of 7 chart
+    points and of its first point alone, of ``bracket_matrix`` on the
+    stack, and of ``projection_coeffs`` of a seeded row, at tau = i and
+    tau = 0.3 + 0.8i."""
+    h = hashlib.sha256()
+    for tau in (1j, 0.3 + 0.8j):
+        s = system(n, tau)
+        t = _sample_chart_points(n, 7, n)
+        for method in ("closed_form", "trace_form"):
+            entry = getattr(s, method + "_entry")
+            for grid in (entry(t), entry(t[0]), s.bracket_matrix(t, method)):
+                h.update(repr(grid.shape).encode() + grid.tobytes())
+        a = np.random.default_rng(n).standard_normal(n) + 0j
+        a[0] = -(t[0, 1:] @ a[1:])
+        for coeffs in s.projection_coeffs(t[0], a):
+            h.update(coeffs.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestRoutePins:
+    """Digests taken while each route gathered its index and constant
+    tables per call: building them once per system may move no bit of a
+    grid.  numpy's complex product may take another loop when an operand's
+    layout changes (see ``fo._product``), so the pins also show that no
+    operand order or layout moved."""
+
+    DIGESTS = {
+        3: "21e390a807a8b5c5",
+        5: "c67e2e2b7a90b0a9",
+        9: "91b95ba1d8aeb642",
+    }
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_grids_pinned(self, n):
+        assert route_digest(n) == self.DIGESTS[n]
 
 
 class TestOnePass:

@@ -310,7 +310,7 @@ class TestExitCodes:
         assert "unrecognized arguments: --eta" in capsys.readouterr().err
 
     def test_flag_surface(self):
-        parser = build_parser()
+        parser = build_parser()[0]
         (sub,) = [a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction)]
         found = {name: [s for a in p._actions for s in a.option_strings
@@ -329,7 +329,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", FLAGS)
     def test_defaults_are_those_of_run_config(self, command, capsys):
-        (sub,) = [a for a in build_parser()._actions
+        (sub,) = [a for a in build_parser()[0]._actions
                   if isinstance(a, argparse._SubParsersAction)]
         defaults = asdict(RunConfig())
         defaults["tau"] = [defaults["tau_re"], defaults["tau_im"]]
@@ -519,6 +519,78 @@ class TestExitCodes:
         assert code == 1
         report = json.loads(text)
         assert "chain-map square" in report["tables"]["failures"][0][1]
+
+
+USAGE = ("usage: ellpoisson [-h] {theta,sklyanin,moduli-compare,leaves,"
+         "homology} ...\n")
+THETA_USAGE = "".join(HELP["theta"].splitlines(keepends=True)[:2])
+SKLYANIN_USAGE = "".join(HELP["sklyanin"].splitlines(keepends=True)[:2])
+# exit code, stdout (elapsed_ms blanked) and stderr of main at 80 columns,
+# taken while every argv still went through the top-level parser
+PARITY = {
+    "": (2, "", USAGE + "ellpoisson: error: the following arguments are "
+         "required: command\n"),
+    "nope": (2, "", USAGE + "ellpoisson: error: argument command: invalid "
+             "choice: 'nope' (choose from 'theta', 'sklyanin', "
+             "'moduli-compare', 'leaves', 'homology')\n"),
+    "--help": (0, HELP[""], ""),
+    "theta -h": (0, HELP["theta"], ""),
+    "theta --n 3 extra": (2, "", USAGE + "ellpoisson: error: unrecognized "
+                          "arguments: extra\n"),
+    "theta --bogus 1": (2, "", USAGE + "ellpoisson: error: unrecognized "
+                        "arguments: --bogus 1\n"),
+    "theta --n x": (2, "", THETA_USAGE + "ellpoisson theta: error: argument "
+                    "--n: invalid int value: 'x'\n"),
+    "sklyanin --k": (2, "", SKLYANIN_USAGE + "ellpoisson sklyanin: error: "
+                     "argument --k: expected one argument\n"),
+    "moduli-compare --sam 2 --n 3": (0, (
+        '{"checks": [{"name": "method_agreement", "pass": true, "residual": '
+        '5.773159728050814e-15, "tolerance": 1e-07}, {"name": '
+        '"matches_projective_bracket", "pass": true, "residual": '
+        '2.4932356353023623e-14, "tolerance": 1e-06}], "command": '
+        '"moduli-compare", "elapsed_ms": null, "params": {"format": "json", '
+        '"k": 1, "n": 3, "output_path": null, "r": 1, "samples": 2, "seed": '
+        '0, "tau_im": 1.0, "tau_re": 0.0}, "tables": {"contour": {"points": '
+        '32, "radius": 0.08333333333333333}}}\n'), ""),
+}
+
+
+class TestParseOnce:
+    """``main`` parses a command's options with that command's parser
+    alone, and prints what the top-level parser printed: leftover
+    arguments are reported with the top-level usage."""
+
+    @staticmethod
+    def outcome(run_main, argv, capsys):
+        try:
+            code = run_main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"elapsed_ms": [^,}]*', '"elapsed_ms": null',
+                            out), err
+
+    @pytest.mark.parametrize("argv", PARITY, ids=lambda a: a or "none")
+    def test_outcome_pinned(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert self.outcome(main, argv, capsys) == PARITY[argv]
+
+    @pytest.mark.parametrize("argv", ["theta --n 3 extra", "theta --bogus 1"])
+    def test_command_parser_alone_fails_the_pins(self, argv, capsys,
+                                                 monkeypatch):
+        # power control: a main that lets the command's parser reject
+        # leftover arguments prints that parser's usage
+        monkeypatch.setenv("COLUMNS", "80")
+        commands = build_parser()[1]
+
+        def direct(argv):
+            commands[argv[0]].parse_args(argv[1:])
+            return main(argv)
+
+        code, out, err = self.outcome(direct, argv, capsys)
+        assert (code, out) == PARITY[argv][:2]
+        assert err != PARITY[argv][2]
+        assert err.startswith(THETA_USAGE)
 
 
 class TestRefusals:
@@ -718,7 +790,7 @@ class TestExtremeValues:
 
     def test_every_integer_option_is_swept(self):
         # the sweep's options are those that the parser reads as integers
-        sub = next(a for a in build_parser()._actions
+        sub = next(a for a in build_parser()[0]._actions
                    if isinstance(a, argparse._SubParsersAction))
         assert {command: [a.option_strings[0] for a in p._actions
                           if a.type is int]
@@ -1365,6 +1437,12 @@ class TestLatticeMemo:
         assert shared_basis() is basis
         assert cli._shared(cli.ResidueSystem, basis) is system
         assert cli._shared(cli.sklyanin_bracket, basis, 1) is bracket
+        # the per-system tables of the residue routes are frozen with it
+        tables = ("i", "j", "ij", "ir", "jr", "mr", "f_jr", "t3_ri", "f_ir",
+                  "t3_rj", "td_ij", "f_mr", "f_al", "below")
+        for name in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(system, name).flat[0] = 0
         for obj in (basis, system, bracket):
             names = getattr(obj, "__slots__", None) or vars(obj)
             arrays = [getattr(obj, name) for name in names
