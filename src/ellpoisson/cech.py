@@ -127,11 +127,11 @@ class ResidueSystem:
     j <= i that ``bracket_matrix`` clears.  The gathered constants are
     ``f_jr`` = F(jr, r), ``t3_ri`` = T3[r, i], ``f_ir`` = F(ir, -r),
     ``t3_rj`` = T3[-r, j], ``td_ij`` = TD[i, j] - TD[j, i],
-    ``f_mr``[m, r] = F(r, m - r) and ``f_al``[c, e] = F(c - e, e) for
-    ``projection_coeffs``.  At n = 63 they add 0.56 MB to the 6.3 MB of
-    the sample and trace tables.  The arrays of a system that the lattice
-    cache of ``cli`` shares are read-only; one built outside the cache
-    keeps them writable.
+    ``f_mr``[m, r] = F(r, m - r); F is symmetric to the bit, so
+    ``projection_coeffs`` reads F(c - e, e) at [c, e] off it too.  At
+    n = 63 they add 0.50 MB to the 6.3 MB of the sample and trace tables.
+    The arrays of a system that the lattice cache of ``cli`` shares are
+    read-only; one built outside the cache keeps them writable.
     """
 
     def __init__(self, basis: ThetaBasis):
@@ -177,7 +177,6 @@ class ResidueSystem:
         r = np.arange(n)
         self.mr = (r[:, None] - r) % n
         self.f_mr = f[r, self.mr]
-        self.f_al = f[self.mr, r]
         self.below = self.i >= self.j
 
     def tr(self, samples) -> np.ndarray:
@@ -240,7 +239,7 @@ class ResidueSystem:
         """
         # row c, column e = c - al: the phi_e coefficient of P_+(psi_al phi_c)
         # times t_al, al = (c - e) mod n; e = 0 is the diagonal al = c
-        proj = t.take(self.mr, axis=-1) * self.f_al
+        proj = t.take(self.mr, axis=-1) * self.f_mr
         proj[..., 0, :] = proj[..., :, 0] = 0.0
         lead = -t[0] if t.ndim == 1 else -t[..., :1, None]
         return a @ proj, lead * a

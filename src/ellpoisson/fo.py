@@ -38,6 +38,8 @@ def f_constants(basis: ThetaBasis) -> np.ndarray:
 
     F(a, b) = theta'_0(0) theta_{a+b}(0) / (theta_a(0) theta_b(0)) off the
     axes, F(0, a) = F(a, 0) = theta'_a(0)/theta_a(0) - pi*i*n, F(0,0) = 0.
+    It is symmetric to the bit, since each rounded product and sum of
+    ``_product`` commutes; ``ResidueSystem`` reads F(a, b) as F(b, a).
     Its products of two theta_alpha(0) are range-checked as in
     :func:`sklyanin_bracket`.
     """

@@ -27,18 +27,17 @@ by truncated Taylor products, ``_jet_mul``.  The index alpha may be an
 integer or a 1-D integer array; an array puts theta_alpha for every listed
 alpha on a trailing axis, so the whole basis on a point grid is one series
 evaluation on a grid of (point, alpha) pairs, one row per point.
-One kernel computes every basis value: ``_series_sums`` reduces the points
-and sums the series, as many whole rows per call as ``_rows_per_call``
-allows and each row by its own matmul; ``_basis_jet`` applies the
-multiplier, n^j and E_alpha, each Taylor product written into one
-preallocated jet.  What depends on the truncation and the jet order alone,
-the exponents m, m(m-1)/2 and the weight matrix, is built once per
-(bound, order) and shared read-only (``_series_table``); nothing is keyed
-by a lattice or a basis, so any object with ``n``, ``params`` and
+One kernel computes every basis value in three steps: ``_reduce_to_cell``
+reduces the points, ``_series_terms`` forms the terms and one matmul with
+the weights sums each row by its own product; ``_basis_jet`` then applies
+the multiplier, n^j and E_alpha.  What depends on the truncation and the
+jet order alone, the exponents m, m(m-1)/2 and the weight matrix, is built
+once per (bound, order) and shared read-only (``_series_table``); nothing
+is keyed by a lattice or a basis, so any object with ``n``, ``params`` and
 ``series_bound`` evaluates.  A :class:`ThetaBasis` runs it once, on two
 rows of n pairs (0 for every alpha, the divisor k/n for alpha = 0), for
 its constants at 0; every other value, the residue circle of ``cech``
-among them, is read off ``theta_alpha_jet``.
+among them, is read off ``theta_alpha_jet``, the only loop over chunks.
 Evaluators accept scalars or numpy arrays of points and are pure functions
 of their arguments; a constructed :class:`ThetaBasis` rebinds no attribute,
 and its arrays are read-only where the lattice cache of ``cli`` shares it.
@@ -86,12 +85,13 @@ CIRCLE_POINTS = 32
 # n = 2, Im tau = 1e-6 (M = 2183) is still refused by that bound
 MAX_SERIES_TERMS = 4096
 
-# largest number of series terms one call forms, unless one grid row alone
-# holds more: a grid is summed in chunks of whole rows, which keeps the
-# working memory flat: the theta command's 400 points at n = 11 take four
-# chunks, whose arrays stay as small as those of four separate 100-point
-# calls.  The pass of a basis at Im tau >= 0.5 and n <= 31 fits one chunk
-# (6324 terms at n = 31)
+# largest number of series terms one chunk of ``theta_alpha_jet`` forms,
+# unless one grid row alone holds more: a grid is summed in chunks of whole
+# rows, which keeps the working memory flat: the theta command's 400 points
+# at n = 11 take four chunks, whose arrays stay as small as those of four
+# separate 100-point calls.  The pass of a basis is not chunked: it forms
+# its 2n(2M + 2) terms in one call, 124488 (2 MB) at the largest accepted
+# pass found (n = 63, M = 493)
 _CHUNK_TERMS = 2 ** 13
 
 
@@ -243,9 +243,11 @@ def _series_table(bound, order):
 def _series_terms(z0, tau, bound, order):
     """Terms of the basic series at reduced points and their weights.
 
-    The term-wise derivatives j = 0..order, each divided by j!, are the
-    columns of a (terms x order+1) weight matrix, shared by every call with
-    the same (bound, order) (:func:`_series_table`).
+    The terms get a trailing axis on the shape of z0, so ``terms @
+    weights`` sums each row of a grid by its own product.  The term-wise
+    derivatives j = 0..order, each divided by j!, are the columns of a
+    (terms x order+1) weight matrix, shared by every call with the same
+    (bound, order) (:func:`_series_table`).
     """
     m, quad, weights = _series_table(bound, order)
     # exp(2 pi i (m z0 + tau m(m-1)/2)), formed in place: the terms are the
@@ -255,38 +257,6 @@ def _series_terms(z0, tau, bound, order):
     np.multiply(TWO_PI_I, terms, out=terms)
     np.exp(terms, out=terms)
     return terms, weights
-
-
-def _rows_per_call(cols, bound):
-    """Rows of ``cols`` series each that one ``_series_terms`` call takes:
-    as many whole rows as fit in ``_CHUNK_TERMS`` terms, at least one."""
-    return max(1, _CHUNK_TERMS // (cols * (2 * bound + 2)))
-
-
-def _series_sums(w, cols, tau, bound, order, size=False):
-    """Sums of the basic series at tau at the points w, the first half of
-    the kernel every basis value goes through.
-
-    w holds one grid row by row, ``cols`` points a row; a basis grid holds
-    n z + alpha tau, one (point, alpha) pair per entry.  Each point is
-    reduced, w = z0 + a + b*tau.  Each ``_series_terms`` call takes the
-    whole rows ``_rows_per_call`` allows, and each row is summed by its own
-    matmul, so no sum depends on the calls.  Returns z0 and b in the shape
-    of w and the sums with the jet on an appended trailing axis; with
-    ``size``, also the sums of the absolute terms over row 0, which only
-    :class:`ThetaBasis` reads.
-    """
-    z0, b = _reduce_to_cell(w, tau)
-    rows = z0.reshape(-1, cols)
-    sums = np.empty(rows.shape + (order + 1,), dtype=complex)
-    step = _rows_per_call(cols, bound)
-    for i in range(0, len(rows), step):
-        terms, weights = _series_terms(rows[i:i + step], tau, bound, order)
-        np.matmul(terms, weights, out=sums[i:i + step])
-        if size and i == 0:
-            absolute = np.abs(terms[0]) @ np.abs(weights)
-    sums = sums.reshape(w.shape + (order + 1,))
-    return (z0, b, sums, absolute) if size else (z0, b, sums)
 
 
 def _exp_jet(value, rate, order):
@@ -299,28 +269,25 @@ def _exp_jet(value, rate, order):
     return jet
 
 
-def _jet_mul(a, b, out=None):
+def _jet_mul(a, b):
     """Truncated Taylor product: the jet of f*g from the jets a and b of f
-    and g, of one shape, in ``out`` if given.  Entry k is summed from 0 as
-    Python's ``sum`` would, 0 + a[0] b[k] + a[1] b[k-1] + ..., so that an
-    entry -0.0 comes out as +0.0."""
-    if out is None:
-        out = np.zeros(b.shape, dtype=complex)
-    else:
-        out[...] = 0.0
+    and g, of one shape.  Entry k is summed from 0 as Python's ``sum``
+    would, 0 + a[0] b[k] + a[1] b[k-1] + ..., so that an entry -0.0 comes
+    out as +0.0."""
+    out = np.zeros(b.shape, dtype=complex)
     for k in range(len(out)):
         for i in range(k + 1):
             out[k] += a[i] * b[k - i]
     return out
 
 
-def _basis_jet(basis, z, a, z0, b, sums, out=None):
+def _basis_jet(basis, z, a, z0, b, sums):
     """Jet of theta_alpha at the (point, index) pairs that z and a
-    broadcast to, from the ``_series_sums`` output z0, b and sums of its
-    series at n*tau: the quasi-periodicity multiplier, the factor n^j that
-    the inner argument n z puts on entry j, and E_alpha, each by a
-    truncated Taylor product; the second half of the kernel.  The jet is
-    written to ``out`` if given."""
+    broadcast to, from the reduced points z0 + b*(n tau) of its series at
+    n*tau and the series sums there, with the jet on a trailing axis: the
+    quasi-periodicity multiplier, the factor n^j that the inner argument
+    n z puts on entry j, and E_alpha, each by a truncated Taylor product;
+    the second half of the kernel."""
     n, tau = basis.n, basis.params.tau
     order = sums.shape[-1] - 1
     # theta(z0 + b n tau) = (-1)^b exp(-2 pi i (b z0 + n tau b(b-1)/2))
@@ -333,7 +300,7 @@ def _basis_jet(basis, z, a, z0, b, sums, out=None):
         series[j] *= float(n) ** j
     ex = np.exp(TWO_PI_I * (z * a + a * (a - n) * tau / (2.0 * n)
                             + a / (2.0 * n)))
-    return _jet_mul(_exp_jet(ex, TWO_PI_I * a, order), series, out)
+    return _jet_mul(_exp_jet(ex, TWO_PI_I * a, order), series)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,9 +309,9 @@ class ThetaBasis:
 
     Every basis value is one series at n*tau times E_alpha (module
     docstring); ``series_bound`` is the truncation ``TRUNCATION_EPS`` gives
-    at n*tau.  Its constants come from one pass of the kernel over two
-    rows of n (point, alpha) pairs: z = 0 for every alpha, then z = k/n
-    for alpha = 0.
+    at n*tau.  Its constants come from one pass of the kernel, one
+    ``_series_terms`` call on a (2, n) grid of (point, alpha) pairs: z = 0
+    for every alpha, then z = k/n for alpha = 0.
     ``theta_at_zero`` and ``dtheta_at_zero`` hold theta_alpha(0) and
     theta_alpha'(0); theta_0(0) is an exact zero (the series terms cancel
     in pairs), so it is stored as 0.  A lattice where n Im(tau) is not
@@ -374,29 +341,31 @@ class ThetaBasis:
                                      f"numerical range at n = {n}: {why}")
         object.__setattr__(self, "series_bound", bound)
         alpha = np.arange(n)
-        # the (point, alpha) pairs of the pass, in rows of n: 0 for every
+        # the (point, alpha) pairs of the pass, two rows of n: 0 for every
         # alpha, then k/n for alpha = 0
-        z = np.concatenate([np.zeros(n), alpha / n])
-        a = np.concatenate([alpha, 0 * alpha])
-        z0, b, sums, size = _series_sums(n * z + a * tau, n, n * tau, bound, 1,
-                                         size=True)
+        z = np.stack([np.zeros(n), alpha / n])
+        a = np.stack([alpha, 0 * alpha])
+        z0, b = _reduce_to_cell(n * z + a * tau, n * tau)
+        terms, weights = _series_terms(z0, n * tau, bound, 1)
+        sums = terms @ weights
         # theta_alpha(0) is the series at alpha*tau, whose lattice index is
         # 0, times E_alpha(0).  The sum carries a rounding error of about
         # 2^-53 sum|terms|, against the value, or against the derivative
         # for the zero of theta_0; the bound is the largest over alpha
         pick = (alpha, (alpha == 0).astype(int))
+        size = np.abs(terms[0]) @ np.abs(weights)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = size[pick] / np.abs(sums[pick])
+            ratio = size[pick] / np.abs(sums[0][pick])
         object.__setattr__(self, "rounding_bound",
                            2.0 ** -53 * float(np.max(ratio)))
         self.require_rounding(ROUNDING_LIMIT)
-        _check_range(z[:1], tau.imag, n, alpha.tolist())
+        _check_range(z[0, :1], tau.imag, n, alpha.tolist())
         jet = _basis_jet(self, z, a, z0, b, sums)
-        vals, ders = jet[:, :n]
+        vals, ders = jet[:, 0]
         vals[0] = 0.0
         object.__setattr__(self, "theta_at_zero", vals)
         object.__setattr__(self, "dtheta_at_zero", ders)
-        self._check_tables(jet[1, n:])
+        self._check_tables(jet[1, 1])
 
     def _check_tables(self, d0):
         """Refuse a basis whose values at 0 are numerically zero; ``d0``
@@ -463,8 +432,8 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     by j!, so one order-1 call yields values and first derivatives
     together.  One series at n*tau is summed per point and index, on the
     (point, alpha) grid, one row of len(alpha) pairs per point, by the
-    kernel the basis builds its tables with: ``_series_sums``, in chunks of
-    the whole rows ``_rows_per_call`` allows, then ``_basis_jet``.
+    kernel the basis builds its tables with, in chunks of as many whole
+    rows as fit in ``_CHUNK_TERMS`` terms, at least one.
     """
     n, tau = basis.n, basis.params.tau
     z = np.asarray(z, dtype=complex)
@@ -473,14 +442,16 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
         raise ValueError("alpha must be an integer or a 1-D integer array")
     a = np.atleast_1d(index)
     _check_range(z, tau.imag, n, a.tolist())
+    bound = basis.series_bound
     flat = z.reshape(-1, 1)
     out = np.empty((order + 1, len(flat), a.size), dtype=complex)
-    step = _rows_per_call(a.size, basis.series_bound)
+    step = max(1, _CHUNK_TERMS // (a.size * (2 * bound + 2)))
     for i in range(0, len(flat), step):
         part = flat[i:i + step]
-        z0, b, sums = _series_sums(n * part + a * tau, a.size, n * tau,
-                                   basis.series_bound, order)
-        _basis_jet(basis, part, a, z0, b, sums, out[:, i:i + step])
+        z0, b = _reduce_to_cell(n * part + a * tau, n * tau)
+        terms, weights = _series_terms(z0, n * tau, bound, order)
+        out[:, i:i + step] = _basis_jet(basis, part, a, z0, b,
+                                        terms @ weights)
     out = out.reshape((order + 1,) + z.shape + (a.size,))
     return out if index.ndim else out[..., 0]
 

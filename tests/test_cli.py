@@ -1439,7 +1439,7 @@ class TestLatticeMemo:
         assert cli._shared(cli.sklyanin_bracket, basis, 1) is bracket
         # the per-system tables of the residue routes are frozen with it
         tables = ("i", "j", "ij", "ir", "jr", "mr", "f_jr", "t3_ri", "f_ir",
-                  "t3_rj", "td_ij", "f_mr", "f_al", "below")
+                  "t3_rj", "td_ij", "f_mr", "below")
         for name in tables:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(system, name).flat[0] = 0

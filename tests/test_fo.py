@@ -56,6 +56,14 @@ class TestFConstants:
         scale = np.max(np.abs(t))
         assert np.max(np.abs(t + neg)) < 1e-10 * scale
 
+    @pytest.mark.parametrize("n, tau", [
+        (3, 1j), (8, 0.3 + 0.8j), (31, 0.3 + 0.8j), (3, 0.025 + 1e-5j),
+        (7, 0.025 + 1.6e-5j), (13, 0.025 + 1e-5j)])
+    def test_symmetric_to_the_bit(self, n, tau):
+        # the residue routes read F(c - e, e) off the table of F(e, c - e)
+        t = f_constants(basis(n, tau))
+        assert t.tobytes() == np.ascontiguousarray(t.T).tobytes()
+
     @pytest.mark.parametrize("n", [3, 5, 8, 13])
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.5j])
     def test_equals_scalar_formula_to_the_bit(self, n, tau):

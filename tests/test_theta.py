@@ -39,9 +39,10 @@ def theta_value(tau, z, *, series_bound=None, order=0):
              else series_bound_for(tau, TRUNCATION_EPS))
     z = np.asarray(z, dtype=complex)
     order_one = SimpleNamespace(n=1, params=SimpleNamespace(tau=complex(tau)))
-    reduced = theta._series_sums(z.ravel(), 1, complex(tau),
-                                 bound, order)[:3]
-    jet = theta._basis_jet(order_one, z.ravel(), 0, *reduced)
+    rows = z.reshape(-1, 1)
+    z0, b = theta._reduce_to_cell(rows, complex(tau))
+    terms, weights = theta._series_terms(z0, complex(tau), bound, order)
+    jet = theta._basis_jet(order_one, rows, 0, z0, b, terms @ weights)
     out = math.factorial(order) * jet[order].reshape(z.shape)
     return complex(out) if out.ndim == 0 else out
 
@@ -628,11 +629,20 @@ class TestBasisTables:
                 out.read_text()
 
 
+# lattices whose pass of 2n(2M + 2) terms exceeds ``_CHUNK_TERMS``: 8232,
+# 14196 and 124488 terms, the last the largest accepted pass found
+LARGE_PASSES = ((7, 0.025 + 1.6e-5j), (13, 0.025 + 1e-5j),
+                (63, 0.025 + 6.235507341273925e-7j))
+
+
 class TestBasisPass:
     """Every table of a basis comes from one pass over the series terms."""
 
-    @pytest.mark.parametrize("n", list(range(2, 14)) + [31])
-    def test_one_series_call_per_build(self, n, monkeypatch):
+    @pytest.mark.parametrize("n, taus", [
+        *((n, (TAU_SQUARE, TAU_GENERIC, 0.5j)) for n in [*range(2, 14), 31]),
+        *((n, (tau,)) for n, tau in LARGE_PASSES[:2])],
+        ids=[*map(str, [*range(2, 14), 31]), "7-large", "13-large"])
+    def test_one_series_call_per_build(self, n, taus, monkeypatch):
         calls = []
 
         def counted(z0, tau, bound, order):
@@ -641,32 +651,37 @@ class TestBasisPass:
 
         series_terms = theta._series_terms
         monkeypatch.setattr(theta, "_series_terms", counted)
-        for tau in (TAU_SQUARE, TAU_GENERIC, 0.5j):
+        for tau in taus:
             calls.clear()
             b = basis(n, tau)
             # 0 for every alpha, k/n for alpha = 0
             assert calls == [2 * n]
             assert b.theta_at_zero.shape == b.dtheta_at_zero.shape == (n,)
 
-    @pytest.mark.parametrize("n, tau", [(3, 0.025 + 1e-5j), (5, TAU_GENERIC),
-                                        (13, 0.5j), (31, TAU_SQUARE)])
-    def test_chunked_pass_gives_the_same_tables(self, n, tau, monkeypatch):
-        # pieces of whole rows, each row summed by its own matmul: the
-        # chunk size moves no bit
-        whole = basis(n, tau)
-        monkeypatch.setattr(theta, "_CHUNK_TERMS", 64)
-        calls = []
-        series_terms = theta._series_terms
-        monkeypatch.setattr(theta, "_series_terms",
-                            lambda *args: calls.append(1) or series_terms(
-                                *args))
-        cut = basis(n, tau)
-        # one call per row, the finest cut of the two rows
-        assert len(calls) == 2
-        assert repr(cut.rounding_bound) == repr(whole.rounding_bound)
-        for name in ("theta_at_zero", "dtheta_at_zero"):
-            assert getattr(cut, name).tobytes() == getattr(whole,
-                                                           name).tobytes()
+    @pytest.mark.parametrize("n, tau, digest", [
+        (*LARGE_PASSES[0], "163c03170ca53d17"),
+        (*LARGE_PASSES[1], "22eb9a8fe8dbd464"),
+        (*LARGE_PASSES[2], "47696bbed6187e56")], ids=["7", "13", "63"])
+    def test_large_pass_tables_pinned(self, n, tau, digest):
+        # digests taken while these passes were still cut into two chunks
+        b = basis(n, tau)
+        h = hashlib.sha256()
+        for table in (b.theta_at_zero, b.dtheta_at_zero):
+            h.update(table.tobytes())
+        h.update(repr(b.rounding_bound).encode())
+        assert h.hexdigest()[:16] == digest
+
+    def test_largest_pass_memory(self):
+        # its 124488 terms take 2 MB; the pass peaks at 2.45 MiB (tracemalloc)
+        n, tau = LARGE_PASSES[2]
+        tracemalloc.start()
+        try:
+            b = basis(n, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b.series_bound == 493
+        assert peak < 4 * 2 ** 20
 
     def test_rounding_refused_before_any_factor(self, monkeypatch):
         def applied(*args):
