@@ -50,7 +50,7 @@ from .poisson import chart_point, map_stack
 # theta_alpha_deriv and theta_alpha_eval are not called here; they stay
 # bound because perfbench/spans.py wraps ellpoisson.cech.theta_alpha_deriv
 # and ellpoisson.cech.theta_alpha_eval on every traced run
-from .theta import (ThetaBasis, circle_nodes, shortest_period,
+from .theta import (ThetaBasis, chunks, circle_nodes, shortest_period,
                     theta_alpha_deriv, theta_alpha_eval, theta_alpha_jet)
 
 # largest relative |sum_a t_a phi_a| that pi_t_class accepts as zero
@@ -161,9 +161,14 @@ class ResidueSystem:
         self.psi[0] = 1.0 / self.offsets
         for a in range(1, n):
             self.psi[a] = psi_local_constant(basis, a, np.arange(n))[:, None]
-        psi_sum = self.psi[(np.arange(n)[:, None] + np.arange(n)) % n]
-        self.t3 = self.tr(self.phi[:, None] * self.phi * psi_sum)
-        self.td = self.tr(self.dphi[:, None] * self.phi * psi_sum)
+        # the trace tables in chunks of first indices a, n^2 P entries each
+        k = np.arange(n)
+        self.t3 = np.empty((n, n), dtype=complex)
+        self.td = np.empty_like(self.t3)
+        for a in chunks(n, n * n * self.points):
+            psi_sum = self.psi[(k[a, None] + k) % n]
+            self.t3[a] = self.tr(self.phi[a, None] * self.phi * psi_sum)
+            self.td[a] = self.tr(self.dphi[a, None] * self.phi * psi_sum)
         # the route tables of the class docstring
         f, t3, td = self.f, self.t3, self.td
         r = np.arange(1, n)

@@ -90,9 +90,9 @@ MAX_HOMOLOGY_SAMPLES = 10_000
 # VM).  This bound keeps a run below about 4 s and an instance below 1 GB:
 # n <= 25.
 MAX_HOMOLOGY_ENTRIES = 2 * 10 ** 7
-# sklyanin's Jacobi check grows as n^5: 0.16 s at n = 31, 1.4 s at 47 and
-# 4.9 s at 63 in-process at tau = i (2-vCPU Xeon VM).  This bound on n for
-# every theta command keeps a run near 5 s.
+# sklyanin's Jacobi check grows as n^5: 0.08-0.14 s at n = 31, 0.85-1.2 s
+# at 47 and 3.2-3.7 s at 63 in-process at tau = i (2-vCPU Xeon VM).  This
+# bound on n for every theta command keeps a run below 5 s.
 MAX_THETA_N = 63
 # moduli-compare keeps three samples x n x n complex stacks; an entry costs
 # about 2 us at n = 3, 4 us at n = 9, 18 us at n = 31 and 38 us at n = 63

@@ -27,23 +27,10 @@ import math
 import numpy as np
 
 from .errors import InvarianceError
+from .theta import chunks
 
 # canonical-table checks, relative to the largest coefficient
 CANONICAL_TOL = 1e-8
-
-# largest number of entries in one temporary of jacobi_defect: a chunk's
-# few complex temporaries of 2^12 entries stay in a core's L2 cache and keep
-# the working memory of a call under 0.5 MB at n = 13; chunks of 2^15
-# entries ran slower at n = 13 and n = 31
-_JACOBI_CHUNK = 2 ** 12
-
-# largest number of entries per temporary of a stacked bracket route
-# (projective_matrix and ResidueSystem.bracket_matrix): a stack of chart
-# points runs in chunks of whole points under this budget.  Complex
-# temporaries of 2^13 entries (128 KiB) keep a chunk's working set in a
-# core's L2 cache; on the trace route 2^12 ran slower at n = 5, and 2^14
-# and 2^15 at n = 3
-_STACK_CHUNK = 2 ** 13
 
 
 class QuadraticBracket:
@@ -166,10 +153,10 @@ def jacobi_defect(b: QuadraticBracket) -> float:
     x_p x_s x_l is the sum over the orderings of (p, s, l) divided by the
     order of the stabilizer of the index triple.  Every factor is gathered
     from ``G.ravel()`` at flat offsets, whose tables are built once per n
-    (:func:`_jacobi_layout`), and the triples i < j < k run in
-    lexicographic chunks of at most ``_JACOBI_CHUNK`` entries per
-    temporary.  A NaN chunk, an infinite coefficient or a scale whose
-    square is not finite reads NaN.
+    (:func:`_jacobi_layout`), and the triples i < j < k, n^2 entries
+    each, run in the lexicographic chunks of :func:`theta.chunks`.  A NaN
+    chunk, an infinite coefficient or a scale whose square is not finite
+    reads NaN.
     """
     scale = b.max_abs()
     if scale == 0.0:
@@ -183,11 +170,8 @@ def jacobi_defect(b: QuadraticBracket) -> float:
     layout = _jacobi_layout(n)
     flat = b.coeffs.ravel()
     lead = flat.take(layout.lead)
-    step = max(1, _JACOBI_CHUNK // (n * n))
-    block = np.arange(0, step * n * n, n * n)[:, None, None]
     worst = 0.0
-    for lo in range(0, len(layout.i), step):
-        c = slice(lo, lo + step)
+    for c in chunks(len(layout.i), n * n):
         ci, cj, ck, cw = layout.i[c], layout.j[c], layout.k[c], layout.w[c]
         # t[., p, s]: the Jacobi sum is 2 sum_{p,s} t x_p x_s x_l
         t = flat[layout.jk[c] + layout.inner[ci]]
@@ -200,13 +184,15 @@ def jacobi_defect(b: QuadraticBracket) -> float:
         t += v
         # the six orderings of (p, s, l) give t twice at each of three
         # placements of l; u[., p, s] = t[., p, l] = t[., l, p]
-        u = t.ravel()[block[:len(cw)] + layout.swap[cw]]
+        block = np.arange(0, t.size, n * n)[:, None, None]
+        u = t.ravel()[block + layout.swap[cw]]
         v = t + u
         v += u.transpose(0, 2, 1)
         size = np.abs(v)
         size *= layout.inv_stab[cw]
-        # np.maximum keeps a NaN chunk, which Python's max would drop
-        worst = np.maximum(worst, 4.0 * float(size.max()))
+        # np.maximum keeps a NaN chunk, which Python's max would drop; the
+        # one empty chunk of n = 2, which has no triple, reads 0
+        worst = np.maximum(worst, 4.0 * float(size.max(initial=0.0)))
     return float(worst / scale ** 2)
 
 
@@ -301,16 +287,12 @@ def chart_point(n: int, t) -> np.ndarray:
 def map_stack(route, t, entries: int) -> np.ndarray:
     """``route`` on a chart point t (n,) or a stack t (..., n), whose
     largest temporary holds ``entries`` entries per point.  The route
-    always sees a 2-D stack (S, n), of at most ``_STACK_CHUNK // entries``
-    points unless one point alone is larger, and returns one result per
-    point on its leading axis; the results keep the axes of the stack."""
+    always sees a 2-D stack (S, n), a chunk of whole points
+    (:func:`theta.chunks`), and returns one result per point on its
+    leading axis; the results keep the axes of the stack, an empty stack
+    among them."""
     flat = t.reshape(-1, t.shape[-1])
-    step = max(1, _STACK_CHUNK // entries)
-    if len(flat) <= step:
-        out = route(flat)
-    else:
-        out = np.concatenate([route(flat[lo:lo + step])
-                              for lo in range(0, len(flat), step)])
+    out = np.concatenate([route(flat[c]) for c in chunks(len(flat), entries)])
     return out.reshape(t.shape[:-1] + out.shape[1:])
 
 

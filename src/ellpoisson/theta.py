@@ -37,7 +37,7 @@ is keyed by a lattice or a basis, so any object with ``n``, ``params`` and
 ``series_bound`` evaluates.  A :class:`ThetaBasis` runs it once, on two
 rows of n pairs (0 for every alpha, the divisor k/n for alpha = 0), for
 its constants at 0; every other value, the residue circle of ``cech``
-among them, is read off ``theta_alpha_jet``, the only loop over chunks.
+among them, is read off ``theta_alpha_jet``, in the chunks of ``chunks``.
 Evaluators accept scalars or numpy arrays of points and are pure functions
 of their arguments; a constructed :class:`ThetaBasis` rebinds no attribute,
 and its arrays are read-only where the lattice cache of ``cli`` shares it.
@@ -85,14 +85,14 @@ CIRCLE_POINTS = 32
 # n = 2, Im tau = 1e-6 (M = 2183) is still refused by that bound
 MAX_SERIES_TERMS = 4096
 
-# largest number of series terms one chunk of ``theta_alpha_jet`` forms,
-# unless one grid row alone holds more: a grid is summed in chunks of whole
-# rows, which keeps the working memory flat: the theta command's 400 points
-# at n = 11 take four chunks, whose arrays stay as small as those of four
-# separate 100-point calls.  The pass of a basis is not chunked: it forms
-# its 2n(2M + 2) terms in one call, 124488 (2 MB) at the largest accepted
-# pass found (n = 63, M = 493)
-_CHUNK_TERMS = 2 ** 13
+# the one working-memory budget: the most complex entries a temporary of a
+# chunk holds (2^13, 128 KiB, a core's L2 cache), unless one item alone holds
+# more.  The rows of ``theta_alpha_jet``, the chart points of
+# ``poisson.map_stack``, the triples of ``poisson.jacobi_defect`` and the
+# trace tables of ``cech.ResidueSystem`` run in the chunks of ``chunks``; the
+# pass of a basis forms its 2n(2M + 2) terms in one call, 124488 (2 MB) at
+# the largest accepted pass found (n = 63, M = 493)
+CHUNK_ENTRIES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,15 @@ def circle_nodes(d: float) -> np.ndarray:
     """The trapezoid nodes (d/4) exp(2 pi i p / P), P = ``CIRCLE_POINTS``,
     around a point whose nearest other singularity is at distance d."""
     return d / 4 * np.exp(TWO_PI_I * np.arange(CIRCLE_POINTS) / CIRCLE_POINTS)
+
+
+def chunks(count: int, entries: int) -> list[slice]:
+    """Slices of whole items over ``count`` items of ``entries`` entries
+    each, as many items a slice as fit in ``CHUNK_ENTRIES`` entries, at
+    least one.  No items give one empty slice, so a loop over the slices
+    still runs once and keeps the shape of an empty input."""
+    step = max(1, CHUNK_ENTRIES // entries)
+    return [slice(lo, lo + step) for lo in range(0, max(count, 1), step)]
 
 
 def _reduce_to_cell(z, tau):
@@ -432,8 +441,8 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     by j!, so one order-1 call yields values and first derivatives
     together.  One series at n*tau is summed per point and index, on the
     (point, alpha) grid, one row of len(alpha) pairs per point, by the
-    kernel the basis builds its tables with, in chunks of as many whole
-    rows as fit in ``_CHUNK_TERMS`` terms, at least one.
+    kernel the basis builds its tables with, in the chunks of whole rows
+    that :func:`chunks` gives for 2M + 2 terms a pair.
     """
     n, tau = basis.n, basis.params.tau
     z = np.asarray(z, dtype=complex)
@@ -445,13 +454,11 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     bound = basis.series_bound
     flat = z.reshape(-1, 1)
     out = np.empty((order + 1, len(flat), a.size), dtype=complex)
-    step = max(1, _CHUNK_TERMS // (a.size * (2 * bound + 2)))
-    for i in range(0, len(flat), step):
-        part = flat[i:i + step]
-        z0, b = _reduce_to_cell(n * part + a * tau, n * tau)
+    for rows in chunks(len(flat), a.size * (2 * bound + 2)):
+        z0, b = _reduce_to_cell(n * flat[rows] + a * tau, n * tau)
         terms, weights = _series_terms(z0, n * tau, bound, order)
-        out[:, i:i + step] = _basis_jet(basis, part, a, z0, b,
-                                        terms @ weights)
+        out[:, rows] = _basis_jet(basis, flat[rows], a, z0, b,
+                                  terms @ weights)
     out = out.reshape((order + 1,) + z.shape + (a.size,))
     return out if index.ndim else out[..., 0]
 

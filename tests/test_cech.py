@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ellpoisson.cli import _sample_chart_points
 from ellpoisson.errors import (ContourError, DegenerateTauError,
                                EllPoissonError, ThetaRangeError)
 from ellpoisson.fo import sklyanin_bracket
-from ellpoisson.poisson import _STACK_CHUNK, projective_matrix
+from ellpoisson.poisson import projective_matrix
 from ellpoisson.theta import (
     CIRCLE_POINTS,
     CurveParams,
@@ -182,6 +183,37 @@ class TestTables:
                 err = max(np.max(np.abs(s.t3 - ref3)) / np.max(np.abs(ref3)),
                           np.max(np.abs(s.td - refd)) / np.max(np.abs(refd)))
                 assert (err < 1e-12) == agree, (tau, nodes, err)
+
+    @pytest.mark.parametrize("n", [3, 9, 13])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
+    def test_trace_tables_do_not_depend_on_the_budget(self, n, tau,
+                                                      monkeypatch):
+        # T3 and TD run in chunks of first indices: one index a chunk, the
+        # default and every index at once give the same bytes
+        b = basis(n, tau)
+        tables = {}
+        for budget in (1, 2 ** 13, 2 ** 40):
+            monkeypatch.setattr(theta, "CHUNK_ENTRIES", budget)
+            s = ResidueSystem(b)
+            tables[budget] = s.t3.tobytes() + s.td.tobytes()
+        assert len(set(tables.values())) == 1
+
+    @pytest.mark.parametrize("budget, chunked", [(None, True),
+                                                 (2 ** 40, False)])
+    def test_build_memory_is_chunked(self, budget, chunked, monkeypatch):
+        # at n = 31 the products of the trace tables hold n^3 P entries
+        # (31 MiB) in one chunk, and n^2 P (0.5 MiB) a chunk under the
+        # default budget; every index at once is the power control
+        b = basis(31)
+        if budget is not None:
+            monkeypatch.setattr(theta, "CHUNK_ENTRIES", budget)
+        tracemalloc.start()
+        try:
+            ResidueSystem(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak < 8 * 2 ** 20) == chunked, peak
 
     def test_dphi_matches_finite_difference(self):
         s = system(3)
@@ -464,7 +496,7 @@ class TestStacks:
         bracket = sklyanin_bracket(b, 1)
         t = _sample_chart_points(n, 130, 3)
         for entries in ((n - 1) ** 3, (n - 1) ** 2 * n * s.points, n ** 3):
-            assert len(t) > _STACK_CHUNK // entries
+            assert len(t) > theta.CHUNK_ENTRIES // entries
         grid = t.reshape(2, 65, n)
         for method in ("closed_form", "trace_form"):
             stacked = s.bracket_matrix(grid, method)
@@ -475,6 +507,17 @@ class TestStacks:
         assert stacked.shape == (2, 65, n, n)
         points = np.array([projective_matrix(bracket, row) for row in t])
         assert same_bits(stacked.reshape(130, n, n), points)
+
+    def test_empty_stack(self):
+        # no points give no matrices, with the shape of the stack, on
+        # every route
+        n = 5
+        s = system(n, 0.3 + 0.8j)
+        bracket = sklyanin_bracket(s.basis, 1)
+        for t in (np.ones((0, n)), np.ones((2, 0, n))):
+            for method in ("closed_form", "trace_form"):
+                assert s.bracket_matrix(t, method).shape == t.shape + (n,)
+            assert projective_matrix(bracket, t).shape == t.shape + (n,)
 
     def test_thousand_point_stack(self):
         # the largest stack moduli-compare takes at n = 9 (samples x n^2

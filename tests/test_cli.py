@@ -996,8 +996,8 @@ class TestSampleStack:
 
     def test_peak_bound_has_power(self, capsys, monkeypatch):
         # one chunk for the whole stack: 30 points already pass the bound
-        import ellpoisson.poisson as poisson
-        monkeypatch.setattr(poisson, "_STACK_CHUNK", 2 ** 40)
+        import ellpoisson.theta as theta
+        monkeypatch.setattr(theta, "CHUNK_ENTRIES", 2 ** 40)
         code, peak = self.traced_peak(["moduli-compare", "--n", "9",
                                        "--samples", "30"])
         assert code == 0

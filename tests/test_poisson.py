@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ellpoisson import poisson
+from ellpoisson import poisson, theta
 from ellpoisson.errors import InvarianceError
 from ellpoisson.fo import f_constants, sklyanin_bracket
 from ellpoisson.poisson import (
@@ -277,7 +277,7 @@ class TestJacobi:
                                                      monkeypatch):
         # chunks of one triple, of chunks that split the triples of one i,
         # and of every triple at once
-        monkeypatch.setattr(poisson, "_JACOBI_CHUNK", chunk)
+        monkeypatch.setattr(theta, "CHUNK_ENTRIES", chunk)
         for b in (one_percent_off(sklyanin(7, 3, 0.3 + 0.8j)),
                   random_bracket(9, np.random.default_rng(3))):
             assert jacobi_defect(b) == pairwise_jacobi_defect(b)

@@ -429,7 +429,7 @@ class TestAllAlpha:
             # the line spans several chunks of the all-alpha series, one
             # series per point and index
             assert (line.size * alphas.size * (2 * b.series_bound + 2)
-                    > 2 * theta._CHUNK_TERMS)
+                    > 2 * theta.CHUNK_ENTRIES)
         calls = [lambda a, z, o=o: theta_alpha_jet(b, a, z, o)
                  for o in (0, 1, 2)]
         calls.append(lambda a, z: theta_alpha_eval(b, a, z))
@@ -496,7 +496,7 @@ class TestAllAlpha:
         alphas = np.arange(n)
         whole = [theta_alpha_jet(b, alphas, z, order) for order in (0, 1, 2)]
         for chunk in (64, 2 ** 20):
-            monkeypatch.setattr(theta, "_CHUNK_TERMS", chunk)
+            monkeypatch.setattr(theta, "CHUNK_ENTRIES", chunk)
             for order, ref in enumerate(whole):
                 assert (theta_alpha_jet(b, alphas, z, order).tobytes()
                         == ref.tobytes())
@@ -629,7 +629,7 @@ class TestBasisTables:
                 out.read_text()
 
 
-# lattices whose pass of 2n(2M + 2) terms exceeds ``_CHUNK_TERMS``: 8232,
+# lattices whose pass of 2n(2M + 2) terms exceeds ``CHUNK_ENTRIES``: 8232,
 # 14196 and 124488 terms, the last the largest accepted pass found
 LARGE_PASSES = ((7, 0.025 + 1.6e-5j), (13, 0.025 + 1e-5j),
                 (63, 0.025 + 6.235507341273925e-7j))
