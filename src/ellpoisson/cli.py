@@ -208,9 +208,8 @@ def _frozen(value):
 # One round of the moduli workload reads 27 objects, one bracket round 66
 # (27 bases and 39 brackets); at 64 entries a bracket round rebuilds 35.
 # So it retains at most 128 objects of any kind: at n = 63 a system takes
-# about 6.8 MB (0.50 MB of it the tables of its routes) and a bracket about
-# 4 MB, beside the 2 MB weights table every bracket of the order shares.
-# No known caller keeps more than 66.
+# about 6.8 MB (0.50 MB of it the tables of its routes) and a bracket
+# 64 KB.  No known caller keeps more than 66.
 @functools.lru_cache(maxsize=128)
 def _shared(build, *args):
     return _frozen(build(*args))

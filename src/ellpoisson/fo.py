@@ -162,7 +162,7 @@ def _first_order(rel, eta) -> np.ndarray:
 
 
 def single_eta_bracket(basis: ThetaBasis, k: int, eta: complex) -> np.ndarray:
-    """First-order bracket estimate (the coefficient table of
+    """First-order bracket estimate (the row table of
     :class:`QuadraticBracket`) from the relations at one eta, reading the
     generators as commuting at leading order; the error is O(eta)."""
     eta = complex(eta)
@@ -181,7 +181,7 @@ def semiclassical_from_relations(basis: ThetaBasis, k: int, etas=()):
     (1/n)(Z + Z*tau), so d is the shortest period of Z + Z*tau over n.
     Node p + P/2 is -eta_p, so theta is evaluated on half the circle, and
     at ``etas`` in the same call.  Returns the mean as a
-    :class:`QuadraticBracket` and the coefficient tables of
+    :class:`QuadraticBracket` and the row tables of
     :func:`single_eta_bracket` at ``etas``, stacked on a leading axis.
     This path shares no formulas with :func:`sklyanin_bracket` beyond the
     relation tensor itself and is the numerical oracle for the closed form.

@@ -1,22 +1,23 @@
 """Quadratic Poisson brackets on n variables and their canonical form.
 
-Every bracket here is Z/n-graded, so it is one complex table G[i, j, k]
-with {x_i, x_j} = sum_k G[i, j, k] x_k x_{i+j-k}, antisymmetric in (i, j)
-and unchanged under k -> i+j-k; Jacobi certification multiplies entries of
-G pairwise.  For brackets invariant under the order-n Heisenberg group the
-whole table collapses to a single symmetric table
-C(alpha, beta) = G[0, alpha+beta, alpha] with
+Every bracket here is one n x n row table R[d, r]: for i < i+d < n,
+{x_i, x_{i+d}} = sum_r R[d, r] x_{i+r} x_{i+d-r} (indices mod n), with
+R[d, r] = R[d, d-r], row 0 zero and {x_j, x_i} = -{x_i, x_j}.  So every
+bracket is graded and unchanged by the shifts x_i -> x_{i+s} that do not
+wrap past n - 1.  It is invariant under the whole order-n Heisenberg group
+when the wrapped pairs agree too; then it is one symmetric table
+C(alpha, beta) = R[alpha+beta, alpha] with
 
     {x_i, x_j} = sum_r C(r, j-i-r) x_{i+r} x_{j-r},
     C(beta, alpha) = C(alpha, beta) = -C(-alpha, -beta).
 
-Any graded bracket descends to the chart t_i = x_i / x_0 of projective
-space by the chart rule {t_i, t_j} = {x_i, x_j} - t_i {x_0, x_j}
-- t_j {x_i, x_0} at x = t, which :func:`projective_matrix` reads off G.
-
-Every index table these functions gather with depends on n alone, so it is
-built once per n, read-only, and shared by every bracket of that order
-(:func:`_layout`, :func:`_jacobi_layout`).
+Jacobi certification and the chart rule {t_i, t_j} = {x_i, x_j}
+- t_i {x_0, x_j} - t_j {x_i, x_0} at x = t, on the chart t_i = x_i / x_0
+of projective space, read the coefficient table G[i, j, k] of x_k x_{i+j-k}
+in {x_i, x_j}, G[i, j, k] = sign(j-i) R[|j-i|, k-min(i, j)], which each
+call forms once (:func:`_coefficients`).  Every index table depends on n
+alone, so it is built once per n, read-only, and shared by every bracket
+of that order (:func:`_layout`, :func:`_jacobi_layout`).
 """
 
 from __future__ import annotations
@@ -34,108 +35,105 @@ CANONICAL_TOL = 1e-8
 
 
 class QuadraticBracket:
-    """A graded quadratic bracket held as one coefficient table.
-
-    ``coeffs[i, j, k]`` is the coefficient of x_k x_l, l = i+j-k mod n, in
-    {x_i, x_j} = sum_k coeffs[i, j, k] x_k x_l.  It must be antisymmetric
-    in (i, j) and equal at k and l, and both are checked exactly.  The
-    coefficient of the monomial x_k x_l is therefore 2 coeffs[i, j, k] for
-    k != l and coeffs[i, j, k] on the squares 2k = i+j mod n (one k for
-    odd n, two or none for even n); ``weights`` holds that factor, 2 or 1,
-    for every entry, and is the read-only table every bracket of order n
-    shares (:func:`_layout`).  Omitting ``coeffs`` gives the zero bracket.
+    """A quadratic bracket held as its row table ``rows`` = R (module
+    docstring), whose zero row 0 and R[d, r] = R[d, d-r] are checked
+    exactly.  The monomial x_{i+r} x_{i+d-r} of {x_i, x_{i+d}} has the
+    coefficient 2 R[d, r], or R[d, r] on the squares 2r = d mod n (one r
+    for odd n, two or none for even n); ``weights`` holds that factor for
+    every entry, and is the read-only table every bracket of order n
+    shares (:func:`_layout`).  Omitting ``rows`` gives the zero bracket.
     Only exact zeros are absent terms.
     """
 
-    __slots__ = ("n", "coeffs", "weights")
+    __slots__ = ("n", "rows", "weights")
 
-    def __init__(self, n, coeffs=None):
-        shape = (n,) * 3
-        g = (np.zeros(shape, dtype=complex) if coeffs is None
-             else np.asarray(coeffs, dtype=complex))
-        if g.shape != shape:
-            raise ValueError(f"coefficient table must have shape {shape}")
+    def __init__(self, n, rows=None):
+        shape = (n, n)
+        r = (np.zeros(shape, dtype=complex) if rows is None
+             else np.asarray(rows, dtype=complex))
+        if r.shape != shape:
+            raise ValueError(f"row table must have shape {shape}")
         layout = _layout(n)
-        if not (np.array_equal(g, -g.transpose(1, 0, 2))
-                and np.array_equal(g, g.take(layout.mirror))):
-            raise ValueError("coefficient table must be antisymmetric in "
-                             "(i, j) and equal at k and i+j-k")
+        if (np.count_nonzero(r[0])
+                or not np.array_equal(r, r.take(layout.mirror))):
+            raise ValueError("row table must be zero on row 0 and equal at "
+                             "r and d-r")
         self.n = n
-        self.coeffs = g
+        self.rows = r
         self.weights = layout.weights
 
     def monomials(self) -> np.ndarray:
-        """Coefficient of the monomial x_k x_{i+j-k} in {x_i, x_j} at
-        [i, j, k]."""
-        return self.coeffs * self.weights
+        """Coefficient of the monomial x_{i+r} x_{i+d-r} in
+        {x_i, x_{i+d}} at [d, r]."""
+        return self.rows * self.weights
 
     def max_abs(self):
         return float(np.max(np.abs(self.monomials()), initial=0.0))
 
     def max_difference(self, other):
         """Largest monomial-coefficient difference to ``other``."""
-        return float(other.max_differences(self.coeffs[None])[0])
+        return float(other.max_differences(self.rows[None])[0])
 
     def max_differences(self, tables) -> np.ndarray:
-        """Largest monomial-coefficient difference of each coefficient
-        table of a stack on the leading axis to this bracket; the tables
-        are taken unchecked."""
+        """Largest monomial-coefficient difference of each row table of a
+        stack on the leading axis to this bracket; the tables are taken
+        unchecked."""
         diff = np.asarray(tables) * self.weights - self.monomials()
-        return np.max(np.abs(diff), axis=(-3, -2, -1), initial=0.0)
+        return np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
 
 
 def pair_tensor(g) -> np.ndarray:
-    """Coefficient table of the bracket whose {x_i, x_j}, i < j, is
+    """Row table of the bracket whose {x_i, x_j}, i < j, is
     sum_r g[j-i, r] x_{j-r} x_{i+r}.
 
-    The words r and j-i-r name the same monomial, so each entry is the
-    mean of the two; the entries for i > j are their exact negatives, and
-    row g[0] (i = j) is multiplied by zero.  Leading axes of g are kept,
-    so a stack of word tables gives a stack of coefficient tables.  Both
-    words are gathered from the flattened n x n table at the offsets of
-    :func:`_layout`.
+    The words r and d-r name the same monomial, so each entry is the mean
+    of the two, and row 0 (i = j) is zero.  Leading axes of g are
+    kept, so a stack of word tables gives a stack of row tables.
     """
     n = g.shape[-1]
-    layout = _layout(n)
-    words = g.reshape(g.shape[:-2] + (n * n,))
-    out = words.take(layout.word, axis=-1)
-    out += words.take(layout.partner, axis=-1)
-    out *= layout.sign
+    out = g.reshape(g.shape[:-2] + (n * n,)).take(_layout(n).mirror, axis=-1)
+    out += g
+    out[..., 0, :] = 0.0
     out /= 2.0
     return out
 
 
+def _coefficients(b: QuadraticBracket) -> np.ndarray:
+    """The coefficient table G[i, j, k] of ``b`` (module docstring)."""
+    layout = _layout(b.n)
+    g = b.rows.ravel().take(layout.offset)
+    g *= layout.sign
+    return g
+
+
 class _Layout:
-    """The read-only n x n x n index tables of the coefficient tables of
-    order n: ``third`` holds i+j-k mod n at [i, j, k] (the chart words of
-    :func:`projective_matrix`), ``mirror`` the flat offset of [i, j, i+j-k]
-    and ``weights`` the monomial factor of :class:`QuadraticBracket`;
-    ``word`` and ``partner`` are the flat offsets into an n x n word table
-    of the words hi-k and k-lo of row hi-lo (lo, hi = min, max of i, j)
-    that :func:`pair_tensor` averages, and ``sign`` is sign(j - i).  12.0 MB
-    at n = 63.
+    """The read-only index tables of the brackets of order n: ``mirror``
+    holds the flat offset of [d, d-r] at [d, r] and ``weights`` the
+    monomial factor of :class:`QuadraticBracket`; :func:`_coefficients`
+    forms G from the flat offset ``offset`` of R[|j-i|, k-min(i, j)] and
+    ``sign`` = sign(j - i) at [i, j], and ``third`` holds i+j-k mod n (the
+    chart words of :func:`projective_matrix`).  4.1 MB at n = 63.
     """
 
-    __slots__ = ("third", "mirror", "weights", "word", "partner", "sign")
+    __slots__ = ("mirror", "weights", "offset", "sign", "third")
 
     def __init__(self, n):
+        d, r = np.indices((n, n))
+        self.mirror = d * n + (d - r) % n
+        # the factor, 2 or 1 on the squares, that takes a row entry at
+        # [d, r] to the coefficient of its monomial
+        self.weights = np.where((2 * r - d) % n, 2.0, 1.0)
         i, j, k = np.indices((n,) * 3)
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        self.offset = abs(j - i) * n + (k - np.minimum(i, j)) % n
+        self.sign = np.sign(j[..., :1] - i[..., :1])
         self.third = (i + j - k) % n
-        self.mirror = (i * n + j) * n + self.third
-        # the factor, 2 or 1 on the squares, that takes a table entry at
-        # [i, j, k] to the coefficient of the monomial x_k x_{i+j-k}
-        self.weights = np.where((2 * k - i - j) % n, 2.0, 1.0)
-        self.word = (hi - lo) * n + (hi - k) % n
-        self.partner = (hi - lo) * n + (k - lo) % n
-        self.sign = np.sign(j - i)
         for name in self.__slots__:
             getattr(self, name).setflags(write=False)
 
 
 # a bracket round of the benchmark reads 8 orders n, n = 5..13, whose
-# tables retain 0.4 MB here and 0.3 MB in _jacobi_layout; eight orders at
-# n = 56..63 would retain 81 MB and 69 MB
+# tables retain 0.15 MB here and 0.33 MB in _jacobi_layout; eight orders
+# at n = 56..63 would retain 28 MB and 69 MB
 @functools.lru_cache(maxsize=8)
 def _layout(n) -> _Layout:
     return _Layout(n)
@@ -146,17 +144,17 @@ def jacobi_defect(b: QuadraticBracket) -> float:
     divided by the square of the largest monomial coefficient, so that the
     result does not change when the bracket is rescaled.
 
-    With G = ``b.coeffs``, {x_i, {x_j, x_k}} = 2 sum_{a,p} G[j,k,a]
-    G[i,a,p] x_p x_s x_l with s = i+a-p and l = j+k-a.  Indexed by (p, s),
-    a = p+s-i is fixed, so each cyclic term is an entrywise product
-    t[p, s], symmetric in (p, s), with l = i+j+k-p-s; the coefficient of
-    x_p x_s x_l is the sum over the orderings of (p, s, l) divided by the
-    order of the stabilizer of the index triple.  Every factor is gathered
-    from ``G.ravel()`` at flat offsets, whose tables are built once per n
-    (:func:`_jacobi_layout`), and the triples i < j < k, n^2 entries
-    each, run in the lexicographic chunks of :func:`theta.chunks`.  A NaN
-    chunk, an infinite coefficient or a scale whose square is not finite
-    reads NaN.
+    With G the coefficient table of b, formed once per call,
+    {x_i, {x_j, x_k}} = 2 sum_{a,p} G[j,k,a] G[i,a,p] x_p x_s x_l with
+    s = i+a-p and l = j+k-a.  Indexed by (p, s), a = p+s-i is fixed, so
+    each cyclic term is an entrywise product t[p, s], symmetric in (p, s),
+    with l = i+j+k-p-s; the coefficient of x_p x_s x_l is the sum over the
+    orderings of (p, s, l) divided by the order of the stabilizer of the
+    index triple.  Every factor is gathered from ``G.ravel()`` at flat
+    offsets, whose tables are built once per n (:func:`_jacobi_layout`),
+    and the triples i < j < k, n^2 entries each, run in the lexicographic
+    chunks of :func:`theta.chunks`.  A NaN chunk, an infinite coefficient
+    or a scale whose square is not finite reads NaN.
     """
     scale = b.max_abs()
     if scale == 0.0:
@@ -168,7 +166,7 @@ def jacobi_defect(b: QuadraticBracket) -> float:
         return math.nan
     n = b.n
     layout = _jacobi_layout(n)
-    flat = b.coeffs.ravel()
+    flat = _coefficients(b).ravel()
     lead = flat.take(layout.lead)
     worst = 0.0
     for c in chunks(len(layout.i), n * n):
@@ -241,28 +239,27 @@ def _jacobi_layout(n) -> _JacobiLayout:
 
 
 def hn_canonical_extract(b: QuadraticBracket) -> np.ndarray:
-    """The n x n table C[alpha, beta] of a Heisenberg-invariant bracket.
+    """The n x n table C[alpha, beta] = R[alpha+beta, alpha] of a
+    Heisenberg-invariant bracket.
 
-    C(alpha, beta) is the table entry of x_{i+alpha} x_{i+beta} in
-    {x_i, x_{i+alpha+beta}}, and candidates must agree for every base
-    point i; the layout of the table already forces
-    C(alpha, beta) = C(beta, alpha) and C(0, 0) = 0.  Raises
-    :class:`InvarianceError` when the candidates disagree, or
-    C(-alpha, -beta) != -C(alpha, beta), beyond ``CANONICAL_TOL`` relative
-    to the largest monomial coefficient, or when either test reads NaN.
+    C(alpha, beta) is the row entry of x_{i+alpha} x_{i+beta} in
+    {x_i, x_{i+alpha+beta}}; the row table already forces
+    C(alpha, beta) = C(beta, alpha), C(0, 0) = 0 and one table for every
+    base point i that does not wrap.  A base point that wraps reads
+    -R[n-d, -beta] = -R[n-d, -alpha] = -C(-alpha, -beta), d = alpha+beta,
+    so the bracket is invariant exactly when C(-alpha, -beta) =
+    -C(alpha, beta).  Raises :class:`InvarianceError` when that skew test
+    fails beyond ``CANONICAL_TOL`` relative to the largest monomial
+    coefficient, or reads NaN.
     """
     n = b.n
     scale = max(b.max_abs(), 1e-30)
-    # candidates[i, alpha, beta]; alpha + beta = 0 reads G[i, i] = 0
-    i, alpha, beta = np.indices((n, n, n))
-    candidates = b.coeffs[i, (i + alpha + beta) % n, (i + alpha) % n]
-    table = candidates[0]
     idx = np.arange(n)
-    spread = np.max(np.abs(candidates - table), initial=0.0)
-    skew = np.max(np.abs(table + table[np.ix_((-idx) % n, (-idx) % n)]),
-                  initial=0.0)
-    # np.maximum and the negated test keep a NaN, which fails
-    violation = float(np.maximum(spread, skew))
+    table = b.rows[(idx[:, None] + idx) % n, idx[:, None]]
+    neg = (-idx) % n
+    # the negated test keeps a NaN, which fails
+    violation = float(np.max(np.abs(table + table[np.ix_(neg, neg)]),
+                             initial=0.0))
     if not violation <= CANONICAL_TOL * scale:
         raise InvarianceError(
             f"bracket is not Heisenberg-invariant: violation {violation:.3e} "
@@ -306,14 +303,17 @@ def projective_matrix(b: QuadraticBracket, t) -> np.ndarray:
     each bit for bit the matrix of its point alone (:func:`map_stack`).
     """
     n = b.n
+    g = _coefficients(b)
     # words[..., i, j, k] = t_k t_l, l = i+j-k: the monomials of {x_i, x_j}
     pairs = _layout(n).third
 
     def route(t):
         # take keeps the stack axis outermost in memory, so the sum runs
-        # over a contiguous last axis, in the order it takes for one point
-        words = t[:, None, None, :] * t.take(pairs, axis=-1)
-        x = (b.coeffs * words).sum(axis=-1)
+        # over a contiguous last axis, in the order it takes for one point,
+        # and both products reuse its array: one temporary beside G
+        words = t.take(pairs, axis=-1)
+        np.multiply(t[:, None, None, :], words, out=words)
+        x = np.multiply(g, words, out=words).sum(axis=-1)
         return x - t[:, :, None] * x[:, :1, :] - t[:, None, :] * x[:, :, :1]
 
     return map_stack(route, chart_point(n, t), n ** 3)

@@ -1,15 +1,19 @@
 """Independent oracles for the order-n theta basis of ``ellpoisson.theta``,
-the graded bracket table of ``ellpoisson.poisson``, the sample tables of
+the bracket row table of ``ellpoisson.poisson``, the sample tables of
 ``ellpoisson.cech`` and the leaf records of ``ellpoisson.leaves``.
 
 Sparse polynomials, the Leibniz extension of the generator brackets, the
 bivector contraction, and the dense n^4 coefficient tensor with its Jacobi
-contraction.  They expand ``QuadraticBracket.coeffs`` into monomials with
-their own loops and share no formulas with the package, which never calls
-them.  :func:`pairwise_jacobi_defect` is the exception: it repeats the
-package's Jacobi arithmetic per entry in a loop over generator pairs, so
-that the gathered triples of ``jacobi_defect`` can be compared with it bit
-for bit.  :func:`phi` evaluates phi_alpha = theta_alpha / theta_0 pointwise,
+contraction.  They expand the (n, n, n) coefficient table of
+:func:`coefficient_table` into monomials with their own loops and share no
+formulas with the package, which never calls them.
+:func:`coefficient_table` forms that table from a word table by index
+arithmetic on ``np.indices``, where the package gathers it from the row
+table of ``QuadraticBracket`` at offsets built once per n.
+:func:`pairwise_jacobi_defect` is the exception: it repeats the package's
+Jacobi arithmetic per entry in a loop over generator pairs, so that the
+gathered triples of ``jacobi_defect`` can be compared with it bit for
+bit.  :func:`phi` evaluates phi_alpha = theta_alpha / theta_0 pointwise,
 without the 1/n shift that fills the ``ResidueSystem`` tables.
 :func:`theta_alpha_product` evaluates theta_alpha by its defining product
 of n shifted theta factors, each summed directly by :func:`theta_series`;
@@ -325,15 +329,34 @@ def canonical_bracket(table) -> QuadraticBracket:
     return QuadraticBracket(n, pair_tensor(table[(d - r) % n, r]))
 
 
+def coefficient_table(words) -> np.ndarray:
+    """The coefficient table G[i, j, k] of x_k x_{i+j-k} in {x_i, x_j}
+    for the bracket whose {x_i, x_j}, i < j, is
+    sum_r words[j-i, r] x_{j-r} x_{i+r}: each entry is the mean of the
+    words hi-k and k-lo of row hi-lo (lo, hi = min, max of i, j), signed
+    by sign(j - i).  A row table of ``QuadraticBracket`` is its own word
+    table.  Leading axes of words are kept."""
+    words = np.asarray(words)
+    n = words.shape[-1]
+    i, j, k = np.indices((n,) * 3)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    out = words[..., hi - lo, (hi - k) % n]
+    out += words[..., hi - lo, (k - lo) % n]
+    out *= np.sign(j - i)
+    out /= 2.0
+    return out
+
+
 def pair_coeffs(b: QuadraticBracket, i, j):
     """Monomial table {(k, l): c, k <= l} of {x_i, x_j}."""
     n = b.n
     i, j = int(i) % n, int(j) % n
+    g = coefficient_table(b.rows)[i, j]
     out = {}
     for k in range(n):
         l = (i + j - k) % n
-        if k <= l and b.coeffs[i, j, k] != 0:
-            out[(k, l)] = complex(b.coeffs[i, j, k] * (1.0 if k == l else 2.0))
+        if k <= l and g[k] != 0:
+            out[(k, l)] = complex(g[k] * (1.0 if k == l else 2.0))
     return out
 
 
@@ -345,19 +368,21 @@ def pair_poly(b: QuadraticBracket, i, j) -> Polynomial:
 
 def pairs(b: QuadraticBracket):
     """The pairs i < j with {x_i, x_j} != 0, in order."""
+    g = coefficient_table(b.rows)
     return [(i, j) for i in range(b.n) for j in range(i + 1, b.n)
-            if np.any(b.coeffs[i, j] != 0)]
+            if np.any(g[i, j] != 0)]
 
 
 def dense_tensor(b: QuadraticBracket) -> np.ndarray:
     """Q[i, j, k, l] with {x_i, x_j} = sum_{k,l} Q[i, j, k, l] x_k x_l,
     symmetric in (k, l) and zero off the grading k + l = i + j mod n."""
     n = b.n
+    g = coefficient_table(b.rows)
     q = np.zeros((n,) * 4, dtype=complex)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                q[i, j, k, (i + j - k) % n] = b.coeffs[i, j, k]
+                q[i, j, k, (i + j - k) % n] = g[i, j, k]
     return q
 
 
@@ -424,13 +449,14 @@ def pairwise_jacobi_defect(b: QuadraticBracket) -> float:
     divided by the square of the largest monomial coefficient, so that the
     result does not change when the bracket is rescaled.
 
-    With G = ``b.coeffs``, {x_i, {x_j, x_k}} = 2 sum_{a,p} G[j,k,a]
-    G[i,a,p] x_p x_s x_l with s = i+a-p and l = j+k-a.  Indexed by (p, s),
-    a = p+s-i is fixed, so each cyclic term is an entrywise product
-    t[p, s], symmetric in (p, s), with l = i+j+k-p-s.  For each pair i < j
-    the three terms are formed for all k > j at once; the coefficient of
-    x_p x_s x_l is the sum over the orderings of (p, s, l) divided by the
-    order of the stabilizer of the index triple.
+    With G = ``coefficient_table(b.rows)``, {x_i, {x_j, x_k}} =
+    2 sum_{a,p} G[j,k,a] G[i,a,p] x_p x_s x_l with s = i+a-p and
+    l = j+k-a.  Indexed by (p, s), a = p+s-i is fixed, so each cyclic term
+    is an entrywise product t[p, s], symmetric in (p, s), with
+    l = i+j+k-p-s.  For each pair i < j the three terms are formed for all
+    k > j at once; the coefficient of x_p x_s x_l is the sum over the
+    orderings of (p, s, l) divided by the order of the stabilizer of the
+    index triple.
 
     This is ``ellpoisson.poisson.jacobi_defect`` as a loop over the pairs
     (i, j), with the same arithmetic per entry: the package gathers every
@@ -441,7 +467,7 @@ def pairwise_jacobi_defect(b: QuadraticBracket) -> float:
     if scale == 0.0:
         return 0.0
     n = b.n
-    g = b.coeffs
+    g = coefficient_table(b.rows)
     p, s = np.indices((n, n))
     x = np.arange(n)[:, None, None]
     # a term {x_x, x_a x_l} reaches x_p x_s through a = inner[x]; the

@@ -414,7 +414,7 @@ class TestExitCodes:
 
         def scaled(basis, k):
             ref = closed_form(basis, k)
-            return cli.QuadraticBracket(ref.n, ref.coeffs * (1 + error))
+            return cli.QuadraticBracket(ref.n, ref.rows * (1 + error))
 
         monkeypatch.setattr(cli, "sklyanin_bracket", scaled)
         code, text = run(["sklyanin", "--n", "7", "--k", "3", "--tau",
@@ -936,9 +936,9 @@ class TestReports:
             points.append(np.shape(z))
             return evaluate(basis, alpha, z)
 
-        def counted_init(self, n, coeffs=None):
+        def counted_init(self, n, rows=None):
             built.append(n)
-            init(self, n, coeffs)
+            init(self, n, rows)
 
         monkeypatch.setattr(fo, "theta_alpha_eval", counted_eval)
         monkeypatch.setattr(QuadraticBracket, "__init__", counted_init)
@@ -1244,7 +1244,7 @@ class TestLatticeMemo:
 
         def scaled(basis, k):
             ref = closed_form(basis, k)
-            return cli.QuadraticBracket(ref.n, ref.coeffs * (1 + error))
+            return cli.QuadraticBracket(ref.n, ref.rows * (1 + error))
 
         monkeypatch.setattr(cli, "sklyanin_bracket", scaled)
         code, text = run(args, tmp_path)
@@ -1425,9 +1425,9 @@ class TestLatticeMemo:
         assert cli._shared(cli.ResidueSystem, changed).basis is changed
         rebuilt = cli._shared(cli.sklyanin_bracket, changed, 1)
         assert rebuilt is not bracket
-        assert np.array_equal(rebuilt.coeffs,
-                              sklyanin_bracket(changed, 1).coeffs)
-        assert not np.array_equal(rebuilt.coeffs, bracket.coeffs)
+        assert np.array_equal(rebuilt.rows,
+                              sklyanin_bracket(changed, 1).rows)
+        assert not np.array_equal(rebuilt.rows, bracket.rows)
 
     def test_shared_arrays_are_read_only(self):
         import ellpoisson.cli as cli
@@ -1458,9 +1458,9 @@ class TestLatticeMemo:
         from ellpoisson.theta import CurveParams, ThetaBasis
 
         shared = cli._shared(cli.sklyanin_bracket, shared_basis(), 1)
-        g = shared.coeffs.copy()
+        g = shared.rows.copy()
         own = QuadraticBracket(5, g)
-        assert own.coeffs is g and g.flags.writeable
+        assert own.rows is g and g.flags.writeable
         basis = ThetaBasis(CurveParams(1j, 5))
         assert basis is not shared_basis()
         assert basis.theta_at_zero.flags.writeable

@@ -17,7 +17,7 @@ from ellpoisson.fo import (
 )
 from ellpoisson.poisson import QuadraticBracket, hn_canonical_extract
 from ellpoisson.theta import CurveParams, ThetaBasis, theta_alpha_eval
-from oracles import pair_coeffs
+from oracles import coefficient_table, pair_coeffs
 
 
 def basis(n, tau=1j):
@@ -192,7 +192,7 @@ class TestSemiclassical:
         # the bit
         b = basis(n, tau)
         etas = [1e-2, 1e-3 + 2e-4j, 1e-4]
-        alone = semiclassical_from_relations(b, k)[0].coeffs
+        alone = semiclassical_from_relations(b, k)[0].rows
         singles = [single_eta_bracket(b, k, e) for e in etas]
         calls = []
 
@@ -203,8 +203,8 @@ class TestSemiclassical:
         monkeypatch.setattr(fo, "theta_alpha_eval", counted)
         est, tables = semiclassical_from_relations(b, k, etas)
         assert calls == [(19,)]
-        assert est.coeffs.tobytes() == alone.tobytes()
-        assert tables.shape == (3, n, n, n)
+        assert est.rows.tobytes() == alone.tobytes()
+        assert tables.shape == (3, n, n)
         for table, single in zip(tables, singles):
             assert table.tobytes() == single.tobytes()
 
@@ -250,13 +250,14 @@ class TestSemiclassical:
 
 
 def relations_digest(n, k, tau):
-    """sha256 of the circle mean, the single-eta tables at three etas and
-    the relation tensor at one eta."""
+    """sha256 of the coefficient tables of the circle mean and of the
+    single-eta tables at three etas, and the relation tensor at one eta."""
     b = basis(n, tau)
     etas = [0.01, 0.001 + 0.0005j, 1e-4j]
     est, singles = semiclassical_from_relations(b, k, etas)
     h = hashlib.sha256()
-    h.update(est.coeffs.tobytes() + singles.tobytes())
+    h.update(coefficient_table(est.rows).tobytes()
+             + coefficient_table(singles).tobytes())
     h.update(fo_relations(b, k, 0.02 + 0.01j).tobytes())
     return h.hexdigest()[:16]
 

@@ -1,4 +1,4 @@
-"""Tests for the graded bracket table and its polynomial oracles."""
+"""Tests for the bracket row table and its polynomial oracles."""
 
 import hashlib
 import math
@@ -9,7 +9,9 @@ import pytest
 
 from ellpoisson import poisson, theta
 from ellpoisson.errors import InvarianceError
-from ellpoisson.fo import f_constants, sklyanin_bracket
+from ellpoisson import fo
+from ellpoisson.fo import (f_constants, semiclassical_from_relations,
+                           sklyanin_bracket)
 from ellpoisson.poisson import (
     QuadraticBracket,
     hn_canonical_extract,
@@ -22,6 +24,7 @@ from oracles import (
     bracket_contraction_oracle,
     bracket_poly,
     canonical_bracket,
+    coefficient_table,
     dense_jacobi_defect,
     pair_coeffs,
     pair_poly,
@@ -34,24 +37,11 @@ def sklyanin(n, k=1, tau=1j):
     return sklyanin_bracket(ThetaBasis(CurveParams(tau, n)), k)
 
 
-def table_bracket(n, table):
-    """The bracket with {x_i, x_j} = sum c x_k x_l over table[(i, j)], i < j;
-    every monomial must have weight k + l = i + j mod n."""
-    g = np.zeros((n,) * 3, dtype=complex)
-    for (i, j), monos in table.items():
-        for (k, l), c in monos.items():
-            g[i, j, k] += c / 2
-            g[i, j, l] += c / 2
-    return QuadraticBracket(n, g - g.transpose(1, 0, 2))
-
-
 def random_bracket(n, rng):
-    """A seeded graded bracket with every table entry off i = j nonzero
-    (not invariant)."""
-    g = rng.standard_normal((n,) * 3) + 1j * rng.standard_normal((n,) * 3)
-    i, j, k = np.indices(g.shape)
-    g = g + g[i, j, (i + j - k) % n]
-    return QuadraticBracket(n, g - g.transpose(1, 0, 2))
+    """A seeded bracket with every row entry off row 0 nonzero; its
+    wrapped pairs disagree, so it is not Heisenberg-invariant."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return QuadraticBracket(n, poisson.pair_tensor(g))
 
 
 def leibniz_jacobi(b):
@@ -69,11 +59,20 @@ def leibniz_jacobi(b):
 
 
 def one_percent_off(b):
-    """b with the monomial x_0 x_1 of {x_0, x_1} scaled by 1.01."""
-    g = b.coeffs.copy()
-    g[0, 1, :2] *= 1.01
-    g[1, 0, :2] *= 1.01
+    """b with the monomial x_i x_{i+1} of every {x_i, x_{i+1}} scaled by
+    1.01."""
+    g = b.rows.copy()
+    g[1, :2] *= 1.01
     return QuadraticBracket(b.n, g)
+
+
+def adjacent_bracket(n):
+    """{x_i, x_{i+1}} = x_i x_{i+1} for i < n - 1 and no other term: the
+    wrapped pair {x_{n-1}, x_0} is zero, so it is not
+    Heisenberg-invariant."""
+    g = np.zeros((n, n), dtype=complex)
+    g[1, :2] = 0.5
+    return QuadraticBracket(n, g)
 
 
 def delta_hn(n=3, c=1.0):
@@ -111,42 +110,42 @@ class TestPolynomial:
 
 class TestLayout:
     def test_dense_tensor_refused(self):
-        with pytest.raises(ValueError):
-            QuadraticBracket(3, np.zeros((3,) * 4))
+        for shape in ((3,) * 3, (3,) * 4, (3, 4)):
+            with pytest.raises(ValueError, match="shape"):
+                QuadraticBracket(3, np.zeros(shape))
 
     def test_broken_antisymmetry_refused(self):
-        g = table_bracket(3, {(0, 1): {(0, 1): 1.0}}).coeffs.copy()
-        g[0, 1, :2] += 1.0
-        with pytest.raises(ValueError):
+        # row 0 holds {x_i, x_i}, which antisymmetry makes zero
+        g = adjacent_bracket(3).rows.copy()
+        g[0, 0] = 1.0
+        with pytest.raises(ValueError, match="row 0"):
             QuadraticBracket(3, g)
 
     def test_broken_partner_symmetry_refused(self):
-        # G[0, 1, 0] and G[0, 1, 1] both hold x_0 x_1
-        g = table_bracket(3, {(0, 1): {(0, 1): 1.0}}).coeffs.copy()
-        g[0, 1, 0] += 1.0
-        g[1, 0, 0] -= 1.0
-        with pytest.raises(ValueError):
+        # R[1, 0] and R[1, 1] both hold x_i x_{i+1}
+        g = adjacent_bracket(3).rows.copy()
+        g[1, 0] += 1.0
+        with pytest.raises(ValueError, match="d-r"):
             QuadraticBracket(3, g)
-
 
     @pytest.mark.parametrize("n", [3, 4, 7])
     def test_weights_built_once(self, n, monkeypatch):
         b = sklyanin_bracket(ThetaBasis(CurveParams(0.3 + 0.8j, n)), 1)
-        for i, j, k in np.ndindex(n, n, n):
-            expected = 1.0 if (2 * k - i - j) % n == 0 else 2.0
-            assert b.weights[i, j, k] == expected
+        for d, r in np.ndindex(n, n):
+            expected = 1.0 if (2 * r - d) % n == 0 else 2.0
+            assert b.weights[d, r] == expected
         # monomials, max_abs, max_difference and max_differences read the
         # table the constructor built
-        other = QuadraticBracket(n, 2 * b.coeffs)
+        other = QuadraticBracket(n, 2 * b.rows)
 
         def indices(*args, **kwargs):
             raise AssertionError("np.indices called")
 
         monkeypatch.setattr(np, "indices", indices)
-        assert np.array_equal(b.monomials(), b.coeffs * b.weights)
+        assert np.array_equal(b.monomials(), b.rows * b.weights)
         assert b.max_abs() == other.max_abs() / 2
         assert b.max_difference(other) == b.max_abs()
-        assert b.max_differences(other.coeffs[None])[0] == b.max_abs()
+        assert b.max_differences(other.rows[None])[0] == b.max_abs()
 
 
 class TestBracketPoly:
@@ -211,12 +210,10 @@ class TestJacobi:
         assert jacobi_defect(sklyanin(n, k)) < 1e-8
 
     def test_perturbation_detected(self):
-        b = sklyanin(3)
-        table = {pair: pair_coeffs(b, *pair) for pair in pairs(b)}
-        pair = (0, 1)
-        mono = next(iter(table[pair]))
-        table[pair][mono] += 0.1
-        assert jacobi_defect(table_bracket(3, table)) > 1e-3
+        # the monomial x_i x_{i+1} of every {x_i, x_{i+1}} moved by 0.1
+        g = sklyanin(3).rows.copy()
+        g[1, :2] += 0.05
+        assert jacobi_defect(QuadraticBracket(3, g)) > 1e-3
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_leibniz_oracle(self, n):
@@ -227,7 +224,7 @@ class TestJacobi:
     def test_scale_free(self):
         # one coefficient of a Poisson bracket off by 1%: the defect must
         # not depend on the overall scale of the bracket
-        q = one_percent_off(sklyanin(7)).coeffs
+        q = one_percent_off(sklyanin(7)).rows
         ref = jacobi_defect(QuadraticBracket(7, q))
         assert ref > 1e-8
         for s in (1e-10, 1.0, 1e6):
@@ -266,9 +263,8 @@ class TestJacobi:
     def test_unreadable_scale_reads_nan(self, size):
         # an infinite coefficient read 0.0, and one whose square leaves
         # double range raised OverflowError; NaN fails any tolerance
-        g = sklyanin(5).coeffs.copy()
-        g[0, 1, :2] = size
-        g[1, 0, :2] = -size
+        g = sklyanin(5).rows.copy()
+        g[1, :2] = size
         with np.errstate(invalid="ignore"):
             assert math.isnan(jacobi_defect(QuadraticBracket(5, g)))
 
@@ -284,8 +280,9 @@ class TestJacobi:
 
     def test_working_memory_is_chunked(self):
         # at n = 31 the 4495 triples hold 4.3e6 entries (69 MB as complex);
-        # chunked, a call needs its n^3 tables and a few small temporaries,
-        # 2.2 MB in all, where the loop over pairs reached 3.8 MB
+        # chunked, a call needs its n^3 tables, the coefficient table it
+        # forms (0.48 MB) and a few small temporaries, 2.8 MB in all, where
+        # the loop over pairs reached 3.8 MB
         b = sklyanin(31)
         tracemalloc.start()
         try:
@@ -324,15 +321,13 @@ class TestCanonicalForm:
         assert np.max(np.abs(h - f)) < 1e-10
 
     def test_non_invariant_rejected(self):
-        # {x_0, x_1} = x_0 x_1 alone is graded but not shift-invariant
-        b = table_bracket(3, {(0, 1): {(0, 1): 1.0}})
         with pytest.raises(InvarianceError):
-            hn_canonical_extract(b)
+            hn_canonical_extract(adjacent_bracket(3))
 
     def test_nan_violation_rejected(self):
         # the invariant bracket of delta_hn with its coefficients made
-        # infinite: both tests read NaN, which the comparison passed over
-        g = delta_hn().coeffs
+        # infinite: the skew test reads NaN, which a comparison passes over
+        g = delta_hn().rows
         g = np.where(g.real > 0, math.inf,
                      np.where(g.real < 0, -math.inf, 0.0)).astype(complex)
         with np.errstate(invalid="ignore"):
@@ -341,27 +336,24 @@ class TestCanonicalForm:
                 hn_canonical_extract(b)
 
     def test_heisenberg_covariance_of_tensor(self):
-        # conjugating by either generator action on coordinates fixes the tensor
+        # conjugating by either generator action on coordinates fixes the
+        # bracket, the shifts that wrap past n - 1 among them
         basis = ThetaBasis(CurveParams(1j, 5))
         b = sklyanin_bracket(basis, 2)
         n = b.n
         omega = np.exp(2j * math.pi / n)
-        scaled = {}
-        shifted = {}
         for (i, j) in pairs(b):
             entry = pair_coeffs(b, i, j)
-            scaled[(i, j)] = {
-                (k, l): c * omega ** ((i + j - k - l) % n)
-                for (k, l), c in entry.items()}
-            shifted_entry = {}
             for (k, l), c in entry.items():
-                kk, ll = sorted(((k + 1) % n, (l + 1) % n))
-                shifted_entry[(kk, ll)] = c
-            key = tuple(sorted(((i + 1) % n, (j + 1) % n)))
-            sign = 1.0 if (i + 1) % n < (j + 1) % n else -1.0
-            shifted[key] = {m: sign * c for m, c in shifted_entry.items()}
-        assert table_bracket(n, scaled).max_difference(b) < 1e-12
-        assert table_bracket(n, shifted).max_difference(b) < 1e-12
+                assert abs(c * omega ** ((i + j - k - l) % n) - c) < 1e-12
+            ii, jj = (i + 1) % n, (j + 1) % n
+            sign = 1.0 if ii < jj else -1.0
+            shifted = pair_coeffs(b, min(ii, jj), max(ii, jj))
+            moved = {tuple(sorted(((k + 1) % n, (l + 1) % n))): sign * c
+                     for (k, l), c in entry.items()}
+            assert moved.keys() == shifted.keys()
+            for mono, c in moved.items():
+                assert abs(c - shifted[mono]) < 1e-12
 
     def test_max_difference_against_monomial_loop(self):
         rng = np.random.default_rng(8)
@@ -408,15 +400,71 @@ class TestSharedLayout:
 
     def test_tables_match_the_index_arithmetic(self):
         # the gathers read what np.indices gives: the mirror entry, the
-        # factor 2 off the squares and the chart words t_k t_{i+j-k}
+        # factor 2 off the squares, the entry R[|j-i|, k-min(i, j)] of G
+        # with its sign and the chart words t_k t_{i+j-k}
         n = 6
         layout = poisson._layout(n)
-        i, j, k = np.indices((n,) * 3)
-        g = random_bracket(n, np.random.default_rng(5)).coeffs
-        assert np.array_equal(g.take(layout.mirror), g[i, j, (i + j - k) % n])
+        d, r = np.indices((n, n))
+        g = random_bracket(n, np.random.default_rng(5)).rows
+        assert np.array_equal(g.take(layout.mirror), g[d, (d - r) % n])
         assert np.array_equal(layout.weights,
-                              np.where((2 * k - i - j) % n, 2.0, 1.0))
+                              np.where((2 * r - d) % n, 2.0, 1.0))
+        i, j, k = np.indices((n,) * 3)
+        assert np.array_equal(g.take(layout.offset),
+                              g[abs(j - i), (k - np.minimum(i, j)) % n])
+        assert np.array_equal(layout.sign, np.sign(j - i)[..., :1])
         assert np.array_equal(layout.third, (i + j - k) % n)
+
+    def test_retained_memory(self):
+        # at n = 63 an (n, n, n) coefficient table takes 4.0 MB, and index
+        # tables that gather each of its entries 12.0 MB; the row table
+        # takes 64 KB, and the order keeps two n^3 index tables, 4.1 MB
+        basis = ThetaBasis(CurveParams(1j, 63))
+        poisson._layout.cache_clear()
+        tracemalloc.start()
+        try:
+            poisson._layout(63)
+            layout = tracemalloc.get_traced_memory()[0]
+            b = sklyanin_bracket(basis, 1)
+            bracket = tracemalloc.get_traced_memory()[0] - layout
+        finally:
+            tracemalloc.stop()
+        assert layout < 5e6
+        assert bracket < 1e5
+        assert b.rows.shape == (63, 63)
+
+
+class TestCoefficientTable:
+    """The package forms G from the row table at offsets built once per n
+    (``poisson._coefficients``); the oracle forms it by index arithmetic
+    from a word table, and the two must hold the same values."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 13, 31])
+    def test_sklyanin_expansion_equals_the_reference(self, n):
+        for tau in (1j, 0.3 + 0.8j, 0.5j):
+            basis = ThetaBasis(CurveParams(tau, n))
+            for k in sorted({1, 2, 3, n - 2}):
+                if 0 < k < n and math.gcd(n, k) == 1:
+                    b = sklyanin_bracket(basis, k)
+                    assert np.array_equal(poisson._coefficients(b),
+                                          coefficient_table(b.rows))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 13, 31])
+    def test_semiclassical_expansion_equals_the_reference(self, n):
+        # the circle mean and its single-eta stack; the single-eta word
+        # tables themselves go through pair_tensor on the package side
+        basis = ThetaBasis(CurveParams(0.3 + 0.8j, n))
+        etas = np.array([0.01, 0.001j, 1e-4 + 1e-4j])
+        mean, singles = semiclassical_from_relations(basis, 1, etas)
+        # the relation rows at +eta come first, then those at -eta
+        rel = fo._relation_rows(basis, 1, etas)[:len(etas)]
+        words = fo._first_order(rel, etas[:, None, None])
+        assert np.array_equal(poisson._coefficients(mean),
+                              coefficient_table(mean.rows))
+        for row, word in zip(singles, words):
+            got = poisson._coefficients(QuadraticBracket(n, row))
+            assert np.array_equal(got, coefficient_table(row))
+            assert np.array_equal(got, coefficient_table(word))
 
 
 def chart_rule(b, t):
@@ -498,32 +546,40 @@ class TestProjective:
 
 
 def bracket_digest(n):
-    """sha256 of ``pair_tensor`` on a seeded word table and a stack of two,
-    the weights and ``repr(jacobi_defect)`` of the bracket it gives and of
-    the Sklyanin bracket at k = 1 and 3 (tau = 0.3 + 0.8i), and the
-    projective matrices of both brackets at three seeded chart points."""
+    """sha256 of what three brackets compute: the bracket of a seeded word
+    table and the Sklyanin brackets at k = 1 and 3 (tau = 0.3 + 0.8i).
+    For each, ``repr(jacobi_defect)``, the projective matrices at three
+    seeded chart points, the canonical table (its zeros taken as +0, since
+    the sign of a zero is no value) or the message of the
+    ``InvarianceError`` that refuses it, ``repr(max_abs)`` and
+    ``max_differences`` to a seeded stack of two word tables."""
     rng = np.random.default_rng(n)
     words = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
-    h = hashlib.sha256()
-    h.update(poisson.pair_tensor(words[0]).tobytes())
-    h.update(poisson.pair_tensor(words[1:]).tobytes())
     basis = ThetaBasis(CurveParams(0.3 + 0.8j, n))
     t = np.ones((3, n), dtype=complex)
     t[:, 1:] = rng.uniform(-0.7, 0.7, (3, n - 1, 2)).view(complex)[..., 0]
+    stack = poisson.pair_tensor(words[1:])
+    h = hashlib.sha256()
     for b in (QuadraticBracket(n, poisson.pair_tensor(words[0])),
               sklyanin_bracket(basis, 1), sklyanin_bracket(basis, 3)):
-        h.update(b.coeffs.tobytes() + b.weights.tobytes())
         h.update(repr(jacobi_defect(b)).encode())
         h.update(projective_matrix(b, t).tobytes())
+        try:
+            h.update((hn_canonical_extract(b) + 0.0).tobytes())
+        except InvarianceError as exc:
+            h.update(str(exc).encode())
+        h.update(repr(b.max_abs()).encode())
+        h.update(b.max_differences(stack).tobytes())
     return h.hexdigest()[:16]
 
 
 class TestBracketPins:
-    """Digests taken before the gathers of the bracket tables were built
-    once per n: no table layout may move a bit."""
+    """Digests taken while every bracket was stored as its (n, n, n)
+    coefficient table: how a bracket is stored may move no bit of what it
+    computes."""
 
-    DIGESTS = {5: "45d8494012e61d5b", 10: "686b60d019c25da1",
-               13: "0566bc61aee9fbc5"}
+    DIGESTS = {5: "fb5a1332edecaef8", 10: "c81d9b72e5dc7e8f",
+               13: "1d70a69e5001b06a"}
 
     @pytest.mark.parametrize("n", [5, 10, 13])
     def test_tables_pinned(self, n):
