@@ -25,7 +25,8 @@ bit for bit, because every sum runs over a C-contiguous last axis and
 psi_t stays one vector-matrix product per point.  What depends only on the
 system, the index tables of the routes and the constants they gather from
 F and the trace tables, is built once with it, so a call gathers only
-from its points.
+from its points.  Every array of a system is read-only from its
+construction.
 
 Every residue is a trace over the same n circles around the points of D,
 so :class:`ResidueSystem` holds phi_alpha, phi_alpha' and psi_alpha on
@@ -81,22 +82,6 @@ def laurent_coeffs(f, center: complex, window: tuple[int, int],
     return _node_coeffs(samples, offsets, window)
 
 
-def psi_local_constant(basis: ThetaBasis, alpha: int, k):
-    """Disc-k value of psi_alpha for alpha != 0; k may be an array of discs.
-
-    theta_alpha(k/n) reduces to omega^(alpha k) theta_alpha(0) by the 1/n
-    shift property, so one theta value per alpha suffices.
-    """
-    alpha %= basis.n
-    if alpha == 0:
-        raise ValueError("psi_0 is not constant on its disc")
-    if abs(basis.theta_at_zero[alpha]) == 0:
-        raise DegenerateTauError(f"theta_{alpha}(0) = 0")
-    return (basis.dtheta_at_zero[0]
-            * basis.omega ** (-(alpha * k) % basis.n)
-            / basis.theta_at_zero[alpha])
-
-
 class ResidueSystem:
     """Node tables for the residue calculus at a fixed basis.
 
@@ -123,18 +108,20 @@ class ResidueSystem:
     the shapes the routes broadcast it to.  With the chart indices
     i, j, r = 1..n-1 (``i`` a column, ``j`` a row), the index tables are
     ``ij`` = i + j, ``ir`` = i + r and ``jr`` = j - r, and ``mr``[m, r] =
-    m - r for m, r = 0..n-1, all mod n; ``below`` is the lower triangle
-    j <= i that ``bracket_matrix`` clears.  The gathered constants are
+    m - r for m, r = 0..n-1, all mod n.  The gathered constants are
     ``f_jr`` = F(jr, r), ``t3_ri`` = T3[r, i], ``f_ir`` = F(ir, -r),
     ``t3_rj`` = T3[-r, j], ``td_ij`` = TD[i, j] - TD[j, i],
     ``f_mr``[m, r] = F(r, m - r); F is symmetric to the bit, so
     ``projection_coeffs`` reads F(c - e, e) at [c, e] off it too.  At
     n = 63 they add 0.50 MB to the 6.3 MB of the sample and trace tables.
-    The arrays of a system that the lattice cache of ``cli`` shares are
-    read-only; one built outside the cache keeps them writable.
+    A basis with some theta_alpha(0) = 0, alpha != 0, has no psi_alpha and
+    is refused with a :class:`DegenerateTauError`.
     """
 
     def __init__(self, basis: ThetaBasis):
+        zero = np.flatnonzero(basis.theta_at_zero[1:] == 0)
+        if zero.size:
+            raise DegenerateTauError(f"theta_{zero[0] + 1}(0) = 0")
         self.basis = basis
         self.f = f_constants(basis)
         n = basis.n
@@ -142,12 +129,11 @@ class ResidueSystem:
         self.offsets = circle_nodes(d)
         self.points = len(self.offsets)
         self.radius = d / 4
-        self.nodes = np.arange(n)[:, None] / n + self.offsets
+        k = np.arange(n)
+        self.nodes = k[:, None] / n + self.offsets
         # shift[a, k] = omega^(a k mod n)
-        shift = basis.omega ** (np.multiply.outer(np.arange(n), np.arange(n))
-                                % n)
-        th, dth = theta_alpha_jet(basis, np.arange(n), self.offsets,
-                                  1).swapaxes(1, 2)
+        shift = basis.omega ** (np.multiply.outer(k, k) % n)
+        th, dth = theta_alpha_jet(basis, k, self.offsets, 1).swapaxes(1, 2)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             phi0 = th / th[0]
             dphi0 = (dth * th[0] - th * dth[0]) / th[0] ** 2
@@ -157,12 +143,13 @@ class ResidueSystem:
         self.dphi = shift[:, :, None] * dphi0[:, None]
         self.phi[0] = 1.0
         self.dphi[0] = 0.0
+        # psi_alpha = theta'_0(0) / theta_alpha(k/n) on disc k, alpha != 0,
+        # and theta_alpha(k/n) = omega^(alpha k) theta_alpha(0)
         self.psi = np.empty_like(self.phi)
         self.psi[0] = 1.0 / self.offsets
-        for a in range(1, n):
-            self.psi[a] = psi_local_constant(basis, a, np.arange(n))[:, None]
+        self.psi[1:] = (basis.dtheta_at_zero[0] * shift[1:, -k % n]
+                        / basis.theta_at_zero[1:, None])[..., None]
         # the trace tables in chunks of first indices a, n^2 P entries each
-        k = np.arange(n)
         self.t3 = np.empty((n, n), dtype=complex)
         self.td = np.empty_like(self.t3)
         for a in chunks(n, n * n * self.points):
@@ -179,10 +166,11 @@ class ResidueSystem:
         self.f_jr, self.t3_ri = f[self.jr, r], t3[r, self.i[..., None]]
         self.f_ir, self.t3_rj = f[self.ir, -r], t3[-r, self.j[..., None]]
         self.td_ij = -td[self.j, self.i] + td[self.i, self.j]
-        r = np.arange(n)
-        self.mr = (r[:, None] - r) % n
-        self.f_mr = f[r, self.mr]
-        self.below = self.i >= self.j
+        self.mr = (k[:, None] - k) % n
+        self.f_mr = f[k, self.mr]
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def tr(self, samples) -> np.ndarray:
         """The trace pairing over the last two axes (disc k, node p) of a
@@ -294,8 +282,7 @@ class ResidueSystem:
             raise ValueError(f"unknown method {method!r}")
 
         def route(t):
-            upper = entry(t)
-            upper[:, self.below] = 0.0
+            upper = np.triu(entry(t), 1)
             out = np.zeros(t.shape + (n,), dtype=complex)
             out[:, 1:, 1:] = upper - upper.transpose(0, 2, 1)
             return out

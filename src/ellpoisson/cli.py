@@ -21,9 +21,10 @@ The jobs of one process share each lattice's :class:`ThetaBasis`,
 ``functools.lru_cache``, ``_shared(build, *args)``, keyed by the function
 that builds the object and its arguments: the reduced :class:`CurveParams`
 for a basis, the basis object (and k) for a system or a bracket.  A
-replaced or traced builder builds objects of its own.  Shared arrays are
-read-only, a build that raises is not kept, and every check runs on every
-job.
+replaced or traced builder builds objects of its own.  The cache keeps
+what the builder returns, whose arrays are read-only from its own
+construction, a build that raises is not kept, and every check runs on
+every job.
 """
 
 from __future__ import annotations
@@ -194,25 +195,17 @@ def _sample_chart_points(n, count, seed):
 # -- shared lattice objects ------------------------------------------------
 
 
-def _frozen(value):
-    """``value`` with every array attribute read-only, so a consumer that
-    writes into a shared table fails instead of changing a later job."""
-    for name in getattr(value, "__slots__", None) or vars(value):
-        array = getattr(value, name)
-        if isinstance(array, np.ndarray):
-            array.setflags(write=False)
-    return value
-
-
 # One cache for every shared lattice object; a basis hashes by identity.
-# One round of the moduli workload reads 27 objects, one bracket round 66
-# (27 bases and 39 brackets); at 64 entries a bracket round rebuilds 35.
-# So it retains at most 128 objects of any kind: at n = 63 a system takes
-# about 6.8 MB (0.50 MB of it the tables of its routes) and a bracket
-# 64 KB.  No known caller keeps more than 66.
+# It keeps what the builder returns: a basis, a system and a bracket are
+# read-only from their own construction.  One round of the moduli workload
+# reads 27 objects, one bracket round 66 (27 bases and 39 brackets); at 64
+# entries a bracket round rebuilds 35.  So it retains at most 128 objects
+# of any kind: at n = 63 a system takes about 6.8 MB (0.50 MB of it the
+# tables of its routes) and a bracket 64 KB.  No known caller keeps more
+# than 66.
 @functools.lru_cache(maxsize=128)
 def _shared(build, *args):
-    return _frozen(build(*args))
+    return build(*args)
 
 
 # -- subcommands -----------------------------------------------------------

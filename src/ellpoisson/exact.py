@@ -11,6 +11,8 @@ an integer that float64 holds exactly (Dumas, Giorgi & Pernet, ACM TOMS
 35, 2008), and on Python-int objects past it; the package forms such
 products only with a few columns.  Every identity checked against these
 matrices is exact.  Transposes and negations keep their operand's bound.
+Every matrix is read-only from its own construction: both constructors
+freeze the entries they keep.
 Rank and nullspace are over Q, read off one fraction-free Gauss-Jordan
 elimination on objects (Bareiss, Math. Comp. 22, 1968).
 
@@ -51,7 +53,8 @@ class Mat:
     """Immutable exact integer matrix.
 
     ``bound`` is the largest absolute entry; ``num`` is int64 exactly when
-    ``bound`` is below 2^63.
+    ``bound`` is below 2^63, and read-only: ``Mat(num)`` makes the array it
+    keeps read-only, ``num`` itself when it needs no conversion.
     """
 
     __slots__ = ("num", "shape", "bound")
@@ -69,6 +72,7 @@ class Mat:
             num = num if num.dtype == object else _to_object_int(num)
         elif num.dtype != np.int64:
             num = num.astype(np.int64)
+        num.setflags(write=False)
         self.num = num
         self.shape = num.shape
         self.bound = bound
@@ -76,8 +80,9 @@ class Mat:
     @classmethod
     def _of(cls, num, bound):
         """Matrix of entries that a caller has checked: ``bound`` is their
-        largest absolute value and ``num`` is int64 exactly when it is
-        below 2^63, so nothing is scanned or converted."""
+        largest absolute value and ``num``, which is made read-only, is int64
+        exactly when it is below 2^63, so nothing is scanned or converted."""
+        num.setflags(write=False)
         m = object.__new__(cls)
         m.num = num
         m.shape = num.shape

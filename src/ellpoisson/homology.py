@@ -17,8 +17,9 @@ Cone(ad)[-1] = C . C^0, with the degree-0 change of basis [[1, 0], [1, -1]],
 is verified exactly, identity by identity, on Kronecker pairs A (x) X,
 with X named by its degree (:func:`cone_iso_check`); an
 invertible chain map between the two complexes is an isomorphism, so their
-homology agrees without a rank.  A constructed complex is read-only and
-has proved d^2 = 0, so no check multiplies its differentials again.  Each
+homology agrees without a rank.  A constructed complex is read-only, its
+differentials too, since every Mat freezes its own entries, and it has
+proved d^2 = 0, so no check multiplies its differentials again.  Each
 differential of the endomorphism complex is one array into which every
 Kronecker block I (x) phi or phi^T (x) I is written in place, and d^2 = 0
 is proved on those factors, so the only products are of E's size and of a
@@ -80,9 +81,9 @@ class VSComplex:
     ``dims`` maps degree to dimension; ``diffs[i]`` is the matrix of the
     map from degree i to degree i+1 (shape dims[i+1] x dims[i]), a Mat or
     rows of ints; missing differentials are zero.  Construction verifies
-    that consecutive differentials compose to zero exactly, and leaves
-    both mappings and the entries of every differential read-only, so
-    d^2 = 0 holds for every constructed complex.
+    that consecutive differentials compose to zero exactly and leaves
+    both mappings read-only; a Mat's entries are read-only from its own
+    construction, so d^2 = 0 holds for every constructed complex.
     """
 
     dims: Mapping
@@ -96,7 +97,6 @@ class VSComplex:
             shape = (dims.get(i + 1, 0), dims.get(i, 0))
             m = _as_mat(d, shape)
             if not m.is_zero():
-                m.num.setflags(write=False)
                 diffs[i] = m
         object.__setattr__(self, "dims", MappingProxyType(dims))
         object.__setattr__(self, "diffs", MappingProxyType(diffs))
@@ -210,9 +210,9 @@ def _layout(dims, seed, k) -> _Layout:
     columns = np.split(f.reshape(k, -1)[:, at].T, cut)[:-1]
     return _Layout(
         deg_min, deg_max, MappingProxyType(blocks), size,
-        MappingProxyType(start), Mat(_read_only(np.hstack(f))),
-        Mat(_read_only(np.vstack(f * eps[:, None] * eps))),
-        tuple(Mat(_read_only(v)) for v in columns), _read_only(cut),
+        MappingProxyType(start), Mat(np.hstack(f)),
+        Mat(np.vstack(f * eps[:, None] * eps)),
+        tuple(Mat(v) for v in columns), _read_only(cut),
         _read_only(left_at), _read_only(right_at), MappingProxyType(pairing))
 
 

@@ -36,13 +36,14 @@ CANONICAL_TOL = 1e-8
 
 class QuadraticBracket:
     """A quadratic bracket held as its row table ``rows`` = R (module
-    docstring), whose zero row 0 and R[d, r] = R[d, d-r] are checked
-    exactly.  The monomial x_{i+r} x_{i+d-r} of {x_i, x_{i+d}} has the
-    coefficient 2 R[d, r], or R[d, r] on the squares 2r = d mod n (one r
-    for odd n, two or none for even n); ``weights`` holds that factor for
-    every entry, and is the read-only table every bracket of order n
-    shares (:func:`_layout`).  Omitting ``rows`` gives the zero bracket.
-    Only exact zeros are absent terms.
+    docstring), a read-only copy of the table it is given, whose zero row
+    0 and R[d, r] = R[d, d-r] are checked exactly.  The monomial
+    x_{i+r} x_{i+d-r} of {x_i, x_{i+d}} has the coefficient 2 R[d, r], or
+    R[d, r] on the squares 2r = d mod n (one r for odd n, two or none for
+    even n); ``weights`` holds that factor for every entry, and is the
+    read-only table every bracket of order n shares (:func:`_layout`).
+    Omitting ``rows`` gives the zero bracket.  Only exact zeros are absent
+    terms.
     """
 
     __slots__ = ("n", "rows", "weights")
@@ -50,7 +51,7 @@ class QuadraticBracket:
     def __init__(self, n, rows=None):
         shape = (n, n)
         r = (np.zeros(shape, dtype=complex) if rows is None
-             else np.asarray(rows, dtype=complex))
+             else np.array(rows, dtype=complex))
         if r.shape != shape:
             raise ValueError(f"row table must have shape {shape}")
         layout = _layout(n)
@@ -58,6 +59,7 @@ class QuadraticBracket:
                 or not np.array_equal(r, r.take(layout.mirror))):
             raise ValueError("row table must be zero on row 0 and equal at "
                              "r and d-r")
+        r.setflags(write=False)
         self.n = n
         self.rows = r
         self.weights = layout.weights

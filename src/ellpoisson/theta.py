@@ -40,7 +40,7 @@ its constants at 0; every other value, the residue circle of ``cech``
 among them, is read off ``theta_alpha_jet``, in the chunks of ``chunks``.
 Evaluators accept scalars or numpy arrays of points and are pure functions
 of their arguments; a constructed :class:`ThetaBasis` rebinds no attribute,
-and its arrays are read-only where the lattice cache of ``cli`` shares it.
+and its arrays are read-only from its own construction.
 A point where the value may leave double-precision range (large |Im z| /
 Im tau) raises :class:`ThetaRangeError` before anything is evaluated.  Every disc
 is sampled on the ``CIRCLE_POINTS`` trapezoid nodes of ``circle_nodes`` at
@@ -321,15 +321,15 @@ class ThetaBasis:
     at n*tau.  Its constants come from one pass of the kernel, one
     ``_series_terms`` call on a (2, n) grid of (point, alpha) pairs: z = 0
     for every alpha, then z = k/n for alpha = 0.
-    ``theta_at_zero`` and ``dtheta_at_zero`` hold theta_alpha(0) and
-    theta_alpha'(0); theta_0(0) is an exact zero (the series terms cancel
-    in pairs), so it is stored as 0.  A lattice where n Im(tau) is not
-    finite, or whose truncation exceeds ``MAX_SERIES_TERMS``, is
-    refused before any series is summed; one whose values at 0 are lost in
-    rounding is refused by the a priori bound ``rounding_bound``, read off
-    the terms at 0 before any multiplier or exponential factor is applied.
-    A basis compares and hashes by identity, so it can key the objects
-    built from it.
+    ``theta_at_zero`` and ``dtheta_at_zero``, read-only, hold
+    theta_alpha(0) and theta_alpha'(0); theta_0(0) is an exact zero (the
+    series terms cancel in pairs), so it is stored as 0.  A lattice where
+    n Im(tau) is not finite, or whose truncation exceeds
+    ``MAX_SERIES_TERMS``, is refused before any series is summed; one
+    whose values at 0 are lost in rounding is refused by the a priori bound
+    ``rounding_bound``, read off the terms at 0 before any multiplier or
+    exponential factor is applied.  A basis compares and hashes by
+    identity, so it can key the objects built from it.
     """
 
     params: CurveParams
@@ -372,8 +372,9 @@ class ThetaBasis:
         jet = _basis_jet(self, z, a, z0, b, sums)
         vals, ders = jet[:, 0]
         vals[0] = 0.0
-        object.__setattr__(self, "theta_at_zero", vals)
-        object.__setattr__(self, "dtheta_at_zero", ders)
+        for name, table in (("theta_at_zero", vals), ("dtheta_at_zero", ders)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
         self._check_tables(jet[1, 1])
 
     def _check_tables(self, d0):

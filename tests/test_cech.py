@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 import ellpoisson.theta as theta
-from ellpoisson.cech import (
-    ResidueSystem,
-    laurent_coeffs,
-    psi_local_constant,
-)
+from ellpoisson.cech import ResidueSystem, laurent_coeffs
 from ellpoisson.cli import _sample_chart_points
 from ellpoisson.errors import (ContourError, DegenerateTauError,
                                EllPoissonError, ThetaRangeError)
@@ -109,7 +105,8 @@ class TestTables:
 
     def test_tables_match_callable_residues(self):
         # T3 entries by laurent_coeffs on closures, a route sharing no
-        # samples with the tables
+        # samples with the tables: psi_g = theta'_0(0) / theta_g(k/n) on
+        # disc k, from a direct theta value
         b = basis(3, 0.3 + 0.8j)
         s = ResidueSystem(b)
         for a in range(3):
@@ -118,7 +115,8 @@ class TestTables:
                 total = 0j
                 for k in range(3):
                     psi = ((lambda z, k=k: 1.0 / (z - k / 3)) if g == 0 else
-                           (lambda z, v=psi_local_constant(b, g, k): v))
+                           (lambda z, v=b.dtheta_at_zero[0]
+                            / theta_alpha_eval(b, g, k / 3): v))
                     total += laurent_coeffs(
                         lambda z: phi(b, a)(z) * phi(b, c)(z) * psi(z),
                         k / 3, (-1, -1), 3)[0]
@@ -243,8 +241,8 @@ class TestTables:
         vals = b.theta_at_zero.copy()
         vals[1] = 0.0
         object.__setattr__(b, "theta_at_zero", vals)
-        with pytest.raises(DegenerateTauError):
-            psi_local_constant(b, 1, 0)
+        with pytest.raises(DegenerateTauError, match=r"theta_1\(0\) = 0"):
+            ResidueSystem(b)
 
 
 class TestTrace:
@@ -258,11 +256,12 @@ class TestTrace:
 
     def test_psi_constants_match_direct_values(self):
         # the per-disc constants agree with theta'_0(0)/theta_alpha(k/n)
-        b = basis(5)
+        s = system(5)
+        b = s.basis
         for alpha in range(1, 5):
             for k in range(5):
                 direct = b.dtheta_at_zero[0] / theta_alpha_eval(b, alpha, k / 5)
-                assert abs(psi_local_constant(b, alpha, k) - direct) < 1e-10
+                assert abs(s.psi[alpha, k, 0] - direct) < 1e-10
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])

@@ -1184,6 +1184,13 @@ def shared_basis(n=5):
     return cli._shared(cli.ThetaBasis, CurveParams(1j, n))
 
 
+def array_attributes(obj):
+    """The ndarray attributes of ``obj``, by name."""
+    names = getattr(obj, "__slots__", None) or vars(obj)
+    return {name: getattr(obj, name) for name in names
+            if isinstance(getattr(obj, name), np.ndarray)}
+
+
 class TestLatticeMemo:
     """The jobs of one process share each lattice's basis, residue system
     and Sklyanin bracket; the checks still run on every job."""
@@ -1437,30 +1444,41 @@ class TestLatticeMemo:
         assert shared_basis() is basis
         assert cli._shared(cli.ResidueSystem, basis) is system
         assert cli._shared(cli.sklyanin_bracket, basis, 1) is bracket
-        # the per-system tables of the residue routes are frozen with it
-        tables = ("i", "j", "ij", "ir", "jr", "mr", "f_jr", "t3_ri", "f_ir",
-                  "t3_rj", "td_ij", "f_mr", "below")
-        for name in tables:
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(system, name).flat[0] = 0
         for obj in (basis, system, bracket):
-            names = getattr(obj, "__slots__", None) or vars(obj)
-            arrays = [getattr(obj, name) for name in names
-                      if isinstance(getattr(obj, name), np.ndarray)]
+            arrays = array_attributes(obj).values()
             assert arrays
             for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     array[(0,) * array.ndim] = 1.0
 
-    def test_objects_built_outside_the_memo_stay_writable(self):
-        import ellpoisson.cli as cli
+    def test_objects_built_outside_the_memo_are_read_only(self):
+        from ellpoisson.cech import ResidueSystem
+        from ellpoisson.exact import Mat
+        from ellpoisson.fo import semiclassical_from_relations
+        from ellpoisson.homology import hom_complex
         from ellpoisson.poisson import QuadraticBracket
-        from ellpoisson.theta import CurveParams, ThetaBasis
 
-        shared = cli._shared(cli.sklyanin_bracket, shared_basis(), 1)
-        g = shared.rows.copy()
-        own = QuadraticBracket(5, g)
-        assert own.rows is g and g.flags.writeable
         basis = ThetaBasis(CurveParams(1j, 5))
         assert basis is not shared_basis()
-        assert basis.theta_at_zero.flags.writeable
+        system = ResidueSystem(basis)
+        bracket = sklyanin_bracket(basis, 2)
+        mat = Mat(np.arange(6).reshape(2, 3))
+        objects = [basis, system, bracket,
+                   semiclassical_from_relations(basis, 1)[0],
+                   mat, Mat.zeros(2, 2), mat @ mat.T, mat.T,
+                   Mat.from_rows([[2 ** 70]]),
+                   hom_complex(random_kronecker_complex(1, 2, 0)).diff(0)]
+        for obj in objects:
+            arrays = array_attributes(obj)
+            assert arrays, obj
+            for array in arrays.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 0
+        # the per-system tables of the residue routes are frozen with it
+        assert {"i", "j", "ij", "ir", "jr", "mr", "f_jr", "t3_ri", "f_ir",
+                "t3_rj", "td_ij", "f_mr"} <= set(array_attributes(system))
+        # a bracket keeps a copy of its rows and leaves the caller's
+        g = bracket.rows.copy()
+        own = QuadraticBracket(5, g)
+        assert own.rows is not g and g.flags.writeable
+        assert np.array_equal(own.rows, g)
