@@ -12,21 +12,16 @@ The principal-part projection P_+ has closed theta-quotient forms on the
 products psi_alpha phi_beta.  One expansion of P_+(psi_t phi) in those
 forms (:meth:`ResidueSystem.projection_coeffs`), which the tests certify
 pair by pair against the samples, is the one the trace-pairing route to
-{t_i, t_j} and the image class pi_t run; the fully expanded coefficient
-route is cross-checked against the trace-pairing route.  Both routes take
-a stack of chart points on leading axes and return the grid of {t_i, t_j}
-over the chart indices 1..n-1, so :meth:`ResidueSystem.bracket_matrix` is
-one evaluation per chunk of points:
-the trace route projects all n cotangent vectors phi_i - t_i phi_0 of
-every point with one matrix product per point, and forms each product of
-a cocycle and a sample table once: the pairing of (i, j) subtracts the
-product of (j, i).  A stacked matrix equals the matrix of its point alone
-bit for bit, because every sum runs over a C-contiguous last axis and
-psi_t stays one vector-matrix product per point.  What depends only on the
-system, the index tables of the routes and the constants they gather from
-F and the trace tables, is built once with it, so a call gathers only
-from its points.  Every array of a system is read-only from its
-construction.
+{t_i, t_j} and the image class pi_t run.  The fully expanded route,
+cross-checked against it, is :func:`poisson.chart_rule`, the function
+that descends a quadratic bracket to the chart, on a coefficient table
+that the system builds from F and the trace tables.  Both routes take a
+stack of chart points and return the grid of {t_i, t_j} over the chart
+indices 1..n-1, each stacked grid bit for bit the grid of its point
+alone; the trace route projects all n cotangent vectors phi_i - t_i phi_0
+of a point with one matrix product and forms each product of a cocycle
+and a sample table once.  What depends only on the system is built once
+with it, read-only.
 
 Every residue is a trace over the same n circles around the points of D,
 so :class:`ResidueSystem` holds phi_alpha, phi_alpha' and psi_alpha on
@@ -47,7 +42,7 @@ import numpy as np
 
 from .errors import ContourError, DegenerateTauError
 from .fo import f_constants
-from .poisson import chart_point, map_stack
+from .poisson import chart_point, chart_rule, map_stack
 # theta_alpha_deriv and theta_alpha_eval are not called here; they stay
 # bound because perfbench/spans.py wraps ellpoisson.cech.theta_alpha_deriv
 # and ellpoisson.cech.theta_alpha_eval on every traced run
@@ -104,16 +99,20 @@ class ResidueSystem:
 
     are the only quadrature inputs the fully expanded bracket needs.
 
-    What the routes gather from the system alone is built here once, in
-    the shapes the routes broadcast it to.  With the chart indices
-    i, j, r = 1..n-1 (``i`` a column, ``j`` a row), the index tables are
-    ``ij`` = i + j, ``ir`` = i + r and ``jr`` = j - r, and ``mr``[m, r] =
-    m - r for m, r = 0..n-1, all mod n.  The gathered constants are
-    ``f_jr`` = F(jr, r), ``t3_ri`` = T3[r, i], ``f_ir`` = F(ir, -r),
-    ``t3_rj`` = T3[-r, j], ``td_ij`` = TD[i, j] - TD[j, i],
-    ``f_mr``[m, r] = F(r, m - r); F is symmetric to the bit, so
-    ``projection_coeffs`` reads F(c - e, e) at [c, e] off it too.  At
-    n = 63 they add 0.50 MB to the 6.3 MB of the sample and trace tables.
+    The closed route is :func:`poisson.chart_rule` of the coefficient
+    table ``g``, G[i, j, k] the coefficient of x_k x_{i+j-k} in
+    {x_i, x_j}: G[0, j, k] = F(k, j-k) for k != j, G[i, 0] = -G[0, i],
+    and for i, j >= 1 (all indices mod n)
+
+        G[i, j, k] = F(j-r, r) T3[r, i] - F(k, -r) T3[-r, j]  (r = k-i != 0)
+                     + (TD[i, j] - TD[j, i])  at k = i+j,
+
+    built in chunks of first indices (:func:`theta.chunks`).  The trace
+    route reads the chart indices 1..n-1 as ``i`` (a column) and ``j`` (a
+    row), ``mr``[m, r] = m - r mod n and ``f_mr``[m, r] = F(r, m - r); F
+    is symmetric to the bit, so ``projection_coeffs`` reads F(c - e, e)
+    at [c, e] off it too.  At n = 63, g takes 4.0 MB of the 10.4 MB a
+    system keeps.
     A basis with some theta_alpha(0) = 0, alpha != 0, has no psi_alpha and
     is refused with a :class:`DegenerateTauError`.
     """
@@ -158,16 +157,24 @@ class ResidueSystem:
             self.td[a] = self.tr(self.dphi[a, None] * self.phi * psi_sum)
         # the route tables of the class docstring
         f, t3, td = self.f, self.t3, self.td
-        r = np.arange(1, n)
-        self.i, self.j = r[:, None], r[None, :]
-        self.ij = (self.i + self.j) % n
-        self.ir = (self.i[..., None] + r) % n
-        self.jr = (self.j[..., None] - r) % n
-        self.f_jr, self.t3_ri = f[self.jr, r], t3[r, self.i[..., None]]
-        self.f_ir, self.t3_rj = f[self.ir, -r], t3[-r, self.j[..., None]]
-        self.td_ij = -td[self.j, self.i] + td[self.i, self.j]
+        self.i, self.j = k[1:, None], k[None, 1:]
         self.mr = (k[:, None] - k) % n
         self.f_mr = f[k, self.mr]
+        # g by the rule of i, j >= 1, n^2 entries a first index i; row and
+        # column 0 are set after the loop
+        self.g = np.empty((n, n, n), dtype=complex)
+        j = k[:, None]
+        for a in chunks(n, n * n):
+            i = k[a, None, None]
+            r = (k - i) % n
+            g = f[(j - r) % n, r] * t3[r, i] - f[k, -r % n] * t3[-r % n, j]
+            rows = np.arange(len(g))
+            g[rows, :, k[a]] = 0.0  # r = 0
+            g[rows[:, None], k, (k[a, None] + k) % n] += td[a] - td[:, a].T
+            self.g[a] = g
+        # G[0, j, k] = F(k, j-k) = f_mr[j, k] off k = j
+        self.g[0] = np.where(self.mr, self.f_mr, 0.0)
+        self.g[1:, 0] = -self.g[0, 1:]
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -202,22 +209,9 @@ class ResidueSystem:
     #   stacked matrix product rounds differently.
 
     def closed_form_entry(self, t):
-        """Fully expanded coefficient formula (trace tables plus F), at a
-        point t (n,) or a stack (..., n); its sums run over C-contiguous
-        last axes."""
-        n = self.basis.n
-        t = np.asarray(t, dtype=complex)
-        i, j = self.i, self.j
-        words = t.take(self.ir, axis=-1) * t.take(self.jr, axis=-1)
-        term1 = (words * self.f_jr * self.t3_ri).sum(axis=-1)
-        term2 = (words * self.f_ir * self.t3_rj).sum(axis=-1)
-        # conv[..., m] = sum over r != m of t_r t_{m-r} F(r, m-r)
-        terms = t[..., None, :] * t.take(self.mr, axis=-1) * self.f_mr
-        terms.reshape(-1, n * n)[:, ::n + 1] = 0.0  # r = m
-        conv = terms.sum(axis=-1)
-        return (term1 - term2 - t.take(i, axis=-1) * conv.take(j, axis=-1)
-                + t.take(j, axis=-1) * conv.take(i, axis=-1)
-                + t.take(self.ij, axis=-1) * self.td_ij)
+        """The fully expanded coefficient formula: :func:`poisson.chart_rule`
+        of the table ``g`` (class docstring) at a point t or a stack."""
+        return chart_rule(self.g, t)[..., 1:, 1:]
 
     def projection_coeffs(self, t, a) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates of P_+(psi_t phi) for phi = sum_c a_c phi_c with
@@ -266,28 +260,24 @@ class ResidueSystem:
 
         A stack of points t (..., n) gives a stack of matrices (..., n, n),
         each bit for bit the matrix of its point alone, and a row off the
-        chart raises :func:`poisson.chart_point`'s ValueError.
-        :func:`poisson.map_stack` cuts the stack into chunks by the largest
-        temporary of the route: (n-1)^3 entries a point for the closed
-        form, (n-1)^2 n ``points`` for the trace form.
+        chart raises :func:`poisson.chart_point`'s ValueError.  A route
+        runs in chunks of whole points (:func:`poisson.map_stack`), cut by
+        its largest temporary: n^3 entries a point for the closed form,
+        (n-1)^2 n ``points`` for the trace form.
         """
         n = self.basis.n
         t = chart_point(n, t)
-        # the entries of a route's largest temporary, per point
         if method == "closed_form":
-            entry, size = self.closed_form_entry, (n - 1) ** 3
+            grid = self.closed_form_entry(t)
         elif method == "trace_form":
-            entry, size = self.trace_form_entry, (n - 1) ** 2 * n * self.points
+            grid = map_stack(self.trace_form_entry, t,
+                             (n - 1) ** 2 * n * self.points)
         else:
             raise ValueError(f"unknown method {method!r}")
-
-        def route(t):
-            upper = np.triu(entry(t), 1)
-            out = np.zeros(t.shape + (n,), dtype=complex)
-            out[:, 1:, 1:] = upper - upper.transpose(0, 2, 1)
-            return out
-
-        return map_stack(route, t, size)
+        upper = np.triu(grid, 1)
+        out = np.zeros(t.shape + (n,), dtype=complex)
+        out[..., 1:, 1:] = upper - upper.swapaxes(-1, -2)
+        return out
 
     def pi_t_class(self, t, phi_coeffs) -> np.ndarray:
         """Coordinates of the image class of a cotangent vector.

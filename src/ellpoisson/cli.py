@@ -44,7 +44,7 @@ from .errors import EllPoissonError, UsageError
 # single_eta_bracket and QuadraticBracket are not called here; they stay
 # bound because perfbench/spans.py wraps ellpoisson.cli.single_eta_bracket
 # and ellpoisson.cli.QuadraticBracket on every run
-from .fo import f_constants, sklyanin_bracket, \
+from .fo import f_constants, pole_distance, sklyanin_bracket, \
     semiclassical_from_relations, single_eta_bracket
 from .homology import cone_iso_check, hom_complex, pi_bivector, \
     random_kronecker_complex
@@ -56,7 +56,6 @@ from .theta import (
     CIRCLE_POINTS,
     CurveParams,
     ThetaBasis,
-    shortest_period,
     theta_alpha_deriv,
     theta_alpha_eval,
     verify_automorphy,
@@ -200,9 +199,9 @@ def _sample_chart_points(n, count, seed):
 # read-only from their own construction.  One round of the moduli workload
 # reads 27 objects, one bracket round 66 (27 bases and 39 brackets); at 64
 # entries a bracket round rebuilds 35.  So it retains at most 128 objects
-# of any kind: at n = 63 a system takes about 6.8 MB (0.50 MB of it the
-# tables of its routes) and a bracket 64 KB.  No known caller keeps more
-# than 66.
+# of any kind: at n = 63 a system takes about 10.4 MB (4.0 MB of it the
+# coefficient table of its closed route) and a bracket 64 KB.  No known
+# caller keeps more than 66.
 @functools.lru_cache(maxsize=128)
 def _shared(build, *args):
     return build(*args)
@@ -285,9 +284,9 @@ def cmd_sklyanin(cfg: RunConfig):
                              BRACKET_TOL))
         tables["f_table"] = [[a, b, float(f[a, b].real), float(f[a, b].imag)]
                              for a in range(cfg.n) for b in range(cfg.n)]
-    # d/10, d/100, d/1000; d is the distance to the nearest pole, as in
-    # the eta -> 0 circle mean, whose circle has radius d/4
-    d = shortest_period(1, basis.params.tau) / cfg.n
+    # d/10, d/100, d/1000; d is the distance to the nearest pole, read
+    # as the eta -> 0 circle mean reads it, whose circle has radius d/4
+    d = pole_distance(basis)
     etas = [d / 10 ** m for m in (1, 2, 3)]
     est, single_tables = semiclassical_from_relations(basis, cfg.k, etas)
     deviation = est.max_difference(bracket) / bracket.max_abs()

@@ -170,23 +170,27 @@ def single_eta_bracket(basis: ThetaBasis, k: int, eta: complex) -> np.ndarray:
     return pair_tensor(_first_order(rel, eta))
 
 
+def pole_distance(basis: ThetaBasis) -> float:
+    """Distance from 0 to the nearest nonzero point of (1/n)(Z + Z*tau)."""
+    return shortest_period(1, basis.params.tau) / basis.n
+
+
 def semiclassical_from_relations(basis: ThetaBasis, k: int, etas=()):
     """The eta -> 0 limit of :func:`single_eta_bracket`, as a circle mean,
     and the single-eta tables at ``etas``, from one relation evaluation.
 
     The single-eta estimate g(eta) is analytic on a disc around 0 after
     division by the diagonal relation coefficient, so g(0) is the mean of g
-    over a circle in that disc, sampled on ``circle_nodes(d)``.  Its poles
-    are the zeros of theta_a(+-eta), the nonzero points of
-    (1/n)(Z + Z*tau), so d is the shortest period of Z + Z*tau over n.
-    Node p + P/2 is -eta_p, so theta is evaluated on half the circle, and
-    at ``etas`` in the same call.  Returns the mean as a
-    :class:`QuadraticBracket` and the row tables of
+    over a circle in that disc, sampled on ``circle_nodes(d)``, d the
+    distance to its nearest pole, a zero of theta_a(+-eta)
+    (:func:`pole_distance`).  Node p + P/2 is -eta_p, so theta is
+    evaluated on half the circle, and at ``etas`` in the same call.
+    Returns the mean as a :class:`QuadraticBracket` and the row tables of
     :func:`single_eta_bracket` at ``etas``, stacked on a leading axis.
     This path shares no formulas with :func:`sklyanin_bracket` beyond the
     relation tensor itself and is the numerical oracle for the closed form.
     """
-    d = shortest_period(1, basis.params.tau) / basis.n
+    d = pole_distance(basis)
     half = circle_nodes(d)[:CIRCLE_POINTS // 2]
     extra = np.asarray(etas, dtype=complex)
     h, m = len(half), len(half) + len(extra)

@@ -11,13 +11,14 @@ C(alpha, beta) = R[alpha+beta, alpha] with
     {x_i, x_j} = sum_r C(r, j-i-r) x_{i+r} x_{j-r},
     C(beta, alpha) = C(alpha, beta) = -C(-alpha, -beta).
 
-Jacobi certification and the chart rule {t_i, t_j} = {x_i, x_j}
-- t_i {x_0, x_j} - t_j {x_i, x_0} at x = t, on the chart t_i = x_i / x_0
-of projective space, read the coefficient table G[i, j, k] of x_k x_{i+j-k}
-in {x_i, x_j}, G[i, j, k] = sign(j-i) R[|j-i|, k-min(i, j)], which each
-call forms once (:func:`_coefficients`).  Every index table depends on n
-alone, so it is built once per n, read-only, and shared by every bracket
-of that order (:func:`_layout`, :func:`_jacobi_layout`).
+Jacobi certification and :func:`projective_matrix` read the coefficient
+table G[i, j, k] of x_k x_{i+j-k} in {x_i, x_j}, G[i, j, k] = sign(j-i)
+R[|j-i|, k-min(i, j)], which each call forms once (:func:`_coefficients`);
+:func:`chart_rule` descends any such table, a bracket's or the one of the
+closed residue route of ``cech``, to the chart t_i = x_i / x_0.  Every
+index table depends on n alone, so it is built once per n, read-only, and
+shared by every bracket of that order (:func:`_layout`,
+:func:`_jacobi_layout`).
 """
 
 from __future__ import annotations
@@ -113,8 +114,9 @@ class _Layout:
     holds the flat offset of [d, d-r] at [d, r] and ``weights`` the
     monomial factor of :class:`QuadraticBracket`; :func:`_coefficients`
     forms G from the flat offset ``offset`` of R[|j-i|, k-min(i, j)] and
-    ``sign`` = sign(j - i) at [i, j], and ``third`` holds i+j-k mod n (the
-    chart words of :func:`projective_matrix`).  4.1 MB at n = 63.
+    ``sign`` = sign(j - i) at [i, j], and ``third`` holds i+j-k mod n, the
+    index of the second factor of the chart words t_k t_{i+j-k} of
+    :func:`chart_rule`.  4.1 MB at n = 63.
     """
 
     __slots__ = ("mirror", "weights", "offset", "sign", "third")
@@ -295,27 +297,31 @@ def map_stack(route, t, entries: int) -> np.ndarray:
     return out.reshape(t.shape[:-1] + out.shape[1:])
 
 
-def projective_matrix(b: QuadraticBracket, t) -> np.ndarray:
-    """All {t_i, t_j} on the chart x_0 = 1 as an n x n array whose row and
-    column 0 are zero, by the chart rule
+def chart_rule(g, t) -> np.ndarray:
+    """All {t_i, t_j} on the chart x_0 = 1, as an n x n array, of the
+    bracket with the coefficient table g (module docstring), by the rule
 
         {t_i, t_j} = {x_i, x_j} - t_i {x_0, x_j} - t_j {x_i, x_0}  at x = t.
 
     A stack of points t (..., n) gives a stack of matrices (..., n, n),
     each bit for bit the matrix of its point alone (:func:`map_stack`).
     """
-    n = b.n
-    g = _coefficients(b)
+    n = len(g)
     # words[..., i, j, k] = t_k t_l, l = i+j-k: the monomials of {x_i, x_j}
     pairs = _layout(n).third
 
     def route(t):
         # take keeps the stack axis outermost in memory, so the sum runs
         # over a contiguous last axis, in the order it takes for one point,
-        # and both products reuse its array: one temporary beside G
+        # and both products reuse its array: one temporary beside g
         words = t.take(pairs, axis=-1)
         np.multiply(t[:, None, None, :], words, out=words)
         x = np.multiply(g, words, out=words).sum(axis=-1)
         return x - t[:, :, None] * x[:, :1, :] - t[:, None, :] * x[:, :, :1]
 
     return map_stack(route, chart_point(n, t), n ** 3)
+
+
+def projective_matrix(b: QuadraticBracket, t) -> np.ndarray:
+    """:func:`chart_rule` of ``b``; row and column 0 are zero."""
+    return chart_rule(_coefficients(b), t)

@@ -50,8 +50,14 @@ tests need: an exact entry as a Python int, and the duality pairing of a
 :func:`verify_p_plus_zero_sum` and :func:`verify_trace_identity` check the
 closed forms of a ``ResidueSystem`` against its sample tables, with
 :func:`ratio_dtheta` reading a basis' logarithmic derivatives at 0.
+:func:`closed_form_grid` is the fully expanded closed residue route as it
+was written before it read a coefficient table, term1 - term2
+- t_i conv_j + t_j conv_i + t_{i+j} (TD[i, j] - TD[j, i]), and
+:func:`closed_route_table` fills that coefficient table entry by entry in
+Python loops; both read only F, T3 and TD of a ``ResidueSystem``.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -676,6 +682,64 @@ def verify_trace_identity(system, i: int, j: int) -> float:
     rhs = (ratio_dtheta(basis, i) + ratio_dtheta(basis, j - i)
            - 2j * math.pi * n)
     return float(abs(lhs - rhs))
+
+
+def closed_form_grid(system, t) -> np.ndarray:
+    """The grid of {t_i, t_j}, i, j = 1..n-1, of the closed residue route
+    at a chart point t (n,) or a stack (..., n), by its fully expanded
+    formula
+
+        term1 - term2 - t_i conv_j + t_j conv_i
+        + t_{i+j} (TD[i, j] - TD[j, i]),
+
+    term1 = sum_r t_{i+r} t_{j-r} F(j-r, r) T3[r, i],
+    term2 = sum_r t_{i+r} t_{j-r} F(i+r, -r) T3[-r, j] (r = 1..n-1) and
+    conv_m = sum_{r != m} t_r t_{m-r} F(r, m-r), reading only ``f``,
+    ``t3`` and ``td`` of ``system``."""
+    f, t3, td = system.f, system.t3, system.td
+    n = len(f)
+    t = np.asarray(t, dtype=complex)
+    k, r = np.arange(n), np.arange(1, n)
+    i, j = r[:, None], r[None, :]
+    ir, jr = (i[..., None] + r) % n, (j[..., None] - r) % n
+    mr = (k[:, None] - k) % n
+    words = t.take(ir, axis=-1) * t.take(jr, axis=-1)
+    term1 = (words * f[jr, r] * t3[r, i[..., None]]).sum(axis=-1)
+    term2 = (words * f[ir, -r] * t3[-r, j[..., None]]).sum(axis=-1)
+    terms = t[..., None, :] * t.take(mr, axis=-1) * f[k, mr]
+    terms[..., k, k] = 0.0  # r = m
+    conv = terms.sum(axis=-1)
+    return (term1 - term2 - t.take(i, axis=-1) * conv.take(j, axis=-1)
+            + t.take(j, axis=-1) * conv.take(i, axis=-1)
+            + t.take((i + j) % n, axis=-1) * (td[i, j] - td[j, i]))
+
+
+def closed_route_table(system) -> np.ndarray:
+    """The coefficient table G[i, j, k] of x_k x_{i+j-k} in {x_i, x_j}
+    that the closed residue route descends to the chart, one entry at a
+    time: G[0, j, k] = F(k, j-k) for k != j, G[i, 0] = -G[0, i], and for
+    i, j >= 1 with r = k - i, F(j-r, r) T3[r, i] - F(k, -r) T3[-r, j] for
+    r != 0, plus TD[i, j] - TD[j, i] at k = i + j (indices mod n)."""
+    f, t3, td = system.f.tolist(), system.t3.tolist(), system.td.tolist()
+    n = len(f)
+    g = np.zeros((n, n, n), dtype=complex)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        value = 0j
+        if i == 0:
+            if k != j:
+                value = f[k][(j - k) % n]
+        elif j == 0:
+            if k != i:
+                value = -f[k][(i - k) % n]
+        else:
+            r = (k - i) % n
+            if r:
+                value = (f[(j - r) % n][r] * t3[r][i]
+                         - f[k][-r % n] * t3[-r % n][j])
+            if k == (i + j) % n:
+                value += td[i][j] - td[j][i]
+        g[i, j, k] = value
+    return g
 
 
 def dense_hom_differential(H, d: int) -> Mat:

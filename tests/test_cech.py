@@ -13,7 +13,7 @@ from ellpoisson.cli import _sample_chart_points
 from ellpoisson.errors import (ContourError, DegenerateTauError,
                                EllPoissonError, ThetaRangeError)
 from ellpoisson.fo import sklyanin_bracket
-from ellpoisson.poisson import projective_matrix
+from ellpoisson.poisson import chart_rule, projective_matrix
 from ellpoisson.theta import (
     CIRCLE_POINTS,
     CurveParams,
@@ -23,9 +23,9 @@ from ellpoisson.theta import (
     theta_alpha_eval,
 )
 
-from oracles import phi, phi_psi_pairing, three_sum_basis, \
-    three_sum_tables, verify_p_plus, verify_p_plus_zero_sum, \
-    verify_trace_identity
+from oracles import closed_form_grid, closed_route_table, phi, \
+    phi_psi_pairing, three_sum_basis, three_sum_tables, verify_p_plus, \
+    verify_p_plus_zero_sum, verify_trace_identity
 
 
 def basis(n, tau=1j):
@@ -186,14 +186,15 @@ class TestTables:
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
     def test_trace_tables_do_not_depend_on_the_budget(self, n, tau,
                                                       monkeypatch):
-        # T3 and TD run in chunks of first indices: one index a chunk, the
-        # default and every index at once give the same bytes
+        # T3, TD and the closed route's table g run in chunks of first
+        # indices: one index a chunk, the default and every index at once
+        # give the same bytes
         b = basis(n, tau)
         tables = {}
         for budget in (1, 2 ** 13, 2 ** 40):
             monkeypatch.setattr(theta, "CHUNK_ENTRIES", budget)
             s = ResidueSystem(b)
-            tables[budget] = s.t3.tobytes() + s.td.tobytes()
+            tables[budget] = s.t3.tobytes() + s.td.tobytes() + s.g.tobytes()
         assert len(set(tables.values())) == 1
 
     @pytest.mark.parametrize("budget, chunked", [(None, True),
@@ -457,6 +458,44 @@ class TestModuliBracket:
         assert np.max(np.abs(m1 - m2)) < 1e-10
 
 
+
+class TestClosedRoute:
+    """The closed route is the chart rule of the system's coefficient
+    table ``g``; the expanded formula it replaced and a loop over the
+    entries of ``g`` are its oracles, both reading only F, T3 and TD."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.5j])
+    def test_grid_matches_the_expanded_formula(self, n, tau):
+        s = system(n, tau)
+        t = _sample_chart_points(n, 7, n)
+        # the 7-point stack, then each point alone
+        for points in [t, *t]:
+            ref = closed_form_grid(s, points)
+            err = np.max(np.abs(s.closed_form_entry(points) - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), (n, tau, err)
+
+    def test_expanded_formula_has_power(self):
+        # one entry of g moved by 1e-8 of the largest moves the grid past
+        # the bound
+        s = system(5, 0.3 + 0.8j)
+        t = _sample_chart_points(5, 7, 5)
+        g = s.g.copy()
+        g[1, 2, 3] += 1e-8 * np.max(np.abs(g))
+        ref = closed_form_grid(s, t)
+        err = np.max(np.abs(chart_rule(g, t)[..., 1:, 1:] - ref))
+        assert err > 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 13])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.5j])
+    def test_table_matches_the_entry_loop(self, n, tau):
+        s = system(n, tau)
+        ref = closed_route_table(s)
+        assert s.g.shape == ref.shape
+        err = np.max(np.abs(s.g - ref))
+        assert err <= 1e-15 * np.max(np.abs(ref)), (n, tau, err)
+
+
 def same_bits(stacked, points):
     return (np.array_equal(stacked, points)
             and stacked.dtype == points.dtype
@@ -589,16 +628,17 @@ def route_digest(n):
 
 
 class TestRoutePins:
-    """Digests taken while each route gathered its index and constant
-    tables per call: building them once per system may move no bit of a
-    grid.  numpy's complex product may take another loop when an operand's
-    layout changes (see ``fo._product``), so the pins also show that no
-    operand order or layout moved."""
+    """Digests taken when the closed route became the chart rule of the
+    system's coefficient table ``g``; the trace grids and the projection
+    coefficients kept the bits they had while each route gathered its
+    index and constant tables per call.  numpy's complex product may take
+    another loop when an operand's layout changes (see ``fo._product``),
+    so the pins also show that no operand order or layout moved."""
 
     DIGESTS = {
-        3: "21e390a807a8b5c5",
-        5: "c67e2e2b7a90b0a9",
-        9: "91b95ba1d8aeb642",
+        3: "36ce401ef342173a",
+        5: "3555adabb7ed7d97",
+        9: "599208626229e9a7",
     }
 
     @pytest.mark.parametrize("n", [3, 5, 9])

@@ -526,7 +526,9 @@ USAGE = ("usage: ellpoisson [-h] {theta,sklyanin,moduli-compare,leaves,"
 THETA_USAGE = "".join(HELP["theta"].splitlines(keepends=True)[:2])
 SKLYANIN_USAGE = "".join(HELP["sklyanin"].splitlines(keepends=True)[:2])
 # exit code, stdout (elapsed_ms blanked) and stderr of main at 80 columns,
-# taken while every argv still went through the top-level parser
+# taken while every argv still went through the top-level parser; the
+# residuals of the moduli-compare run were taken again when its closed
+# route became the chart rule of a coefficient table
 PARITY = {
     "": (2, "", USAGE + "ellpoisson: error: the following arguments are "
          "required: command\n"),
@@ -545,9 +547,9 @@ PARITY = {
                      "argument --k: expected one argument\n"),
     "moduli-compare --sam 2 --n 3": (0, (
         '{"checks": [{"name": "method_agreement", "pass": true, "residual": '
-        '5.773159728050814e-15, "tolerance": 1e-07}, {"name": '
+        '5.458188813492739e-15, "tolerance": 1e-07}, {"name": '
         '"matches_projective_bracket", "pass": true, "residual": '
-        '2.4932356353023623e-14, "tolerance": 1e-06}], "command": '
+        '2.649690936027635e-14, "tolerance": 1e-06}], "command": '
         '"moduli-compare", "elapsed_ms": null, "params": {"format": "json", '
         '"k": 1, "n": 3, "output_path": null, "r": 1, "samples": 2, "seed": '
         '0, "tau_im": 1.0, "tau_re": 0.0}, "tables": {"contour": {"points": '
@@ -1019,6 +1021,67 @@ class TestChartPoints:
                         assert t.tobytes() == r.tobytes(), (n, count, seed)
 
 
+def flipped_chart_rule(g, t):
+    """The chart rule with the sign of its -t_j {x_i, x_0} term flipped,
+    written out by ``np.indices``."""
+    from ellpoisson.poisson import chart_point
+    n = len(g)
+    t = chart_point(n, t)
+    i, j, k = np.indices((n,) * 3)
+    x = (g * t[..., None, None, :] * t.take((i + j - k) % n, axis=-1)
+         ).sum(axis=-1)
+    return (x - t[..., :, None] * x[..., :1, :]
+            + t[..., None, :] * x[..., :, :1])
+
+
+class TestSharedChartRule:
+    """The closed residue route and the projective bracket descend to the
+    chart through one function, ``poisson.chart_rule``; the trace route
+    shares no code with it, so it stays the independent oracle."""
+
+    ARGS = ["moduli-compare", "--n", "3", "--samples", "4", "--tau", "0.3",
+            "0.8"]
+
+    @staticmethod
+    def checks(capsys):
+        report = json.loads(capsys.readouterr().out)
+        return {c["name"]: c for c in report["checks"]}
+
+    def test_flipped_rule_fails_method_agreement(self, capsys, monkeypatch):
+        import ellpoisson.cech as cech
+        import ellpoisson.poisson as poisson
+        assert main(self.ARGS) == 0
+        assert self.checks(capsys)["method_agreement"]["residual"] < 1e-13
+        # power control: a flipped sign where both routes read the rule
+        # moves the closed grid, and the trace grid tells
+        monkeypatch.setattr(poisson, "chart_rule", flipped_chart_rule)
+        monkeypatch.setattr(cech, "chart_rule", flipped_chart_rule)
+        assert main(self.ARGS) == 1
+        checks = self.checks(capsys)
+        assert not checks["method_agreement"]["pass"]
+        assert checks["method_agreement"]["residual"] > 1.0
+
+    def test_traced_job_records_both_routes(self, capsys):
+        # perfbench wraps ResidueSystem.closed_form_entry and
+        # trace_form_entry; bracket_matrix must still call both
+        path = Path(__file__).resolve().parent.parent / "perfbench" / \
+            "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            code = main(["moduli-compare", "--n", "3", "--samples", "2"])
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert code == 0
+        names = [span.name for span in tracer.spans]
+        assert names.count("cech.closed_form") >= 1
+        assert names.count("cech.trace_form") >= 1
+
+
 class TestDeterminism:
     @staticmethod
     def strip_elapsed(text):
@@ -1128,7 +1191,10 @@ class TestDeterminism:
 
     # sha256 of the exit code and the payload without timings, taken before
     # the bracket jobs evaluated their tables as whole arrays: the batching
-    # of theta calls, relation rows and Jacobi triples moves no bit
+    # of theta calls, relation rows and Jacobi triples moves no bit.  The
+    # moduli-compare digests were taken when the closed route became the
+    # chart rule of a coefficient table, which moves the last bits of its
+    # residuals
     @pytest.mark.parametrize("args, digest", [
         (["sklyanin", "--n", "5", "--k", "2", "--tau", "0", "1"],
          "dbfa4ffc6716ab84"),
@@ -1140,12 +1206,11 @@ class TestDeterminism:
         (["theta", "--n", "3"], "1ea2c24c9ffad0a4"),
         (["theta", "--n", "11"], "79461039bd3129ff"),
         (["moduli-compare", "--n", "5", "--samples", "4"],
-         "0ebbaaf6aae92e13"),
-        # taken before the samples ran as one stack
+         "7a44f8ec058688e7"),
         (["moduli-compare", "--n", "3", "--samples", "7"],
-         "cf367eadd1c0130c"),
+         "570790911c43be3f"),
         (["moduli-compare", "--n", "9", "--samples", "2", "--tau", "0.3",
-          "0.8"], "d8398be1b2599bf1"),
+          "0.8"], "017ed9493f7962b6"),
     ])
     def test_payload_pinned(self, args, digest, capsys):
         code = main(args)
@@ -1475,8 +1540,7 @@ class TestLatticeMemo:
                 with pytest.raises(ValueError, match="read-only"):
                     array.flat[0] = 0
         # the per-system tables of the residue routes are frozen with it
-        assert {"i", "j", "ij", "ir", "jr", "mr", "f_jr", "t3_ri", "f_ir",
-                "t3_rj", "td_ij", "f_mr"} <= set(array_attributes(system))
+        assert {"i", "j", "mr", "f_mr", "g"} <= set(array_attributes(system))
         # a bracket keeps a copy of its rows and leaves the caller's
         g = bracket.rows.copy()
         own = QuadraticBracket(5, g)
