@@ -18,10 +18,11 @@ that descends a quadratic bracket to the chart, on a coefficient table
 that the system builds from F and the trace tables.  Both routes take a
 stack of chart points and return the grid of {t_i, t_j} over the chart
 indices 1..n-1, each stacked grid bit for bit the grid of its point
-alone; the trace route projects all n cotangent vectors phi_i - t_i phi_0
-of a point with one matrix product and forms each product of a cocycle
-and a sample table once.  What depends only on the system is built once
-with it, read-only.
+alone; the trace route projects the n - 1 cotangent vectors
+phi_i - t_i phi_0 of a point with one matrix product and pairs them with
+their cocycles by one more, M = samples @ cocycle^T, the grid being
+M - M^T.  What depends only on the system is built once with it,
+read-only.
 
 Every residue is a trace over the same n circles around the points of D,
 so :class:`ResidueSystem` holds phi_alpha, phi_alpha' and psi_alpha on
@@ -108,11 +109,10 @@ class ResidueSystem:
                      + (TD[i, j] - TD[j, i])  at k = i+j,
 
     built in chunks of first indices (:func:`theta.chunks`).  The trace
-    route reads the chart indices 1..n-1 as ``i`` (a column) and ``j`` (a
-    row), ``mr``[m, r] = m - r mod n and ``f_mr``[m, r] = F(r, m - r); F
-    is symmetric to the bit, so ``projection_coeffs`` reads F(c - e, e)
-    at [c, e] off it too.  At n = 63, g takes 4.0 MB of the 10.4 MB a
-    system keeps.
+    route reads ``mr``[m, r] = m - r mod n and ``f_mr``[m, r] =
+    F(r, m - r); F is symmetric to the bit, so ``projection_coeffs`` reads
+    F(c - e, e) at [c, e] off it too.  At n = 63, g takes 4.0 MB of the
+    10.4 MB a system keeps.
     A basis with some theta_alpha(0) = 0, alpha != 0, has no psi_alpha and
     is refused with a :class:`DegenerateTauError`.
     """
@@ -157,7 +157,6 @@ class ResidueSystem:
             self.td[a] = self.tr(self.dphi[a, None] * self.phi * psi_sum)
         # the route tables of the class docstring
         f, t3, td = self.f, self.t3, self.td
-        self.i, self.j = k[1:, None], k[None, 1:]
         self.mr = (k[:, None] - k) % n
         self.f_mr = f[k, self.mr]
         # g by the rule of i, j >= 1, n^2 entries a first index i; row and
@@ -233,26 +232,25 @@ class ResidueSystem:
 
     def trace_form_entry(self, t):
         """Direct quadrature of the projected-cocycle pairing, at a point t
-        (n,) or a stack (..., n), with psi_t one vector-matrix product per
-        point."""
+        (n,) or a stack (..., n), as one contraction per point: row i of
+        ``samples`` holds phi_i - t_i phi_0 weighted node by node by the
+        rule of :meth:`tr`, row j of ``cocycle`` psi_t P_+(psi_t (phi_j -
+        t_j phi_0)), both over the n P nodes, so M = samples @ cocycle^T
+        holds tr(cocycle_j samples_i) and the grid is M - M^T."""
         n = self.basis.n
         t = np.asarray(t, dtype=complex)
-        # row i: the cotangent vector phi_i - t_i phi_0, and its samples
-        dt = np.zeros(t.shape + (n,), dtype=complex)
-        dt.reshape(-1, n * n)[:, ::n + 1] = 1.0
-        dt[..., 0] -= t
-        samples = self.phi - t[..., None, None]
+        # row i - 1: the cotangent vector phi_i - t_i phi_0, i = 1..n-1
+        dt = np.zeros(t.shape[:-1] + (n - 1, n), dtype=complex)
+        dt[..., 1:] = np.eye(n - 1)
+        dt[..., 0] = -t[..., 1:]
         # (1, n) @ (n, n P) for each point: one vector-matrix product each
         psi_t = t[..., None, :] @ self.psi.reshape(n, -1)
         cocycle = (self._combine(*self.projection_coeffs(t, dt))
-                   * psi_t.reshape(t.shape[:-1] + (1,) + self.psi.shape[1:]))
-        # subtract the sample tables before the trace: a difference of two
-        # traces cancels less accurately.  Entry (i, j) of the product
-        # cocycle_j samples_i is entry (j, i) of the term subtracted, so
-        # each product is formed once
-        row = t.ndim - 1
-        prod = cocycle.take(self.j, axis=row) * samples.take(self.i, axis=row)
-        return self.tr(prod - prod.swapaxes(row, row + 1))
+                   .reshape(dt.shape[:-1] + (n * self.points,)) * psi_t)
+        samples = ((self.phi[1:] - t[..., 1:, None, None]) * self.offsets
+                   / (n * self.points))
+        m = samples.reshape(cocycle.shape) @ cocycle.swapaxes(-1, -2)
+        return m - m.swapaxes(-1, -2)
 
     def bracket_matrix(self, t, method: str = "closed_form") -> np.ndarray:
         """Antisymmetric matrix of {t_i, t_j}, chart indices 1..n-1; row
@@ -262,16 +260,15 @@ class ResidueSystem:
         each bit for bit the matrix of its point alone, and a row off the
         chart raises :func:`poisson.chart_point`'s ValueError.  A route
         runs in chunks of whole points (:func:`poisson.map_stack`), cut by
-        its largest temporary: n^3 entries a point for the closed form,
-        (n-1)^2 n ``points`` for the trace form.
+        its largest temporaries: n^3 entries a point for the closed form,
+        n^2 ``points`` for the trace form.
         """
         n = self.basis.n
         t = chart_point(n, t)
         if method == "closed_form":
             grid = self.closed_form_entry(t)
         elif method == "trace_form":
-            grid = map_stack(self.trace_form_entry, t,
-                             (n - 1) ** 2 * n * self.points)
+            grid = map_stack(self.trace_form_entry, t, n * n * self.points)
         else:
             raise ValueError(f"unknown method {method!r}")
         upper = np.triu(grid, 1)

@@ -94,9 +94,10 @@ MAX_HOMOLOGY_ENTRIES = 2 * 10 ** 7
 # at 47 and 3.2-3.7 s at 63 in-process at tau = i (2-vCPU Xeon VM).  This
 # bound on n for every theta command keeps a run below 5 s.
 MAX_THETA_N = 63
-# moduli-compare keeps three samples x n x n complex stacks; an entry costs
-# about 2 us at n = 3, 4 us at n = 9, 18 us at n = 31 and 38 us at n = 63
-# (same VM), so this bound keeps a run near 5 s: 25 samples at n = 63.
+# moduli-compare keeps three samples x n x n complex stacks; at the bound an
+# entry costs about 0.8 us at n = 3, 1.7 us at n = 31 and 3.4 us at n = 63
+# (same VM), so a run stays below 0.4 s.  The bound is kept from a trace
+# route ten times as costly: every run at n >= 31 fails (ROADMAP item 4).
 MAX_MODULI_ENTRIES = 10 ** 5
 
 

@@ -55,6 +55,10 @@ was written before it read a coefficient table, term1 - term2
 - t_i conv_j + t_j conv_i + t_{i+j} (TD[i, j] - TD[j, i]), and
 :func:`closed_route_table` fills that coefficient table entry by entry in
 Python loops; both read only F, T3 and TD of a ``ResidueSystem``.
+:func:`entrywise_trace_grid` is the trace route as it was written before
+it became one contraction per point: the entrywise products of every
+cocycle with every sample table, (n-1)^2 n P entries a point, each summed
+over its nodes by the system's trace pairing.
 """
 
 import itertools
@@ -712,6 +716,32 @@ def closed_form_grid(system, t) -> np.ndarray:
     return (term1 - term2 - t.take(i, axis=-1) * conv.take(j, axis=-1)
             + t.take(j, axis=-1) * conv.take(i, axis=-1)
             + t.take((i + j) % n, axis=-1) * (td[i, j] - td[j, i]))
+
+
+def entrywise_trace_grid(system, t) -> np.ndarray:
+    """The grid of {t_i, t_j}, i, j = 1..n-1, of the trace route at a
+    chart point t (n,) or a stack (..., n), entry by entry:
+    tr(cocycle_j samples_i - cocycle_i samples_j), with samples_i the
+    samples of phi_i - t_i phi_0 and cocycle_j = psi_t P_+(psi_t (phi_j -
+    t_j phi_0)), each difference formed over all n P nodes and then traced
+    by ``system.tr``."""
+    n = system.basis.n
+    t = np.asarray(t, dtype=complex)
+    # row i: the cotangent vector phi_i - t_i phi_0, and its samples
+    dt = np.zeros(t.shape + (n,), dtype=complex)
+    dt.reshape(-1, n * n)[:, ::n + 1] = 1.0
+    dt[..., 0] -= t
+    samples = system.phi - t[..., None, None]
+    psi_t = t[..., None, :] @ system.psi.reshape(n, -1)
+    cocycle = (system._combine(*system.projection_coeffs(t, dt))
+               * psi_t.reshape(t.shape[:-1] + (1,) + system.psi.shape[1:]))
+    # entry (i, j) of cocycle_j samples_i is entry (j, i) of the term
+    # subtracted
+    row = t.ndim - 1
+    r = np.arange(1, n)
+    prod = (cocycle.take(r[None, :], axis=row)
+            * samples.take(r[:, None], axis=row))
+    return system.tr(prod - prod.swapaxes(row, row + 1))
 
 
 def closed_route_table(system) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the residue calculus and the moduli-of-extensions bracket."""
 
+import copy
 import hashlib
 import math
 import tracemalloc
@@ -23,9 +24,10 @@ from ellpoisson.theta import (
     theta_alpha_eval,
 )
 
-from oracles import closed_form_grid, closed_route_table, phi, \
-    phi_psi_pairing, three_sum_basis, three_sum_tables, verify_p_plus, \
-    verify_p_plus_zero_sum, verify_trace_identity
+from oracles import closed_form_grid, closed_route_table, \
+    entrywise_trace_grid, phi, phi_psi_pairing, three_sum_basis, \
+    three_sum_tables, verify_p_plus, verify_p_plus_zero_sum, \
+    verify_trace_identity
 
 
 def basis(n, tau=1j):
@@ -496,6 +498,40 @@ class TestClosedRoute:
         assert err <= 1e-15 * np.max(np.abs(ref)), (n, tau, err)
 
 
+class TestTraceRoute:
+    """The trace route is one contraction per point; the entrywise
+    products it replaced, each difference traced on its own, are its
+    oracle.  The two orders of summation differ by rounding, which grows
+    with exp(pi n Im(tau) / 2) (ROADMAP item 4): at most 1.1e-11 of the
+    largest entry here, at n = 9 and tau = i."""
+
+    BOUND = 5e-11
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 9])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.5j])
+    def test_grid_matches_the_entrywise_products(self, n, tau):
+        s = system(n, tau)
+        t = _sample_chart_points(n, 7, n)
+        # the 7-point stack, then each point alone
+        for points in [t, *t]:
+            ref = entrywise_trace_grid(s, points)
+            err = np.max(np.abs(s.trace_form_entry(points) - ref))
+            assert err <= self.BOUND * np.max(np.abs(ref)), (n, tau, err)
+
+    def test_moved_node_weight_exceeds_the_bound(self):
+        # power control: one node weight of the contraction moved by 1e-8
+        # of itself moves the grid by about 3e-10 of its largest entry, at
+        # the lattice where the two orders differ most
+        s = system(9, 1j)
+        t = _sample_chart_points(9, 7, 9)
+        moved = copy.copy(s)
+        moved.offsets = s.offsets.copy()
+        moved.offsets[0] *= 1 + 1e-8
+        ref = entrywise_trace_grid(s, t)
+        err = np.max(np.abs(moved.trace_form_entry(t) - ref))
+        assert err > self.BOUND * np.max(np.abs(ref))
+
+
 def same_bits(stacked, points):
     return (np.array_equal(stacked, points)
             and stacked.dtype == points.dtype
@@ -533,7 +569,7 @@ class TestStacks:
         s = ResidueSystem(b)
         bracket = sklyanin_bracket(b, 1)
         t = _sample_chart_points(n, 130, 3)
-        for entries in ((n - 1) ** 3, (n - 1) ** 2 * n * s.points, n ** 3):
+        for entries in (n ** 3, n ** 2 * s.points):
             assert len(t) > theta.CHUNK_ENTRIES // entries
         grid = t.reshape(2, 65, n)
         for method in ("closed_form", "trace_form"):
@@ -628,17 +664,18 @@ def route_digest(n):
 
 
 class TestRoutePins:
-    """Digests taken when the closed route became the chart rule of the
-    system's coefficient table ``g``; the trace grids and the projection
-    coefficients kept the bits they had while each route gathered its
-    index and constant tables per call.  numpy's complex product may take
-    another loop when an operand's layout changes (see ``fo._product``),
-    so the pins also show that no operand order or layout moved."""
+    """Digests taken when the trace route became one contraction per
+    point, which moved the last bits of its grids; the closed grids and
+    the projection coefficients kept the bits they had since the closed
+    route became the chart rule of the system's coefficient table ``g``.
+    numpy's complex product may take another loop when an operand's layout
+    changes (see ``fo._product``), so the pins also show that no operand
+    order or layout moved."""
 
     DIGESTS = {
-        3: "36ce401ef342173a",
-        5: "3555adabb7ed7d97",
-        9: "599208626229e9a7",
+        3: "6b727fa52535660c",
+        5: "5aa506e8c183f264",
+        9: "4df87a321de6e281",
     }
 
     @pytest.mark.parametrize("n", [3, 5, 9])
