@@ -51,7 +51,8 @@ from .homology import cone_iso_check, hom_complex, pi_bivector, \
 # end_dim_sheaf is not called here; it stays bound because
 # perfbench/spans.py wraps ellpoisson.cli.end_dim_sheaf on every run
 from .leaves import classical_cubic_rows, end_dim_sheaf, enumerate_strata
-from .poisson import QuadraticBracket, hn_canonical_extract, projective_matrix
+from .poisson import QuadraticBracket, heisenberg_violation, \
+    hn_canonical_extract, projective_matrix
 from .theta import (
     CIRCLE_POINTS,
     CurveParams,
@@ -64,7 +65,12 @@ from .theta import (
 
 # tolerances of the numerical checks; the exact checks use 0.0
 TOL = 1e-8
-BRACKET_TOL = 1e-10  # canonical form and semiclassical deviation
+BRACKET_TOL = 1e-10  # canonical form, invariance, semiclassical deviation
+# jacobi_defect reads the triples (0, j, k) of one shift orbit; with
+# heisenberg_invariance <= BRACKET_TOL it bounds the defect of every triple
+# by JACOBI_TOL + ORBIT_CONSTANT * BRACKET_TOL (poisson.jacobi_defect), and
+# 2.8e-9 is the largest double for which that sum is at most TOL exactly
+JACOBI_TOL = 2.8e-9
 SLOPE_TOL = 1e-2
 METHOD_TOL = 1e-7
 PROJECTIVE_TOL = 1e-6
@@ -90,9 +96,11 @@ MAX_HOMOLOGY_SAMPLES = 10_000
 # VM).  This bound keeps a run below about 4 s and an instance below 1 GB:
 # n <= 25.
 MAX_HOMOLOGY_ENTRIES = 2 * 10 ** 7
-# sklyanin's Jacobi check grows as n^5: 0.08-0.14 s at n = 31, 0.85-1.2 s
-# at 47 and 3.2-3.7 s at 63 in-process at tau = i (2-vCPU Xeon VM).  This
-# bound on n for every theta command keeps a run below 5 s.
+# sklyanin's Jacobi check, on the C(n - 1, 2) triples of one shift orbit,
+# grows as n^4: 14 ms at n = 31 and 0.21-0.25 s at 63 in-process (2-vCPU
+# Xeon VM).  The bound on n of every theta command stays at 63, the largest
+# order checked, because moduli-compare fails at every n >= 31 (ROADMAP
+# item 4).
 MAX_THETA_N = 63
 # moduli-compare keeps three samples x n x n complex stacks; at the bound an
 # entry costs about 0.8 us at n = 3, 1.7 us at n = 31 and 3.4 us at n = 63
@@ -154,8 +162,8 @@ class RunConfig:
             return
         if self.n > MAX_THETA_N:
             raise UsageError(f"n must be at most MAX_THETA_N = {MAX_THETA_N}"
-                             ": sklyanin's Jacobi check grows as n^5 and "
-                             "takes about 5 s there")
+                             ", the largest order the theta commands are "
+                             "checked at")
         if command == "moduli-compare" and self.samples * self.n ** 2 > \
                 MAX_MODULI_ENTRIES:
             raise UsageError(
@@ -258,8 +266,8 @@ def cmd_theta(cfg: RunConfig):
 
 
 def cmd_sklyanin(cfg: RunConfig):
-    """Jacobi identity, canonical form (k = 1) and the eta -> 0 limit of
-    the closed-form bracket.
+    """Jacobi identity on one shift orbit, Heisenberg invariance, canonical
+    form (k = 1) and the eta -> 0 limit of the closed-form bracket.
 
     The relation tensor is evaluated once, at the 16 half-circle nodes of
     the circle mean and the three slope values d/10, d/100, d/1000; the
@@ -271,7 +279,9 @@ def cmd_sklyanin(cfg: RunConfig):
     basis.require_rounding(BRACKET_ROUNDING_LIMIT, " for the bracket checks")
     bracket = _shared(sklyanin_bracket, basis, cfg.k)
     from .poisson import jacobi_defect
-    checks = [_check("jacobi_defect", jacobi_defect(bracket), TOL)]
+    checks = [_check("jacobi_defect", jacobi_defect(bracket), JACOBI_TOL),
+              _check("heisenberg_invariance", heisenberg_violation(bracket),
+                     BRACKET_TOL)]
     tables = {}
     if cfg.k == 1:
         h = hn_canonical_extract(bracket)

@@ -24,7 +24,3 @@ class ThetaRangeError(EllPoissonError):
 
 class ContourError(EllPoissonError):
     """A quadrature contour produced a non-finite sample (it hit a singularity)."""
-
-
-class InvarianceError(EllPoissonError):
-    """A bracket failed the Heisenberg-invariance pattern beyond tolerance."""

@@ -5,14 +5,16 @@ Every bracket here is one n x n row table R[d, r]: for i < i+d < n,
 R[d, r] = R[d, d-r], row 0 zero and {x_j, x_i} = -{x_i, x_j}.  So every
 bracket is graded and unchanged by the shifts x_i -> x_{i+s} that do not
 wrap past n - 1.  It is invariant under the whole order-n Heisenberg group
-when the wrapped pairs agree too; then it is one symmetric table
+when the wrapped pairs agree too (:func:`heisenberg_violation` reads how
+far they disagree); then it is one symmetric table
 C(alpha, beta) = R[alpha+beta, alpha] with
 
     {x_i, x_j} = sum_r C(r, j-i-r) x_{i+r} x_{j-r},
     C(beta, alpha) = C(alpha, beta) = -C(-alpha, -beta).
 
-Jacobi certification and :func:`projective_matrix` read the coefficient
-table G[i, j, k] of x_k x_{i+j-k} in {x_i, x_j}, G[i, j, k] = sign(j-i)
+Jacobi certification, on the triples of one shift orbit, and
+:func:`projective_matrix` read the coefficient table G[i, j, k] of
+x_k x_{i+j-k} in {x_i, x_j}, G[i, j, k] = sign(j-i)
 R[|j-i|, k-min(i, j)], which each call forms once (:func:`_coefficients`);
 :func:`chart_rule` descends any such table, a bracket's or the one of the
 closed residue route of ``cech``, to the chart t_i = x_i / x_0.  Every
@@ -28,11 +30,11 @@ import math
 
 import numpy as np
 
-from .errors import InvarianceError
 from .theta import chunks
 
-# canonical-table checks, relative to the largest coefficient
-CANONICAL_TOL = 1e-8
+# C of: full-triple Jacobi defect <= orbit defect + C * heisenberg_violation
+# (derived in :func:`jacobi_defect`)
+ORBIT_CONSTANT = 72.0
 
 
 class QuadraticBracket:
@@ -136,17 +138,18 @@ class _Layout:
 
 
 # a bracket round of the benchmark reads 8 orders n, n = 5..13, whose
-# tables retain 0.15 MB here and 0.33 MB in _jacobi_layout; eight orders
-# at n = 56..63 would retain 28 MB and 69 MB
+# tables retain 0.15 MB here and 0.27 MB in _jacobi_layout; eight orders
+# at n = 56..63 would retain 28 MB and 55 MB
 @functools.lru_cache(maxsize=8)
 def _layout(n) -> _Layout:
     return _Layout(n)
 
 
 def jacobi_defect(b: QuadraticBracket) -> float:
-    """Largest coefficient of the cyclic Jacobi sum over generator triples,
-    divided by the square of the largest monomial coefficient, so that the
-    result does not change when the bracket is rescaled.
+    """Largest coefficient of the cyclic Jacobi sum over the generator
+    triples (0, j, k), 0 < j < k, divided by the square of the largest
+    monomial coefficient, so that the result does not change when the
+    bracket is rescaled.
 
     With G the coefficient table of b, formed once per call,
     {x_i, {x_j, x_k}} = 2 sum_{a,p} G[j,k,a] G[i,a,p] x_p x_s x_l with
@@ -156,9 +159,28 @@ def jacobi_defect(b: QuadraticBracket) -> float:
     orderings of (p, s, l) divided by the order of the stabilizer of the
     index triple.  Every factor is gathered from ``G.ravel()`` at flat
     offsets, whose tables are built once per n (:func:`_jacobi_layout`),
-    and the triples i < j < k, n^2 entries each, run in the lexicographic
-    chunks of :func:`theta.chunks`.  A NaN chunk, an infinite coefficient
-    or a scale whose square is not finite reads NaN.
+    and the triples, n^2 entries each, run in the lexicographic chunks of
+    :func:`theta.chunks`.  A NaN chunk, an infinite coefficient or a scale
+    whose square is not finite reads NaN.
+
+    One orbit suffices.  The shift x -> x - i takes a triple i < j < k to
+    (0, j - i, k - i), each monomial to a monomial, and G[a, b, c] to
+    G[a - i, b - i, c - i].  That is the same row entry R[d, r] (d = b - a,
+    r = c - a) unless the pair (a, b) changes order, i.e. wraps past
+    n - 1, where it is -R[n-d, -r]; so with v = :func:`heisenberg_violation`
+    each entry of G moves by at most v * scale, and each Jacobi coefficient
+    of (i, j, k) is that of (0, j - i, k - i) with every factor so moved.
+    A coefficient, before division by scale^2, is 4 * inv_stab |sum of 9
+    products G G|, inv_stab <= 1 (three cyclic terms, each at the three
+    placements of l); both factors have modulus <= scale (|R| is at most a
+    monomial coefficient), so a product moves by at most
+    |dG| |G'| + |G| |dG'| <= 2 v scale^2.  Hence
+
+        full-triple defect <= orbit defect + 72 v
+
+    (:data:`ORBIT_CONSTANT`), up to the rounding of the sums; at v = 0 each
+    shifted triple repeats the gathered products of its representative
+    entry for entry, so the two read the same bits.
     """
     scale = b.max_abs()
     if scale == 0.0:
@@ -173,11 +195,11 @@ def jacobi_defect(b: QuadraticBracket) -> float:
     flat = _coefficients(b).ravel()
     lead = flat.take(layout.lead)
     worst = 0.0
-    for c in chunks(len(layout.i), n * n):
-        ci, cj, ck, cw = layout.i[c], layout.j[c], layout.k[c], layout.w[c]
+    for c in chunks(len(layout.j), n * n):
+        cj, ck, cw = layout.j[c], layout.k[c], layout.w[c]
         # t[., p, s]: the Jacobi sum is 2 sum_{p,s} t x_p x_s x_l
-        t = flat[layout.jk[c] + layout.inner[ci]]
-        t *= lead[ci]
+        t = flat[layout.jk[c] + layout.inner[0]]
+        t *= lead[0]
         v = flat[layout.ik[c] + layout.inner[cj]]
         v *= lead[cj]
         t -= v
@@ -205,13 +227,14 @@ class _JacobiLayout:
     and ``lead`` is the flat offset of G[x, p+s-x, p]; the monomials of
     weight w are x_p x_s x_l with l = (w - p - s) mod n, ``swap[w]`` is the
     offset of t[p, l] in an n x n block and ``inv_stab[w]`` is
-    1 / |stabilizer of (p, s, l)|.  ``i``, ``j``, ``k`` list the triples
-    i < j < k in lexicographic order, ``w`` their weights, and ``jk``,
-    ``ik``, ``ij`` the flat offsets of the rows G[j, k], G[i, k] and
-    G[i, j].  10.2 MB at n = 63.
+    1 / |stabilizer of (p, s, l)|.  ``j``, ``k`` list the C(n - 1, 2)
+    triples (0, j, k), 0 < j < k, in lexicographic order, ``w`` their
+    weights, and ``jk``, ``ik``, ``ij`` the flat offsets of the rows
+    G[j, k], G[0, k] and G[0, j].  8.1 MB at n = 63, 8.0 MB of it the
+    four n^3 tables.
     """
 
-    __slots__ = ("inner", "lead", "swap", "inv_stab", "i", "j", "k", "w",
+    __slots__ = ("inner", "lead", "swap", "inv_stab", "j", "k", "w",
                  "jk", "ik", "ij")
 
     def __init__(self, n):
@@ -226,13 +249,11 @@ class _JacobiLayout:
         self.inv_stab = np.array([1.0, 0.5, 0.0, 1.0 / 6.0])[equal]
         self.swap = p * n + third
         idx = np.arange(n)
-        self.i, self.j, self.k = np.nonzero(
-            (idx[:, None, None] < idx[:, None]) & (idx[:, None] < idx))
-        self.w = (self.i + self.j + self.k) % n
+        self.j, self.k = np.nonzero((0 < idx[:, None]) & (idx[:, None] < idx))
+        self.w = (self.j + self.k) % n
         self.jk, self.ik, self.ij = (
-            ((a * n + c) * n)[:, None, None]
-            for a, c in ((self.j, self.k), (self.i, self.k),
-                         (self.i, self.j)))
+            (a * n)[:, None, None]
+            for a in (self.j * n + self.k, self.k, self.j))
         for name in self.__slots__:
             getattr(self, name).setflags(write=False)
 
@@ -252,23 +273,25 @@ def hn_canonical_extract(b: QuadraticBracket) -> np.ndarray:
     base point i that does not wrap.  A base point that wraps reads
     -R[n-d, -beta] = -R[n-d, -alpha] = -C(-alpha, -beta), d = alpha+beta,
     so the bracket is invariant exactly when C(-alpha, -beta) =
-    -C(alpha, beta).  Raises :class:`InvarianceError` when that skew test
-    fails beyond ``CANONICAL_TOL`` relative to the largest monomial
-    coefficient, or reads NaN.
+    -C(alpha, beta), which :func:`heisenberg_violation` reads.
     """
-    n = b.n
-    scale = max(b.max_abs(), 1e-30)
-    idx = np.arange(n)
-    table = b.rows[(idx[:, None] + idx) % n, idx[:, None]]
-    neg = (-idx) % n
-    # the negated test keeps a NaN, which fails
-    violation = float(np.max(np.abs(table + table[np.ix_(neg, neg)]),
-                             initial=0.0))
-    if not violation <= CANONICAL_TOL * scale:
-        raise InvarianceError(
-            f"bracket is not Heisenberg-invariant: violation {violation:.3e} "
-            f"(scale {scale:.3e})")
-    return table
+    idx = np.arange(b.n)
+    return b.rows[(idx[:, None] + idx) % b.n, idx[:, None]]
+
+
+def heisenberg_violation(b: QuadraticBracket) -> float:
+    """max |C(alpha, beta) + C(-alpha, -beta)| of the table of
+    :func:`hn_canonical_extract`, over the largest monomial coefficient:
+    the agreement of the pairs that wrap past n - 1, 0.0 exactly when the
+    bracket is invariant under the whole Heisenberg group.  A NaN entry or
+    an infinite coefficient reads NaN, which fails every tolerance."""
+    scale = b.max_abs()
+    if scale == 0.0:
+        return 0.0
+    table = hn_canonical_extract(b)
+    neg = (-np.arange(b.n)) % b.n
+    skew = np.abs(table + table[np.ix_(neg, neg)])
+    return float(np.max(skew, initial=0.0) / scale)
 
 
 def chart_point(n: int, t) -> np.ndarray:

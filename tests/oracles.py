@@ -13,8 +13,9 @@ table of ``QuadraticBracket`` at offsets built once per n.
 :func:`pairwise_jacobi_defect` is the exception: it repeats the package's
 Jacobi arithmetic per entry in a loop over generator pairs, so that the
 gathered triples of ``jacobi_defect`` can be compared with it bit for
-bit.  :func:`phi` evaluates phi_alpha = theta_alpha / theta_0 pointwise,
-without the 1/n shift that fills the ``ResidueSystem`` tables.
+bit on the pairs (0, j); over every pair i < j it reads the full-triple
+defect.  :func:`phi` evaluates phi_alpha = theta_alpha / theta_0
+pointwise, without the 1/n shift that fills the ``ResidueSystem`` tables.
 :func:`theta_alpha_product` evaluates theta_alpha by its defining product
 of n shifted theta factors, each summed directly by :func:`theta_series`;
 the package sums one series at n*tau instead, which is that product
@@ -454,10 +455,11 @@ def bracket_contraction_oracle(b: QuadraticBracket, f: Polynomial,
     return out
 
 
-def pairwise_jacobi_defect(b: QuadraticBracket) -> float:
+def pairwise_jacobi_defect(b: QuadraticBracket, orbit=False) -> float:
     """Largest coefficient of the cyclic Jacobi sum over generator triples,
     divided by the square of the largest monomial coefficient, so that the
-    result does not change when the bracket is rescaled.
+    result does not change when the bracket is rescaled; with ``orbit``,
+    over the triples (0, j, k) alone.
 
     With G = ``coefficient_table(b.rows)``, {x_i, {x_j, x_k}} =
     2 sum_{a,p} G[j,k,a] G[i,a,p] x_p x_s x_l with s = i+a-p and
@@ -468,10 +470,10 @@ def pairwise_jacobi_defect(b: QuadraticBracket) -> float:
     orderings of (p, s, l) divided by the order of the stabilizer of the
     index triple.
 
-    This is ``ellpoisson.poisson.jacobi_defect`` as a loop over the pairs
-    (i, j), with the same arithmetic per entry: the package gathers every
-    triple i < j < k from flat offsets instead, and must match it bit for
-    bit.
+    With ``orbit``, this is ``ellpoisson.poisson.jacobi_defect`` as a loop
+    over the pairs (0, j), with the same arithmetic per entry: the package
+    gathers every triple (0, j, k) from flat offsets instead, and must
+    match it bit for bit.  Without it, every i < j < k is read.
     """
     scale = b.max_abs()
     if scale == 0.0:
@@ -489,7 +491,7 @@ def pairwise_jacobi_defect(b: QuadraticBracket) -> float:
     equal = (p == s).astype(int) + (s == third) + (p == third)
     inv_stab = np.array([1.0, 0.5, 0.0, 1.0 / 6.0])[equal]
     worst = 0.0
-    for i in range(n):
+    for i in range(1 if orbit else n):
         for j in range(i + 1, n - 1):
             ks = slice(j + 1, n)
             w = (i + j + np.arange(j + 1, n)) % n

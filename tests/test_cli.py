@@ -13,6 +13,7 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,13 @@ options:
   --inject-sign-flip   flip a sign in the comparison map (power control)
 """,
 }
+
+
+# the checks of a sklyanin report at k = 1, in the order it lists them
+SKLYANIN_K1_CHECKS = ["jacobi_defect", "heisenberg_invariance",
+                      "canonical_form_equals_f_table",
+                      "semiclassical_deviation",
+                      "semiclassical_slope_shortfall"]
 
 
 def run(args, tmp_path, name="out.json"):
@@ -424,6 +432,69 @@ class TestExitCodes:
                     for c in json.loads(text)["checks"]}
         assert verdicts[name] is False
 
+    @pytest.mark.parametrize("n", [5, 63])
+    def test_wrapped_row_off_fails_heisenberg_invariance(self, n, tmp_path,
+                                                         monkeypatch):
+        # power control: the wrapped row R[n - 1] of the closed form scaled
+        # by 1 + 1e-6 against its partner R[1] reads about 5e-7 at n = 5
+        # and 3e-7 at n = 63, where the closed form reads rounding
+        import ellpoisson.cli as cli
+        closed_form = cli.sklyanin_bracket
+
+        def off(basis, k):
+            ref = closed_form(basis, k)
+            rows = ref.rows.copy()
+            rows[-1] *= 1 + 1e-6
+            return cli.QuadraticBracket(ref.n, rows)
+
+        args = ["sklyanin", "--n", str(n)]
+        monkeypatch.setattr(cli, "sklyanin_bracket", off)
+        code, text = run(args, tmp_path)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert list(checks) == SKLYANIN_K1_CHECKS
+        assert checks["heisenberg_invariance"]["pass"] is False
+        assert checks["heisenberg_invariance"]["residual"] > 1e-7
+        monkeypatch.setattr(cli, "sklyanin_bracket", closed_form)
+        code, text = run(args, tmp_path)
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert checks["heisenberg_invariance"]["residual"] < 1e-15
+
+    def test_truncated_series_fails_with_its_report(self, tmp_path,
+                                                    monkeypatch):
+        # a theta series cut to 60% of its bound: the wrapped pairs of the
+        # bracket disagree, a computed failure that exits 1 with the whole
+        # report, where a raised invariance error exited 2 with none
+        from ellpoisson import theta
+        bound_for = theta.series_bound_for
+        monkeypatch.setattr(theta, "series_bound_for", lambda tau, eps: max(
+            2, int(0.6 * bound_for(tau, eps))))
+        code, text = run(["sklyanin", "--n", "5", "--tau", "0", "0.03"],
+                         tmp_path)
+        assert code == 1
+        report = json.loads(text)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert list(checks) == SKLYANIN_K1_CHECKS
+        assert checks["heisenberg_invariance"]["pass"] is False
+        assert checks["heisenberg_invariance"]["residual"] > 1e-6
+        assert set(report["tables"]) == {
+            "f_table", "semiclassical_single_eta_deviation", "eta_circle"}
+
+    def test_two_tolerances_certify_every_triple(self):
+        # jacobi_defect <= JACOBI_TOL on the orbit and heisenberg_invariance
+        # <= BRACKET_TOL bound every triple's defect by TOL, in exact
+        # arithmetic on the doubles, and no larger JACOBI_TOL does
+        import ellpoisson.cli as cli
+        from ellpoisson.poisson import ORBIT_CONSTANT
+
+        def total(jacobi_tol):
+            return (Fraction(jacobi_tol)
+                    + Fraction(ORBIT_CONSTANT) * Fraction(cli.BRACKET_TOL))
+
+        assert total(cli.JACOBI_TOL) <= Fraction(cli.TOL)
+        assert total(np.nextafter(cli.JACOBI_TOL, 1.0)) > Fraction(cli.TOL)
+
     @pytest.mark.parametrize("points", [slice(None), slice(1, 2)],
                              ids=["every_point", "one_point"])
     def test_nan_point_fails_the_projective_check(self, points, tmp_path,
@@ -639,8 +710,8 @@ class TestRefusals:
         # no host can allocate the basis of order 10^15; refused by the
         # bound on n before it is built
         (["--n", "1000000000000000"],
-         {c: (2, "n must be at most MAX_THETA_N = 63: sklyanin's Jacobi "
-                 "check grows as n^5 and takes about 5 s there")
+         {c: (2, "n must be at most MAX_THETA_N = 63, the largest order "
+                 "the theta commands are checked at")
           for c in ("theta", "sklyanin", "moduli-compare")}),
         # the 301-digit exponent bound prints in short scientific form
         (["--n", "3", "--tau", "0", "1e300"],
@@ -808,6 +879,7 @@ class TestReports:
                                "elapsed_ms"}
         for check in report["checks"]:
             assert set(check) == {"name", "residual", "tolerance", "pass"}
+        assert [c["name"] for c in report["checks"]] == SKLYANIN_K1_CHECKS
 
     def test_csv_layout(self, tmp_path):
         code, text = run(["theta", "--n", "3", "--format", "csv"], tmp_path,
@@ -972,8 +1044,11 @@ class TestReports:
         assert code == 0
         report = json.loads(text)
         names = [c["name"] for c in report["checks"]]
-        assert "canonical_form_equals_f_table" not in names
-        assert "jacobi_defect" in names
+        assert names == [name for name in SKLYANIN_K1_CHECKS
+                         if name != "canonical_form_equals_f_table"]
+        tolerances = {c["name"]: c["tolerance"] for c in report["checks"]}
+        assert tolerances["jacobi_defect"] == 2.8e-9
+        assert tolerances["heisenberg_invariance"] == 1e-10
 
 
 class TestSampleStack:
@@ -1189,19 +1264,23 @@ class TestDeterminism:
         text = f"{code}\n" + json.dumps(report, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
-    # sha256 of the exit code and the payload without timings, taken before
-    # the bracket jobs evaluated their tables as whole arrays: the batching
-    # of theta calls, relation rows and Jacobi triples moves no bit.  The
-    # moduli-compare digests were taken when the trace route became one
-    # contraction per point, which moves the last bits of method_agreement
+    # sha256 of the exit code and the payload without timings.  The
+    # sklyanin digests were taken when the Jacobi check came to read one
+    # shift orbit, with heisenberg_invariance beside it and its tolerance
+    # tightened to JACOBI_TOL; the orbit moves the last bits of the n = 31
+    # defect.  The theta digests were taken before the bracket jobs
+    # evaluated their tables as whole arrays: the batching of theta calls
+    # moves no bit.  The moduli-compare digests were taken when the trace
+    # route became one contraction per point, which moves the last bits of
+    # method_agreement
     @pytest.mark.parametrize("args, digest", [
         (["sklyanin", "--n", "5", "--k", "2", "--tau", "0", "1"],
-         "dbfa4ffc6716ab84"),
+         "429f1f8b94321c18"),
         (["sklyanin", "--n", "10", "--k", "1", "--tau", "0.3", "0.8"],
-         "7fa09bc1c755abf7"),
+         "8098472fe002c8b2"),
         (["sklyanin", "--n", "13", "--k", "2", "--tau", "0", "0.5"],
-         "f48e5fb2cb3a7e47"),
-        (["sklyanin", "--n", "31", "--k", "1"], "4a223d5b58086554"),
+         "e5aa68c0f51f1d98"),
+        (["sklyanin", "--n", "31", "--k", "1"], "6f75f61c849c1751"),
         (["theta", "--n", "3"], "1ea2c24c9ffad0a4"),
         (["theta", "--n", "11"], "79461039bd3129ff"),
         (["moduli-compare", "--n", "5", "--samples", "4"],
