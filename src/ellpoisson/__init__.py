@@ -6,8 +6,8 @@ Layout table says what each holds).  Importing the package itself loads
 none of them; it only pins the BLAS thread pools to one thread, and only
 if it comes before numpy's first import.  A basis built without the pin
 can differ in its last bits: at n = 63, tau = 0.025 + 6.235507341273925e-7i
-the sha256 of its tables at 0 begins 47696bbed6187e56 with the pin and
-02876f77e04cf9eb with numpy imported first.
+the sha256 of its tables at 0 begins 38bca5847f42797a with the pin and
+2dbc378d216432f4 with numpy imported first.
 """
 
 import os

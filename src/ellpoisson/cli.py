@@ -184,6 +184,18 @@ def _check(name, residual, tolerance):
             "tolerance": float(tolerance), "pass": bool(residual <= tolerance)}
 
 
+def _log_slope(x, y):
+    """Least-squares slope of log y against log x in closed form,
+    sum (u - mean u)(v - mean v) / sum (u - mean u)^2 for u = log x,
+    v = log y, the slope ``np.polyfit(u, v, 1)`` finds by an SVD solve.
+    A zero or NaN y makes the mean of v and so every centred v
+    non-finite, and the slope NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, v = np.log(x), np.log(y)
+        du = u - np.mean(u)
+        return float(du @ (v - np.mean(v)) / (du @ du))
+
+
 def _sample_chart_points(n, count, seed):
     """Seeded points with t_0 = 1 and the rest uniform on the unit disc: the
     first count * (n - 1) pairs of a uniform stream on [-1, 1]^2 that fall
@@ -303,7 +315,7 @@ def cmd_sklyanin(cfg: RunConfig):
     deviation = est.max_difference(bracket) / bracket.max_abs()
     checks.append(_check("semiclassical_deviation", deviation, BRACKET_TOL))
     singles = [float(v) for v in bracket.max_differences(single_tables)]
-    slope = float(np.polyfit(np.log(etas), np.log(singles), 1)[0])
+    slope = _log_slope(etas, singles)
     # np.maximum keeps a NaN slope, which then fails its tolerance
     checks.append(_check("semiclassical_slope_shortfall",
                          np.maximum(0.0, 1.0 - slope), SLOPE_TOL))

@@ -40,7 +40,8 @@ ORBIT_CONSTANT = 72.0
 class QuadraticBracket:
     """A quadratic bracket held as its row table ``rows`` = R (module
     docstring), a read-only copy of the table it is given, whose zero row
-    0 and R[d, r] = R[d, d-r] are checked exactly.  The monomial
+    0 and R[d, r] = R[d, d-r] are checked exactly; NaN equals NaN there,
+    so a NaN table reaches the checks that fail it.  The monomial
     x_{i+r} x_{i+d-r} of {x_i, x_{i+d}} has the coefficient 2 R[d, r], or
     R[d, r] on the squares 2r = d mod n (one r for odd n, two or none for
     even n); ``weights`` holds that factor for every entry, and is the
@@ -59,7 +60,8 @@ class QuadraticBracket:
             raise ValueError(f"row table must have shape {shape}")
         layout = _layout(n)
         if (np.count_nonzero(r[0])
-                or not np.array_equal(r, r.take(layout.mirror))):
+                or not np.array_equal(r, r.take(layout.mirror),
+                                      equal_nan=True)):
             raise ValueError("row table must be zero on row 0 and equal at "
                              "r and d-r")
         r.setflags(write=False)

@@ -21,23 +21,27 @@ checks) changes when every basis value is multiplied by one constant.
 
 Values and derivatives are read off one object, the truncated Taylor jet
 (f, f', f''/2, ...) on a leading array axis, which ``theta_alpha_jet``
-returns whole: the series yields it from one matmul, and the
-quasi-periodicity multiplier and the exponential factor are combined with it
-by truncated Taylor products, ``_jet_mul``.  The index alpha may be an
-integer or a 1-D integer array; an array puts theta_alpha for every listed
-alpha on a trailing axis, so the whole basis on a point grid is one series
-evaluation on a grid of (point, alpha) pairs, one row per point.
-One kernel computes every basis value in three steps: ``_reduce_to_cell``
-reduces the points, ``_series_terms`` forms the terms and one matmul with
-the weights sums each row by its own product; ``_basis_jet`` then applies
-the multiplier, n^j and E_alpha.  What depends on the truncation and the
+returns whole.  The index alpha may be an integer or a 1-D integer array;
+an array puts theta_alpha for every listed alpha on a trailing axis.  At a
+point, alpha enters the series only through the factor e(m alpha tau) of
+its term m, e(x) = exp(2*pi*i*x), so the whole basis at a point is one
+series: ``_block_sums`` reduces n z + alpha0 tau into the cell of
+Z + Z*n*tau once, ``_series_terms`` forms its 2M + 3 terms, and one product
+of those terms with the table of ``_index_table``, the weights times
+e(m delta tau), gives the jets of the series of every alpha = alpha0 +
+delta of a block; ``_basis_jet`` then applies one factor a (point, alpha)
+pair, the quasi-periodicity multiplier times E_alpha, by a truncated
+Taylor product.  The indices are cut into blocks of ``_block_width``, so
+that e(m delta tau) stays in double range; one block holds the whole basis
+unless (M + 1) n Im tau is large.  What depends on the truncation and the
 jet order alone, the exponents m, m(m-1)/2 and the weight matrix, is built
-once per (bound, order) and shared read-only (``_series_table``); nothing
-is keyed by a lattice or a basis, so any object with ``n``, ``params`` and
-``series_bound`` evaluates.  A :class:`ThetaBasis` runs it once, on two
-rows of n pairs (0 for every alpha, the divisor k/n for alpha = 0), for
-its constants at 0; every other value, the residue circle of ``cech``
-among them, is read off ``theta_alpha_jet``, in the chunks of ``chunks``.
+once per (bound, order) and shared read-only (``_series_table``); each
+call forms its own table e(m delta tau), and nothing is keyed by a lattice
+or a basis, so any object with ``n``, ``params`` and ``series_bound``
+evaluates.  A :class:`ThetaBasis` runs the kernel once, on the divisor
+k/n, whose first point is 0, for its constants at 0; every other value,
+the residue circle of ``cech`` among them, is read off
+``theta_alpha_jet``, in the chunks of ``chunks``.
 Evaluators accept scalars or numpy arrays of points and are pure functions
 of their arguments; a constructed :class:`ThetaBasis` rebinds no attribute,
 and its arrays are read-only from its own construction.
@@ -87,11 +91,12 @@ MAX_SERIES_TERMS = 4096
 
 # the one working-memory budget: the most complex entries a temporary of a
 # chunk holds (2^13, 128 KiB, a core's L2 cache), unless one item alone holds
-# more.  The rows of ``theta_alpha_jet``, the chart points of
-# ``poisson.map_stack``, the triples of ``poisson.jacobi_defect`` and the
-# trace tables of ``cech.ResidueSystem`` run in the chunks of ``chunks``; the
-# pass of a basis forms its 2n(2M + 2) terms in one call, 124488 (2 MB) at
-# the largest accepted pass found (n = 63, M = 493)
+# more.  The points of ``theta_alpha_jet`` (2M + 3 + (order + 1) n entries
+# each), the chart points of ``poisson.map_stack``, the triples of
+# ``poisson.jacobi_defect`` and the trace tables of ``cech.ResidueSystem``
+# run in the chunks of ``chunks``; the pass of a basis forms the n(2M + 3)
+# terms of its n points in one call, 62307 (1 MB) at the largest accepted
+# pass found (n = 63, M = 493), beside its table of 2(2M + 3) n entries
 CHUNK_ENTRIES = 2 ** 13
 
 
@@ -228,17 +233,20 @@ def _check_range(z, height, n, alphas):
 
 @functools.lru_cache(maxsize=16)
 def _series_table(bound, order):
-    """The exponents m = -bound..bound+1 of the truncated series, the exact
-    integers m(m-1)/2, and the (terms x order+1) weight matrix whose column
-    j holds the term-wise derivative factor (-1)^m (2 pi i m)^j / j!.
+    """The exponents m = -bound-1..bound+1 of the truncated series, the
+    exact integers m(m-1)/2, and the (terms x order+1) weight matrix whose
+    column j holds the term-wise derivative factor (-1)^m (2 pi i m)^j / j!.
+    The term m = -bound-1 keeps the truncation of the cell for every index
+    of a block, whose points u0 + delta tau lie up to delta Im tau above
+    the cell.
 
     They depend on the truncation and the jet order alone, so each
     (bound, order) builds them once and every basis that truncates there
     shares them; they are read-only.  An entry holds 16 (order + 2) bytes
-    a term: 384 bytes at order 2 for n = 63, tau = i (bound 2), and 0.5 MB
+    a term: 448 bytes at order 2 for n = 63, tau = i (bound 2), and 0.5 MB
     at ``MAX_SERIES_TERMS``, so the 16 kept entries stay below 8.4 MB.
     """
-    m = np.arange(-bound, bound + 2)
+    m = np.arange(-bound - 1, bound + 2)
     # exponent m(m-1)/2 is an exact integer; identical for the pair (m, 1-m)
     quad = (m * (m - 1)) // 2
     signs = np.where(m % 2 == 0, 1.0, -1.0)
@@ -249,67 +257,112 @@ def _series_table(bound, order):
     return m, quad, weights
 
 
-def _series_terms(z0, tau, bound, order):
-    """Terms of the basic series at reduced points and their weights.
+def _block_width(n, tau, bound):
+    """The number w of indices alpha0 + delta, delta = 0..w-1, a block
+    holds: w = 1 + floor(LOG_LIMIT / (2 pi (M + 1) Im tau)), at most n,
+    for the truncation M = ``bound``.
 
-    The terms get a trailing axis on the shape of z0, so ``terms @
-    weights`` sums each row of a grid by its own product.  The term-wise
-    derivatives j = 0..order, each divided by j!, are the columns of a
-    (terms x order+1) weight matrix, shared by every call with the same
-    (bound, order) (:func:`_series_table`).
+    theta_alpha, alpha = alpha0 + delta, is read off the series terms of
+    its block's base point u0 times e(m delta tau), |m| <= M + 1, whose
+    modulus exp(-2 pi m delta Im tau) lies within exp(+-LOG_LIMIT) at
+    this w.  u0 lies in the cell of Z + Z n tau, so each of its terms has
+    modulus at most 1, and each product is a term of the series at
+    u0 + delta tau, at most exp(2 pi delta Im tau) <= exp(LOG_LIMIT / 3):
+    no product overflows, and a term lost to underflow at u0 is below
+    exp(-745 + LOG_LIMIT), about 1e-41, of the m = 0 term 1.  One block
+    holds the whole basis where (M + 1) Im tau <= LOG_LIMIT / (2 pi (n - 1)),
+    1.67 at n = 63, which every benchmark lattice meets; at n = 63,
+    tau = i (M = 2) a block holds 35 indices, and in one block e(-3 * 62 tau)
+    would be exp(1169).
     """
-    m, quad, weights = _series_table(bound, order)
-    # exp(2 pi i (m z0 + tau m(m-1)/2)), formed in place: the terms are the
-    # largest array of a chunk, and one copy of them bounds its memory
-    terms = np.multiply.outer(z0, m)
-    terms += tau * quad
-    np.multiply(TWO_PI_I, terms, out=terms)
-    np.exp(terms, out=terms)
-    return terms, weights
+    span = LOG_LIMIT / (2.0 * math.pi * (bound + 1) * tau.imag)
+    return int(min(n, 1.0 + span))
 
 
-def _exp_jet(value, rate, order):
-    """Jet of value * exp(rate * h) in h at h = 0."""
-    jet = np.empty((order + 1,) + value.shape, dtype=complex)
-    jet[0] = value
+def _index_table(basis, order):
+    """The (terms x (order+1) w) table weights[m, j] n^j e(m delta tau),
+    column j w + delta, of a block of w = :func:`_block_width` indices.
+
+    A block's jets at a point are one product of its series terms with
+    this table; the factor n^j is the inner derivative of n z.  It costs
+    (2M + 3) w exponentials, so every call forms its own."""
+    n, tau, bound = basis.n, basis.params.tau, basis.series_bound
+    m, _, weights = _series_table(bound, order)
+    delta = np.arange(_block_width(n, tau, bound))
+    shift = np.exp(np.multiply.outer(m, (TWO_PI_I * tau) * delta))
+    table = weights[:, :, None] * shift[:, None]
     for j in range(1, order + 1):
-        np.multiply(jet[j - 1], rate, out=jet[j])
-        jet[j] /= j
-    return jet
+        table[:, j] *= float(n) ** j
+    return table.reshape(len(m), -1)
 
 
-def _jet_mul(a, b):
-    """Truncated Taylor product: the jet of f*g from the jets a and b of f
-    and g, of one shape.  Entry k is summed from 0 as Python's ``sum``
-    would, 0 + a[0] b[k] + a[1] b[k-1] + ..., so that an entry -0.0 comes
-    out as +0.0."""
-    out = np.zeros(b.shape, dtype=complex)
-    for k in range(len(out)):
-        for i in range(k + 1):
-            out[k] += a[i] * b[k - i]
-    return out
+def _series_terms(u0, tau, bound):
+    """The terms exp(2 pi i (m u0 + tau m(m-1)/2)) of the basic series at
+    lattice parameter tau, on a trailing axis of the reduced points u0;
+    the signs (-1)^m are in the weights."""
+    m, quad, _ = _series_table(bound, 0)
+    # formed in place: the terms are a chunk's largest array of points
+    # times terms, and one copy of them bounds its memory
+    terms = np.multiply.outer(TWO_PI_I * u0, m)
+    terms += (TWO_PI_I * tau) * quad
+    return np.exp(terms, out=terms)
 
 
-def _basis_jet(basis, z, a, z0, b, sums):
-    """Jet of theta_alpha at the (point, index) pairs that z and a
-    broadcast to, from the reduced points z0 + b*(n tau) of its series at
-    n*tau and the series sums there, with the jet on a trailing axis: the
-    quasi-periodicity multiplier, the factor n^j that the inner argument
-    n z puts on entry j, and E_alpha, each by a truncated Taylor product;
-    the second half of the kernel."""
+def _block_sums(basis, z, alpha0, table):
+    """The block at base index alpha0 at the flat points z: the reduction
+    n z + alpha0 tau = u0 + a + b n tau, u0 in the cell of Z + Z n tau,
+    the series terms at u0 and their sums, each point's row of terms times
+    ``table`` (:func:`_index_table`), one product a point, so that a
+    value's bits do not depend on the other points of a call.  Returns
+    (u0, b, terms, sums), sums[p, j w + delta] the j-th Taylor coefficient
+    of theta(n z + alpha tau; n tau) at alpha = alpha0 + delta, before the
+    multiplier."""
     n, tau = basis.n, basis.params.tau
-    order = sums.shape[-1] - 1
-    # theta(z0 + b n tau) = (-1)^b exp(-2 pi i (b z0 + n tau b(b-1)/2))
-    # theta(z0) on the lattice Z + Z n tau
-    g = np.where(b % 2 == 0, 1.0, -1.0) * np.exp(
-        -TWO_PI_I * (b * z0 + n * tau * b * (b - 1) / 2.0))
-    series = _jet_mul(_exp_jet(g, -TWO_PI_I * b, order),
-                      sums.transpose((-1,) + tuple(range(z0.ndim))))
-    for j in range(order + 1):
-        series[j] *= float(n) ** j
-    ex = np.exp(TWO_PI_I * (z * a + a * (a - n) * tau / (2.0 * n)
-                            + a / (2.0 * n)))
-    return _jet_mul(_exp_jet(ex, TWO_PI_I * a, order), series)
+    u0, b = _reduce_to_cell(n * z + alpha0 * tau, n * tau)
+    terms = _series_terms(u0, n * tau, basis.series_bound)
+    return u0, b, terms, (terms[:, None] @ table)[:, 0]
+
+
+def _basis_jet(basis, z, a, alpha0, u0, b, sums):
+    """Jet of theta_alpha, on the leading axis, at the flat points z and
+    the indices a (an array) of the block at base alpha0, from that
+    block's reduction u0, b of the points and its sums
+    (:func:`_block_sums`); the second half of the kernel.
+
+    With n z + alpha tau = u0 + (alpha - alpha0) tau + a' + b n tau, the
+    quasi-periodicity multiplier of theta at n tau and E_alpha are one
+    factor a pair,
+
+        F = e(alpha (z - b tau) + alpha (alpha - n) tau / (2n) + alpha / (2n)
+              + b (alpha0 tau - u0 + 1/2) - n tau b (b - 1) / 2),
+
+    the sign (-1)^b as e(b/2), whose jet is F (2 pi i (alpha - b n))^j / j!,
+    so one truncated Taylor product gives the jet of theta_alpha."""
+    n, tau = basis.n, basis.params.tau
+    width = _block_width(n, tau, basis.series_bound)
+    sums = sums.reshape(len(u0), -1, width)[..., a - alpha0].transpose(1, 0, 2)
+    z, u0, b = z[:, None], u0[:, None], b[:, None]
+    # the exponent of F: the product alpha (z - b tau), a part of the index
+    # and a part of the point; the exact integer alpha (alpha - n), the
+    # same for n - alpha, keeps the bracket's wrapped pairs agreeing to
+    # rounding
+    half = TWO_PI_I * n * tau / 2.0
+    factor = (TWO_PI_I * a) * (z - b * tau)
+    factor += ((a * (a - n)) * (TWO_PI_I * tau / (2.0 * n))
+               + a * (TWO_PI_I / (2.0 * n)))
+    factor += b * (TWO_PI_I * (alpha0 * tau + 0.5) + half
+                   - TWO_PI_I * u0 - half * b)
+    np.exp(factor, out=factor)
+    jet = np.empty(sums.shape, dtype=complex)
+    if len(sums) > 1:
+        rate = TWO_PI_I * (a - b * n)
+    for j in range(len(sums)):
+        term, acc = 1.0, sums[j]
+        for i in range(1, j + 1):
+            term = term * rate / i
+            acc = acc + term * sums[j - i]
+        np.multiply(factor, acc, out=jet[j])
+    return jet
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,9 +371,10 @@ class ThetaBasis:
 
     Every basis value is one series at n*tau times E_alpha (module
     docstring); ``series_bound`` is the truncation ``TRUNCATION_EPS`` gives
-    at n*tau.  Its constants come from one pass of the kernel, one
-    ``_series_terms`` call on a (2, n) grid of (point, alpha) pairs: z = 0
-    for every alpha, then z = k/n for alpha = 0.
+    at n*tau.  Its constants come from one pass of the kernel over the
+    divisor z = k/n: one series at each point for the block of alpha = 0,
+    which gives theta_0'(k/n), and one at z = 0 for each other block, if
+    any; the jets at 0 of every alpha come from the same sums.
     ``theta_at_zero`` and ``dtheta_at_zero``, read-only, hold
     theta_alpha(0) and theta_alpha'(0); theta_0(0) is an exact zero (the
     series terms cancel in pairs), so it is stored as 0.  A lattice where
@@ -350,32 +404,38 @@ class ThetaBasis:
                                      f"numerical range at n = {n}: {why}")
         object.__setattr__(self, "series_bound", bound)
         alpha = np.arange(n)
-        # the (point, alpha) pairs of the pass, two rows of n: 0 for every
-        # alpha, then k/n for alpha = 0
-        z = np.stack([np.zeros(n), alpha / n])
-        a = np.stack([alpha, 0 * alpha])
-        z0, b = _reduce_to_cell(n * z + a * tau, n * tau)
-        terms, weights = _series_terms(z0, n * tau, bound, 1)
-        sums = terms @ weights
+        width = _block_width(n, tau, bound)
+        table = _index_table(self, 1)
+        # the points of the pass are the divisor z = k/n, the origin first:
+        # block 0 at every k/n (theta_0'(k/n)), every other block at 0.
         # theta_alpha(0) is the series at alpha*tau, whose lattice index is
         # 0, times E_alpha(0).  The sum carries a rounding error of about
         # 2^-53 sum|terms|, against the value, or against the derivative
         # for the zero of theta_0; the bound is the largest over alpha
-        pick = (alpha, (alpha == 0).astype(int))
-        size = np.abs(terms[0]) @ np.abs(weights)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = size[pick] / np.abs(sums[0][pick])
+        z = alpha / n
+        blocks, ratio = [], []
+        for a in np.split(alpha, range(width, n, width)):
+            u0, b, terms, sums = _block_sums(self, z if a[0] == 0 else z[:1],
+                                             a[0], table)
+            size = np.abs(terms[0])
+            del terms  # the terms at 0 alone are read again
+            pick = (a == 0) * width + a - a[0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio.append((size @ np.abs(table))[pick]
+                             / np.abs(sums[0, pick]))
+            blocks.append((a, u0, b, sums))
         object.__setattr__(self, "rounding_bound",
-                           2.0 ** -53 * float(np.max(ratio)))
+                           2.0 ** -53 * float(np.max(np.concatenate(ratio))))
         self.require_rounding(ROUNDING_LIMIT)
-        _check_range(z[0, :1], tau.imag, n, alpha.tolist())
-        jet = _basis_jet(self, z, a, z0, b, sums)
-        vals, ders = jet[:, 0]
+        _check_range(z[:1], tau.imag, n, alpha.tolist())
+        jets = [_basis_jet(self, z[:len(u0)], a, a[0], u0, b, sums)
+                for a, u0, b, sums in blocks]
+        vals, ders = np.concatenate([jet[:, 0] for jet in jets], axis=1)
         vals[0] = 0.0
         for name, table in (("theta_at_zero", vals), ("dtheta_at_zero", ders)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
-        self._check_tables(jet[1, 1])
+        self._check_tables(jets[0][1, :, 0])
 
     def _check_tables(self, d0):
         """Refuse a basis whose values at 0 are numerically zero; ``d0``
@@ -440,10 +500,15 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
     trailing axis with one entry per index, so one call evaluates the whole
     basis.  Entry j of the leading axis holds the j-th derivative divided
     by j!, so one order-1 call yields values and first derivatives
-    together.  One series at n*tau is summed per point and index, on the
-    (point, alpha) grid, one row of len(alpha) pairs per point, by the
-    kernel the basis builds its tables with, in the chunks of whole rows
-    that :func:`chunks` gives for 2M + 2 terms a pair.
+    together.  theta_alpha is n-periodic in the index, so alpha is read
+    modulo n; the range check reads it as given.  The indices are cut into
+    blocks of :func:`_block_width`; a point sums one series of 2M + 3
+    terms a block that holds an index of the call, and every block's jets
+    come out of one product of those terms with the table of
+    :func:`_index_table`, which each call forms once.  Then one factor a
+    (point, index) pair, :func:`_basis_jet`, gives the jet.  Points run in
+    the chunks of :func:`chunks` for 2M + 3 + (order + 1) n entries a
+    point.
     """
     n, tau = basis.n, basis.params.tau
     z = np.asarray(z, dtype=complex)
@@ -452,14 +517,23 @@ def theta_alpha_jet(basis: ThetaBasis, alpha: int | np.ndarray, z,
         raise ValueError("alpha must be an integer or a 1-D integer array")
     a = np.atleast_1d(index)
     _check_range(z, tau.imag, n, a.tolist())
-    bound = basis.series_bound
-    flat = z.reshape(-1, 1)
-    out = np.empty((order + 1, len(flat), a.size), dtype=complex)
-    for rows in chunks(len(flat), a.size * (2 * bound + 2)):
-        z0, b = _reduce_to_cell(n * flat[rows] + a * tau, n * tau)
-        terms, weights = _series_terms(z0, n * tau, bound, order)
-        out[:, rows] = _basis_jet(basis, flat[rows], a, z0, b,
-                                  terms @ weights)
+    a = np.mod(a, n)
+    width = _block_width(n, tau, basis.series_bound)
+    table = _index_table(basis, order)
+    # the blocks of the call's indices, each its base alpha0 and columns;
+    # one block, as at every benchmark lattice, takes all by a slice
+    blocks = [(0, slice(None))]
+    if width < n:
+        blocks = [(alpha0, np.flatnonzero(a // width == alpha0 // width))
+                  for alpha0 in range(0, n, width)]
+        blocks = [(alpha0, cols) for alpha0, cols in blocks if cols.size]
+    flat = z.ravel()
+    out = np.empty((order + 1, flat.size, a.size), dtype=complex)
+    for rows in chunks(flat.size, len(table) + (order + 1) * n):
+        for alpha0, cols in blocks:
+            u0, b, _, sums = _block_sums(basis, flat[rows], alpha0, table)
+            out[:, rows, cols] = _basis_jet(basis, flat[rows], a[cols],
+                                            alpha0, u0, b, sums)
     out = out.reshape((order + 1,) + z.shape + (a.size,))
     return out if index.ndim else out[..., 0]
 

@@ -132,21 +132,25 @@ def phi(basis: ThetaBasis, alpha: int):
 
 def three_sum_basis(params):
     """The basis tables as three separate sums of the series at n*tau: the
-    rounding bound from the terms at alpha*tau, then ``theta_alpha_jet`` at
-    0 for every alpha and at k/n for alpha = 0.  Refuses as the basis
-    does, through its own ``require_rounding`` and ``_check_tables``;
-    returns a namespace with the basis's table attributes.  The truncation
-    must be within ``MAX_SERIES_TERMS``."""
+    rounding bound from the terms at 0 of each block of indices, then
+    ``theta_alpha_jet`` at 0 for every alpha and at k/n for alpha = 0.
+    Refuses as the basis does, through its own ``require_rounding`` and
+    ``_check_tables``; returns a namespace with the basis's table
+    attributes.  The truncation must be within ``MAX_SERIES_TERMS``."""
     n, tau = params.n, params.tau
     b = SimpleNamespace(params=params, n=n, series_bound=theta.series_bound_for(
         n * tau, theta.TRUNCATION_EPS))
-    z0, _ = theta._reduce_to_cell(np.arange(n) * tau, n * tau)
-    terms, weights = theta._series_terms(z0, n * tau, b.series_bound, 1)
-    pick = (np.arange(n), (np.arange(n) == 0).astype(int))
-    size = (np.abs(terms) @ np.abs(weights))[pick]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = size / np.abs((terms @ weights)[pick])
-    b.rounding_bound = 2.0 ** -53 * float(np.max(ratio))
+    width = theta._block_width(n, tau, b.series_bound)
+    table = theta._index_table(b, 1)
+    ratio = []
+    for alpha0 in range(0, n, width):
+        _, _, terms, sums = theta._block_sums(b, np.zeros(1), alpha0, table)
+        a = np.arange(alpha0, min(n, alpha0 + width))
+        pick = (a == 0) * width + a - alpha0
+        size = (np.abs(terms) @ np.abs(table))[0, pick]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio.append(size / np.abs(sums[0, pick]))
+    b.rounding_bound = 2.0 ** -53 * float(np.max(np.concatenate(ratio)))
     ThetaBasis.require_rounding(b, theta.ROUNDING_LIMIT)
     b.theta_at_zero, b.dtheta_at_zero = theta_alpha_jet(b, np.arange(n),
                                                         0.0, 1)

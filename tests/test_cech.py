@@ -664,18 +664,17 @@ def route_digest(n):
 
 
 class TestRoutePins:
-    """Digests taken when the trace route became one contraction per
-    point, which moved the last bits of its grids; the closed grids and
-    the projection coefficients kept the bits they had since the closed
-    route became the chart rule of the system's coefficient table ``g``.
-    numpy's complex product may take another loop when an operand's layout
-    changes (see ``fo._product``), so the pins also show that no operand
-    order or layout moved."""
+    """Digests taken when each point came to sum one theta series for
+    every index, which moved the last bits of every basis value and so of
+    both routes' grids and the projection coefficients.  numpy's complex
+    product may take another loop when an operand's layout changes (see
+    ``fo._product``), so the pins also show that no operand order or
+    layout moved."""
 
     DIGESTS = {
-        3: "6b727fa52535660c",
-        5: "5aa506e8c183f264",
-        9: "4df87a321de6e281",
+        3: "cc686edf0b318615",
+        5: "4e2c58602a25422f",
+        9: "c35b8e338cca1e53",
     }
 
     @pytest.mark.parametrize("n", [3, 5, 9])

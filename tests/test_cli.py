@@ -134,6 +134,18 @@ SKLYANIN_K1_CHECKS = ["jacobi_defect", "heisenberg_invariance",
                       "semiclassical_slope_shortfall"]
 
 
+def workload_round(monkeypatch, workload, seed):
+    """The jobs of one round of a perfbench workload."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up while the module is executed
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads.round_jobs(workload, seed)
+
+
 def run(args, tmp_path, name="out.json"):
     path = tmp_path / name
     code = main(args + ["--output", str(path)])
@@ -463,9 +475,12 @@ class TestExitCodes:
 
     def test_truncated_series_fails_with_its_report(self, tmp_path,
                                                     monkeypatch):
-        # a theta series cut to 60% of its bound: the wrapped pairs of the
-        # bracket disagree, a computed failure that exits 1 with the whole
-        # report, where a raised invariance error exited 2 with none
+        # a theta series cut to 60% of its bound: a computed failure that
+        # exits 1 with the whole report.  Every theta_alpha(0) sums the
+        # terms m = -M-1..M+1 of one series, a window that m -> -m maps to
+        # itself, so the wrapped pairs of the bracket still agree to
+        # rounding (they read 2e-5 while each alpha summed its own
+        # reduced series); Jacobi and the circle mean read the cut
         from ellpoisson import theta
         bound_for = theta.series_bound_for
         monkeypatch.setattr(theta, "series_bound_for", lambda tau, eps: max(
@@ -476,8 +491,10 @@ class TestExitCodes:
         report = json.loads(text)
         checks = {c["name"]: c for c in report["checks"]}
         assert list(checks) == SKLYANIN_K1_CHECKS
-        assert checks["heisenberg_invariance"]["pass"] is False
-        assert checks["heisenberg_invariance"]["residual"] > 1e-6
+        for name in ("jacobi_defect", "semiclassical_deviation"):
+            assert checks[name]["pass"] is False
+            assert checks[name]["residual"] > 1e-7
+        assert checks["heisenberg_invariance"]["residual"] < 1e-12
         assert set(report["tables"]) == {
             "f_table", "semiclassical_single_eta_deviation", "eta_circle"}
 
@@ -536,6 +553,79 @@ class TestExitCodes:
         slope = checks["semiclassical_slope_shortfall"]
         assert slope["pass"] is False
         assert math.isnan(slope["residual"])
+
+    def test_slope_is_the_polyfit_slope(self, capsys, monkeypatch):
+        # the closed-form slope against np.polyfit's SVD solve, on every
+        # sklyanin job of the bracket rounds at seeds 0 to 2
+        import ellpoisson.cli as cli
+        log_slope = cli._log_slope
+        seen = []
+
+        def recorded(x, y):
+            seen.append((x, y, log_slope(x, y)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(cli, "_log_slope", recorded)
+        jobs = [job for seed in (0, 1, 2)
+                for job in workload_round(monkeypatch, "bracket", seed)
+                if job.command == "sklyanin"]
+        assert {main(job.argv) for job in jobs} <= {0, 1}
+        capsys.readouterr()
+        assert len(seen) == len(jobs) == 171
+        for x, y, slope in seen:
+            fit = np.polyfit(np.log(x), np.log(y), 1)[0]
+            assert abs(slope - fit) <= 1e-12
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+    def test_one_lost_deviation_fails_the_slope_check(self, at, value,
+                                                      tmp_path, monkeypatch):
+        # a zero or NaN single-eta deviation at any eta makes the slope
+        # NaN and fails its check; a zero at the smallest eta would make
+        # sum (x - mean x) y / sum (x - mean x)^2 read +inf, a shortfall
+        # of 0.0 that passes
+        import ellpoisson.cli as cli
+        relations = cli.semiclassical_from_relations
+        bracket = cli._shared(cli.sklyanin_bracket, shared_basis(), 2)
+
+        def one_lost(basis, k, etas):
+            est, singles = relations(basis, k, etas)
+            singles = singles.copy()
+            # the closed form's own rows deviate by 0, NaN rows by NaN
+            singles[at] = bracket.rows + value
+            return est, singles
+
+        monkeypatch.setattr(cli, "semiclassical_from_relations", one_lost)
+        code, text = run(["sklyanin", "--n", "5", "--k", "2"], tmp_path)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert checks["semiclassical_deviation"]["pass"] is True
+        slope = checks["semiclassical_slope_shortfall"]
+        assert slope["pass"] is False
+        assert math.isnan(slope["residual"])
+
+    def test_nan_theta_value_fails_its_checks(self, tmp_path, monkeypatch):
+        # a NaN basis value in the relations makes the circle mean a NaN
+        # bracket, which fails semiclassical_deviation: the job exits 1
+        # with its one-line report instead of dying in the bracket's
+        # mirror check
+        import ellpoisson.fo as fo
+        evaluate = fo.theta_alpha_eval
+
+        def nan_entry(basis, alpha, z):
+            out = np.array(evaluate(basis, alpha, z))
+            out[0, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(fo, "theta_alpha_eval", nan_entry)
+        # the NaN flags invalid operations on its way
+        with np.errstate(invalid="ignore"):
+            code, text = run(["sklyanin", "--n", "5"], tmp_path)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        deviation = checks["semiclassical_deviation"]
+        assert deviation["pass"] is False
+        assert math.isnan(deviation["residual"])
 
     @pytest.mark.parametrize("im", ["1", "6", "20"])
     def test_f_table_check_sees_one_entry_off(self, im, tmp_path,
@@ -618,9 +708,9 @@ PARITY = {
                      "argument --k: expected one argument\n"),
     "moduli-compare --sam 2 --n 3": (0, (
         '{"checks": [{"name": "method_agreement", "pass": true, "residual": '
-        '8.110709212174108e-15, "tolerance": 1e-07}, {"name": '
+        '2.9394713984828796e-14, "tolerance": 1e-07}, {"name": '
         '"matches_projective_bracket", "pass": true, "residual": '
-        '2.649690936027635e-14, "tolerance": 1e-06}], "command": '
+        '5.1514348342607263e-14, "tolerance": 1e-06}], "command": '
         '"moduli-compare", "elapsed_ms": null, "params": {"format": "json", '
         '"k": 1, "n": 3, "output_path": null, "r": 1, "samples": 2, "seed": '
         '0, "tau_im": 1.0, "tau_re": 0.0}, "tables": {"contour": {"points": '
@@ -674,7 +764,7 @@ class TestRefusals:
     @pytest.mark.parametrize("args, expected", [
         (["--n", "3", "--tau", "0", "1e-6"],
          {c: (2, "Im tau = 1e-06 is out of numerical range at n = 3: "
-                 "rounding in the theta series may reach 8.7e+03 of a basis "
+                 "rounding in the theta series may reach 4.2e+00 of a basis "
                  "value at 0, beyond 1e-08")
           for c in ("theta", "sklyanin", "moduli-compare")}),
         (["--n", "5", "--tau", "0", "1e-10"],
@@ -1264,31 +1354,26 @@ class TestDeterminism:
         text = f"{code}\n" + json.dumps(report, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
-    # sha256 of the exit code and the payload without timings.  The
-    # sklyanin digests were taken when the Jacobi check came to read one
-    # shift orbit, with heisenberg_invariance beside it and its tolerance
-    # tightened to JACOBI_TOL; the orbit moves the last bits of the n = 31
-    # defect.  The theta digests were taken before the bracket jobs
-    # evaluated their tables as whole arrays: the batching of theta calls
-    # moves no bit.  The moduli-compare digests were taken when the trace
-    # route became one contraction per point, which moves the last bits of
-    # method_agreement
+    # sha256 of the exit code and the payload without timings, taken when
+    # each point came to sum one theta series for every index, which moves
+    # the last bits of every basis value and so of every residual and
+    # table; the verdicts and the payloads' structure stayed
     @pytest.mark.parametrize("args, digest", [
         (["sklyanin", "--n", "5", "--k", "2", "--tau", "0", "1"],
-         "429f1f8b94321c18"),
+         "5bbb246dba19c9ec"),
         (["sklyanin", "--n", "10", "--k", "1", "--tau", "0.3", "0.8"],
-         "8098472fe002c8b2"),
+         "3b7535aae778c91a"),
         (["sklyanin", "--n", "13", "--k", "2", "--tau", "0", "0.5"],
-         "e5aa68c0f51f1d98"),
-        (["sklyanin", "--n", "31", "--k", "1"], "6f75f61c849c1751"),
-        (["theta", "--n", "3"], "1ea2c24c9ffad0a4"),
-        (["theta", "--n", "11"], "79461039bd3129ff"),
+         "ec033da53234a9d8"),
+        (["sklyanin", "--n", "31", "--k", "1"], "0e73559213b8ece5"),
+        (["theta", "--n", "3"], "4b041ee3d7c49bb8"),
+        (["theta", "--n", "11"], "f428e40f4ce290d2"),
         (["moduli-compare", "--n", "5", "--samples", "4"],
-         "f3c4aaed879e057e"),
+         "f3799c839b4f6faa"),
         (["moduli-compare", "--n", "3", "--samples", "7"],
-         "3327354571a3d3b9"),
+         "8b595e59f4474bfe"),
         (["moduli-compare", "--n", "9", "--samples", "2", "--tau", "0.3",
-          "0.8"], "76c08a3cf6e96d5e"),
+          "0.8"], "c9ec312e8ef372c2"),
     ])
     def test_payload_pinned(self, args, digest, capsys):
         code = main(args)
@@ -1435,8 +1520,8 @@ class TestLatticeMemo:
 
     def test_one_table_build_per_order(self, capsys):
         # the bracket and Jacobi tables of an order, and the series tables
-        # of a truncation, are built once: a second lattice of the same
-        # order and truncation builds none
+        # of a truncation and jet order, are built once: a second lattice
+        # of the same order and truncation builds none
         from ellpoisson import poisson, theta
         caches = (poisson._layout, poisson._jacobi_layout,
                   theta._series_table)
@@ -1445,7 +1530,9 @@ class TestLatticeMemo:
         args = ["sklyanin", "--n", "7", "--k", "3"]
         assert main(args) == 0
         built = [cache.cache_info().misses for cache in caches]
-        # one order; the basis pass (order 1) and the relations (order 0)
+        # one order; the series tables of jet order 1, read by the index
+        # table of the basis pass, and of jet order 0, read by the terms of
+        # every series and by the index table of the relations
         assert built == [1, 1, 2]
         assert poisson._layout.cache_info().hits > 0
         assert main(args + ["--tau", "0.3", "1"]) == 0
@@ -1510,14 +1597,7 @@ class TestLatticeMemo:
     @staticmethod
     def bracket_round(monkeypatch):
         """The jobs of perfbench's bracket round at seed 1."""
-        path = Path(__file__).resolve().parent.parent / "perfbench" / \
-            "workloads.py"
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        # its dataclass looks its module up while the module is executed
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        return workloads.round_jobs("bracket", 1)
+        return workload_round(monkeypatch, "bracket", 1)
 
     def test_a_bracket_round_fits_the_memo(self, capsys, monkeypatch):
         # the largest known working set, one bracket round (27 bases and 39
