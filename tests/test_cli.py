@@ -1357,23 +1357,32 @@ class TestDeterminism:
     # sha256 of the exit code and the payload without timings, taken when
     # each point came to sum one theta series for every index, which moves
     # the last bits of every basis value and so of every residual and
-    # table; the verdicts and the payloads' structure stayed
+    # table; the verdicts and the payloads' structure stayed.  Each case
+    # keeps a fixed id, args<i> and the digest it pinned before that
+    # kernel, so that a re-pin changes the digest checked and not the
+    # case's name
     @pytest.mark.parametrize("args, digest", [
-        (["sklyanin", "--n", "5", "--k", "2", "--tau", "0", "1"],
-         "5bbb246dba19c9ec"),
-        (["sklyanin", "--n", "10", "--k", "1", "--tau", "0.3", "0.8"],
-         "3b7535aae778c91a"),
-        (["sklyanin", "--n", "13", "--k", "2", "--tau", "0", "0.5"],
-         "ec033da53234a9d8"),
-        (["sklyanin", "--n", "31", "--k", "1"], "0e73559213b8ece5"),
-        (["theta", "--n", "3"], "4b041ee3d7c49bb8"),
-        (["theta", "--n", "11"], "f428e40f4ce290d2"),
-        (["moduli-compare", "--n", "5", "--samples", "4"],
-         "f3799c839b4f6faa"),
-        (["moduli-compare", "--n", "3", "--samples", "7"],
-         "8b595e59f4474bfe"),
-        (["moduli-compare", "--n", "9", "--samples", "2", "--tau", "0.3",
-          "0.8"], "c9ec312e8ef372c2"),
+        pytest.param(["sklyanin", "--n", "5", "--k", "2", "--tau", "0", "1"],
+                     "5bbb246dba19c9ec", id="args0-429f1f8b94321c18"),
+        pytest.param(["sklyanin", "--n", "10", "--k", "1", "--tau", "0.3",
+                      "0.8"], "3b7535aae778c91a",
+                     id="args1-8098472fe002c8b2"),
+        pytest.param(["sklyanin", "--n", "13", "--k", "2", "--tau", "0",
+                      "0.5"], "ec033da53234a9d8",
+                     id="args2-e5aa68c0f51f1d98"),
+        pytest.param(["sklyanin", "--n", "31", "--k", "1"],
+                     "0e73559213b8ece5", id="args3-6f75f61c849c1751"),
+        pytest.param(["theta", "--n", "3"],
+                     "4b041ee3d7c49bb8", id="args4-1ea2c24c9ffad0a4"),
+        pytest.param(["theta", "--n", "11"],
+                     "f428e40f4ce290d2", id="args5-79461039bd3129ff"),
+        pytest.param(["moduli-compare", "--n", "5", "--samples", "4"],
+                     "f3799c839b4f6faa", id="args6-f3c4aaed879e057e"),
+        pytest.param(["moduli-compare", "--n", "3", "--samples", "7"],
+                     "8b595e59f4474bfe", id="args7-3327354571a3d3b9"),
+        pytest.param(["moduli-compare", "--n", "9", "--samples", "2",
+                      "--tau", "0.3", "0.8"], "c9ec312e8ef372c2",
+                     id="args8-76c08a3cf6e96d5e"),
     ])
     def test_payload_pinned(self, args, digest, capsys):
         code = main(args)
