@@ -262,8 +262,7 @@ def cmd_theta(cfg: RunConfig):
     checks.append(_check("second_log_derivative_2pi_i_n",
                          abs(ratio - 2j * math.pi * n), TOL))
     dref = basis.dtheta_at_zero[0]
-    res = float(np.max(np.abs(
-        theta_alpha_deriv(basis, 0, np.arange(n) / n, 1) - dref))) / abs(dref)
+    res = float(np.max(np.abs(basis.dtheta0_at_divisor - dref))) / abs(dref)
     checks.append(_check("dtheta0_constant_on_divisor", res, TOL))
     checks.append(_check(
         "automorphy_character",

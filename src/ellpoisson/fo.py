@@ -105,8 +105,10 @@ def _relation_rows(basis: ThetaBasis, k: int, etas) -> np.ndarray:
         raise DegenerateEtaError(
             f"theta_{alpha}({z[p]}) ~ 0: eta is torsion-degenerate")
     d, r = np.indices((n, n))
-    rel = basis.theta_at_zero[(d + r * (k - 1)) % n] / (
-        th[:, (k * r) % n] * neg[:, (d - r) % n])
+    # a NaN basis value is a NaN relation, which its checks fail
+    with np.errstate(invalid="ignore"):
+        rel = basis.theta_at_zero[(d + r * (k - 1)) % n] / (
+            th[:, (k * r) % n] * neg[:, (d - r) % n])
     rel[:, 0] = 0.0
     return rel
 
@@ -154,8 +156,9 @@ def _first_order(rel, eta) -> np.ndarray:
     n = rel.shape[-1]
     dd = np.arange(1, n)
     g = np.zeros_like(rel)
-    np.divide(-rel[..., 1:, :], rel[..., dd, dd][..., None],
-              out=g[..., 1:, :])
+    with np.errstate(invalid="ignore"):  # NaN relations stay NaN
+        np.divide(-rel[..., 1:, :], rel[..., dd, dd][..., None],
+                  out=g[..., 1:, :])
     g[..., dd, 0] = g[..., dd, dd] = (g[..., dd, 0] - 1.0) / 2.0
     g /= eta
     return g

@@ -38,10 +38,10 @@ jet order alone, the exponents m, m(m-1)/2 and the weight matrix, is built
 once per (bound, order) and shared read-only (``_series_table``); each
 call forms its own table e(m delta tau), and nothing is keyed by a lattice
 or a basis, so any object with ``n``, ``params`` and ``series_bound``
-evaluates.  A :class:`ThetaBasis` runs the kernel once, on the divisor
-k/n, whose first point is 0, for its constants at 0; every other value,
-the residue circle of ``cech`` among them, is read off
-``theta_alpha_jet``, in the chunks of ``chunks``.
+evaluates.  ``theta_alpha_jet`` is the kernel's one entry point, in the
+chunks of ``chunks``: a :class:`ThetaBasis` reads its tables off one call
+on the divisor k/n, whose first point is 0, and every other value, the
+residue circle of ``cech`` among them, off calls of its own.
 Evaluators accept scalars or numpy arrays of points and are pure functions
 of their arguments; a constructed :class:`ThetaBasis` rebinds no attribute,
 and its arrays are read-only from its own construction.
@@ -94,9 +94,7 @@ MAX_SERIES_TERMS = 4096
 # more.  The points of ``theta_alpha_jet`` (2M + 3 + (order + 1) n entries
 # each), the chart points of ``poisson.map_stack``, the triples of
 # ``poisson.jacobi_defect`` and the trace tables of ``cech.ResidueSystem``
-# run in the chunks of ``chunks``; the pass of a basis forms the n(2M + 3)
-# terms of its n points in one call, 62307 (1 MB) at the largest accepted
-# pass found (n = 63, M = 493), beside its table of 2(2M + 3) n entries
+# run in the chunks of ``chunks``
 CHUNK_ENTRIES = 2 ** 13
 
 
@@ -371,19 +369,18 @@ class ThetaBasis:
 
     Every basis value is one series at n*tau times E_alpha (module
     docstring); ``series_bound`` is the truncation ``TRUNCATION_EPS`` gives
-    at n*tau.  Its constants come from one pass of the kernel over the
-    divisor z = k/n: one series at each point for the block of alpha = 0,
-    which gives theta_0'(k/n), and one at z = 0 for each other block, if
-    any; the jets at 0 of every alpha come from the same sums.
-    ``theta_at_zero`` and ``dtheta_at_zero``, read-only, hold
-    theta_alpha(0) and theta_alpha'(0); theta_0(0) is an exact zero (the
-    series terms cancel in pairs), so it is stored as 0.  A lattice where
-    n Im(tau) is not finite, or whose truncation exceeds
-    ``MAX_SERIES_TERMS``, is refused before any series is summed; one
-    whose values at 0 are lost in rounding is refused by the a priori bound
-    ``rounding_bound``, read off the terms at 0 before any multiplier or
-    exponential factor is applied.  A basis compares and hashes by
-    identity, so it can key the objects built from it.
+    at n*tau.  Its tables come from one ``theta_alpha_jet`` call of every
+    alpha on the divisor z = k/n, read-only and each its own array:
+    ``theta_at_zero`` and ``dtheta_at_zero`` hold theta_alpha(0) and
+    theta_alpha'(0), and ``dtheta0_at_divisor`` holds theta_0'(k/n);
+    theta_0(0) is an exact zero (the series terms cancel in pairs), so it
+    is stored as 0.  A lattice where n Im(tau) is not finite, or whose
+    truncation exceeds ``MAX_SERIES_TERMS``, is refused before any series
+    is summed; one whose values at 0 are lost in rounding is refused by the
+    a priori bound ``rounding_bound``, read off the terms at 0 of each
+    block of indices before any multiplier or exponential factor is
+    applied.  A basis compares and hashes by identity, so it can key the
+    objects built from it.
     """
 
     params: CurveParams
@@ -391,6 +388,7 @@ class ThetaBasis:
     rounding_bound: float = field(init=False)
     theta_at_zero: np.ndarray = field(init=False)
     dtheta_at_zero: np.ndarray = field(init=False)
+    dtheta0_at_divisor: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n, tau = self.n, self.params.tau
@@ -403,43 +401,37 @@ class ThetaBasis:
             raise DegenerateTauError(f"Im tau = {tau.imag:g} is out of "
                                      f"numerical range at n = {n}: {why}")
         object.__setattr__(self, "series_bound", bound)
-        alpha = np.arange(n)
         width = _block_width(n, tau, bound)
         table = _index_table(self, 1)
-        # the points of the pass are the divisor z = k/n, the origin first:
-        # block 0 at every k/n (theta_0'(k/n)), every other block at 0.
         # theta_alpha(0) is the series at alpha*tau, whose lattice index is
         # 0, times E_alpha(0).  The sum carries a rounding error of about
         # 2^-53 sum|terms|, against the value, or against the derivative
         # for the zero of theta_0; the bound is the largest over alpha
-        z = alpha / n
-        blocks, ratio = [], []
-        for a in np.split(alpha, range(width, n, width)):
-            u0, b, terms, sums = _block_sums(self, z if a[0] == 0 else z[:1],
-                                             a[0], table)
-            size = np.abs(terms[0])
-            del terms  # the terms at 0 alone are read again
-            pick = (a == 0) * width + a - a[0]
+        ratio = []
+        for alpha0 in range(0, n, width):
+            _, _, terms, sums = _block_sums(self, np.zeros(1), alpha0, table)
+            a = np.arange(alpha0, min(n, alpha0 + width))
+            pick = (a == 0) * width + a - alpha0
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio.append((size @ np.abs(table))[pick]
+                ratio.append((np.abs(terms[0]) @ np.abs(table))[pick]
                              / np.abs(sums[0, pick]))
-            blocks.append((a, u0, b, sums))
+        # one index table at a time: the call below forms its own
+        del table, terms, sums
         object.__setattr__(self, "rounding_bound",
                            2.0 ** -53 * float(np.max(np.concatenate(ratio))))
         self.require_rounding(ROUNDING_LIMIT)
-        _check_range(z[:1], tau.imag, n, alpha.tolist())
-        jets = [_basis_jet(self, z[:len(u0)], a, a[0], u0, b, sums)
-                for a, u0, b, sums in blocks]
-        vals, ders = np.concatenate([jet[:, 0] for jet in jets], axis=1)
+        jet = theta_alpha_jet(self, np.arange(n), np.arange(n) / n, 1)
+        vals, ders = jet[:, 0].copy()
         vals[0] = 0.0
-        for name, table in (("theta_at_zero", vals), ("dtheta_at_zero", ders)):
+        for name, table in (("theta_at_zero", vals), ("dtheta_at_zero", ders),
+                            ("dtheta0_at_divisor", jet[1, :, 0].copy())):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
-        self._check_tables(jets[0][1, :, 0])
+        self._check_tables()
 
-    def _check_tables(self, d0):
-        """Refuse a basis whose values at 0 are numerically zero; ``d0``
-        holds theta_0'(k/n), k = 0..n-1.
+    def _check_tables(self):
+        """Refuse a basis whose values at 0 are numerically zero, or whose
+        theta_0'(k/n), k = 0..n-1, differs from theta_0'(0).
 
         theta_0'(0) and theta_alpha(0), alpha != 0, are nonzero for every
         tau; only a small Im(tau) makes them numerically zero.  These
@@ -465,7 +457,8 @@ class ThetaBasis:
                 (np.min(vals[1:]) < 1e-10 * scale,
                  "theta_alpha(0) is below 1e-10 of the largest "
                  "theta_alpha'(0) for some alpha != 0"),
-                (np.max(np.abs(d0 - self.dtheta_at_zero[0])) > 1e-8 * scale,
+                (np.max(np.abs(self.dtheta0_at_divisor
+                               - self.dtheta_at_zero[0])) > 1e-8 * scale,
                  "theta_0'(k/n) differs from theta_0'(0)")):
             if lost:
                 raise DegenerateTauError(

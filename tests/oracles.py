@@ -23,7 +23,8 @@ divided by the constant :func:`product_constant`.
 :func:`three_sum_basis` and :func:`three_sum_tables` repeat the
 construction that summed the series four times per lattice (for the
 rounding bound, the values at 0, theta_0'(k/n) and the residue circle),
-against which the one pass of ``ThetaBasis`` is compared byte for byte.
+against which ``ThetaBasis``, whose tables come from one
+``theta_alpha_jet`` call, is compared byte for byte.
 :func:`chart_points_loop` draws the ``moduli-compare`` chart points by
 one rejection loop per coordinate, where the package draws arrays.
 :func:`dense_cone_iso_check` checks the cone identification of
@@ -135,7 +136,7 @@ def three_sum_basis(params):
     rounding bound from the terms at 0 of each block of indices, then
     ``theta_alpha_jet`` at 0 for every alpha and at k/n for alpha = 0.
     Refuses as the basis does, through its own ``require_rounding`` and
-    ``_check_tables``; returns a namespace with the basis's table
+    ``_check_tables``; returns a namespace with the basis's three table
     attributes.  The truncation must be within ``MAX_SERIES_TERMS``."""
     n, tau = params.n, params.tau
     b = SimpleNamespace(params=params, n=n, series_bound=theta.series_bound_for(
@@ -155,7 +156,8 @@ def three_sum_basis(params):
     b.theta_at_zero, b.dtheta_at_zero = theta_alpha_jet(b, np.arange(n),
                                                         0.0, 1)
     b.theta_at_zero[0] = 0.0
-    ThetaBasis._check_tables(b, theta_alpha_jet(b, 0, np.arange(n) / n, 1)[1])
+    b.dtheta0_at_divisor = theta_alpha_jet(b, 0, np.arange(n) / n, 1)[1]
+    ThetaBasis._check_tables(b)
     return b
 
 

@@ -128,6 +128,9 @@ options:
 
 
 # the checks of a sklyanin report at k = 1, in the order it lists them
+THETA_CHECKS = ["shift_property_1", "shift_property_2", "shift_property_3",
+                "second_log_derivative_2pi_i_n", "dtheta0_constant_on_divisor",
+                "automorphy_character"]
 SKLYANIN_K1_CHECKS = ["jacobi_defect", "heisenberg_invariance",
                       "canonical_form_equals_f_table",
                       "semiclassical_deviation",
@@ -498,6 +501,65 @@ class TestExitCodes:
         assert set(report["tables"]) == {
             "f_table", "semiclassical_single_eta_deviation", "eta_circle"}
 
+    def test_truncated_series_fails_the_theta_checks(self, tmp_path,
+                                                     monkeypatch):
+        # a theta series cut to 30% of its bound exits 1 with all six
+        # checks; the shift by tau/n, the reflection and the second log
+        # derivative read 1.3e-2, 1.3e-2 and 1.1e1.  The other three read
+        # rounding: n (z + 1/n) and n k/n reduce to the cell point of n z
+        # and of 0, so the cut moves neither side of shift_property_1 nor
+        # theta_0'(k/n), and the reduction keeps the automorphy exact
+        from ellpoisson import theta
+        bound_for = theta.series_bound_for
+        monkeypatch.setattr(theta, "series_bound_for", lambda tau, eps: max(
+            2, int(0.3 * bound_for(tau, eps))))
+        code, text = run(["theta", "--n", "5", "--tau", "0", "0.03"],
+                         tmp_path)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert list(checks) == THETA_CHECKS
+        failed = ["shift_property_2", "shift_property_3",
+                  "second_log_derivative_2pi_i_n"]
+        for name in failed:
+            assert checks[name]["pass"] is False
+            assert checks[name]["residual"] > 1e-3
+        for name in set(THETA_CHECKS) - set(failed):
+            assert checks[name]["residual"] < 1e-14
+
+    @pytest.mark.parametrize("name", ["shift_property_1",
+                                      "dtheta0_constant_on_divisor"])
+    def test_theta_check_sees_its_own_fault(self, name, tmp_path,
+                                            monkeypatch):
+        # power controls for the two checks a cut series leaves at
+        # rounding: theta_1(z + 1/n) off by 1e-6 at one point, or the
+        # basis's theta_0'(1/n) off by 1e-6; only the check it targets fails
+        import ellpoisson.cli as cli
+        evaluate, build = cli.theta_alpha_eval, cli.ThetaBasis
+
+        def shifted_off(basis, alpha, z):
+            out = evaluate(basis, alpha, z)
+            if np.shape(z) == (400,):
+                out[100, 1] *= 1 + 1e-6
+            return out
+
+        def divisor_off(params):
+            b = build(params)
+            row = b.dtheta0_at_divisor.copy()
+            row[1] *= 1 + 1e-6
+            row.setflags(write=False)
+            object.__setattr__(b, "dtheta0_at_divisor", row)
+            return b
+
+        if name == "shift_property_1":
+            monkeypatch.setattr(cli, "theta_alpha_eval", shifted_off)
+        else:
+            monkeypatch.setattr(cli, "ThetaBasis", divisor_off)
+        code, text = run(["theta", "--n", "5"], tmp_path)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert [c for c in checks if not checks[c]["pass"]] == [name]
+        assert checks[name]["residual"] > cli.TOL
+
     def test_two_tolerances_certify_every_triple(self):
         # jacobi_defect <= JACOBI_TOL on the orbit and heisenberg_invariance
         # <= BRACKET_TOL bound every triple's defect by TOL, in exact
@@ -604,11 +666,12 @@ class TestExitCodes:
         assert slope["pass"] is False
         assert math.isnan(slope["residual"])
 
-    def test_nan_theta_value_fails_its_checks(self, tmp_path, monkeypatch):
+    def test_nan_theta_value_fails_its_checks(self, tmp_path, monkeypatch,
+                                              capsys):
         # a NaN basis value in the relations makes the circle mean a NaN
         # bracket, which fails semiclassical_deviation: the job exits 1
         # with its one-line report instead of dying in the bracket's
-        # mirror check
+        # mirror check, and with no warning on its way
         import ellpoisson.fo as fo
         evaluate = fo.theta_alpha_eval
 
@@ -618,10 +681,9 @@ class TestExitCodes:
             return out
 
         monkeypatch.setattr(fo, "theta_alpha_eval", nan_entry)
-        # the NaN flags invalid operations on its way
-        with np.errstate(invalid="ignore"):
-            code, text = run(["sklyanin", "--n", "5"], tmp_path)
+        code, text = run(["sklyanin", "--n", "5"], tmp_path)
         assert code == 1
+        assert capsys.readouterr().err == ""
         checks = {c["name"]: c for c in json.loads(text)["checks"]}
         deviation = checks["semiclassical_deviation"]
         assert deviation["pass"] is False
@@ -1115,19 +1177,26 @@ class TestReports:
 
     def test_theta_one_call_per_point_set(self, tmp_path, monkeypatch):
         # z, z + 1/n, z + tau/n and -z in one call; the automorphy check's
-        # grid, shifted by 1 and by tau, in another
+        # grid, shifted by 1 and by tau, in another; one derivative call,
+        # the second at 0, as theta_0'(k/n) is read off the basis
         import ellpoisson.cli as cli
 
-        shapes = []
-        evaluate = cli.theta_alpha_eval
+        shapes, derivatives = [], []
+        evaluate, derive = cli.theta_alpha_eval, cli.theta_alpha_deriv
 
         def counted(basis, alpha, z):
             shapes.append(np.shape(z))
             return evaluate(basis, alpha, z)
 
+        def counted_deriv(basis, alpha, z, order=1):
+            derivatives.append((alpha, np.shape(z), order))
+            return derive(basis, alpha, z, order)
+
         monkeypatch.setattr(cli, "theta_alpha_eval", counted)
+        monkeypatch.setattr(cli, "theta_alpha_deriv", counted_deriv)
         assert run(["theta", "--n", "5"], tmp_path)[0] == 0
         assert shapes == [(400,), (180,)]
+        assert derivatives == [(0, (), 2)]
 
     def test_sklyanin_k2_has_no_f_row(self, tmp_path):
         code, text = run(["sklyanin", "--n", "5", "--k", "2"], tmp_path)
@@ -1540,7 +1609,7 @@ class TestLatticeMemo:
         assert main(args) == 0
         built = [cache.cache_info().misses for cache in caches]
         # one order; the series tables of jet order 1, read by the index
-        # table of the basis pass, and of jet order 0, read by the terms of
+        # tables of the basis, and of jet order 0, read by the terms of
         # every series and by the index table of the relations
         assert built == [1, 1, 2]
         assert poisson._layout.cache_info().hits > 0

@@ -434,7 +434,7 @@ LARGEST_RANGE = ((63, 1j), (63, 2j), (63, 4j), (31, 2j), (31, 6j))
 def job_points(b):
     """The (points, indices, jet orders read) of a sklyanin job's basis
     evaluations: values and first derivatives at 0 for every alpha and
-    theta_0'(k/n) on the divisor in the basis pass, and values of every
+    theta_0'(k/n) on the divisor in the basis build, and values of every
     alpha at the eta nodes of the circle mean and the three slope values
     of ``semiclassical_from_relations``."""
     d = pole_distance(b)
@@ -760,7 +760,8 @@ LARGE_PASSES = ((7, 0.025 + 1.6e-5j), (13, 0.025 + 1e-5j),
 
 
 class TestBasisPass:
-    """Every table of a basis comes from one pass over the series terms."""
+    """The rounding bound reads the terms at 0 of each block; every table of
+    a basis comes from one ``theta_alpha_jet`` call on the divisor."""
 
     @pytest.mark.parametrize("n, taus", [
         *((n, (TAU_SQUARE, TAU_GENERIC, 0.5j)) for n in [*range(2, 14), 31]),
@@ -781,13 +782,34 @@ class TestBasisPass:
         for tau in taus:
             calls.clear()
             b = basis(n, tau)
-            # one series of 2M + 3 terms at each k/n for the block of
-            # alpha = 0, and one at 0 for each other block: at n = 63 the
-            # blocks hold 35, 18 and 9 indices at tau = i, 2i and 4i
+            # one series of 2M + 3 terms at 0 for each block, for the
+            # bound; then one at each k/n for each block, in the chunks of
+            # 2M + 3 + 2n entries a point: at n = 63 the blocks hold 35, 18
+            # and 9 indices at tau = i, 2i and 4i, and the chunks 61 and 2
+            # points
             width = theta._block_width(n, b.params.tau, b.series_bound)
             terms = 2 * b.series_bound + 3
-            assert calls == [(n, terms)] + [(1, terms)] * (-(-n // width) - 1)
-            assert b.theta_at_zero.shape == b.dtheta_at_zero.shape == (n,)
+            blocks = -(-n // width)
+            step = theta.CHUNK_ENTRIES // (terms + 2 * n)
+            rows = [min(step, n - lo) for lo in range(0, n, step)]
+            assert calls == ([(1, terms)] * blocks
+                             + [(r, terms) for r in rows for _ in range(blocks)])
+            assert (b.theta_at_zero.shape == b.dtheta_at_zero.shape
+                    == b.dtheta0_at_divisor.shape == (n,))
+
+    @pytest.mark.parametrize("n, tau", [
+        (2, TAU_SQUARE), (5, TAU_GENERIC), (13, 0.5j), (31, 6j), (63, 4j),
+        LARGE_PASSES[2]], ids=["2", "5", "13", "31-6i", "63-4i", "63-large"])
+    def test_divisor_row_is_its_own_table(self, n, tau):
+        # theta_0'(k/n) as theta_alpha_deriv reads it, in an array of its
+        # own that cannot be written
+        b = basis(n, tau)
+        row = b.dtheta0_at_divisor
+        assert row.tobytes() == theta_alpha_deriv(b, 0, np.arange(n) / n,
+                                                  1).tobytes()
+        assert row.base is None and row.flags.owndata
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0
 
     @pytest.mark.parametrize("n, tau, digest", [
         (*LARGE_PASSES[0], "2b9aa06dce0544b0"),
@@ -798,6 +820,25 @@ class TestBasisPass:
         b = basis(n, tau)
         h = hashlib.sha256()
         for table in (b.theta_at_zero, b.dtheta_at_zero):
+            h.update(table.tobytes())
+        h.update(repr(b.rounding_bound).encode())
+        assert h.hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("n, tau, digest", [
+        (63, 1j, "9d24c58453b34566"), (63, 2j, "7a432794eb9fcb30"),
+        (63, 4j, "730163e5eaf35796"), (31, 2j, "b8cd41ccd19c1175"),
+        (31, 6j, "ba78e49d81c91d66")], ids=["63-i", "63-2i", "63-4i",
+                                            "31-2i", "31-6i"])
+    def test_multi_block_tables_pinned(self, n, tau, digest):
+        # digests taken while the basis ran a pass of its own, on lattices
+        # of 2, 4, 7, 2 and 6 blocks; theta_0'(k/n) as theta_alpha_deriv
+        # reads it, which had the bits of that pass's divisor row
+        b = basis(n, tau)
+        assert -(-n // theta._block_width(n, b.params.tau,
+                                          b.series_bound)) > 1
+        h = hashlib.sha256()
+        for table in (b.theta_at_zero, b.dtheta_at_zero,
+                      theta_alpha_deriv(b, 0, np.arange(n) / n, 1)):
             h.update(table.tobytes())
         h.update(repr(b.rounding_bound).encode())
         assert h.hexdigest()[:16] == digest
