@@ -14,10 +14,10 @@ pairing it yields the bivector whose degree-0 block is checked for exact
 antisymmetry against the transpose partner d^0 t.  Both are differentials
 with their columns gathered and signed.  The printed cone identification
 Cone(ad)[-1] = C . C^0, with the degree-0 change of basis [[1, 0], [1, -1]],
-is verified exactly, identity by identity, on Kronecker pairs A (x) X,
-with X named by its degree (:func:`cone_iso_check`); an
-invertible chain map between the two complexes is an isomorphism, so their
-homology agrees without a rank.  A constructed complex is read-only, its
+is verified exactly, as five identities between the integer factors A
+of its maps A (x) X (:func:`cone_iso_check`); an invertible chain map
+between the two complexes is an isomorphism, so their homology agrees
+without a rank.  A constructed complex is read-only, its
 differentials too, since every Mat freezes its own entries, and it has
 proved d^2 = 0, so no check multiplies its differentials again.  Each
 differential of the endomorphism complex is one array into which every
@@ -399,79 +399,53 @@ def pi_bivector(H: HomComplex) -> PiBivector:
     return PiBivector(_paired(H, -1, negate=True), _paired(H, 0))
 
 
-def _shifted_cone(H: HomComplex, sign_flip: bool):
-    """Differentials of the two printed complexes and the comparison map,
-    each a Kronecker pair (A, x) standing for A (x) X: A is an integer
-    matrix over the summands of C^0 + C^0, 1x1 off degree 0, and X is the
-    differential of H of degree x, or the identity of C^0 for x None.  In
-    degree 0 the first summand is the shifted target copy in the cone and
-    the untruncated complex in the direct sum; the two complexes share one
-    pair in every degree but -1.
+def cone_iso_check(H: HomComplex, sign_flip: bool = False):
+    """Verify the printed cone identification exactly, identity by identity.
+
+    Checks (ii) that the comparison map with degree-0 block
+    DEG0_CHANGE_OF_BASIS is an invertible chain map, which is an isomorphism of
+    complexes, so the two have the same homology, and (iii) that the inclusion
+    of the non-negative truncation closes the printed commuting square.  Each
+    map of the two complexes and between them is A (x) X, an integer matrix A
+    over the summands of C^0 + C^0 in degree 0 (first the shifted target copy
+    in the cone, or the untruncated complex in the sum) and 1 x 1 elsewhere,
+    times a differential X of H or the identity of C^0.  An identity with one
+    operand X is (A - B) (x) X = 0 (mixed-product rule): it holds when the A
+    sides are equal or X is zero, the identity when dim C^0 = 0, and no matrix
+    is formed.  Five can fail:
+
+    1. change [1; 1] = [1; 0] on d^{-1}, the chain-map square at (-1, 0);
+    2. [1, 0] = [1, 0] change on d^0, the chain-map square at (0, 1);
+    3. change change = I on the identity, the inverse of the comparison map;
+    4. change INCLUSION = DIAGONAL on the identity, the inclusion square;
+    5. [1, 0] INCLUSION = [1] on d^0, the inclusion a chain map into the cone.
+
+    The squares need no guard for H.deg_max < 1, nor the fifth for C^1 = 0:
+    there d^{-1} and d^0 are zero.  A square at another degree cannot fail:
+    off degree -1 the cone and the direct sum share their differential, and
+    off degree 0 the comparison map is the identity.  Claim (i), that both
+    complexes square to zero, needs no check: each square is
+    AB (x) d^{d+1} d^d, and the construction of H proved d^2 = 0
+    (:meth:`HomComplex._check_squares`).  Returns (ok, failures).
     """
-    d_cone = {d: (np.array([[1]]), d) for d in range(H.deg_min, H.deg_max)}
-    d_sum = dict(d_cone)
-    if -1 in d_cone:  # then so is 0
-        d_cone[-1] = (np.array([[1], [1]]), -1)
-        d_sum[-1] = (np.array([[1], [0]]), -1)
-        d_cone[0] = d_sum[0] = (np.array([[1, 0]]), 0)
     change = np.array(DEG0_CHANGE_OF_BASIS)
     if sign_flip:
         change[1, 0] *= -1
-    return d_cone, d_sum, (change, None)
-
-
-def _pair_product(left, right):
-    """(A (x) X)(B (x) Y) = AB (x) XY, where one of X and Y is the identity
-    (None); a product of two differentials is never formed."""
-    (a, x), (b, y) = left, right
-    if x is not None and y is not None:
-        raise ValueError(f"product of the differentials of degrees {x} and "
-                         f"{y}")
-    return a @ b, (y if x is None else x)
-
-
-def _pair_equal(H: VSComplex, left, right) -> bool:
-    """Equality on one operand only: (A - B) (x) X = 0, where the identity
-    (None) is zero when H.dim(0) = 0.  Distinct degrees never compare
-    equal, even as two zero maps."""
-    (a, x), (b, y) = left, right
-    return x == y and (not (a - b).any()
-                       or (not H.dim(0) if x is None else H.diff(x).is_zero()))
-
-
-def cone_iso_check(H: HomComplex, sign_flip: bool = False):
-    """Verify the printed cone identification exactly, pair by pair.
-
-    Checks (ii) that the comparison map with degree-0 block
-    DEG0_CHANGE_OF_BASIS is an invertible chain map, which is an
-    isomorphism of complexes, so the two have the same homology, and (iii)
-    that the inclusion of the non-negative truncation closes the printed
-    commuting square.  Each identity is read on Kronecker pairs by the
-    mixed-product rule (:func:`_shifted_cone`), with no matrix product.
-    Claim (i), that both complexes square to zero, needs no check: each
-    square is AB (x) d^{d+1} d^d, and the construction of H proved d^2 = 0
-    (:meth:`HomComplex._check_squares`).  Returns (ok, failures).
-    """
-    d_cone, d_sum, change = _shifted_cone(H, sign_flip)
-    failures = []
-    # chain-map squares; the comparison map is the identity off degree 0
-    for d in sorted(d_cone):
-        lhs = _pair_product(change, d_cone[d]) if d + 1 == 0 else d_cone[d]
-        rhs = _pair_product(d_sum[d], change) if d == 0 else d_sum[d]
-        if not _pair_equal(H, lhs, rhs):
-            failures.append(f"chain-map square at degrees ({d}, {d + 1})")
-    if not _pair_equal(H, _pair_product(change, change),
-                       (np.eye(2, dtype=int), None)):
-        failures.append("degree-0 comparison block is not an involution")
-    # commuting square with the inclusion of C^{>=0}: through the cone and
-    # the comparison map, a section lands as (y, y) in degree 0
-    inclusion = (np.array(INCLUSION), None)
-    if not _pair_equal(H, _pair_product(change, inclusion),
-                       (np.array(DIAGONAL), None)):
-        failures.append("square with the truncation inclusion does not commute")
-    if H.dim(1) and not _pair_equal(H, _pair_product(d_cone[0], inclusion),
-                                    (np.array([[1]]), 0)):
-        failures.append("truncation inclusion is not a chain map into the cone")
+    top, inclusion = np.array([[1, 0]]), np.array(INCLUSION)
+    # (failure, the two A sides, whether the operand X is zero), in order
+    identities = (
+        ("chain-map square at degrees (-1, 0)", change @ [[1], [1]],
+         [[1], [0]], -1 not in H.diffs),
+        ("chain-map square at degrees (0, 1)", top, top @ change,
+         0 not in H.diffs),
+        ("degree-0 comparison block is not an involution", change @ change,
+         np.eye(2, dtype=int), not H.dim(0)),
+        ("square with the truncation inclusion does not commute",
+         change @ inclusion, DIAGONAL, not H.dim(0)),
+        ("truncation inclusion is not a chain map into the cone",
+         top @ inclusion, [[1]], 0 not in H.diffs))
+    failures = [failure for failure, a, b, zero in identities
+                if not zero and np.any(a - np.asarray(b))]
     return (not failures), failures
 
 

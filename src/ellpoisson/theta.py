@@ -580,15 +580,14 @@ def verify_automorphy(basis: ThetaBasis, c, f) -> float:
     n the basis order, on a deterministic grid of ``AUTOMORPHY_SAMPLES``
     points, normalized by max |f|.  f is called once, on the grid, the grid
     shifted by 1 and the grid shifted by tau, concatenated, and must return
-    one value per point.
+    one value per point.  A non-finite sample makes the residual read NaN,
+    which fails any tolerance.
     """
     tau = basis.params.tau
     n = basis.n
     z = _sample_grid(tau, AUTOMORPHY_SAMPLES)
     values = np.asarray(f(np.concatenate([z, z + 1.0, z + tau])),
                         dtype=complex)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite sample while checking automorphy")
     fz, f1, ft = values.reshape(3, len(z))
     mult = (-1.0) ** n * np.exp(-TWO_PI_I * (n * z - complex(c)))
     scale = float(np.max(np.abs(values)))

@@ -29,8 +29,8 @@ against which ``ThetaBasis``, whose tables come from one
 one rejection loop per coordinate, where the package draws arrays.
 :func:`dense_cone_iso_check` checks the cone identification of
 ``ellpoisson.homology`` on dense 2 dim C^0 matrices, with the comparison
-map written out, where the package evaluates the same identities on
-Kronecker pairs A (x) X by the mixed-product rule, and can compare the
+map written out, where the package reads the five identities that can
+fail off the integer factors A of maps A (x) X, and can compare the
 homology of the cone and the sum by exact rank (:func:`homology_dims`).
 :func:`dense_hom_differential` builds each differential of the
 endomorphism complex as dense Kronecker products stacked block by block,
@@ -807,7 +807,7 @@ def dense_hom_differential(H, d: int) -> Mat:
     return vstack(rows)
 
 
-def dense_shifted_cone(H, sign_flip: bool):
+def dense_cone_and_sum(H, sign_flip: bool):
     """Degree data and dense differentials of the two printed complexes.
 
     Returns (dims, d_cone, d_sum, change) where degree 0 of both complexes
@@ -838,7 +838,7 @@ def dense_cone_iso_check(H, sign_flip: bool = False,
                          with_homology: bool = False):
     """``cone_iso_check`` on dense matrices: the same checks in the same
     order with the same failure messages.  Returns (ok, failures)."""
-    dims, d_cone, d_sum, change = dense_shifted_cone(H, sign_flip)
+    dims, d_cone, d_sum, change = dense_cone_and_sum(H, sign_flip)
     failures = []
     for d in sorted(d_cone):
         nxt = d_cone.get(d + 1)

@@ -560,6 +560,58 @@ class TestExitCodes:
         assert [c for c in checks if not checks[c]["pass"]] == [name]
         assert checks[name]["residual"] > cli.TOL
 
+    @pytest.mark.parametrize("n", [3, 5, 11])
+    @pytest.mark.parametrize("tau", [("0", "1"), ("0.3", "0.8")],
+                             ids=["i", "0.3+0.8i"])
+    def test_automorphy_sees_one_sample_off(self, n, tau, tmp_path,
+                                            monkeypatch):
+        # power control for automorphy_character, which a cut series leaves
+        # exact: the largest theta_1(z + tau) sample of its one call off by
+        # a factor 1 + 1e-6 reads 1e-6, as that sample sets the scale
+        import ellpoisson.cli as cli
+        from ellpoisson.theta import AUTOMORPHY_SAMPLES
+        evaluate = cli.theta_alpha_eval
+
+        def tau_sample_off(basis, alpha, z):
+            out = evaluate(basis, alpha, z)
+            if np.shape(z) == (3 * AUTOMORPHY_SAMPLES,):
+                shifted = out[2 * AUTOMORPHY_SAMPLES:]
+                shifted[np.argmax(np.abs(shifted))] *= 1 + 1e-6
+            return out
+
+        monkeypatch.setattr(cli, "theta_alpha_eval", tau_sample_off)
+        code, text = run(["theta", "--n", str(n), "--tau", *tau], tmp_path)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert [c for c in checks if not checks[c]["pass"]] == [
+            "automorphy_character"]
+        assert checks["automorphy_character"]["residual"] == pytest.approx(
+            1e-6, rel=1e-3)
+
+    @pytest.mark.parametrize("name", ["end_dim_lower_bound",
+                                      "classical_rows_reproduced"])
+    def test_leaves_check_sees_its_own_fault(self, name, tmp_path,
+                                             monkeypatch):
+        # power controls: end_dim of the type {1: 1} one below its value
+        # puts a one-point sheaf below 2 l + 1, or one of the five classical
+        # rows of n = 3 is left untagged; only the check it targets fails
+        import ellpoisson.cli as cli
+        import ellpoisson.leaves as leaves
+        end_dim_local = leaves.end_dim_local
+        classical_cubic_rows = cli.classical_cubic_rows
+        if name == "end_dim_lower_bound":
+            monkeypatch.setattr(leaves, "end_dim_local", lambda r: (
+                end_dim_local(r) - (dict(r) == {1: 1})))
+            n = "4"
+        else:
+            monkeypatch.setattr(cli, "classical_cubic_rows", lambda records: (
+                classical_cubic_rows(records)[1:]))
+            n = "3"
+        code, text = run(["leaves", "--n", n], tmp_path)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert [c for c in checks if not checks[c]["pass"]] == [name]
+
     def test_two_tolerances_certify_every_triple(self):
         # jacobi_defect <= JACOBI_TOL on the orbit and heisenberg_invariance
         # <= BRACKET_TOL bound every triple's defect by TOL, in exact
@@ -688,6 +740,30 @@ class TestExitCodes:
         deviation = checks["semiclassical_deviation"]
         assert deviation["pass"] is False
         assert math.isnan(deviation["residual"])
+
+    def test_nan_theta_sample_fails_automorphy(self, tmp_path, monkeypatch,
+                                               capsys):
+        # a NaN theta_1 sample in the automorphy call reads NaN and fails
+        # automorphy_character: the job exits 1 with its one-line report
+        # instead of raising in verify_automorphy, and with no warning
+        import ellpoisson.cli as cli
+        evaluate = cli.theta_alpha_eval
+
+        def nan_sample(basis, alpha, z):
+            out = evaluate(basis, alpha, z)
+            if np.ndim(alpha) == 0:
+                out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, "theta_alpha_eval", nan_sample)
+        code, text = run(["theta", "--n", "5"], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert list(checks) == THETA_CHECKS
+        assert [c for c in checks if not checks[c]["pass"]] == [
+            "automorphy_character"]
+        assert math.isnan(checks["automorphy_character"]["residual"])
 
     @pytest.mark.parametrize("im", ["1", "6", "20"])
     def test_f_table_check_sees_one_entry_off(self, im, tmp_path,

@@ -22,11 +22,11 @@ from ellpoisson.homology import (
     trace_pairing,
 )
 from oracles import (
+    dense_cone_and_sum,
     dense_cone_iso_check,
     dense_duality_t,
     dense_hom_differential,
     dense_kappa_inverse_deg_minus1,
-    dense_shifted_cone,
     dense_trace_pairing,
     homology_dims,
     identity,
@@ -824,12 +824,12 @@ class TestConeIso:
         assert any("chain-map square" in f for f in failures)
 
     def test_homology_dims_match(self):
-        # the isomorphism the pair check proves, seen in homology: the
+        # the isomorphism the package check proves, seen in homology: the
         # dense cone and sum have equal homology dimensions by exact rank
         H = hom_complex(kronecker(seed=2))
         ok, failures = cone_iso_check(H)
         assert ok, failures
-        dims, d_cone, d_sum, _ = dense_shifted_cone(H, False)
+        dims, d_cone, d_sum, _ = dense_cone_and_sum(H, False)
         assert homology_dims(dims, d_cone) == homology_dims(dims, d_sum)
 
     def test_homology_ranks_each_distinct_differential_once(self,
@@ -861,10 +861,10 @@ class TestConeIso:
 
 
 class TestConeIsoOracle:
-    """The pair evaluation against the dense 2 dim C^0 matrices; with
-    ``with_homology`` the oracle also compares the homology dimensions of
-    the dense cone and sum, which the pair check leaves to the
-    isomorphism it proves."""
+    """The identities on integer factors against the dense 2 dim C^0
+    matrices; with ``with_homology`` the oracle also compares the homology
+    dimensions of the dense cone and sum, which the package check leaves to
+    the isomorphism it proves."""
 
     CASES = {
         **{f"kronecker_{seed}": (lambda seed=seed: hom_complex(
@@ -874,6 +874,8 @@ class TestConeIsoOracle:
         "sign_flip": (lambda: hom_complex(kronecker(seed=1)), True),
         "zero_complex_sign_flip": (lambda: hom_complex(VSComplex({}, {})),
                                    True),
+        "zero_differential_sign_flip": (
+            lambda: hom_complex(zero_diff_complex()), True),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -891,6 +893,13 @@ class TestConeIsoOracle:
         # corrupted
         build, flip = self.CASES["sign_flip"]
         assert not cone_iso_check(build(), sign_flip=flip)[0]
+
+    def test_zero_operands_hold(self):
+        # with every differential of H zero, only the identities on the
+        # identity of C^0 can fail, and the sign flip breaks one of them
+        build, flip = self.CASES["zero_differential_sign_flip"]
+        assert cone_iso_check(build(), sign_flip=flip) == (
+            False, ["square with the truncation inclusion does not commute"])
 
 
 class TestConeIsoPower:
@@ -921,7 +930,7 @@ class TestConeIsoPower:
     def test_wrong_rank_fails_homology(self, monkeypatch):
         # the oracle's homology comparison follows from the identities
         # before it, so only a wrong rank reaches it: count nonzero rows,
-        # which tells the cone's (a; a) from the sum's (a; 0); the pair
+        # which tells the cone's (a; a) from the sum's (a; 0); the package
         # check ranks nothing and still passes
         monkeypatch.setattr(Mat, "rank", lambda self: int(
             np.count_nonzero(np.any(self.num != 0, axis=1))))
@@ -931,45 +940,11 @@ class TestConeIsoPower:
         assert cone_iso_check(H) == (True, [])
 
 
-class TestPairs:
-    """The Kronecker pairs (A, X) of the cone identification, A (x) X."""
-
-    def test_product_and_equality(self):
-        H = hom_complex(kronecker(seed=1))
-        row, col = np.array([[1, 1]]), np.array([[1], [3]])
-        # (A (x) X)(B (x) I) = AB (x) X, with the identity None on either
-        # side and X named by its degree
-        a, x = homology._pair_product((row, 0), (col, None))
-        assert a.tolist() == [[4]] and x == 0
-        assert homology._pair_product((row, None), (col, -1))[1] == -1
-        a, x = homology._pair_product((row, None), (col, None))
-        assert a.tolist() == [[4]] and x is None
-        # equal on one degree when (A - B) (x) X = 0
-        outer = col @ row
-        assert homology._pair_equal(H, (outer, 0), (outer.copy(), 0))
-        assert not homology._pair_equal(H, (outer, 0), (0 * outer, 0))
-        zero = hom_complex(zero_diff_complex())
-        assert homology._pair_equal(zero, (outer, 0), (0 * outer, 0))
-        # None is zero only when dim C^0 = 0
-        assert not homology._pair_equal(H, (outer, None), (0, None))
-        assert homology._pair_equal(VSComplex({}, {}), (outer, None),
-                                    (0, None))
-        # distinct degrees never compare equal, even as two zero maps
-        assert not homology._pair_equal(H, (outer, 0), (outer, -1))
-        assert not homology._pair_equal(H, (outer, None), (outer, 0))
-        assert not homology._pair_equal(zero, (outer, 0), (outer, 1))
-
-    def test_two_differentials_never_multiply(self):
-        # d^{d+1} d^d = 0 holds for every constructed H, so no pair product
-        # forms it
-        one = np.array([[1]])
-        with pytest.raises(ValueError, match="degrees 0 and -1"):
-            homology._pair_product((one, 0), (one, -1))
-
+class TestConeIsoProducts:
     @pytest.mark.parametrize("sign_flip", [False, True])
     def test_cone_iso_check_constructs_no_mat(self, monkeypatch, sign_flip):
-        # every identity is read off integer factors and the degrees of
-        # H's differentials, so no matrix is built, and no identity of side
+        # every identity is read off integer factors and whether its
+        # operand is zero, so no matrix is built, and no identity of side
         # dim C^0 in particular
         H = hom_complex(kronecker(seed=2, n=5))
         built = []
@@ -984,16 +959,14 @@ class TestPairs:
         assert ok != sign_flip, failures
         assert built == []
 
-
-class TestConeIsoProducts:
     @pytest.mark.parametrize("sign_flip", [False, True])
     def test_no_two_differentials_of_h_multiply(self, monkeypatch,
                                                 sign_flip):
         # H proves d^2 = 0 on the factors of E, so its construction
         # multiplies a differential of H only by the probe's columns, and
-        # the cone identification, which names each differential by its
-        # degree, forms no product; the sign flip changes an integer factor
-        # only
+        # the cone identification, which asks of a differential only
+        # whether it is zero, forms no product; the sign flip changes an
+        # integer factor only
         E = kronecker(seed=2, n=5)
         calls = counted_products(monkeypatch)
         H = hom_complex(E)

@@ -844,8 +844,10 @@ class TestBasisPass:
         assert h.hexdigest()[:16] == digest
 
     def test_largest_pass_memory(self):
-        # its 62307 terms take 1 MB and its table 2 MB; the pass peaks at
-        # 3.2 MiB (tracemalloc)
+        # forming its index table of 989 terms by 2 x 63 columns (2.0 MB)
+        # from the 989 x 63 block shifts (1 MB) is the peak, 3.2 MiB
+        # (tracemalloc); the divisor call's terms, 7 points a chunk, are
+        # 0.1 MB
         n, tau = LARGE_PASSES[2]
         tracemalloc.start()
         try:
